@@ -17,7 +17,6 @@ from .certificates import (
     CertificateInterrupted,
     CertificateResult,
     DataWindow,
-    VertexSet,
     WarmState,
     adapt,
     certificate_value,
@@ -25,7 +24,7 @@ from .certificates import (
     revalidate,
 )
 from .cover import Cover, inflated_radius, rebuild
-from .measures import DiscreteDistribution, empirical, expectation, weighted
+from .measures import DiscreteDistribution, empirical, weighted
 from .model import (
     CostModel,
     DomainError,
@@ -45,7 +44,6 @@ from .simplex import (
     AfwaResult,
     ConcavityError,
     SolverError,
-    SparseVertex,
     afwa_maximize,
     point_search,
 )
@@ -85,19 +83,16 @@ __all__ = [
     "RunResult",
     "SamplePoint",
     "SolverError",
-    "SparseVertex",
     "StepSizeRule",
     "Tolerances",
     "TransportPlan",
     "UniformRandomPeriod",
-    "VertexSet",
     "WarmState",
     "adapt",
     "afwa_maximize",
     "certificate_value",
     "empirical",
     "estimate_jstar",
-    "expectation",
     "generate",
     "inflated_radius",
     "make_rule",

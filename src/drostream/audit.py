@@ -191,7 +191,7 @@ def verify_events(
                 )
 
             checks["certificate_gap"].count += 1
-            problem = _Problem(model, x, window, n * eps)
+            problem = _Problem(model, x, window)
             _, eta = point_search(problem.grads(z), n * eps, z, n_total=n)
             tol_used = float(rec["tol"])
             if eta > tol_used + 1e-9:

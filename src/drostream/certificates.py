@@ -16,19 +16,13 @@ generic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .measures import DiscreteDistribution
-from .simplex import (
-    ConcavityError,
-    SolverError,
-    SparseVertex,
-    afwa_maximize,
-    point_search,
-)
+from .simplex import ConcavityError, SolverError, afwa_maximize, point_search
 
 Array = np.ndarray
 
@@ -75,56 +69,21 @@ class DataWindow:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def is_weighted(self) -> bool:
-        return self.size != self.n_total or bool(np.any(self.theta != 1.0))
-
     def measure(self) -> DiscreteDistribution:
         return DiscreteDistribution(self.points, self.theta / self.n_total)
 
 
 @dataclass
-class VertexSet:
-    """Simplex vertices discovered so far, all at the current scale.
-
-    Magnitudes always equal n_total * radius for the window being solved;
-    `adapt` rebuilds them whenever the window or radius changes. Cardinality
-    never exceeds 2 m p and re-finding a member is an invariant breach.
-    """
-
-    vertices: list[SparseVertex] = field(default_factory=list)
-    n_context: int = 0
-
-    def __post_init__(self):
-        self._keys = {v.key for v in self.vertices}
-        if len(self._keys) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __contains__(self, vertex: SparseVertex) -> bool:
-        return vertex.key in self._keys
-
-    def extend(self, new: list[SparseVertex]) -> None:
-        for v in new:
-            if v.is_zero:
-                raise ValueError("zero sentinel cannot join a vertex set")
-            if v.key in self._keys:
-                raise ValueError(f"vertex {v.key} already present")
-            self.vertices.append(v)
-            self._keys.add(v.key)
-
-    def copy(self) -> "VertexSet":
-        return VertexSet(list(self.vertices), self.n_context)
-
-
-@dataclass
 class WarmState:
     """Adapted restart state: vertex set, start point in budget coordinates,
-    and hull weights over [origin] + vertices (index 0 is the origin atom)."""
+    and hull weights over [origin] + vertices (index 0 is the origin atom).
 
-    vertex_set: VertexSet
+    ``vertex_set`` is a (V, 3) int array of distinct ``(k, j, sign)`` rows.
+    Each row stands for ``sign * n_total * radius`` at sample k, coordinate
+    j of the window being solved, so the rows need no change across windows.
+    """
+
+    vertex_set: Array
     y_start: Array
     gamma: Array
 
@@ -150,8 +109,9 @@ class CertificateResult:
 
     ``y_eps1`` holds the physical per-atom perturbations (points move to
     ``points - y_eps1``), ``z`` the budget coordinates theta * y whose total
-    1-norm over n_total is the transport budget actually spent. ``gamma``
-    are hull weights over [origin] + vertex_set and, with the vertex set,
+    1-norm over n_total is the transport budget actually spent.
+    ``vertex_set`` holds the ``(k, j, sign)`` rows found (see WarmState) and
+    ``gamma`` the hull weights over [origin] + vertex_set; together they
     form the warm-start state for the next window.
     """
 
@@ -159,7 +119,7 @@ class CertificateResult:
     y_eps1: Array
     z: Array
     worst_case: DiscreteDistribution
-    vertex_set: VertexSet
+    vertex_set: Array
     gamma: Array
     eta: float
     n_total: int
@@ -187,11 +147,10 @@ def certificate_value(model, x: Array, window: DataWindow, y_phys: Array) -> flo
 class _Problem:
     """Window-bound oracles in budget coordinates z (z = theta * y)."""
 
-    def __init__(self, model, x: Array, window: DataWindow, scale: float):
+    def __init__(self, model, x: Array, window: DataWindow):
         self.model = model
         self.x = np.asarray(x, dtype=float)
         self.window = window
-        self.scale = scale
         self._inv_theta = (1.0 / window.theta)[:, None]
 
     def value(self, z: Array) -> float:
@@ -205,6 +164,14 @@ class _Problem:
         )
 
 
+def _hull_point(shape, ks: Array, js: Array, vals: Array, gamma: Array) -> Array:
+    """Dense point of hull weights gamma over [origin] + vertices: each
+    gamma[1 + a] * vals[a] summed in at (ks[a], js[a]), the origin adding 0."""
+    z = np.zeros(shape)
+    np.add.at(z, (ks, js), gamma[1:] * vals)
+    return z
+
+
 class _HullObjective:
     """Concave objective over hull weights for atoms [origin] + vertices.
 
@@ -213,26 +180,17 @@ class _HullObjective:
     warm start and the atom set stays affinely independent.
     """
 
-    def __init__(self, problem: _Problem, vertices: list[SparseVertex]):
+    def __init__(self, problem: _Problem, vertices: Array, scale: float):
         self.problem = problem
-        self.verts = vertices
         self.quadratic_along_segments = bool(
             getattr(problem.model, "quadratic_in_sample", False)
         )
-        self._ks = np.fromiter((v.coord[0] for v in vertices), dtype=int, count=len(vertices))
-        self._js = np.fromiter((v.coord[1] for v in vertices), dtype=int, count=len(vertices))
-        self._vals = np.fromiter(
-            (v.sign * v.magnitude for v in vertices), dtype=float, count=len(vertices)
-        )
-        p = problem.window.size
-        m = problem.window.dimension
-        self._shape = (p, m)
+        self._ks, self._js, signs = vertices.T
+        self._vals = signs * scale
+        self._shape = (problem.window.size, problem.window.dimension)
 
     def point(self, gamma: Array) -> Array:
-        z = np.zeros(self._shape)
-        if len(self.verts):
-            np.add.at(z, (self._ks, self._js), gamma[1:] * self._vals)
-        return z
+        return _hull_point(self._shape, self._ks, self._js, self._vals, gamma)
 
     def value(self, gamma: Array) -> float:
         return self.problem.value(self.point(gamma))
@@ -240,17 +198,10 @@ class _HullObjective:
     def grad(self, gamma: Array) -> Array:
         G = self.problem.grads(self.point(gamma))
         n = self.problem.window.n_total
-        out = np.empty(1 + len(self.verts))
+        out = np.empty(1 + len(self._vals))
         out[0] = 0.0
         out[1:] = self._vals * G[self._ks, self._js] / n
         return out
-
-
-def _rebuild_point(gamma: Array, vertices: list[SparseVertex], shape) -> Array:
-    z = np.zeros(shape)
-    for w, v in zip(gamma[1:], vertices):
-        z[v.coord] += w * v.sign * v.magnitude
-    return z
 
 
 def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> CertificateResult:
@@ -260,7 +211,7 @@ def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> Certi
         y_eps1=z.copy(),
         z=z,
         worst_case=window.measure(),
-        vertex_set=VertexSet([], window.n_total),
+        vertex_set=np.empty((0, 3), dtype=np.intp),
         gamma=np.array([1.0]),
         eta=0.0,
         n_total=window.n_total,
@@ -302,19 +253,12 @@ def generate(
     p, m = window.size, window.dimension
     n = window.n_total
     scale = n * radius
-    problem = _Problem(model, x, window, scale)
+    problem = _Problem(model, x, window)
     if radius == 0.0:
         return _empty_result(problem, window, radius)
 
     if warm is not None:
-        vs = warm.vertex_set.copy()
-        vs.n_context = n
-        for v in vs.vertices:
-            if abs(v.magnitude - scale) > 1e-12 * max(1.0, scale):
-                raise ValueError(
-                    "warm vertex magnitude differs from the current scale; "
-                    "adapt the state before reuse"
-                )
+        vs = warm.vertex_set
         z = np.asarray(warm.y_start, dtype=float).copy()
         if z.shape != (p, m):
             raise ValueError(f"warm start has shape {z.shape}, window needs {(p, m)}")
@@ -330,7 +274,7 @@ def generate(
             c[0] = 1.0
             j_curr = j_origin
     else:
-        vs = VertexSet([], n)
+        vs = np.empty((0, 3), dtype=np.intp)
         z = np.zeros((p, m))
         c = np.array([1.0])
         j_curr = problem.value(z)
@@ -347,19 +291,25 @@ def generate(
         lp_calls += 1
         if tick is not None:
             tick(1)
-        assert np.abs(z).sum() / n <= radius + 1e-9, "budget violated"
+        spent = float(np.abs(z).sum()) / n
+        if spent > radius + 1e-9:
+            raise ValueError(
+                f"plan spends budget {spent:.6g} beyond radius {radius:.6g}; "
+                "a warm state must be adapted to the window first"
+            )
         if eta <= eps1:
             break
-        new = [v for v in omega if not v.is_zero and v not in vs]
-        if not new and solved_here:
+        # argmax rows not yet in the vertex set
+        new = omega[~(omega[:, None] == vs[None]).all(axis=2).any(axis=1)]
+        if not len(new) and solved_here:
             # the hull just solved contains the best extreme direction, so its
             # certified gap bounds the true gap; the measured excess is only
             # reconstruction roundoff
             break
-        vs.extend(new)
+        vs = np.concatenate([vs, new])
         c = np.concatenate([c, np.zeros(len(new))])
 
-        hull = _HullObjective(problem, vs.vertices)
+        hull = _HullObjective(problem, vs, scale)
         res = afwa_maximize(
             hull, eps1, c,
             max_iters=max_cp_iters, interrupt=interrupt, tick=tick,
@@ -406,7 +356,7 @@ def generate(
 
 
 def adapt(
-    vertex_set: VertexSet,
+    vertex_set: Array,
     gamma: Array,
     new_n: int,
     new_radius: float,
@@ -414,26 +364,23 @@ def adapt(
 ) -> WarmState:
     """Rescale a converged (or partial) state to a grown window.
 
-    Vertices keep their coordinate and sign but take magnitude
-    new_n * new_radius; hull weights are preserved and the start point is
-    rebuilt from them, so freshly arrived rows start unperturbed.
+    Vertices keep their row, coordinate and sign, and now stand for
+    magnitude new_n * new_radius; hull weights are preserved and the start
+    point is rebuilt from them, so freshly arrived rows start unperturbed.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (1 + len(vertex_set),):
         raise ValueError("gamma length must be 1 + len(vertex_set)")
-    size, dimension = new_shape
     if new_radius == 0.0:
         return WarmState(
-            VertexSet([], new_n), np.zeros((size, dimension)), np.array([1.0])
+            np.empty((0, 3), dtype=np.intp), np.zeros(new_shape), np.array([1.0])
         )
-    mag = new_n * new_radius
-    new_vertices = [replace(v, magnitude=mag) for v in vertex_set.vertices]
-    for v in new_vertices:
-        if not (0 <= v.coord[0] < size and 0 <= v.coord[1] < dimension):
-            raise ValueError("vertex coordinate outside the new window")
-    vs = VertexSet(new_vertices, new_n)
-    y = _rebuild_point(gamma, new_vertices, (size, dimension))
-    return WarmState(vs, y, gamma.copy())
+    at = vertex_set[:, :2]
+    if np.any(at < 0) or np.any(at >= new_shape):
+        raise ValueError("vertex coordinate outside the new window")
+    ks, js, signs = vertex_set.T
+    y = _hull_point(new_shape, ks, js, signs * (new_n * new_radius), gamma)
+    return WarmState(vertex_set.copy(), y, gamma.copy())
 
 
 def revalidate(
@@ -447,7 +394,7 @@ def revalidate(
     zero cp_calls).
     """
     scale = window.n_total * radius
-    problem = _Problem(model, x, window, scale)
+    problem = _Problem(model, x, window)
     z = np.asarray(warm.y_start, dtype=float)
     _, eta = point_search(problem.grads(z), scale, z, n_total=window.n_total)
     return eta <= eps1, eta

@@ -93,7 +93,10 @@ class Cover:
         if not self._centers:
             raise ValueError("cover is empty")
         total = sum(self._theta, Fraction(0))
-        assert total == self.n_seen, "multiplicity mass diverged from the count"
+        if total != self.n_seen:
+            raise RuntimeError(
+                f"multiplicity mass {total} diverged from the count {self.n_seen}"
+            )
         return DataWindow(self.centers(), self.theta(), self.n_seen)
 
     def transport_slack(self) -> float:

@@ -54,9 +54,3 @@ def weighted(points: Array, theta: Array, n_total: float) -> DiscreteDistributio
     """Measure with masses theta_k / n_total on the given rows."""
     theta = np.asarray(theta, dtype=float)
     return DiscreteDistribution(points, theta / float(n_total))
-
-
-def expectation(model, x: Array, dist: DiscreteDistribution) -> float:
-    """E[f(x, xi)] under a discrete distribution, via one batched eval."""
-    vals = np.asarray(model.eval(x, dist.atoms), dtype=float).reshape(-1)
-    return float(dist.weights @ vals)

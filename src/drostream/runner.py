@@ -14,7 +14,6 @@ for an offline audit to re-verify the whole run from the event log alone.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
@@ -97,35 +96,22 @@ class Clock:
 
 
 class ArrivalQueue:
-    """Time-ordered pending samples; safe to feed from another thread."""
+    """Pending samples in arrival-time order, fixed when the run starts."""
 
     def __init__(self, points: Sequence[SamplePoint] = ()):
-        self._lock = threading.Lock()
         self._pending = deque(sorted(points, key=lambda p: p.arrival_time))
 
-    def push(self, point: SamplePoint) -> None:
-        with self._lock:
-            self._pending.append(point)
-            if len(self._pending) > 1 and (
-                self._pending[-2].arrival_time > point.arrival_time
-            ):
-                items = sorted(self._pending, key=lambda p: p.arrival_time)
-                self._pending = deque(items)
-
     def next_time(self) -> Optional[float]:
-        with self._lock:
-            return self._pending[0].arrival_time if self._pending else None
+        return self._pending[0].arrival_time if self._pending else None
 
     def pop_due(self, t: float) -> list[SamplePoint]:
         out = []
-        with self._lock:
-            while self._pending and self._pending[0].arrival_time <= t:
-                out.append(self._pending.popleft())
+        while self._pending and self._pending[0].arrival_time <= t:
+            out.append(self._pending.popleft())
         return out
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._pending)
+        return len(self._pending)
 
 
 @dataclass(frozen=True)
@@ -143,8 +129,7 @@ class RunConfig:
     unit, counted in atom-coordinates touched: one inner iteration on a
     window of p atoms in dimension m costs p*m. Compressed windows
     therefore advance the clock slower than full ones, which is the whole
-    computational point of covering. cold_restarts discards all warm state
-    and reuse (baseline mode for measuring what adaptation saves).
+    computational point of covering.
     """
 
     model: CostModel
@@ -158,7 +143,6 @@ class RunConfig:
     cost_budget_per_period: float = 100.0
     x0: Optional[Array] = None
     cover: CoverConfig = field(default_factory=CoverConfig)
-    cold_restarts: bool = False
 
     def __post_init__(self):
         if self.n0 < 1:
@@ -336,39 +320,26 @@ def run(
         l += 1
         totals.epochs += 1
         r_n = r
-        n = len(raw)
-        eps_n, beta_n = current_radius(n)
-        window = current_window()
-        attempt_warm = None
-        if warm is not None and not config.cold_restarts:
-            attempt_warm = adapt(
-                warm.vertex_set,
-                warm.gamma,
-                window.n_total,
-                eps_n,
-                (window.size, window.dimension),
-            )
+        # certify x on the current window, warm from the last state; an
+        # interrupt ingests the due points and retries from its partial state
         while True:
+            n = len(raw)
+            eps_n, beta_n = current_radius(n)
+            window = current_window()
+            if warm is not None:
+                warm = adapt(warm.vertex_set, warm.gamma, window.n_total, eps_n,
+                             (window.size, window.dimension))
             try:
                 cert = generate(
                     model, x, window, eps_n, tol.eps1,
-                    warm=attempt_warm, interrupt=due, tick=cost_tick(window),
+                    warm=warm, interrupt=due, tick=cost_tick(window),
                 )
                 break
             except CertificateInterrupted as ci:
                 totals.interrupts += 1
                 absorb(ci)
                 drain()
-                n = len(raw)
-                eps_n, beta_n = current_radius(n)
-                window = current_window()
-                attempt_warm = adapt(
-                    ci.state.vertex_set,
-                    ci.state.gamma,
-                    window.n_total,
-                    eps_n,
-                    (window.size, window.dimension),
-                )
+                warm = ci.state
         absorb(cert)
         ev = post_certificate(cert, x, tol_used=tol.eps1, reused=False)
         cert_seq = ev.seq
@@ -384,26 +355,17 @@ def run(
             totals.steps += 1
             clock.tick(1.0)
             try:
-                if config.cold_restarts:
-                    fresh = generate(
-                        model, x_new, window, eps_n, tol.eps1,
-                        warm=None, interrupt=due, tick=cost_tick(window),
-                    )
-                    outcome_cert, reused, eta = fresh, False, fresh.eta
-                else:
-                    outcome = reuse_or_refresh(
-                        model, x_new, window, eps_n, tol, cert,
-                        interrupt=due, tick=cost_tick(window),
-                    )
-                    outcome_cert, reused, eta = (
-                        outcome.cert, outcome.reused, outcome.eta,
-                    )
+                outcome = reuse_or_refresh(
+                    model, x_new, window, eps_n, tol, cert,
+                    interrupt=due, tick=cost_tick(window),
+                )
             except CertificateInterrupted as ci:
                 totals.interrupts += 1
                 absorb(ci)
                 warm = ci.state
                 drain()
                 break
+            outcome_cert, reused = outcome.cert, outcome.reused
             absorb(outcome_cert)
             totals.reuses += int(reused)
             totals.refreshes += int(not reused)

@@ -28,38 +28,9 @@ class SolverError(RuntimeError):
     """An inner solver failed to certify optimality within its budget."""
 
 
-@dataclass(frozen=True)
-class SparseVertex:
-    """Signed extreme point of the scaled simplex in perturbation space.
-
-    Densified it has a single entry ``sign * magnitude`` at ``coord``
-    (sample index, coordinate index). ``sign == 0`` marks the degenerate
-    all-zero-gradient search result; it densifies to zero and never enters
-    a vertex set.
-    """
-
-    coord: tuple[int, int]
-    sign: int
-    magnitude: float
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0, or +1")
-        if self.sign != 0 and not self.magnitude > 0:
-            raise ValueError("magnitude must be positive")
-
-    @property
-    def key(self) -> tuple[tuple[int, int], int]:
-        return (self.coord, self.sign)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-
 def point_search(
     grads: Array, scale: float, y_current: Array, n_total: int
-) -> tuple[list[SparseVertex], float]:
+) -> tuple[Array, float]:
     """Best signed vertex of the scaled simplex under the linearized objective.
 
     Parameters
@@ -76,9 +47,10 @@ def point_search(
 
     Returns
     -------
-    vertices : list of SparseVertex
-        Every argmax vertex (ties all included). A single zero-sign
-        sentinel when the gradients vanish identically.
+    vertices : (q, 3) int array
+        Every argmax vertex (ties all included) as a ``(k, j, sign)`` row:
+        the vertex is ``sign * scale`` at sample k, coordinate j. Empty when
+        the gradients vanish identically.
     eta : float
         Frank-Wolfe gap (1/n) sum_k <grad_k, vertex_k - y_k>, an upper
         bound on the remaining certificate suboptimality at ``y_current``.
@@ -98,14 +70,10 @@ def point_search(
     absG = np.abs(G)
     best = float(absG.max())
     if best == 0.0:
-        return [SparseVertex((0, 0), 0, 0.0)], -base / n
+        return np.empty((0, 3), dtype=np.intp), -base / n
     ks, js = np.nonzero(absG == best)
-    verts = [
-        SparseVertex((int(k), int(j)), 1 if G[k, j] > 0 else -1, float(scale))
-        for k, j in zip(ks, js)
-    ]
-    eta = (scale * best - base) / n
-    return verts, eta
+    signs = np.where(G[ks, js] > 0, 1, -1)
+    return np.column_stack([ks, js, signs]), (scale * best - base) / n
 
 
 class ConcaveObjective(Protocol):

@@ -1,5 +1,8 @@
 """Shared fixtures plus the acceptance scoreboard printed after the run."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,14 @@ def record_acceptance(num: int, name: str, passed: bool, detail: str = "") -> No
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture
+def src_env():
+    """Environment for a child interpreter importing this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    rest = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + rest if rest else src)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,5 +1,9 @@
 """Certificate generation against the water-filling oracle and hand values."""
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,9 +108,9 @@ def test_vertex_set_bounded_and_deduplicated():
     model = quadratic_model([[1.0]], [[0.0, 0.0]], -np.eye(2))
     win = DataWindow.plain(np.array([[2.0, -1.0], [0.5, 3.0]]))
     cert = generate(model, np.array([0.0]), win, 0.7, EPS1)
-    vs = cert.vertex_set.vertices
+    vs = cert.vertex_set
     assert len(vs) <= 2 * 2 * 2
-    keys = [(v.coord, v.sign) for v in vs]
+    keys = [tuple(v) for v in vs.tolist()]
     assert len(keys) == len(set(keys))
 
 
@@ -153,26 +157,49 @@ def test_revalidate_weighted_window_matches_generate_gap():
 
 
 def test_adapt_empty_state():
-    from drostream.certificates import VertexSet
-
-    warm = adapt(VertexSet([], 1), np.array([1.0]), 2, 0.7, (2, 1))
+    warm = adapt(np.empty((0, 3), dtype=int), np.array([1.0]), 2, 0.7, (2, 1))
     assert warm.y_start == pytest.approx(np.zeros((2, 1)))
     assert len(warm.vertex_set) == 0
 
 
 def test_adapt_rescales_magnitudes():
-    from drostream.certificates import VertexSet
-    from drostream.simplex import SparseVertex
-
-    vs = VertexSet([SparseVertex((0, 1), -1, 0.9)], 1)
-    warm = adapt(vs, np.array([0.4, 0.6]), 2, 0.7, (2, 3))
-    assert warm.vertex_set.vertices[0].magnitude == pytest.approx(1.4)
-    assert warm.vertex_set.vertices[0].coord == (0, 1)
-    assert warm.vertex_set.vertices[0].sign == -1
+    # the vertex -0.9 at (0, 1) of a one-sample window stands for
+    # -(2 * 0.7) = -1.4 on the grown window
+    warm = adapt(np.array([[0, 1, -1]]), np.array([0.4, 0.6]), 2, 0.7, (2, 3))
+    assert warm.vertex_set.tolist() == [[0, 1, -1]]
     # start point: gamma mass on the vertex, zero on the fresh row
     assert warm.y_start[0, 1] == pytest.approx(0.6 * -1.4)
     assert warm.y_start[1] == pytest.approx([0.0, 0.0, 0.0])
     assert warm.gamma == pytest.approx([0.4, 0.6])
+
+
+@pytest.mark.parametrize("row", [[2, 0, 1], [0, 3, -1], [-1, 0, 1]])
+def test_adapt_rejects_a_vertex_outside_the_window(row):
+    with pytest.raises(ValueError, match="outside the new window"):
+        adapt(np.array([row]), np.array([0.5, 0.5]), 2, 0.7, (2, 3))
+
+
+def test_over_budget_warm_start_raises_without_asserts(src_env):
+    # a stale start two units out on a radius-0.5 window, with no vertices to
+    # rebuild it from; python -O strips asserts, so only a raise stops the
+    # certificate from posting a plan that spends 2.0
+    script = textwrap.dedent("""
+        import numpy as np
+        from drostream.certificates import DataWindow, WarmState, generate
+        from drostream.model import quadratic_model
+
+        model = quadratic_model([[1.0]], [[0.0]], [[-1.0]])
+        warm = WarmState(np.empty((0, 3), dtype=int), np.array([[2.0]]),
+                         np.array([1.0]))
+        cert = generate(model, np.array([0.0]), DataWindow.plain([[2.0]]),
+                        0.5, 1e-7, warm=warm)
+        print("posted", cert.j_eps1, cert.budget_spent)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=src_env)
+    assert "posted" not in proc.stdout
+    assert proc.returncode == 1
+    assert "ValueError: plan spends budget 2 beyond radius 0.5" in proc.stderr
 
 
 def test_adapt_objective_identity():

@@ -127,10 +127,10 @@ def test_custom_config_runs_study2_at_desk_scale(tmp_path):
     assert main(["verify", str(out)]) == 0
 
 
-def test_installed_entry_point_answers_help():
+def test_installed_entry_point_answers_help(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "drostream.cli", "--help"] ,
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env,
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "verify" in proc.stdout

@@ -28,6 +28,13 @@ def test_hand_trace_opens_two_centers():
     assert cover.n_seen == 3
 
 
+def test_window_raises_when_mass_diverges_from_the_count():
+    cover = feed(Cover(1.0), [[0.0], [0.5], [3.0]])
+    cover._theta[0] += 1  # corrupt the bookkeeping behind the window
+    with pytest.raises(RuntimeError, match="diverged from the count"):
+        cover.window()
+
+
 def test_weighted_measure_from_trace():
     cover = feed(Cover(1.0), [[0.0], [0.5], [3.0]])
     dist = weighted(cover.centers(), cover.theta(), cover.n_seen)

@@ -161,18 +161,6 @@ def test_reuse_totals_match_posted_flags():
     assert posted == flagged
     assert res.totals.reuses == len(flagged) >= 1
 
-    cold = run(
-        make_config(pure_quadratic(), 3, x0=np.array([2.0]),
-                    cold_restarts=True),
-        stream([[1.0], [2.0], [-1.0]]),
-    )
-    assert cold.totals.reuses == 0
-    assert all(
-        not ev.extras["reused"]
-        for ev in cold.events
-        if ev.kind == "CertificatePosted"
-    )
-
 
 def test_horizon_stop_runs_the_configured_step_count():
     tol = Tolerances(eps1=1e-6, eps2=0.5, eps_sa=0.1, subgrad_bound=0.5,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from drostream.simplex import (
     ConcavityError,
-    SparseVertex,
     afwa_maximize,
     point_search,
 )
@@ -60,18 +59,14 @@ def test_point_search_hand_example():
         np.array([[3.0, -5.0]]), 0.5, np.zeros((1, 2)), n_total=1
     )
     assert eta == pytest.approx(2.5)
-    assert len(verts) == 1
-    v = verts[0]
-    assert v.coord == (0, 1)
-    assert v.sign == -1
-    assert v.magnitude == pytest.approx(0.5)
+    # one vertex: -0.5 at sample 0, coordinate 1, as a (k, j, sign) row
+    assert verts.tolist() == [[0, 1, -1]]
 
 
-def test_point_search_zero_gradient_sentinel():
+def test_point_search_zero_gradient_returns_no_vertices():
     verts, eta = point_search(np.zeros((1, 2)), 1.0, np.zeros((1, 2)), n_total=1)
     assert eta == pytest.approx(0.0)
-    assert len(verts) == 1
-    assert verts[0].magnitude == 0.0
+    assert verts.shape == (0, 3)
 
 
 def test_point_search_tie_returns_all_argmax():
@@ -79,7 +74,7 @@ def test_point_search_tie_returns_all_argmax():
         np.array([[2.0, -2.0]]), 1.0, np.zeros((1, 2)), n_total=1
     )
     assert eta == pytest.approx(2.0)
-    assert {(v.coord, v.sign) for v in verts} == {((0, 0), 1), ((0, 1), -1)}
+    assert {tuple(v) for v in verts.tolist()} == {(0, 0, 1), (0, 1, -1)}
 
 
 def test_point_search_eta_accounts_for_current_point():
@@ -109,11 +104,8 @@ def test_point_search_matches_vertex_enumeration(n, m, seed):
             for s in (1.0, -1.0):
                 best = max(best, (s * scale * G[k, j] - base) / n)
     assert eta == pytest.approx(best, rel=1e-12, abs=1e-12)
-    for v in verts:
-        if v.magnitude == 0.0:
-            continue
-        k, j = v.coord
-        got = (v.sign * v.magnitude * G[k, j] - base) / n
+    for k, j, sign in verts.tolist():
+        got = (sign * scale * G[k, j] - base) / n
         assert got == pytest.approx(eta, rel=1e-9, abs=1e-9)
 
 
