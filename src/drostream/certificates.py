@@ -12,6 +12,13 @@ Weighted windows (compressed streams) are handled here in the budget
 coordinates z = theta * y: the per-atom objective scales by theta while the
 chain rule cancels theta in the gradient, so the simplex solvers stay
 generic.
+
+When the model gives its ``sample_curvature`` C (the cost is quadratic in
+the sample), hull ascent runs in weight space: the objective over the hull
+weights is a quadratic with one small matrix built per hull, so its
+iterations call no model oracle. Other costs rebuild the dense point and
+call the oracles at every iteration. Either way, each vertex search takes
+its gradients, and so every posted gap, from the model itself.
 """
 
 from __future__ import annotations
@@ -164,6 +171,16 @@ class _Problem:
         )
 
 
+def _check_vertex_rows(vertex_set: Array, shape: tuple[int, int], window: str) -> None:
+    """Raise ValueError unless every ``(k, j, sign)`` row indexes a cell of
+    a (p, m) window of the given shape and has sign +1 or -1."""
+    at = vertex_set[:, :2]
+    if np.any(at < 0) or np.any(at >= shape):
+        raise ValueError(f"vertex coordinate outside the {window}")
+    if np.any(np.abs(vertex_set[:, 2]) != 1):
+        raise ValueError("vertex signs must be +1 or -1")
+
+
 def _hull_point(shape, ks: Array, js: Array, vals: Array, gamma: Array) -> Array:
     """Dense point of hull weights gamma over [origin] + vertices: each
     gamma[1 + a] * vals[a] summed in at (ks[a], js[a]), the origin adding 0."""
@@ -177,14 +194,13 @@ class _HullObjective:
 
     Index 0 is the zero perturbation (the slack extreme point of the scaled
     simplex), so every previously folded weight vector is directly a valid
-    warm start and the atom set stays affinely independent.
+    warm start and the atom set stays affinely independent. Each value and
+    gradient rebuilds the dense point and calls the model's oracles; this
+    serves every cost, whatever its form in the sample.
     """
 
     def __init__(self, problem: _Problem, vertices: Array, scale: float):
         self.problem = problem
-        self.quadratic_along_segments = bool(
-            getattr(problem.model, "quadratic_in_sample", False)
-        )
         self._ks, self._js, signs = vertices.T
         self._vals = signs * scale
         self._shape = (problem.window.size, problem.window.dimension)
@@ -202,6 +218,47 @@ class _HullObjective:
         out[0] = 0.0
         out[1:] = self._vals * G[self._ks, self._js] / n
         return out
+
+
+class _QuadraticHull(_HullObjective):
+    """The hull objective in weight space for a cost quadratic in the sample.
+
+    When f(x, xi - y) = f(x, xi) + g0 . y + y'C y, with g0 the ``grad_y`` at
+    y = 0 and C the model's ``sample_curvature``, the certificate objective
+    at hull weights gamma is exactly v0 + lin . gamma + gamma'Q gamma. Here
+    v0 and lin are the oracle objective's value and gradient at the origin
+    atom, and Q[1 + a, 1 + b] = vals[a] vals[b] C[j_a, j_b] / (n theta[k_a])
+    when vertices a and b share an atom (0 otherwise, and on the origin's
+    row and column). Ascent then calls no oracle, and the line search takes
+    its exact step from ``curvature``.
+    """
+
+    def __init__(self, problem: _Problem, vertices: Array, scale: float):
+        super().__init__(problem, vertices, scale)
+        origin = np.zeros(1 + len(self._vals))
+        origin[0] = 1.0
+        self._v0 = super().value(origin)
+        self._lin = super().grad(origin)
+        ks, js, vals = self._ks, self._js, self._vals
+        weight = problem.window.n_total * problem.window.theta[ks]
+        C = problem.model.sample_curvature
+        self._Q = np.zeros((1 + len(vals), 1 + len(vals)))
+        self._Q[1:, 1:] = np.where(
+            ks[:, None] == ks[None, :],
+            np.outer(vals / weight, vals) * C[js[:, None], js[None, :]],
+            0.0,
+        )
+
+    def value(self, gamma: Array) -> float:
+        return self._v0 + float(self._lin @ gamma) + float(gamma @ self._Q @ gamma)
+
+    def grad(self, gamma: Array) -> Array:
+        return self._lin + 2.0 * (self._Q @ gamma)
+
+    def curvature(self, d: Array) -> float:
+        """Second derivative of t -> value(gamma + t d), the same at every
+        gamma."""
+        return 2.0 * float(d @ self._Q @ d)
 
 
 def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> CertificateResult:
@@ -256,6 +313,7 @@ def generate(
     problem = _Problem(model, x, window)
     if radius == 0.0:
         return _empty_result(problem, window, radius)
+    hull_type = _HullObjective if model.sample_curvature is None else _QuadraticHull
 
     if warm is not None:
         vs = warm.vertex_set
@@ -265,6 +323,7 @@ def generate(
         c = np.asarray(warm.gamma, dtype=float).copy()
         if c.shape != (1 + len(vs),):
             raise ValueError("warm gamma length must be 1 + len(vertex_set)")
+        _check_vertex_rows(vs, (p, m), "window")
         # the origin restart guards the sample-average floor
         j_origin = problem.value(np.zeros((p, m)))
         j_curr = problem.value(z)
@@ -309,7 +368,7 @@ def generate(
         vs = np.concatenate([vs, new])
         c = np.concatenate([c, np.zeros(len(new))])
 
-        hull = _HullObjective(problem, vs, scale)
+        hull = hull_type(problem, vs, scale)
         res = afwa_maximize(
             hull, eps1, c,
             max_iters=max_cp_iters, interrupt=interrupt, tick=tick,
@@ -375,9 +434,7 @@ def adapt(
         return WarmState(
             np.empty((0, 3), dtype=np.intp), np.zeros(new_shape), np.array([1.0])
         )
-    at = vertex_set[:, :2]
-    if np.any(at < 0) or np.any(at >= new_shape):
-        raise ValueError("vertex coordinate outside the new window")
+    _check_vertex_rows(vertex_set, new_shape, "new window")
     ks, js, signs = vertex_set.T
     y = _hull_point(new_shape, ks, js, signs * (new_n * new_radius), gamma)
     return WarmState(vertex_set.copy(), y, gamma.copy())

@@ -43,9 +43,13 @@ class CostModel:
         shape as ``y``.
     project : callable, optional
         Maps a decision back into the feasible domain after a step.
-    quadratic_in_sample : bool
-        True when ``xi -> f(x, xi)`` is quadratic, so line searches in the
-        perturbation space have a closed form.
+    sample_curvature : (m, m) array, optional
+        The constant symmetric C of a cost quadratic in the sample,
+        f(x, xi) = a(x) + b(x)'xi + xi'C xi, consistent with ``grad_y``:
+        ``grad_y(x, xi, y) - grad_y(x, xi, 0) == 2 C y``. Certificate hull
+        ascent then runs in weight space without calling the oracles;
+        ``None`` (the default) keeps the oracle path for any other cost.
+        Validated finite, symmetric and (m, m) at construction.
     """
 
     dimension_d: int
@@ -54,7 +58,19 @@ class CostModel:
     grad_x: Callable[[Array, Array], Array]
     grad_y: Callable[[Array, Array, Array], Array]
     project: Optional[Callable[[Array], Array]] = None
-    quadratic_in_sample: bool = False
+    sample_curvature: Optional[Array] = None
+
+    def __post_init__(self):
+        if self.sample_curvature is not None:
+            C = _check_square_sym(self.sample_curvature, "sample_curvature")
+            if C.shape != (self.dimension_m, self.dimension_m):
+                raise ValueError(
+                    f"sample_curvature must have shape ({self.dimension_m}, "
+                    f"{self.dimension_m}), got {C.shape}"
+                )
+            C = C.copy()
+            C.setflags(write=False)
+            object.__setattr__(self, "sample_curvature", C)
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,7 @@ def quadratic_model(A, B, C) -> CostModel:
             return -(CC @ s) - bx
         return -(s @ CC) - bx[None, :]
 
-    return CostModel(d, m, _eval, _grad_x, _grad_y, quadratic_in_sample=True)
+    return CostModel(d, m, _eval, _grad_x, _grad_y, sample_curvature=CC / 2.0)
 
 
 def portfolio_model(rho: float) -> CostModel:
@@ -213,5 +229,6 @@ def portfolio_model(rho: float) -> CostModel:
         return np.clip(np.asarray(x, dtype=float), delta, 1.0 - delta)
 
     return CostModel(
-        1, 2, _eval, _grad_x, _grad_y, project=_project, quadratic_in_sample=True
+        1, 2, _eval, _grad_x, _grad_y, project=_project,
+        sample_curvature=-np.eye(2),
     )

@@ -6,7 +6,9 @@ the argmax vertices and the Frank-Wolfe gap. ``afwa_maximize`` runs
 away-step Frank-Wolfe ascent of a concave objective over the unit simplex;
 on the unit simplex the barycentric weights of the active set coincide with
 the iterate itself, so the classic active-set bookkeeping reduces to the
-plain vector update and eviction means zeroing a coordinate.
+plain vector update and eviction means zeroing a coordinate. Its line
+search takes the exact step of a quadratic objective from the objective's
+``curvature`` and bisects on the directional derivative otherwise.
 """
 
 from __future__ import annotations
@@ -79,11 +81,10 @@ def point_search(
 class ConcaveObjective(Protocol):
     """Duck interface ``afwa_maximize`` expects.
 
-    ``quadratic_along_segments`` declares that t -> value(gamma + t d) is
-    quadratic for every segment, enabling the closed-form line search.
+    An objective quadratic in gamma may also define ``curvature(d)``, the
+    constant second derivative of t -> value(gamma + t d); the line search
+    then takes its exact step instead of bisecting.
     """
-
-    quadratic_along_segments: bool
 
     def value(self, gamma: Array) -> float: ...
 
@@ -114,14 +115,13 @@ def _normalize_start(start: Sequence[float]) -> Array:
 def _line_search(objective, gamma: Array, d: Array, t_max: float, deriv0: float) -> float:
     """Exact maximization of t -> value(gamma + t d) on [0, t_max].
 
-    Closed form when the objective is quadratic along segments (curvature
-    recovered by differencing the directional derivative), otherwise 60
-    bisection steps on the directional derivative, tolerance 1e-12 in t.
+    Closed form from the objective's ``curvature`` when it has one,
+    otherwise 60 bisection steps on the directional derivative, tolerance
+    1e-12 in t.
     """
-    if objective.quadratic_along_segments:
-        tp = min(t_max, 1.0)
-        deriv_tp = float(objective.grad(gamma + tp * d) @ d)
-        curv = (deriv_tp - deriv0) / tp
+    curvature = getattr(objective, "curvature", None)
+    if curvature is not None:
+        curv = float(curvature(d))
         if curv >= -1e-14 * (1.0 + abs(deriv0)):
             return t_max
         return min(t_max, deriv0 / (-curv))
@@ -155,9 +155,10 @@ def afwa_maximize(
     steps the maximal step is alpha_v / (1 - alpha_v); hitting it evicts
     the away vertex, while a full toward step collapses the active set to
     the target vertex. Terminates when the Frank-Wolfe gap reaches ``eps``.
-    Monotonicity is asserted every iteration; a decrease raises
-    ConcavityError. Iteration exhaustion returns ``converged=False`` rather
-    than raising so callers can flag it.
+    A non-finite start value raises SolverError, as does a non-finite
+    gradient at any iteration; a value that falls raises ConcavityError.
+    Iteration exhaustion returns ``converged=False`` rather than raising so
+    callers can flag it.
 
     ``tick`` is called with 1 after each iteration (cost accounting);
     ``interrupt`` is polled every 32 iterations and, when it fires, the
@@ -175,9 +176,9 @@ def afwa_maximize(
             return AfwaResult(gamma, val, it, gap_fw, False, gaps,
                               interrupted=True)
         g = np.asarray(objective.grad(gamma), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise SolverError("objective returned a non-finite gradient")
-        s = int(np.argmax(g))
+        s = int(g.argmax())
         avg = float(g @ gamma)
         gap_fw = g[s] - avg
         if gaps is not None:
@@ -185,11 +186,11 @@ def afwa_maximize(
         if gap_fw <= eps:
             return AfwaResult(gamma, val, it, gap_fw, True, gaps)
 
-        active = np.nonzero(gamma > 0)[0]
-        v = int(active[np.argmin(g[active])])
+        active = np.flatnonzero(gamma > 0)
+        v = int(active[g[active].argmin()])
         gap_away = avg - g[v]
         if gap_fw >= gap_away or gamma[v] >= 1.0 - 1e-15:
-            d = -gamma.copy()
+            d = -gamma
             d[s] += 1.0
             t_max, deriv0, away = 1.0, gap_fw, False
         else:

@@ -1,5 +1,6 @@
 """Certificate generation against the water-filling oracle and hand values."""
 
+import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drostream import certificates
 from drostream.certificates import (
     CertificateInterrupted,
     DataWindow,
+    WarmState,
     adapt,
     certificate_value,
     generate,
@@ -179,6 +182,22 @@ def test_adapt_rejects_a_vertex_outside_the_window(row):
         adapt(np.array([row]), np.array([0.5, 0.5]), 2, 0.7, (2, 3))
 
 
+@pytest.mark.parametrize(
+    "row, points, match",
+    [
+        ([3, 0, 1], [[2.0]], "outside the window"),
+        # -1 would alias the last row and post a certificate holding it
+        ([-1, 0, 1], [[2.0], [1.0]], "outside the window"),
+        ([0, 0, 2], [[2.0]], "signs must be"),
+    ],
+)
+def test_generate_rejects_a_warm_vertex_outside_the_window(row, points, match):
+    warm = WarmState(np.array([row]), np.zeros((len(points), 1)), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match=match):
+        generate(scalar_model(), np.array([0.0]), DataWindow.plain(points), 0.5,
+                 EPS1, warm=warm)
+
+
 def test_over_budget_warm_start_raises_without_asserts(src_env):
     # a stale start two units out on a radius-0.5 window, with no vertices to
     # rebuild it from; python -O strips asserts, so only a raise stops the
@@ -291,6 +310,43 @@ def test_interrupt_carries_partial_state_and_counters():
     resumed = generate(model, np.array([0.0]), win, 0.5, EPS1, warm=warm)
     cold = generate(model, np.array([0.0]), win, 0.5, EPS1)
     assert resumed.j_eps1 == pytest.approx(cold.j_eps1, abs=2 * EPS1)
+
+
+def test_weight_space_hull_matches_the_oracle_hull():
+    # a weighted window, off-diagonal curvature and several vertices on one
+    # atom, so the off-diagonal blocks of Q count
+    rng = np.random.default_rng(31)
+    d, m = 2, 3
+    G = rng.normal(size=(d, d))
+    H = rng.normal(size=(m, m))
+    quad = quadratic_model(G.T @ G, rng.normal(size=(d, m)), -(H.T @ H + np.eye(m)))
+    dense = dataclasses.replace(quad, sample_curvature=None)
+    win = DataWindow(rng.normal(size=(3, m)) * 2, np.array([2.0, 1.0, 3.0]), 6)
+    x = rng.normal(size=d)
+    radius = 0.7
+    vs = np.array([[0, 0, 1], [0, 1, -1], [0, 2, 1], [1, 1, 1],
+                   [2, 0, -1], [2, 2, -1], [2, 0, 1]])
+    scale = win.n_total * radius
+    hull_q = certificates._QuadraticHull(certificates._Problem(quad, x, win), vs, scale)
+    hull_o = certificates._HullObjective(certificates._Problem(dense, x, win), vs, scale)
+    assert not hasattr(hull_o, "curvature")  # the line search bisects there
+    for _ in range(10):
+        gamma, other = rng.dirichlet(np.ones(1 + len(vs)), size=2)
+        assert hull_q.value(gamma) == pytest.approx(hull_o.value(gamma), rel=1e-10)
+        want = hull_o.grad(gamma)
+        np.testing.assert_allclose(hull_q.grad(gamma), want, rtol=1e-10,
+                                   atol=1e-10 * np.abs(want).max())
+        # the value is quadratic along d, so its second difference is exact
+        step = other - gamma
+        second = (hull_o.value(gamma + step) - 2 * hull_o.value(gamma)
+                  + hull_o.value(gamma - step))
+        assert hull_q.curvature(step) == pytest.approx(second, rel=1e-8)
+
+    cq = generate(quad, x, win, radius, EPS1)
+    co = generate(dense, x, win, radius, EPS1)
+    assert cq.eta <= EPS1
+    assert co.eta <= EPS1
+    assert cq.j_eps1 == pytest.approx(co.j_eps1, abs=EPS1)
 
 
 def test_unit_theta_equals_plain():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drostream.model import (
+    CostModel,
     DomainError,
     Tolerances,
     portfolio_model,
@@ -103,6 +104,45 @@ def test_gradients_agree_with_finite_differences(which):
         for j in range(m):
             fd = central_diff(lambda z: model.eval(x, xi - z), y.astype(float), j)
             assert gy[j] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+@pytest.mark.parametrize("which", ["study1", "study2", "portfolio"])
+def test_sample_curvature_matches_grad_y(which):
+    # grad_y(x, xi, y) - grad_y(x, xi, 0) == 2 C y for the declared C
+    rng = np.random.default_rng(29)
+    if which == "study1":
+        model = quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3))
+        draw_x = lambda: rng.normal(size=1)
+    elif which == "study2":
+        # a small study2: off-diagonal curvature C = -(H'H + I)
+        G = rng.normal(size=(4, 4))
+        H = rng.normal(size=(5, 5))
+        model = quadratic_model(G.T @ G, rng.normal(size=(4, 5)), -(H.T @ H + np.eye(5)))
+        draw_x = lambda: rng.normal(size=4)
+    else:
+        model = portfolio_model(0.5)
+        draw_x = lambda: np.array([rng.uniform(0.05, 0.95)])
+    C = model.sample_curvature
+    m = model.dimension_m
+    assert C.shape == (m, m)
+    for _ in range(20):
+        x = draw_x()
+        xi = rng.normal(size=(3, m)) * 2
+        y = rng.normal(size=(3, m))
+        diff = model.grad_y(x, xi, y) - model.grad_y(x, xi, np.zeros_like(y))
+        assert diff == pytest.approx(2.0 * y @ C, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "curvature",
+    [[[-1.0, 0.5], [0.0, -1.0]], -np.eye(3), [[-1.0, np.nan], [np.nan, -1.0]]],
+    ids=["asymmetric", "wrong-shape", "non-finite"],
+)
+def test_malformed_sample_curvature_fails_at_construction(curvature):
+    base = quadratic_model([[1.0]], np.zeros((1, 2)), -np.eye(2))
+    with pytest.raises(ValueError, match="sample_curvature"):
+        CostModel(1, 2, base.eval, base.grad_x, base.grad_y,
+                  sample_curvature=np.array(curvature))
 
 
 def test_midpoint_concavity_in_sample():

@@ -15,8 +15,6 @@ from drostream.simplex import (
 class QuadObjective:
     """Concave quadratic gamma -> -(gamma - target)' D (gamma - target)."""
 
-    quadratic_along_segments = True
-
     def __init__(self, target, diag):
         self.target = np.asarray(target, dtype=float)
         self.diag = np.asarray(diag, dtype=float)
@@ -28,10 +26,11 @@ class QuadObjective:
     def grad(self, gamma):
         return -2.0 * self.diag * (gamma - self.target)
 
+    def curvature(self, d):
+        return float(-2.0 * (d * d) @ self.diag)
+
 
 class LinearObjective:
-    quadratic_along_segments = True
-
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
 
@@ -41,11 +40,13 @@ class LinearObjective:
     def grad(self, gamma):
         return self.c
 
+    def curvature(self, d):
+        return 0.0
+
 
 class LyingObjective:
-    """Gradient claims ascent along e1 while the value actually falls."""
-
-    quadratic_along_segments = False
+    """Gradient claims ascent along e1 while the value actually falls; no
+    ``curvature``, so the line search bisects."""
 
     def value(self, gamma):
         return float(-3.0 * gamma[0])
