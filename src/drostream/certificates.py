@@ -23,6 +23,7 @@ its gradients, and so every posted gap, from the model itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -389,6 +390,9 @@ def generate(
             )
         solved_here = True
         j_new = problem.value(z)
+        if not math.isfinite(j_new):
+            raise SolverError(
+                "certificate objective is non-finite after a hull solve")
         if j_new < j_curr - 1e-9 * (1.0 + abs(j_curr)):
             raise ConcavityError(
                 "certificate objective decreased across a hull solve; the "

@@ -13,6 +13,7 @@ search takes the exact step of a quadratic objective from the objective's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
 
@@ -155,8 +156,8 @@ def afwa_maximize(
     steps the maximal step is alpha_v / (1 - alpha_v); hitting it evicts
     the away vertex, while a full toward step collapses the active set to
     the target vertex. Terminates when the Frank-Wolfe gap reaches ``eps``.
-    A non-finite start value raises SolverError, as does a non-finite
-    gradient at any iteration; a value that falls raises ConcavityError.
+    A non-finite value or gradient, at the start or after any step, raises
+    SolverError; a value that falls raises ConcavityError.
     Iteration exhaustion returns ``converged=False`` rather than raising so
     callers can flag it.
 
@@ -167,7 +168,7 @@ def afwa_maximize(
     """
     gamma = _normalize_start(start)
     val = float(objective.value(gamma))
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise SolverError("objective returned a non-finite value")
     gaps: Optional[list[float]] = [] if record_gaps else None
     gap_fw = np.inf
@@ -209,6 +210,9 @@ def afwa_maximize(
         gamma /= gamma.sum()
 
         new_val = float(objective.value(gamma))
+        if not math.isfinite(new_val):
+            raise SolverError(
+                f"objective returned a non-finite value after iteration {it}")
         if new_val < val - 1e-9 * (1.0 + abs(val)):
             raise ConcavityError(
                 "exact-line-search ascent decreased the objective "

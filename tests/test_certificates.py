@@ -22,6 +22,7 @@ from drostream.certificates import (
 )
 from drostream.measures import empirical
 from drostream.model import quadratic_model
+from drostream.simplex import SolverError
 from drostream.transport import w1_distance
 
 from oracles import waterfill_certificate
@@ -196,6 +197,21 @@ def test_generate_rejects_a_warm_vertex_outside_the_window(row, points, match):
     with pytest.raises(ValueError, match=match):
         generate(scalar_model(), np.array([0.0]), DataWindow.plain(points), 0.5,
                  EPS1, warm=warm)
+
+
+def test_non_finite_value_after_a_hull_solve_raises():
+    # the weight-space hull is finite, so only the recomputed value sees the
+    # NaN this eval returns off the unperturbed points
+    base = scalar_model()
+    points = np.array([[2.0], [-1.0]])
+
+    def eval_nan_when_moved(x, xi):
+        moved = np.any(np.asarray(xi) != points, axis=1)
+        return np.where(moved, np.nan, base.eval(x, xi))
+
+    model = dataclasses.replace(base, eval=eval_nan_when_moved)
+    with pytest.raises(SolverError, match="non-finite"):
+        generate(model, np.array([0.0]), DataWindow.plain(points), 0.5, EPS1)
 
 
 def test_over_budget_warm_start_raises_without_asserts(src_env):

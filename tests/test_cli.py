@@ -75,6 +75,31 @@ def test_verify_catches_a_tampered_value(run_dir, tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
+    out = tmp_path / "cover-run"
+    assert main([
+        "run", "--preset", "study1", "--seed", "0", "--n0", "12", "--cover",
+        "--skip-jstar", "--out-dir", str(out),
+    ]) == 0
+    path = out / "events.jsonl"
+    lines = path.read_text().splitlines()
+    picked = None
+    for i, line in enumerate(lines):
+        rec = json.loads(line)
+        if rec["kind"] == "CertificatePosted" and "y" in rec:
+            rec["y"][0][0] = float("nan")
+            lines[i] = json.dumps(rec)
+            picked = i
+            break
+    assert picked is not None
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"record {picked}: plan or decision not finite" in err
+    assert "FAILED" in err
+
+
 def test_replay_reproduces_the_event_log(run_dir, capsys):
     assert main(["replay", str(run_dir)]) == 0
     assert "identical" in capsys.readouterr().out

@@ -10,6 +10,7 @@ from drostream.audit import verify_events
 from drostream.model import Tolerances, quadratic_model
 from drostream.runner import CoverConfig, RunConfig, run
 from drostream.stream import SamplePoint
+from drostream.transport import w1_distance
 
 
 def pure_quadratic():
@@ -195,37 +196,105 @@ def test_every_prefix_of_the_log_reverifies():
                          cfg.schedule).ok
 
 
-def test_cover_runs_verify_and_compress():
+def cover_run():
     cfg = make_config(
         coupled_quadratic(), 6, x0=np.array([1.0]),
         cover=CoverConfig(enabled=True, omega=1.0, metric="l1"),
     )
-    pts = stream([[1.0], [1.2], [0.8], [4.0], [4.1], [1.1]])
-    res = run(cfg, pts)
-    assert res.cover_size == 2
-    report = verify_events(
-        [ev.record() for ev in res.events],
-        cfg.model, cfg.concentration, cfg.schedule, cfg.cover,
+    return cfg, run(cfg, stream([[1.0], [1.2], [0.8], [4.0], [4.1], [1.1]]))
+
+
+def audit(cfg, records):
+    return verify_events(
+        records, cfg.model, cfg.concentration, cfg.schedule, cfg.cover
     )
+
+
+def test_cover_runs_verify_and_compress():
+    cfg, res = cover_run()
+    assert res.cover_size == 2
+    report = audit(cfg, [ev.record() for ev in res.events])
     assert report.ok, report.failures
+
+
+def test_cover_run_audit_proves_transport_without_the_lp(monkeypatch):
+    # every window here has at most 8 atoms and every plan is within
+    # budget, so the paired coupling proves each transport check
+    def no_lp(p, q):
+        raise AssertionError("the exact transport LP was called")
+
+    monkeypatch.setattr("drostream.audit.w1_distance", no_lp)
+    cfg, res = cover_run()
+    records = [ev.record() for ev in res.events]
+    report = audit(cfg, records)
+    assert report.ok, report.failures
+    check = next(c for c in report.checks if c.name == "transport_distance")
+    assert check.count == kinds(res.events).count("CertificatePosted") == 54
+
+
+def test_audit_reports_a_non_finite_plan_without_raising():
+    cfg, res = cover_run()
+    records = [ev.record() for ev in res.events]
+    rec = records[47]
+    assert rec["kind"] == "CertificatePosted" and "y" in rec
+    rec["y"][1][0] = float("nan")
+    report = audit(cfg, records)
+    assert not report.ok
+    assert "record 47: plan or decision not finite" in report.failures
+    structure = next(c for c in report.checks if c.name == "structure")
+    assert structure.failures >= 1
+
+
+def swap_audit(monkeypatch, seq, swapped_y):
+    """Audit a two-sample plain run with record ``seq``'s plan replaced,
+    counting the exact transport LP's calls."""
+    lp_calls = []
+
+    def counted(p, q):
+        lp_calls.append(1)
+        return w1_distance(p, q)
+
+    monkeypatch.setattr("drostream.audit.w1_distance", counted)
+    cfg = make_config(pure_quadratic(), 2)
+    records = [ev.record() for ev in run(cfg, stream([[0.0], [4.0]])).events]
+    assert records[seq]["kind"] == "CertificatePosted" and "y" in records[seq]
+    records[seq]["y"] = swapped_y
+    report = verify_events(records, cfg.model, cfg.concentration, cfg.schedule)
+    return {c.name: c for c in report.checks}, report.failures, len(lp_calls)
+
+
+def test_audit_swap_passes_transport_through_the_lp(monkeypatch):
+    # record 6 certifies the window {0, 4}; moving each atom onto the other
+    # pays 4 per unit mass in the paired plan, beyond the radius, yet the
+    # moved measure is the window itself, so the exact distance is 0
+    checks, failures, lp_calls = swap_audit(monkeypatch, 6, [[-4.0], [4.0]])
+    assert lp_calls == 2  # record 6 and its reuse, record 7
+    assert checks["transport_distance"].count == 4
+    assert checks["transport_distance"].failures == 0
+    assert checks["certificate_budget"].failures == 2
+    assert any(f.startswith("record 6: budget 4.0 exceeds") for f in failures)
+
+
+def test_audit_single_atom_over_budget_fails_both_checks(monkeypatch):
+    # record 1 certifies the one-sample window {0} with radius about 1.18
+    checks, failures, lp_calls = swap_audit(monkeypatch, 1, [[2.0]])
+    assert lp_calls == 2  # record 1 and its reuse, record 2
+    assert checks["transport_distance"].failures == 2
+    assert checks["certificate_budget"].failures == 2
+    assert any(f.startswith("record 1: transport distance 2.0 exceeds")
+               for f in failures)
 
 
 def test_audit_fails_weighted_certificate_above_its_tolerance():
     # the gap divides by n, not by the p < n cover centers; that looser
     # normalisation must still let the audit catch a gap above its tolerance
-    cfg = make_config(
-        coupled_quadratic(), 6, x0=np.array([1.0]),
-        cover=CoverConfig(enabled=True, omega=1.0, metric="l1"),
-    )
-    pts = stream([[1.0], [1.2], [0.8], [4.0], [4.1], [1.1]])
-    records = [ev.record() for ev in run(cfg, pts).events]
+    cfg, res = cover_run()
+    records = [ev.record() for ev in res.events]
     rec = records[50]
     assert rec["kind"] == "CertificatePosted" and not rec["reused"]
     assert len(rec["y"]) < rec["n"]  # a weighted window
     rec["tol"] = rec["eta"] / 2
-    report = verify_events(
-        records, cfg.model, cfg.concentration, cfg.schedule, cfg.cover
-    )
+    report = audit(cfg, records)
     assert not report.ok
     for check in report.checks:
         want = 1 if check.name == "certificate_gap" else 0

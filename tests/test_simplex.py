@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from drostream.simplex import (
     ConcavityError,
+    SolverError,
     afwa_maximize,
     point_search,
 )
@@ -53,6 +54,16 @@ class LyingObjective:
 
     def grad(self, gamma):
         return np.array([1.0, 0.0])
+
+
+class NanOffStartObjective:
+    """Finite only at the start vertex e1; its finite gradient leads off it."""
+
+    def value(self, gamma):
+        return 0.0 if gamma[0] == 1.0 else float("nan")
+
+    def grad(self, gamma):
+        return np.array([0.0, 1.0])
 
 
 def test_point_search_hand_example():
@@ -189,6 +200,12 @@ def test_afwa_tick_counts_iterations():
 def test_afwa_detects_objective_decrease():
     with pytest.raises(ConcavityError):
         afwa_maximize(LyingObjective(), 1e-9, [0.0, 1.0])
+
+
+def test_afwa_rejects_a_non_finite_value_after_a_step():
+    # NaN fails every comparison, so the decrease test alone lets it through
+    with pytest.raises(SolverError, match="non-finite value"):
+        afwa_maximize(NanOffStartObjective(), 1e-9, [1.0, 0.0])
 
 
 def test_afwa_rejects_bad_start():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drostream.measures import DiscreteDistribution, empirical
-from drostream.transport import w1_distance
+from drostream.transport import paired_cost, w1_distance
 
 from oracles import w1_matching
 
@@ -97,6 +97,18 @@ def test_matches_assignment_oracle(seed):
         return
     d, _ = w1_distance(dd(pa, pw), dd(qa, qw))
     assert d == pytest.approx(w1_matching(pa, pw, qa, qw), abs=1e-9)
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_paired_cost_bounds_w1_from_above(seed):
+    rng = np.random.default_rng(seed)
+    k, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    source = rng.normal(size=(k, m)) * 2
+    target = rng.normal(size=(k, m)) * 2
+    weights = rng.dirichlet(np.ones(k))
+    d, _ = w1_distance(dd(source, weights), dd(target, weights))
+    assert paired_cost(source, target, weights) >= d - 1e-9
 
 
 def test_unnormalized_input_rejected():
