@@ -24,7 +24,7 @@ from .certificates import (
     revalidate,
 )
 from .cover import Cover, inflated_radius, rebuild
-from .measures import DiscreteDistribution, empirical, weighted
+from .measures import DiscreteDistribution
 from .model import (
     CostModel,
     DomainError,
@@ -57,7 +57,6 @@ from .stream import (
     sample_stream,
 )
 from .subgrad import StepSizeRule, make_rule, scaled_step, subgradient
-from .transport import TransportPlan, w1_distance
 
 __version__ = "0.1.0"
 
@@ -85,13 +84,11 @@ __all__ = [
     "SolverError",
     "StepSizeRule",
     "Tolerances",
-    "TransportPlan",
     "UniformRandomPeriod",
     "WarmState",
     "adapt",
     "afwa_maximize",
     "certificate_value",
-    "empirical",
     "estimate_jstar",
     "generate",
     "inflated_radius",
@@ -107,6 +104,4 @@ __all__ = [
     "scaled_step",
     "study_schedule",
     "subgradient",
-    "w1_distance",
-    "weighted",
 ]

@@ -4,14 +4,14 @@ The log carries every ingested point and every posted certificate's
 perturbation plan, so an auditor can rebuild the windows (and the cover,
 deterministically), re-price each certificate, re-measure its optimality
 gap with an independent vertex search, and re-check the transport budget.
-Small-support windows additionally get the transport distance from their
-worst-case distribution to the window bounded by the radius. The posted
-worst case keeps the window's weights, so the plan pairing each atom with
-its own moved atom is feasible and its cost bounds that distance from
-above; only when this paired cost exceeds the radius is the exact
-distance solved as a linear program, whose verdict stands. Windows change
-only at arrivals, so each is built once and reused by the certificates
-posted before the next arrival.
+The budget check also bounds the 1-Wasserstein distance from the window to
+the posted worst case by the radius. That worst case keeps the window's
+weights theta_k / n and moves atom k to point_k - y_k, so pairing each atom
+with its own moved atom is a feasible coupling. Its cost,
+sum_k (theta_k / n) |y_k|_1, is exactly the budget spent, and W1 is never
+more than the cost of a feasible coupling. Windows change only at arrivals,
+so each is built once and reused by the certificates posted before the next
+arrival.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from .ambiguity import ConcentrationParams, ConfidenceSchedule
 from .ambiguity import radius as ball_radius
 from .certificates import DataWindow, certificate_value, _Problem
 from .cover import Cover, inflated_radius
-from .measures import DiscreteDistribution
 from .runner import EVENT_KINDS, CoverConfig
 from .simplex import point_search
-from .transport import paired_cost, w1_distance
 
 _REL = 1e-7
 _ABS = 1e-9
@@ -70,9 +68,13 @@ def verify_events(
     concentration: ConcentrationParams,
     schedule: ConfidenceSchedule,
     cover_config: Optional[CoverConfig] = None,
-    w1_support_max: int = 8,
 ) -> AuditReport:
-    """Re-check a full event log; every failure is collected, none raise."""
+    """Re-check a full event log; every failure is collected, none raise.
+
+    A malformed record, such as an arrival without a finite point of the
+    model's sample dimension or a certificate before any arrival, is a
+    ``structure`` failure; the audit skips it and goes on.
+    """
     checks = {
         name: AuditCheck(name)
         for name in (
@@ -82,7 +84,6 @@ def verify_events(
             "certificate_budget",
             "certificate_gap",
             "radius_schedule",
-            "transport_distance",
             "step_links",
             "best_tracking",
             "termination",
@@ -128,7 +129,18 @@ def verify_events(
 
         if kind == "DataArrival":
             checks["arrivals"].count += 1
-            point = np.asarray(rec["point"], dtype=float)
+            try:
+                point = np.asarray(rec["point"], dtype=float)
+            except (KeyError, TypeError, ValueError):
+                point = None
+            if (
+                point is None
+                or point.shape != (model.dimension_m,)
+                or not np.isfinite(point).all()
+            ):
+                fail("structure", f"record {i}: arrival point missing, "
+                     "misshapen or not finite")
+                continue
             raw.append(point)
             if n != len(raw):
                 fail("arrivals", f"record {i}: count {n} != ingested {len(raw)}")
@@ -150,6 +162,9 @@ def verify_events(
             window = None
 
         elif kind == "CertificatePosted":
+            if not raw:
+                fail("structure", f"record {i}: certificate before any arrival")
+                continue
             if window is None:
                 if cover is not None:
                     window = cover.window()
@@ -213,22 +228,6 @@ def verify_events(
                 )
             if rec.get("eta") is not None and not _close(eta, float(rec["eta"])):
                 fail("certificate_gap", f"record {i}: gap mismatch")
-
-            if window.size <= w1_support_max:
-                checks["transport_distance"].count += 1
-                moved = window.points - y
-                weights = window.theta / n
-                dist = paired_cost(window.points, moved, weights)
-                # a NaN bound falls through to the exact distance
-                if not dist <= eps + 1e-7:
-                    worst = DiscreteDistribution(moved, weights)
-                    dist, _ = w1_distance(window.measure(), worst)
-                if dist > eps + 1e-7:
-                    fail(
-                        "transport_distance",
-                        f"record {i}: transport distance {dist} exceeds "
-                        f"radius {eps}",
-                    )
             certs[i] = {"n": n, "y": y, "x": x, "J": float(rec["J"])}
 
         elif kind == "DecisionStep":

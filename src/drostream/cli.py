@@ -2,7 +2,8 @@
 
   run     execute a preset or custom config; writes events.jsonl,
           trajectory.csv, summary.json, and stream.jsonl into --out-dir
-  verify  re-check every certificate in a run directory's event log
+  verify  re-check a run directory's event log: every certificate's value,
+          transport budget (which bounds its W1 distance), gap and radius
   replay  re-run from the dumped stream and compare event logs byte-wise
 
 Exit codes: 0 success, 1 verification/replay mismatch or solver failure,
@@ -20,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audit, presets
-from .ambiguity import ConcentrationParams
-from .runner import CoverConfig, RunEvent, run
+from .runner import RunEvent, run
 from .stream import dump_stream, estimate_jstar, load_stream
 
 EVENTS_FILE = "events.jsonl"
@@ -224,24 +224,13 @@ def cmd_verify(args) -> int:
         return _fail(2, f"corrupt run artifacts: {exc}")
     try:
         cfg = presets.from_dict(summary["config"])
-        mat_model = presets.build_model(cfg.model)
-        conc = ConcentrationParams(
-            c1=float(cfg.concentration["c1"]),
-            c2=float(cfg.concentration["c2"]),
-            m=mat_model.dimension_m,
-            a=float(cfg.concentration["a"]),
-        )
-        schedule = presets.build_schedule(cfg.schedule)
+        mat = presets.materialize(cfg, stream=[])
     except (KeyError, presets.ConfigError) as exc:
         return _fail(2, f"bad summary config: {exc}")
-    cover_cfg = CoverConfig(
-        enabled=bool(cfg.cover["enabled"]),
-        omega=float(cfg.cover["omega"]),
-        metric=cfg.cover["metric"],
-    )
+    rc = mat.run_config
     report = audit.verify_events(
-        records, mat_model, conc, schedule,
-        cover_config=cover_cfg, w1_support_max=args.w1_max)
+        records, mat.model, rc.concentration, rc.schedule,
+        cover_config=rc.cover)
     for line in report.summary_lines():
         print(line)
     if report.ok:
@@ -312,12 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser(
-        "verify", help="re-check all certificates in a run's event log")
+        "verify", help="re-check every certificate's value, budget, gap "
+                       "and radius in a run's event log")
     p_verify.add_argument("run_dir",
                           help="run directory (or events.jsonl path)")
-    p_verify.add_argument("--w1-max", type=int, default=8,
-                          help="largest support size for the exact "
-                               "transport check (default 8)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_replay = sub.add_parser(

@@ -38,19 +38,3 @@ class DiscreteDistribution:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def support_size(self) -> int:
-        return self.atoms.shape[0]
-
-
-def empirical(points: Array) -> DiscreteDistribution:
-    """Uniform measure on the given sample rows."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    k = pts.shape[0]
-    return DiscreteDistribution(pts, np.full(k, 1.0 / k))
-
-
-def weighted(points: Array, theta: Array, n_total: float) -> DiscreteDistribution:
-    """Measure with masses theta_k / n_total on the given rows."""
-    theta = np.asarray(theta, dtype=float)
-    return DiscreteDistribution(points, theta / float(n_total))

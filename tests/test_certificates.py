@@ -20,12 +20,10 @@ from drostream.certificates import (
     generate,
     revalidate,
 )
-from drostream.measures import empirical
 from drostream.model import quadratic_model
 from drostream.simplex import SolverError
-from drostream.transport import w1_distance
 
-from oracles import waterfill_certificate
+from oracles import w1_distance, waterfill_certificate
 
 EPS1 = 1e-7
 
@@ -67,13 +65,19 @@ def test_budget_spent_on_larger_magnitude_atom():
 def test_budget_and_w1_distance_agree():
     rng = np.random.default_rng(8)
     model = quadratic_model([[0.5]], [[0.3, -0.2]], -np.diag([1.0, 2.0]))
-    for _ in range(10):
-        n = int(rng.integers(1, 7))
-        win = DataWindow.plain(rng.normal(size=(n, 2)) * 2)
+    for trial in range(20):
+        p = int(rng.integers(1, 7))
+        points = rng.normal(size=(p, 2)) * 2
+        if trial < 10:
+            win = DataWindow.plain(points)
+        else:
+            # a weighted window, as a cover posts: integer multiplicities
+            theta = rng.integers(1, 5, size=p).astype(float)
+            win = DataWindow(points, theta, int(theta.sum()))
         eps = float(rng.uniform(0.1, 1.0))
         cert = generate(model, rng.normal(size=1), win, eps, EPS1)
         assert cert.budget_spent <= eps + 1e-9
-        d, _ = w1_distance(empirical(win.points), cert.worst_case)
+        d, _ = w1_distance(win.measure(), cert.worst_case)
         assert d <= eps + 1e-9
         # transported mass equals the budget coordinates exactly
         assert d == pytest.approx(cert.budget_spent, abs=1e-9)

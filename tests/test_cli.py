@@ -100,6 +100,26 @@ def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
     assert "FAILED" in err
 
 
+def test_verify_reports_a_corrupted_arrival_and_exits_1(
+        run_dir, tmp_path, capsys):
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    picked = max(i for i, line in enumerate(lines)
+                 if json.loads(line)["kind"] == "DataArrival")
+    rec = json.loads(lines[picked])
+    rec["point"][0] = float("nan")
+    lines[picked] = json.dumps(rec)
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    err = capsys.readouterr().err
+    assert f"record {picked}: arrival point missing" in err
+    assert "FAILED" in err
+
+
 def test_replay_reproduces_the_event_log(run_dir, capsys):
     assert main(["replay", str(run_dir)]) == 0
     assert "identical" in capsys.readouterr().out
@@ -159,6 +179,18 @@ def test_installed_entry_point_answers_help(src_env):
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "verify" in proc.stdout
+
+
+def test_importing_the_package_loads_no_scipy(src_env):
+    code = (
+        "import drostream, drostream.cli, sys; "
+        "print([m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_missing_run_dir_is_a_usage_error(tmp_path):

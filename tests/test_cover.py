@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from drostream.certificates import DataWindow, generate
 from drostream.cover import Cover, inflated_radius, rebuild
-from drostream.measures import empirical, weighted
 from drostream.model import quadratic_model
-from drostream.transport import w1_distance
+
+from oracles import w1_distance
 
 
 def feed(cover, points):
@@ -37,7 +37,7 @@ def test_window_raises_when_mass_diverges_from_the_count():
 
 def test_weighted_measure_from_trace():
     cover = feed(Cover(1.0), [[0.0], [0.5], [3.0]])
-    dist = weighted(cover.centers(), cover.theta(), cover.n_seen)
+    dist = cover.window().measure()
     assert dist.atoms == pytest.approx(np.array([[0.0], [3.0]]))
     assert dist.weights == pytest.approx(np.array([2 / 3, 1 / 3]))
 
@@ -56,7 +56,7 @@ def test_single_ball_absorbs_everything():
     cover = feed(Cover(2.0), pts)
     assert cover.size == 1
     assert cover.theta() == pytest.approx(np.array([4.0]))
-    dist = weighted(cover.centers(), cover.theta(), cover.n_seen)
+    dist = cover.window().measure()
     assert dist.weights == pytest.approx(np.array([1.0]))
 
 
@@ -78,8 +78,7 @@ def test_compression_within_transport_bound(rng):
         pts = rng.normal(size=(n, 2)) * 2.0
         cover = feed(Cover(omega, "l1"), pts)
         dist, _ = w1_distance(
-            empirical(pts),
-            weighted(cover.centers(), cover.theta(), cover.n_seen),
+            DataWindow.plain(pts).measure(), cover.window().measure()
         )
         bound = (n - cover.size) / n * omega
         assert dist <= bound + 1e-9

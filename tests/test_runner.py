@@ -7,10 +7,14 @@ import pytest
 
 from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
+from drostream.certificates import DataWindow
+from drostream.cover import Cover
+from drostream.measures import DiscreteDistribution
 from drostream.model import Tolerances, quadratic_model
 from drostream.runner import CoverConfig, RunConfig, run
 from drostream.stream import SamplePoint
-from drostream.transport import w1_distance
+
+from oracles import w1_distance
 
 
 def pure_quadratic():
@@ -217,19 +221,46 @@ def test_cover_runs_verify_and_compress():
     assert report.ok, report.failures
 
 
-def test_cover_run_audit_proves_transport_without_the_lp(monkeypatch):
-    # every window here has at most 8 atoms and every plan is within
-    # budget, so the paired coupling proves each transport check
-    def no_lp(p, q):
-        raise AssertionError("the exact transport LP was called")
+def plain_run():
+    cfg = make_config(coupled_quadratic(), 6, x0=np.array([1.5]))
+    return cfg, run(cfg, stream([[1.0], [-2.0], [0.5], [1.5], [3.0], [0.2]]))
 
-    monkeypatch.setattr("drostream.audit.w1_distance", no_lp)
-    cfg, res = cover_run()
+
+def posted_plans(cfg, records):
+    """(window, plan, radius) for every posted certificate, with the window
+    rebuilt from the logged arrivals as the audit rebuilds it."""
+    cover = Cover(cfg.cover.omega, cfg.cover.metric) if cfg.cover.enabled else None
+    raw, plans, out = [], {}, []
+    for rec in records:
+        if rec["kind"] == "DataArrival":
+            raw.append(np.asarray(rec["point"], dtype=float))
+            if cover is not None:
+                cover.update(raw[-1])
+        elif rec["kind"] == "CertificatePosted":
+            y = np.asarray(rec["y"]) if "y" in rec else plans[rec["y_ref"]]
+            plans[rec["seq"]] = y
+            window = (cover.window() if cover is not None
+                      else DataWindow.plain(np.stack(raw)))
+            out.append((window, y, rec["radius"]))
+    return out
+
+
+@pytest.mark.parametrize("make_run", [plain_run, cover_run])
+def test_budget_spent_bounds_the_exact_w1_distance(make_run):
+    # the posted worst case keeps the window's weights, so the budget the
+    # audit prices is a feasible coupling's cost and bounds W1 from above
+    cfg, res = make_run()
     records = [ev.record() for ev in res.events]
-    report = audit(cfg, records)
-    assert report.ok, report.failures
-    check = next(c for c in report.checks if c.name == "transport_distance")
-    assert check.count == kinds(res.events).count("CertificatePosted") == 54
+    assert audit(cfg, records).ok
+    posted = posted_plans(cfg, records)
+    assert len(posted) == kinds(res.events).count("CertificatePosted") > 5
+    for window, y, radius in posted:
+        n = window.n_total
+        spent = float(np.abs(window.theta[:, None] * y).sum()) / n
+        assert spent <= radius + 1e-9
+        moved = DiscreteDistribution(window.points - y, window.theta / n)
+        d, _ = w1_distance(window.measure(), moved)
+        assert d <= spent + 1e-9
 
 
 def test_audit_reports_a_non_finite_plan_without_raising():
@@ -245,44 +276,77 @@ def test_audit_reports_a_non_finite_plan_without_raising():
     assert structure.failures >= 1
 
 
-def swap_audit(monkeypatch, seq, swapped_y):
-    """Audit a two-sample plain run with record ``seq``'s plan replaced,
-    counting the exact transport LP's calls."""
-    lp_calls = []
-
-    def counted(p, q):
-        lp_calls.append(1)
-        return w1_distance(p, q)
-
-    monkeypatch.setattr("drostream.audit.w1_distance", counted)
+def two_sample_records():
     cfg = make_config(pure_quadratic(), 2)
-    records = [ev.record() for ev in run(cfg, stream([[0.0], [4.0]])).events]
+    return cfg, [ev.record() for ev in run(cfg, stream([[0.0], [4.0]])).events]
+
+
+def swap_audit(seq, swapped_y):
+    """Audit a two-sample plain run with record ``seq``'s plan replaced."""
+    cfg, records = two_sample_records()
     assert records[seq]["kind"] == "CertificatePosted" and "y" in records[seq]
     records[seq]["y"] = swapped_y
     report = verify_events(records, cfg.model, cfg.concentration, cfg.schedule)
-    return {c.name: c for c in report.checks}, report.failures, len(lp_calls)
+    return {c.name: c for c in report.checks}, report.failures
 
 
-def test_audit_swap_passes_transport_through_the_lp(monkeypatch):
+def test_audit_swap_fails_the_budget_check():
     # record 6 certifies the window {0, 4}; moving each atom onto the other
-    # pays 4 per unit mass in the paired plan, beyond the radius, yet the
-    # moved measure is the window itself, so the exact distance is 0
-    checks, failures, lp_calls = swap_audit(monkeypatch, 6, [[-4.0], [4.0]])
-    assert lp_calls == 2  # record 6 and its reuse, record 7
-    assert checks["transport_distance"].count == 4
-    assert checks["transport_distance"].failures == 0
-    assert checks["certificate_budget"].failures == 2
+    # pays 4 per unit mass, beyond the radius, though the moved measure is
+    # the window itself: the budget prices the plan, not the distance
+    checks, failures = swap_audit(6, [[-4.0], [4.0]])
+    assert checks["certificate_budget"].failures == 2  # record 6, reuse 7
     assert any(f.startswith("record 6: budget 4.0 exceeds") for f in failures)
 
 
-def test_audit_single_atom_over_budget_fails_both_checks(monkeypatch):
+def test_audit_single_atom_over_budget_fails_the_budget_check():
     # record 1 certifies the one-sample window {0} with radius about 1.18
-    checks, failures, lp_calls = swap_audit(monkeypatch, 1, [[2.0]])
-    assert lp_calls == 2  # record 1 and its reuse, record 2
-    assert checks["transport_distance"].failures == 2
-    assert checks["certificate_budget"].failures == 2
-    assert any(f.startswith("record 1: transport distance 2.0 exceeds")
-               for f in failures)
+    checks, failures = swap_audit(1, [[2.0]])
+    assert checks["certificate_budget"].failures == 2  # record 1, reuse 2
+    assert any(f.startswith("record 1: budget 2.0 exceeds") for f in failures)
+
+
+def cover_records():
+    cfg, res = cover_run()
+    return cfg, [ev.record() for ev in res.events]
+
+
+def second_arrival(records):
+    return [r for r in records if r["kind"] == "DataArrival"][1]
+
+
+def swap_first_two(records):
+    # the first certificate now precedes the first arrival
+    records[0], records[1] = records[1], records[0]
+    records[0]["seq"], records[1]["seq"] = 0, 1
+
+
+BAD_POINT = "arrival point missing, misshapen or not finite"
+
+
+@pytest.mark.parametrize("make_records, tamper, message", [
+    (two_sample_records,
+     lambda recs: second_arrival(recs).update(point=[float("nan")]),
+     BAD_POINT),
+    (cover_records,
+     lambda recs: second_arrival(recs).update(point=[float("nan")]),
+     BAD_POINT),
+    (two_sample_records,
+     lambda recs: second_arrival(recs).update(point=[4.0, 4.0]), BAD_POINT),
+    (two_sample_records, lambda recs: second_arrival(recs).pop("point"),
+     BAD_POINT),
+    (two_sample_records, swap_first_two,
+     "record 0: certificate before any arrival"),
+], ids=["nan", "nan-cover", "wrong-dimension", "missing", "certificate-first"])
+def test_audit_reports_a_corrupted_arrival_without_raising(
+        make_records, tamper, message):
+    cfg, records = make_records()
+    tamper(records)
+    report = audit(cfg, records)
+    assert not report.ok
+    assert any(message in f for f in report.failures), report.failures
+    structure = next(c for c in report.checks if c.name == "structure")
+    assert structure.failures >= 1
 
 
 def test_audit_fails_weighted_certificate_above_its_tolerance():
