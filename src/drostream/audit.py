@@ -16,6 +16,7 @@ arrival.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,7 +60,27 @@ class AuditReport:
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _ABS + _REL * max(abs(a), abs(b))
+    # an infinite value is close to nothing: inf - x is not finite
+    diff = a - b
+    return math.isfinite(diff) and abs(diff) <= _ABS + _REL * max(abs(a), abs(b))
+
+
+def _number(rec: dict, key: str) -> Optional[float]:
+    """``rec[key]`` as a float; None when it is missing, null or not a
+    number."""
+    try:
+        return float(rec[key])
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _array(rec: dict, key: str) -> Optional[np.ndarray]:
+    """``rec[key]`` as a float array; None when it is missing, null, ragged
+    or not numeric."""
+    try:
+        return np.asarray(rec[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        return None
 
 
 def verify_events(
@@ -71,9 +92,12 @@ def verify_events(
 ) -> AuditReport:
     """Re-check a full event log; every failure is collected, none raise.
 
-    A malformed record, such as an arrival without a finite point of the
-    model's sample dimension or a certificate before any arrival, is a
-    ``structure`` failure; the audit skips it and goes on.
+    A malformed record is a ``structure`` failure; the audit skips it and
+    goes on. Malformed means a record that is not a JSON object, a missing
+    or non-numeric field the checks read (time, count, value, decision,
+    tolerance, radius, plan), a ragged plan, an arrival without a finite
+    point of the model's sample dimension, or a certificate before any
+    arrival.
     """
     checks = {
         name: AuditCheck(name)
@@ -103,13 +127,20 @@ def verify_events(
     raw: list[np.ndarray] = []
     window: Optional[DataWindow] = None
     certs: dict[int, dict] = {}
-    best_j: Optional[float] = None
+
+    def cert(ref) -> Optional[dict]:
+        # certificates are keyed by their int seq; any other ref names none
+        return certs.get(ref) if isinstance(ref, int) else None
+
     last_t = -np.inf
     last_n = 0
     terminated = False
 
     for i, rec in enumerate(records):
         checks["structure"].count += 1
+        if not isinstance(rec, dict):
+            fail("structure", f"record {i}: not a JSON object")
+            continue
         seq = rec.get("seq")
         kind = rec.get("kind")
         if seq != i:
@@ -117,11 +148,16 @@ def verify_events(
         if kind not in EVENT_KINDS:
             fail("structure", f"record {i}: unknown kind {kind!r}")
             continue
-        t = float(rec.get("t", np.nan))
-        if not np.isfinite(t) or t < last_t - 1e-12:
+        t = _number(rec, "t")
+        if t is None or not math.isfinite(t) or t < last_t - 1e-12:
             fail("structure", f"record {i}: time {t} moves backward")
-        last_t = max(last_t, t)
-        n = int(rec.get("n", -1))
+        else:
+            last_t = max(last_t, t)
+        try:
+            n = int(rec.get("n", -1))
+        except (TypeError, ValueError):
+            fail("structure", f"record {i}: count {rec.get('n')!r} not a number")
+            continue
         if n < last_n and kind == "DataArrival":
             fail("structure", f"record {i}: sample count shrank to {n}")
         if terminated:
@@ -129,10 +165,7 @@ def verify_events(
 
         if kind == "DataArrival":
             checks["arrivals"].count += 1
-            try:
-                point = np.asarray(rec["point"], dtype=float)
-            except (KeyError, TypeError, ValueError):
-                point = None
+            point = _array(rec, "point")
             if (
                 point is None
                 or point.shape != (model.dimension_m,)
@@ -150,8 +183,8 @@ def verify_events(
                     rec["cover_opened"]
                 ) != bool(opened):
                     fail("arrivals", f"record {i}: cover open/absorb mismatch")
-                if rec.get("cover_size") is not None and int(
-                    rec["cover_size"]
+                if rec.get("cover_size") is not None and _number(
+                    rec, "cover_size"
                 ) != cover.size:
                     fail(
                         "arrivals",
@@ -164,6 +197,13 @@ def verify_events(
         elif kind == "CertificatePosted":
             if not raw:
                 fail("structure", f"record {i}: certificate before any arrival")
+                continue
+            J, tol, radius = (_number(rec, key) for key in ("J", "tol", "radius"))
+            x = _array(rec, "x")
+            if (None in (J, tol, radius) or x is None
+                    or x.shape != (model.dimension_d,)):
+                fail("structure", f"record {i}: certificate J, x, tol or "
+                     "radius missing or malformed")
                 continue
             if window is None:
                 if cover is not None:
@@ -178,21 +218,24 @@ def verify_events(
                 fail("structure", f"record {i}: certificate n {n} != ingested")
                 continue
             checks["radius_schedule"].count += 1
-            if rec.get("beta") is None or not _close(float(rec["beta"]), beta):
+            posted_beta = _number(rec, "beta")
+            if posted_beta is None or not _close(posted_beta, beta):
                 fail("radius_schedule", f"record {i}: beta mismatch")
-            if not _close(float(rec["radius"]), eps):
+            if not _close(radius, eps):
                 fail("radius_schedule", f"record {i}: radius mismatch")
 
             if "y" in rec:
-                y = np.asarray(rec["y"], dtype=float)
+                y = _array(rec, "y")
+                if y is None:
+                    fail("structure", f"record {i}: plan ragged or not numeric")
+                    continue
             else:
                 ref = rec.get("y_ref")
-                src = certs.get(ref)
+                src = cert(ref)
                 if src is None or src["n"] != n:
                     fail("structure", f"record {i}: unresolved plan ref {ref}")
                     continue
                 y = src["y"]
-            x = np.asarray(rec["x"], dtype=float)
             if y.shape != (window.size, window.dimension):
                 fail("structure", f"record {i}: plan shape {y.shape} wrong")
                 continue
@@ -202,10 +245,10 @@ def verify_events(
 
             checks["certificate_value"].count += 1
             j = certificate_value(model, x, window, y)
-            if not _close(j, float(rec["J"])):
+            if not _close(j, J):
                 fail(
                     "certificate_value",
-                    f"record {i}: J recomputed {j!r} != recorded {rec['J']!r}",
+                    f"record {i}: J recomputed {j!r} != recorded {J!r}",
                 )
 
             checks["certificate_budget"].count += 1
@@ -220,54 +263,61 @@ def verify_events(
             checks["certificate_gap"].count += 1
             problem = _Problem(model, x, window)
             _, eta = point_search(problem.grads(z), n * eps, z, n_total=n)
-            tol_used = float(rec["tol"])
-            if eta > tol_used + 1e-9:
+            if not eta <= tol + 1e-9:  # a NaN tolerance fails too
                 fail(
                     "certificate_gap",
-                    f"record {i}: gap {eta} exceeds tolerance {tol_used}",
+                    f"record {i}: gap {eta} exceeds tolerance {tol}",
                 )
-            if rec.get("eta") is not None and not _close(eta, float(rec["eta"])):
-                fail("certificate_gap", f"record {i}: gap mismatch")
-            certs[i] = {"n": n, "y": y, "x": x, "J": float(rec["J"])}
+            if rec.get("eta") is not None:
+                posted_eta = _number(rec, "eta")
+                if posted_eta is None or not _close(eta, posted_eta):
+                    fail("certificate_gap", f"record {i}: gap mismatch")
+            certs[i] = {"n": n, "y": y, "x": x, "J": J}
 
         elif kind == "DecisionStep":
             checks["step_links"].count += 1
             ref = rec.get("cert_seq")
-            src = certs.get(ref)
-            if src is None:
+            src = cert(ref)
+            x, J = _array(rec, "x"), _number(rec, "J")
+            if x is None or J is None:
+                fail("structure", f"record {i}: step J or x missing or malformed")
+            elif src is None:
                 fail("step_links", f"record {i}: missing certificate {ref}")
             else:
-                if not np.array_equal(
-                    np.asarray(rec["x"], dtype=float), src["x"]
-                ):
+                if not np.array_equal(x, src["x"]):
                     fail("step_links", f"record {i}: step decision != certificate")
-                if not _close(float(rec["J"]), src["J"]):
+                if not _close(J, src["J"]):
                     fail("step_links", f"record {i}: step value != certificate")
 
         elif kind == "BestUpdated":
             checks["best_tracking"].count += 1
             ref = rec.get("cert_seq")
-            if ref not in certs:
+            src = cert(ref)
+            J = _number(rec, "J")
+            if J is None:
+                fail("structure", f"record {i}: best J missing or malformed")
+            elif src is None:
                 fail("best_tracking", f"record {i}: missing certificate {ref}")
-            elif not _close(float(rec["J"]), certs[ref]["J"]):
+            elif not _close(J, src["J"]):
                 fail("best_tracking", f"record {i}: best value != certificate")
-            best_j = float(rec["J"])
 
         elif kind == "EpochConverged":
             checks["best_tracking"].count += 1
             ref = rec.get("best_seq")
-            if ref is not None and ref not in certs:
+            if ref is not None and cert(ref) is None:
                 fail("best_tracking", f"record {i}: missing best {ref}")
 
         elif kind == "Terminated":
             checks["termination"].count += 1
             terminated = True
-            ref = rec.get("best_seq")
-            if ref is not None and ref in certs:
-                if not _close(float(rec["J"]), certs[ref]["J"]):
-                    fail("termination", f"record {i}: final value mismatch")
-            else:
+            src = cert(rec.get("best_seq"))
+            J = _number(rec, "J")
+            if src is None:
                 fail("termination", f"record {i}: missing final certificate")
+            elif J is None:
+                fail("structure", f"record {i}: final J missing or malformed")
+            elif not _close(J, src["J"]):
+                fail("termination", f"record {i}: final value mismatch")
 
     checks["termination"].count += 1
     if not terminated:

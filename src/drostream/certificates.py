@@ -226,12 +226,13 @@ class _QuadraticHull(_HullObjective):
 
     When f(x, xi - y) = f(x, xi) + g0 . y + y'C y, with g0 the ``grad_y`` at
     y = 0 and C the model's ``sample_curvature``, the certificate objective
-    at hull weights gamma is exactly v0 + lin . gamma + gamma'Q gamma. Here
-    v0 and lin are the oracle objective's value and gradient at the origin
-    atom, and Q[1 + a, 1 + b] = vals[a] vals[b] C[j_a, j_b] / (n theta[k_a])
-    when vertices a and b share an atom (0 otherwise, and on the origin's
-    row and column). Ascent then calls no oracle, and the line search takes
-    its exact step from ``curvature``.
+    at hull weights gamma is exactly v0 + lin . gamma + gamma'H gamma / 2.
+    Here v0 and lin are the oracle objective's value and gradient at the
+    origin atom, and the Hessian H, built once per hull, has
+    H[1 + a, 1 + b] = 2 vals[a] vals[b] C[j_a, j_b] / (n theta[k_a]) when
+    vertices a and b share an atom (0 otherwise, and on the origin's row and
+    column). Ascent then calls no oracle: ``hess_vec`` gives the exact step
+    and carries the gradient along it.
     """
 
     def __init__(self, problem: _Problem, vertices: Array, scale: float):
@@ -243,23 +244,22 @@ class _QuadraticHull(_HullObjective):
         ks, js, vals = self._ks, self._js, self._vals
         weight = problem.window.n_total * problem.window.theta[ks]
         C = problem.model.sample_curvature
-        self._Q = np.zeros((1 + len(vals), 1 + len(vals)))
-        self._Q[1:, 1:] = np.where(
+        self._H = np.zeros((1 + len(vals), 1 + len(vals)))
+        self._H[1:, 1:] = np.where(
             ks[:, None] == ks[None, :],
-            np.outer(vals / weight, vals) * C[js[:, None], js[None, :]],
+            np.outer(2.0 * vals / weight, vals) * C[js[:, None], js[None, :]],
             0.0,
         )
 
     def value(self, gamma: Array) -> float:
-        return self._v0 + float(self._lin @ gamma) + float(gamma @ self._Q @ gamma)
+        return (self._v0 + float(self._lin @ gamma)
+                + 0.5 * float(gamma @ self._H @ gamma))
 
     def grad(self, gamma: Array) -> Array:
-        return self._lin + 2.0 * (self._Q @ gamma)
+        return self._lin + self._H @ gamma
 
-    def curvature(self, d: Array) -> float:
-        """Second derivative of t -> value(gamma + t d), the same at every
-        gamma."""
-        return 2.0 * float(d @ self._Q @ d)
+    def hess_vec(self, d: Array) -> Array:
+        return self._H @ d
 
 
 def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> CertificateResult:

@@ -6,9 +6,11 @@ the argmax vertices and the Frank-Wolfe gap. ``afwa_maximize`` runs
 away-step Frank-Wolfe ascent of a concave objective over the unit simplex;
 on the unit simplex the barycentric weights of the active set coincide with
 the iterate itself, so the classic active-set bookkeeping reduces to the
-plain vector update and eviction means zeroing a coordinate. Its line
-search takes the exact step of a quadratic objective from the objective's
-``curvature`` and bisects on the directional derivative otherwise.
+plain vector update and eviction means zeroing a coordinate. For an
+objective quadratic in the weights, one Hessian-vector product per iteration
+(the objective's ``hess_vec``) gives the exact step and carries the gradient
+and value along it; other objectives bisect on the directional derivative
+and are re-evaluated after each step.
 """
 
 from __future__ import annotations
@@ -82,9 +84,10 @@ def point_search(
 class ConcaveObjective(Protocol):
     """Duck interface ``afwa_maximize`` expects.
 
-    An objective quadratic in gamma may also define ``curvature(d)``, the
-    constant second derivative of t -> value(gamma + t d); the line search
-    then takes its exact step instead of bisecting.
+    An objective quadratic in gamma may also define ``hess_vec(d)``, the
+    product H d with its constant Hessian H. ``afwa_maximize`` then takes the
+    exact step from d'H d and carries the gradient (g + t H d) and the value
+    along it instead of calling ``grad`` and ``value`` at every iteration.
     """
 
     def value(self, gamma: Array) -> float: ...
@@ -113,19 +116,10 @@ def _normalize_start(start: Sequence[float]) -> Array:
     return g / g.sum()
 
 
-def _line_search(objective, gamma: Array, d: Array, t_max: float, deriv0: float) -> float:
-    """Exact maximization of t -> value(gamma + t d) on [0, t_max].
-
-    Closed form from the objective's ``curvature`` when it has one,
-    otherwise 60 bisection steps on the directional derivative, tolerance
-    1e-12 in t.
-    """
-    curvature = getattr(objective, "curvature", None)
-    if curvature is not None:
-        curv = float(curvature(d))
-        if curv >= -1e-14 * (1.0 + abs(deriv0)):
-            return t_max
-        return min(t_max, deriv0 / (-curv))
+def _line_search(objective, gamma: Array, d: Array, t_max: float) -> float:
+    """Maximization of t -> value(gamma + t d) on [0, t_max] for an objective
+    without ``hess_vec``: 60 bisection steps on the directional derivative,
+    tolerance 1e-12 in t."""
     if float(objective.grad(gamma + t_max * d) @ d) >= 0.0:
         return t_max
     lo, hi = 0.0, t_max
@@ -138,6 +132,13 @@ def _line_search(objective, gamma: Array, d: Array, t_max: float, deriv0: float)
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _fw_gap(g: Array, gamma: Array) -> tuple[int, float, float]:
+    """Toward vertex s, average g'gamma and Frank-Wolfe gap g[s] - g'gamma."""
+    s = int(g.argmax())
+    avg = float(g @ gamma)
+    return s, avg, float(g[s]) - avg
 
 
 def afwa_maximize(
@@ -156,6 +157,13 @@ def afwa_maximize(
     steps the maximal step is alpha_v / (1 - alpha_v); hitting it evicts
     the away vertex, while a full toward step collapses the active set to
     the target vertex. Terminates when the Frank-Wolfe gap reaches ``eps``.
+
+    The gradient and value are read once at the start. With ``hess_vec``
+    each step of length t along d updates them as g + t H d and
+    val + t g'd + t^2 d'H d / 2, so the loop calls neither ``grad`` nor
+    ``value``; a gap at or below ``eps`` is confirmed on a fresh ``grad``
+    before it is returned, so carried roundoff never decides convergence.
+    Without ``hess_vec`` both are evaluated afresh after each step.
     A non-finite value or gradient, at the start or after any step, raises
     SolverError; a value that falls raises ConcavityError.
     Iteration exhaustion returns ``converged=False`` rather than raising so
@@ -170,25 +178,27 @@ def afwa_maximize(
     val = float(objective.value(gamma))
     if not math.isfinite(val):
         raise SolverError("objective returned a non-finite value")
+    hess_vec = getattr(objective, "hess_vec", None)
+    g = np.asarray(objective.grad(gamma), dtype=float)
     gaps: Optional[list[float]] = [] if record_gaps else None
-    gap_fw = np.inf
+    gap_fw = math.inf
     for it in range(max_iters):
         if interrupt is not None and it and it % 32 == 0 and interrupt():
             return AfwaResult(gamma, val, it, gap_fw, False, gaps,
                               interrupted=True)
-        g = np.asarray(objective.grad(gamma), dtype=float)
-        if not np.isfinite(g).all():
+        s, avg, gap_fw = _fw_gap(g, gamma)
+        if hess_vec is not None and gap_fw <= eps:
+            g = np.asarray(objective.grad(gamma), dtype=float)
+            s, avg, gap_fw = _fw_gap(g, gamma)
+        # a non-finite entry of g reaches g[s] or avg, so the gap shows it
+        if not math.isfinite(gap_fw):
             raise SolverError("objective returned a non-finite gradient")
-        s = int(g.argmax())
-        avg = float(g @ gamma)
-        gap_fw = g[s] - avg
         if gaps is not None:
             gaps.append(gap_fw)
         if gap_fw <= eps:
             return AfwaResult(gamma, val, it, gap_fw, True, gaps)
 
-        active = np.flatnonzero(gamma > 0)
-        v = int(active[g[active].argmin()])
+        v = int(np.where(gamma > 0, g, np.inf).argmin())
         gap_away = avg - g[v]
         if gap_fw >= gap_away or gamma[v] >= 1.0 - 1e-15:
             d = -gamma
@@ -199,7 +209,15 @@ def afwa_maximize(
             d[v] -= 1.0
             t_max, deriv0, away = gamma[v] / (1.0 - gamma[v]), gap_away, True
 
-        t = _line_search(objective, gamma, d, t_max, deriv0)
+        if hess_vec is None:
+            t = _line_search(objective, gamma, d, t_max)
+        else:
+            Hd = hess_vec(d)
+            curv = float(d @ Hd)
+            if curv >= -1e-14 * (1.0 + abs(deriv0)):
+                t = t_max
+            else:
+                t = min(t_max, deriv0 / (-curv))
         gamma = gamma + t * d
         if away and t >= t_max * (1.0 - 1e-12):
             gamma[v] = 0.0
@@ -209,7 +227,12 @@ def afwa_maximize(
         gamma[gamma < 1e-15] = 0.0
         gamma /= gamma.sum()
 
-        new_val = float(objective.value(gamma))
+        if hess_vec is None:
+            g = np.asarray(objective.grad(gamma), dtype=float)
+            new_val = float(objective.value(gamma))
+        else:
+            g = g + t * Hd
+            new_val = val + t * deriv0 + 0.5 * t * t * curv
         if not math.isfinite(new_val):
             raise SolverError(
                 f"objective returned a non-finite value after iteration {it}")

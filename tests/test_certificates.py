@@ -21,7 +21,7 @@ from drostream.certificates import (
     revalidate,
 )
 from drostream.model import quadratic_model
-from drostream.simplex import SolverError
+from drostream.simplex import SolverError, afwa_maximize
 
 from oracles import w1_distance, waterfill_certificate
 
@@ -349,24 +349,48 @@ def test_weight_space_hull_matches_the_oracle_hull():
     scale = win.n_total * radius
     hull_q = certificates._QuadraticHull(certificates._Problem(quad, x, win), vs, scale)
     hull_o = certificates._HullObjective(certificates._Problem(dense, x, win), vs, scale)
-    assert not hasattr(hull_o, "curvature")  # the line search bisects there
+    assert not hasattr(hull_o, "hess_vec")  # the line search bisects there
     for _ in range(10):
         gamma, other = rng.dirichlet(np.ones(1 + len(vs)), size=2)
         assert hull_q.value(gamma) == pytest.approx(hull_o.value(gamma), rel=1e-10)
         want = hull_o.grad(gamma)
         np.testing.assert_allclose(hull_q.grad(gamma), want, rtol=1e-10,
                                    atol=1e-10 * np.abs(want).max())
-        # the value is quadratic along d, so its second difference is exact
+        # the gradient is affine in gamma, so its difference is exactly H d
         step = other - gamma
-        second = (hull_o.value(gamma + step) - 2 * hull_o.value(gamma)
-                  + hull_o.value(gamma - step))
-        assert hull_q.curvature(step) == pytest.approx(second, rel=1e-8)
+        diff = hull_o.grad(gamma + step) - want
+        np.testing.assert_allclose(hull_q.hess_vec(step), diff, rtol=1e-10,
+                                   atol=1e-10 * np.abs(diff).max())
 
     cq = generate(quad, x, win, radius, EPS1)
     co = generate(dense, x, win, radius, EPS1)
     assert cq.eta <= EPS1
     assert co.eta <= EPS1
     assert cq.j_eps1 == pytest.approx(co.j_eps1, abs=EPS1)
+
+
+def test_quadratic_hull_ascent_reads_value_and_grad_at_most_three_times():
+    # one value and one gradient at the start, one gradient to confirm the
+    # converged gap; every step in between carries them with hess_vec
+    rng = np.random.default_rng(7)
+    m = 3
+    quad = quadratic_model([[1.0]], rng.normal(size=(1, m)), -np.eye(m))
+    win = DataWindow.plain(rng.normal(size=(10, m)) * 2)
+    vs = np.array([[k, j, s] for k in range(10) for j in range(m)
+                   for s in (1, -1)])
+    hull = certificates._QuadraticHull(
+        certificates._Problem(quad, np.array([0.5]), win), vs,
+        win.n_total * 0.7)
+    calls = []
+    for name in ("value", "grad"):
+        method = getattr(hull, name)
+        setattr(hull, name, lambda g, f=method, n=name: calls.append(n) or f(g))
+    start = np.zeros(1 + len(vs))
+    start[0] = 1.0
+    res = afwa_maximize(hull, 1e-9, start)
+    assert res.converged
+    assert res.iterations > 20  # otherwise the guard guards nothing
+    assert len(calls) <= 3, calls
 
 
 def test_unit_theta_equals_plain():

@@ -120,6 +120,26 @@ def test_verify_reports_a_corrupted_arrival_and_exits_1(
     assert "FAILED" in err
 
 
+def test_verify_reports_a_malformed_certificate_and_exits_1(
+        run_dir, tmp_path, capsys):
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    picked = next(i for i, line in enumerate(lines)
+                  if json.loads(line)["kind"] == "CertificatePosted")
+    rec = json.loads(lines[picked])
+    rec["radius"] = None
+    lines[picked] = json.dumps(rec)
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    err = capsys.readouterr().err
+    assert f"record {picked}: certificate J, x, tol or radius missing" in err
+    assert "FAILED" in err
+
+
 def test_replay_reproduces_the_event_log(run_dir, capsys):
     assert main(["replay", str(run_dir)]) == 0
     assert "identical" in capsys.readouterr().out

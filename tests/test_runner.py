@@ -1,10 +1,12 @@
 """Event-loop behavior: sequencing, interrupts, determinism, and audits."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from drostream import presets
 from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
 from drostream.certificates import DataWindow
@@ -349,12 +351,58 @@ def test_audit_reports_a_corrupted_arrival_without_raising(
     assert structure.failures >= 1
 
 
+CERT_FIELDS = "certificate J, x, tol or radius missing or malformed"
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda recs: recs[6].pop("J"), f"record 6: {CERT_FIELDS}"),
+    (lambda recs: recs[6].pop("x"), f"record 6: {CERT_FIELDS}"),
+    (lambda recs: recs[6].pop("tol"), f"record 6: {CERT_FIELDS}"),
+    (lambda recs: recs[6].update(radius=None), f"record 6: {CERT_FIELDS}"),
+    (lambda recs: recs[6].update(y=[[1.0], [1.0, 2.0]]),
+     "record 6: plan ragged or not numeric"),
+    (lambda recs: recs[8].pop("J"), "record 8: step J or x missing"),
+    (lambda recs: second_arrival(recs).update(n="two"),
+     "record 5: count 'two' not a number"),
+    (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
+], ids=["cert-no-J", "cert-no-x", "cert-no-tol", "radius-null", "ragged-y",
+        "step-no-J", "arrival-n-not-numeric", "not-an-object"])
+def test_audit_reports_a_malformed_record_without_raising(tamper, message):
+    # records 6 and 8 are the second window's certificate and its step
+    cfg, records = two_sample_records()
+    assert records[6]["kind"] == "CertificatePosted" and "y" in records[6]
+    assert records[8]["kind"] == "DecisionStep"
+    tamper(records)
+    report = audit(cfg, records)
+    assert not report.ok
+    assert any(f.startswith(message) for f in report.failures), report.failures
+    structure = next(c for c in report.checks if c.name == "structure")
+    assert structure.failures >= 1
+
+
+def test_audit_fails_an_infinite_value_and_a_nan_tolerance():
+    # inf - x is inf, which the relative tolerance max(|a|, |b|) would absorb
+    cfg, records = two_sample_records()
+    records[6]["J"] = float("inf")
+    checks = {c.name: c for c in audit(cfg, records).checks}
+    assert checks["certificate_value"].failures == 1
+    cfg, records = two_sample_records()
+    records[6]["tol"] = float("nan")
+    checks = {c.name: c for c in audit(cfg, records).checks}
+    assert checks["certificate_gap"].failures == 1
+
+
 def test_audit_fails_weighted_certificate_above_its_tolerance():
     # the gap divides by n, not by the p < n cover centers; that looser
     # normalisation must still let the audit catch a gap above its tolerance
     cfg, res = cover_run()
     records = [ev.record() for ev in res.events]
-    rec = records[50]
+    # the audit allows the gap 1e-9 above its tolerance, so halving the
+    # tolerance must take off more than that
+    seq = next(r["seq"] for r in records
+               if r["kind"] == "CertificatePosted" and not r["reused"]
+               and len(r["y"]) < r["n"] and r["eta"] / 2 > 1e-9)
+    rec = records[seq]
     assert rec["kind"] == "CertificatePosted" and not rec["reused"]
     assert len(rec["y"]) < rec["n"]  # a weighted window
     rec["tol"] = rec["eta"] / 2
@@ -364,4 +412,33 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
         want = 1 if check.name == "certificate_gap" else 0
         assert check.failures == want, (check.name, report.failures)
     assert len(report.failures) == 1
-    assert report.failures[0].startswith("record 50: gap ")
+    assert report.failures[0].startswith(f"record {seq}: gap ")
+
+
+# (preset, n0, cover, cost budget per period or None for the preset's,
+#  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events)
+PINNED_WORK = [
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249),
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221),
+    ("study2", 10, True, None, 485, 246, 8904, 0, 0, 707),
+]
+
+
+@pytest.mark.parametrize(
+    "preset, n0, cover, budget, lp, cp, iters, interrupts, reuses, events",
+    PINNED_WORK, ids=["study1", "study1-interrupted", "study2-cover"])
+def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
+                                  interrupts, reuses, events):
+    # the virtual clock meters solver work, so a change that only speeds the
+    # solvers up leaves every counter and the event sequence as they are
+    cfg = presets.with_overrides(presets.PRESETS[preset](seed=0), n0=n0,
+                                 cover_enabled=cover)
+    mat = presets.materialize(cfg)
+    run_config = mat.run_config
+    if budget is not None:
+        run_config = dataclasses.replace(run_config,
+                                         cost_budget_per_period=budget)
+    res = run(run_config, mat.stream)
+    t = res.totals
+    assert (t.lp_calls, t.cp_calls, t.afwa_iters, t.interrupts, t.reuses,
+            len(res.events)) == (lp, cp, iters, interrupts, reuses, events)

@@ -27,8 +27,8 @@ class QuadObjective:
     def grad(self, gamma):
         return -2.0 * self.diag * (gamma - self.target)
 
-    def curvature(self, d):
-        return float(-2.0 * (d * d) @ self.diag)
+    def hess_vec(self, d):
+        return -2.0 * self.diag * d
 
 
 class LinearObjective:
@@ -41,13 +41,20 @@ class LinearObjective:
     def grad(self, gamma):
         return self.c
 
-    def curvature(self, d):
-        return 0.0
+    def hess_vec(self, d):
+        return np.zeros_like(d)
+
+
+class NanHessianObjective(QuadObjective):
+    """A quadratic whose Hessian-vector product is NaN."""
+
+    def hess_vec(self, d):
+        return np.full_like(d, np.nan)
 
 
 class LyingObjective:
     """Gradient claims ascent along e1 while the value actually falls; no
-    ``curvature``, so the line search bisects."""
+    ``hess_vec``, so the line search bisects."""
 
     def value(self, gamma):
         return float(-3.0 * gamma[0])
@@ -206,6 +213,31 @@ def test_afwa_rejects_a_non_finite_value_after_a_step():
     # NaN fails every comparison, so the decrease test alone lets it through
     with pytest.raises(SolverError, match="non-finite value"):
         afwa_maximize(NanOffStartObjective(), 1e-9, [1.0, 0.0])
+
+
+@given(
+    T=st.integers(2, 12),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60, deadline=None)
+def test_afwa_carried_value_and_gap_match_fresh_ones(T, seed):
+    # the value is carried along every step and the gradient re-read only
+    # to confirm convergence; both must still be those of the returned weights
+    rng = np.random.default_rng(seed)
+    obj = QuadObjective(rng.normal(size=T), rng.uniform(0.1, 50.0, size=T))
+    res = afwa_maximize(obj, 1e-9, rng.dirichlet(np.ones(T)))
+    assert res.converged
+    fresh = obj.value(res.weights)
+    assert res.value == pytest.approx(fresh, rel=1e-9)
+    g = obj.grad(res.weights)
+    assert res.gap == g.max() - g @ res.weights
+    assert res.gap <= 1e-9
+
+
+def test_afwa_rejects_a_non_finite_hessian_product():
+    with pytest.raises(SolverError, match="non-finite"):
+        afwa_maximize(NanHessianObjective([0.5, 0.5], [1.0, 1.0]), 1e-9,
+                      [1.0, 0.0])
 
 
 def test_afwa_rejects_bad_start():
