@@ -24,7 +24,6 @@ from .certificates import (
     revalidate,
 )
 from .cover import Cover, inflated_radius, rebuild
-from .measures import DiscreteDistribution
 from .model import (
     CostModel,
     DomainError,
@@ -72,7 +71,6 @@ __all__ = [
     "Cover",
     "CoverConfig",
     "DataWindow",
-    "DiscreteDistribution",
     "DomainError",
     "FixedPeriod",
     "MixtureComponent",

@@ -26,6 +26,7 @@ from .ambiguity import ConcentrationParams, ConfidenceSchedule
 from .ambiguity import radius as ball_radius
 from .certificates import DataWindow, certificate_value, _Problem
 from .cover import Cover, inflated_radius
+from .model import Tolerances
 from .runner import EVENT_KINDS, CoverConfig
 from .simplex import point_search
 
@@ -89,8 +90,16 @@ def verify_events(
     concentration: ConcentrationParams,
     schedule: ConfidenceSchedule,
     cover_config: Optional[CoverConfig] = None,
+    *,
+    tolerances: Optional[Tolerances] = None,
 ) -> AuditReport:
     """Re-check a full event log; every failure is collected, none raise.
+
+    Each certificate's gap is checked against the tolerance it posts. Given
+    the run's ``tolerances``, that posted tolerance must also be the run's:
+    ``eps_sa`` for a reuse (posted with ``y_ref``), ``eps1`` for a refresh;
+    a ``reused`` flag that disagrees with the plan form is a ``structure``
+    failure.
 
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
@@ -272,6 +281,15 @@ def verify_events(
                 posted_eta = _number(rec, "eta")
                 if posted_eta is None or not _close(eta, posted_eta):
                     fail("certificate_gap", f"record {i}: gap mismatch")
+            if tolerances is not None:
+                reuse = "y" not in rec
+                if rec.get("reused") is not reuse:
+                    fail("structure", f"record {i}: reused flag disagrees "
+                         "with the plan form")
+                want = tolerances.eps_sa if reuse else tolerances.eps1
+                if tol != want:
+                    fail("certificate_gap", f"record {i}: tolerance {tol} "
+                         f"is not the run's {want}")
             certs[i] = {"n": n, "y": y, "x": x, "J": J}
 
         elif kind == "DecisionStep":

@@ -29,7 +29,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import DiscreteDistribution
 from .simplex import ConcavityError, SolverError, afwa_maximize, point_search
 
 Array = np.ndarray
@@ -77,9 +76,6 @@ class DataWindow:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def measure(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.points, self.theta / self.n_total)
-
 
 @dataclass
 class WarmState:
@@ -115,26 +111,34 @@ class CertificateInterrupted(Exception):
 class CertificateResult:
     """eps1-optimal certificate for one window.
 
-    ``y_eps1`` holds the physical per-atom perturbations (points move to
-    ``points - y_eps1``), ``z`` the budget coordinates theta * y whose total
-    1-norm over n_total is the transport budget actually spent.
-    ``vertex_set`` holds the ``(k, j, sign)`` rows found (see WarmState) and
-    ``gamma`` the hull weights over [origin] + vertex_set; together they
-    form the warm-start state for the next window.
+    The plan is kept once, as ``z``: the budget coordinates theta * y whose
+    total 1-norm over n_total is the transport budget actually spent.
+    ``y_eps1`` derives the physical per-atom perturbations from it, and the
+    worst-case law is the ``window``'s weights theta_k / n_total on the
+    moved atoms ``points - y_eps1``. ``vertex_set`` holds the
+    ``(k, j, sign)`` rows found (see WarmState) and ``gamma`` the hull
+    weights over [origin] + vertex_set; together they form the warm-start
+    state for the next window.
     """
 
     j_eps1: float
-    y_eps1: Array
     z: Array
-    worst_case: DiscreteDistribution
+    window: DataWindow
     vertex_set: Array
     gamma: Array
     eta: float
-    n_total: int
     radius: float
     lp_calls: int
     cp_calls: int
     afwa_iters: int
+
+    @property
+    def y_eps1(self) -> Array:
+        return self.z / self.window.theta[:, None]
+
+    @property
+    def n_total(self) -> int:
+        return self.window.n_total
 
     @property
     def budget_spent(self) -> float:
@@ -266,13 +270,11 @@ def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> Certi
     z = np.zeros((window.size, window.dimension))
     return CertificateResult(
         j_eps1=problem.value(z),
-        y_eps1=z.copy(),
         z=z,
-        worst_case=window.measure(),
+        window=window,
         vertex_set=np.empty((0, 3), dtype=np.intp),
         gamma=np.array([1.0]),
         eta=0.0,
-        n_total=window.n_total,
         radius=radius,
         lp_calls=0,
         cp_calls=0,
@@ -400,17 +402,13 @@ def generate(
             )
         j_curr = j_new
 
-    y_phys = z / window.theta[:, None]
-    worst = DiscreteDistribution(window.points - y_phys, window.theta / n)
     return CertificateResult(
         j_eps1=j_curr,
-        y_eps1=y_phys,
         z=z,
-        worst_case=worst,
+        window=window,
         vertex_set=vs,
         gamma=c,
         eta=eta,
-        n_total=n,
         radius=radius,
         lp_calls=lp_calls,
         cp_calls=cp_calls,

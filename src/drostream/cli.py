@@ -3,7 +3,8 @@
   run     execute a preset or custom config; writes events.jsonl,
           trajectory.csv, summary.json, and stream.jsonl into --out-dir
   verify  re-check a run directory's event log: every certificate's value,
-          transport budget (which bounds its W1 distance), gap and radius
+          transport budget (which bounds its W1 distance), gap, tolerance
+          and radius
   replay  re-run from the dumped stream and compare event logs byte-wise
 
 Exit codes: 0 success, 1 verification/replay mismatch or solver failure,
@@ -115,7 +116,7 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
             "j_best": result.j_best,
             "n": result.n,
             "r": result.r,
-            "epochs": result.epochs,
+            "epochs": result.totals.epochs,
             "virtual_time": result.t_final,
             "j_star_est": j_star_est,
             "x_star_est": (None if x_star_est is None
@@ -195,7 +196,7 @@ def cmd_run(args) -> int:
     print(
         f"run complete: preset={cfg.preset} seed={cfg.seed} n={result.n} "
         f"J={result.j_best:.6g} rel_error={rel_txt} "
-        f"cover_size={result.cover_size} epochs={result.epochs} "
+        f"cover_size={result.cover_size} epochs={result.totals.epochs} "
         f"out={out}"
     )
     return 0
@@ -230,7 +231,7 @@ def cmd_verify(args) -> int:
     rc = mat.run_config
     report = audit.verify_events(
         records, mat.model, rc.concentration, rc.schedule,
-        cover_config=rc.cover)
+        cover_config=rc.cover, tolerances=rc.tolerances)
     for line in report.summary_lines():
         print(line)
     if report.ok:

@@ -3,7 +3,9 @@
 An ExperimentConfig is a plain JSON-shaped description of a whole run
 (model, data distribution, arrivals, solver knobs). ``materialize`` turns
 one into live objects; ``from_dict`` validates untrusted input field by
-field so the CLI can reject bad configs with a precise path.
+field so the CLI can reject bad configs with a precise path. The dataclass
+fields are the one list of config keys: ``to_dict`` (a deep copy) writes
+them in declaration order and ``from_dict`` rejects any other key.
 
 Study presets:
   study1  scalar decision against a three-center Gaussian mixture in R^3,
@@ -14,8 +16,8 @@ Study presets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +57,6 @@ class ExperimentConfig:
     concentration: dict
     schedule: str
     step_rule: str
-    step_norm: str
     stop_rule: str
     cost_budget_per_period: float
     cover: dict
@@ -63,24 +64,9 @@ class ExperimentConfig:
     n_validation: int
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "seed": self.seed,
-            "n0": self.n0,
-            "model": self.model,
-            "mixture": self.mixture,
-            "arrival": self.arrival,
-            "tolerances": self.tolerances,
-            "concentration": self.concentration,
-            "schedule": self.schedule,
-            "step_rule": self.step_rule,
-            "step_norm": self.step_norm,
-            "stop_rule": self.stop_rule,
-            "cost_budget_per_period": self.cost_budget_per_period,
-            "cover": self.cover,
-            "x0": self.x0,
-            "n_validation": self.n_validation,
-        }
+        """A deep copy, fields in declaration order: editing it leaves this
+        config and the presets' shared dicts alone."""
+        return asdict(self)
 
 
 _STUDY1_MIXTURE = {
@@ -139,7 +125,6 @@ def study1(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
         schedule="study",
         step_rule="harmonic",
-        step_norm="l1",
         stop_rule="step",
         cost_budget_per_period=50_000.0,
         cover={"enabled": cover_enabled, "omega": 1.5, "metric": "l2"},
@@ -179,7 +164,6 @@ def study2(seed: int = 0, cover_enabled: bool = True) -> ExperimentConfig:
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
         schedule="study",
         step_rule="harmonic",
-        step_norm="l1",
         stop_rule="step",
         cost_budget_per_period=300_000.0,
         cover={"enabled": cover_enabled, "omega": 5.0, "metric": "l2"},
@@ -204,11 +188,7 @@ def _check_keys(d: dict, allowed: set[str], path: str) -> None:
 def from_dict(data: dict) -> ExperimentConfig:
     """Validate an untrusted config dict; raises ConfigError with the path."""
     _require(isinstance(data, dict), "<root>", "config must be an object")
-    allowed = {
-        "preset", "seed", "n0", "model", "mixture", "arrival", "tolerances",
-        "concentration", "schedule", "step_rule", "step_norm", "stop_rule",
-        "cost_budget_per_period", "cover", "x0", "n_validation",
-    }
+    allowed = {f.name for f in fields(ExperimentConfig)}
     _check_keys(data, allowed, "<root>")
     missing = allowed - set(data)
     _require(not missing, "<root>", f"missing fields {sorted(missing)}")
@@ -302,8 +282,6 @@ def from_dict(data: dict) -> ExperimentConfig:
              "only the 'study' confidence schedule is defined")
     _require(data["step_rule"] in ("constant", "harmonic"), "step_rule",
              "must be 'constant' or 'harmonic'")
-    _require(data["step_norm"] in ("l1", "l2"), "step_norm",
-             "must be 'l1' or 'l2'")
     _require(data["stop_rule"] in ("step", "horizon"), "stop_rule",
              "must be 'step' or 'horizon'")
 
@@ -333,24 +311,11 @@ def from_dict(data: dict) -> ExperimentConfig:
     else:
         raise ConfigError("x0.kind", f"unknown x0 kind {xkind!r}")
 
-    return ExperimentConfig(
-        preset=str(data["preset"]),
-        seed=data["seed"],
-        n0=data["n0"],
-        model=model,
-        mixture=mix,
-        arrival=arrival,
-        tolerances=tol,
-        concentration=conc,
-        schedule=data["schedule"],
-        step_rule=data["step_rule"],
-        step_norm=data["step_norm"],
-        stop_rule=data["stop_rule"],
-        cost_budget_per_period=float(data["cost_budget_per_period"]),
-        cover=cover,
-        x0=x0,
-        n_validation=data["n_validation"],
-    )
+    return ExperimentConfig(**{
+        **data,
+        "preset": str(data["preset"]),
+        "cost_budget_per_period": float(data["cost_budget_per_period"]),
+    })
 
 
 def build_model(spec: dict) -> CostModel:
@@ -443,7 +408,6 @@ def materialize(cfg: ExperimentConfig,
         schedule=schedule,
         n0=cfg.n0,
         step_rule=cfg.step_rule,  # type: ignore[arg-type]
-        step_norm=cfg.step_norm,  # type: ignore[arg-type]
         stop_rule=cfg.stop_rule,  # type: ignore[arg-type]
         cost_budget_per_period=cfg.cost_budget_per_period,
         x0=x0,

@@ -138,7 +138,6 @@ class RunConfig:
     schedule: ConfidenceSchedule
     n0: int
     step_rule: Literal["constant", "harmonic"] = "harmonic"
-    step_norm: Literal["l1", "l2"] = "l1"
     stop_rule: Literal["step", "horizon"] = "step"
     cost_budget_per_period: float = 100.0
     x0: Optional[Array] = None
@@ -170,7 +169,6 @@ class RunResult:
     j_best: float
     n: int
     r: int
-    epochs: int
     t_final: float
     totals: RunTotals
     cover_size: Optional[int]
@@ -350,7 +348,7 @@ def run(
         while True:
             alpha = rule.alpha(r - r_n)
             g = subgradient(model, x, cert)
-            x_new = scaled_step(model, x, g, alpha, config.step_norm)
+            x_new = scaled_step(model, x, g, alpha)
             r += 1
             totals.steps += 1
             clock.tick(1.0)
@@ -442,7 +440,6 @@ def run(
         j_best=j_best,
         n=len(raw),
         r=r,
-        epochs=l,
         t_final=clock.t,
         totals=totals,
         cover_size=None if cover is None else cover.size,

@@ -10,6 +10,7 @@ past the reuse tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
@@ -98,19 +99,19 @@ def make_rule(name: Literal["constant", "harmonic"], tol: Tolerances) -> StepSiz
 
 
 def subgradient(model, x: Array, cert: CertificateResult) -> Array:
-    """Expected decision gradient under the certificate's worst-case law."""
-    dist = cert.worst_case
-    grads = np.asarray(model.grad_x(x, dist.atoms), dtype=float)
-    grads = grads.reshape(dist.atoms.shape[0], -1)
-    return dist.weights @ grads
+    """Expected decision gradient under the certificate's worst-case law:
+    weights theta_k / n_total on the window's atoms moved to
+    ``points - y_eps1``."""
+    win = cert.window
+    grads = np.asarray(model.grad_x(x, win.points - cert.y_eps1), dtype=float)
+    return (win.theta / win.n_total) @ grads.reshape(win.size, -1)
 
 
-def scaled_step(
-    model, x: Array, g: Array, alpha: float, norm: Literal["l1", "l2"] = "l1"
-) -> Array:
-    """Move against g with length alpha, normalizing only oversized gradients."""
+def scaled_step(model, x: Array, g: Array, alpha: float) -> Array:
+    """Move against g with length alpha in the 1-norm, normalizing only
+    gradients whose 1-norm exceeds one."""
     g = np.asarray(g, dtype=float)
-    size = float(np.abs(g).sum()) if norm == "l1" else float(np.linalg.norm(g))
+    size = float(np.abs(g).sum())
     x_new = np.asarray(x, dtype=float) - alpha * g / max(size, 1.0)
     if model.project is not None:
         x_new = model.project(x_new)
@@ -123,7 +124,6 @@ class ReuseOutcome:
 
     cert: CertificateResult
     reused: bool
-    eta: float
 
 
 def reuse_or_refresh(
@@ -139,8 +139,10 @@ def reuse_or_refresh(
     """Certificate at the stepped decision, cheaply when the old plan holds.
 
     A single vertex search prices the old perturbation plan at the new
-    decision; within the reuse tolerance the old plan's value (re-evaluated
-    at x_new) certifies, otherwise a full solve runs warm-started from it.
+    decision. Within the reuse tolerance the old plan certifies: the reused
+    certificate is ``prev`` with its value re-evaluated at x_new, the new
+    gap, and the one vertex search as its work. Otherwise a full solve runs
+    warm-started from it.
     """
     warm = prev.warm_state()
     valid, eta = revalidate(model, x_new, window, radius, warm, tol.eps_sa)
@@ -148,21 +150,9 @@ def reuse_or_refresh(
         tick(1)
     if valid:
         j = certificate_value(model, x_new, window, prev.y_eps1)
-        reused = CertificateResult(
-            j_eps1=j,
-            y_eps1=prev.y_eps1,
-            z=prev.z,
-            worst_case=prev.worst_case,
-            vertex_set=prev.vertex_set,
-            gamma=prev.gamma,
-            eta=eta,
-            n_total=prev.n_total,
-            radius=prev.radius,
-            lp_calls=1,
-            cp_calls=0,
-            afwa_iters=0,
-        )
-        return ReuseOutcome(reused, True, eta)
+        reused = dataclasses.replace(prev, j_eps1=j, eta=eta, lp_calls=1,
+                                     cp_calls=0, afwa_iters=0)
+        return ReuseOutcome(reused, True)
     try:
         cert = generate(
             model,
@@ -177,4 +167,4 @@ def reuse_or_refresh(
     except CertificateInterrupted as ci:
         ci.lp_calls += 1  # the failed revalidation search above
         raise
-    return ReuseOutcome(cert, False, cert.eta)
+    return ReuseOutcome(cert, False)

@@ -8,6 +8,7 @@ purpose.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -70,15 +71,31 @@ def waterfill_certificate(A, B, c_diag, x, points, theta, n_total, eps):
     return value, y
 
 
+class Measure(NamedTuple):
+    """Finitely supported measure: atoms (k, m) and weights (k,)."""
+
+    atoms: np.ndarray
+    weights: np.ndarray
+
+
+def window_measure(window, y=0.0):
+    """The window's law theta_k / n on its atoms moved to points - y."""
+    return Measure(window.points - y, window.theta / window.n_total)
+
+
 def w1_distance(p, q):
     """Exact W1 distance (L1 ground metric) and an optimal plan by LP.
 
-    ``p`` and ``q`` carry ``atoms`` (k, m) and ``weights`` (k,). The
-    transportation program is solved with scipy's HiGHS simplex, which
-    returns vertex-exact plans at these sizes. Returns ``(cost, plan)`` with
-    the plan's rows on ``p``'s atoms and its columns on ``q``'s; marginals
-    are checked to 1e-9, and an infeasible program raises RuntimeError.
+    ``p`` and ``q`` are Measures. The transportation program is solved with
+    scipy's HiGHS simplex, which returns vertex-exact plans at these sizes.
+    Returns ``(cost, plan)`` with the plan's rows on ``p``'s atoms and its
+    columns on ``q``'s; weights that are negative or do not sum to one
+    within 1e-9 and mismatched dimensions raise ValueError, marginals are
+    checked to 1e-9, and an infeasible program raises RuntimeError.
     """
+    for w in (p.weights, q.weights):
+        if w.min() < 0 or abs(float(w.sum()) - 1.0) > 1e-9:
+            raise ValueError("weights must be nonnegative and sum to 1")
     if p.atoms.shape[1] != q.atoms.shape[1]:
         raise ValueError("distributions live in different dimensions")
     kp, kq = p.atoms.shape[0], q.atoms.shape[0]

@@ -23,7 +23,7 @@ from drostream.certificates import (
 from drostream.model import quadratic_model
 from drostream.simplex import SolverError, afwa_maximize
 
-from oracles import w1_distance, waterfill_certificate
+from oracles import w1_distance, waterfill_certificate, window_measure
 
 EPS1 = 1e-7
 
@@ -39,7 +39,8 @@ def test_single_atom_moves_toward_origin():
     cert = generate(model, np.array([0.0]), win, 0.5, EPS1)
     assert cert.j_eps1 == pytest.approx(-2.25, abs=1e-6)
     assert cert.y_eps1 == pytest.approx(np.array([[0.5]]), abs=1e-6)
-    assert cert.worst_case.atoms == pytest.approx(np.array([[1.5]]), abs=1e-6)
+    assert win.points - cert.y_eps1 == pytest.approx(np.array([[1.5]]),
+                                                     abs=1e-6)
 
 
 def test_zero_radius_gives_sample_average():
@@ -57,7 +58,7 @@ def test_budget_spent_on_larger_magnitude_atom():
     win = DataWindow.plain(np.array([[1.0], [3.0]]))
     cert = generate(model, np.array([0.0]), win, 0.5, EPS1)
     assert cert.j_eps1 == pytest.approx(0.5 * (-1.0 - 4.0), abs=1e-6)
-    assert sorted(np.ravel(cert.worst_case.atoms)) == pytest.approx(
+    assert sorted(np.ravel(win.points - cert.y_eps1)) == pytest.approx(
         [1.0, 2.0], abs=1e-6
     )
 
@@ -77,7 +78,8 @@ def test_budget_and_w1_distance_agree():
         eps = float(rng.uniform(0.1, 1.0))
         cert = generate(model, rng.normal(size=1), win, eps, EPS1)
         assert cert.budget_spent <= eps + 1e-9
-        d, _ = w1_distance(win.measure(), cert.worst_case)
+        d, _ = w1_distance(window_measure(win),
+                           window_measure(win, cert.y_eps1))
         assert d <= eps + 1e-9
         # transported mass equals the budget coordinates exactly
         assert d == pytest.approx(cert.budget_spent, abs=1e-9)

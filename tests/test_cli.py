@@ -1,6 +1,7 @@
 """End-to-end command line: run artifacts, verification, replay, config errors."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from drostream.cli import main
-from drostream.presets import from_dict, study1
+from drostream.presets import ConfigError, ExperimentConfig, from_dict, study1
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,26 @@ def test_verify_reports_a_malformed_certificate_and_exits_1(
     assert "FAILED" in err
 
 
+def test_verify_checks_the_posted_tolerance_and_exits_1(
+        run_dir, tmp_path, capsys):
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    picked = next(i for i, line in enumerate(lines)
+                  if json.loads(line)["kind"] == "CertificatePosted")
+    rec = json.loads(lines[picked])
+    rec["tol"] = 1e9
+    lines[picked] = json.dumps(rec)
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    err = capsys.readouterr().err
+    assert f"record {picked}: tolerance 1000000000.0 is not the run's" in err
+    assert "FAILED" in err
+
+
 def test_replay_reproduces_the_event_log(run_dir, capsys):
     assert main(["replay", str(run_dir)]) == 0
     assert "identical" in capsys.readouterr().out
@@ -173,6 +194,23 @@ def test_config_survives_a_round_trip(tmp_path):
     cfg = study1(seed=3)
     data = json.loads(json.dumps(cfg.to_dict()))
     assert from_dict(data) == cfg
+
+
+def test_to_dict_leaves_the_presets_alone():
+    data = study1().to_dict()
+    assert list(data) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    data["mixture"]["weights"][0] = 0.9
+    data["tolerances"]["eps1"] = 1.0
+    fresh = study1()
+    assert fresh.mixture["weights"] == [0.25, 0.5, 0.25]
+    assert fresh.tolerances["eps1"] == 1e-5
+
+
+def test_a_config_with_step_norm_is_rejected():
+    data = study1().to_dict()
+    data["step_norm"] = "l1"
+    with pytest.raises(ConfigError, match="step_norm"):
+        from_dict(data)
 
 
 def test_custom_config_runs_study2_at_desk_scale(tmp_path):

@@ -11,7 +11,7 @@ from drostream.certificates import DataWindow, generate
 from drostream.cover import Cover, inflated_radius, rebuild
 from drostream.model import quadratic_model
 
-from oracles import w1_distance
+from oracles import w1_distance, window_measure
 
 
 def feed(cover, points):
@@ -37,7 +37,7 @@ def test_window_raises_when_mass_diverges_from_the_count():
 
 def test_weighted_measure_from_trace():
     cover = feed(Cover(1.0), [[0.0], [0.5], [3.0]])
-    dist = cover.window().measure()
+    dist = window_measure(cover.window())
     assert dist.atoms == pytest.approx(np.array([[0.0], [3.0]]))
     assert dist.weights == pytest.approx(np.array([2 / 3, 1 / 3]))
 
@@ -56,7 +56,7 @@ def test_single_ball_absorbs_everything():
     cover = feed(Cover(2.0), pts)
     assert cover.size == 1
     assert cover.theta() == pytest.approx(np.array([4.0]))
-    dist = cover.window().measure()
+    dist = window_measure(cover.window())
     assert dist.weights == pytest.approx(np.array([1.0]))
 
 
@@ -78,7 +78,8 @@ def test_compression_within_transport_bound(rng):
         pts = rng.normal(size=(n, 2)) * 2.0
         cover = feed(Cover(omega, "l1"), pts)
         dist, _ = w1_distance(
-            DataWindow.plain(pts).measure(), cover.window().measure()
+            window_measure(DataWindow.plain(pts)),
+            window_measure(cover.window()),
         )
         bound = (n - cover.size) / n * omega
         assert dist <= bound + 1e-9

@@ -11,12 +11,11 @@ from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
 from drostream.certificates import DataWindow
 from drostream.cover import Cover
-from drostream.measures import DiscreteDistribution
 from drostream.model import Tolerances, quadratic_model
 from drostream.runner import CoverConfig, RunConfig, run
 from drostream.stream import SamplePoint
 
-from oracles import w1_distance
+from oracles import w1_distance, window_measure
 
 
 def pure_quadratic():
@@ -74,7 +73,7 @@ def test_single_point_run_posts_the_full_sequence():
         "EpochConverged",
         "Terminated",
     ]
-    assert res.n == 1 and res.epochs == 1
+    assert res.n == 1 and res.totals.epochs == 1
     assert res.j_best == pytest.approx(res.events[-1].J)
     assert res.events[1].extras["reused"] is False
     assert res.events[2].extras["reused"] is True
@@ -260,8 +259,7 @@ def test_budget_spent_bounds_the_exact_w1_distance(make_run):
         n = window.n_total
         spent = float(np.abs(window.theta[:, None] * y).sum()) / n
         assert spent <= radius + 1e-9
-        moved = DiscreteDistribution(window.points - y, window.theta / n)
-        d, _ = w1_distance(window.measure(), moved)
+        d, _ = w1_distance(window_measure(window), window_measure(window, y))
         assert d <= spent + 1e-9
 
 
@@ -390,6 +388,30 @@ def test_audit_fails_an_infinite_value_and_a_nan_tolerance():
     records[6]["tol"] = float("nan")
     checks = {c.name: c for c in audit(cfg, records).checks}
     assert checks["certificate_gap"].failures == 1
+
+
+def test_audit_checks_the_posted_tolerance_against_the_run():
+    cfg, records = two_sample_records()
+    assert records[6]["kind"] == "CertificatePosted" and "y" in records[6]
+
+    def checks(recs):
+        report = verify_events(recs, cfg.model, cfg.concentration,
+                               cfg.schedule, tolerances=cfg.tolerances)
+        return {c.name: c.failures for c in report.checks}
+
+    assert not any(checks(records).values())
+    records[6]["tol"] = 1e9
+    # without the run's tolerances the audit can only trust the posted one
+    assert verify_events(records, cfg.model, cfg.concentration,
+                         cfg.schedule).ok
+    failed = checks(records)
+    assert failed["certificate_gap"] == 1
+    assert sum(failed.values()) == 1
+    cfg, records = two_sample_records()
+    records[6]["reused"] = True  # a refresh that posts a full plan
+    failed = checks(records)
+    assert failed["structure"] == 1
+    assert sum(failed.values()) == 1
 
 
 def test_audit_fails_weighted_certificate_above_its_tolerance():

@@ -55,6 +55,15 @@ def test_subgradient_averages_over_atoms():
     assert subgradient(model, np.array([0.0]), cert) == pytest.approx([1.0])
 
 
+def test_subgradient_weights_atoms_by_multiplicity():
+    # theta (3, 1) on atoms {0, 2}, x = 0: grad_x = xi, so the weighted mean
+    # is (3 * 0 + 1 * 2) / 4; weights 1 / p would give 1.0
+    model = coupled_quadratic()
+    win = DataWindow(np.array([[0.0], [2.0]]), np.array([3.0, 1.0]), 4)
+    cert = generate(model, np.array([0.0]), win, 0.0, EPS1)
+    assert subgradient(model, np.array([0.0]), cert) == pytest.approx([0.5])
+
+
 def test_step_hand_arithmetic():
     model = quadratic_model(np.eye(2), [[0.0], [0.0]], [[-1.0]])
     x = scaled_step(model, np.array([1.0, 2.0]), np.array([3.0, -4.0]), 0.7)
@@ -119,7 +128,7 @@ def test_reuse_accepts_unmoved_decision():
     prev = generate(model, x, win, 0.4, EPS1)
     out = reuse_or_refresh(model, x, win, 0.4, tolerances(), prev)
     assert out.reused
-    assert out.eta <= tolerances().eps1 + 1e-12
+    assert out.cert.eta <= tolerances().eps1 + 1e-12
     assert out.cert.j_eps1 == pytest.approx(prev.j_eps1, abs=1e-9)
     assert out.cert.cp_calls == 0 and out.cert.lp_calls == 1
 

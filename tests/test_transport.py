@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drostream.measures import DiscreteDistribution
-
-from oracles import w1_distance, w1_matching
+from oracles import Measure, w1_distance, w1_matching
 
 
 def dd(atoms, weights):
-    return DiscreteDistribution(np.atleast_2d(atoms), np.asarray(weights))
+    return Measure(np.atleast_2d(np.asarray(atoms, dtype=float)),
+                   np.asarray(weights, dtype=float))
 
 
 def test_identity_is_zero():
@@ -113,9 +112,9 @@ def test_paired_cost_bounds_w1_from_above(seed):
 
 
 def test_unnormalized_input_rejected():
-    with pytest.raises(ValueError):
-        dd([[0.0], [1.0]], [0.6, 0.6])
     p = dd([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        w1_distance(dd([[0.0], [1.0]], [0.6, 0.6]), p)
     q_bad_dim = dd([[0.0, 1.0]], [1.0])
     with pytest.raises(ValueError):
         w1_distance(p, q_bad_dim)
