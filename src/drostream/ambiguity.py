@@ -27,9 +27,9 @@ class ConcentrationParams:
     a: float = 2.0
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
+        if not (self.c1 > 0 and self.c2 > 0):  # NaN too
             raise ValueError("c1 and c2 must be positive")
-        if self.a <= 1:
+        if not self.a > 1:
             raise ValueError("a must exceed 1")
         if self.m < 1:
             raise ValueError("m must be a positive integer")

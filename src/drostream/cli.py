@@ -7,14 +7,16 @@
           and radius
   replay  re-run from the dumped stream and compare event logs byte-wise
 
-Exit codes: 0 success, 1 verification/replay mismatch or solver failure,
-2 invalid configuration or unreadable input.
+Exit codes: 0 success; 1 verification/replay mismatch or solver failure;
+2 a config that cannot be built (stderr names the offending field) or a
+run artifact that cannot be read or parsed (stderr names the file).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audit, presets
-from .runner import RunEvent, run
+from .runner import run
 from .stream import dump_stream, estimate_jstar, load_stream
 
 EVENTS_FILE = "events.jsonl"
@@ -40,20 +42,21 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _read(path: Path, reader):
+    """``reader(path)``; a file that cannot be read or parsed (bad JSON, a
+    missing key) is a ConfigError that names it."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise presets.ConfigError(
+            path.name, f"unreadable: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_config(args) -> presets.ExperimentConfig:
     if args.config is not None:
-        try:
-            data = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            raise presets.ConfigError("<config>", f"cannot read: {exc}")
-        except json.JSONDecodeError as exc:
-            raise presets.ConfigError("<config>", f"not valid JSON: {exc}")
-        cfg = presets.from_dict(data)
+        cfg = presets.from_dict(
+            _read(Path(args.config), lambda p: json.loads(p.read_text())))
     elif args.preset is not None:
-        if args.preset not in presets.PRESETS:
-            raise presets.ConfigError(
-                "preset", f"unknown preset {args.preset!r}; "
-                f"choose from {sorted(presets.PRESETS)}")
         cfg = presets.PRESETS[args.preset](seed=args.seed or 0)
     else:
         raise presets.ConfigError("<args>", "need --preset or --config")
@@ -95,7 +98,8 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
             "r": ev.r,
             "J_eps1": ev.J,
             "rel_error": rel,
-            "cover_size": "" if result.cover_size is None else _cover_at(ev),
+            "cover_size": ("" if result.cover_size is None
+                           else ev.extras.get("cover_size", "")),
             "cp_count": cp_running,
         })
     with open(out / TRAJECTORY_FILE, "w", newline="") as fh:
@@ -123,16 +127,7 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
                            else np.asarray(x_star_est).tolist()),
             "rel_error": final_rel,
         },
-        "totals": {
-            "steps": result.totals.steps,
-            "epochs": result.totals.epochs,
-            "interrupts": result.totals.interrupts,
-            "reuses": result.totals.reuses,
-            "refreshes": result.totals.refreshes,
-            "lp_calls": result.totals.lp_calls,
-            "cp_calls": result.totals.cp_calls,
-            "afwa_iters": result.totals.afwa_iters,
-        },
+        "totals": dataclasses.asdict(result.totals),
         "cover": {
             "enabled": bool(cfg.cover["enabled"]),
             "final_size": result.cover_size,
@@ -143,10 +138,6 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
     with open(out / SUMMARY_FILE, "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
-
-
-def _cover_at(ev: RunEvent):
-    return ev.extras.get("cover_size", "")
 
 
 def _cover_sizes(events) -> list:
@@ -170,11 +161,8 @@ def _annotate_cover(events):
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args)
-    except presets.ConfigError as exc:
-        return _fail(2, f"config error: {exc}")
-    try:
         mat = presets.materialize(cfg)
-    except (presets.ConfigError, ValueError) as exc:
+    except presets.ConfigError as exc:
         return _fail(2, f"config error: {exc}")
     out = _out_dir(args, cfg)
 
@@ -203,31 +191,25 @@ def cmd_run(args) -> int:
 
 
 def _read_events(path: Path) -> list[dict]:
-    records = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _load_run(run_dir: Path, stream=None) -> presets.Materialized:
+    """Rebuild the run whose summary.json sits in ``run_dir``."""
+    config = _read(run_dir / SUMMARY_FILE,
+                   lambda p: json.loads(p.read_text())["config"])
+    return presets.materialize(presets.from_dict(config), stream=stream)
 
 
 def cmd_verify(args) -> int:
     run_dir = Path(args.run_dir)
     events_path = run_dir / EVENTS_FILE if run_dir.is_dir() else run_dir
-    summary_path = events_path.parent / SUMMARY_FILE
     try:
-        records = _read_events(events_path)
-        summary = json.loads(summary_path.read_text())
-    except OSError as exc:
-        return _fail(2, f"cannot read run artifacts: {exc}")
-    except json.JSONDecodeError as exc:
-        return _fail(2, f"corrupt run artifacts: {exc}")
-    try:
-        cfg = presets.from_dict(summary["config"])
-        mat = presets.materialize(cfg, stream=[])
-    except (KeyError, presets.ConfigError) as exc:
-        return _fail(2, f"bad summary config: {exc}")
+        records = _read(events_path, _read_events)
+        mat = _load_run(events_path.parent, stream=[])
+    except presets.ConfigError as exc:
+        return _fail(2, f"bad run directory: {exc}")
     rc = mat.run_config
     report = audit.verify_events(
         records, mat.model, rc.concentration, rc.schedule,
@@ -246,16 +228,10 @@ def cmd_verify(args) -> int:
 def cmd_replay(args) -> int:
     src = Path(args.run_dir)
     try:
-        summary = json.loads((src / SUMMARY_FILE).read_text())
-        stream_points = load_stream(src / STREAM_FILE)
-        original = (src / EVENTS_FILE).read_bytes()
-    except OSError as exc:
-        return _fail(2, f"cannot read run artifacts: {exc}")
-    try:
-        cfg = presets.from_dict(summary["config"])
-        mat = presets.materialize(cfg, stream=stream_points)
+        original = _read(src / EVENTS_FILE, Path.read_bytes)
+        mat = _load_run(src, stream=_read(src / STREAM_FILE, load_stream))
     except presets.ConfigError as exc:
-        return _fail(2, f"bad summary config: {exc}")
+        return _fail(2, f"bad run directory: {exc}")
     try:
         result = run(mat.run_config, mat.stream)
     except Exception as exc:

@@ -3,9 +3,10 @@
 Each arriving point either lands inside existing radius-omega balls, in
 which case every covering center splits one unit of mass equally, or opens
 a new center carrying the point itself. Multiplicities are exact rationals
-so the total mass equals the stream count with no drift, and the compressed
-measure sits within (n - p)/n * omega of the full empirical measure in
-1-norm transport cost.
+so the total mass equals the stream count with no drift. With the 1-norm
+metric the compressed measure sits within (n - p)/n * omega of the full
+empirical measure in 1-norm transport cost; with the Euclidean metric that
+bound does not hold (ROADMAP.md, item 2).
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ class Cover:
         return DataWindow(self.centers(), self.theta(), self.n_seen)
 
     def transport_slack(self) -> float:
-        """Upper bound on the 1-norm transport distance to the full stream."""
+        """Upper bound on the 1-norm transport distance to the full stream,
+        for ``l1`` covers only: an ``l2`` cover can move a point up to
+        sqrt(m) * omega in the 1-norm (ROADMAP.md, item 2)."""
         if self.n_seen == 0:
             return 0.0
         return (self.n_seen - self.size) / self.n_seen * self.omega
@@ -109,8 +112,10 @@ class Cover:
 def inflated_radius(eps: float, omega: float) -> float:
     """Budget that makes certificates over the cover dominate the originals.
 
-    Compression moves each absorbed point at most omega, so widening the
-    ball by omega keeps every distribution the uncompressed ball contains.
+    An ``l1`` cover moves each absorbed point at most omega in the 1-norm,
+    so widening the ball by omega keeps every distribution the uncompressed
+    ball contains. An ``l2`` cover can move a point up to sqrt(m) * omega
+    in the 1-norm, so for it this budget is too small (ROADMAP.md, item 2).
     """
     if eps < 0 or omega < 0:
         raise ValueError("radii must be nonnegative")

@@ -2,10 +2,13 @@
 
 An ExperimentConfig is a plain JSON-shaped description of a whole run
 (model, data distribution, arrivals, solver knobs). ``materialize`` turns
-one into live objects; ``from_dict`` validates untrusted input field by
-field so the CLI can reject bad configs with a precise path. The dataclass
-fields are the one list of config keys: ``to_dict`` (a deep copy) writes
-them in declaration order and ``from_dict`` rejects any other key.
+one into live objects, and building is the validation: each section is
+checked in the one builder that constructs it (``build_model``, ...),
+which re-raises a domain constructor's rejection as a ConfigError at the
+section's path. ``from_dict`` checks the root keys and then builds, so it
+accepts exactly what ``materialize`` can build. The dataclass fields are
+the one list of config keys: ``to_dict`` (a deep copy) writes them in
+declaration order and ``from_dict`` rejects any other key.
 
 Study presets:
   study1  scalar decision against a three-center Gaussian mixture in R^3,
@@ -16,8 +19,10 @@ Study presets:
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -65,32 +70,20 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """A deep copy, fields in declaration order: editing it leaves this
-        config and the presets' shared dicts alone."""
+        config alone."""
         return asdict(self)
 
-
-_STUDY1_MIXTURE = {
-    "means": [[2.0, -4.0, 3.0], [-3.0, 5.0, 0.0], [0.0, 0.0, -6.0]],
-    "covariances": [
-        [[1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]],
-        [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
-        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-    ],
-    "weights": [0.25, 0.5, 0.25],
-}
 
 _STUDY2_MIXTURE_SEED = 1009
 _STUDY2_MATRIX_SEED = 2027
 
 
 def _study2_mixture() -> dict:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        _STUDY2_MIXTURE_SEED)))
+    rng = np.random.default_rng(_STUDY2_MIXTURE_SEED)
     means = rng.uniform(-10.0, 10.0, size=(3, 10))
-    eye = np.eye(10).tolist()
     return {
         "means": means.tolist(),
-        "covariances": [eye, eye, eye],
+        "covariances": [np.eye(10).tolist() for _ in range(3)],
         "weights": [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
     }
 
@@ -113,7 +106,15 @@ def study1(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
             "b": [[0.0, 0.0, 0.0]],
             "c": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
         },
-        mixture=_STUDY1_MIXTURE,
+        mixture={
+            "means": [[2.0, -4.0, 3.0], [-3.0, 5.0, 0.0], [0.0, 0.0, -6.0]],
+            "covariances": [
+                [[1.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 2.0]],
+                [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            ],
+            "weights": [0.25, 0.5, 0.25],
+        },
         arrival={"kind": "fixed", "period": 1.0},
         tolerances={
             "eps1": 1e-5,
@@ -180,181 +181,163 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _check_keys(d: dict, allowed: set[str], path: str) -> None:
-    unknown = set(d) - allowed
-    _require(not unknown, path, f"unknown fields {sorted(unknown)}")
-
-
-def from_dict(data: dict) -> ExperimentConfig:
-    """Validate an untrusted config dict; raises ConfigError with the path."""
-    _require(isinstance(data, dict), "<root>", "config must be an object")
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    _check_keys(data, allowed, "<root>")
-    missing = allowed - set(data)
-    _require(not missing, "<root>", f"missing fields {sorted(missing)}")
-
-    def num(path, v, positive=False):
-        _require(isinstance(v, (int, float)) and not isinstance(v, bool),
-                 path, "must be a number")
-        if positive:
-            _require(v > 0, path, "must be positive")
-        return float(v)
-
-    def integer(path, v, minimum=None):
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 path, "must be an integer")
-        if minimum is not None:
-            _require(v >= minimum, path, f"must be at least {minimum}")
-        return v
-
-    integer("seed", data["seed"], 0)
-    integer("n0", data["n0"], 1)
-    integer("n_validation", data["n_validation"], 1)
-    num("cost_budget_per_period", data["cost_budget_per_period"], positive=True)
-
-    model = data["model"]
-    _require(isinstance(model, dict), "model", "must be an object")
-    kind = model.get("kind")
-    if kind == "quadratic":
-        _check_keys(model, {"kind", "a", "b", "c"}, "model")
-        for key in ("a", "b", "c"):
-            _require(key in model, f"model.{key}", "required for quadratic")
-    elif kind == "quadratic_seeded":
-        _check_keys(model, {"kind", "matrix_seed", "d", "m"}, "model")
-        for key in ("matrix_seed", "d", "m"):
-            _require(key in model, f"model.{key}", "required for seeded model")
-        integer("model.matrix_seed", model["matrix_seed"], 0)
-        integer("model.d", model["d"], 1)
-        integer("model.m", model["m"], 1)
-    elif kind == "portfolio":
-        _check_keys(model, {"kind", "rho"}, "model")
-        num("model.rho", model.get("rho", 0.0), positive=True)
-    else:
-        raise ConfigError("model.kind", f"unknown model kind {kind!r}")
-
-    mix = data["mixture"]
-    _require(isinstance(mix, dict), "mixture", "must be an object")
-    _check_keys(mix, {"means", "covariances", "weights"}, "mixture")
-    for key in ("means", "covariances", "weights"):
-        _require(key in mix and isinstance(mix[key], list),
-                 f"mixture.{key}", "must be a list")
-    _require(
-        len(mix["means"]) == len(mix["covariances"]) == len(mix["weights"]),
-        "mixture", "means, covariances, weights must have equal length",
-    )
-
-    arrival = data["arrival"]
-    _require(isinstance(arrival, dict), "arrival", "must be an object")
-    akind = arrival.get("kind")
-    if akind == "fixed":
-        _check_keys(arrival, {"kind", "period"}, "arrival")
-        num("arrival.period", arrival.get("period", 0), positive=True)
-    elif akind == "uniform":
-        _check_keys(arrival, {"kind", "low", "high"}, "arrival")
-        low = num("arrival.low", arrival.get("low", 0), positive=True)
-        high = num("arrival.high", arrival.get("high", 0), positive=True)
-        _require(low >= 1.0, "arrival.low", "must be at least one period")
-        _require(low <= high, "arrival", "low must not exceed high")
-    else:
-        raise ConfigError("arrival.kind", f"unknown arrival kind {akind!r}")
-
-    tol = data["tolerances"]
-    _require(isinstance(tol, dict), "tolerances", "must be an object")
-    _check_keys(tol, {"eps1", "eps2", "eps_sa", "subgrad_bound", "lipschitz"},
-                "tolerances")
-    for key in ("eps1", "eps2", "eps_sa", "subgrad_bound", "lipschitz"):
-        _require(key in tol, f"tolerances.{key}", "required")
-        num(f"tolerances.{key}", tol[key], positive=True)
+@contextmanager
+def _built_at(path: str) -> Iterator[None]:
+    """Re-raise a domain constructor's own rejection at the section's path."""
     try:
-        Tolerances(**tol)
-    except ValueError as exc:
-        raise ConfigError("tolerances", str(exc)) from exc
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
-    conc = data["concentration"]
-    _require(isinstance(conc, dict), "concentration", "must be an object")
-    _check_keys(conc, {"c1", "c2", "a"}, "concentration")
-    for key in ("c1", "c2", "a"):
-        _require(key in conc, f"concentration.{key}", "required")
-        num(f"concentration.{key}", conc[key], positive=True)
-    _require(conc["a"] > 1, "concentration.a", "must exceed 1")
 
-    _require(data["schedule"] == "study", "schedule",
-             "only the 'study' confidence schedule is defined")
-    _require(data["step_rule"] in ("constant", "harmonic"), "step_rule",
-             "must be 'constant' or 'harmonic'")
-    _require(data["stop_rule"] in ("step", "horizon"), "stop_rule",
-             "must be 'step' or 'horizon'")
+def _fields(spec, path: str, names) -> None:
+    """``spec`` must be an object holding exactly the fields ``names``."""
+    _require(isinstance(spec, dict), path, "must be an object")
+    unknown = set(spec) - set(names)
+    _require(not unknown, path, f"unknown fields {sorted(unknown)}")
+    missing = set(names) - set(spec)
+    _require(not missing, path, f"missing fields {sorted(missing)}")
 
-    cover = data["cover"]
-    _require(isinstance(cover, dict), "cover", "must be an object")
-    _check_keys(cover, {"enabled", "omega", "metric"}, "cover")
-    _require(isinstance(cover.get("enabled"), bool), "cover.enabled",
-             "must be true or false")
-    num("cover.omega", cover.get("omega", 0), positive=True)
-    _require(cover.get("metric") in ("l1", "l2"), "cover.metric",
-             "must be 'l1' or 'l2'")
 
-    x0 = data["x0"]
-    _require(isinstance(x0, dict), "x0", "must be an object")
-    xkind = x0.get("kind")
-    if xkind == "uniform":
-        _check_keys(x0, {"kind", "low", "high"}, "x0")
-        lo = num("x0.low", x0.get("low", 0))
-        hi = num("x0.high", x0.get("high", 0))
-        _require(lo <= hi, "x0", "low must not exceed high")
-    elif xkind == "fixed":
-        _check_keys(x0, {"kind", "value"}, "x0")
-        _require(isinstance(x0.get("value"), list), "x0.value",
-                 "must be a list")
-    elif xkind == "zeros":
-        _check_keys(x0, {"kind"}, "x0")
-    else:
-        raise ConfigError("x0.kind", f"unknown x0 kind {xkind!r}")
+def _kind(spec, path: str, kinds: dict[str, tuple[str, ...]]) -> str:
+    """Check a section that dispatches on ``kind``; returns the kind."""
+    _require(isinstance(spec, dict), path, "must be an object")
+    kind = spec.get("kind")
+    _require(isinstance(kind, str) and kind in kinds, f"{path}.kind",
+             f"unknown {path} kind {kind!r}")
+    _fields(spec, path, ("kind",) + kinds[kind])
+    return kind
 
-    return ExperimentConfig(**{
-        **data,
-        "preset": str(data["preset"]),
-        "cost_budget_per_period": float(data["cost_budget_per_period"]),
-    })
+
+def _number(v, path: str) -> float:
+    # exact for ints of any size, false for bools, NaN and infinities
+    _require(type(v) in (int, float) and abs(v) <= sys.float_info.max,
+             path, "must be a finite number")
+    return float(v)
+
+
+def _integer(v, path: str, minimum: int) -> int:
+    _require(isinstance(v, int) and not isinstance(v, bool),
+             path, "must be an integer")
+    _require(v >= minimum, path, f"must be at least {minimum}")
+    return v
+
+
+def _array(v, path: str) -> np.ndarray:
+    """A nested list of finite numbers, as a rectangular float array."""
+    _require(isinstance(v, list), path, "must be a list")
+    entries = np.array(v, dtype=object)  # a ragged list keeps lists inside
+    if {type(x) for x in entries.flat} <= {int, float}:
+        with _built_at(path):
+            arr = entries.astype(float)
+        if np.isfinite(arr).all():
+            return arr
+    for i, item in enumerate(v):  # name the first bad entry, if any
+        (_array if isinstance(item, list) else _number)(item, f"{path}[{i}]")
+    raise ConfigError(path, "must be a rectangular array")
 
 
 def build_model(spec: dict) -> CostModel:
-    kind = spec["kind"]
-    if kind == "quadratic":
-        return quadratic_model(spec["a"], spec["b"], spec["c"])
-    if kind == "quadratic_seeded":
-        d, m = int(spec["d"]), int(spec["m"])
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(int(spec["matrix_seed"])))
-        )
+    """Check the ``model`` section and build its cost."""
+    kind = _kind(spec, "model", {
+        "quadratic": ("a", "b", "c"),
+        "quadratic_seeded": ("matrix_seed", "d", "m"),
+        "portfolio": ("rho",),
+    })
+    with _built_at("model"):
+        if kind == "quadratic":
+            return quadratic_model(
+                *(_array(spec[k], f"model.{k}") for k in ("a", "b", "c")))
+        if kind == "portfolio":
+            return portfolio_model(_number(spec["rho"], "model.rho"))
+        seed = _integer(spec["matrix_seed"], "model.matrix_seed", 0)
+        d = _integer(spec["d"], "model.d", 1)
+        m = _integer(spec["m"], "model.m", 1)
+        rng = np.random.default_rng(seed)
         G = rng.standard_normal((d, d))
         B = rng.standard_normal((d, m))
         H = rng.standard_normal((m, m))
         return quadratic_model(G.T @ G, B, -(H.T @ H + np.eye(m)))
-    if kind == "portfolio":
-        return portfolio_model(float(spec["rho"]))
-    raise ConfigError("model.kind", f"unknown model kind {kind!r}")
 
 
 def build_mixture(spec: dict) -> MixtureSpec:
-    comps = tuple(
-        MixtureComponent(np.asarray(mean, dtype=float),
-                         np.asarray(cov, dtype=float))
-        for mean, cov in zip(spec["means"], spec["covariances"])
-    )
-    return MixtureSpec(comps, np.asarray(spec["weights"], dtype=float))
+    """Check the ``mixture`` section and build the sampling distribution."""
+    _fields(spec, "mixture", ("means", "covariances", "weights"))
+    means, covs, weights = (_array(spec[k], f"mixture.{k}")
+                            for k in ("means", "covariances", "weights"))
+    _require(len(means) == len(covs) == len(weights), "mixture",
+             "means, covariances, weights must have equal length")
+    with _built_at("mixture"):
+        return MixtureSpec(
+            tuple(MixtureComponent(mean, cov) for mean, cov in zip(means, covs)),
+            weights)
 
 
-def build_arrival(spec: dict):
-    if spec["kind"] == "fixed":
-        return FixedPeriod(float(spec["period"]))
-    return UniformRandomPeriod(float(spec["low"]), float(spec["high"]))
+def build_arrival(spec: dict) -> FixedPeriod | UniformRandomPeriod:
+    """Check the ``arrival`` section and build the arrival schedule."""
+    kind = _kind(spec, "arrival",
+                 {"fixed": ("period",), "uniform": ("low", "high")})
+    with _built_at("arrival"):
+        if kind == "fixed":
+            return FixedPeriod(_number(spec["period"], "arrival.period"))
+        return UniformRandomPeriod(_number(spec["low"], "arrival.low"),
+                                   _number(spec["high"], "arrival.high"))
+
+
+def build_tolerances(spec: dict) -> Tolerances:
+    """Check the ``tolerances`` section; every field is required."""
+    names = [f.name for f in fields(Tolerances)]
+    _fields(spec, "tolerances", names)
+    for k in names:
+        _number(spec[k], f"tolerances.{k}")
+    with _built_at("tolerances"):
+        return Tolerances(**spec)  # as given: the log writes them back
+
+
+def build_concentration(spec: dict, m: int) -> ConcentrationParams:
+    """Check the ``concentration`` section for samples in dimension ``m``."""
+    _fields(spec, "concentration", ("c1", "c2", "a"))
+    with _built_at("concentration"):
+        return ConcentrationParams(
+            **{k: _number(spec[k], f"concentration.{k}")
+               for k in ("c1", "c2", "a")}, m=m)
 
 
 def build_schedule(name: str) -> ConfidenceSchedule:
-    if name != "study":
-        raise ConfigError("schedule", f"unknown schedule {name!r}")
+    _require(name == "study", "schedule",
+             "only the 'study' confidence schedule is defined")
     return study_schedule()
+
+
+def build_cover(spec: dict) -> CoverConfig:
+    """Check the ``cover`` section."""
+    _fields(spec, "cover", ("enabled", "omega", "metric"))
+    _require(isinstance(spec["enabled"], bool), "cover.enabled",
+             "must be true or false")
+    omega = _number(spec["omega"], "cover.omega")
+    _require(omega > 0, "cover.omega", "must be positive")
+    _require(spec["metric"] in ("l1", "l2"), "cover.metric",
+             "must be 'l1' or 'l2'")
+    return CoverConfig(spec["enabled"], omega, spec["metric"])
+
+
+def build_x0(spec: dict, seed: int, d: int) -> np.ndarray:
+    """Check the ``x0`` section and draw or build the starting decision."""
+    kind = _kind(spec, "x0",
+                 {"zeros": (), "fixed": ("value",), "uniform": ("low", "high")})
+    if kind == "zeros":
+        return np.zeros(d)
+    if kind == "fixed":
+        x0 = _array(spec["value"], "x0.value")
+        _require(x0.shape == (d,), "x0.value", f"needs length {d}")
+        return x0
+    low = _number(spec["low"], "x0.low")
+    high = _number(spec["high"], "x0.high")
+    _require(low <= high, "x0", "low must not exceed high")
+    with _built_at("x0"):
+        return channels(seed)[3].uniform(low, high, size=d)
 
 
 @dataclass
@@ -370,65 +353,61 @@ class Materialized:
 
 def materialize(cfg: ExperimentConfig,
                 stream: Optional[list[SamplePoint]] = None) -> Materialized:
-    """Build live objects; pass ``stream`` to replay dumped data instead of
-    drawing fresh samples from the seed."""
+    """Check ``cfg`` by building it into live objects; raises ConfigError
+    with the path of the first field that cannot be built. Pass ``stream``
+    to replay dumped data instead of drawing fresh samples from the seed."""
+    _require(isinstance(cfg.preset, str), "preset", "must be a string")
+    seed = _integer(cfg.seed, "seed", 0)
+    n0 = _integer(cfg.n0, "n0", 1)
+    _integer(cfg.n_validation, "n_validation", 1)
+    budget = _number(cfg.cost_budget_per_period, "cost_budget_per_period")
+    _require(budget > 0, "cost_budget_per_period", "must be positive")
+    _require(cfg.step_rule in ("constant", "harmonic"), "step_rule",
+             "must be 'constant' or 'harmonic'")
+    _require(cfg.stop_rule in ("step", "horizon"), "stop_rule",
+             "must be 'step' or 'horizon'")
+
     model = build_model(cfg.model)
     mixture = build_mixture(cfg.mixture)
-    if mixture.dimension != model.dimension_m:
-        raise ConfigError(
-            "mixture", f"dimension {mixture.dimension} does not match the "
-            f"model sample dimension {model.dimension_m}")
-    tol = Tolerances(**cfg.tolerances)
-    conc = ConcentrationParams(
-        c1=float(cfg.concentration["c1"]),
-        c2=float(cfg.concentration["c2"]),
-        m=model.dimension_m,
-        a=float(cfg.concentration["a"]),
-    )
-    schedule = build_schedule(cfg.schedule)
-    if stream is None:
-        stream = sample_stream(mixture, cfg.n0, cfg.seed, build_arrival(cfg.arrival))
-
-    xk = cfg.x0["kind"]
-    if xk == "zeros":
-        x0 = np.zeros(model.dimension_d)
-    elif xk == "fixed":
-        x0 = np.asarray(cfg.x0["value"], dtype=float)
-        if x0.shape != (model.dimension_d,):
-            raise ConfigError("x0.value", f"needs length {model.dimension_d}")
-    else:
-        rng_x0 = channels(cfg.seed)[3]
-        x0 = rng_x0.uniform(cfg.x0["low"], cfg.x0["high"],
-                            size=model.dimension_d)
-
+    _require(mixture.dimension == model.dimension_m, "mixture",
+             f"dimension {mixture.dimension} does not match the "
+             f"model sample dimension {model.dimension_m}")
+    arrival = build_arrival(cfg.arrival)
     run_config = RunConfig(
         model=model,
-        tolerances=tol,
-        concentration=conc,
-        schedule=schedule,
-        n0=cfg.n0,
+        tolerances=build_tolerances(cfg.tolerances),
+        concentration=build_concentration(cfg.concentration,
+                                          model.dimension_m),
+        schedule=build_schedule(cfg.schedule),
+        n0=n0,
         step_rule=cfg.step_rule,  # type: ignore[arg-type]
         stop_rule=cfg.stop_rule,  # type: ignore[arg-type]
-        cost_budget_per_period=cfg.cost_budget_per_period,
-        x0=x0,
-        cover=CoverConfig(
-            enabled=bool(cfg.cover["enabled"]),
-            omega=float(cfg.cover["omega"]),
-            metric=cfg.cover["metric"],  # type: ignore[arg-type]
-        ),
+        cost_budget_per_period=budget,
+        x0=build_x0(cfg.x0, seed, model.dimension_d),
+        cover=build_cover(cfg.cover),
     )
+    if stream is None:
+        with _built_at("mixture"):
+            stream = sample_stream(mixture, n0, seed, arrival)
     return Materialized(cfg, model, mixture, run_config, stream)
+
+
+def from_dict(data: dict) -> ExperimentConfig:
+    """Check an untrusted config dict by building it: it is accepted
+    exactly when ``materialize`` can build it. Raises ConfigError with the
+    path of the offending field."""
+    _fields(data, "<root>", [f.name for f in fields(ExperimentConfig)])
+    cfg = ExperimentConfig(**data)
+    materialize(cfg, stream=[])
+    return cfg
 
 
 def with_overrides(cfg: ExperimentConfig, *, seed=None, n0=None,
                    cover_enabled=None) -> ExperimentConfig:
-    out = cfg
     if seed is not None:
-        out = replace(out, seed=int(seed))
+        cfg = replace(cfg, seed=int(seed))
     if n0 is not None:
-        out = replace(out, n0=int(n0))
+        cfg = replace(cfg, n0=int(n0))
     if cover_enabled is not None:
-        cover = dict(out.cover)
-        cover["enabled"] = bool(cover_enabled)
-        out = replace(out, cover=cover)
-    return out
+        cfg = replace(cfg, cover={**cfg.cover, "enabled": bool(cover_enabled)})
+    return cfg

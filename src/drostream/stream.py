@@ -93,7 +93,7 @@ class FixedPeriod:
     period: float
 
     def __post_init__(self):
-        if self.period <= 0:
+        if not self.period > 0:  # NaN too
             raise ValueError("period must exceed zero")
 
     def times(self, count: int, rng: np.random.Generator) -> Array:

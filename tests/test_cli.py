@@ -254,3 +254,71 @@ def test_importing_the_package_loads_no_scipy(src_env):
 def test_missing_run_dir_is_a_usage_error(tmp_path):
     assert main(["verify", str(tmp_path / "nowhere")]) == 2
     assert main(["replay", str(tmp_path / "nowhere")]) == 2
+
+
+def test_a_non_symmetric_covariance_exits_2_everywhere(run_dir, tmp_path,
+                                                       capsys):
+    cfg = study1().to_dict()
+    cfg["mixture"]["covariances"][0][0][1] = 0.5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    assert "mixture: covariance must be symmetric" in capsys.readouterr().err
+
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    for name in ("events.jsonl", "stream.jsonl"):
+        (tampered / name).write_text((run_dir / name).read_text())
+    summary = json.loads((run_dir / "summary.json").read_text())
+    summary["config"] = cfg
+    (tampered / "summary.json").write_text(json.dumps(summary))
+    for command in ("verify", "replay"):
+        assert main([command, str(tampered)]) == 2
+        err = capsys.readouterr().err
+        assert "mixture: covariance must be symmetric" in err
+
+
+def _drop_config(text):
+    return json.dumps({k: v for k, v in json.loads(text).items()
+                       if k != "config"})
+
+
+def _drop_first_value(text):
+    lines = text.splitlines()
+    rec = json.loads(lines[0])
+    del rec["value"]
+    return "\n".join([json.dumps(rec)] + lines[1:]) + "\n"
+
+
+@pytest.mark.parametrize("name, corrupt, commands", [
+    ("summary.json", _drop_config, ("verify", "replay")),
+    ("summary.json", lambda text: text[:-20], ("verify", "replay")),
+    ("stream.jsonl", _drop_first_value, ("replay",)),
+    ("stream.jsonl", lambda text: text[:-20], ("replay",)),
+    ("events.jsonl", lambda text: text[:-20], ("verify",)),
+])
+def test_an_unreadable_artifact_exits_2(run_dir, tmp_path, capsys, name,
+                                        corrupt, commands):
+    clone = tmp_path / "clone"
+    clone.mkdir()
+    for artifact in ("events.jsonl", "stream.jsonl", "summary.json"):
+        text = (run_dir / artifact).read_text()
+        (clone / artifact).write_text(corrupt(text) if artifact == name
+                                      else text)
+    capsys.readouterr()
+    for command in commands:
+        assert main([command, str(clone)]) == 2
+        assert f"{name}: unreadable" in capsys.readouterr().err
+
+
+def test_summary_totals_list_the_run_totals_in_order(run_dir):
+    from drostream.runner import RunTotals
+
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert list(summary["totals"]) == [
+        f.name for f in dataclasses.fields(RunTotals)]
+    assert list(summary["totals"]) == [
+        "steps", "epochs", "interrupts", "reuses", "refreshes", "lp_calls",
+        "cp_calls", "afwa_iters"]
