@@ -12,6 +12,12 @@ sum_k (theta_k / n) |y_k|_1, is exactly the budget spent, and W1 is never
 more than the cost of a feasible coupling. Windows change only at arrivals,
 so each is built once and reused by the certificates posted before the next
 arrival.
+
+A refresh posts its plan in coordinate form, its nonzero ``[k, j, value]``
+entries, and the audit rebuilds the dense plan from them and the window's
+shape (``plan_from_entries``). A step or best update names its certificate
+by ``cert_seq`` and posts no decision of its own: the certificate's ``x``
+is the step's decision, so the log holds one copy of it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,12 @@ import numpy as np
 
 from .ambiguity import ConcentrationParams, ConfidenceSchedule
 from .ambiguity import radius as ball_radius
-from .certificates import DataWindow, certificate_value, _Problem
+from .certificates import (
+    DataWindow,
+    certificate_value,
+    plan_from_entries,
+    _Problem,
+)
 from .cover import Cover, inflated_radius
 from .model import Tolerances
 from .runner import EVENT_KINDS, CoverConfig
@@ -104,9 +115,10 @@ def verify_events(
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
     or non-numeric field the checks read (time, count, value, decision,
-    tolerance, radius, plan), a ragged plan, an arrival without a finite
-    point of the model's sample dimension, or a certificate before any
-    arrival.
+    tolerance, radius, plan), a plan that is not in coordinate form inside
+    its window (see ``plan_from_entries``) or not finite, a step or best
+    update whose ``x`` is not null, an arrival without a finite point of the
+    model's sample dimension, or a certificate before any arrival.
     """
     checks = {
         name: AuditCheck(name)
@@ -234,9 +246,11 @@ def verify_events(
                 fail("radius_schedule", f"record {i}: radius mismatch")
 
             if "y" in rec:
-                y = _array(rec, "y")
-                if y is None:
-                    fail("structure", f"record {i}: plan ragged or not numeric")
+                try:
+                    y = plan_from_entries(rec["y"],
+                                          (window.size, window.dimension))
+                except ValueError as exc:
+                    fail("structure", f"record {i}: plan {exc}")
                     continue
             else:
                 ref = rec.get("y_ref")
@@ -245,9 +259,6 @@ def verify_events(
                     fail("structure", f"record {i}: unresolved plan ref {ref}")
                     continue
                 y = src["y"]
-            if y.shape != (window.size, window.dimension):
-                fail("structure", f"record {i}: plan shape {y.shape} wrong")
-                continue
             if not (np.isfinite(y).all() and np.isfinite(x).all()):
                 fail("structure", f"record {i}: plan or decision not finite")
                 continue
@@ -290,34 +301,25 @@ def verify_events(
                 if tol != want:
                     fail("certificate_gap", f"record {i}: tolerance {tol} "
                          f"is not the run's {want}")
-            certs[i] = {"n": n, "y": y, "x": x, "J": J}
+            certs[i] = {"n": n, "y": y, "J": J}
 
-        elif kind == "DecisionStep":
-            checks["step_links"].count += 1
-            ref = rec.get("cert_seq")
-            src = cert(ref)
-            x, J = _array(rec, "x"), _number(rec, "J")
-            if x is None or J is None:
-                fail("structure", f"record {i}: step J or x missing or malformed")
-            elif src is None:
-                fail("step_links", f"record {i}: missing certificate {ref}")
-            else:
-                if not np.array_equal(x, src["x"]):
-                    fail("step_links", f"record {i}: step decision != certificate")
-                if not _close(J, src["J"]):
-                    fail("step_links", f"record {i}: step value != certificate")
-
-        elif kind == "BestUpdated":
-            checks["best_tracking"].count += 1
+        elif kind in ("DecisionStep", "BestUpdated"):
+            # the decision is the cert_seq certificate's x, posted only there
+            check, what = (("step_links", "step") if kind == "DecisionStep"
+                           else ("best_tracking", "best"))
+            checks[check].count += 1
             ref = rec.get("cert_seq")
             src = cert(ref)
             J = _number(rec, "J")
-            if J is None:
-                fail("structure", f"record {i}: best J missing or malformed")
+            if J is None or "x" not in rec:
+                fail("structure", f"record {i}: {what} J or x missing or malformed")
+            elif rec["x"] is not None:
+                fail("structure", f"record {i}: {what} x is not null; its "
+                     "decision is its certificate's")
             elif src is None:
-                fail("best_tracking", f"record {i}: missing certificate {ref}")
+                fail(check, f"record {i}: missing certificate {ref}")
             elif not _close(J, src["J"]):
-                fail("best_tracking", f"record {i}: best value != certificate")
+                fail(check, f"record {i}: {what} value != certificate")
 
         elif kind == "EpochConverged":
             checks["best_tracking"].count += 1

@@ -156,6 +156,54 @@ def certificate_value(model, x: Array, window: DataWindow, y_phys: Array) -> flo
     return float(window.theta @ vals) / window.n_total
 
 
+def plan_entries(y: Array) -> list:
+    """A plan's nonzero entries as ``[k, j, value]`` rows in row-major order:
+    the coordinate form the event log posts. A ``-0.0`` entry is zero and
+    is dropped."""
+    ks, js = np.nonzero(y)
+    return [[k, j, v] for k, j, v
+            in zip(ks.tolist(), js.tolist(), y[ks, js].tolist())]
+
+
+_RAGGED = "ragged or not numeric; rows must be [k, j, value]"
+
+
+def plan_from_entries(entries, shape: tuple[int, int]) -> Array:
+    """The dense (p, m) plan whose nonzero entries ``plan_entries`` lists.
+
+    Raises ValueError unless ``entries`` is a list of ``[k, j, value]``
+    rows with int coordinates inside ``shape``, in strictly increasing
+    row-major order, and int or float values. Finiteness is not checked.
+    """
+    if not isinstance(entries, list):
+        raise ValueError(_RAGGED)
+    p, m = shape
+    flat: list[int] = []
+    values: list = []
+    # a plain loop: a plan has tens of entries, too few to repay numpy calls
+    for row in entries:
+        if not (isinstance(row, list) and len(row) == 3):
+            raise ValueError(_RAGGED)
+        k, j, v = row
+        if type(k) is not int or type(j) is not int:
+            raise ValueError("coordinate not an integer")
+        if not (0 <= k < p and 0 <= j < m):
+            raise ValueError("coordinate outside the window")
+        at = k * m + j
+        if flat and at <= flat[-1]:
+            raise ValueError("coordinates repeat or leave row-major order")
+        if type(v) is not float and type(v) is not int:
+            raise ValueError(_RAGGED)
+        flat.append(at)
+        values.append(v)
+    y = np.zeros(p * m)
+    try:
+        y[flat] = values
+    except OverflowError:  # an int too large for a float
+        raise ValueError(_RAGGED) from None
+    return y.reshape(p, m)
+
+
 class _Problem:
     """Window-bound oracles in budget coordinates z (z = theta * y)."""
 

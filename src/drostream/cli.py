@@ -82,8 +82,11 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
             fh.write(json.dumps(ev.record()) + "\n")
 
     cp_running = 0
+    cover_size = None  # the size after the latest arrival; None without a cover
     rows = []
     for ev in result.events:
+        if ev.kind == "DataArrival":
+            cover_size = ev.extras["cover_size"]
         if ev.kind != "CertificatePosted":
             continue
         cp_running += int(ev.extras.get("cp_calls", 0))
@@ -98,8 +101,7 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
             "r": ev.r,
             "J_eps1": ev.J,
             "rel_error": rel,
-            "cover_size": ("" if result.cover_size is None
-                           else ev.extras.get("cover_size", "")),
+            "cover_size": "" if cover_size is None else cover_size,
             "cp_count": cp_running,
         })
     with open(out / TRAJECTORY_FILE, "w", newline="") as fh:
@@ -148,16 +150,6 @@ def _cover_sizes(events) -> list:
     return out
 
 
-def _annotate_cover(events):
-    """Stamp each certificate event with the cover size current at its time."""
-    size = None
-    for ev in events:
-        if ev.kind == "DataArrival":
-            size = ev.extras.get("cover_size")
-        elif ev.kind == "CertificatePosted":
-            ev.extras.setdefault("cover_size", size)
-
-
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args)
@@ -175,7 +167,6 @@ def cmd_run(args) -> int:
         result = run(mat.run_config, mat.stream)
     except Exception as exc:  # solver failure is an exit-1 diagnostic
         return _fail(1, f"run failed: {type(exc).__name__}: {exc}")
-    _annotate_cover(result.events)
     summary = write_outputs(out, cfg, result, j_star_est, x_star_est,
                             mat.stream)
 
@@ -236,7 +227,6 @@ def cmd_replay(args) -> int:
         result = run(mat.run_config, mat.stream)
     except Exception as exc:
         return _fail(1, f"replay run failed: {type(exc).__name__}: {exc}")
-    _annotate_cover(result.events)
     replayed = "".join(
         json.dumps(ev.record()) + "\n" for ev in result.events
     ).encode()

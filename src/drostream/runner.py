@@ -7,9 +7,13 @@ Between solver rounds the arrival queue is polled; due points interrupt the
 current certificate, the partial state adapts to the grown window, and a new
 epoch begins from the best decision found so far.
 
-Every state change is posted as an event with a fixed key set, and the
-certificates carry enough payload (perturbation plans, gaps, tolerances)
-for an offline audit to re-verify the whole run from the event log alone.
+Every state change is posted as an event with a fixed key set, and each
+datum is written once. A refresh posts its perturbation plan in coordinate
+form, as its nonzero ``[k, j, value]`` entries (``plan_entries``); a reuse
+names that plan by ``y_ref``. A decision step or best update names its
+certificate by ``cert_seq`` and posts ``x`` as null, since the certificate
+carries the decision. With the gaps and tolerances this is enough for an
+offline audit to re-verify the whole run from the event log alone.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .certificates import (
     WarmState,
     adapt,
     generate,
+    plan_entries,
 )
 from .cover import Cover, Metric, inflated_radius
 from .model import CostModel, Tolerances
@@ -49,7 +54,11 @@ EVENT_KINDS = (
 
 @dataclass
 class RunEvent:
-    """One log record; ``record()`` flattens to the fixed JSON key set."""
+    """One log record; ``record()`` flattens to the fixed JSON key set.
+
+    ``x`` is None on arrivals and on the records that name the certificate
+    holding their decision (``DecisionStep``, ``BestUpdated``).
+    """
 
     seq: int
     kind: str
@@ -284,7 +293,7 @@ def run(
             afwa_iters=cert.afwa_iters,
         )
         if y_ref is None:
-            extras["y"] = cert.y_eps1.tolist()
+            extras["y"] = plan_entries(cert.y_eps1)
         else:
             extras["y_ref"] = y_ref
         return post(
@@ -383,14 +392,13 @@ def run(
                 n=n,
                 J=outcome_cert.j_eps1,
                 beta=beta_n,
-                x=x_new,
                 alpha=alpha,
                 moved=moved,
                 cert_seq=cert_seq,
             )
             if outcome_cert.j_eps1 < j_best:
                 x_best, j_best, best_seq = x_new.copy(), outcome_cert.j_eps1, cert_seq
-                post("BestUpdated", n=n, J=j_best, beta=beta_n, x=x_best,
+                post("BestUpdated", n=n, J=j_best, beta=beta_n,
                      cert_seq=cert_seq)
             x, cert = x_new, outcome_cert
             step_stop = moved < tol.eps2

@@ -30,8 +30,11 @@ class MixtureComponent:
             raise ValueError("covariance shape must match the mean")
         if not np.allclose(cov, cov.T, atol=1e-9):
             raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-9:
-            raise ValueError("covariance must be positive semidefinite")
+        try:
+            # sample() draws through this factor, so it must exist
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance must be positive definite") from None
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)

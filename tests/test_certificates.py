@@ -1,6 +1,7 @@
 """Certificate generation against the water-filling oracle and hand values."""
 
 import dataclasses
+import json
 import subprocess
 import sys
 import textwrap
@@ -421,3 +422,28 @@ def test_oracle_agreement_property(seed):
     )
     assert cert.j_eps1 == pytest.approx(want, abs=EPS1 + 1e-9)
     assert cert.budget_spent <= eps + 1e-9
+
+
+# zeros of both signs and subnormals, among arbitrary finite floats
+PLAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sparse_plans(draw):
+    p, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    values = draw(st.lists(PLAN_VALUES, min_size=p * m, max_size=p * m))
+    return np.array(values, dtype=float).reshape(p, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_plans())
+def test_a_plan_survives_its_coordinate_form(y):
+    entries = json.loads(json.dumps(certificates.plan_entries(y)))
+    assert len(entries) == np.count_nonzero(y)
+    assert all(type(k) is int and type(j) is int for k, j, _ in entries)
+    back = certificates.plan_from_entries(entries, y.shape)
+    assert np.array_equal(back, y)
+    assert not np.signbit(back[back == 0]).any()  # -0.0 comes back as 0.0

@@ -9,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from drostream.certificates import plan_from_entries
 from drostream.cli import main
-from drostream.presets import ConfigError, ExperimentConfig, from_dict, study1
+from drostream.presets import (
+    ConfigError,
+    ExperimentConfig,
+    from_dict,
+    materialize,
+    study1,
+)
+from drostream.runner import run
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +84,29 @@ def test_verify_catches_a_tampered_value(run_dir, tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
+def test_the_cli_writes_the_runner_log_and_tracks_the_cover(run_dir,
+                                                            tmp_path):
+    out = tmp_path / "cover-run"
+    assert main(["run", "--preset", "study1", "--seed", "0", "--n0", "12",
+                 "--cover", "--skip-jstar", "--out-dir", str(out)]) == 0
+    for path, cover in ((run_dir, False), (out, True)):
+        config = json.loads((path / "summary.json").read_text())["config"]
+        mat = materialize(from_dict(config))
+        result = run(mat.run_config, mat.stream)
+        log = "".join(json.dumps(ev.record()) + "\n" for ev in result.events)
+        assert (path / "events.jsonl").read_text() == log
+        # a certificate's row holds the cover size after the latest arrival
+        sizes, size = [], ""
+        for ev in result.events:
+            if ev.kind == "DataArrival" and cover:
+                size = str(ev.extras["cover_size"])
+            elif ev.kind == "CertificatePosted":
+                sizes.append(size)
+        with open(path / "trajectory.csv") as fh:
+            assert [r["cover_size"] for r in csv.DictReader(fh)] == sizes
+        assert (set(sizes) == {""}) is not cover
+
+
 def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
     out = tmp_path / "cover-run"
     assert main([
@@ -88,7 +119,7 @@ def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
     for i, line in enumerate(lines):
         rec = json.loads(line)
         if rec["kind"] == "CertificatePosted" and "y" in rec:
-            rec["y"][0][0] = float("nan")
+            rec["y"][0][2] = float("nan")
             lines[i] = json.dumps(rec)
             picked = i
             break
@@ -138,6 +169,47 @@ def test_verify_reports_a_malformed_certificate_and_exits_1(
     assert main(["verify", str(tampered)]) == 1
     err = capsys.readouterr().err
     assert f"record {picked}: certificate J, x, tol or radius missing" in err
+    assert "FAILED" in err
+
+
+def _legacy_dense(rec):
+    # the run has no cover, so the window holds n atoms of dimension 3
+    rec["y"] = plan_from_entries(rec["y"], (rec["n"], 3)).tolist()
+
+
+@pytest.mark.parametrize("kind, tamper, message", [
+    ("CertificatePosted", lambda rec: rec.update(y=[[rec["n"], 0, 1.0]]),
+     "plan coordinate outside the window"),
+    ("CertificatePosted", lambda rec: rec.update(y=[rec["y"][0]] * 2),
+     "plan coordinates repeat"),
+    ("CertificatePosted", lambda rec: rec.update(y=[[0.5, 0, 1.0]]),
+     "plan coordinate not an integer"),
+    ("CertificatePosted", lambda rec: rec["y"][0].__setitem__(2, float("nan")),
+     "plan or decision not finite"),
+    ("CertificatePosted", lambda rec: rec.update(y=[rec["y"][0] + [0.0]]),
+     "plan ragged or not numeric"),
+    ("CertificatePosted", _legacy_dense, "plan coordinate not an integer"),
+    ("DecisionStep", lambda rec: rec.update(x=[0.0]), "step x is not null"),
+    ("BestUpdated", lambda rec: rec.update(x=[0.0]), "best x is not null"),
+], ids=["y-outside", "y-repeated", "y-non-integer", "y-nan-value",
+        "y-row-length", "y-legacy-dense", "step-x", "best-x"])
+def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
+        run_dir, tmp_path, capsys, kind, tamper, message):
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    picked = max(i for i, rec in enumerate(records)
+                 if rec["kind"] == kind and "y_ref" not in rec)
+    tamper(records[picked])
+    lines[picked] = json.dumps(records[picked])
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    err = capsys.readouterr().err
+    assert f"record {picked}: {message}" in err
     assert "FAILED" in err
 
 

@@ -87,6 +87,7 @@ def test_from_dict_accepts_exactly_what_materialize_builds(preset):
     (("x0", "low"), -math.inf, "x0.low"),
     (("x0", "high"), -20.0, "x0"),
     (("n0",), 0, "n0"),
+    (("mixture", "covariances", 0, 0, 0), 0, "mixture"),  # singular
 ])
 def test_a_bad_field_is_reported_at_its_section_path(path, value, where):
     with pytest.raises(ConfigError) as info:

@@ -9,7 +9,7 @@ import pytest
 from drostream import presets
 from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
-from drostream.certificates import DataWindow
+from drostream.certificates import DataWindow, plan_from_entries
 from drostream.cover import Cover
 from drostream.model import Tolerances, quadratic_model
 from drostream.runner import CoverConfig, RunConfig, run
@@ -238,10 +238,11 @@ def posted_plans(cfg, records):
             if cover is not None:
                 cover.update(raw[-1])
         elif rec["kind"] == "CertificatePosted":
-            y = np.asarray(rec["y"]) if "y" in rec else plans[rec["y_ref"]]
-            plans[rec["seq"]] = y
             window = (cover.window() if cover is not None
                       else DataWindow.plain(np.stack(raw)))
+            y = (plan_from_entries(rec["y"], (window.size, window.dimension))
+                 if "y" in rec else plans[rec["y_ref"]])
+            plans[rec["seq"]] = y
             out.append((window, y, rec["radius"]))
     return out
 
@@ -267,8 +268,8 @@ def test_audit_reports_a_non_finite_plan_without_raising():
     cfg, res = cover_run()
     records = [ev.record() for ev in res.events]
     rec = records[47]
-    assert rec["kind"] == "CertificatePosted" and "y" in rec
-    rec["y"][1][0] = float("nan")
+    assert rec["kind"] == "CertificatePosted" and rec["y"][1][:2] == [1, 0]
+    rec["y"][1][2] = float("nan")
     report = audit(cfg, records)
     assert not report.ok
     assert "record 47: plan or decision not finite" in report.failures
@@ -294,14 +295,14 @@ def test_audit_swap_fails_the_budget_check():
     # record 6 certifies the window {0, 4}; moving each atom onto the other
     # pays 4 per unit mass, beyond the radius, though the moved measure is
     # the window itself: the budget prices the plan, not the distance
-    checks, failures = swap_audit(6, [[-4.0], [4.0]])
+    checks, failures = swap_audit(6, [[0, 0, -4.0], [1, 0, 4.0]])
     assert checks["certificate_budget"].failures == 2  # record 6, reuse 7
     assert any(f.startswith("record 6: budget 4.0 exceeds") for f in failures)
 
 
 def test_audit_single_atom_over_budget_fails_the_budget_check():
     # record 1 certifies the one-sample window {0} with radius about 1.18
-    checks, failures = swap_audit(1, [[2.0]])
+    checks, failures = swap_audit(1, [[0, 0, 2.0]])
     assert checks["certificate_budget"].failures == 2  # record 1, reuse 2
     assert any(f.startswith("record 1: budget 2.0 exceeds") for f in failures)
 
@@ -357,18 +358,35 @@ CERT_FIELDS = "certificate J, x, tol or radius missing or malformed"
     (lambda recs: recs[6].pop("x"), f"record 6: {CERT_FIELDS}"),
     (lambda recs: recs[6].pop("tol"), f"record 6: {CERT_FIELDS}"),
     (lambda recs: recs[6].update(radius=None), f"record 6: {CERT_FIELDS}"),
-    (lambda recs: recs[6].update(y=[[1.0], [1.0, 2.0]]),
+    (lambda recs: recs[6].update(y=[[1, 0, 1.0], [1, 0]]),
+     "record 6: plan ragged or not numeric"),
+    (lambda recs: recs[6].update(y=[[2, 0, 1.0]]),
+     "record 6: plan coordinate outside the window"),
+    (lambda recs: recs[6].update(y=[[1, 0, 1.0], [1, 0, 1.0]]),
+     "record 6: plan coordinates repeat"),
+    (lambda recs: recs[6].update(y=[[0.5, 0, 1.0]]),
+     "record 6: plan coordinate not an integer"),
+    (lambda recs: recs[6].update(y=[[1, 0, float("nan")]]),
+     "record 6: plan or decision not finite"),
+    (lambda recs: recs[6].update(y=[[1, 0, 1.0, 0.0]]),
+     "record 6: plan ragged or not numeric"),
+    (lambda recs: recs[6].update(y=[[0.0], [1.6651092223153954]]),
      "record 6: plan ragged or not numeric"),
     (lambda recs: recs[8].pop("J"), "record 8: step J or x missing"),
+    (lambda recs: recs[8].update(x=[0.0]), "record 8: step x is not null"),
     (lambda recs: second_arrival(recs).update(n="two"),
      "record 5: count 'two' not a number"),
     (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
 ], ids=["cert-no-J", "cert-no-x", "cert-no-tol", "radius-null", "ragged-y",
-        "step-no-J", "arrival-n-not-numeric", "not-an-object"])
+        "y-outside", "y-repeated", "y-non-integer", "y-nan-value",
+        "y-row-length", "y-legacy-dense", "step-no-J", "step-x",
+        "arrival-n-not-numeric", "not-an-object"])
 def test_audit_reports_a_malformed_record_without_raising(tamper, message):
-    # records 6 and 8 are the second window's certificate and its step
+    # records 6 and 8 are the second window's certificate and its step;
+    # record 6 moves the atom at 4 by about 1.67
     cfg, records = two_sample_records()
-    assert records[6]["kind"] == "CertificatePosted" and "y" in records[6]
+    assert records[6]["kind"] == "CertificatePosted"
+    assert records[6]["y"] == [[1, 0, 1.6651092223153954]]
     assert records[8]["kind"] == "DecisionStep"
     tamper(records)
     report = audit(cfg, records)
@@ -419,14 +437,20 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
     # normalisation must still let the audit catch a gap above its tolerance
     cfg, res = cover_run()
     records = [ev.record() for ev in res.events]
+    # each certificate's window has as many atoms as the cover has centers
+    atoms, size = {}, None
+    for r in records:
+        if r["kind"] == "DataArrival":
+            size = r["cover_size"]
+        atoms[r["seq"]] = size
     # the audit allows the gap 1e-9 above its tolerance, so halving the
     # tolerance must take off more than that
     seq = next(r["seq"] for r in records
                if r["kind"] == "CertificatePosted" and not r["reused"]
-               and len(r["y"]) < r["n"] and r["eta"] / 2 > 1e-9)
+               and atoms[r["seq"]] < r["n"] and r["eta"] / 2 > 1e-9)
     rec = records[seq]
     assert rec["kind"] == "CertificatePosted" and not rec["reused"]
-    assert len(rec["y"]) < rec["n"]  # a weighted window
+    assert atoms[seq] < rec["n"]  # a weighted window
     rec["tol"] = rec["eta"] / 2
     report = audit(cfg, records)
     assert not report.ok
@@ -438,21 +462,23 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
 
 
 # (preset, n0, cover, cost budget per period or None for the preset's,
-#  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events)
+#  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221),
-    ("study2", 10, True, None, 485, 246, 8904, 0, 0, 707),
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79584),
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67503),
+    ("study2", 10, True, None, 485, 246, 8904, 0, 0, 707, 370783),
 ]
 
 
 @pytest.mark.parametrize(
-    "preset, n0, cover, budget, lp, cp, iters, interrupts, reuses, events",
+    "preset, n0, cover, budget, lp, cp, iters, interrupts, reuses, events, "
+    "log_bytes",
     PINNED_WORK, ids=["study1", "study1-interrupted", "study2-cover"])
 def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
-                                  interrupts, reuses, events):
+                                  interrupts, reuses, events, log_bytes):
     # the virtual clock meters solver work, so a change that only speeds the
-    # solvers up leaves every counter and the event sequence as they are
+    # solvers up leaves every counter and the event sequence as they are;
+    # the log's size is pinned too, within 1% since float digits may move
     cfg = presets.with_overrides(presets.PRESETS[preset](seed=0), n0=n0,
                                  cover_enabled=cover)
     mat = presets.materialize(cfg)
@@ -464,3 +490,5 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
     t = res.totals
     assert (t.lp_calls, t.cp_calls, t.afwa_iters, t.interrupts, t.reuses,
             len(res.events)) == (lp, cp, iters, interrupts, reuses, events)
+    log = "".join(json.dumps(ev.record()) + "\n" for ev in res.events)
+    assert len(log.encode()) == pytest.approx(log_bytes, rel=0.01)
