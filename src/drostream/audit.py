@@ -119,6 +119,10 @@ def verify_events(
     its window (see ``plan_from_entries``) or not finite, a step or best
     update whose ``x`` is not null, an arrival without a finite point of the
     model's sample dimension, or a certificate before any arrival.
+
+    A step or best update must name by ``cert_seq`` the latest certificate
+    posted before it, and match its value; otherwise ``step_links`` or
+    ``best_tracking`` fails.
     """
     checks = {
         name: AuditCheck(name)
@@ -155,6 +159,7 @@ def verify_events(
 
     last_t = -np.inf
     last_n = 0
+    latest_cert = None  # seq of the latest CertificatePosted record
     terminated = False
 
     for i, rec in enumerate(records):
@@ -216,6 +221,7 @@ def verify_events(
             window = None
 
         elif kind == "CertificatePosted":
+            latest_cert = i
             if not raw:
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
@@ -318,6 +324,9 @@ def verify_events(
                      "decision is its certificate's")
             elif src is None:
                 fail(check, f"record {i}: missing certificate {ref}")
+            elif ref != latest_cert:
+                fail(check, f"record {i}: {what} names certificate {ref}, "
+                     f"not the latest {latest_cert}")
             elif not _close(J, src["J"]):
                 fail(check, f"record {i}: {what} value != certificate")
 

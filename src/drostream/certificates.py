@@ -13,18 +13,20 @@ coordinates z = theta * y: the per-atom objective scales by theta while the
 chain rule cancels theta in the gradient, so the simplex solvers stay
 generic.
 
-When the model gives its ``sample_curvature`` C (the cost is quadratic in
-the sample), hull ascent runs in weight space: the objective over the hull
-weights is a quadratic with one small matrix built per hull, so its
-iterations call no model oracle. Other costs rebuild the dense point and
-call the oracles at every iteration. Either way, each vertex search takes
-its gradients, and so every posted gap, from the model itself.
+Every model is quadratic in the sample: it gives its ``sample_curvature``
+C. So hull ascent runs in weight space, on a quadratic in the hull weights
+whose value and gradient at the origin are read from the model once per
+window and whose Hessian is one small matrix built per hull; its iterations
+call no model oracle. Costs concave but not quadratic in the sample are out
+of scope. Each vertex search takes its gradients, and so every posted gap,
+from the model itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -205,7 +207,12 @@ def plan_from_entries(entries, shape: tuple[int, int]) -> Array:
 
 
 class _Problem:
-    """Window-bound oracles in budget coordinates z (z = theta * y)."""
+    """Window-bound oracles in budget coordinates z (z = theta * y).
+
+    The value and gradients at the origin z = 0 are read once and kept: the
+    sample-average floor, a cold first vertex search and every hull's
+    linear part share them.
+    """
 
     def __init__(self, model, x: Array, window: DataWindow):
         self.model = model
@@ -222,6 +229,14 @@ class _Problem:
             self.model.grad_y(self.x, self.window.points, z * self._inv_theta),
             dtype=float,
         )
+
+    @cached_property
+    def origin_value(self) -> float:
+        return self.value(np.zeros((self.window.size, self.window.dimension)))
+
+    @cached_property
+    def origin_grads(self) -> Array:
+        return self.grads(np.zeros((self.window.size, self.window.dimension)))
 
 
 def _check_vertex_rows(vertex_set: Array, shape: tuple[int, int], window: str) -> None:
@@ -242,82 +257,48 @@ def _hull_point(shape, ks: Array, js: Array, vals: Array, gamma: Array) -> Array
     return z
 
 
-class _HullObjective:
-    """Concave objective over hull weights for atoms [origin] + vertices.
+class _QuadraticHull:
+    """The certificate objective over hull weights for atoms [origin] +
+    vertices, as the quadratic v0 + lin . gamma + gamma'H gamma / 2.
 
     Index 0 is the zero perturbation (the slack extreme point of the scaled
     simplex), so every previously folded weight vector is directly a valid
-    warm start and the atom set stays affinely independent. Each value and
-    gradient rebuilds the dense point and calls the model's oracles; this
-    serves every cost, whatever its form in the sample.
-    """
-
-    def __init__(self, problem: _Problem, vertices: Array, scale: float):
-        self.problem = problem
-        self._ks, self._js, signs = vertices.T
-        self._vals = signs * scale
-        self._shape = (problem.window.size, problem.window.dimension)
-
-    def point(self, gamma: Array) -> Array:
-        return _hull_point(self._shape, self._ks, self._js, self._vals, gamma)
-
-    def value(self, gamma: Array) -> float:
-        return self.problem.value(self.point(gamma))
-
-    def grad(self, gamma: Array) -> Array:
-        G = self.problem.grads(self.point(gamma))
-        n = self.problem.window.n_total
-        out = np.empty(1 + len(self._vals))
-        out[0] = 0.0
-        out[1:] = self._vals * G[self._ks, self._js] / n
-        return out
-
-
-class _QuadraticHull(_HullObjective):
-    """The hull objective in weight space for a cost quadratic in the sample.
-
-    When f(x, xi - y) = f(x, xi) + g0 . y + y'C y, with g0 the ``grad_y`` at
-    y = 0 and C the model's ``sample_curvature``, the certificate objective
-    at hull weights gamma is exactly v0 + lin . gamma + gamma'H gamma / 2.
-    Here v0 and lin are the oracle objective's value and gradient at the
-    origin atom, and the Hessian H, built once per hull, has
+    warm start and the atom set stays affinely independent. Since
+    f(x, xi - y) = f(x, xi) + g0 . y + y'C y, with g0 the ``grad_y`` at
+    y = 0 and C the model's ``sample_curvature``, the form is exact: v0 and
+    lin are the objective's value and gradient at the origin atom, and H has
     H[1 + a, 1 + b] = 2 vals[a] vals[b] C[j_a, j_b] / (n theta[k_a]) when
     vertices a and b share an atom (0 otherwise, and on the origin's row and
-    column). Ascent then calls no oracle: ``hess_vec`` gives the exact step
-    and carries the gradient along it.
+    column).
     """
 
     def __init__(self, problem: _Problem, vertices: Array, scale: float):
-        super().__init__(problem, vertices, scale)
-        origin = np.zeros(1 + len(self._vals))
-        origin[0] = 1.0
-        self._v0 = super().value(origin)
-        self._lin = super().grad(origin)
-        ks, js, vals = self._ks, self._js, self._vals
-        weight = problem.window.n_total * problem.window.theta[ks]
+        ks, js, signs = vertices.T
+        vals = signs * scale
+        self._ks, self._js, self._vals = ks, js, vals
+        self._shape = (problem.window.size, problem.window.dimension)
+        n = problem.window.n_total
+        self.v0 = problem.origin_value
+        self.lin = np.empty(1 + len(vals))
+        self.lin[0] = 0.0
+        self.lin[1:] = vals * problem.origin_grads[ks, js] / n
+        weight = n * problem.window.theta[ks]
         C = problem.model.sample_curvature
-        self._H = np.zeros((1 + len(vals), 1 + len(vals)))
-        self._H[1:, 1:] = np.where(
+        self.H = np.zeros((1 + len(vals), 1 + len(vals)))
+        self.H[1:, 1:] = np.where(
             ks[:, None] == ks[None, :],
             np.outer(2.0 * vals / weight, vals) * C[js[:, None], js[None, :]],
             0.0,
         )
 
-    def value(self, gamma: Array) -> float:
-        return (self._v0 + float(self._lin @ gamma)
-                + 0.5 * float(gamma @ self._H @ gamma))
-
-    def grad(self, gamma: Array) -> Array:
-        return self._lin + self._H @ gamma
-
-    def hess_vec(self, d: Array) -> Array:
-        return self._H @ d
+    def point(self, gamma: Array) -> Array:
+        return _hull_point(self._shape, self._ks, self._js, self._vals, gamma)
 
 
 def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> CertificateResult:
     z = np.zeros((window.size, window.dimension))
     return CertificateResult(
-        j_eps1=problem.value(z),
+        j_eps1=problem.origin_value,
         z=z,
         window=window,
         vertex_set=np.empty((0, 3), dtype=np.intp),
@@ -364,7 +345,6 @@ def generate(
     problem = _Problem(model, x, window)
     if radius == 0.0:
         return _empty_result(problem, window, radius)
-    hull_type = _HullObjective if model.sample_curvature is None else _QuadraticHull
 
     if warm is not None:
         vs = warm.vertex_set
@@ -376,18 +356,20 @@ def generate(
             raise ValueError("warm gamma length must be 1 + len(vertex_set)")
         _check_vertex_rows(vs, (p, m), "window")
         # the origin restart guards the sample-average floor
-        j_origin = problem.value(np.zeros((p, m)))
         j_curr = problem.value(z)
-        if j_curr < j_origin:
+        G = None  # the first vertex search reads the gradients at z
+        if j_curr < problem.origin_value:
             z = np.zeros((p, m))
             c = np.zeros(1 + len(vs))
             c[0] = 1.0
-            j_curr = j_origin
+            j_curr = problem.origin_value
+            G = problem.origin_grads
     else:
         vs = np.empty((0, 3), dtype=np.intp)
         z = np.zeros((p, m))
         c = np.array([1.0])
-        j_curr = problem.value(z)
+        j_curr = problem.origin_value
+        G = problem.origin_grads
 
     lp_calls = cp_calls = afwa_iters = 0
     solved_here = False  # has the current atom set been hull-solved this call
@@ -396,7 +378,8 @@ def generate(
             raise CertificateInterrupted(
                 WarmState(vs, z, c), lp_calls, cp_calls, afwa_iters
             )
-        G = problem.grads(z)
+        if G is None:
+            G = problem.grads(z)
         omega, eta = point_search(G, scale, z, n_total=n)
         lp_calls += 1
         if tick is not None:
@@ -419,14 +402,15 @@ def generate(
         vs = np.concatenate([vs, new])
         c = np.concatenate([c, np.zeros(len(new))])
 
-        hull = hull_type(problem, vs, scale)
+        hull = _QuadraticHull(problem, vs, scale)
         res = afwa_maximize(
-            hull, eps1, c,
+            hull.v0, hull.lin, hull.H, eps1, c,
             max_iters=max_cp_iters, interrupt=interrupt, tick=tick,
         )
         afwa_iters += res.iterations
         c = res.weights
         z = hull.point(c)
+        G = None
         if res.interrupted:
             # an aborted ascent is work done but not a solved subproblem
             raise CertificateInterrupted(

@@ -6,6 +6,12 @@ y -> f(x, xi - y), which is what the inner certificate solvers consume.
 Oracles are pure functions and safe to call concurrently. Built-in models
 accept a single sample ``(m,)`` or a batch ``(N, m)``; batched calls return
 arrays with a leading ``N`` axis.
+
+Every model is quadratic in the sample and declares its constant curvature
+there (``sample_curvature``), which certificate hull ascent relies on. Costs
+concave but not quadratic in the sample, which the underlying theory allows,
+cannot be expressed: this scope is deliberate, and widening it would take a
+second hull solver.
 """
 
 from __future__ import annotations
@@ -41,15 +47,15 @@ class CostModel:
     grad_y : callable
         ``grad_y(x, xi, y)``, gradient of ``y -> f(x, xi - y)`` with the same
         shape as ``y``.
-    project : callable, optional
-        Maps a decision back into the feasible domain after a step.
-    sample_curvature : (m, m) array, optional
-        The constant symmetric C of a cost quadratic in the sample,
+    sample_curvature : (m, m) array
+        The constant symmetric C of the cost, quadratic in the sample:
         f(x, xi) = a(x) + b(x)'xi + xi'C xi, consistent with ``grad_y``:
         ``grad_y(x, xi, y) - grad_y(x, xi, 0) == 2 C y``. Certificate hull
-        ascent then runs in weight space without calling the oracles;
-        ``None`` (the default) keeps the oracle path for any other cost.
-        Validated finite, symmetric and (m, m) at construction.
+        ascent runs in weight space on it without calling the oracles.
+        Validated finite, symmetric, (m, m) and negative semidefinite (the
+        cost is concave in the sample) at construction.
+    project : callable, optional
+        Maps a decision back into the feasible domain after a step.
     """
 
     dimension_d: int
@@ -57,20 +63,21 @@ class CostModel:
     eval: Callable[[Array, Array], float | Array]
     grad_x: Callable[[Array, Array], Array]
     grad_y: Callable[[Array, Array, Array], Array]
+    sample_curvature: Array
     project: Optional[Callable[[Array], Array]] = None
-    sample_curvature: Optional[Array] = None
 
     def __post_init__(self):
-        if self.sample_curvature is not None:
-            C = _check_square_sym(self.sample_curvature, "sample_curvature")
-            if C.shape != (self.dimension_m, self.dimension_m):
-                raise ValueError(
-                    f"sample_curvature must have shape ({self.dimension_m}, "
-                    f"{self.dimension_m}), got {C.shape}"
-                )
-            C = C.copy()
-            C.setflags(write=False)
-            object.__setattr__(self, "sample_curvature", C)
+        C = _check_square_sym(self.sample_curvature, "sample_curvature")
+        if C.shape != (self.dimension_m, self.dimension_m):
+            raise ValueError(
+                f"sample_curvature must have shape ({self.dimension_m}, "
+                f"{self.dimension_m}), got {C.shape}"
+            )
+        if np.linalg.eigvalsh(C).max() > _SYM_TOL * (1.0 + np.abs(C).max()):
+            raise ValueError("sample_curvature must be negative semidefinite")
+        C = C.copy()
+        C.setflags(write=False)
+        object.__setattr__(self, "sample_curvature", C)
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,12 @@ def run(
         return ev
 
     def ingest(sp: SamplePoint) -> None:
-        raw.append(np.asarray(sp.value, dtype=float).reshape(-1))
+        point = np.asarray(sp.value, dtype=float).reshape(-1)
+        if point.shape != (model.dimension_m,) or not np.isfinite(point).all():
+            raise ValueError(
+                f"sample {sp.index} is not a finite vector of dimension "
+                f"{model.dimension_m}")
+        raw.append(point)
         opened = cover.update(raw[-1]) if cover is not None else None
         post(
             "DataArrival",

@@ -3,21 +3,24 @@
 Two pieces live here. ``point_search`` maximizes the linearized certificate
 objective over the signed extreme points of the scaled simplex, returning
 the argmax vertices and the Frank-Wolfe gap. ``afwa_maximize`` runs
-away-step Frank-Wolfe ascent of a concave objective over the unit simplex;
+away-step Frank-Wolfe ascent of a concave quadratic over the unit simplex;
 on the unit simplex the barycentric weights of the active set coincide with
 the iterate itself, so the classic active-set bookkeeping reduces to the
-plain vector update and eviction means zeroing a coordinate. For an
-objective quadratic in the weights, one Hessian-vector product per iteration
-(the objective's ``hess_vec``) gives the exact step and carries the gradient
-and value along it; other objectives bisect on the directional derivative
-and are re-evaluated after each step.
+plain vector update and eviction means zeroing a coordinate. One
+Hessian-vector product per iteration gives the exact step and carries the
+gradient and value along it.
+
+The ascent serves only objectives quadratic in the weights: the
+certificate's hull objective is one exactly when the cost is quadratic in
+the sample (``CostModel.sample_curvature``), which every model must be.
+Costs concave but not quadratic in the sample have no solver here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,20 +84,6 @@ def point_search(
     return np.column_stack([ks, js, signs]), (scale * best - base) / n
 
 
-class ConcaveObjective(Protocol):
-    """Duck interface ``afwa_maximize`` expects.
-
-    An objective quadratic in gamma may also define ``hess_vec(d)``, the
-    product H d with its constant Hessian H. ``afwa_maximize`` then takes the
-    exact step from d'H d and carries the gradient (g + t H d) and the value
-    along it instead of calling ``grad`` and ``value`` at every iteration.
-    """
-
-    def value(self, gamma: Array) -> float: ...
-
-    def grad(self, gamma: Array) -> Array: ...
-
-
 @dataclass
 class AfwaResult:
     weights: Array
@@ -102,7 +91,6 @@ class AfwaResult:
     iterations: int
     gap: float
     converged: bool
-    gaps: Optional[list[float]] = None
     interrupted: bool = False
 
 
@@ -116,123 +104,107 @@ def _normalize_start(start: Sequence[float]) -> Array:
     return g / g.sum()
 
 
-def _line_search(objective, gamma: Array, d: Array, t_max: float) -> float:
-    """Maximization of t -> value(gamma + t d) on [0, t_max] for an objective
-    without ``hess_vec``: 60 bisection steps on the directional derivative,
-    tolerance 1e-12 in t."""
-    if float(objective.grad(gamma + t_max * d) @ d) >= 0.0:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(60):
-        if hi - lo < 1e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if float(objective.grad(gamma + mid * d) @ d) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _fw_gap(g: Array, gamma: Array) -> tuple[int, float, float]:
-    """Toward vertex s, average g'gamma and Frank-Wolfe gap g[s] - g'gamma."""
-    s = int(g.argmax())
-    avg = float(g @ gamma)
-    return s, avg, float(g[s]) - avg
-
-
 def afwa_maximize(
-    objective: ConcaveObjective,
+    v0: float,
+    lin: Array,
+    H: Array,
     eps: float,
     start: Sequence[float],
     max_iters: int = 1_000_000,
-    record_gaps: bool = False,
     interrupt=None,
     tick=None,
 ) -> AfwaResult:
-    """Away-step Frank-Wolfe ascent over the unit simplex.
+    """Away-step Frank-Wolfe ascent of v0 + lin'gamma + gamma'H gamma / 2
+    over the unit simplex; ``H`` must be symmetric negative semidefinite.
 
     Alternates the classic toward-vertex and away-vertex directions, chosen
-    by comparing gradient inner products, with exact line search. For away
-    steps the maximal step is alpha_v / (1 - alpha_v); hitting it evicts
-    the away vertex, while a full toward step collapses the active set to
-    the target vertex. Terminates when the Frank-Wolfe gap reaches ``eps``.
+    by comparing gradient inner products, with the exact step along each.
+    For away steps the maximal step is alpha_v / (1 - alpha_v); hitting it
+    evicts the away vertex, while a full toward step collapses the active
+    set to the target vertex. Terminates when the Frank-Wolfe gap reaches
+    ``eps``.
 
-    The gradient and value are read once at the start. With ``hess_vec``
-    each step of length t along d updates them as g + t H d and
-    val + t g'd + t^2 d'H d / 2, so the loop calls neither ``grad`` nor
-    ``value``; a gap at or below ``eps`` is confirmed on a fresh ``grad``
-    before it is returned, so carried roundoff never decides convergence.
-    Without ``hess_vec`` both are evaluated afresh after each step.
-    A non-finite value or gradient, at the start or after any step, raises
-    SolverError; a value that falls raises ConcavityError.
-    Iteration exhaustion returns ``converged=False`` rather than raising so
-    callers can flag it.
+    The value and gradient are computed once at the start. One product H d
+    per iteration gives the exact step t from d'H d and carries them along
+    it, as g + t H d and val + t g'd + t^2 d'H d / 2; a gap at or below
+    ``eps`` is confirmed on a fresh gradient before it is returned, so
+    carried roundoff never decides convergence. The weights and gradient
+    are the two rows of one array and d and H d the rows of another, so a
+    step moves both with one scale and one add. A non-finite value or
+    gradient, at the start or after any step, raises SolverError; a value
+    that falls raises ConcavityError. Iteration exhaustion returns
+    ``converged=False`` rather than raising so callers can flag it.
 
     ``tick`` is called with 1 after each iteration (cost accounting);
     ``interrupt`` is polled every 32 iterations and, when it fires, the
     current (feasible, no worse than start) weights are returned with
     ``interrupted=True``.
     """
-    gamma = _normalize_start(start)
-    val = float(objective.value(gamma))
+    start = _normalize_start(start)
+    state = np.empty((2, start.size))
+    gamma, g = state
+    gamma[:] = start
+    lin = np.asarray(lin, dtype=float)
+    H = np.asarray(H, dtype=float)
+    val = float(v0 + float(lin @ gamma) + 0.5 * float(gamma @ H @ gamma))
     if not math.isfinite(val):
         raise SolverError("objective returned a non-finite value")
-    hess_vec = getattr(objective, "hess_vec", None)
-    g = np.asarray(objective.grad(gamma), dtype=float)
-    gaps: Optional[list[float]] = [] if record_gaps else None
+    np.dot(H, gamma, out=g)
+    g += lin
+    step = np.empty_like(state)
+    d, Hd = step
+    # low marks the weights off the active set; it also masks the away search
+    low = np.logical_not(gamma > 0)
+    inf_row = np.full(len(gamma), np.inf)
     gap_fw = math.inf
     for it in range(max_iters):
         if interrupt is not None and it and it % 32 == 0 and interrupt():
-            return AfwaResult(gamma, val, it, gap_fw, False, gaps,
-                              interrupted=True)
-        s, avg, gap_fw = _fw_gap(g, gamma)
-        if hess_vec is not None and gap_fw <= eps:
-            g = np.asarray(objective.grad(gamma), dtype=float)
-            s, avg, gap_fw = _fw_gap(g, gamma)
+            return AfwaResult(gamma, val, it, gap_fw, False, interrupted=True)
+        s = int(g.argmax())
+        avg = float(g.dot(gamma))
+        gap_fw = g.item(s) - avg
+        if gap_fw <= eps:
+            np.dot(H, gamma, out=g)
+            g += lin
+            s = int(g.argmax())
+            avg = float(g.dot(gamma))
+            gap_fw = g.item(s) - avg
         # a non-finite entry of g reaches g[s] or avg, so the gap shows it
         if not math.isfinite(gap_fw):
             raise SolverError("objective returned a non-finite gradient")
-        if gaps is not None:
-            gaps.append(gap_fw)
         if gap_fw <= eps:
-            return AfwaResult(gamma, val, it, gap_fw, True, gaps)
+            return AfwaResult(gamma, val, it, gap_fw, True)
 
-        v = int(np.where(gamma > 0, g, np.inf).argmin())
-        gap_away = avg - g[v]
-        if gap_fw >= gap_away or gamma[v] >= 1.0 - 1e-15:
-            d = -gamma
+        v = int(np.where(low, inf_row, g).argmin())
+        gap_away = avg - g.item(v)
+        gamma_v = gamma.item(v)
+        if gap_fw >= gap_away or gamma_v >= 1.0 - 1e-15:
+            np.negative(gamma, out=d)
             d[s] += 1.0
             t_max, deriv0, away = 1.0, gap_fw, False
         else:
-            d = gamma.copy()
+            d[:] = gamma
             d[v] -= 1.0
-            t_max, deriv0, away = gamma[v] / (1.0 - gamma[v]), gap_away, True
+            t_max, deriv0, away = gamma_v / (1.0 - gamma_v), gap_away, True
 
-        if hess_vec is None:
-            t = _line_search(objective, gamma, d, t_max)
+        np.dot(H, d, out=Hd)
+        curv = float(d.dot(Hd))
+        if curv >= -1e-14 * (1.0 + abs(deriv0)):
+            t = t_max
         else:
-            Hd = hess_vec(d)
-            curv = float(d @ Hd)
-            if curv >= -1e-14 * (1.0 + abs(deriv0)):
-                t = t_max
-            else:
-                t = min(t_max, deriv0 / (-curv))
-        gamma = gamma + t * d
+            t = min(t_max, deriv0 / (-curv))
+        step *= t
+        state += step
         if away and t >= t_max * (1.0 - 1e-12):
             gamma[v] = 0.0
         if not away and t >= 1.0 - 1e-12:
-            gamma = np.zeros_like(gamma)
+            gamma[:] = 0.0
             gamma[s] = 1.0
-        gamma[gamma < 1e-15] = 0.0
-        gamma /= gamma.sum()
+        np.less(gamma, 1e-15, out=low)
+        np.putmask(gamma, low, 0.0)
+        gamma /= np.add.reduce(gamma)
 
-        if hess_vec is None:
-            g = np.asarray(objective.grad(gamma), dtype=float)
-            new_val = float(objective.value(gamma))
-        else:
-            g = g + t * Hd
-            new_val = val + t * deriv0 + 0.5 * t * t * curv
+        new_val = val + t * deriv0 + 0.5 * t * t * curv
         if not math.isfinite(new_val):
             raise SolverError(
                 f"objective returned a non-finite value after iteration {it}")
@@ -245,4 +217,4 @@ def afwa_maximize(
         val = new_val
         if tick is not None:
             tick(1)
-    return AfwaResult(gamma, val, max_iters, gap_fw, False, gaps)
+    return AfwaResult(gamma, val, max_iters, gap_fw, False)

@@ -5,14 +5,27 @@ the package's machinery: closed-form water-filling for the quadratic
 worst case, exact optimal transport as a linear program and by assignment
 on unit-mass copies, and brute-force grid minimization. Slow and simple on
 purpose.
+
+It also keeps the general hull ascent the package used before it required
+costs quadratic in the sample: ``HullObjective`` rebuilds the dense plan and
+calls the model's oracles for every value and gradient, and
+``afwa_reference`` is the away-step Frank-Wolfe loop over any concave
+objective, with bisection for objectives without ``hess_vec``.
+``afwa_quadratic_reference`` runs that loop on the weight-space quadratic
+with ``drostream.simplex.afwa_maximize``'s signature; the package's loop must
+reproduce it bit for bit.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
+
+from drostream.simplex import ConcavityError, SolverError
 
 
 def waterfill_certificate(A, B, c_diag, x, points, theta, n_total, eps):
@@ -168,3 +181,195 @@ def grid_min_decision(A, B, c_diag, points, theta, n_total, eps, lo, hi, steps):
     ]
     i = int(np.argmin(vals))
     return float(xs[i]), float(vals[i])
+
+
+class HullObjective:
+    """Certificate objective over hull weights for atoms [origin] + vertices.
+
+    The ``(k, j, sign)`` vertex rows stand for ``sign * scale`` at sample k,
+    coordinate j, in budget coordinates z = theta * y; index 0 of the weights
+    is the origin atom. Every value and gradient rebuilds the dense plan and
+    calls ``model.eval`` or ``model.grad_y``, so it serves any cost concave in
+    the sample. It has no ``hess_vec``: ``afwa_reference`` bisects on it.
+    """
+
+    def __init__(self, model, x, window, vertices, scale):
+        self.model = model
+        self.x = np.asarray(x, dtype=float)
+        self.window = window
+        self.ks, self.js, signs = np.asarray(vertices).T
+        self.vals = signs * scale
+
+    def point(self, gamma):
+        z = np.zeros((self.window.size, self.window.dimension))
+        np.add.at(z, (self.ks, self.js), gamma[1:] * self.vals)
+        return z
+
+    def _plan(self, gamma):
+        return self.point(gamma) / self.window.theta[:, None]
+
+    def value(self, gamma):
+        w = self.window
+        costs = np.asarray(self.model.eval(self.x, w.points - self._plan(gamma)))
+        return float(w.theta @ costs.reshape(-1)) / w.n_total
+
+    def grad(self, gamma):
+        G = np.asarray(self.model.grad_y(self.x, self.window.points,
+                                         self._plan(gamma)), dtype=float)
+        out = np.zeros(1 + len(self.vals))
+        out[1:] = self.vals * G[self.ks, self.js] / self.window.n_total
+        return out
+
+
+class QuadraticWeights:
+    """gamma -> v0 + lin . gamma + gamma'H gamma / 2 with ``hess_vec``."""
+
+    def __init__(self, v0, lin, H):
+        self._v0, self._lin, self._H = v0, lin, H
+
+    def value(self, gamma):
+        return (self._v0 + float(self._lin @ gamma)
+                + 0.5 * float(gamma @ self._H @ gamma))
+
+    def grad(self, gamma):
+        return self._lin + self._H @ gamma
+
+    def hess_vec(self, d):
+        return self._H @ d
+
+
+@dataclass
+class AfwaTrace:
+    weights: np.ndarray
+    value: float
+    iterations: int
+    gap: float
+    converged: bool
+    gaps: Optional[list] = None
+    interrupted: bool = False
+
+
+def _normalize_start(start):
+    g = np.asarray(start, dtype=float).copy()
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError("start must be a nonempty vector")
+    if g.min() < -1e-12 or abs(g.sum() - 1.0) > 1e-9:
+        raise ValueError("start weights must lie on the unit simplex")
+    g[g < 0] = 0.0
+    return g / g.sum()
+
+
+def line_search(objective, gamma, d, t_max):
+    """Maximization of t -> value(gamma + t d) on [0, t_max]: 60 bisection
+    steps on the directional derivative, tolerance 1e-12 in t."""
+    if float(objective.grad(gamma + t_max * d) @ d) >= 0.0:
+        return t_max
+    lo, hi = 0.0, t_max
+    for _ in range(60):
+        if hi - lo < 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if float(objective.grad(gamma + mid * d) @ d) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _fw_gap(g, gamma):
+    s = int(g.argmax())
+    avg = float(g @ gamma)
+    return s, avg, float(g[s]) - avg
+
+
+def afwa_reference(objective, eps, start, max_iters=1_000_000,
+                   record_gaps=False, interrupt=None, tick=None):
+    """Away-step Frank-Wolfe ascent of a concave objective over the unit
+    simplex, written for any objective with ``value`` and ``grad``.
+
+    With ``hess_vec`` (an objective quadratic in the weights) each step is
+    exact and carries the gradient and value along it, and a gap at or below
+    ``eps`` is confirmed on a fresh ``grad``; without it each step bisects
+    and both are re-evaluated. ``record_gaps`` keeps every Frank-Wolfe gap.
+    Raises SolverError on a non-finite value or gradient and ConcavityError
+    when the value falls.
+    """
+    gamma = _normalize_start(start)
+    val = float(objective.value(gamma))
+    if not math.isfinite(val):
+        raise SolverError("objective returned a non-finite value")
+    hess_vec = getattr(objective, "hess_vec", None)
+    g = np.asarray(objective.grad(gamma), dtype=float)
+    gaps = [] if record_gaps else None
+    gap_fw = math.inf
+    for it in range(max_iters):
+        if interrupt is not None and it and it % 32 == 0 and interrupt():
+            return AfwaTrace(gamma, val, it, gap_fw, False, gaps,
+                             interrupted=True)
+        s, avg, gap_fw = _fw_gap(g, gamma)
+        if hess_vec is not None and gap_fw <= eps:
+            g = np.asarray(objective.grad(gamma), dtype=float)
+            s, avg, gap_fw = _fw_gap(g, gamma)
+        if not math.isfinite(gap_fw):
+            raise SolverError("objective returned a non-finite gradient")
+        if gaps is not None:
+            gaps.append(gap_fw)
+        if gap_fw <= eps:
+            return AfwaTrace(gamma, val, it, gap_fw, True, gaps)
+
+        v = int(np.where(gamma > 0, g, np.inf).argmin())
+        gap_away = avg - g[v]
+        if gap_fw >= gap_away or gamma[v] >= 1.0 - 1e-15:
+            d = -gamma
+            d[s] += 1.0
+            t_max, deriv0, away = 1.0, gap_fw, False
+        else:
+            d = gamma.copy()
+            d[v] -= 1.0
+            t_max, deriv0, away = gamma[v] / (1.0 - gamma[v]), gap_away, True
+
+        if hess_vec is None:
+            t = line_search(objective, gamma, d, t_max)
+        else:
+            Hd = hess_vec(d)
+            curv = float(d @ Hd)
+            if curv >= -1e-14 * (1.0 + abs(deriv0)):
+                t = t_max
+            else:
+                t = min(t_max, deriv0 / (-curv))
+        gamma = gamma + t * d
+        if away and t >= t_max * (1.0 - 1e-12):
+            gamma[v] = 0.0
+        if not away and t >= 1.0 - 1e-12:
+            gamma = np.zeros_like(gamma)
+            gamma[s] = 1.0
+        gamma[gamma < 1e-15] = 0.0
+        gamma /= gamma.sum()
+
+        if hess_vec is None:
+            g = np.asarray(objective.grad(gamma), dtype=float)
+            new_val = float(objective.value(gamma))
+        else:
+            g = g + t * Hd
+            new_val = val + t * deriv0 + 0.5 * t * t * curv
+        if not math.isfinite(new_val):
+            raise SolverError(
+                f"objective returned a non-finite value after iteration {it}")
+        if new_val < val - 1e-9 * (1.0 + abs(val)):
+            raise ConcavityError(
+                "exact-line-search ascent decreased the objective "
+                f"({val:.12g} -> {new_val:.12g}); the restricted objective "
+                "is not concave"
+            )
+        val = new_val
+        if tick is not None:
+            tick(1)
+    return AfwaTrace(gamma, val, max_iters, gap_fw, False, gaps)
+
+
+def afwa_quadratic_reference(v0, lin, H, eps, start, max_iters=1_000_000,
+                             interrupt=None, tick=None):
+    """``afwa_reference`` on v0 + lin . gamma + gamma'H gamma / 2, called as
+    ``drostream.simplex.afwa_maximize`` is."""
+    return afwa_reference(QuadraticWeights(v0, lin, H), eps, start,
+                          max_iters=max_iters, interrupt=interrupt, tick=tick)

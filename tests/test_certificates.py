@@ -22,9 +22,15 @@ from drostream.certificates import (
     revalidate,
 )
 from drostream.model import quadratic_model
-from drostream.simplex import SolverError, afwa_maximize
+from drostream.simplex import SolverError
 
-from oracles import w1_distance, waterfill_certificate, window_measure
+from oracles import (
+    HullObjective,
+    afwa_reference,
+    w1_distance,
+    waterfill_certificate,
+    window_measure,
+)
 
 EPS1 = 1e-7
 
@@ -337,63 +343,69 @@ def test_interrupt_carries_partial_state_and_counters():
 
 def test_weight_space_hull_matches_the_oracle_hull():
     # a weighted window, off-diagonal curvature and several vertices on one
-    # atom, so the off-diagonal blocks of Q count
+    # atom, so the off-diagonal blocks of H count
     rng = np.random.default_rng(31)
     d, m = 2, 3
     G = rng.normal(size=(d, d))
     H = rng.normal(size=(m, m))
     quad = quadratic_model(G.T @ G, rng.normal(size=(d, m)), -(H.T @ H + np.eye(m)))
-    dense = dataclasses.replace(quad, sample_curvature=None)
     win = DataWindow(rng.normal(size=(3, m)) * 2, np.array([2.0, 1.0, 3.0]), 6)
     x = rng.normal(size=d)
     radius = 0.7
     vs = np.array([[0, 0, 1], [0, 1, -1], [0, 2, 1], [1, 1, 1],
                    [2, 0, -1], [2, 2, -1], [2, 0, 1]])
     scale = win.n_total * radius
-    hull_q = certificates._QuadraticHull(certificates._Problem(quad, x, win), vs, scale)
-    hull_o = certificates._HullObjective(certificates._Problem(dense, x, win), vs, scale)
-    assert not hasattr(hull_o, "hess_vec")  # the line search bisects there
+    hull = certificates._QuadraticHull(certificates._Problem(quad, x, win), vs, scale)
+    dense = HullObjective(quad, x, win, vs, scale)
     for _ in range(10):
         gamma, other = rng.dirichlet(np.ones(1 + len(vs)), size=2)
-        assert hull_q.value(gamma) == pytest.approx(hull_o.value(gamma), rel=1e-10)
-        want = hull_o.grad(gamma)
-        np.testing.assert_allclose(hull_q.grad(gamma), want, rtol=1e-10,
+        np.testing.assert_allclose(hull.point(gamma), dense.point(gamma),
+                                   rtol=1e-12)
+        want = dense.value(gamma)
+        got = hull.v0 + hull.lin @ gamma + 0.5 * gamma @ hull.H @ gamma
+        assert got == pytest.approx(want, rel=1e-10)
+        want = dense.grad(gamma)
+        np.testing.assert_allclose(hull.lin + hull.H @ gamma, want, rtol=1e-10,
                                    atol=1e-10 * np.abs(want).max())
         # the gradient is affine in gamma, so its difference is exactly H d
         step = other - gamma
-        diff = hull_o.grad(gamma + step) - want
-        np.testing.assert_allclose(hull_q.hess_vec(step), diff, rtol=1e-10,
+        diff = dense.grad(gamma + step) - want
+        np.testing.assert_allclose(hull.H @ step, diff, rtol=1e-10,
                                    atol=1e-10 * np.abs(diff).max())
 
-    cq = generate(quad, x, win, radius, EPS1)
-    co = generate(dense, x, win, radius, EPS1)
-    assert cq.eta <= EPS1
-    assert co.eta <= EPS1
-    assert cq.j_eps1 == pytest.approx(co.j_eps1, abs=EPS1)
+    # the oracle ascent, bisecting on the dense objective over the vertices
+    # the certificate found, reaches the certificate's value
+    cert = generate(quad, x, win, radius, EPS1)
+    assert cert.eta <= EPS1
+    start = np.zeros(1 + len(cert.vertex_set))
+    start[0] = 1.0
+    found = HullObjective(quad, x, win, cert.vertex_set, scale)
+    res = afwa_reference(found, EPS1, start)
+    assert res.converged
+    assert res.value == pytest.approx(cert.j_eps1, abs=EPS1)
 
 
-def test_quadratic_hull_ascent_reads_value_and_grad_at_most_three_times():
-    # one value and one gradient at the start, one gradient to confirm the
-    # converged gap; every step in between carries them with hess_vec
+def test_cold_generate_reads_the_origin_oracles_once():
+    # the floor value, the first vertex search and the linear part of every
+    # hull share one eval and one grad_y at the unperturbed points
     rng = np.random.default_rng(7)
     m = 3
-    quad = quadratic_model([[1.0]], rng.normal(size=(1, m)), -np.eye(m))
+    base = quadratic_model([[1.0]], rng.normal(size=(1, m)), -np.eye(m))
     win = DataWindow.plain(rng.normal(size=(10, m)) * 2)
-    vs = np.array([[k, j, s] for k in range(10) for j in range(m)
-                   for s in (1, -1)])
-    hull = certificates._QuadraticHull(
-        certificates._Problem(quad, np.array([0.5]), win), vs,
-        win.n_total * 0.7)
-    calls = []
-    for name in ("value", "grad"):
-        method = getattr(hull, name)
-        setattr(hull, name, lambda g, f=method, n=name: calls.append(n) or f(g))
-    start = np.zeros(1 + len(vs))
-    start[0] = 1.0
-    res = afwa_maximize(hull, 1e-9, start)
-    assert res.converged
-    assert res.iterations > 20  # otherwise the guard guards nothing
-    assert len(calls) <= 3, calls
+    at_origin = {"eval": 0, "grad_y": 0}
+
+    def eval_(x, xi):
+        at_origin["eval"] += bool(np.array_equal(xi, win.points))
+        return base.eval(x, xi)
+
+    def grad_y(x, xi, y):
+        at_origin["grad_y"] += not np.any(y)
+        return base.grad_y(x, xi, y)
+
+    model = dataclasses.replace(base, eval=eval_, grad_y=grad_y)
+    cert = generate(model, np.array([0.5]), win, 0.7, EPS1)
+    assert cert.cp_calls > 1  # otherwise one read per hull is one read too
+    assert at_origin == {"eval": 1, "grad_y": 1}
 
 
 def test_unit_theta_equals_plain():

@@ -213,6 +213,30 @@ def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
     assert "FAILED" in err
 
 
+@pytest.mark.parametrize("kind", ["DecisionStep", "BestUpdated"])
+def test_verify_reports_a_link_to_an_earlier_certificate_and_exits_1(
+        run_dir, tmp_path, capsys, kind):
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    # the record names the certificate before its own, at that one's value
+    picked = next(i for i, rec in enumerate(records) if rec["kind"] == kind)
+    own = records[picked]["cert_seq"]
+    earlier = max(j for j in range(own)
+                  if records[j]["kind"] == "CertificatePosted")
+    records[picked].update(cert_seq=earlier, J=records[earlier]["J"])
+    lines[picked] = json.dumps(records[picked])
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    err = capsys.readouterr().err
+    assert f"names certificate {earlier}, not the latest {own}" in err
+    assert "FAILED" in err
+
+
 def test_verify_checks_the_posted_tolerance_and_exits_1(
         run_dir, tmp_path, capsys):
     lines = (run_dir / "events.jsonl").read_text().splitlines()

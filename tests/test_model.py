@@ -135,14 +135,25 @@ def test_sample_curvature_matches_grad_y(which):
 
 @pytest.mark.parametrize(
     "curvature",
-    [[[-1.0, 0.5], [0.0, -1.0]], -np.eye(3), [[-1.0, np.nan], [np.nan, -1.0]]],
-    ids=["asymmetric", "wrong-shape", "non-finite"],
+    [[[-1.0, 0.5], [0.0, -1.0]], -np.eye(3), [[-1.0, np.nan], [np.nan, -1.0]],
+     [[2.0, 0.5], [0.5, 1.0]]],
+    ids=["asymmetric", "wrong-shape", "non-finite", "positive-definite"],
 )
 def test_malformed_sample_curvature_fails_at_construction(curvature):
     base = quadratic_model([[1.0]], np.zeros((1, 2)), -np.eye(2))
     with pytest.raises(ValueError, match="sample_curvature"):
         CostModel(1, 2, base.eval, base.grad_x, base.grad_y,
                   sample_curvature=np.array(curvature))
+
+
+def test_a_model_declares_a_negative_semidefinite_sample_curvature():
+    base = quadratic_model([[1.0]], np.zeros((1, 2)), -np.eye(2))
+    with pytest.raises(TypeError, match="sample_curvature"):
+        CostModel(1, 2, base.eval, base.grad_x, base.grad_y)
+    # linear in one sample coordinate: semidefinite is enough
+    flat = CostModel(1, 2, base.eval, base.grad_x, base.grad_y,
+                     sample_curvature=np.diag([-1.0, 0.0]))
+    assert flat.sample_curvature.tolist() == [[-1.0, 0.0], [0.0, 0.0]]
 
 
 def test_midpoint_concavity_in_sample():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import w1_matching, waterfill_certificate
+from drostream.simplex import ConcavityError, SolverError
+from oracles import afwa_reference, w1_matching, waterfill_certificate
 
 
 def brute_grid_value(A, B, c_diag, x, points, theta, n_total, eps, steps=801):
@@ -94,3 +95,35 @@ def test_w1_matching_known_values():
     # identical distributions
     pts = [[0.3, -1.0], [2.0, 0.5]]
     assert w1_matching(pts, [0.4, 0.6], pts, [0.4, 0.6]) == pytest.approx(0.0)
+
+
+class LyingObjective:
+    """Gradient claims ascent along e1 while the value actually falls; no
+    ``hess_vec``, so the line search bisects."""
+
+    def value(self, gamma):
+        return float(-3.0 * gamma[0])
+
+    def grad(self, gamma):
+        return np.array([1.0, 0.0])
+
+
+class NanOffStartObjective:
+    """Finite only at the start vertex e1; its finite gradient leads off it."""
+
+    def value(self, gamma):
+        return 0.0 if gamma[0] == 1.0 else float("nan")
+
+    def grad(self, gamma):
+        return np.array([0.0, 1.0])
+
+
+def test_reference_ascent_detects_objective_decrease():
+    with pytest.raises(ConcavityError):
+        afwa_reference(LyingObjective(), 1e-9, [0.0, 1.0])
+
+
+def test_reference_ascent_rejects_a_non_finite_value_after_a_step():
+    # NaN fails every comparison, so the decrease test alone lets it through
+    with pytest.raises(SolverError, match="non-finite value"):
+        afwa_reference(NanOffStartObjective(), 1e-9, [1.0, 0.0])

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from drostream import presets
+from drostream import certificates, presets
 from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
 from drostream.certificates import DataWindow, plan_from_entries
@@ -15,7 +15,7 @@ from drostream.model import Tolerances, quadratic_model
 from drostream.runner import CoverConfig, RunConfig, run
 from drostream.stream import SamplePoint
 
-from oracles import w1_distance, window_measure
+from oracles import afwa_quadratic_reference, w1_distance, window_measure
 
 
 def pure_quadratic():
@@ -105,6 +105,18 @@ def test_stream_shorter_than_budget_rejected():
     with pytest.raises(ValueError):
         run(make_config(pure_quadratic(), 1, cost_budget_per_period=0.0),
             stream([[1.0]]))
+
+
+@pytest.mark.parametrize("bad", [[1.0, float("nan"), 0.0], [1.0, 0.0]],
+                         ids=["nan", "short"])
+def test_a_bad_sample_fails_at_ingest_naming_its_index(bad):
+    # the third sample is bad; it used to fail later, inside the certificate
+    cfg = make_config(quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3)), 4)
+    points = stream([[0.5, 0.0, 1.0], [2.0, -1.0, 0.0]] + [[0.0] * 3] * 2)
+    points[2] = SamplePoint(2, np.array(bad), points[2].arrival_time)
+    with pytest.raises(ValueError,
+                       match=r"^sample 2 is not a finite vector of dimension 3$"):
+        run(cfg, points)
 
 
 def test_counters_never_move_backward():
@@ -396,6 +408,36 @@ def test_audit_reports_a_malformed_record_without_raising(tamper, message):
     assert structure.failures >= 1
 
 
+def plain_records():
+    cfg, res = plain_run()
+    return cfg, [ev.record() for ev in res.events]
+
+
+@pytest.mark.parametrize("make_records, kind, check", [
+    (two_sample_records, "DecisionStep", "step_links"),
+    (plain_records, "DecisionStep", "step_links"),
+    (plain_records, "BestUpdated", "best_tracking"),
+], ids=["two-sample-step", "step", "best"])
+def test_audit_requires_a_link_to_the_latest_certificate(make_records, kind,
+                                                         check):
+    # the last such record names the certificate posted before its own, at
+    # that one's value; on the two-sample run that is step 8 naming the
+    # refresh 6 that its reuse 7 copies, which has the same value already
+    cfg, records = make_records()
+    assert audit(cfg, records).ok
+    i = max(i for i, r in enumerate(records) if r["kind"] == kind)
+    own = records[i]["cert_seq"]
+    earlier = max(j for j in range(own)
+                  if records[j]["kind"] == "CertificatePosted")
+    records[i].update(cert_seq=earlier, J=records[earlier]["J"])
+    report = audit(cfg, records)
+    failed = {c.name: c.failures for c in report.checks}
+    assert failed[check] == 1 and sum(failed.values()) == 1
+    what = "step" if kind == "DecisionStep" else "best"
+    assert (f"record {i}: {what} names certificate {earlier}, not the latest "
+            f"{own}") in report.failures
+
+
 def test_audit_fails_an_infinite_value_and_a_nan_tolerance():
     # inf - x is inf, which the relative tolerance max(|a|, |b|) would absorb
     cfg, records = two_sample_records()
@@ -461,6 +503,23 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
     assert report.failures[0].startswith(f"record {seq}: gap ")
 
 
+def pinned_run(preset, n0, cover, budget):
+    """The run config and stream of one pinned run (seed 0); ``budget``
+    overrides the preset's cost budget per period unless None."""
+    cfg = presets.with_overrides(presets.PRESETS[preset](seed=0), n0=n0,
+                                 cover_enabled=cover)
+    mat = presets.materialize(cfg)
+    run_config = mat.run_config
+    if budget is not None:
+        run_config = dataclasses.replace(run_config,
+                                         cost_budget_per_period=budget)
+    return run_config, mat.stream
+
+
+def log_text(result):
+    return "".join(json.dumps(ev.record()) + "\n" for ev in result.events)
+
+
 # (preset, n0, cover, cost budget per period or None for the preset's,
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes)
 PINNED_WORK = [
@@ -479,16 +538,21 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
     # the virtual clock meters solver work, so a change that only speeds the
     # solvers up leaves every counter and the event sequence as they are;
     # the log's size is pinned too, within 1% since float digits may move
-    cfg = presets.with_overrides(presets.PRESETS[preset](seed=0), n0=n0,
-                                 cover_enabled=cover)
-    mat = presets.materialize(cfg)
-    run_config = mat.run_config
-    if budget is not None:
-        run_config = dataclasses.replace(run_config,
-                                         cost_budget_per_period=budget)
-    res = run(run_config, mat.stream)
+    res = run(*pinned_run(preset, n0, cover, budget))
     t = res.totals
     assert (t.lp_calls, t.cp_calls, t.afwa_iters, t.interrupts, t.reuses,
             len(res.events)) == (lp, cp, iters, interrupts, reuses, events)
-    log = "".join(json.dumps(ev.record()) + "\n" for ev in res.events)
-    assert len(log.encode()) == pytest.approx(log_bytes, rel=0.01)
+    assert len(log_text(res).encode()) == pytest.approx(log_bytes, rel=0.01)
+
+
+@pytest.mark.parametrize("preset, n0, cover, budget",
+                         [row[:4] for row in PINNED_WORK],
+                         ids=["study1", "study1-interrupted", "study2-cover"])
+def test_pinned_runs_log_the_same_bytes_on_the_reference_ascent(
+        preset, n0, cover, budget, monkeypatch):
+    # the hull ascent only removes overhead around the reference loop's
+    # float operations, so every iterate, and with it the log, is the same
+    config, points = pinned_run(preset, n0, cover, budget)
+    fast = log_text(run(config, points))
+    monkeypatch.setattr(certificates, "afwa_maximize", afwa_quadratic_reference)
+    assert log_text(run(config, points)) == fast

@@ -5,72 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drostream.simplex import (
-    ConcavityError,
-    SolverError,
-    afwa_maximize,
-    point_search,
-)
+from drostream.simplex import SolverError, afwa_maximize, point_search
+
+from oracles import afwa_quadratic_reference
 
 
-class QuadObjective:
-    """Concave quadratic gamma -> -(gamma - target)' D (gamma - target)."""
-
-    def __init__(self, target, diag):
-        self.target = np.asarray(target, dtype=float)
-        self.diag = np.asarray(diag, dtype=float)
-
-    def value(self, gamma):
-        d = gamma - self.target
-        return float(-(d * d) @ self.diag)
-
-    def grad(self, gamma):
-        return -2.0 * self.diag * (gamma - self.target)
-
-    def hess_vec(self, d):
-        return -2.0 * self.diag * d
+def quad(target, diag):
+    """(v0, lin, H) of the concave gamma -> -(gamma - target)'D(gamma - target)."""
+    target = np.asarray(target, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    return -float(target * target @ diag), 2.0 * diag * target, -2.0 * np.diag(diag)
 
 
-class LinearObjective:
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-
-    def value(self, gamma):
-        return float(self.c @ gamma)
-
-    def grad(self, gamma):
-        return self.c
-
-    def hess_vec(self, d):
-        return np.zeros_like(d)
+def linear(c):
+    c = np.asarray(c, dtype=float)
+    return 0.0, c, np.zeros((len(c), len(c)))
 
 
-class NanHessianObjective(QuadObjective):
-    """A quadratic whose Hessian-vector product is NaN."""
-
-    def hess_vec(self, d):
-        return np.full_like(d, np.nan)
-
-
-class LyingObjective:
-    """Gradient claims ascent along e1 while the value actually falls; no
-    ``hess_vec``, so the line search bisects."""
-
-    def value(self, gamma):
-        return float(-3.0 * gamma[0])
-
-    def grad(self, gamma):
-        return np.array([1.0, 0.0])
-
-
-class NanOffStartObjective:
-    """Finite only at the start vertex e1; its finite gradient leads off it."""
-
-    def value(self, gamma):
-        return 0.0 if gamma[0] == 1.0 else float("nan")
-
-    def grad(self, gamma):
-        return np.array([0.0, 1.0])
+def value(problem, gamma):
+    v0, lin, H = problem
+    return v0 + lin @ gamma + 0.5 * gamma @ H @ gamma
 
 
 def test_point_search_hand_example():
@@ -129,7 +83,7 @@ def test_point_search_matches_vertex_enumeration(n, m, seed):
 
 
 def test_afwa_interior_optimum():
-    res = afwa_maximize(QuadObjective([0.5, 0.5], [1.0, 1.0]), 1e-10, [1.0, 0.0])
+    res = afwa_maximize(*quad([0.5, 0.5], [1.0, 1.0]), 1e-10, [1.0, 0.0])
     assert res.converged
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.weights == pytest.approx([0.5, 0.5], abs=1e-9)
@@ -137,7 +91,7 @@ def test_afwa_interior_optimum():
 
 
 def test_afwa_linear_picks_best_vertex():
-    res = afwa_maximize(LinearObjective([1.0, 3.0, 2.0]), 1e-10, np.ones(3) / 3)
+    res = afwa_maximize(*linear([1.0, 3.0, 2.0]), 1e-10, np.ones(3) / 3)
     assert res.converged
     assert res.value == pytest.approx(3.0)
     assert res.weights == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
@@ -145,14 +99,16 @@ def test_afwa_linear_picks_best_vertex():
 
 
 def test_afwa_boundary_optimum_geometric_rate():
-    # optimum sits on a face; away steps keep the rate linear
+    # optimum sits on a face; away steps keep the rate linear. A run cut
+    # after k iterations returns the gap it measured at its last one.
     rng = np.random.default_rng(41)
-    target = rng.normal(size=10) * 0.8
-    diag = np.geomspace(1.0, 60.0, 10)
-    obj = QuadObjective(target, diag)
-    res = afwa_maximize(obj, 1e-12, np.ones(10) / 10, record_gaps=True)
-    assert res.converged
-    gaps = np.array([g for g in res.gaps if g > 0])
+    problem = quad(rng.normal(size=10) * 0.8, np.geomspace(1.0, 60.0, 10))
+    start = np.ones(10) / 10
+    full = afwa_maximize(*problem, 1e-12, start)
+    assert full.converged
+    gaps = np.array([afwa_maximize(*problem, 1e-12, start, max_iters=k).gap
+                     for k in range(1, full.iterations + 1)] + [full.gap])
+    gaps = gaps[gaps > 0]
     assert len(gaps) >= 3
     # log-linear fit: slope must be negative (geometric decay)
     slope = np.polyfit(np.arange(len(gaps)), np.log(gaps), 1)[0]
@@ -163,18 +119,17 @@ def test_afwa_weights_stay_on_simplex():
     rng = np.random.default_rng(5)
     for _ in range(20):
         T = int(rng.integers(2, 7))
-        target = rng.normal(size=T)
-        diag = rng.uniform(0.5, 3.0, size=T)
+        problem = quad(rng.normal(size=T), rng.uniform(0.5, 3.0, size=T))
         start = rng.dirichlet(np.ones(T))
-        res = afwa_maximize(QuadObjective(target, diag), 1e-9, start)
+        res = afwa_maximize(*problem, 1e-9, start)
         assert res.weights.min() >= -1e-12
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert res.value >= QuadObjective(target, diag).value(start) - 1e-12
+        assert res.value >= value(problem, start) - 1e-12
 
 
 def test_afwa_exhaustion_flagged():
-    obj = QuadObjective([0.3, 0.4, 0.3, 0.0, 0.0], np.ones(5))
-    res = afwa_maximize(obj, 1e-14, [1.0, 0.0, 0.0, 0.0, 0.0], max_iters=1)
+    problem = quad([0.3, 0.4, 0.3, 0.0, 0.0], np.ones(5))
+    res = afwa_maximize(*problem, 1e-14, [1.0, 0.0, 0.0, 0.0, 0.0], max_iters=1)
     assert not res.converged
     assert res.iterations == 1
 
@@ -182,37 +137,32 @@ def test_afwa_exhaustion_flagged():
 def test_afwa_interrupt_returns_feasible_state():
     # the poll runs every 32 iterations, so use a slow ill-conditioned solve
     rng = np.random.default_rng(41)
-    obj = QuadObjective(rng.normal(size=10) * 0.8, np.geomspace(1.0, 60.0, 10))
+    problem = quad(rng.normal(size=10) * 0.8, np.geomspace(1.0, 60.0, 10))
     start = np.ones(10) / 10
-    full = afwa_maximize(obj, 1e-13, start)
+    full = afwa_maximize(*problem, 1e-13, start)
     assert full.iterations > 32  # otherwise the fixture is too easy
-    res = afwa_maximize(obj, 1e-13, start, interrupt=lambda: True)
+    res = afwa_maximize(*problem, 1e-13, start, interrupt=lambda: True)
     assert res.interrupted
     assert not res.converged
     assert res.iterations < full.iterations
     assert res.weights.min() >= -1e-12
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-9)
-    assert res.value >= obj.value(start) - 1e-12
+    assert res.value >= value(problem, start) - 1e-12
 
 
 def test_afwa_tick_counts_iterations():
     calls = []
     res = afwa_maximize(
-        QuadObjective([0.5, 0.5], [1.0, 1.0]), 1e-10, [1.0, 0.0],
+        *quad([0.5, 0.5], [1.0, 1.0]), 1e-10, [1.0, 0.0],
         tick=lambda u: calls.append(u),
     )
     assert len(calls) == res.iterations
 
 
-def test_afwa_detects_objective_decrease():
-    with pytest.raises(ConcavityError):
-        afwa_maximize(LyingObjective(), 1e-9, [0.0, 1.0])
-
-
 def test_afwa_rejects_a_non_finite_value_after_a_step():
-    # NaN fails every comparison, so the decrease test alone lets it through
-    with pytest.raises(SolverError, match="non-finite value"):
-        afwa_maximize(NanOffStartObjective(), 1e-9, [1.0, 0.0])
+    # the gap 1e308 is finite, the value after the full step overflows
+    with pytest.raises(SolverError, match="non-finite value after iteration 0"):
+        afwa_maximize(1.7e308, [0.0, 1e308], np.zeros((2, 2)), 1e-9, [1.0, 0.0])
 
 
 @given(
@@ -224,22 +174,84 @@ def test_afwa_carried_value_and_gap_match_fresh_ones(T, seed):
     # the value is carried along every step and the gradient re-read only
     # to confirm convergence; both must still be those of the returned weights
     rng = np.random.default_rng(seed)
-    obj = QuadObjective(rng.normal(size=T), rng.uniform(0.1, 50.0, size=T))
-    res = afwa_maximize(obj, 1e-9, rng.dirichlet(np.ones(T)))
+    problem = quad(rng.normal(size=T), rng.uniform(0.1, 50.0, size=T))
+    res = afwa_maximize(*problem, 1e-9, rng.dirichlet(np.ones(T)))
     assert res.converged
-    fresh = obj.value(res.weights)
+    fresh = value(problem, res.weights)
     assert res.value == pytest.approx(fresh, rel=1e-9)
-    g = obj.grad(res.weights)
+    _, lin, H = problem
+    g = lin + H @ res.weights
     assert res.gap == g.max() - g @ res.weights
     assert res.gap <= 1e-9
 
 
 def test_afwa_rejects_a_non_finite_hessian_product():
+    H = np.full((2, 2), np.nan)
     with pytest.raises(SolverError, match="non-finite"):
-        afwa_maximize(NanHessianObjective([0.5, 0.5], [1.0, 1.0]), 1e-9,
-                      [1.0, 0.0])
+        afwa_maximize(0.0, [0.0, 1.0], H, 1e-9, [1.0, 0.0])
 
 
 def test_afwa_rejects_bad_start():
     with pytest.raises(ValueError):
-        afwa_maximize(LinearObjective([1.0, 2.0]), 1e-9, [0.7, 0.7])
+        afwa_maximize(*linear([1.0, 2.0]), 1e-9, [0.7, 0.7])
+
+
+@st.composite
+def hulls(draw):
+    """A certificate-like hull: H block-diagonal negative semidefinite with a
+    zero origin row and column, random lin, start and eps, half of the time
+    an interrupt that fires at a random poll, and an iteration cap that
+    some runs exhaust."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    V = draw(st.integers(2, 40))
+    H = np.zeros((V, V))
+    lo = 1
+    while lo < V:
+        hi = min(V, lo + int(rng.integers(1, 5)))
+        root = rng.normal(size=(hi - lo, hi - lo)) * 10.0 ** rng.uniform(-8, 1)
+        H[lo:hi, lo:hi] = -(root @ root.T)
+        lo = hi
+    lin = rng.normal(size=V) * rng.uniform(0.01, 10.0)
+    lin[0] = 0.0
+    start = rng.dirichlet(np.ones(V))
+    start[rng.random(V) < draw(st.floats(0.0, 0.8))] = 0.0
+    if not start.any():
+        start[0] = 1.0
+    start /= start.sum()
+    eps = 10.0 ** draw(st.floats(-13.0, -2.0))
+    fire_at = draw(st.one_of(st.none(), st.integers(1, 6)))
+    max_iters = draw(st.sampled_from([40, 3000]))
+    return float(rng.normal()), lin, H, eps, start, fire_at, max_iters
+
+
+def _run(solver, problem):
+    v0, lin, H, eps, start, fire_at, max_iters = problem
+    ticks, polls = [], []
+
+    def interrupt():
+        polls.append(1)
+        return len(polls) == fire_at
+
+    res = solver(v0, lin.copy(), H.copy(), eps, start.copy(), max_iters=max_iters,
+                 interrupt=None if fire_at is None else interrupt,
+                 tick=ticks.append)
+    return res, ticks, len(polls)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hulls())
+def test_afwa_is_bitwise_the_reference_loop(problem):
+    got, got_ticks, got_polls = _run(afwa_maximize, problem)
+    want, want_ticks, want_polls = _run(afwa_quadratic_reference, problem)
+    assert _bits(got.weights) == _bits(want.weights)
+    assert _bits(got.value) == _bits(want.value)
+    assert _bits(got.gap) == _bits(want.gap)
+    assert got.iterations == want.iterations
+    assert (got.converged, got.interrupted) == (want.converged, want.interrupted)
+    assert got_ticks == want_ticks
+    assert got_polls == want_polls
