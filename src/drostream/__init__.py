@@ -23,7 +23,7 @@ from .certificates import (
     generate,
     revalidate,
 )
-from .cover import Cover, inflated_radius, rebuild
+from .cover import Cover
 from .model import (
     CostModel,
     DomainError,
@@ -89,13 +89,11 @@ __all__ = [
     "certificate_value",
     "estimate_jstar",
     "generate",
-    "inflated_radius",
     "make_rule",
     "point_search",
     "portfolio_model",
     "quadratic_model",
     "radius",
-    "rebuild",
     "revalidate",
     "run",
     "sample_stream",

@@ -36,7 +36,7 @@ from .certificates import (
     plan_from_entries,
     _Problem,
 )
-from .cover import Cover, inflated_radius
+from .cover import Cover
 from .model import Tolerances
 from .runner import EVENT_KINDS, CoverConfig
 from .simplex import point_search
@@ -240,7 +240,7 @@ def verify_events(
                 beta = schedule.beta(window.n_total)
                 eps = ball_radius(concentration, beta, window.n_total)
                 if cover is not None:
-                    eps = inflated_radius(eps, cover_config.omega)
+                    eps += cover.transport_slack()
             if n != window.n_total:
                 fail("structure", f"record {i}: certificate n {n} != ingested")
                 continue

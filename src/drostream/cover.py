@@ -1,18 +1,18 @@
 """Incremental ball cover that compresses a stream into weighted centers.
 
-Each arriving point either lands inside existing radius-omega balls, in
-which case every covering center splits one unit of mass equally, or opens
-a new center carrying the point itself. Multiplicities are exact rationals
-so the total mass equals the stream count with no drift. With the 1-norm
-metric the compressed measure sits within (n - p)/n * omega of the full
-empirical measure in 1-norm transport cost; with the Euclidean metric that
-bound does not hold (ROADMAP.md, item 2).
+Each arriving point either lands inside an existing radius-omega ball, in
+which case the nearest covering center counts it once more, or opens a new
+center carrying the point itself. Counts are integers, so the total mass is
+the stream count. Moving every absorbed point onto the center that counted
+it is a feasible transport plan from the stream's empirical measure to the
+compressed one; the cover adds up that plan's 1-norm cost, and its mean,
+``transport_slack()``, bounds the 1-norm W1 distance between the two
+measures whichever metric decides membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Literal
 
 import numpy as np
@@ -33,19 +33,21 @@ def _dist(centers: Array, point: Array, metric: Metric) -> Array:
 
 @dataclass
 class Cover:
-    """Mutable cover state: center coordinates and rational multiplicities.
+    """Mutable cover state: center coordinates, integer counts and the
+    1-norm cost of moving each absorbed point onto its center.
 
-    The 1-norm metric matches the transport cost the compression bound is
-    stated in; the Euclidean option trades that exact correspondence for
-    coarser covers (any 1-norm ball sits inside the same-radius Euclidean
-    ball, so Euclidean covers open fewer centers).
+    ``metric`` decides membership and the nearest center only; the cost is
+    always measured in the 1-norm of the transport ball. Any 1-norm ball sits
+    inside the same-radius Euclidean ball, so Euclidean covers open fewer
+    centers and may move a point up to sqrt(m) * omega.
     """
 
     omega: float
     metric: Metric = "l1"
     dimension: int | None = None
     _centers: list[np.ndarray] = field(default_factory=list)
-    _theta: list[Fraction] = field(default_factory=list)
+    _counts: list[int] = field(default_factory=list)
+    _moved: float = 0.0
     n_seen: int = 0
 
     def __post_init__(self):
@@ -64,10 +66,7 @@ class Cover:
         return np.stack(self._centers)
 
     def theta(self) -> Array:
-        return np.array([float(t) for t in self._theta])
-
-    def theta_exact(self) -> list[Fraction]:
-        return list(self._theta)
+        return np.array(self._counts, dtype=float)
 
     def update(self, point: Array) -> bool:
         """Absorb one point; True when it opened a new center."""
@@ -78,22 +77,22 @@ class Cover:
             raise ValueError("point dimension changed mid-stream")
         self.n_seen += 1
         if self._centers:
-            d = _dist(np.stack(self._centers), point, self.metric)
-            hits = np.flatnonzero(d <= self.omega)
-            if hits.size:
-                share = Fraction(1, int(hits.size))
-                for i in hits:
-                    self._theta[int(i)] += share
+            centers = np.stack(self._centers)
+            d = _dist(centers, point, self.metric)
+            k = int(np.argmin(d))  # the lowest index on a tie
+            if d[k] <= self.omega:
+                self._counts[k] += 1
+                self._moved += float(np.abs(centers[k] - point).sum())
                 return False
         self._centers.append(point.copy())
-        self._theta.append(Fraction(1))
+        self._counts.append(1)
         return True
 
     def window(self) -> DataWindow:
-        """Weighted window over the centers; multiplicities sum to n exactly."""
+        """Weighted window over the centers; counts sum to n exactly."""
         if not self._centers:
             raise ValueError("cover is empty")
-        total = sum(self._theta, Fraction(0))
+        total = sum(self._counts)
         if total != self.n_seen:
             raise RuntimeError(
                 f"multiplicity mass {total} diverged from the count {self.n_seen}"
@@ -101,30 +100,10 @@ class Cover:
         return DataWindow(self.centers(), self.theta(), self.n_seen)
 
     def transport_slack(self) -> float:
-        """Upper bound on the 1-norm transport distance to the full stream,
-        for ``l1`` covers only: an ``l2`` cover can move a point up to
-        sqrt(m) * omega in the 1-norm (ROADMAP.md, item 2)."""
+        """1-norm cost per unit mass of moving each absorbed point onto its
+        center, which bounds the W1 distance from the stream to the window:
+        a ball of radius eps + slack around the window contains the radius-eps
+        ball around the stream."""
         if self.n_seen == 0:
             return 0.0
-        return (self.n_seen - self.size) / self.n_seen * self.omega
-
-
-def inflated_radius(eps: float, omega: float) -> float:
-    """Budget that makes certificates over the cover dominate the originals.
-
-    An ``l1`` cover moves each absorbed point at most omega in the 1-norm,
-    so widening the ball by omega keeps every distribution the uncompressed
-    ball contains. An ``l2`` cover can move a point up to sqrt(m) * omega
-    in the 1-norm, so for it this budget is too small (ROADMAP.md, item 2).
-    """
-    if eps < 0 or omega < 0:
-        raise ValueError("radii must be nonnegative")
-    return eps + omega
-
-
-def rebuild(points: Array, omega: float, metric: Metric = "l1") -> Cover:
-    """Cover produced by feeding ``points`` in order to a fresh instance."""
-    cover = Cover(omega, metric)
-    for p in np.atleast_2d(np.asarray(points, dtype=float)):
-        cover.update(p)
-    return cover
+        return self._moved / self.n_seen

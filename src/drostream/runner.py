@@ -35,7 +35,7 @@ from .certificates import (
     generate,
     plan_entries,
 )
-from .cover import Cover, Metric, inflated_radius
+from .cover import Cover, Metric
 from .model import CostModel, Tolerances
 from .stream import SamplePoint
 from .subgrad import make_rule, reuse_or_refresh, scaled_step, subgradient
@@ -266,7 +266,7 @@ def run(
         beta = config.schedule.beta(n)
         eps = ball_radius(config.concentration, beta, n)
         if cover is not None:
-            eps = inflated_radius(eps, config.cover.omega)
+            eps += cover.transport_slack()
         return eps, beta
 
     def absorb(counted) -> None:

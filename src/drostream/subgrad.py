@@ -40,7 +40,6 @@ class StepSizeRule:
     horizon overflowed the representable cap.
     """
 
-    name: str
     alpha: Callable[[int], float]
     horizon: int
     horizon_capped: bool = False
@@ -54,7 +53,7 @@ def _constant_rule(tol: Tolerances) -> StepSizeRule:
     slack = tol.eps2 / tol.mu - tol.eps_sa
     rbar = math.ceil(M * M / (slack * slack))
     alpha = M / math.sqrt(rbar + 1.0)
-    return StepSizeRule("constant", lambda i: alpha, rbar)
+    return StepSizeRule(lambda i: alpha, rbar)
 
 
 def _harmonic_rule(tol: Tolerances) -> StepSizeRule:
@@ -64,29 +63,22 @@ def _harmonic_rule(tol: Tolerances) -> StepSizeRule:
     def ok(r: int) -> bool:
         return M * (3.0 - 1.0 / (r + 1.0)) <= 2.0 * slack * math.log(r + 1.0)
 
-    # exact minimum by scan while small; the predicate is only eventually
-    # monotone, so the scan cannot be replaced by bisection here
-    for r in range(1, 4097):
-        if ok(r):
-            return StepSizeRule("harmonic", lambda i: M / (i + 1.0), r)
-    # past the scan range both sides are monotone: bracket by doubling, bisect
-    lo, hi = 4096, 8192
-    while not ok(hi):
-        if hi >= _HORIZON_CAP:
-            return StepSizeRule(
-                "harmonic",
-                lambda i: M / (i + 1.0),
-                _HORIZON_CAP,
-                horizon_capped=True,
-            )
-        lo, hi = hi, min(hi * 2, _HORIZON_CAP)
-    while lo + 1 < hi:
+    # ok(r) is f(r) = 2 slack ln(r+1) - M (3 - 1/(r+1)) >= 0, and
+    # f'(r) = (2 slack (r+1) - M) / (r+1)^2: f falls, then rises. Where it
+    # falls for some r >= 1, slack < M / 4, so f(1) < 0 and f stays negative
+    # there. So ok is monotone for r >= 1 (and ok(0) never holds): bracket
+    # by doubling, then bisect for the smallest feasible horizon.
+    lo, hi = 0, 1
+    while hi < _HORIZON_CAP and not ok(hi):
+        lo, hi = hi, min(2 * hi, _HORIZON_CAP)
+    capped = not ok(hi)
+    while not capped and lo + 1 < hi:
         mid = (lo + hi) // 2
         if ok(mid):
             hi = mid
         else:
             lo = mid
-    return StepSizeRule("harmonic", lambda i: M / (i + 1.0), hi)
+    return StepSizeRule(lambda i: M / (i + 1.0), hi, capped)
 
 
 def make_rule(name: Literal["constant", "harmonic"], tol: Tolerances) -> StepSizeRule:

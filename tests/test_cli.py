@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from drostream.ambiguity import radius as ball_radius
+from drostream.audit import verify_events
 from drostream.certificates import plan_from_entries
 from drostream.cli import main
 from drostream.presets import (
@@ -129,6 +131,37 @@ def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
     assert main(["verify", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"record {picked}: plan or decision not finite" in err
+    assert "FAILED" in err
+
+
+def test_verify_rejects_a_cover_radius_widened_by_omega(tmp_path, capsys):
+    # eps + omega is not the radius a cover run posts: the ball is widened
+    # by the cover's own transport slack
+    out = tmp_path / "cover-run"
+    assert main([
+        "run", "--preset", "study1", "--seed", "0", "--n0", "12", "--cover",
+        "--skip-jstar", "--out-dir", str(out),
+    ]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    mat = materialize(from_dict(config))
+    rc = mat.run_config
+    path = out / "events.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    picked = max(i for i, rec in enumerate(records)
+                 if rec["kind"] == "CertificatePosted")
+    rec = records[picked]
+    rec["radius"] = (ball_radius(rc.concentration, rec["beta"], rec["n"])
+                     + rc.cover.omega)
+    report = verify_events(records, mat.model, rc.concentration, rc.schedule,
+                           rc.cover, tolerances=rc.tolerances)
+    failed = {c.name: c.failures for c in report.checks}
+    assert failed["radius_schedule"] == 1 == sum(failed.values()), failed
+    assert f"record {picked}: radius mismatch" in report.failures
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"record {picked}: radius mismatch" in err
     assert "FAILED" in err
 
 

@@ -279,12 +279,14 @@ def test_budget_spent_bounds_the_exact_w1_distance(make_run):
 def test_audit_reports_a_non_finite_plan_without_raising():
     cfg, res = cover_run()
     records = [ev.record() for ev in res.events]
-    rec = records[47]
-    assert rec["kind"] == "CertificatePosted" and rec["y"][1][:2] == [1, 0]
-    rec["y"][1][2] = float("nan")
+    # the first refresh that moves the second cover center
+    seq, entry = next((r["seq"], e) for r in records
+                      if r["kind"] == "CertificatePosted" and "y" in r
+                      for e in r["y"] if e[:2] == [1, 0])
+    entry[2] = float("nan")
     report = audit(cfg, records)
     assert not report.ok
-    assert "record 47: plan or decision not finite" in report.failures
+    assert f"record {seq}: plan or decision not finite" in report.failures
     structure = next(c for c in report.checks if c.name == "structure")
     assert structure.failures >= 1
 
@@ -476,9 +478,11 @@ def test_audit_checks_the_posted_tolerance_against_the_run():
 
 def test_audit_fails_weighted_certificate_above_its_tolerance():
     # the gap divides by n, not by the p < n cover centers; that looser
-    # normalisation must still let the audit catch a gap above its tolerance
-    cfg, res = cover_run()
-    records = [ev.record() for ev in res.events]
+    # normalisation must still let the audit catch a gap above its tolerance.
+    # The one-dimensional cover run solves every weighted hull exactly, so
+    # take a three-dimensional one.
+    cfg, points = pinned_run("study1", 40, True, None)
+    records = [ev.record() for ev in run(cfg, points).events]
     # each certificate's window has as many atoms as the cover has centers
     atoms, size = {}, None
     for r in records:
@@ -525,14 +529,16 @@ def log_text(result):
 PINNED_WORK = [
     ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79584),
     ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67503),
-    ("study2", 10, True, None, 485, 246, 8904, 0, 0, 707, 370783),
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 78121),
+    ("study2", 10, True, None, 463, 222, 6021, 0, 24, 717, 360139),
 ]
+PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover"]
 
 
 @pytest.mark.parametrize(
     "preset, n0, cover, budget, lp, cp, iters, interrupts, reuses, events, "
     "log_bytes",
-    PINNED_WORK, ids=["study1", "study1-interrupted", "study2-cover"])
+    PINNED_WORK, ids=PINNED_IDS)
 def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
                                   interrupts, reuses, events, log_bytes):
     # the virtual clock meters solver work, so a change that only speeds the
@@ -545,9 +551,27 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
     assert len(log_text(res).encode()) == pytest.approx(log_bytes, rel=0.01)
 
 
+# (preset, n0, cover, budget, the radius of the last certificate posted):
+# eps(beta_n, n) plus the cover's transport slack, which is about 0.80 on
+# study1, below its omega of 1.5, and 5.08 on study2, above its omega of 5
+PINNED_RADIUS = [
+    ("study1", 40, True, None, 1.3296496295015618),
+    ("study2", 10, True, None, 5.964282213853679),
+]
+
+
+@pytest.mark.parametrize("preset, n0, cover, budget, radius", PINNED_RADIUS,
+                         ids=["study1-cover", "study2-cover"])
+def test_cover_runs_post_their_pinned_radius(preset, n0, cover, budget,
+                                             radius):
+    res = run(*pinned_run(preset, n0, cover, budget))
+    last = [ev.record() for ev in res.events
+            if ev.kind == "CertificatePosted"][-1]
+    assert last["radius"] == pytest.approx(radius, rel=1e-12)
+
+
 @pytest.mark.parametrize("preset, n0, cover, budget",
-                         [row[:4] for row in PINNED_WORK],
-                         ids=["study1", "study1-interrupted", "study2-cover"])
+                         [row[:4] for row in PINNED_WORK], ids=PINNED_IDS)
 def test_pinned_runs_log_the_same_bytes_on_the_reference_ascent(
         preset, n0, cover, budget, monkeypatch):
     # the hull ascent only removes overhead around the reference loop's

@@ -114,6 +114,25 @@ def test_harmonic_rule_smallest_feasible_horizon():
     assert rule.alpha(3) == pytest.approx(0.25)
 
 
+@settings(deadline=None, max_examples=300)
+@given(bound=st.floats(1e-3, 1e3), eps2=st.floats(1e-3, 1e3),
+       share=st.floats(0.0, 0.99))
+def test_harmonic_horizon_is_the_first_feasible_one(bound, eps2, share):
+    tol = tolerances(eps1=1e-9, eps2=eps2, eps_sa=max(share * eps2, 1e-9),
+                     subgrad_bound=bound)
+    M, slack = tol.subgrad_bound, tol.eps2 / tol.mu - tol.eps_sa
+
+    def ok(r):
+        return M * (3.0 - 1.0 / (r + 1.0)) <= 2.0 * slack * math.log(r + 1.0)
+
+    rule = make_rule("harmonic", tol)
+    h = rule.horizon
+    if rule.horizon_capped:
+        assert h == 10**18 and not ok(h)
+    else:
+        assert h >= 1 and ok(h) and not ok(h - 1)
+
+
 def test_reuse_tolerance_must_leave_step_slack():
     with pytest.raises(ValueError):
         tolerances(eps2=0.1, eps_sa=0.1)
