@@ -122,7 +122,10 @@ def verify_events(
 
     A step or best update must name by ``cert_seq`` the latest certificate
     posted before it, and match its value; otherwise ``step_links`` or
-    ``best_tracking`` fails.
+    ``best_tracking`` fails. The decision an epoch converges to, and the
+    run's output decision, must be exactly the ``x`` of the certificate
+    their ``best_seq`` names; otherwise ``best_tracking`` or
+    ``termination`` fails.
     """
     checks = {
         name: AuditCheck(name)
@@ -149,7 +152,10 @@ def verify_events(
 
     cover_on = cover_config is not None and cover_config.enabled
     cover = Cover(cover_config.omega, cover_config.metric) if cover_on else None
-    raw: list[np.ndarray] = []
+    # arrivals are replayed into buf[:ingested], so a window grows in place;
+    # each record holds at most one
+    buf = np.empty((len(records), model.dimension_m))
+    ingested = 0
     window: Optional[DataWindow] = None
     certs: dict[int, dict] = {}
 
@@ -200,9 +206,10 @@ def verify_events(
                 fail("structure", f"record {i}: arrival point missing, "
                      "misshapen or not finite")
                 continue
-            raw.append(point)
-            if n != len(raw):
-                fail("arrivals", f"record {i}: count {n} != ingested {len(raw)}")
+            buf[ingested] = point
+            ingested += 1
+            if n != ingested:
+                fail("arrivals", f"record {i}: count {n} != ingested {ingested}")
             if cover is not None:
                 opened = cover.update(point)
                 if rec.get("cover_opened") is not None and bool(
@@ -222,7 +229,7 @@ def verify_events(
 
         elif kind == "CertificatePosted":
             latest_cert = i
-            if not raw:
+            if not ingested:
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
             J, tol, radius = (_number(rec, key) for key in ("J", "tol", "radius"))
@@ -236,7 +243,7 @@ def verify_events(
                 if cover is not None:
                     window = cover.window()
                 else:
-                    window = DataWindow.plain(np.stack(raw))
+                    window = DataWindow.plain(buf[:ingested])
                 beta = schedule.beta(window.n_total)
                 eps = ball_radius(concentration, beta, window.n_total)
                 if cover is not None:
@@ -307,7 +314,7 @@ def verify_events(
                 if tol != want:
                     fail("certificate_gap", f"record {i}: tolerance {tol} "
                          f"is not the run's {want}")
-            certs[i] = {"n": n, "y": y, "J": J}
+            certs[i] = {"n": n, "y": y, "J": J, "x": x}
 
         elif kind in ("DecisionStep", "BestUpdated"):
             # the decision is the cert_seq certificate's x, posted only there
@@ -333,20 +340,29 @@ def verify_events(
         elif kind == "EpochConverged":
             checks["best_tracking"].count += 1
             ref = rec.get("best_seq")
-            if ref is not None and cert(ref) is None:
+            src = cert(ref)
+            x = _array(rec, "x")
+            if src is None:
                 fail("best_tracking", f"record {i}: missing best {ref}")
+            elif x is None or not np.array_equal(x, src["x"]):
+                fail("best_tracking", f"record {i}: epoch x != best "
+                     f"certificate {ref}'s")
 
         elif kind == "Terminated":
             checks["termination"].count += 1
             terminated = True
             src = cert(rec.get("best_seq"))
             J = _number(rec, "J")
+            x = _array(rec, "x")
             if src is None:
                 fail("termination", f"record {i}: missing final certificate")
             elif J is None:
                 fail("structure", f"record {i}: final J missing or malformed")
             elif not _close(J, src["J"]):
                 fail("termination", f"record {i}: final value mismatch")
+            elif x is None or not np.array_equal(x, src["x"]):
+                fail("termination", f"record {i}: final x != best "
+                     "certificate's")
 
     checks["termination"].count += 1
     if not terminated:

@@ -285,11 +285,9 @@ class _QuadraticHull:
         weight = n * problem.window.theta[ks]
         C = problem.model.sample_curvature
         self.H = np.zeros((1 + len(vals), 1 + len(vals)))
-        self.H[1:, 1:] = np.where(
-            ks[:, None] == ks[None, :],
-            np.outer(2.0 * vals / weight, vals) * C[js[:, None], js[None, :]],
-            0.0,
-        )
+        # only pairs on the same atom couple; every other entry stays +0.0
+        a, b = np.nonzero(ks[:, None] == ks[None, :])
+        self.H[1:, 1:][a, b] = (2.0 * vals / weight)[a] * vals[b] * C[js[a], js[b]]
 
     def point(self, gamma: Array) -> Array:
         return _hull_point(self._shape, self._ks, self._js, self._vals, gamma)
@@ -321,6 +319,7 @@ def generate(
     interrupt: Optional[Callable[[], bool]] = None,
     tick: Optional[Callable[[int], None]] = None,
     max_cp_iters: int = 2_000_000,
+    warm_grads: Optional[Array] = None,
 ) -> CertificateResult:
     """eps1-optimal worst-case certificate at decision x.
 
@@ -334,6 +333,10 @@ def generate(
     The returned value never falls below the plain sample average at x
     minus 1e-9: the origin is a permanent hull atom and warm starts fall
     back to it whenever the adapted point would start lower.
+
+    ``warm_grads``, when given, must be the model's gradients at
+    ``warm.y_start`` for this x and window, as ``revalidate`` returns them;
+    the first vertex search then takes them instead of reading them again.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -357,7 +360,7 @@ def generate(
         _check_vertex_rows(vs, (p, m), "window")
         # the origin restart guards the sample-average floor
         j_curr = problem.value(z)
-        G = None  # the first vertex search reads the gradients at z
+        G = warm_grads  # when None, the first vertex search reads them at z
         if j_curr < problem.origin_value:
             z = np.zeros((p, m))
             c = np.zeros(1 + len(vs))
@@ -476,16 +479,18 @@ def adapt(
 
 def revalidate(
     model, x: Array, window: DataWindow, radius: float, warm: WarmState, eps1: float
-) -> tuple[bool, float]:
+) -> tuple[bool, float, Array]:
     """One vertex search at the adapted start: is it already eps1-optimal?
 
     The gap is normalised by ``window.n_total``, like ``generate``'s ``eta``.
     When valid, the adapted value certifies the new window without any hull
     solve (``generate`` with the same warm state returns immediately with
-    zero cp_calls).
+    zero cp_calls). Also returns the gradients the search read, which a
+    refresh hands to ``generate`` as ``warm_grads``.
     """
     scale = window.n_total * radius
     problem = _Problem(model, x, window)
     z = np.asarray(warm.y_start, dtype=float)
-    _, eta = point_search(problem.grads(z), scale, z, n_total=window.n_total)
-    return eta <= eps1, eta
+    G = problem.grads(z)
+    _, eta = point_search(G, scale, z, n_total=window.n_total)
+    return eta <= eps1, eta, G

@@ -199,7 +199,9 @@ def run(
     clock = Clock(config.cost_budget_per_period)
     totals = RunTotals()
     events: list[RunEvent] = []
-    raw: list[Array] = []
+    # the samples ingested so far are buf[:ingested]; a window grows in place
+    buf = np.empty((config.n0, model.dimension_m))
+    ingested = 0
     cover = (
         Cover(config.cover.omega, config.cover.metric)
         if config.cover.enabled
@@ -229,17 +231,19 @@ def run(
         return ev
 
     def ingest(sp: SamplePoint) -> None:
+        nonlocal ingested
         point = np.asarray(sp.value, dtype=float).reshape(-1)
         if point.shape != (model.dimension_m,) or not np.isfinite(point).all():
             raise ValueError(
                 f"sample {sp.index} is not a finite vector of dimension "
                 f"{model.dimension_m}")
-        raw.append(point)
-        opened = cover.update(raw[-1]) if cover is not None else None
+        buf[ingested] = point
+        ingested += 1
+        opened = cover.update(point) if cover is not None else None
         post(
             "DataArrival",
-            n=len(raw),
-            point=raw[-1].tolist(),
+            n=ingested,
+            point=point.tolist(),
             index=sp.index,
             arrival_t=sp.arrival_time,
             cover_opened=opened,
@@ -260,7 +264,7 @@ def run(
     def current_window() -> DataWindow:
         if cover is not None:
             return cover.window()
-        return DataWindow.plain(np.stack(raw))
+        return DataWindow.plain(buf[:ingested])
 
     def current_radius(n: int) -> tuple[float, float]:
         beta = config.schedule.beta(n)
@@ -303,7 +307,7 @@ def run(
             extras["y_ref"] = y_ref
         return post(
             "CertificatePosted",
-            n=len(raw),
+            n=ingested,
             J=cert.j_eps1,
             beta=beta_n,
             x=x,
@@ -335,7 +339,7 @@ def run(
         # certify x on the current window, warm from the last state; an
         # interrupt ingests the due points and retries from its partial state
         while True:
-            n = len(raw)
+            n = ingested
             eps_n, beta_n = current_radius(n)
             window = current_window()
             if warm is not None:
@@ -451,7 +455,7 @@ def run(
         events=events,
         x_best=x_best,
         j_best=j_best,
-        n=len(raw),
+        n=ingested,
         r=r,
         t_final=clock.t,
         totals=totals,

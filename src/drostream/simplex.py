@@ -67,7 +67,7 @@ def point_search(
     y = np.asarray(y_current, dtype=float)
     if G.ndim != 2 or G.shape != y.shape:
         raise ValueError("grads and y_current must both have shape (p, m)")
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise ValueError("gradients must be finite")
     if not scale > 0:
         raise ValueError("scale must be positive")
@@ -80,8 +80,11 @@ def point_search(
     if best == 0.0:
         return np.empty((0, 3), dtype=np.intp), -base / n
     ks, js = np.nonzero(absG == best)
-    signs = np.where(G[ks, js] > 0, 1, -1)
-    return np.column_stack([ks, js, signs]), (scale * best - base) / n
+    vertices = np.empty((len(ks), 3), dtype=np.intp)
+    vertices[:, 0] = ks
+    vertices[:, 1] = js
+    vertices[:, 2] = np.where(G[ks, js] > 0, 1, -1)
+    return vertices, (scale * best - base) / n
 
 
 @dataclass
@@ -139,6 +142,14 @@ def afwa_maximize(
     ``interrupt`` is polled every 32 iterations and, when it fires, the
     current (feasible, no worse than start) weights are returned with
     ``interrupted=True``.
+
+    The weights are renormalized at every 32nd iteration (where
+    ``interrupt`` is polled, whether or not one is given), before the
+    fresh-gradient confirmation and before an exhausted return, not after
+    each step. Steps and the clamp of weights below 1e-15 move their sum off
+    1 only by roundoff, so between renormalizations it drifts by at most
+    about 32 V ulps for V weights. Every returned weight vector is
+    normalized, and its gap is measured on it.
     """
     start = _normalize_start(start)
     state = np.empty((2, start.size))
@@ -158,12 +169,15 @@ def afwa_maximize(
     inf_row = np.full(len(gamma), np.inf)
     gap_fw = math.inf
     for it in range(max_iters):
-        if interrupt is not None and it and it % 32 == 0 and interrupt():
-            return AfwaResult(gamma, val, it, gap_fw, False, interrupted=True)
+        if it and not it % 32:
+            gamma /= np.add.reduce(gamma)
+            if interrupt is not None and interrupt():
+                return AfwaResult(gamma, val, it, gap_fw, False, interrupted=True)
         s = int(g.argmax())
         avg = float(g.dot(gamma))
         gap_fw = g.item(s) - avg
         if gap_fw <= eps:
+            gamma /= np.add.reduce(gamma)
             np.dot(H, gamma, out=g)
             g += lin
             s = int(g.argmax())
@@ -202,7 +216,6 @@ def afwa_maximize(
             gamma[s] = 1.0
         np.less(gamma, 1e-15, out=low)
         np.putmask(gamma, low, 0.0)
-        gamma /= np.add.reduce(gamma)
 
         new_val = val + t * deriv0 + 0.5 * t * t * curv
         if not math.isfinite(new_val):
@@ -217,4 +230,5 @@ def afwa_maximize(
         val = new_val
         if tick is not None:
             tick(1)
+    gamma /= np.add.reduce(gamma)
     return AfwaResult(gamma, val, max_iters, gap_fw, False)

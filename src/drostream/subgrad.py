@@ -134,10 +134,12 @@ def reuse_or_refresh(
     decision. Within the reuse tolerance the old plan certifies: the reused
     certificate is ``prev`` with its value re-evaluated at x_new, the new
     gap, and the one vertex search as its work. Otherwise a full solve runs
-    warm-started from it.
+    warm-started from it, its first vertex search on the gradients the
+    revalidation read.
     """
     warm = prev.warm_state()
-    valid, eta = revalidate(model, x_new, window, radius, warm, tol.eps_sa)
+    valid, eta, grads = revalidate(model, x_new, window, radius, warm,
+                                   tol.eps_sa)
     if tick is not None:
         tick(1)
     if valid:
@@ -155,6 +157,7 @@ def reuse_or_refresh(
             warm=warm,
             interrupt=interrupt,
             tick=tick,
+            warm_grads=grads,
         )
     except CertificateInterrupted as ci:
         ci.lp_calls += 1  # the failed revalidation search above

@@ -3,8 +3,8 @@
 Everything here is deliberately written from first principles with none of
 the package's machinery: closed-form water-filling for the quadratic
 worst case, exact optimal transport as a linear program and by assignment
-on unit-mass copies, and brute-force grid minimization. Slow and simple on
-purpose.
+on unit-mass copies, and golden-section minimization of a convex scalar
+objective. Slow and simple on purpose.
 
 It also keeps the general hull ascent the package used before it required
 costs quadratic in the sample: ``HullObjective`` rebuilds the dense plan and
@@ -172,15 +172,32 @@ def w1_matching(p_atoms, p_weights, q_atoms, q_weights, max_copies=8000):
     return float(cost[ri, ci].sum()) / total
 
 
-def grid_min_decision(A, B, c_diag, points, theta, n_total, eps, lo, hi, steps):
-    """Brute-force the one-dimensional robust decision on a grid."""
-    xs = np.linspace(lo, hi, steps)
-    vals = [
-        waterfill_certificate(A, B, c_diag, np.array([xx]), points, theta, n_total, eps)[0]
-        for xx in xs
-    ]
-    i = int(np.argmin(vals))
-    return float(xs[i]), float(vals[i])
+def robust_value_1d(A, B, c_diag, points, theta, n_total, eps):
+    """x -> the exact worst-case value at the scalar decision x."""
+    def value(x):
+        return waterfill_certificate(A, B, c_diag, np.array([x]), points,
+                                     theta, n_total, eps)[0]
+    return value
+
+
+def golden_min(f, lo, hi, xtol=1e-9):
+    """Golden-section search for the minimum of a convex f on [lo, hi],
+    down to a bracket narrower than ``xtol``; returns (x, f(x)) at the
+    better of the two inner points."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 class HullObjective:
@@ -289,8 +306,10 @@ def afwa_reference(objective, eps, start, max_iters=1_000_000,
 
     With ``hess_vec`` (an objective quadratic in the weights) each step is
     exact and carries the gradient and value along it, and a gap at or below
-    ``eps`` is confirmed on a fresh ``grad``; without it each step bisects
-    and both are re-evaluated. ``record_gaps`` keeps every Frank-Wolfe gap.
+    ``eps`` is confirmed on a fresh ``grad``; the weights are renormalized
+    at every 32nd iteration, before that confirmation and before an
+    exhausted return. Without it each step bisects, renormalizes and
+    re-evaluates both. ``record_gaps`` keeps every Frank-Wolfe gap.
     Raises SolverError on a non-finite value or gradient and ConcavityError
     when the value falls.
     """
@@ -303,11 +322,15 @@ def afwa_reference(objective, eps, start, max_iters=1_000_000,
     gaps = [] if record_gaps else None
     gap_fw = math.inf
     for it in range(max_iters):
-        if interrupt is not None and it and it % 32 == 0 and interrupt():
-            return AfwaTrace(gamma, val, it, gap_fw, False, gaps,
-                             interrupted=True)
+        if it and it % 32 == 0:
+            if hess_vec is not None:
+                gamma /= gamma.sum()
+            if interrupt is not None and interrupt():
+                return AfwaTrace(gamma, val, it, gap_fw, False, gaps,
+                                 interrupted=True)
         s, avg, gap_fw = _fw_gap(g, gamma)
         if hess_vec is not None and gap_fw <= eps:
+            gamma /= gamma.sum()
             g = np.asarray(objective.grad(gamma), dtype=float)
             s, avg, gap_fw = _fw_gap(g, gamma)
         if not math.isfinite(gap_fw):
@@ -344,9 +367,9 @@ def afwa_reference(objective, eps, start, max_iters=1_000_000,
             gamma = np.zeros_like(gamma)
             gamma[s] = 1.0
         gamma[gamma < 1e-15] = 0.0
-        gamma /= gamma.sum()
 
         if hess_vec is None:
+            gamma /= gamma.sum()
             g = np.asarray(objective.grad(gamma), dtype=float)
             new_val = float(objective.value(gamma))
         else:
@@ -364,6 +387,8 @@ def afwa_reference(objective, eps, start, max_iters=1_000_000,
         val = new_val
         if tick is not None:
             tick(1)
+    if hess_vec is not None:
+        gamma /= gamma.sum()
     return AfwaTrace(gamma, val, max_iters, gap_fw, False, gaps)
 
 

@@ -168,7 +168,7 @@ def test_revalidate_weighted_window_matches_generate_gap():
     x = np.array([0.3])
     cert = generate(model, x, win, 2.0, EPS1)
     assert cert.eta > 0
-    valid, eta = revalidate(model, x, win, 2.0, cert.warm_state(), EPS1)
+    valid, eta, _ = revalidate(model, x, win, 2.0, cert.warm_state(), EPS1)
     assert eta == cert.eta
     assert valid
 
@@ -273,7 +273,7 @@ def test_revalidate_repeat_atom_and_unchanged_radius():
     cert = generate(model, np.array([0.0]), win2, 0.5, EPS1)
     win3 = DataWindow(np.array([[2.0]]), np.array([3.0]), 3)
     warm = adapt(cert.vertex_set, cert.gamma, 3, 0.5, (1, 1))
-    valid, eta = revalidate(model, np.array([0.0]), win3, 0.5, warm, 1e-5)
+    valid, eta, _ = revalidate(model, np.array([0.0]), win3, 0.5, warm, 1e-5)
     assert valid
     assert eta <= 1e-5
 
@@ -282,7 +282,7 @@ def test_revalidate_repeat_atom_and_unchanged_radius():
     pts3 = np.array([[2.0], [2.0], [2.0]])
     cert_p = generate(model, np.array([0.0]), DataWindow.plain(pts3[:2]), 0.5, EPS1)
     warm_p = adapt(cert_p.vertex_set, cert_p.gamma, 3, 0.5, (3, 1))
-    valid_p, eta_p = revalidate(
+    valid_p, eta_p, _ = revalidate(
         model, np.array([0.0]), DataWindow.plain(pts3), 0.5, warm_p, 1e-5
     )
     assert not valid_p
@@ -295,7 +295,7 @@ def test_revalidate_far_out_point_fails():
     cert = generate(model, np.array([0.0]), DataWindow.plain(pts), 0.5, EPS1)
     pts2 = np.array([[2.0], [40.0]])
     warm = adapt(cert.vertex_set, cert.gamma, 2, 0.5, (2, 1))
-    valid, eta = revalidate(
+    valid, eta, _ = revalidate(
         model, np.array([0.0]), DataWindow.plain(pts2), 0.5, warm, 1e-5
     )
     assert not valid
@@ -339,6 +339,46 @@ def test_interrupt_carries_partial_state_and_counters():
     resumed = generate(model, np.array([0.0]), win, 0.5, EPS1, warm=warm)
     cold = generate(model, np.array([0.0]), win, 0.5, EPS1)
     assert resumed.j_eps1 == pytest.approx(cold.j_eps1, abs=2 * EPS1)
+
+
+@st.composite
+def vertex_hulls(draw):
+    """A weighted window, a negative definite curvature with some exact-zero
+    off-diagonal entries, and distinct signed vertices, several per atom."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    off = rng.normal(size=(m, m)) * (rng.random((m, m)) < 0.5)
+    off = np.triu(off, 1)
+    off = off + off.T
+    C = -(off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.1, 2.0, m)))
+    theta = rng.integers(1, 4, p).astype(float)
+    win = DataWindow(rng.normal(size=(p, m)), theta, int(theta.sum()))
+    rows = np.column_stack([rng.integers(0, p, 30), rng.integers(0, m, 30),
+                            rng.choice([-1, 1], 30)])
+    vs = np.unique(rows, axis=0)[: draw(st.integers(1, 30))]
+    model = quadratic_model([[1.0]], np.zeros((1, m)), C)
+    return model, win, vs, draw(st.floats(0.01, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_hulls())
+def test_hull_hessian_is_bitwise_the_dense_formula(case):
+    # H is filled on same-atom pairs only; it must equal, zeros' signs
+    # included, the masked dense product it replaced
+    model, win, vs, scale = case
+    hull = certificates._QuadraticHull(
+        certificates._Problem(model, np.zeros(1), win), vs, scale)
+    ks, js, signs = vs.T
+    vals = signs * scale
+    weight = win.n_total * win.theta[ks]
+    C = model.sample_curvature
+    dense = np.zeros((1 + len(vs), 1 + len(vs)))
+    dense[1:, 1:] = np.where(
+        ks[:, None] == ks[None, :],
+        np.outer(2.0 * vals / weight, vals) * C[js[:, None], js[None, :]],
+        0.0,
+    )
+    assert hull.H.tobytes() == dense.tobytes()
 
 
 def test_weight_space_hull_matches_the_oracle_hull():

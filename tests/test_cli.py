@@ -270,6 +270,29 @@ def test_verify_reports_a_link_to_an_earlier_certificate_and_exits_1(
     assert "FAILED" in err
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("EpochConverged", "epoch x != best certificate"),
+    ("Terminated", "final x != best certificate's"),
+], ids=["epoch", "final"])
+def test_verify_reports_a_shifted_output_decision_and_exits_1(
+        run_dir, tmp_path, capsys, kind, message):
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    picked = max(i for i, rec in enumerate(records) if rec["kind"] == kind)
+    records[picked]["x"] = [v + 5.0 for v in records[picked]["x"]]
+    lines[picked] = json.dumps(records[picked])
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    err = capsys.readouterr().err
+    assert f"record {picked}: {message}" in err
+    assert "FAILED" in err
+
+
 def test_verify_checks_the_posted_tolerance_and_exits_1(
         run_dir, tmp_path, capsys):
     lines = (run_dir / "events.jsonl").read_text().splitlines()

@@ -440,6 +440,32 @@ def test_audit_requires_a_link_to_the_latest_certificate(make_records, kind,
             f"{own}") in report.failures
 
 
+def shift_x(rec):
+    rec["x"] = [v + 5.0 for v in rec["x"]]
+
+
+@pytest.mark.parametrize("kind, tamper, check, message", [
+    ("EpochConverged", shift_x, "best_tracking",
+     "epoch x != best certificate"),
+    ("EpochConverged", lambda rec: rec.pop("best_seq"), "best_tracking",
+     "missing best None"),
+    ("Terminated", shift_x, "termination", "final x != best certificate's"),
+], ids=["epoch-x", "epoch-no-best", "final-x"])
+def test_audit_requires_the_best_certificates_decision(kind, tamper, check,
+                                                        message):
+    # the epoch's and the run's output decision is the x of the certificate
+    # best_seq names; a shifted x keeps every posted value
+    cfg, records = plain_records()
+    assert audit(cfg, records).ok
+    i = max(i for i, r in enumerate(records) if r["kind"] == kind)
+    tamper(records[i])
+    report = audit(cfg, records)
+    failed = {c.name: c.failures for c in report.checks}
+    assert failed[check] == 1 and sum(failed.values()) == 1
+    assert any(f.startswith(f"record {i}: {message}")
+               for f in report.failures), report.failures
+
+
 def test_audit_fails_an_infinite_value_and_a_nan_tolerance():
     # inf - x is inf, which the relative tolerance max(|a|, |b|) would absorb
     cfg, records = two_sample_records()
@@ -549,6 +575,20 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
     assert (t.lp_calls, t.cp_calls, t.afwa_iters, t.interrupts, t.reuses,
             len(res.events)) == (lp, cp, iters, interrupts, reuses, events)
     assert len(log_text(res).encode()) == pytest.approx(log_bytes, rel=0.01)
+
+
+# the best value of each PINNED_WORK run, recorded while the hull ascent
+# still renormalized its weights after every step; it renormalizes less
+# often now, which moves only the last digits
+PINNED_J_BEST = [-36.146569498173086, -36.14656949818273, -29.026615253933,
+                 -2596.401792541596]
+
+
+@pytest.mark.parametrize("row, j_best", zip(PINNED_WORK, PINNED_J_BEST),
+                         ids=PINNED_IDS)
+def test_pinned_runs_keep_their_best_value(row, j_best):
+    res = run(*pinned_run(*row[:4]))
+    assert res.j_best == pytest.approx(j_best, rel=1e-9)
 
 
 # (preset, n0, cover, budget, the radius of the last certificate posted):

@@ -255,3 +255,14 @@ def test_afwa_is_bitwise_the_reference_loop(problem):
     assert (got.converged, got.interrupted) == (want.converged, want.interrupted)
     assert got_ticks == want_ticks
     assert got_polls == want_polls
+
+
+@settings(max_examples=300, deadline=None)
+@given(hulls())
+def test_afwa_returns_weights_on_the_unit_simplex(problem):
+    # steps leave the weights unnormalized between polls; whether the
+    # ascent converges, is interrupted or runs out of iterations, what it
+    # returns is renormalized
+    res, _, _ = _run(afwa_maximize, problem)
+    assert res.weights.min() >= 0.0
+    assert abs(res.weights.sum() - 1.0) <= 1e-13

@@ -1,5 +1,6 @@
 """Subgradient extraction, step rules, and the certificate reuse test."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from drostream.certificates import DataWindow, generate
 from drostream.model import Tolerances, quadratic_model
 from drostream.subgrad import make_rule, reuse_or_refresh, scaled_step, subgradient
 
-from oracles import grid_min_decision, waterfill_certificate
+from oracles import golden_min, robust_value_1d, waterfill_certificate
 
 EPS1 = 1e-7
 
@@ -178,6 +179,37 @@ def test_large_step_with_flipped_atoms_forces_refresh():
     assert out.cert.j_eps1 == pytest.approx(fresh.j_eps1, abs=1e-6)
 
 
+@pytest.mark.parametrize("pts, x_old, x_new, radius", [
+    ([[-2.0], [0.5], [2.0]], 3.0, -3.0, 0.2),
+    ([[0.0], [0.3]], 4.0, -4.0, 0.5),
+], ids=["carried-start", "origin-start"])
+def test_a_refresh_reads_no_gradient_twice(pts, x_old, x_new, radius):
+    # the carried plan fails its revalidation at x_new. In the first case it
+    # still starts above the sample average, so the refresh's first vertex
+    # search takes the gradients the revalidation read there; in the second
+    # it starts below, so the refresh restarts at the origin and must read
+    # the origin's. Either way the certificate is generate's own
+    model = coupled_quadratic()
+    win = DataWindow.plain(np.array(pts))
+    prev = generate(model, np.array([x_old]), win, radius, EPS1)
+    calls = []
+
+    def grad_y(x, points, y):
+        calls.append((np.asarray(x).tobytes(), np.asarray(y).tobytes()))
+        return model.grad_y(x, points, y)
+
+    x_new = np.array([x_new])
+    out = reuse_or_refresh(dataclasses.replace(model, grad_y=grad_y), x_new,
+                           win, radius, tolerances(), prev)
+    assert not out.reused
+    assert len(calls) >= 2 and len(set(calls)) == len(calls)
+    want = generate(model, x_new, win, radius, EPS1, warm=prev.warm_state())
+    assert (out.cert.j_eps1, out.cert.eta) == (want.j_eps1, want.eta)
+    assert np.array_equal(out.cert.z, want.z)
+    assert (out.cert.lp_calls, out.cert.cp_calls, out.cert.afwa_iters) == (
+        want.lp_calls, want.cp_calls, want.afwa_iters)
+
+
 def test_constant_rule_reaches_eps2_band():
     # Smooth scalar instance with a computable reference minimum: the best
     # iterate within the rule's horizon lands inside the eps2 band.
@@ -187,10 +219,13 @@ def test_constant_rule_reaches_eps2_band():
     radius = 0.3
     tol = tolerances(eps1=1e-7, eps2=0.2, eps_sa=0.05, subgrad_bound=2.0)
     rule = make_rule("constant", tol)
-    _, j_star = grid_min_decision(
-        np.array([[1.0]]), np.array([[1.0]]), np.array([-1.0]),
-        pts, np.ones(3), 3, radius, -3.0, 3.0, 6001,
-    )
+    robust = robust_value_1d(np.array([[1.0]]), np.array([[1.0]]),
+                             np.array([-1.0]), pts, np.ones(3), 3, radius)
+    # the worst case over the ball is convex in x, so the golden-section
+    # search finds the minimum on [-3, 3]
+    grid = [robust(z) for z in np.linspace(-3.0, 3.0, 601)]
+    assert np.all(np.diff(grid, 2) >= 0.0)
+    _, j_star = golden_min(robust, -3.0, 3.0, xtol=1e-9)
     x = np.array([1.5])
     best = np.inf
     for k in range(rule.horizon):
