@@ -122,10 +122,12 @@ def verify_events(
 
     A step or best update must name by ``cert_seq`` the latest certificate
     posted before it, and match its value; otherwise ``step_links`` or
-    ``best_tracking`` fails. The decision an epoch converges to, and the
-    run's output decision, must be exactly the ``x`` of the certificate
-    their ``best_seq`` names; otherwise ``best_tracking`` or
-    ``termination`` fails.
+    ``best_tracking`` fails. Each epoch's best certificate is tracked by the
+    runner's rule: the epoch's first certificate, then each later one whose
+    ``J`` is strictly lower. A best update must follow exactly the steps
+    whose certificate lowers it. The epoch's convergence and the run's
+    termination must name it by ``best_seq`` and post its ``J`` and exactly
+    its ``x``. Otherwise ``best_tracking`` or ``termination`` fails.
     """
     checks = {
         name: AuditCheck(name)
@@ -166,6 +168,9 @@ def verify_events(
     last_t = -np.inf
     last_n = 0
     latest_cert = None  # seq of the latest CertificatePosted record
+    # the epoch (record l) of the latest certificate and the seq of its best
+    # one; improved is a certificate that lowered it and awaits BestUpdated
+    epoch = best = improved = None
     terminated = False
 
     for i, rec in enumerate(records):
@@ -180,6 +185,10 @@ def verify_events(
         if kind not in EVENT_KINDS:
             fail("structure", f"record {i}: unknown kind {kind!r}")
             continue
+        if improved is not None and kind not in ("DecisionStep", "BestUpdated"):
+            fail("best_tracking", f"record {improved}: certificate lowers "
+                 "its epoch's best J but no best update follows")
+            improved = None
         t = _number(rec, "t")
         if t is None or not math.isfinite(t) or t < last_t - 1e-12:
             fail("structure", f"record {i}: time {t} moves backward")
@@ -315,6 +324,10 @@ def verify_events(
                     fail("certificate_gap", f"record {i}: tolerance {tol} "
                          f"is not the run's {want}")
             certs[i] = {"n": n, "y": y, "J": J, "x": x}
+            if rec.get("l") != epoch:
+                epoch, best = rec.get("l"), i
+            elif J < certs[best]["J"]:
+                best = improved = i
 
         elif kind in ("DecisionStep", "BestUpdated"):
             # the decision is the cert_seq certificate's x, posted only there
@@ -336,6 +349,11 @@ def verify_events(
                      f"not the latest {latest_cert}")
             elif not _close(J, src["J"]):
                 fail(check, f"record {i}: {what} value != certificate")
+            elif kind == "BestUpdated" and ref != improved:
+                fail(check, f"record {i}: best update for certificate {ref}, "
+                     "which does not lower its epoch's best J")
+            if kind == "BestUpdated":
+                improved = None
 
         elif kind == "EpochConverged":
             checks["best_tracking"].count += 1
@@ -344,6 +362,12 @@ def verify_events(
             x = _array(rec, "x")
             if src is None:
                 fail("best_tracking", f"record {i}: missing best {ref}")
+            elif ref != best:
+                fail("best_tracking", f"record {i}: epoch best names "
+                     f"certificate {ref}, not the epoch's best {best}")
+            elif _number(rec, "J") != src["J"]:
+                fail("best_tracking", f"record {i}: epoch J != best "
+                     f"certificate {ref}'s")
             elif x is None or not np.array_equal(x, src["x"]):
                 fail("best_tracking", f"record {i}: epoch x != best "
                      f"certificate {ref}'s")
@@ -351,11 +375,15 @@ def verify_events(
         elif kind == "Terminated":
             checks["termination"].count += 1
             terminated = True
-            src = cert(rec.get("best_seq"))
+            ref = rec.get("best_seq")
+            src = cert(ref)
             J = _number(rec, "J")
             x = _array(rec, "x")
             if src is None:
                 fail("termination", f"record {i}: missing final certificate")
+            elif ref != best:
+                fail("termination", f"record {i}: final best names "
+                     f"certificate {ref}, not the epoch's best {best}")
             elif J is None:
                 fail("structure", f"record {i}: final J missing or malformed")
             elif not _close(J, src["J"]):

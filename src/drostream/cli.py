@@ -1,10 +1,14 @@
 """Command-line harness: run experiments, verify logs, replay runs.
 
   run     execute a preset or custom config; writes events.jsonl,
-          trajectory.csv, summary.json, and stream.jsonl into --out-dir
+          trajectory.csv, summary.json, and stream.jsonl into --out-dir.
+          The stream is written first and each event as it is posted, so a
+          run that fails still leaves its stream, the events it posted and
+          a summary.json with status "failed", the error, its traceback
+          and the config
   verify  re-check a run directory's event log: every certificate's value,
           transport budget (which bounds its W1 distance), gap, tolerance
-          and radius
+          and radius, and each epoch's best certificate and output decision
   replay  re-run from the dumped stream and compare event logs byte-wise
 
 Exit codes: 0 success; 1 verification/replay mismatch or solver failure;
@@ -19,6 +23,7 @@ import csv
 import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -74,13 +79,9 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
-def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
-                  stream_points) -> dict:
-    """Write the four run artifacts; returns the summary dict."""
-    with open(out / EVENTS_FILE, "w") as fh:
-        for ev in result.events:
-            fh.write(json.dumps(ev.record()) + "\n")
-
+def write_outputs(out: Path, cfg, result, j_star_est, x_star_est) -> dict:
+    """Write the trajectory and the summary of a completed run; returns the
+    summary dict."""
     cp_running = 0
     cover_size = None  # the size after the latest arrival; None without a cover
     rows = []
@@ -108,8 +109,6 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est,
         writer = csv.DictWriter(fh, fieldnames=TRAJECTORY_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-
-    dump_stream(stream_points, out / STREAM_FILE)
 
     final_rel = (
         abs(result.j_best - j_star_est) / abs(j_star_est)
@@ -157,18 +156,24 @@ def cmd_run(args) -> int:
     except presets.ConfigError as exc:
         return _fail(2, f"config error: {exc}")
     out = _out_dir(args, cfg)
-
-    x_star_est, j_star_est = (None, None)
-    if not args.skip_jstar:
-        x_star_est, j_star_est = estimate_jstar(
-            mat.model, mat.mixture, cfg.seed, n_validation=cfg.n_validation)
-
     try:
-        result = run(mat.run_config, mat.stream)
+        dump_stream(mat.stream, out / STREAM_FILE)
+        x_star_est, j_star_est = (None, None)
+        if not args.skip_jstar:
+            x_star_est, j_star_est = estimate_jstar(
+                mat.model, mat.mixture, cfg.seed,
+                n_validation=cfg.n_validation)
+        with open(out / EVENTS_FILE, "w") as fh:
+            result = run(mat.run_config, mat.stream, on_event=lambda ev:
+                         fh.write(json.dumps(ev.record()) + "\n"))
+        summary = write_outputs(out, cfg, result, j_star_est, x_star_est)
     except Exception as exc:  # solver failure is an exit-1 diagnostic
-        return _fail(1, f"run failed: {type(exc).__name__}: {exc}")
-    summary = write_outputs(out, cfg, result, j_star_est, x_star_est,
-                            mat.stream)
+        error = f"{type(exc).__name__}: {exc}"
+        with open(out / SUMMARY_FILE, "w") as fh:
+            json.dump({"status": "failed", "error": error,
+                       "traceback": traceback.format_exc(),
+                       "config": cfg.to_dict()}, fh, indent=2)
+        return _fail(1, f"run failed: {error}")
 
     rel = summary["final"]["rel_error"]
     rel_txt = "n/a" if rel is None else f"{rel:.4f}"

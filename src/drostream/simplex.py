@@ -150,6 +150,21 @@ def afwa_maximize(
     1 only by roundoff, so between renormalizations it drifts by at most
     about 32 V ulps for V weights. Every returned weight vector is
     normalized, and its gap is measured on it.
+
+    The active set is kept between steps, not recomputed. A row that is 0.0
+    on the active weights and inf off them makes the away search one add
+    and one argmin; a toward step, an eviction and a full toward step set
+    it by rule. The clamp, which zeroes the weights below 1e-15 and
+    rebuilds that row, runs after the first step (a start may hold -0.0 or
+    weights below 1e-15) and after any later step that leaves an active
+    weight below 1e-15. A lower bound on the active weights says when to
+    look: an away step lowers only the away weight, a toward step scales
+    the others by at least (1 - t) - 1e-15 after rounding, and the bound is
+    made exact at every renormalization. Adding 0.0 keeps every gradient
+    value, and the clamp changes nothing while every active weight is at
+    least 1e-15, so the iterates are bitwise those of a loop that clamps
+    and masks after every step (``afwa_quadratic_reference`` in the
+    tests).
     """
     start = _normalize_start(start)
     state = np.empty((2, start.size))
@@ -164,13 +179,17 @@ def afwa_maximize(
     g += lin
     step = np.empty_like(state)
     d, Hd = step
-    # low marks the weights off the active set; it also masks the away search
-    low = np.logical_not(gamma > 0)
-    inf_row = np.full(len(gamma), np.inf)
+    # pen is 0.0 on the active weights and inf off them, so the away search
+    # is the argmin of g + pen; floor is a lower bound on the active weights,
+    # and 0.0 makes the first step clamp
+    pen = np.where(gamma > 0, 0.0, np.inf)
+    buf = np.empty_like(gamma)
+    floor = 0.0
     gap_fw = math.inf
     for it in range(max_iters):
         if it and not it % 32:
             gamma /= np.add.reduce(gamma)
+            floor = float(np.add(gamma, pen, out=buf).min())
             if interrupt is not None and interrupt():
                 return AfwaResult(gamma, val, it, gap_fw, False, interrupted=True)
         s = int(g.argmax())
@@ -178,6 +197,7 @@ def afwa_maximize(
         gap_fw = g.item(s) - avg
         if gap_fw <= eps:
             gamma /= np.add.reduce(gamma)
+            floor = float(np.add(gamma, pen, out=buf).min())
             np.dot(H, gamma, out=g)
             g += lin
             s = int(g.argmax())
@@ -189,7 +209,7 @@ def afwa_maximize(
         if gap_fw <= eps:
             return AfwaResult(gamma, val, it, gap_fw, True)
 
-        v = int(np.where(low, inf_row, g).argmin())
+        v = int(np.add(g, pen, out=buf).argmin())
         gap_away = avg - g.item(v)
         gamma_v = gamma.item(v)
         if gap_fw >= gap_away or gamma_v >= 1.0 - 1e-15:
@@ -209,13 +229,32 @@ def afwa_maximize(
             t = min(t_max, deriv0 / (-curv))
         step *= t
         state += step
-        if away and t >= t_max * (1.0 - 1e-12):
-            gamma[v] = 0.0
-        if not away and t >= 1.0 - 1e-12:
+        # keep floor a lower bound on the active weights: an away step only
+        # grows those but v, and a toward step shrinks each by a factor of
+        # at least (1 - t) - 1e-15 after rounding; clamp only when the exact
+        # minimum is below 1e-15, or after the first step
+        if away:
+            if t >= t_max * (1.0 - 1e-12):
+                gamma[v] = 0.0
+                pen[v] = math.inf
+            else:
+                floor = min(floor, gamma.item(v))
+        elif t >= 1.0 - 1e-12:
             gamma[:] = 0.0
             gamma[s] = 1.0
-        np.less(gamma, 1e-15, out=low)
-        np.putmask(gamma, low, 0.0)
+            pen.fill(math.inf)
+            pen[s] = 0.0
+            floor = 1.0
+        else:
+            pen[s] = 0.0
+            floor = min(floor * ((1.0 - t) - 1e-15), gamma.item(s))
+        if floor < 1e-15:
+            floor = float(np.add(gamma, pen, out=buf).min())
+            if floor < 1e-15 or not it:
+                low = gamma < 1e-15
+                gamma[low] = 0.0
+                pen = np.where(low, math.inf, 0.0)
+                floor = float(np.add(gamma, pen, out=buf).min())
 
         new_val = val + t * deriv0 + 0.5 * t * t * curv
         if not math.isfinite(new_val):

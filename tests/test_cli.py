@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from drostream.ambiguity import radius as ball_radius
+from drostream import certificates
 from drostream.audit import verify_events
 from drostream.certificates import plan_from_entries
 from drostream.cli import main
@@ -21,6 +22,7 @@ from drostream.presets import (
     study1,
 )
 from drostream.runner import run
+from drostream.simplex import SolverError
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +295,39 @@ def test_verify_reports_a_shifted_output_decision_and_exits_1(
     assert "FAILED" in err
 
 
+def test_verify_reports_an_output_that_is_not_the_epochs_best_and_exits_1(
+        run_dir, tmp_path, capsys):
+    # the last epoch's convergence and the termination name, with its J and
+    # x, the epoch's other certificate, whose J is higher than the best's
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    end, stop = (max(i for i, rec in enumerate(records) if rec["kind"] == kind)
+                 for kind in ("EpochConverged", "Terminated"))
+    best = records[end]["best_seq"]
+    other = next(j for j, rec in enumerate(records)
+                 if rec["kind"] == "CertificatePosted" and j != best
+                 and rec["l"] == records[best]["l"])
+    assert records[other]["J"] > records[best]["J"]
+    for i in (end, stop):
+        records[i].update(best_seq=other, J=records[other]["J"],
+                          x=records[other]["x"])
+        lines[i] = json.dumps(records[i])
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    assert "best_tracking: FAIL (" in captured.out
+    assert "termination: FAIL (" in captured.out
+    assert (f"record {end}: epoch best names certificate {other}, not the "
+            f"epoch's best {best}") in captured.err
+    assert (f"record {stop}: final best names certificate {other}, not the "
+            f"epoch's best {best}") in captured.err
+
+
 def test_verify_checks_the_posted_tolerance_and_exits_1(
         run_dir, tmp_path, capsys):
     lines = (run_dir / "events.jsonl").read_text().splitlines()
@@ -311,6 +346,42 @@ def test_verify_checks_the_posted_tolerance_and_exits_1(
     err = capsys.readouterr().err
     assert f"record {picked}: tolerance 1000000000.0 is not the run's" in err
     assert "FAILED" in err
+
+
+def test_a_failed_run_leaves_its_events_and_a_failed_summary(
+        tmp_path, monkeypatch, capsys):
+    # the hull ascent fails on its fifth call, after some certificates
+    real = certificates.afwa_maximize
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise SolverError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "afwa_maximize", failing)
+    out = tmp_path / "failed"
+    assert main(["run", "--preset", "study1", "--seed", "0", "--n0", "12",
+                 "--out-dir", str(out), "--skip-jstar"]) == 1
+    assert "run failed: SolverError: injected failure" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "failed"
+    assert summary["error"] == "SolverError: injected failure"
+    assert "injected failure" in summary["traceback"]
+    assert (summary["config"]["preset"], summary["config"]["n0"]) == (
+        "study1", 12)
+    records = [json.loads(line)
+               for line in (out / "events.jsonl").read_text().splitlines()]
+    assert [r["seq"] for r in records] == list(range(len(records)))
+    assert any(r["kind"] == "CertificatePosted" for r in records)
+    assert (out / "stream.jsonl").exists()
+    # the prefix audits clean but for its missing termination
+    assert main(["verify", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "termination: FAIL (1 checked, 1 failed)" in captured.out
+    assert captured.out.count("FAIL") == 1
+    assert "log does not end with a termination event" in captured.err
 
 
 def test_replay_reproduces_the_event_log(run_dir, capsys):

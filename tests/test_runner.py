@@ -466,6 +466,67 @@ def test_audit_requires_the_best_certificates_decision(kind, tamper, check,
                for f in report.failures), report.failures
 
 
+def retarget_output(records):
+    """Point the last epoch's convergence and the termination, with their J
+    and x, at the certificate posted before the epoch's best one; returns
+    the two records' indices, that certificate's seq and the best's."""
+    end, stop = (max(i for i, r in enumerate(records) if r["kind"] == kind)
+                 for kind in ("EpochConverged", "Terminated"))
+    best = records[end]["best_seq"]
+    other = max(j for j in range(best)
+                if records[j]["kind"] == "CertificatePosted")
+    assert records[other]["l"] == records[best]["l"]
+    assert records[other]["J"] > records[best]["J"]
+    for i in (end, stop):
+        records[i].update(best_seq=other, J=records[other]["J"],
+                          x=records[other]["x"])
+    return end, stop, other, best
+
+
+def test_audit_requires_the_epochs_running_best():
+    # the output names a certificate of the right epoch, with its own J and
+    # x, that is not the epoch's best: every value checks out, the best
+    # tracking does not
+    cfg, records = plain_records()
+    end, stop, other, best = retarget_output(records)
+    report = audit(cfg, records)
+    failed = {c.name: c.failures for c in report.checks}
+    assert failed["best_tracking"] == failed["termination"] == 1
+    assert sum(failed.values()) == 2
+    assert (f"record {end}: epoch best names certificate {other}, not the "
+            f"epoch's best {best}") in report.failures
+    assert (f"record {stop}: final best names certificate {other}, not the "
+            f"epoch's best {best}") in report.failures
+
+
+def test_audit_requires_a_best_update_exactly_after_each_improvement():
+    cfg, records = plain_records()
+    # the last best update becomes a second step record: its certificate
+    # lowered the best, and nothing says so before the epoch converges
+    dropped = max(i for i, r in enumerate(records)
+                  if r["kind"] == "BestUpdated")
+    records[dropped]["kind"] = "DecisionStep"
+    report = audit(cfg, records)
+    failed = {c.name: c.failures for c in report.checks}
+    assert failed["best_tracking"] == 1 and sum(failed.values()) == 1
+    cert_seq = records[dropped]["cert_seq"]
+    assert (f"record {cert_seq}: certificate lowers its epoch's best J but no "
+            "best update follows") in report.failures
+
+    cfg, records = plain_records()
+    # a step whose certificate does not lower the best claims that it does
+    extra = max(i for i, r in enumerate(records)
+                if r["kind"] == "DecisionStep"
+                and records[i + 1]["kind"] != "BestUpdated")
+    records[extra]["kind"] = "BestUpdated"
+    report = audit(cfg, records)
+    failed = {c.name: c.failures for c in report.checks}
+    assert failed["best_tracking"] == 1 and sum(failed.values()) == 1
+    assert (f"record {extra}: best update for certificate "
+            f"{records[extra]['cert_seq']}, which does not lower its epoch's "
+            "best J") in report.failures
+
+
 def test_audit_fails_an_infinite_value_and_a_nan_tolerance():
     # inf - x is inf, which the relative tolerance max(|a|, |b|) would absorb
     cfg, records = two_sample_records()

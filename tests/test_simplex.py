@@ -197,26 +197,40 @@ def test_afwa_rejects_bad_start():
 
 
 @st.composite
-def hulls(draw):
+def hulls(draw, sparse=False):
     """A certificate-like hull: H block-diagonal negative semidefinite with a
     zero origin row and column, random lin, start and eps, half of the time
     an interrupt that fires at a random poll, and an iteration cap that
-    some runs exhaust."""
+    some runs exhaust.
+
+    A ``sparse`` hull starts from a Dirichlet(0.05) draw with some weights
+    set between 1e-17 and 1e-12 and some set to -0.0. Half of those are
+    stiff: their curvature dominates lin, so most steps stop inside the
+    simplex and shrink the small weights, and about one in six clamps a
+    weight after its first step."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     V = draw(st.integers(2, 40))
+    stiff = sparse and draw(st.booleans())
     H = np.zeros((V, V))
     lo = 1
     while lo < V:
         hi = min(V, lo + int(rng.integers(1, 5)))
-        root = rng.normal(size=(hi - lo, hi - lo)) * 10.0 ** rng.uniform(-8, 1)
+        scale = 10.0 ** rng.uniform(0 if stiff else -8, 1)
+        root = rng.normal(size=(hi - lo, hi - lo)) * scale
         H[lo:hi, lo:hi] = -(root @ root.T)
         lo = hi
-    lin = rng.normal(size=V) * rng.uniform(0.01, 10.0)
+    lin = rng.normal(size=V) * rng.uniform(0.01, 1.0 if stiff else 10.0)
     lin[0] = 0.0
-    start = rng.dirichlet(np.ones(V))
-    start[rng.random(V) < draw(st.floats(0.0, 0.8))] = 0.0
-    if not start.any():
+    if sparse:
+        start = rng.dirichlet(np.full(V, 0.05))
+        tiny = rng.random(V) < draw(st.floats(0.0, 0.5))
+        start[tiny] = 10.0 ** rng.uniform(-17.0, -12.0, size=tiny.sum())
+        start[rng.random(V) < draw(st.floats(0.0, 0.5))] = -0.0
+    else:
+        start = rng.dirichlet(np.ones(V))
+        start[rng.random(V) < draw(st.floats(0.0, 0.8))] = 0.0
+    if not start.sum() > 0.0:
         start[0] = 1.0
     start /= start.sum()
     eps = 10.0 ** draw(st.floats(-13.0, -2.0))
@@ -243,9 +257,7 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-@settings(max_examples=300, deadline=None)
-@given(hulls())
-def test_afwa_is_bitwise_the_reference_loop(problem):
+def _assert_bitwise_the_reference(problem):
     got, got_ticks, got_polls = _run(afwa_maximize, problem)
     want, want_ticks, want_polls = _run(afwa_quadratic_reference, problem)
     assert _bits(got.weights) == _bits(want.weights)
@@ -255,6 +267,51 @@ def test_afwa_is_bitwise_the_reference_loop(problem):
     assert (got.converged, got.interrupted) == (want.converged, want.interrupted)
     assert got_ticks == want_ticks
     assert got_polls == want_polls
+
+
+@settings(max_examples=300, deadline=None)
+@given(hulls())
+def test_afwa_is_bitwise_the_reference_loop(problem):
+    _assert_bitwise_the_reference(problem)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hulls(sparse=True))
+def test_afwa_is_bitwise_the_reference_loop_from_sparse_starts(problem):
+    # the loop clamps only when a weight may have fallen below 1e-15; from
+    # starts holding -0.0 and weights near that threshold it must still
+    # zero exactly the weights the reference's per-step clamp zeroes
+    _assert_bitwise_the_reference(problem)
+
+
+def test_afwa_clamps_after_the_first_step_even_above_1e_15():
+    # two away steps evict vertices 3 and 2, and no toward step ever adds
+    # 0.0 to the start's -0.0 at vertex 0; the clamp after the first step
+    # runs although every active weight is far above 1e-15, so it returns
+    # +0.0 there as the reference does
+    problem = (*linear([0.0, 1.0, 0.0, -10.0]), 1e-12,
+               np.array([-0.0, 0.5, 0.25, 0.25]), None, 3000)
+    _assert_bitwise_the_reference(problem)
+    res = afwa_maximize(*problem[:5])
+    assert res.iterations == 2 and res.converged
+    assert _bits(res.weights) == _bits([0.0, 1.0, 0.0, 0.0])
+
+
+def test_afwa_clamps_a_weight_that_a_later_toward_step_shrinks():
+    # the first step, toward vertex 3 at t = 0.925, leaves weight 0 at
+    # 1.02e-15; the second, toward vertex 2, takes it below 1e-15, so that
+    # step's clamp must zero it, and no later step brings it back
+    start = np.array([1.36e-14, 1.0 - 1.36e-14, 0.0, 0.0])
+    v0, lin, H = quad([0.0, 0.05, 0.05, 0.9], np.ones(4))
+    assert 1e-15 < afwa_maximize(v0, lin, H, 1e-12, start,
+                                 max_iters=1).weights[0] < 1.1e-15
+    assert afwa_maximize(v0, lin, H, 1e-12, start, max_iters=2).weights[0] == 0.0
+    for max_iters in (2, 3000):
+        _assert_bitwise_the_reference((v0, lin, H, 1e-12, start, None,
+                                       max_iters))
+    res = afwa_maximize(v0, lin, H, 1e-12, start)
+    assert res.converged
+    assert _bits(res.weights[0]) == _bits(0.0)
 
 
 @settings(max_examples=300, deadline=None)
