@@ -1,8 +1,9 @@
 """Offline re-verification of a run from its event log alone.
 
 The log carries every ingested point and every posted certificate's
-perturbation plan, so an auditor can rebuild the windows (and the cover,
-deterministically), re-price each certificate, re-measure its optimality
+perturbation plan, so an auditor can replay the arrivals through the
+runner's own ``Samples`` (which rebuilds the cover deterministically) to get
+each window and radius, re-price each certificate, re-measure its optimality
 gap with an independent vertex search, and re-check the transport budget.
 The budget check also bounds the 1-Wasserstein distance from the window to
 the posted worst case by the radius. That worst case keeps the window's
@@ -10,8 +11,8 @@ weights theta_k / n and moves atom k to point_k - y_k, so pairing each atom
 with its own moved atom is a feasible coupling. Its cost,
 sum_k (theta_k / n) |y_k|_1, is exactly the budget spent, and W1 is never
 more than the cost of a feasible coupling. Windows change only at arrivals,
-so each is built once and reused by the certificates posted before the next
-arrival.
+so ``Samples`` builds each once and the certificates posted before the next
+arrival reuse it.
 
 A refresh posts its plan in coordinate form, its nonzero ``[k, j, value]``
 entries, and the audit rebuilds the dense plan from them and the window's
@@ -29,16 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .ambiguity import ConcentrationParams, ConfidenceSchedule
-from .ambiguity import radius as ball_radius
-from .certificates import (
-    DataWindow,
-    certificate_value,
-    plan_from_entries,
-    _Problem,
-)
-from .cover import Cover
+from .certificates import certificate_value, plan_from_entries, _Problem
 from .model import Tolerances
-from .runner import EVENT_KINDS, CoverConfig
+from .runner import EVENT_KINDS, CoverConfig, Samples
 from .simplex import point_search
 
 _REL = 1e-7
@@ -82,7 +76,7 @@ def _number(rec: dict, key: str) -> Optional[float]:
     number."""
     try:
         return float(rec[key])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
 
@@ -91,7 +85,7 @@ def _array(rec: dict, key: str) -> Optional[np.ndarray]:
     or not numeric."""
     try:
         return np.asarray(rec[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
 
@@ -115,10 +109,12 @@ def verify_events(
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
     or non-numeric field the checks read (time, count, value, decision,
-    tolerance, radius, plan), a plan that is not in coordinate form inside
-    its window (see ``plan_from_entries``) or not finite, a step or best
-    update whose ``x`` is not null, an arrival without a finite point of the
-    model's sample dimension, or a certificate before any arrival.
+    tolerance, radius, plan), a certificate whose epoch ``l`` is not an
+    int, a plan that is not in coordinate form inside its window (see
+    ``plan_from_entries``) or not finite, a certificate the model cannot
+    re-price (a decision outside its domain), a step or best update whose
+    ``x`` is not null, an arrival without a finite point of the model's
+    sample dimension, or a certificate before any arrival.
 
     A step or best update must name by ``cert_seq`` the latest certificate
     posted before it, and match its value; otherwise ``step_links`` or
@@ -152,13 +148,9 @@ def verify_events(
         elif len(failures) == _MAX_REPORTED:
             failures.append("... further failures suppressed")
 
-    cover_on = cover_config is not None and cover_config.enabled
-    cover = Cover(cover_config.omega, cover_config.metric) if cover_on else None
-    # arrivals are replayed into buf[:ingested], so a window grows in place;
-    # each record holds at most one
-    buf = np.empty((len(records), model.dimension_m))
-    ingested = 0
-    window: Optional[DataWindow] = None
+    # each record holds at most one arrival
+    samples = Samples(model.dimension_m, len(records), concentration,
+                      schedule, cover_config or CoverConfig())
     certs: dict[int, dict] = {}
 
     def cert(ref) -> Optional[dict]:
@@ -196,7 +188,7 @@ def verify_events(
             last_t = max(last_t, t)
         try:
             n = int(rec.get("n", -1))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             fail("structure", f"record {i}: count {rec.get('n')!r} not a number")
             continue
         if n < last_n and kind == "DataArrival":
@@ -207,38 +199,27 @@ def verify_events(
         if kind == "DataArrival":
             checks["arrivals"].count += 1
             point = _array(rec, "point")
-            if (
-                point is None
-                or point.shape != (model.dimension_m,)
-                or not np.isfinite(point).all()
-            ):
+            try:
+                # a point that is None or not a vector fails the shape test
+                opened = samples.add(point, i)
+            except ValueError:
                 fail("structure", f"record {i}: arrival point missing, "
                      "misshapen or not finite")
                 continue
-            buf[ingested] = point
-            ingested += 1
-            if n != ingested:
-                fail("arrivals", f"record {i}: count {n} != ingested {ingested}")
-            if cover is not None:
-                opened = cover.update(point)
-                if rec.get("cover_opened") is not None and bool(
-                    rec["cover_opened"]
-                ) != bool(opened):
+            if n != samples.n:
+                fail("arrivals", f"record {i}: count {n} != ingested "
+                     f"{samples.n}")
+            if samples.cover is not None:
+                size, want = rec.get("cover_size"), samples.cover_size
+                if rec.get("cover_opened") not in (None, opened):
                     fail("arrivals", f"record {i}: cover open/absorb mismatch")
-                if rec.get("cover_size") is not None and _number(
-                    rec, "cover_size"
-                ) != cover.size:
-                    fail(
-                        "arrivals",
-                        f"record {i}: cover size {rec['cover_size']} != "
-                        f"{cover.size}",
-                    )
+                if size is not None and _number(rec, "cover_size") != want:
+                    fail("arrivals", f"record {i}: cover size {size} != {want}")
             last_n = n
-            window = None
 
         elif kind == "CertificatePosted":
             latest_cert = i
-            if not ingested:
+            if not samples.n:
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
             J, tol, radius = (_number(rec, key) for key in ("J", "tol", "radius"))
@@ -248,15 +229,11 @@ def verify_events(
                 fail("structure", f"record {i}: certificate J, x, tol or "
                      "radius missing or malformed")
                 continue
-            if window is None:
-                if cover is not None:
-                    window = cover.window()
-                else:
-                    window = DataWindow.plain(buf[:ingested])
-                beta = schedule.beta(window.n_total)
-                eps = ball_radius(concentration, beta, window.n_total)
-                if cover is not None:
-                    eps += cover.transport_slack()
+            if type(rec.get("l")) is not int:
+                fail("structure", f"record {i}: certificate epoch l "
+                     f"{rec.get('l')!r} is not an integer")
+                continue
+            window, eps, beta = samples.ball()
             if n != window.n_total:
                 fail("structure", f"record {i}: certificate n {n} != ingested")
                 continue
@@ -285,8 +262,17 @@ def verify_events(
                 fail("structure", f"record {i}: plan or decision not finite")
                 continue
 
+            z = window.theta[:, None] * y
+            try:
+                j = certificate_value(model, x, window, y)
+                _, eta = point_search(_Problem(model, x, window).grads(z),
+                                      n * eps, z, n_total=n)
+            except ValueError as exc:  # x outside the model's domain, say
+                fail("structure", f"record {i}: certificate cannot be "
+                     f"re-priced: {exc}")
+                continue
+
             checks["certificate_value"].count += 1
-            j = certificate_value(model, x, window, y)
             if not _close(j, J):
                 fail(
                     "certificate_value",
@@ -294,7 +280,6 @@ def verify_events(
                 )
 
             checks["certificate_budget"].count += 1
-            z = window.theta[:, None] * y
             spent = float(np.abs(z).sum()) / n
             if spent > eps + 1e-9:
                 fail(
@@ -303,8 +288,6 @@ def verify_events(
                 )
 
             checks["certificate_gap"].count += 1
-            problem = _Problem(model, x, window)
-            _, eta = point_search(problem.grads(z), n * eps, z, n_total=n)
             if not eta <= tol + 1e-9:  # a NaN tolerance fails too
                 fail(
                     "certificate_gap",

@@ -96,17 +96,33 @@ class WarmState:
 
 class CertificateInterrupted(Exception):
     """Raised when the caller's interrupt poll fires between solver rounds;
-    carries the partial state so it can be adapted to the grown window,
-    plus the work counters of the aborted attempt so callers can account
-    for solves that never produced a certificate."""
+    carries the partial state so it can be adapted to the grown window. The
+    aborted attempt's work is already on the caller's Meter."""
 
-    def __init__(self, state: WarmState, lp_calls: int = 0, cp_calls: int = 0,
-                 afwa_iters: int = 0):
+    def __init__(self, state: WarmState):
         super().__init__("certificate generation interrupted by data arrival")
         self.state = state
-        self.lp_calls = lp_calls
-        self.cp_calls = cp_calls
-        self.afwa_iters = afwa_iters
+
+
+class Meter:
+    """Solver work done so far, and the clock it is charged to: ``charge``
+    (None to only count) receives cost units, 1 per vertex search and 1 per
+    hull iteration. ``search`` counts and charges one vertex search; the
+    ascent charges its own iterations and its caller counts them."""
+
+    def __init__(self, charge: Optional[Callable[[int], None]] = None):
+        self.charge = charge
+        self.lp_calls = 0
+        self.cp_calls = 0
+        self.afwa_iters = 0
+
+    def search(self) -> None:
+        self.lp_calls += 1
+        if self.charge is not None:
+            self.charge(1)
+
+    def counts(self) -> tuple[int, int, int]:
+        return self.lp_calls, self.cp_calls, self.afwa_iters
 
 
 @dataclass
@@ -130,9 +146,6 @@ class CertificateResult:
     gamma: Array
     eta: float
     radius: float
-    lp_calls: int
-    cp_calls: int
-    afwa_iters: int
 
     @property
     def y_eps1(self) -> Array:
@@ -303,9 +316,6 @@ def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> Certi
         gamma=np.array([1.0]),
         eta=0.0,
         radius=radius,
-        lp_calls=0,
-        cp_calls=0,
-        afwa_iters=0,
     )
 
 
@@ -317,7 +327,7 @@ def generate(
     eps1: float,
     warm: Optional[WarmState] = None,
     interrupt: Optional[Callable[[], bool]] = None,
-    tick: Optional[Callable[[int], None]] = None,
+    meter: Optional[Meter] = None,
     max_cp_iters: int = 2_000_000,
     warm_grads: Optional[Array] = None,
 ) -> CertificateResult:
@@ -327,8 +337,7 @@ def generate(
     of [origin] + discovered vertices, warm-startable from an adapted
     previous state. ``interrupt`` is polled between rounds and
     aborts via CertificateInterrupted carrying the partial state;
-    ``tick`` receives solver cost units (1 per vertex search, 1 per hull
-    iteration) for virtual-time accounting.
+    ``meter`` counts the work and charges it to the caller's clock.
 
     The returned value never falls below the plain sample average at x
     minus 1e-9: the origin is a permanent hull atom and warm starts fall
@@ -346,6 +355,8 @@ def generate(
     n = window.n_total
     scale = n * radius
     problem = _Problem(model, x, window)
+    if meter is None:
+        meter = Meter()
     if radius == 0.0:
         return _empty_result(problem, window, radius)
 
@@ -374,19 +385,14 @@ def generate(
         j_curr = problem.origin_value
         G = problem.origin_grads
 
-    lp_calls = cp_calls = afwa_iters = 0
     solved_here = False  # has the current atom set been hull-solved this call
     while True:
         if interrupt is not None and interrupt():
-            raise CertificateInterrupted(
-                WarmState(vs, z, c), lp_calls, cp_calls, afwa_iters
-            )
+            raise CertificateInterrupted(WarmState(vs, z, c))
         if G is None:
             G = problem.grads(z)
         omega, eta = point_search(G, scale, z, n_total=n)
-        lp_calls += 1
-        if tick is not None:
-            tick(1)
+        meter.search()
         spent = float(np.abs(z).sum()) / n
         if spent > radius + 1e-9:
             raise ValueError(
@@ -408,18 +414,16 @@ def generate(
         hull = _QuadraticHull(problem, vs, scale)
         res = afwa_maximize(
             hull.v0, hull.lin, hull.H, eps1, c,
-            max_iters=max_cp_iters, interrupt=interrupt, tick=tick,
+            max_iters=max_cp_iters, interrupt=interrupt, tick=meter.charge,
         )
-        afwa_iters += res.iterations
+        meter.afwa_iters += res.iterations
         c = res.weights
         z = hull.point(c)
         G = None
         if res.interrupted:
             # an aborted ascent is work done but not a solved subproblem
-            raise CertificateInterrupted(
-                WarmState(vs, z, c), lp_calls, cp_calls, afwa_iters
-            )
-        cp_calls += 1
+            raise CertificateInterrupted(WarmState(vs, z, c))
+        meter.cp_calls += 1
         if not res.converged:
             raise SolverError(
                 f"hull ascent exhausted {max_cp_iters} iterations "
@@ -445,9 +449,6 @@ def generate(
         gamma=c,
         eta=eta,
         radius=radius,
-        lp_calls=lp_calls,
-        cp_calls=cp_calls,
-        afwa_iters=afwa_iters,
     )
 
 
@@ -484,8 +485,8 @@ def revalidate(
 
     The gap is normalised by ``window.n_total``, like ``generate``'s ``eta``.
     When valid, the adapted value certifies the new window without any hull
-    solve (``generate`` with the same warm state returns immediately with
-    zero cp_calls). Also returns the gradients the search read, which a
+    solve (``generate`` with the same warm state returns after its first
+    vertex search). The caller counts that search on its Meter. Also returns the gradients the search read, which a
     refresh hands to ``generate`` as ``warm_grads``.
     """
     scale = window.n_total * radius

@@ -38,6 +38,7 @@ from .stream import (
     channels,
     sample_stream,
 )
+from .subgrad import make_rule
 
 
 class ConfigError(ValueError):
@@ -375,9 +376,13 @@ def materialize(cfg: ExperimentConfig,
              f"dimension {mixture.dimension} does not match the "
              f"model sample dimension {model.dimension_m}")
     arrival = build_arrival(cfg.arrival)
+    tolerances = build_tolerances(cfg.tolerances)
+    rule = make_rule(cfg.step_rule, tolerances)
+    _require(cfg.stop_rule == "step" or not rule.horizon_capped, "stop_rule",
+             f"never reached: the horizon is capped at {rule.horizon} steps")
     run_config = RunConfig(
         model=model,
-        tolerances=build_tolerances(cfg.tolerances),
+        tolerances=tolerances,
         concentration=build_concentration(cfg.concentration,
                                           model.dimension_m),
         schedule=build_schedule(cfg.schedule),

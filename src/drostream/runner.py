@@ -14,6 +14,13 @@ names that plan by ``y_ref``. A decision step or best update names its
 certificate by ``cert_seq`` and posts ``x`` as null, since the certificate
 carries the decision. With the gaps and tolerances this is enough for an
 offline audit to re-verify the whole run from the event log alone.
+
+``Samples`` owns the ingested samples and the window and radius certifying
+them; the audit replays a log's arrivals through it too. A
+``certificates.Meter`` counts the solver work where the clock is charged for
+it. A certificate posts the work of the attempt that produced it (a
+refresh's includes its failed revalidation search); the totals are the
+meter's counts, interrupted attempts included.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .certificates import (
     CertificateInterrupted,
     CertificateResult,
     DataWindow,
+    Meter,
     WarmState,
     adapt,
     generate,
@@ -130,6 +138,59 @@ class CoverConfig:
     metric: Metric = "l1"
 
 
+class Samples:
+    """The samples ingested so far, and the ball that certifies them.
+
+    ``ball()`` builds, once per arrival, the window (the plain stream or the
+    cover's weighted centers), the radius eps(beta_n, n) plus the cover's
+    transport slack, and beta_n.
+    """
+
+    def __init__(self, m: int, capacity: int,
+                 concentration: ConcentrationParams,
+                 schedule: ConfidenceSchedule, cover: CoverConfig):
+        self._buf = np.empty((capacity, m))  # a plain window grows in place
+        self.n = 0
+        self.cover = Cover(cover.omega, cover.metric) if cover.enabled else None
+        self._concentration, self._schedule = concentration, schedule
+        self._ball: Optional[tuple[DataWindow, float, float]] = None
+
+    @property
+    def points(self) -> Array:
+        return self._buf[: self.n]
+
+    @property
+    def cover_size(self) -> Optional[int]:
+        return None if self.cover is None else self.cover.size
+
+    def add(self, value, index) -> Optional[bool]:
+        """Ingest one sample; returns whether it opened a cover center (None
+        without a cover). Raises ValueError naming ``index`` unless the
+        sample is a finite vector of the sample dimension."""
+        point = np.asarray(value, dtype=float).reshape(-1)
+        m = self._buf.shape[1]
+        if point.shape != (m,) or not np.isfinite(point).all():
+            raise ValueError(
+                f"sample {index} is not a finite vector of dimension {m}")
+        self._buf[self.n] = point
+        self.n += 1
+        self._ball = None
+        return None if self.cover is None else self.cover.update(point)
+
+    def ball(self) -> tuple[DataWindow, float, float]:
+        """(window, radius, beta) certifying the samples so far."""
+        if self._ball is None:
+            beta = self._schedule.beta(self.n)
+            eps = ball_radius(self._concentration, beta, self.n)
+            if self.cover is None:
+                window = DataWindow.plain(self.points)
+            else:
+                window = self.cover.window()
+                eps += self.cover.transport_slack()
+            self._ball = (window, eps, beta)
+        return self._ball
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs besides the sample stream itself.
@@ -199,14 +260,12 @@ def run(
     clock = Clock(config.cost_budget_per_period)
     totals = RunTotals()
     events: list[RunEvent] = []
-    # the samples ingested so far are buf[:ingested]; a window grows in place
-    buf = np.empty((config.n0, model.dimension_m))
-    ingested = 0
-    cover = (
-        Cover(config.cover.omega, config.cover.metric)
-        if config.cover.enabled
-        else None
-    )
+    samples = Samples(model.dimension_m, config.n0, config.concentration,
+                      config.schedule, config.cover)
+    # one solver iteration touches every atom coordinate of the active
+    # window, so compressed windows advance the clock proportionally slower
+    unit = 0.0
+    meter = Meter(lambda units: clock.tick(units * unit))
 
     r = 0
     l = 0
@@ -230,84 +289,31 @@ def run(
             on_event(ev)
         return ev
 
-    def ingest(sp: SamplePoint) -> None:
-        nonlocal ingested
-        point = np.asarray(sp.value, dtype=float).reshape(-1)
-        if point.shape != (model.dimension_m,) or not np.isfinite(point).all():
-            raise ValueError(
-                f"sample {sp.index} is not a finite vector of dimension "
-                f"{model.dimension_m}")
-        buf[ingested] = point
-        ingested += 1
-        opened = cover.update(point) if cover is not None else None
-        post(
-            "DataArrival",
-            n=ingested,
-            point=point.tolist(),
-            index=sp.index,
-            arrival_t=sp.arrival_time,
-            cover_opened=opened,
-            cover_size=None if cover is None else cover.size,
-        )
-
     def due() -> bool:
         nt = queue.next_time()
         return nt is not None and nt <= clock.t
 
-    def drain() -> int:
-        got = 0
+    def drain() -> None:
         for sp in queue.pop_due(clock.t):
-            ingest(sp)
-            got += 1
-        return got
+            opened = samples.add(sp.value, sp.index)
+            post("DataArrival", n=samples.n, point=samples.points[-1].tolist(),
+                 index=sp.index, arrival_t=sp.arrival_time,
+                 cover_opened=opened, cover_size=samples.cover_size)
 
-    def current_window() -> DataWindow:
-        if cover is not None:
-            return cover.window()
-        return DataWindow.plain(buf[:ingested])
-
-    def current_radius(n: int) -> tuple[float, float]:
-        beta = config.schedule.beta(n)
-        eps = ball_radius(config.concentration, beta, n)
-        if cover is not None:
-            eps += cover.transport_slack()
-        return eps, beta
-
-    def absorb(counted) -> None:
-        # CertificateResult and CertificateInterrupted both carry the
-        # counters, so completed and aborted attempts account identically
-        totals.lp_calls += counted.lp_calls
-        totals.cp_calls += counted.cp_calls
-        totals.afwa_iters += counted.afwa_iters
-
-    def cost_tick(win: DataWindow) -> Callable[[float], None]:
-        # one solver iteration touches every atom coordinate of the active
-        # window, so compressed windows advance the clock proportionally slower
-        unit = float(win.size * win.dimension)
-
-        def _tick(units: float) -> None:
-            clock.tick(units * unit)
-
-        return _tick
-
-    def post_certificate(cert: CertificateResult, x, *, tol_used, reused,
-                         y_ref=None) -> RunEvent:
-        extras = dict(
-            eta=cert.eta,
-            tol=tol_used,
-            radius=cert.radius,
-            reused=reused,
-            lp_calls=cert.lp_calls,
-            cp_calls=cert.cp_calls,
-            afwa_iters=cert.afwa_iters,
-        )
+    def post_certificate(cert: CertificateResult, x, mark, *, tol_used,
+                         reused, y_ref=None) -> RunEvent:
+        # the work of the attempt that produced cert: the counts since mark
+        lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
+        extras = dict(eta=cert.eta, tol=tol_used, radius=cert.radius,
+                      reused=reused, lp_calls=lp, cp_calls=cp,
+                      afwa_iters=iters)
         if y_ref is None:
             extras["y"] = plan_entries(cert.y_eps1)
         else:
             extras["y_ref"] = y_ref
         return post(
             "CertificatePosted",
-            n=ingested,
+            n=samples.n,
             J=cert.j_eps1,
             beta=beta_n,
             x=x,
@@ -339,25 +345,24 @@ def run(
         # certify x on the current window, warm from the last state; an
         # interrupt ingests the due points and retries from its partial state
         while True:
-            n = ingested
-            eps_n, beta_n = current_radius(n)
-            window = current_window()
+            n = samples.n
+            window, eps_n, beta_n = samples.ball()
+            unit = float(window.size * window.dimension)
             if warm is not None:
                 warm = adapt(warm.vertex_set, warm.gamma, window.n_total, eps_n,
                              (window.size, window.dimension))
+            mark = meter.counts()
             try:
                 cert = generate(
                     model, x, window, eps_n, tol.eps1,
-                    warm=warm, interrupt=due, tick=cost_tick(window),
+                    warm=warm, interrupt=due, meter=meter,
                 )
                 break
             except CertificateInterrupted as ci:
                 totals.interrupts += 1
-                absorb(ci)
                 drain()
                 warm = ci.state
-        absorb(cert)
-        ev = post_certificate(cert, x, tol_used=tol.eps1, reused=False)
+        ev = post_certificate(cert, x, mark, tol_used=tol.eps1, reused=False)
         cert_seq = ev.seq
         full_y_seq = ev.seq
         x_best, j_best, best_seq = x.copy(), cert.j_eps1, cert_seq
@@ -370,24 +375,24 @@ def run(
             r += 1
             totals.steps += 1
             clock.tick(1.0)
+            mark = meter.counts()
             try:
                 outcome = reuse_or_refresh(
                     model, x_new, window, eps_n, tol, cert,
-                    interrupt=due, tick=cost_tick(window),
+                    interrupt=due, meter=meter,
                 )
             except CertificateInterrupted as ci:
                 totals.interrupts += 1
-                absorb(ci)
                 warm = ci.state
                 drain()
                 break
             outcome_cert, reused = outcome.cert, outcome.reused
-            absorb(outcome_cert)
             totals.reuses += int(reused)
             totals.refreshes += int(not reused)
             cev = post_certificate(
                 outcome_cert,
                 x_new,
+                mark,
                 tol_used=tol.eps_sa if reused else tol.eps1,
                 reused=reused,
                 y_ref=full_y_seq if reused else None,
@@ -443,7 +448,7 @@ def run(
                     beta=beta_n,
                     x=x_best,
                     best_seq=best_seq,
-                    cover_size=None if cover is None else cover.size,
+                    cover_size=samples.cover_size,
                 )
                 break
             nt = queue.next_time()
@@ -451,14 +456,15 @@ def run(
                 clock.jump_to(nt)
             drain()
 
+    totals.lp_calls, totals.cp_calls, totals.afwa_iters = meter.counts()
     return RunResult(
         events=events,
         x_best=x_best,
         j_best=j_best,
-        n=ingested,
+        n=samples.n,
         r=r,
         t_final=clock.t,
         totals=totals,
-        cover_size=None if cover is None else cover.size,
+        cover_size=samples.cover_size,
         horizon_capped=rule.horizon_capped,
     )

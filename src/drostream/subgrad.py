@@ -18,9 +18,9 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .certificates import (
-    CertificateInterrupted,
     CertificateResult,
     DataWindow,
+    Meter,
     certificate_value,
     generate,
     revalidate,
@@ -126,40 +126,26 @@ def reuse_or_refresh(
     tol: Tolerances,
     prev: CertificateResult,
     interrupt: Optional[Callable[[], bool]] = None,
-    tick: Optional[Callable[[int], None]] = None,
+    meter: Optional[Meter] = None,
 ) -> ReuseOutcome:
     """Certificate at the stepped decision, cheaply when the old plan holds.
 
     A single vertex search prices the old perturbation plan at the new
-    decision. Within the reuse tolerance the old plan certifies: the reused
-    certificate is ``prev`` with its value re-evaluated at x_new, the new
-    gap, and the one vertex search as its work. Otherwise a full solve runs
-    warm-started from it, its first vertex search on the gradients the
-    revalidation read.
+    decision; ``meter`` counts and charges it whatever follows. Within the
+    reuse tolerance the old plan certifies: the reused certificate is
+    ``prev`` with its value re-evaluated at x_new and the new gap.
+    Otherwise a full solve runs warm-started from it, its first vertex
+    search on the gradients the revalidation read.
     """
+    if meter is None:
+        meter = Meter()
     warm = prev.warm_state()
     valid, eta, grads = revalidate(model, x_new, window, radius, warm,
                                    tol.eps_sa)
-    if tick is not None:
-        tick(1)
+    meter.search()
     if valid:
         j = certificate_value(model, x_new, window, prev.y_eps1)
-        reused = dataclasses.replace(prev, j_eps1=j, eta=eta, lp_calls=1,
-                                     cp_calls=0, afwa_iters=0)
-        return ReuseOutcome(reused, True)
-    try:
-        cert = generate(
-            model,
-            x_new,
-            window,
-            radius,
-            tol.eps1,
-            warm=warm,
-            interrupt=interrupt,
-            tick=tick,
-            warm_grads=grads,
-        )
-    except CertificateInterrupted as ci:
-        ci.lp_calls += 1  # the failed revalidation search above
-        raise
+        return ReuseOutcome(dataclasses.replace(prev, j_eps1=j, eta=eta), True)
+    cert = generate(model, x_new, window, radius, tol.eps1, warm=warm,
+                    interrupt=interrupt, meter=meter, warm_grads=grads)
     return ReuseOutcome(cert, False)

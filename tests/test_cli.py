@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from drostream.ambiguity import radius as ball_radius
-from drostream import certificates
+from drostream import certificates, cli
 from drostream.audit import verify_events
 from drostream.certificates import plan_from_entries
 from drostream.cli import main
 from drostream.presets import (
+    PRESETS,
     ConfigError,
     ExperimentConfig,
     from_dict,
@@ -400,6 +401,62 @@ def test_replay_detects_a_divergent_log(run_dir, tmp_path):
     lines[0] = json.dumps(rec)
     (clone / "events.jsonl").write_text("\n".join(lines) + "\n")
     assert main(["replay", str(clone)]) == 1
+
+
+def test_replay_names_a_non_finite_sample_and_exits_1(run_dir, tmp_path,
+                                                       capsys):
+    clone = tmp_path / "clone"
+    clone.mkdir()
+    for name in ("summary.json", "events.jsonl"):
+        (clone / name).write_text((run_dir / name).read_text())
+    lines = (run_dir / "stream.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["value"][1] = float("nan")
+    lines[3] = json.dumps(rec)
+    (clone / "stream.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(clone)]) == 1
+    assert ("replay run failed: ValueError: sample 3 is not a finite vector "
+            "of dimension 3") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["study1", "study2"])
+def test_run_rejects_a_horizon_stop_that_is_never_reached(preset, tmp_path,
+                                                          capsys, monkeypatch):
+    # were the config accepted, the run would never end: fail instead
+    def never(*args, **kwargs):
+        raise AssertionError("an unbounded run was launched")
+
+    monkeypatch.setattr(cli, "run", never)
+    data = PRESETS[preset]().to_dict()
+    data["stop_rule"] = "horizon"
+    path = tmp_path / "horizon.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: stop_rule:" in err and "horizon is capped" in err
+    assert not out.exists()
+
+
+def test_replay_reproduces_the_coupled_pinned_run(tmp_path, capsys):
+    # study1 with a coupled b at a tight budget: refreshes and interrupts
+    # both, with the counters test_runner.py pins for it
+    data = study1().to_dict()
+    data.update(n0=40, cost_budget_per_period=5000.0)
+    data["model"]["b"] = [[1.0, 0.5, -1.0]]
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out),
+                 "--skip-jstar"]) == 0
+    totals = json.loads((out / "summary.json").read_text())["totals"]
+    assert totals == {"steps": 215, "epochs": 28, "interrupts": 33,
+                      "reuses": 36, "refreshes": 158, "lp_calls": 634,
+                      "cp_calls": 218, "afwa_iters": 5064}
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    assert "identical (532 events)" in capsys.readouterr().out
+    assert main(["verify", str(out)]) == 0
 
 
 def test_unknown_config_field_is_a_usage_error(tmp_path, capsys):

@@ -112,3 +112,16 @@ def test_presets_build_their_mixtures_per_call():
     cfg.mixture["covariances"][0][0][0] = 5.0
     assert cfg.mixture["covariances"][1][0][0] == 1.0
     assert study2().mixture["covariances"][0][0][0] == 1.0
+
+
+@pytest.mark.parametrize("preset", [study1, study2])
+def test_a_horizon_stop_that_is_never_reached_is_rejected(preset):
+    # both presets' harmonic horizon is capped at 10**18 steps, so a run
+    # that stops only there would never end; only the config is checked
+    data = preset().to_dict()
+    data["stop_rule"] = "horizon"
+    with pytest.raises(ConfigError,
+                       match="horizon is capped at 1000000000000000000 steps"
+                       ) as info:
+        from_dict(data)
+    assert info.value.path == "stop_rule"

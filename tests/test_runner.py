@@ -1,21 +1,30 @@
 """Event-loop behavior: sequencing, interrupts, determinism, and audits."""
 
 import dataclasses
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from drostream import certificates, presets
+from drostream import certificates, presets, simplex
 from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
-from drostream.certificates import DataWindow, plan_from_entries
-from drostream.cover import Cover
-from drostream.model import Tolerances, quadratic_model
-from drostream.runner import CoverConfig, RunConfig, run
+from drostream.certificates import plan_from_entries
+from drostream.model import Tolerances, portfolio_model, quadratic_model
+from drostream.runner import CoverConfig, RunConfig, Samples, run
 from drostream.stream import SamplePoint
 
-from oracles import afwa_quadratic_reference, w1_distance, window_measure
+from oracles import (
+    afwa_quadratic_reference,
+    golden_min,
+    robust_value_1d,
+    w1_distance,
+    window_measure,
+)
 
 
 def pure_quadratic():
@@ -241,21 +250,21 @@ def plain_run():
 
 def posted_plans(cfg, records):
     """(window, plan, radius) for every posted certificate, with the window
-    rebuilt from the logged arrivals as the audit rebuilds it."""
-    cover = Cover(cfg.cover.omega, cfg.cover.metric) if cfg.cover.enabled else None
-    raw, plans, out = [], {}, []
+    and radius rebuilt from the logged arrivals as the run and the audit
+    build them."""
+    samples = Samples(cfg.model.dimension_m, len(records), cfg.concentration,
+                      cfg.schedule, cfg.cover)
+    plans, out = {}, []
     for rec in records:
         if rec["kind"] == "DataArrival":
-            raw.append(np.asarray(rec["point"], dtype=float))
-            if cover is not None:
-                cover.update(raw[-1])
+            samples.add(rec["point"], rec["index"])
         elif rec["kind"] == "CertificatePosted":
-            window = (cover.window() if cover is not None
-                      else DataWindow.plain(np.stack(raw)))
+            window, radius, _ = samples.ball()
+            assert radius == rec["radius"]
             y = (plan_from_entries(rec["y"], (window.size, window.dimension))
                  if "y" in rec else plans[rec["y_ref"]])
             plans[rec["seq"]] = y
-            out.append((window, y, rec["radius"]))
+            out.append((window, y, radius))
     return out
 
 
@@ -594,10 +603,23 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
     assert report.failures[0].startswith(f"record {seq}: gap ")
 
 
+# study1's model has b = 0, so its plans do not depend on x and every
+# revalidation passes; this b couples them, so steps also refresh
+COUPLED_B = [[1.0, 0.5, -1.0]]
+
+
+def preset_config(preset, seed=0):
+    """A preset's config; ``study1-coupled`` is study1 with b = COUPLED_B."""
+    if preset == "study1-coupled":
+        cfg = presets.study1(seed=seed)
+        return dataclasses.replace(cfg, model={**cfg.model, "b": COUPLED_B})
+    return presets.PRESETS[preset](seed=seed)
+
+
 def pinned_run(preset, n0, cover, budget):
     """The run config and stream of one pinned run (seed 0); ``budget``
     overrides the preset's cost budget per period unless None."""
-    cfg = presets.with_overrides(presets.PRESETS[preset](seed=0), n0=n0,
+    cfg = presets.with_overrides(preset_config(preset), n0=n0,
                                  cover_enabled=cover)
     mat = presets.materialize(cfg)
     run_config = mat.run_config
@@ -617,9 +639,11 @@ PINNED_WORK = [
     ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79584),
     ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67503),
     ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 78121),
-    ("study2", 10, True, None, 463, 222, 6021, 0, 24, 717, 360139),
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 360139),
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 171635),
 ]
-PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover"]
+PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
+              "study1-coupled-interrupted"]
 
 
 @pytest.mark.parametrize(
@@ -627,14 +651,25 @@ PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover"]
     "log_bytes",
     PINNED_WORK, ids=PINNED_IDS)
 def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
-                                  interrupts, reuses, events, log_bytes):
+                                  interrupts, reuses, events, log_bytes,
+                                  monkeypatch):
     # the virtual clock meters solver work, so a change that only speeds the
     # solvers up leaves every counter and the event sequence as they are;
-    # the log's size is pinned too, within 1% since float digits may move
+    # the log's size is pinned too, within 1% since float digits may move.
+    # Every vertex search the clock is charged for is counted, those of
+    # interrupted attempts and of failed revalidations too
+    searches = []
+
+    def point_search(*args, **kwargs):
+        searches.append(None)
+        return simplex.point_search(*args, **kwargs)
+
+    monkeypatch.setattr(certificates, "point_search", point_search)
     res = run(*pinned_run(preset, n0, cover, budget))
     t = res.totals
     assert (t.lp_calls, t.cp_calls, t.afwa_iters, t.interrupts, t.reuses,
             len(res.events)) == (lp, cp, iters, interrupts, reuses, events)
+    assert t.lp_calls == len(searches)
     assert len(log_text(res).encode()) == pytest.approx(log_bytes, rel=0.01)
 
 
@@ -642,7 +677,7 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
 # still renormalized its weights after every step; it renormalizes less
 # often now, which moves only the last digits
 PINNED_J_BEST = [-36.146569498173086, -36.14656949818273, -29.026615253933,
-                 -2596.401792541596]
+                 -2596.401792541596, -36.15300092555619]
 
 
 @pytest.mark.parametrize("row, j_best", zip(PINNED_WORK, PINNED_J_BEST),
@@ -681,3 +716,112 @@ def test_pinned_runs_log_the_same_bytes_on_the_reference_ascent(
     fast = log_text(run(config, points))
     monkeypatch.setattr(certificates, "afwa_maximize", afwa_quadratic_reference)
     assert log_text(run(config, points)) == fast
+
+
+@functools.lru_cache(maxsize=None)
+def study1_log():
+    """The run config and event log text of study1 at n0 = 12, seed 0."""
+    cfg, points = pinned_run("study1", 12, False, None)
+    return cfg, log_text(run(cfg, points))
+
+
+# every key some record of the study1 log carries
+LOG_KEYS = sorted({
+    "seq", "kind", "t", "n", "r", "l", "J", "beta", "x", "point", "index",
+    "arrival_t", "cover_opened", "cover_size", "eta", "tol", "radius",
+    "reused", "lp_calls", "cp_calls", "afwa_iters", "y", "y_ref", "alpha",
+    "moved", "cert_seq", "steps", "reason", "rules_disagree", "best_seq"})
+ODD_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 2**70, -(2**70),
+                     10**400, None, True, "x", -1, 0, 0.5]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=3),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=3), inner,
+                                         max_size=3)),
+        max_leaves=6),
+)
+LOG_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 10**6), st.sampled_from(LOG_KEYS),
+              ODD_VALUES),
+    st.tuples(st.just("drop"), st.integers(0, 10**6),
+              st.sampled_from(LOG_KEYS)),
+    st.tuples(st.just("record"), st.integers(0, 10**6), ODD_VALUES),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=LOG_EDITS)
+# record 1 is the log's first certificate, the only one whose epoch l the
+# audit read before anything else
+@example(edit=("set", 5, "n", math.inf))
+@example(edit=("set", 1, "l", None))
+@example(edit=("drop", 1, "l"))
+def test_the_audit_never_raises_on_a_corrupted_log(edit):
+    # one field set to an odd value or dropped, or one record replaced by a
+    # value that is not an object: the audit reports it and never raises
+    cfg, text = study1_log()
+    records = [json.loads(line) for line in text.splitlines()]
+    op, i, *rest = edit
+    i %= len(records)
+    if op == "set":
+        records[i][rest[0]] = rest[1]
+    elif op == "drop":
+        records[i].pop(rest[0], None)
+    else:
+        records[i] = rest[0]
+    report = verify_events(records, cfg.model, cfg.concentration, cfg.schedule,
+                           cfg.cover, tolerances=cfg.tolerances)
+    assert isinstance(report.ok, bool)
+
+
+def test_the_audit_reports_a_decision_outside_the_models_domain():
+    # the barrier model raises on a decision outside (0, 1); re-pricing a
+    # certificate that posts one is a structure failure, not a raise
+    cfg = make_config(portfolio_model(0.1), 3, x0=np.array([0.5]))
+    res = run(cfg, stream([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]))
+    records = [ev.record() for ev in res.events]
+    assert audit(cfg, records).ok
+    seq = next(r["seq"] for r in records if r["kind"] == "CertificatePosted")
+    records[seq]["x"] = [2.0]
+    report = audit(cfg, records)
+    assert not report.ok
+    assert any(f.startswith(f"record {seq}: certificate cannot be re-priced")
+               for f in report.failures), report.failures
+
+
+@pytest.mark.parametrize("n0, budget, seed, interrupted", [
+    (20, 1e12, 0, False),
+    (60, None, 1, True),
+], ids=["no-interrupts", "study1-budget"])
+def test_a_coupled_run_ends_at_the_exact_robust_optimum(n0, budget, seed,
+                                                        interrupted):
+    # the last epoch certifies the whole stream at the last radius, where
+    # water-filling prices the worst case J exactly. j_best is a feasible
+    # plan's value within its posted gap (at most eps_sa) of J(x_best), so
+    # j_best >= J* - eps_sa; the epoch aims at j_best <= J* + eps2. J is x^2
+    # plus a supremum of functions affine in x, so 2-strongly convex:
+    # (x_best - x*)^2 <= J(x_best) - J* <= eps2 + eps_sa
+    cfg = presets.with_overrides(preset_config("study1-coupled", seed), n0=n0)
+    mat = presets.materialize(cfg)
+    config = mat.run_config
+    if budget is not None:
+        config = dataclasses.replace(config, cost_budget_per_period=budget)
+    res = run(config, mat.stream)
+    assert (res.totals.interrupts > 0) == interrupted
+    assert res.totals.refreshes > 0
+    records = [ev.record() for ev in res.events]
+    report = verify_events(records, config.model, config.concentration,
+                           config.schedule, config.cover,
+                           tolerances=config.tolerances)
+    assert report.ok, report.failures
+    radius = [r for r in records if r["kind"] == "CertificatePosted"][-1][
+        "radius"]
+    points = np.stack([p.value for p in mat.stream[:n0]])
+    robust = robust_value_1d(np.eye(1), np.array(COUPLED_B), -np.ones(3),
+                             points, np.ones(n0), n0, radius)
+    x_star, j_star = golden_min(robust, -20.0, 20.0)
+    tol = config.tolerances
+    assert -tol.eps_sa <= res.j_best - j_star <= tol.eps2
+    assert abs(res.x_best[0] - x_star) <= math.sqrt(tol.eps2 + tol.eps_sa)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drostream.certificates import DataWindow, generate
+from drostream.certificates import DataWindow, Meter, generate
 from drostream.model import Tolerances, quadratic_model
 from drostream.subgrad import make_rule, reuse_or_refresh, scaled_step, subgradient
 
@@ -146,11 +146,12 @@ def test_reuse_accepts_unmoved_decision():
     win = DataWindow.plain(np.array([[1.0], [3.0]]))
     x = np.array([0.8])
     prev = generate(model, x, win, 0.4, EPS1)
-    out = reuse_or_refresh(model, x, win, 0.4, tolerances(), prev)
+    meter = Meter()
+    out = reuse_or_refresh(model, x, win, 0.4, tolerances(), prev, meter=meter)
     assert out.reused
     assert out.cert.eta <= tolerances().eps1 + 1e-12
     assert out.cert.j_eps1 == pytest.approx(prev.j_eps1, abs=1e-9)
-    assert out.cert.cp_calls == 0 and out.cert.lp_calls == 1
+    assert meter.cp_calls == 0 and meter.lp_calls == 1
 
 
 def test_reuse_always_valid_without_coupling():
@@ -159,9 +160,10 @@ def test_reuse_always_valid_without_coupling():
     win = DataWindow.plain(np.array([[1.0], [-2.0], [0.5]]))
     prev = generate(model, np.array([4.0]), win, 0.4, EPS1)
     for x_new in ([-4.0], [0.0], [7.5], [-9.0]):
+        meter = Meter()
         out = reuse_or_refresh(model, np.asarray(x_new), win, 0.4,
-                               tolerances(), prev)
-        assert out.reused and out.cert.cp_calls == 0
+                               tolerances(), prev, meter=meter)
+        assert out.reused and meter.cp_calls == 0
         prev = out.cert
 
 
@@ -171,10 +173,11 @@ def test_large_step_with_flipped_atoms_forces_refresh():
     model = coupled_quadratic()
     win = DataWindow.plain(np.array([[-2.0], [2.0]]))
     prev = generate(model, np.array([3.0]), win, 0.2, EPS1)
+    meter = Meter()
     out = reuse_or_refresh(model, np.array([-3.0]), win, 0.2, tolerances(),
-                           prev)
+                           prev, meter=meter)
     assert not out.reused
-    assert out.cert.cp_calls >= 1
+    assert meter.cp_calls >= 1
     fresh = generate(model, np.array([-3.0]), win, 0.2, EPS1)
     assert out.cert.j_eps1 == pytest.approx(fresh.j_eps1, abs=1e-6)
 
@@ -199,15 +202,19 @@ def test_a_refresh_reads_no_gradient_twice(pts, x_old, x_new, radius):
         return model.grad_y(x, points, y)
 
     x_new = np.array([x_new])
+    meter = Meter()
     out = reuse_or_refresh(dataclasses.replace(model, grad_y=grad_y), x_new,
-                           win, radius, tolerances(), prev)
+                           win, radius, tolerances(), prev, meter=meter)
     assert not out.reused
     assert len(calls) >= 2 and len(set(calls)) == len(calls)
-    want = generate(model, x_new, win, radius, EPS1, warm=prev.warm_state())
+    want_meter = Meter()
+    want = generate(model, x_new, win, radius, EPS1, warm=prev.warm_state(),
+                    meter=want_meter)
     assert (out.cert.j_eps1, out.cert.eta) == (want.j_eps1, want.eta)
     assert np.array_equal(out.cert.z, want.z)
-    assert (out.cert.lp_calls, out.cert.cp_calls, out.cert.afwa_iters) == (
-        want.lp_calls, want.cp_calls, want.afwa_iters)
+    # the refresh's work is generate's plus its revalidation search
+    lp, cp, iters = want_meter.counts()
+    assert meter.counts() == (lp + 1, cp, iters)
 
 
 def test_constant_rule_reaches_eps2_band():
