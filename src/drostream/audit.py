@@ -100,11 +100,11 @@ def verify_events(
 ) -> AuditReport:
     """Re-check a full event log; every failure is collected, none raise.
 
-    Each certificate's gap is checked against the tolerance it posts. Given
-    the run's ``tolerances``, that posted tolerance must also be the run's:
-    ``eps_sa`` for a reuse (posted with ``y_ref``), ``eps1`` for a refresh;
-    a ``reused`` flag that disagrees with the plan form is a ``structure``
-    failure.
+    Each certificate's gap is checked against the tolerance it posts. A
+    ``reused`` flag that disagrees with the plan form (``y_ref`` for a
+    reuse, ``y`` for a refresh) is a ``structure`` failure. Given the run's
+    ``tolerances``, the posted tolerance must also be the run's: ``eps_sa``
+    for a reuse, ``eps1`` for a refresh.
 
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
@@ -118,12 +118,16 @@ def verify_events(
 
     A step or best update must name by ``cert_seq`` the latest certificate
     posted before it, and match its value; otherwise ``step_links`` or
-    ``best_tracking`` fails. Each epoch's best certificate is tracked by the
-    runner's rule: the epoch's first certificate, then each later one whose
-    ``J`` is strictly lower. A best update must follow exactly the steps
-    whose certificate lowers it. The epoch's convergence and the run's
-    termination must name it by ``best_seq`` and post its ``J`` and exactly
-    its ``x``. Otherwise ``best_tracking`` or ``termination`` fails.
+    ``best_tracking`` fails. A step's ``moved`` must be exactly the 2-norm
+    distance from the decision of the certificate before that one, which it
+    stepped from, or ``step_links`` fails. Each epoch's best certificate is
+    tracked by the runner's rule: the epoch's first certificate, then each
+    later one whose ``J`` is strictly lower. An epoch after the first must
+    start from exactly the previous epoch's best ``x``. A best update must
+    follow exactly the steps whose certificate lowers it. The epoch's
+    convergence and the run's termination must name it by ``best_seq`` and
+    post its ``J`` and exactly its ``x``. Otherwise ``best_tracking`` or
+    ``termination`` fails.
     """
     checks = {
         name: AuditCheck(name)
@@ -159,7 +163,8 @@ def verify_events(
 
     last_t = -np.inf
     last_n = 0
-    latest_cert = None  # seq of the latest CertificatePosted record
+    # seqs of the latest CertificatePosted record and of the one before it
+    latest_cert = before = None
     # the epoch (record l) of the latest certificate and the seq of its best
     # one; improved is a certificate that lowered it and awaits BestUpdated
     epoch = best = improved = None
@@ -218,7 +223,7 @@ def verify_events(
             last_n = n
 
         elif kind == "CertificatePosted":
-            latest_cert = i
+            before, latest_cert = latest_cert, i
             if not samples.n:
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
@@ -297,17 +302,23 @@ def verify_events(
                 posted_eta = _number(rec, "eta")
                 if posted_eta is None or not _close(eta, posted_eta):
                     fail("certificate_gap", f"record {i}: gap mismatch")
+            reuse = "y" not in rec
+            if rec.get("reused") is not reuse:
+                fail("structure", f"record {i}: reused flag disagrees "
+                     "with the plan form")
             if tolerances is not None:
-                reuse = "y" not in rec
-                if rec.get("reused") is not reuse:
-                    fail("structure", f"record {i}: reused flag disagrees "
-                         "with the plan form")
                 want = tolerances.eps_sa if reuse else tolerances.eps1
                 if tol != want:
                     fail("certificate_gap", f"record {i}: tolerance {tol} "
                          f"is not the run's {want}")
             certs[i] = {"n": n, "y": y, "J": J, "x": x}
             if rec.get("l") != epoch:
+                if epoch is not None:
+                    checks["best_tracking"].count += 1
+                    if not np.array_equal(x, certs[best]["x"]):
+                        fail("best_tracking", f"record {i}: epoch starts from "
+                             "an x other than the previous epoch's best "
+                             f"certificate {best}'s")
                 epoch, best = rec.get("l"), i
             elif J < certs[best]["J"]:
                 best = improved = i
@@ -335,6 +346,13 @@ def verify_events(
             elif kind == "BestUpdated" and ref != improved:
                 fail(check, f"record {i}: best update for certificate {ref}, "
                      "which does not lower its epoch's best J")
+            elif kind == "DecisionStep":
+                start = cert(before)  # the step's decision before it moved
+                if start is None or _number(rec, "moved") != float(
+                        np.linalg.norm(src["x"] - start["x"])):
+                    fail(check, f"record {i}: step moved "
+                         f"{rec.get('moved')!r}, not the distance from "
+                         f"certificate {before}'s x")
             if kind == "BestUpdated":
                 improved = None
 

@@ -105,21 +105,38 @@ class CertificateInterrupted(Exception):
 
 
 class Meter:
-    """Solver work done so far, and the clock it is charged to: ``charge``
-    (None to only count) receives cost units, 1 per vertex search and 1 per
-    hull iteration. ``search`` counts and charges one vertex search; the
-    ascent charges its own iterations and its caller counts them."""
+    """Solver work done so far, and the virtual time ``t`` it has taken.
 
-    def __init__(self, charge: Optional[Callable[[int], None]] = None):
-        self.charge = charge
+    ``charge`` adds cost units, 1 per vertex search and 1 per hull
+    iteration, each ``unit`` long; ``rate`` units make one period. The
+    runner sets ``unit`` to the active window's size times its dimension,
+    so compressed windows advance the clock slower. ``search`` counts and
+    charges one vertex search; the ascent charges its own iterations and
+    its caller counts them. The defaults serve callers that only count."""
+
+    def __init__(self, rate: float = 1.0):
+        if rate <= 0:
+            raise ValueError("cost budget must be positive")
+        self.rate = float(rate)
+        self.unit = 1.0
+        self.t = 0.0
         self.lp_calls = 0
         self.cp_calls = 0
         self.afwa_iters = 0
 
+    def charge(self, units: int) -> None:
+        self.t += units * self.unit / self.rate
+
+    def step(self) -> None:
+        """Charge a decision step: one unit, whatever the window."""
+        self.t += 1.0 / self.rate
+
+    def jump_to(self, t: float) -> None:
+        self.t = max(self.t, t)
+
     def search(self) -> None:
         self.lp_calls += 1
-        if self.charge is not None:
-            self.charge(1)
+        self.charge(1)
 
     def counts(self) -> tuple[int, int, int]:
         return self.lp_calls, self.cp_calls, self.afwa_iters

@@ -120,7 +120,7 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est) -> dict:
             "x_best": np.asarray(result.x_best).tolist(),
             "j_best": result.j_best,
             "n": result.n,
-            "r": result.r,
+            "r": result.totals.steps,
             "epochs": result.totals.epochs,
             "virtual_time": result.t_final,
             "j_star_est": j_star_est,

@@ -328,14 +328,9 @@ def build_cover(spec: dict) -> CoverConfig:
 
 def build_x0(spec: dict, seed: int, d: int) -> np.ndarray:
     """Check the ``x0`` section and draw or build the starting decision."""
-    kind = _kind(spec, "x0",
-                 {"zeros": (), "fixed": ("value",), "uniform": ("low", "high")})
+    kind = _kind(spec, "x0", {"zeros": (), "uniform": ("low", "high")})
     if kind == "zeros":
         return np.zeros(d)
-    if kind == "fixed":
-        x0 = _array(spec["value"], "x0.value")
-        _require(x0.shape == (d,), "x0.value", f"needs length {d}")
-        return x0
     low = _number(spec["low"], "x0.low")
     high = _number(spec["high"], "x0.high")
     _require(low <= high, "x0", "low must not exceed high")

@@ -3,9 +3,13 @@
 Work is metered in solver cost units (one per vertex search, hull iteration,
 or decision step) and converted to virtual time through a per-period budget,
 so arrivals land mid-computation exactly as they would against a wall clock.
-Between solver rounds the arrival queue is polled; due points interrupt the
-current certificate, the partial state adapts to the grown window, and a new
-epoch begins from the best decision found so far.
+A ``certificates.Meter`` counts that work and keeps the virtual time. Between
+solver rounds the arrival queue is polled; due points interrupt the current
+certificate, the partial state adapts to the grown window, and a new epoch
+begins from the best decision found so far. ``run`` is one loop over epochs:
+each ingests what is due (jumping the clock to the next arrival after a
+converged epoch), certifies, and steps until it converges or arrivals are
+due; the run terminates when an epoch converges with the queue empty.
 
 Every state change is posted as an event with a fixed key set, and each
 datum is written once. A refresh posts its perturbation plan in coordinate
@@ -16,11 +20,11 @@ carries the decision. With the gaps and tolerances this is enough for an
 offline audit to re-verify the whole run from the event log alone.
 
 ``Samples`` owns the ingested samples and the window and radius certifying
-them; the audit replays a log's arrivals through it too. A
-``certificates.Meter`` counts the solver work where the clock is charged for
-it. A certificate posts the work of the attempt that produced it (a
-refresh's includes its failed revalidation search); the totals are the
-meter's counts, interrupted attempts included.
+them; the audit replays a log's arrivals through it too. Each event posts
+the meter's time, the sample count, the step and epoch counts of
+``RunTotals`` and the current ball's beta. A certificate posts the work of
+the attempt that produced it (a refresh's includes its failed revalidation
+search); the totals are the meter's counts, interrupted attempts included.
 """
 
 from __future__ import annotations
@@ -93,23 +97,6 @@ class RunEvent:
         }
         out.update(self.extras)
         return out
-
-
-class Clock:
-    """Virtual time driven by solver work: dt = units / budget_per_period."""
-
-    def __init__(self, budget_per_period: float):
-        if budget_per_period <= 0:
-            raise ValueError("cost budget must be positive")
-        self.rate = float(budget_per_period)
-        self.t = 0.0
-
-    def tick(self, units: float) -> None:
-        self.t += units / self.rate
-
-    def jump_to(self, t: float) -> None:
-        if t > self.t:
-            self.t = t
 
 
 class ArrivalQueue:
@@ -197,8 +184,9 @@ class RunConfig:
 
     cost_budget_per_period is the solver work available per virtual time
     unit, counted in atom-coordinates touched: one inner iteration on a
-    window of p atoms in dimension m costs p*m. Compressed windows
-    therefore advance the clock slower than full ones, which is the whole
+    window of p atoms in dimension m costs p*m. It is the rate of the run's
+    ``Meter``, which keeps the virtual time. Compressed windows therefore
+    advance the clock slower than full ones, which is the whole
     computational point of covering.
     """
 
@@ -238,7 +226,6 @@ class RunResult:
     x_best: Array
     j_best: float
     n: int
-    r: int
     t_final: float
     totals: RunTotals
     cover_size: Optional[int]
@@ -257,30 +244,23 @@ def run(
     model, tol = config.model, config.tolerances
     rule = make_rule(config.step_rule, tol)
     queue = ArrivalQueue(list(points)[: config.n0])
-    clock = Clock(config.cost_budget_per_period)
+    meter = Meter(config.cost_budget_per_period)
     totals = RunTotals()
     events: list[RunEvent] = []
     samples = Samples(model.dimension_m, config.n0, config.concentration,
                       config.schedule, config.cover)
-    # one solver iteration touches every atom coordinate of the active
-    # window, so compressed windows advance the clock proportionally slower
-    unit = 0.0
-    meter = Meter(lambda units: clock.tick(units * unit))
+    plan_seq = None  # the latest certificate that posts its plan in full
 
-    r = 0
-    l = 0
-    beta_n: Optional[float] = None
-
-    def post(kind, *, n, J=None, beta=None, x=None, **extras) -> RunEvent:
+    def post(kind, *, J=None, x=None, **extras) -> RunEvent:
         ev = RunEvent(
             seq=len(events),
             kind=kind,
-            t=clock.t,
-            n=n,
-            r=r,
-            l=l,
+            t=meter.t,
+            n=samples.n,
+            r=totals.steps,
+            l=totals.epochs,
             J=J,
-            beta=beta,
+            beta=None if kind == "DataArrival" else samples.ball()[2],
             x=None if x is None else np.asarray(x, dtype=float).reshape(-1).tolist(),
             extras=extras,
         )
@@ -291,34 +271,36 @@ def run(
 
     def due() -> bool:
         nt = queue.next_time()
-        return nt is not None and nt <= clock.t
+        return nt is not None and nt <= meter.t
 
     def drain() -> None:
-        for sp in queue.pop_due(clock.t):
+        for sp in queue.pop_due(meter.t):
             opened = samples.add(sp.value, sp.index)
-            post("DataArrival", n=samples.n, point=samples.points[-1].tolist(),
+            post("DataArrival", point=samples.points[-1].tolist(),
                  index=sp.index, arrival_t=sp.arrival_time,
                  cover_opened=opened, cover_size=samples.cover_size)
 
-    def post_certificate(cert: CertificateResult, x, mark, *, tol_used,
-                         reused, y_ref=None) -> RunEvent:
+    def post_certificate(cert: CertificateResult, x, mark,
+                         reused=False) -> int:
+        nonlocal plan_seq
         # the work of the attempt that produced cert: the counts since mark
         lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
-        extras = dict(eta=cert.eta, tol=tol_used, radius=cert.radius,
-                      reused=reused, lp_calls=lp, cp_calls=cp,
-                      afwa_iters=iters)
-        if y_ref is None:
-            extras["y"] = plan_entries(cert.y_eps1)
+        extras = dict(eta=cert.eta, tol=tol.eps_sa if reused else tol.eps1,
+                      radius=cert.radius, reused=reused, lp_calls=lp,
+                      cp_calls=cp, afwa_iters=iters)
+        if reused:
+            extras["y_ref"] = plan_seq
         else:
-            extras["y_ref"] = y_ref
-        return post(
+            extras["y"] = plan_entries(cert.y_eps1)
+        seq = post(
             "CertificatePosted",
-            n=samples.n,
             J=cert.j_eps1,
-            beta=beta_n,
             x=x,
             **extras,
-        )
+        ).seq
+        if not reused:
+            plan_seq = seq
+        return seq
 
     x = (
         np.zeros(model.dimension_d)
@@ -327,27 +309,21 @@ def run(
     )
     if model.project is not None:
         x = model.project(x)
-
-    nt = queue.next_time()
-    if nt is None:
-        raise ValueError("empty stream")
-    clock.jump_to(nt)
-    drain()
-
     warm: Optional[WarmState] = None
-    x_best = x.copy()
-    j_best = float("inf")
 
-    while True:
-        l += 1
+    # each epoch ingests what is due, jumping the clock to the next arrival
+    # when nothing is; an epoch cut short by arrivals leaves them queued, so
+    # the loop ends only after an epoch converged with every sample in
+    while queue:
+        meter.jump_to(queue.next_time())
+        drain()
         totals.epochs += 1
-        r_n = r
+        first = totals.steps
         # certify x on the current window, warm from the last state; an
         # interrupt ingests the due points and retries from its partial state
         while True:
-            n = samples.n
-            window, eps_n, beta_n = samples.ball()
-            unit = float(window.size * window.dimension)
+            window, eps_n, _ = samples.ball()
+            meter.unit = float(window.size * window.dimension)
             if warm is not None:
                 warm = adapt(warm.vertex_set, warm.gamma, window.n_total, eps_n,
                              (window.size, window.dimension))
@@ -362,19 +338,14 @@ def run(
                 totals.interrupts += 1
                 drain()
                 warm = ci.state
-        ev = post_certificate(cert, x, mark, tol_used=tol.eps1, reused=False)
-        cert_seq = ev.seq
-        full_y_seq = ev.seq
-        x_best, j_best, best_seq = x.copy(), cert.j_eps1, cert_seq
-        epoch_converged = False
+        x_best, j_best = x.copy(), cert.j_eps1
+        best_seq = post_certificate(cert, x, mark)
 
         while True:
-            alpha = rule.alpha(r - r_n)
-            g = subgradient(model, x, cert)
-            x_new = scaled_step(model, x, g, alpha)
-            r += 1
+            alpha = rule.alpha(totals.steps - first)
+            x_new = scaled_step(model, x, subgradient(model, x, cert), alpha)
             totals.steps += 1
-            clock.tick(1.0)
+            meter.step()
             mark = meter.counts()
             try:
                 outcome = reuse_or_refresh(
@@ -384,86 +355,55 @@ def run(
             except CertificateInterrupted as ci:
                 totals.interrupts += 1
                 warm = ci.state
-                drain()
                 break
-            outcome_cert, reused = outcome.cert, outcome.reused
+            cert, reused = outcome.cert, outcome.reused
             totals.reuses += int(reused)
             totals.refreshes += int(not reused)
-            cev = post_certificate(
-                outcome_cert,
-                x_new,
-                mark,
-                tol_used=tol.eps_sa if reused else tol.eps1,
-                reused=reused,
-                y_ref=full_y_seq if reused else None,
-            )
-            cert_seq = cev.seq
-            if not reused:
-                full_y_seq = cev.seq
+            cert_seq = post_certificate(cert, x_new, mark, reused)
             moved = float(np.linalg.norm(x_new - x))
             post(
                 "DecisionStep",
-                n=n,
-                J=outcome_cert.j_eps1,
-                beta=beta_n,
+                J=cert.j_eps1,
                 alpha=alpha,
                 moved=moved,
                 cert_seq=cert_seq,
             )
-            if outcome_cert.j_eps1 < j_best:
-                x_best, j_best, best_seq = x_new.copy(), outcome_cert.j_eps1, cert_seq
-                post("BestUpdated", n=n, J=j_best, beta=beta_n,
-                     cert_seq=cert_seq)
-            x, cert = x_new, outcome_cert
+            if cert.j_eps1 < j_best:
+                x_best, j_best, best_seq = x_new.copy(), cert.j_eps1, cert_seq
+                post("BestUpdated", J=j_best, cert_seq=cert_seq)
+            x = x_new
             step_stop = moved < tol.eps2
-            horizon_stop = (r - r_n) >= rule.horizon
+            horizon_stop = totals.steps - first >= rule.horizon
             stop = step_stop if config.stop_rule == "step" else horizon_stop
             if stop:
                 post(
                     "EpochConverged",
-                    n=n,
                     J=j_best,
-                    beta=beta_n,
                     x=x_best,
-                    steps=r - r_n,
+                    steps=totals.steps - first,
                     reason=config.stop_rule,
                     rules_disagree=bool(step_stop != horizon_stop),
                     best_seq=best_seq,
                 )
-                epoch_converged = True
+            if stop or due():
                 warm = cert.warm_state()
                 break
-            if due():
-                warm = cert.warm_state()
-                drain()
-                break
-
         x = x_best.copy()
-        if epoch_converged:
-            if len(queue) == 0:
-                post(
-                    "Terminated",
-                    n=n,
-                    J=j_best,
-                    beta=beta_n,
-                    x=x_best,
-                    best_seq=best_seq,
-                    cover_size=samples.cover_size,
-                )
-                break
-            nt = queue.next_time()
-            if nt is not None:
-                clock.jump_to(nt)
-            drain()
 
+    post(
+        "Terminated",
+        J=j_best,
+        x=x_best,
+        best_seq=best_seq,
+        cover_size=samples.cover_size,
+    )
     totals.lp_calls, totals.cp_calls, totals.afwa_iters = meter.counts()
     return RunResult(
         events=events,
         x_best=x_best,
         j_best=j_best,
         n=samples.n,
-        r=r,
-        t_final=clock.t,
+        t_final=meter.t,
         totals=totals,
         cover_size=samples.cover_size,
         horizon_capped=rule.horizon_capped,

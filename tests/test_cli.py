@@ -329,6 +329,50 @@ def test_verify_reports_an_output_that_is_not_the_epochs_best_and_exits_1(
             f"epoch's best {best}") in captured.err
 
 
+def shift_a_step(records):
+    """A step posts a moved one more than its distance; returns its seq."""
+    step = next(r for r in records if r["kind"] == "DecisionStep")
+    step["moved"] += 1.0
+    return step["seq"], [step["seq"]]
+
+
+def flip_an_epoch_start(records):
+    """The second epoch's first certificate posts -x, at the same J and gap
+    since study1's cost is even in x, and the step after it the distance
+    from there; returns that certificate's seq and the edited seqs."""
+    start = next(r for r in records
+                 if r["kind"] == "CertificatePosted" and r["l"] == 2)
+    start["x"] = [-v for v in start["x"]]
+    step = next(r for r in records[start["seq"]:]
+                if r["kind"] == "DecisionStep")
+    step["moved"] = abs(records[step["cert_seq"]]["x"][0] - start["x"][0])
+    return start["seq"], [start["seq"], step["seq"]]
+
+
+@pytest.mark.parametrize("tamper, check, message", [
+    (shift_a_step, "step_links", "step moved"),
+    (flip_an_epoch_start, "best_tracking",
+     "epoch starts from an x other than the previous epoch's best"),
+], ids=["moved", "epoch-start"])
+def test_verify_reports_a_step_that_is_not_the_runs_and_exits_1(
+        run_dir, tmp_path, capsys, tamper, check, message):
+    lines = (run_dir / "events.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    picked, edited = tamper(records)
+    for i in edited:
+        lines[i] = json.dumps(records[i])
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    assert f"{check}: FAIL (" in captured.out
+    assert f"record {picked}: {message}" in captured.err
+
+
 def test_verify_checks_the_posted_tolerance_and_exits_1(
         run_dir, tmp_path, capsys):
     lines = (run_dir / "events.jsonl").read_text().splitlines()
@@ -491,6 +535,14 @@ def test_a_config_with_step_norm_is_rejected():
     data["step_norm"] = "l1"
     with pytest.raises(ConfigError, match="step_norm"):
         from_dict(data)
+
+
+def test_a_config_with_a_fixed_x0_is_rejected():
+    data = study1().to_dict()
+    data["x0"] = {"kind": "fixed", "value": [1.0]}
+    with pytest.raises(ConfigError, match="unknown x0 kind 'fixed'") as info:
+        from_dict(data)
+    assert info.value.path == "x0.kind"
 
 
 def test_custom_config_runs_study2_at_desk_scale(tmp_path):

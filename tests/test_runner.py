@@ -510,11 +510,15 @@ def test_audit_requires_the_epochs_running_best():
 
 def test_audit_requires_a_best_update_exactly_after_each_improvement():
     cfg, records = plain_records()
-    # the last best update becomes a second step record: its certificate
-    # lowered the best, and nothing says so before the epoch converges
+    # the last best update becomes a copy of the step record before it: its
+    # certificate lowered the best, and nothing says so before the epoch
+    # converges
     dropped = max(i for i, r in enumerate(records)
                   if r["kind"] == "BestUpdated")
-    records[dropped]["kind"] = "DecisionStep"
+    step = records[dropped - 1]
+    assert step["kind"] == "DecisionStep"
+    records[dropped].update(kind="DecisionStep", alpha=step["alpha"],
+                            moved=step["moved"])
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
     assert failed["best_tracking"] == 1 and sum(failed.values()) == 1
@@ -570,6 +574,75 @@ def test_audit_checks_the_posted_tolerance_against_the_run():
     failed = checks(records)
     assert failed["structure"] == 1
     assert sum(failed.values()) == 1
+
+
+def test_audit_checks_the_reused_flag_without_the_runs_tolerances():
+    # the plan form alone says whether a certificate reuses an earlier plan,
+    # so the flag is checked on a call that passes no tolerances too
+    cfg, records = two_sample_records()
+    records[6]["reused"] = True  # a refresh that posts a full plan
+    report = verify_events(records, cfg.model, cfg.concentration,
+                           cfg.schedule)
+    failed = {c.name: c.failures for c in report.checks}
+    assert failed["structure"] == 1 and sum(failed.values()) == 1
+    assert report.failures == [
+        "record 6: reused flag disagrees with the plan form"]
+
+
+def study1_records():
+    cfg, text = study1_log()
+    return cfg, [json.loads(line) for line in text.splitlines()]
+
+
+def full_audit(cfg, records):
+    report = verify_events(records, cfg.model, cfg.concentration,
+                           cfg.schedule, cfg.cover,
+                           tolerances=cfg.tolerances)
+    return report, {c.name: c.failures for c in report.checks}
+
+
+def test_audit_requires_a_step_to_post_the_distance_it_moved():
+    cfg, records = study1_records()
+    assert full_audit(cfg, records)[0].ok
+    step = next(r for r in records if r["kind"] == "DecisionStep")
+    step["moved"] += 1.0
+    report, failed = full_audit(cfg, records)
+    assert failed["step_links"] == 1 and sum(failed.values()) == 1
+    assert report.failures[0].startswith(
+        f"record {step['seq']}: step moved {step['moved']!r}, not the "
+        f"distance from certificate {step['cert_seq'] - 1}'s x")
+
+
+def test_audit_requires_each_epoch_to_start_from_the_last_best():
+    # study1's cost is even in its scalar x (b = 0), so the second epoch's
+    # first certificate can post -x at its own J and gap; with the next
+    # step's moved posted from -x, only where the epoch starts gives it away
+    cfg, records = study1_records()
+    start = next(r for r in records
+                 if r["kind"] == "CertificatePosted" and r["l"] == 2)
+    best = next(r["best_seq"] for r in records
+                if r["kind"] == "EpochConverged")
+    assert start["x"] == records[best]["x"] != [0.0]
+    start["x"] = [-v for v in start["x"]]
+    step = next(r for r in records[start["seq"]:]
+                if r["kind"] == "DecisionStep")
+    assert step["cert_seq"] == start["seq"] + 1
+    step["moved"] = float(np.linalg.norm(
+        np.array(records[step["cert_seq"]]["x"]) - start["x"]))
+    report, failed = full_audit(cfg, records)
+    # that certificate stays its epoch's best, so the epoch's convergence
+    # and the next epoch's start do not post its x either
+    end = next(r for r in records[start["seq"]:]
+               if r["kind"] == "EpochConverged")
+    assert end["best_seq"] == start["seq"]
+    assert failed["best_tracking"] == 3 and sum(failed.values()) == 3
+    assert report.failures == [
+        f"record {start['seq']}: epoch starts from an x other than the "
+        f"previous epoch's best certificate {best}'s",
+        f"record {end['seq']}: epoch x != best certificate {start['seq']}'s",
+        f"record {end['seq'] + 2}: epoch starts from an x other than the "
+        f"previous epoch's best certificate {start['seq']}'s",
+    ]
 
 
 def test_audit_fails_weighted_certificate_above_its_tolerance():
@@ -634,13 +707,19 @@ def log_text(result):
 
 
 # (preset, n0, cover, cost budget per period or None for the preset's,
-#  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes)
+#  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
+#  virtual time at the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79584),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67503),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 78121),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 360139),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 171635),
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79584,
+     40.12962000000008),
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67503,
+     41.567399999999694),
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 78121,
+     40.08570000000014),
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 360139,
+     20.546896719250853),
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 171635,
+     82.87780000000083),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
               "study1-coupled-interrupted"]
@@ -648,14 +727,15 @@ PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
 
 @pytest.mark.parametrize(
     "preset, n0, cover, budget, lp, cp, iters, interrupts, reuses, events, "
-    "log_bytes",
+    "log_bytes, t_final",
     PINNED_WORK, ids=PINNED_IDS)
 def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
                                   interrupts, reuses, events, log_bytes,
-                                  monkeypatch):
+                                  t_final, monkeypatch):
     # the virtual clock meters solver work, so a change that only speeds the
-    # solvers up leaves every counter and the event sequence as they are;
-    # the log's size is pinned too, within 1% since float digits may move.
+    # solvers up leaves every counter, the event sequence and the clock as
+    # they are; the log's size is pinned within 1% and the final time within
+    # 1e-9, since float digits may move.
     # Every vertex search the clock is charged for is counted, those of
     # interrupted attempts and of failed revalidations too
     searches = []
@@ -671,6 +751,7 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
             len(res.events)) == (lp, cp, iters, interrupts, reuses, events)
     assert t.lp_calls == len(searches)
     assert len(log_text(res).encode()) == pytest.approx(log_bytes, rel=0.01)
+    assert res.t_final == pytest.approx(t_final, rel=1e-9)
 
 
 # the best value of each PINNED_WORK run, recorded while the hull ascent
@@ -791,26 +872,25 @@ def test_the_audit_reports_a_decision_outside_the_models_domain():
                for f in report.failures), report.failures
 
 
-@pytest.mark.parametrize("n0, budget, seed, interrupted", [
-    (20, 1e12, 0, False),
-    (60, None, 1, True),
-], ids=["no-interrupts", "study1-budget"])
-def test_a_coupled_run_ends_at_the_exact_robust_optimum(n0, budget, seed,
-                                                        interrupted):
-    # the last epoch certifies the whole stream at the last radius, where
-    # water-filling prices the worst case J exactly. j_best is a feasible
-    # plan's value within its posted gap (at most eps_sa) of J(x_best), so
-    # j_best >= J* - eps_sa; the epoch aims at j_best <= J* + eps2. J is x^2
-    # plus a supremum of functions affine in x, so 2-strongly convex:
-    # (x_best - x*)^2 <= J(x_best) - J* <= eps2 + eps_sa
-    cfg = presets.with_overrides(preset_config("study1-coupled", seed), n0=n0)
-    mat = presets.materialize(cfg)
+def run_to_the_robust_optimum(b, seed, n0, budget):
+    """Run study1 with the scalar decision coupled to the samples by ``b``
+    (a list of three floats) and check its output against the exact robust
+    optimum; ``budget`` overrides the cost budget per period unless None.
+
+    The last epoch certifies the whole stream at the last radius, where
+    water-filling prices the worst case J exactly. j_best is a feasible
+    plan's value within its posted gap (at most eps_sa) of J(x_best), so
+    j_best >= J* - eps_sa; the epoch aims at j_best <= J* + eps2. J is x^2
+    plus a supremum of functions affine in x, so 2-strongly convex:
+    (x_best - x*)^2 <= J(x_best) - J* <= eps2 + eps_sa.
+    """
+    cfg = presets.with_overrides(presets.study1(seed=seed), n0=n0)
+    mat = presets.materialize(
+        dataclasses.replace(cfg, model={**cfg.model, "b": [b]}))
     config = mat.run_config
     if budget is not None:
         config = dataclasses.replace(config, cost_budget_per_period=budget)
     res = run(config, mat.stream)
-    assert (res.totals.interrupts > 0) == interrupted
-    assert res.totals.refreshes > 0
     records = [ev.record() for ev in res.events]
     report = verify_events(records, config.model, config.concentration,
                            config.schedule, config.cover,
@@ -819,9 +899,34 @@ def test_a_coupled_run_ends_at_the_exact_robust_optimum(n0, budget, seed,
     radius = [r for r in records if r["kind"] == "CertificatePosted"][-1][
         "radius"]
     points = np.stack([p.value for p in mat.stream[:n0]])
-    robust = robust_value_1d(np.eye(1), np.array(COUPLED_B), -np.ones(3),
+    robust = robust_value_1d(np.eye(1), np.array([b]), -np.ones(3),
                              points, np.ones(n0), n0, radius)
     x_star, j_star = golden_min(robust, -20.0, 20.0)
     tol = config.tolerances
     assert -tol.eps_sa <= res.j_best - j_star <= tol.eps2
     assert abs(res.x_best[0] - x_star) <= math.sqrt(tol.eps2 + tol.eps_sa)
+    return res
+
+
+@pytest.mark.parametrize("n0, budget, seed, interrupted", [
+    (20, 1e12, 0, False),
+    (60, None, 1, True),
+], ids=["no-interrupts", "study1-budget"])
+def test_a_coupled_run_ends_at_the_exact_robust_optimum(n0, budget, seed,
+                                                        interrupted):
+    res = run_to_the_robust_optimum(COUPLED_B[0], seed, n0, budget)
+    assert (res.totals.interrupts > 0) == interrupted
+    assert res.totals.refreshes > 0
+
+
+# the preset's budget, one that interrupts small runs, and one that never
+# does; b holds Python floats, since a config rejects numpy scalars
+@settings(max_examples=12, deadline=None)
+@given(b=st.one_of(st.just([0.0, 0.0, 0.0]),
+                   st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)),
+       seed=st.integers(0, 2**16), n0=st.integers(3, 24),
+       budget=st.sampled_from([None, 2000.0, 1e12]))
+@example(b=[0.0, 0.0, 0.0], seed=0, n0=3, budget=None)
+@example(b=COUPLED_B[0], seed=1, n0=24, budget=2000.0)
+def test_any_run_ends_at_the_exact_robust_optimum(b, seed, n0, budget):
+    run_to_the_robust_optimum(b, seed, n0, budget)
