@@ -270,12 +270,15 @@ class _Problem:
 
 
 def _check_vertex_rows(vertex_set: Array, shape: tuple[int, int], window: str) -> None:
-    """Raise ValueError unless every ``(k, j, sign)`` row indexes a cell of
-    a (p, m) window of the given shape and has sign +1 or -1."""
-    at = vertex_set[:, :2]
-    if np.any(at < 0) or np.any(at >= shape):
+    """Raise ValueError unless every integer ``(k, j, sign)`` row indexes a
+    cell of a (p, m) window of the given shape and has sign +1 or -1; one
+    min and one max pass over the rows, and an empty set passes."""
+    if not len(vertex_set):
+        return
+    lo, hi = vertex_set.min(axis=0).tolist(), vertex_set.max(axis=0).tolist()
+    if min(lo[0], lo[1]) < 0 or hi[0] >= shape[0] or hi[1] >= shape[1]:
         raise ValueError(f"vertex coordinate outside the {window}")
-    if np.any(np.abs(vertex_set[:, 2]) != 1):
+    if lo[2] < -1 or hi[2] > 1 or not vertex_set[:, 2].all():
         raise ValueError("vertex signs must be +1 or -1")
 
 
@@ -316,7 +319,7 @@ class _QuadraticHull:
         C = problem.model.sample_curvature
         self.H = np.zeros((1 + len(vals), 1 + len(vals)))
         # only pairs on the same atom couple; every other entry stays +0.0
-        a, b = np.nonzero(ks[:, None] == ks[None, :])
+        a, b = np.divmod(np.flatnonzero(ks[:, None] == ks), len(ks))
         self.H[1:, 1:][a, b] = (2.0 * vals / weight)[a] * vals[b] * C[js[a], js[b]]
 
     def point(self, gamma: Array) -> Array:

@@ -8,7 +8,10 @@ on the unit simplex the barycentric weights of the active set coincide with
 the iterate itself, so the classic active-set bookkeeping reduces to the
 plain vector update and eviction means zeroing a coordinate. One
 Hessian-vector product per iteration gives the exact step and carries the
-gradient and value along it.
+gradient and value along it. The Hessian is diagonal when the model's
+sample curvature is and no two hull vertices share an atom and a
+coordinate; the product is then elementwise, O(V) rather than O(V^2) for
+V weights.
 
 The ascent serves only objectives quadratic in the weights: the
 certificate's hull objective is one exactly when the cost is quadratic in
@@ -138,6 +141,16 @@ def afwa_maximize(
     that falls raises ConcavityError. Iteration exhaustion returns
     ``converged=False`` rather than raising so callers can flag it.
 
+    When every nonzero of ``H`` lies on its diagonal (checked once per
+    call), each step's H d is the diagonal times d elementwise, O(V)
+    instead of O(V^2) for V weights. Each row of the dense product adds
+    exact zeros to its one nonzero term, so the two can differ only in the
+    sign of a zero entry of H d. Such a zero is only ever added to a
+    gradient entry or summed into a zero curvature, and the fresh gradient
+    that confirms a gap at or below ``eps`` is read with the dense product,
+    so for ``eps`` >= 0 the weights, value, gap and iteration count are
+    the dense product's bit for bit.
+
     ``tick`` is called with 1 after each iteration (cost accounting);
     ``interrupt`` is polled every 32 iterations and, when it fires, the
     current (feasible, no worse than start) weights are returned with
@@ -179,6 +192,11 @@ def afwa_maximize(
     g += lin
     step = np.empty_like(state)
     d, Hd = step
+    # a diagonal H is applied elementwise, with the dense product's values
+    if np.count_nonzero(H) == np.count_nonzero(H.diagonal()):
+        prod, mat = np.multiply, H.diagonal().copy()
+    else:
+        prod, mat = np.dot, H
     # pen is 0.0 on the active weights and inf off them, so the away search
     # is the argmin of g + pen; floor is a lower bound on the active weights,
     # and 0.0 makes the first step clamp
@@ -221,7 +239,7 @@ def afwa_maximize(
             d[v] -= 1.0
             t_max, deriv0, away = gamma_v / (1.0 - gamma_v), gap_away, True
 
-        np.dot(H, d, out=Hd)
+        prod(mat, d, out=Hd)
         curv = float(d.dot(Hd))
         if curv >= -1e-14 * (1.0 + abs(deriv0)):
             t = t_max

@@ -708,18 +708,18 @@ def log_text(result):
 
 # (preset, n0, cover, cost budget per period or None for the preset's,
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
-#  virtual time at the end)
+#  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
     ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79584,
-     40.12962000000008),
+     40.12962000000008, 0.1296200000000809),
     ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67503,
-     41.567399999999694),
+     41.567399999999694, 1.3922000000000523),
     ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 78121,
-     40.08570000000014),
+     40.08570000000014, 0.08570000000013778),
     ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 360139,
-     20.546896719250853),
+     20.546896719250853, 0.14061000000089052),
     ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 171635,
-     82.87780000000083),
+     82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
               "study1-coupled-interrupted"]
@@ -727,15 +727,18 @@ PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
 
 @pytest.mark.parametrize(
     "preset, n0, cover, budget, lp, cp, iters, interrupts, reuses, events, "
-    "log_bytes, t_final",
+    "log_bytes, t_final, t_tail",
     PINNED_WORK, ids=PINNED_IDS)
 def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
                                   interrupts, reuses, events, log_bytes,
-                                  t_final, monkeypatch):
+                                  t_final, t_tail, monkeypatch):
     # the virtual clock meters solver work, so a change that only speeds the
     # solvers up leaves every counter, the event sequence and the clock as
     # they are; the log's size is pinned within 1% and the final time within
-    # 1e-9, since float digits may move.
+    # 1e-9, since float digits may move. The final time is mostly the last
+    # arrival's, so the metered time after it is pinned within 1e-11:
+    # charging a decision step 1.000001 / rate instead of 1 / rate moves it
+    # by about 1e-10, and the final time by less than 1e-9.
     # Every vertex search the clock is charged for is counted, those of
     # interrupted attempts and of failed revalidations too
     searches = []
@@ -752,6 +755,8 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
     assert t.lp_calls == len(searches)
     assert len(log_text(res).encode()) == pytest.approx(log_bytes, rel=0.01)
     assert res.t_final == pytest.approx(t_final, rel=1e-9)
+    last = [ev.t for ev in res.events if ev.kind == "DataArrival"][-1]
+    assert res.t_final - last == pytest.approx(t_tail, rel=1e-11)
 
 
 # the best value of each PINNED_WORK run, recorded while the hull ascent

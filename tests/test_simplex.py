@@ -203,6 +203,11 @@ def hulls(draw, sparse=False):
     an interrupt that fires at a random poll, and an iteration cap that
     some runs exhaust.
 
+    The blocks are random of size 1 to 4, or all of size 1 (a diagonal H,
+    which the ascent applies elementwise), or all of size 1 but one "twin"
+    pair coupled as a (k, j, +1) and a (k, j, -1) vertex are, which must
+    take the dense product.
+
     A ``sparse`` hull starts from a Dirichlet(0.05) draw with some weights
     set between 1e-17 and 1e-12 and some set to -0.0. Half of those are
     stiff: their curvature dominates lin, so most steps stop inside the
@@ -212,14 +217,21 @@ def hulls(draw, sparse=False):
     rng = np.random.default_rng(seed)
     V = draw(st.integers(2, 40))
     stiff = sparse and draw(st.booleans())
+    blocks = draw(st.sampled_from(["random", "diagonal", "twin"]))
     H = np.zeros((V, V))
     lo = 1
     while lo < V:
-        hi = min(V, lo + int(rng.integers(1, 5)))
+        size = int(rng.integers(1, 5)) if blocks == "random" else 1
+        hi = min(V, lo + size)
         scale = 10.0 ** rng.uniform(0 if stiff else -8, 1)
         root = rng.normal(size=(hi - lo, hi - lo)) * scale
         H[lo:hi, lo:hi] = -(root @ root.T)
         lo = hi
+    if blocks == "twin" and V >= 3:
+        a, b = rng.choice(np.arange(1, V), size=2, replace=False)
+        c = 10.0 ** rng.uniform(0 if stiff else -8, 1)
+        H[a, a] = H[b, b] = -c
+        H[a, b] = H[b, a] = c
     lin = rng.normal(size=V) * rng.uniform(0.01, 1.0 if stiff else 10.0)
     lin[0] = 0.0
     if sparse:
