@@ -24,7 +24,7 @@ is the step's decision, so the log holds one copy of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -128,6 +128,11 @@ def verify_events(
     convergence and the run's termination must name it by ``best_seq`` and
     post its ``J`` and exactly its ``x``. Otherwise ``best_tracking`` or
     ``termination`` fails.
+
+    An epoch's convergence must post as ``steps`` the number of steps in its
+    epoch. Given the run's ``tolerances``, a ``reason: "step"`` convergence
+    must end its epoch at the first step whose ``moved`` is below ``eps2``.
+    Otherwise ``stop_rule`` fails.
     """
     checks = {
         name: AuditCheck(name)
@@ -141,6 +146,7 @@ def verify_events(
             "step_links",
             "best_tracking",
             "termination",
+            "stop_rule",
         )
     }
     failures: list[str] = []
@@ -168,6 +174,9 @@ def verify_events(
     # the epoch (record l) of the latest certificate and the seq of its best
     # one; improved is a certificate that lowered it and awaits BestUpdated
     epoch = best = improved = None
+    # the steps of that epoch so far, and the count at its first step that
+    # moved less than eps2 (None before one, or without tolerances)
+    steps, small_at = 0, None
     terminated = False
 
     for i, rec in enumerate(records):
@@ -320,6 +329,7 @@ def verify_events(
                              "an x other than the previous epoch's best "
                              f"certificate {best}'s")
                 epoch, best = rec.get("l"), i
+                steps, small_at = 0, None
             elif J < certs[best]["J"]:
                 best = improved = i
 
@@ -328,6 +338,12 @@ def verify_events(
             check, what = (("step_links", "step") if kind == "DecisionStep"
                            else ("best_tracking", "best"))
             checks[check].count += 1
+            if kind == "DecisionStep":
+                steps += 1
+                moved = _number(rec, "moved")
+                if (small_at is None and tolerances is not None
+                        and moved is not None and moved < tolerances.eps2):
+                    small_at = steps
             ref = rec.get("cert_seq")
             src = cert(ref)
             J = _number(rec, "J")
@@ -372,6 +388,15 @@ def verify_events(
             elif x is None or not np.array_equal(x, src["x"]):
                 fail("best_tracking", f"record {i}: epoch x != best "
                      f"certificate {ref}'s")
+            checks["stop_rule"].count += 1
+            if rec.get("steps") != steps:
+                fail("stop_rule", f"record {i}: epoch posts {rec.get('steps')!r} "
+                     f"steps, not the {steps} it took")
+            elif (tolerances is not None and rec.get("reason") == "step"
+                    and small_at != steps):
+                fail("stop_rule", f"record {i}: epoch stops at step {steps}, "
+                     "not at its first step that moved less than eps2 "
+                     f"({small_at})")
 
         elif kind == "Terminated":
             checks["termination"].count += 1

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -81,23 +81,24 @@ class DataWindow:
 
 @dataclass
 class WarmState:
-    """Adapted restart state: vertex set, start point in budget coordinates,
-    and hull weights over [origin] + vertices (index 0 is the origin atom).
+    """Restart state: vertex set, plan ``z`` in budget coordinates, and hull
+    weights over [origin] + vertices (index 0 is the origin atom).
 
     ``vertex_set`` is a (V, 3) int array of distinct ``(k, j, sign)`` rows.
     Each row stands for ``sign * n_total * radius`` at sample k, coordinate
     j of the window being solved, so the rows need no change across windows.
+    No solver writes into these arrays, so states share them uncopied.
     """
 
     vertex_set: Array
-    y_start: Array
+    z: Array
     gamma: Array
 
 
 class CertificateInterrupted(Exception):
-    """Raised when the caller's interrupt poll fires between solver rounds;
+    """Raised when the Meter's deadline passes between solver rounds;
     carries the partial state so it can be adapted to the grown window. The
-    aborted attempt's work is already on the caller's Meter."""
+    aborted attempt's work is already on the Meter."""
 
     def __init__(self, state: WarmState):
         super().__init__("certificate generation interrupted by data arrival")
@@ -105,14 +106,16 @@ class CertificateInterrupted(Exception):
 
 
 class Meter:
-    """Solver work done so far, and the virtual time ``t`` it has taken.
+    """Solver work done so far, the virtual time ``t`` it has taken, and
+    the next arrival's time ``deadline``, which the solvers poll by ``due``.
 
     ``charge`` adds cost units, 1 per vertex search and 1 per hull
     iteration, each ``unit`` long; ``rate`` units make one period. The
     runner sets ``unit`` to the active window's size times its dimension,
-    so compressed windows advance the clock slower. ``search`` counts and
-    charges one vertex search; the ascent charges its own iterations and
-    its caller counts them. The defaults serve callers that only count."""
+    so compressed windows advance the clock slower, and ``deadline`` after
+    each ingest. ``search`` counts and charges one vertex search; the ascent
+    charges its own iterations and its caller counts them. The defaults
+    serve callers that only count, and never fall due."""
 
     def __init__(self, rate: float = 1.0):
         if rate <= 0:
@@ -120,6 +123,7 @@ class Meter:
         self.rate = float(rate)
         self.unit = 1.0
         self.t = 0.0
+        self.deadline = math.inf
         self.lp_calls = 0
         self.cp_calls = 0
         self.afwa_iters = 0
@@ -134,6 +138,9 @@ class Meter:
     def jump_to(self, t: float) -> None:
         self.t = max(self.t, t)
 
+    def due(self) -> bool:
+        return self.t >= self.deadline
+
     def search(self) -> None:
         self.lp_calls += 1
         self.charge(1)
@@ -143,24 +150,20 @@ class Meter:
 
 
 @dataclass
-class CertificateResult:
-    """eps1-optimal certificate for one window.
+class CertificateResult(WarmState):
+    """eps1-optimal certificate for one window at one radius.
 
     The plan is kept once, as ``z``: the budget coordinates theta * y whose
     total 1-norm over n_total is the transport budget actually spent.
     ``y_eps1`` derives the physical per-atom perturbations from it, and the
     worst-case law is the ``window``'s weights theta_k / n_total on the
     moved atoms ``points - y_eps1``. ``vertex_set`` holds the
-    ``(k, j, sign)`` rows found (see WarmState) and ``gamma`` the hull
-    weights over [origin] + vertex_set; together they form the warm-start
-    state for the next window.
+    ``(k, j, sign)`` rows found and ``gamma`` the hull weights over
+    [origin] + vertex_set, so a certificate is its own restart state.
     """
 
     j_eps1: float
-    z: Array
     window: DataWindow
-    vertex_set: Array
-    gamma: Array
     eta: float
     radius: float
 
@@ -175,9 +178,6 @@ class CertificateResult:
     @property
     def budget_spent(self) -> float:
         return float(np.abs(self.z).sum()) / self.n_total
-
-    def warm_state(self) -> WarmState:
-        return WarmState(self.vertex_set.copy(), self.z.copy(), self.gamma.copy())
 
 
 def certificate_value(model, x: Array, window: DataWindow, y_phys: Array) -> float:
@@ -339,6 +339,9 @@ def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> Certi
     )
 
 
+_MAX_HULL_ITERS = 2_000_000
+
+
 def generate(
     model,
     x: Array,
@@ -346,25 +349,23 @@ def generate(
     radius: float,
     eps1: float,
     warm: Optional[WarmState] = None,
-    interrupt: Optional[Callable[[], bool]] = None,
     meter: Optional[Meter] = None,
-    max_cp_iters: int = 2_000_000,
     warm_grads: Optional[Array] = None,
 ) -> CertificateResult:
     """eps1-optimal worst-case certificate at decision x.
 
     Alternates the vertex search with away-step Frank-Wolfe over the hull
-    of [origin] + discovered vertices, warm-startable from an adapted
-    previous state. ``interrupt`` is polled between rounds and
-    aborts via CertificateInterrupted carrying the partial state;
-    ``meter`` counts the work and charges it to the caller's clock.
+    of [origin] + discovered vertices, warm-startable from a state on this
+    window. ``meter`` counts the work and charges it to its clock; its
+    ``due`` is polled between rounds and aborts via CertificateInterrupted
+    carrying the partial state.
 
     The returned value never falls below the plain sample average at x
     minus 1e-9: the origin is a permanent hull atom and warm starts fall
     back to it whenever the adapted point would start lower.
 
     ``warm_grads``, when given, must be the model's gradients at
-    ``warm.y_start`` for this x and window, as ``revalidate`` returns them;
+    ``warm.z`` for this x and window, as ``revalidate`` returns them;
     the first vertex search then takes them instead of reading them again.
     """
     if radius < 0:
@@ -382,7 +383,7 @@ def generate(
 
     if warm is not None:
         vs = warm.vertex_set
-        z = np.asarray(warm.y_start, dtype=float).copy()
+        z = np.asarray(warm.z, dtype=float).copy()
         if z.shape != (p, m):
             raise ValueError(f"warm start has shape {z.shape}, window needs {(p, m)}")
         c = np.asarray(warm.gamma, dtype=float).copy()
@@ -407,7 +408,7 @@ def generate(
 
     solved_here = False  # has the current atom set been hull-solved this call
     while True:
-        if interrupt is not None and interrupt():
+        if meter.due():
             raise CertificateInterrupted(WarmState(vs, z, c))
         if G is None:
             G = problem.grads(z)
@@ -434,7 +435,7 @@ def generate(
         hull = _QuadraticHull(problem, vs, scale)
         res = afwa_maximize(
             hull.v0, hull.lin, hull.H, eps1, c,
-            max_iters=max_cp_iters, interrupt=interrupt, tick=meter.charge,
+            max_iters=_MAX_HULL_ITERS, interrupt=meter.due, tick=meter.charge,
         )
         meter.afwa_iters += res.iterations
         c = res.weights
@@ -446,7 +447,7 @@ def generate(
         meter.cp_calls += 1
         if not res.converged:
             raise SolverError(
-                f"hull ascent exhausted {max_cp_iters} iterations "
+                f"hull ascent exhausted {_MAX_HULL_ITERS} iterations "
                 f"(gap {res.gap:.3g} > eps1 {eps1:.3g})"
             )
         solved_here = True
@@ -472,46 +473,40 @@ def generate(
     )
 
 
-def adapt(
-    vertex_set: Array,
-    gamma: Array,
-    new_n: int,
-    new_radius: float,
-    new_shape: tuple[int, int],
-) -> WarmState:
+def adapt(state: WarmState, window: DataWindow, radius: float) -> WarmState:
     """Rescale a converged (or partial) state to a grown window.
 
     Vertices keep their row, coordinate and sign, and now stand for
-    magnitude new_n * new_radius; hull weights are preserved and the start
-    point is rebuilt from them, so freshly arrived rows start unperturbed.
+    magnitude ``window.n_total * radius``; hull weights are preserved and
+    the plan is rebuilt from them, so freshly arrived rows start
+    unperturbed.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (1 + len(vertex_set),):
+    gamma = np.asarray(state.gamma, dtype=float)
+    if gamma.shape != (1 + len(state.vertex_set),):
         raise ValueError("gamma length must be 1 + len(vertex_set)")
-    if new_radius == 0.0:
+    shape = (window.size, window.dimension)
+    if radius == 0.0:
         return WarmState(
-            np.empty((0, 3), dtype=np.intp), np.zeros(new_shape), np.array([1.0])
+            np.empty((0, 3), dtype=np.intp), np.zeros(shape), np.array([1.0])
         )
-    _check_vertex_rows(vertex_set, new_shape, "new window")
-    ks, js, signs = vertex_set.T
-    y = _hull_point(new_shape, ks, js, signs * (new_n * new_radius), gamma)
-    return WarmState(vertex_set.copy(), y, gamma.copy())
+    _check_vertex_rows(state.vertex_set, shape, "new window")
+    ks, js, signs = state.vertex_set.T
+    z = _hull_point(shape, ks, js, signs * (window.n_total * radius), gamma)
+    return WarmState(state.vertex_set.copy(), z, gamma.copy())
 
 
 def revalidate(
-    model, x: Array, window: DataWindow, radius: float, warm: WarmState, eps1: float
+    model, x: Array, cert: CertificateResult, eps1: float
 ) -> tuple[bool, float, Array]:
-    """One vertex search at the adapted start: is it already eps1-optimal?
+    """One vertex search pricing ``cert.z`` on ``cert.window`` at
+    ``cert.radius`` and decision x: is the plan still eps1-optimal there?
 
-    The gap is normalised by ``window.n_total``, like ``generate``'s ``eta``.
-    When valid, the adapted value certifies the new window without any hull
-    solve (``generate`` with the same warm state returns after its first
-    vertex search). The caller counts that search on its Meter. Also returns the gradients the search read, which a
-    refresh hands to ``generate`` as ``warm_grads``.
+    The gap is normalised by ``n_total``, like ``generate``'s ``eta``. The
+    caller counts that search on its Meter. Also returns the gradients the
+    search read, which a refresh hands to ``generate`` as ``warm_grads``.
     """
-    scale = window.n_total * radius
-    problem = _Problem(model, x, window)
-    z = np.asarray(warm.y_start, dtype=float)
-    G = problem.grads(z)
-    _, eta = point_search(G, scale, z, n_total=window.n_total)
+    window = cert.window
+    G = _Problem(model, x, window).grads(cert.z)
+    _, eta = point_search(G, window.n_total * cert.radius, cert.z,
+                          n_total=window.n_total)
     return eta <= eps1, eta, G

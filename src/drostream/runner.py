@@ -3,13 +3,14 @@
 Work is metered in solver cost units (one per vertex search, hull iteration,
 or decision step) and converted to virtual time through a per-period budget,
 so arrivals land mid-computation exactly as they would against a wall clock.
-A ``certificates.Meter`` counts that work and keeps the virtual time. Between
-solver rounds the arrival queue is polled; due points interrupt the current
-certificate, the partial state adapts to the grown window, and a new epoch
-begins from the best decision found so far. ``run`` is one loop over epochs:
-each ingests what is due (jumping the clock to the next arrival after a
-converged epoch), certifies, and steps until it converges or arrivals are
-due; the run terminates when an epoch converges with the queue empty.
+A ``certificates.Meter`` counts that work and keeps the virtual time. Its
+deadline is the next arrival, polled between solver rounds; due points
+interrupt the current certificate, the partial state adapts to the grown
+window, and a new epoch begins from the best decision found so far. ``run``
+is one loop over epochs: each ingests what is due (jumping the clock to the
+next arrival after a converged epoch), certifies, and steps until it
+converges or arrivals are due; the run terminates when an epoch converges
+with the queue empty.
 
 Every state change is posted as an event with a fixed key set, and each
 datum is written once. A refresh posts its perturbation plan in coordinate
@@ -29,6 +30,7 @@ search); the totals are the meter's counts, interrupted attempts included.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
@@ -105,8 +107,8 @@ class ArrivalQueue:
     def __init__(self, points: Sequence[SamplePoint] = ()):
         self._pending = deque(sorted(points, key=lambda p: p.arrival_time))
 
-    def next_time(self) -> Optional[float]:
-        return self._pending[0].arrival_time if self._pending else None
+    def next_time(self) -> float:
+        return self._pending[0].arrival_time if self._pending else math.inf
 
     def pop_due(self, t: float) -> list[SamplePoint]:
         out = []
@@ -269,16 +271,13 @@ def run(
             on_event(ev)
         return ev
 
-    def due() -> bool:
-        nt = queue.next_time()
-        return nt is not None and nt <= meter.t
-
     def drain() -> None:
         for sp in queue.pop_due(meter.t):
             opened = samples.add(sp.value, sp.index)
             post("DataArrival", point=samples.points[-1].tolist(),
                  index=sp.index, arrival_t=sp.arrival_time,
                  cover_opened=opened, cover_size=samples.cover_size)
+        meter.deadline = queue.next_time()
 
     def post_certificate(cert: CertificateResult, x, mark,
                          reused=False) -> int:
@@ -325,14 +324,11 @@ def run(
             window, eps_n, _ = samples.ball()
             meter.unit = float(window.size * window.dimension)
             if warm is not None:
-                warm = adapt(warm.vertex_set, warm.gamma, window.n_total, eps_n,
-                             (window.size, window.dimension))
+                warm = adapt(warm, window, eps_n)
             mark = meter.counts()
             try:
-                cert = generate(
-                    model, x, window, eps_n, tol.eps1,
-                    warm=warm, interrupt=due, meter=meter,
-                )
+                cert = generate(model, x, window, eps_n, tol.eps1,
+                                warm=warm, meter=meter)
                 break
             except CertificateInterrupted as ci:
                 totals.interrupts += 1
@@ -341,6 +337,7 @@ def run(
         x_best, j_best = x.copy(), cert.j_eps1
         best_seq = post_certificate(cert, x, mark)
 
+        # the steps stay on cert's window: an arrival ends the loop
         while True:
             alpha = rule.alpha(totals.steps - first)
             x_new = scaled_step(model, x, subgradient(model, x, cert), alpha)
@@ -348,10 +345,8 @@ def run(
             meter.step()
             mark = meter.counts()
             try:
-                outcome = reuse_or_refresh(
-                    model, x_new, window, eps_n, tol, cert,
-                    interrupt=due, meter=meter,
-                )
+                outcome = reuse_or_refresh(model, x_new, tol, cert,
+                                           meter=meter)
             except CertificateInterrupted as ci:
                 totals.interrupts += 1
                 warm = ci.state
@@ -385,8 +380,8 @@ def run(
                     rules_disagree=bool(step_stop != horizon_stop),
                     best_seq=best_seq,
                 )
-            if stop or due():
-                warm = cert.warm_state()
+            if stop or meter.due():
+                warm = cert
                 break
         x = x_best.copy()
 

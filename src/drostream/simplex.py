@@ -104,7 +104,8 @@ def _normalize_start(start: Sequence[float]) -> Array:
     g = np.asarray(start, dtype=float).copy()
     if g.ndim != 1 or g.size == 0:
         raise ValueError("start must be a nonempty vector")
-    if g.min() < -1e-12 or abs(g.sum() - 1.0) > 1e-9:
+    # written so that a NaN weight fails it too
+    if not (g.min() >= -1e-12 and abs(g.sum() - 1.0) <= 1e-9):
         raise ValueError("start weights must lie on the unit simplex")
     g[g < 0] = 0.0
     return g / g.sum()

@@ -10,8 +10,8 @@ average problem to give experiments a reference optimum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 

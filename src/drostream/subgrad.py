@@ -19,7 +19,6 @@ import numpy as np
 
 from .certificates import (
     CertificateResult,
-    DataWindow,
     Meter,
     certificate_value,
     generate,
@@ -121,31 +120,27 @@ class ReuseOutcome:
 def reuse_or_refresh(
     model,
     x_new: Array,
-    window: DataWindow,
-    radius: float,
     tol: Tolerances,
     prev: CertificateResult,
-    interrupt: Optional[Callable[[], bool]] = None,
     meter: Optional[Meter] = None,
 ) -> ReuseOutcome:
-    """Certificate at the stepped decision, cheaply when the old plan holds.
+    """Certificate at the stepped decision on ``prev``'s window and radius,
+    cheaply when the old plan holds.
 
     A single vertex search prices the old perturbation plan at the new
     decision; ``meter`` counts and charges it whatever follows. Within the
     reuse tolerance the old plan certifies: the reused certificate is
     ``prev`` with its value re-evaluated at x_new and the new gap.
-    Otherwise a full solve runs warm-started from it, its first vertex
+    Otherwise a full solve runs warm-started from ``prev``, its first vertex
     search on the gradients the revalidation read.
     """
     if meter is None:
         meter = Meter()
-    warm = prev.warm_state()
-    valid, eta, grads = revalidate(model, x_new, window, radius, warm,
-                                   tol.eps_sa)
+    valid, eta, grads = revalidate(model, x_new, prev, tol.eps_sa)
     meter.search()
     if valid:
-        j = certificate_value(model, x_new, window, prev.y_eps1)
+        j = certificate_value(model, x_new, prev.window, prev.y_eps1)
         return ReuseOutcome(dataclasses.replace(prev, j_eps1=j, eta=eta), True)
-    cert = generate(model, x_new, window, radius, tol.eps1, warm=warm,
-                    interrupt=interrupt, meter=meter, warm_grads=grads)
+    cert = generate(model, x_new, prev.window, prev.radius, tol.eps1,
+                    warm=prev, meter=meter, warm_grads=grads)
     return ReuseOutcome(cert, False)

@@ -169,32 +169,42 @@ def test_revalidate_weighted_window_matches_generate_gap():
     x = np.array([0.3])
     cert = generate(model, x, win, 2.0, EPS1)
     assert cert.eta > 0
-    valid, eta, _ = revalidate(model, x, win, 2.0, cert.warm_state(), EPS1)
+    valid, eta, _ = revalidate(model, x, cert, EPS1)
     assert eta == cert.eta
     assert valid
 
 
 def test_adapt_empty_state():
-    warm = adapt(np.empty((0, 3), dtype=int), np.array([1.0]), 2, 0.7, (2, 1))
-    assert warm.y_start == pytest.approx(np.zeros((2, 1)))
+    empty = WarmState(np.empty((0, 3), dtype=int), np.zeros((1, 1)),
+                      np.array([1.0]))
+    warm = adapt(empty, DataWindow.plain(np.zeros((2, 1))), 0.7)
+    assert warm.z == pytest.approx(np.zeros((2, 1)))
     assert len(warm.vertex_set) == 0
+
+
+def one_row_state(row, gamma):
+    """A state holding one vertex row on a one-sample window of dimension 3
+    (its plan is never read by ``adapt``)."""
+    return WarmState(np.array([row]), np.zeros((1, 3)), np.array(gamma))
 
 
 def test_adapt_rescales_magnitudes():
     # the vertex -0.9 at (0, 1) of a one-sample window stands for
     # -(2 * 0.7) = -1.4 on the grown window
-    warm = adapt(np.array([[0, 1, -1]]), np.array([0.4, 0.6]), 2, 0.7, (2, 3))
+    warm = adapt(one_row_state([0, 1, -1], [0.4, 0.6]),
+                 DataWindow.plain(np.zeros((2, 3))), 0.7)
     assert warm.vertex_set.tolist() == [[0, 1, -1]]
     # start point: gamma mass on the vertex, zero on the fresh row
-    assert warm.y_start[0, 1] == pytest.approx(0.6 * -1.4)
-    assert warm.y_start[1] == pytest.approx([0.0, 0.0, 0.0])
+    assert warm.z[0, 1] == pytest.approx(0.6 * -1.4)
+    assert warm.z[1] == pytest.approx([0.0, 0.0, 0.0])
     assert warm.gamma == pytest.approx([0.4, 0.6])
 
 
 @pytest.mark.parametrize("row", [[2, 0, 1], [0, 3, -1], [-1, 0, 1]])
 def test_adapt_rejects_a_vertex_outside_the_window(row):
     with pytest.raises(ValueError, match="outside the new window"):
-        adapt(np.array([row]), np.array([0.5, 0.5]), 2, 0.7, (2, 3))
+        adapt(one_row_state(row, [0.5, 0.5]),
+              DataWindow.plain(np.zeros((2, 3))), 0.7)
 
 
 @pytest.mark.parametrize(
@@ -257,13 +267,23 @@ def test_adapt_objective_identity():
     pts1 = np.array([[2.0]])
     cert = generate(model, np.array([0.0]), DataWindow.plain(pts1), 0.5, EPS1)
     pts2 = np.array([[2.0], [1.0]])
-    warm = adapt(cert.vertex_set, cert.gamma, 2, 0.5, (2, 1))
     win2 = DataWindow.plain(pts2)
+    warm = adapt(cert, win2, 0.5)
     x = np.array([0.0])
-    got = certificate_value(model, x, win2, warm.y_start)
-    old_rescaled = model.eval(x, pts1[0] - warm.y_start[0])
+    got = certificate_value(model, x, win2, warm.z)
+    old_rescaled = model.eval(x, pts1[0] - warm.z[0])
     fresh = model.eval(x, pts2[1])
     assert got == pytest.approx((old_rescaled + fresh) / 2, abs=1e-12)
+
+
+def regenerate(model, cert, window, radius):
+    """The meter of a 1e-5 certificate on ``window`` warm from ``cert``
+    adapted to it: no hull solve (``cp_calls == 0``) means the adapted start
+    was already certified."""
+    meter = Meter()
+    generate(model, np.array([0.0]), window, radius, 1e-5,
+             warm=adapt(cert, window, radius), meter=meter)
+    return meter
 
 
 def test_revalidate_repeat_atom_and_unchanged_radius():
@@ -273,21 +293,14 @@ def test_revalidate_repeat_atom_and_unchanged_radius():
     win2 = DataWindow(np.array([[2.0]]), np.array([2.0]), 2)
     cert = generate(model, np.array([0.0]), win2, 0.5, EPS1)
     win3 = DataWindow(np.array([[2.0]]), np.array([3.0]), 3)
-    warm = adapt(cert.vertex_set, cert.gamma, 3, 0.5, (1, 1))
-    valid, eta, _ = revalidate(model, np.array([0.0]), win3, 0.5, warm, 1e-5)
-    assert valid
-    assert eta <= 1e-5
+    assert regenerate(model, cert, win3, 0.5).counts() == (1, 0, 0)
 
     # the same repeat stored as a separate row leaves the fresh copy
     # unperturbed, and its untouched gradient forces a real re-solve
     pts3 = np.array([[2.0], [2.0], [2.0]])
     cert_p = generate(model, np.array([0.0]), DataWindow.plain(pts3[:2]), 0.5, EPS1)
-    warm_p = adapt(cert_p.vertex_set, cert_p.gamma, 3, 0.5, (3, 1))
-    valid_p, eta_p, _ = revalidate(
-        model, np.array([0.0]), DataWindow.plain(pts3), 0.5, warm_p, 1e-5
-    )
-    assert not valid_p
-    assert eta_p > 1e-5
+    meter = regenerate(model, cert_p, DataWindow.plain(pts3), 0.5)
+    assert meter.cp_calls >= 1
 
 
 def test_revalidate_far_out_point_fails():
@@ -295,12 +308,8 @@ def test_revalidate_far_out_point_fails():
     pts = np.array([[2.0]])
     cert = generate(model, np.array([0.0]), DataWindow.plain(pts), 0.5, EPS1)
     pts2 = np.array([[2.0], [40.0]])
-    warm = adapt(cert.vertex_set, cert.gamma, 2, 0.5, (2, 1))
-    valid, eta, _ = revalidate(
-        model, np.array([0.0]), DataWindow.plain(pts2), 0.5, warm, 1e-5
-    )
-    assert not valid
-    assert eta > 1e-5
+    meter = regenerate(model, cert, DataWindow.plain(pts2), 0.5)
+    assert meter.cp_calls >= 1
 
 
 def test_warm_start_matches_cold_value():
@@ -310,7 +319,7 @@ def test_warm_start_matches_cold_value():
     x = np.array([0.2])
     c5 = generate(model, x, DataWindow.plain(pts), 0.6, EPS1)
     pts6 = np.vstack([pts, rng.normal(size=(1, 3)) * 2])
-    warm = adapt(c5.vertex_set, c5.gamma, 6, 0.5, (6, 3))
+    warm = adapt(c5, DataWindow.plain(pts6), 0.5)
     cw = generate(model, x, DataWindow.plain(pts6), 0.5, EPS1, warm=warm)
     cc = generate(model, x, DataWindow.plain(pts6), 0.5, EPS1)
     assert cw.j_eps1 == pytest.approx(cc.j_eps1, abs=2 * EPS1)
@@ -322,26 +331,33 @@ def test_interrupt_carries_partial_state_and_counters():
     model = quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3))
     pts = rng.normal(size=(40, 3)) * 3
     win = DataWindow.plain(pts)
-    fired = {"count": 0}
-
-    def interrupt():
-        fired["count"] += 1
-        return fired["count"] > 3
-
     meter = Meter()
+    meter.deadline = 5.0  # reached mid-solve: the solve takes far longer
     with pytest.raises(CertificateInterrupted) as exc:
-        generate(model, np.array([0.0]), win, 0.5, 1e-9, interrupt=interrupt,
-                 meter=meter)
+        generate(model, np.array([0.0]), win, 0.5, 1e-9, meter=meter)
     ci = exc.value
+    assert meter.t >= 5.0
     assert ci.state.gamma.sum() == pytest.approx(1.0, abs=1e-9)
     assert sum(meter.counts()) > 0
     # resuming from the carried state lands on the cold answer
-    warm = adapt(
-        ci.state.vertex_set, ci.state.gamma, 40, 0.5, (40, 3)
-    )
+    warm = adapt(ci.state, win, 0.5)
     resumed = generate(model, np.array([0.0]), win, 0.5, EPS1, warm=warm)
     cold = generate(model, np.array([0.0]), win, 0.5, EPS1)
     assert resumed.j_eps1 == pytest.approx(cold.j_eps1, abs=2 * EPS1)
+
+
+def test_an_exhausted_hull_ascent_raises_after_metering_it(monkeypatch):
+    # this window needs hundreds of hull iterations; with a cap of one the
+    # first ascent exhausts it, and its iteration is on the meter
+    rng = np.random.default_rng(14)
+    model = quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3))
+    win = DataWindow.plain(rng.normal(size=(40, 3)) * 3)
+    monkeypatch.setattr(certificates, "_MAX_HULL_ITERS", 1)
+    meter = Meter()
+    with pytest.raises(SolverError, match="hull ascent exhausted 1 iterations"):
+        generate(model, np.array([0.0]), win, 0.5, 1e-9, meter=meter)
+    assert meter.counts() == (1, 1, 1)
+    assert meter.t == 2.0
 
 
 @st.composite

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -370,6 +369,42 @@ def test_verify_reports_a_step_that_is_not_the_runs_and_exits_1(
     assert main(["verify", str(tampered)]) == 1
     captured = capsys.readouterr()
     assert f"{check}: FAIL (" in captured.out
+    assert f"record {picked}: {message}" in captured.err
+
+
+def post_one_more_step(records, config):
+    """The first epoch's convergence posts one step more than it took."""
+    end = next(r for r in records if r["kind"] == "EpochConverged")
+    end["steps"] += 1
+    return end["seq"], "epoch posts"
+
+
+def lower_eps2(records, config):
+    """The run's eps2 falls below the move that stopped the first epoch."""
+    end = next(r for r in records if r["kind"] == "EpochConverged")
+    last = next(r for r in reversed(records[:end["seq"]])
+                if r["kind"] == "DecisionStep")
+    config["tolerances"]["eps2"] = 0.99 * last["moved"]
+    return end["seq"], "epoch stops at step"
+
+
+@pytest.mark.parametrize("tamper", [post_one_more_step, lower_eps2],
+                         ids=["steps", "eps2"])
+def test_verify_reports_an_epoch_stop_that_is_not_the_runs_and_exits_1(
+        run_dir, tmp_path, capsys, tamper):
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    summary = json.loads((run_dir / "summary.json").read_text())
+    picked, message = tamper(records, summary["config"])
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in records))
+    (tampered / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    assert "stop_rule: FAIL (" in captured.out
     assert f"record {picked}: {message}" in captured.err
 
 

@@ -521,7 +521,9 @@ def test_audit_requires_a_best_update_exactly_after_each_improvement():
                             moved=step["moved"])
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
-    assert failed["best_tracking"] == 1 and sum(failed.values()) == 1
+    # the epoch now holds one step more than its convergence posts
+    assert failed["best_tracking"] == failed["stop_rule"] == 1
+    assert sum(failed.values()) == 2
     cert_seq = records[dropped]["cert_seq"]
     assert (f"record {cert_seq}: certificate lowers its epoch's best J but no "
             "best update follows") in report.failures
@@ -534,7 +536,9 @@ def test_audit_requires_a_best_update_exactly_after_each_improvement():
     records[extra]["kind"] = "BestUpdated"
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
-    assert failed["best_tracking"] == 1 and sum(failed.values()) == 1
+    # and one step less
+    assert failed["best_tracking"] == failed["stop_rule"] == 1
+    assert sum(failed.values()) == 2
     assert (f"record {extra}: best update for certificate "
             f"{records[extra]['cert_seq']}, which does not lower its epoch's "
             "best J") in report.failures
@@ -643,6 +647,36 @@ def test_audit_requires_each_epoch_to_start_from_the_last_best():
         f"record {end['seq'] + 2}: epoch starts from an x other than the "
         f"previous epoch's best certificate {start['seq']}'s",
     ]
+
+
+def test_audit_requires_an_epoch_to_post_the_steps_it_took():
+    cfg, records = study1_records()
+    end = next(r for r in records if r["kind"] == "EpochConverged")
+    assert end["steps"] == 19
+    end["steps"] += 1
+    report, failed = full_audit(cfg, records)
+    assert failed["stop_rule"] == 1 and sum(failed.values()) == 1
+    assert report.failures == [
+        f"record {end['seq']}: epoch posts 20 steps, not the 19 it took"]
+
+
+def test_audit_requires_a_step_stop_at_the_first_step_below_eps2():
+    # every study1 epoch stops by the step rule. Below the last step's
+    # moved, no epoch stops where it should; just above the step before
+    # it, the first epoch should have stopped one step sooner
+    cfg, records = study1_records()
+    moved = [r["moved"] for r in records
+             if r["kind"] == "DecisionStep" and r["l"] == 1]
+    ends = [r["seq"] for r in records if r["kind"] == "EpochConverged"]
+    for eps2, failing in ((0.99 * moved[-1], ends),
+                          (1.01 * moved[-2], ends[:1])):
+        tol = dataclasses.replace(cfg.tolerances, eps2=eps2)
+        report = verify_events(records, cfg.model, cfg.concentration,
+                               cfg.schedule, tolerances=tol)
+        failed = {c.name: c.failures for c in report.checks}
+        assert failed["stop_rule"] == sum(failed.values()) == len(failing)
+        assert [f.split(":")[0] for f in report.failures] == [
+            f"record {i}" for i in failing]
 
 
 def test_audit_fails_weighted_certificate_above_its_tolerance():

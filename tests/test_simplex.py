@@ -196,6 +196,12 @@ def test_afwa_rejects_bad_start():
         afwa_maximize(*linear([1.0, 2.0]), 1e-9, [0.7, 0.7])
 
 
+@pytest.mark.parametrize("start", [[np.nan, 1.0], [1.0, np.nan]])
+def test_afwa_rejects_a_nan_start_weight(start):
+    with pytest.raises(ValueError, match="unit simplex"):
+        afwa_maximize(0.0, [0.0, 1.0], np.zeros((2, 2)), 1e-9, start)
+
+
 @st.composite
 def hulls(draw, sparse=False):
     """A certificate-like hull: H block-diagonal negative semidefinite with a

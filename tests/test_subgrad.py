@@ -147,7 +147,7 @@ def test_reuse_accepts_unmoved_decision():
     x = np.array([0.8])
     prev = generate(model, x, win, 0.4, EPS1)
     meter = Meter()
-    out = reuse_or_refresh(model, x, win, 0.4, tolerances(), prev, meter=meter)
+    out = reuse_or_refresh(model, x, tolerances(), prev, meter=meter)
     assert out.reused
     assert out.cert.eta <= tolerances().eps1 + 1e-12
     assert out.cert.j_eps1 == pytest.approx(prev.j_eps1, abs=1e-9)
@@ -161,8 +161,8 @@ def test_reuse_always_valid_without_coupling():
     prev = generate(model, np.array([4.0]), win, 0.4, EPS1)
     for x_new in ([-4.0], [0.0], [7.5], [-9.0]):
         meter = Meter()
-        out = reuse_or_refresh(model, np.asarray(x_new), win, 0.4,
-                               tolerances(), prev, meter=meter)
+        out = reuse_or_refresh(model, np.asarray(x_new), tolerances(), prev,
+                               meter=meter)
         assert out.reused and meter.cp_calls == 0
         prev = out.cert
 
@@ -174,8 +174,8 @@ def test_large_step_with_flipped_atoms_forces_refresh():
     win = DataWindow.plain(np.array([[-2.0], [2.0]]))
     prev = generate(model, np.array([3.0]), win, 0.2, EPS1)
     meter = Meter()
-    out = reuse_or_refresh(model, np.array([-3.0]), win, 0.2, tolerances(),
-                           prev, meter=meter)
+    out = reuse_or_refresh(model, np.array([-3.0]), tolerances(), prev,
+                           meter=meter)
     assert not out.reused
     assert meter.cp_calls >= 1
     fresh = generate(model, np.array([-3.0]), win, 0.2, EPS1)
@@ -204,11 +204,11 @@ def test_a_refresh_reads_no_gradient_twice(pts, x_old, x_new, radius):
     x_new = np.array([x_new])
     meter = Meter()
     out = reuse_or_refresh(dataclasses.replace(model, grad_y=grad_y), x_new,
-                           win, radius, tolerances(), prev, meter=meter)
+                           tolerances(), prev, meter=meter)
     assert not out.reused
     assert len(calls) >= 2 and len(set(calls)) == len(calls)
     want_meter = Meter()
-    want = generate(model, x_new, win, radius, EPS1, warm=prev.warm_state(),
+    want = generate(model, x_new, win, radius, EPS1, warm=prev,
                     meter=want_meter)
     assert (out.cert.j_eps1, out.cert.eta) == (want.j_eps1, want.eta)
     assert np.array_equal(out.cert.z, want.z)
@@ -260,7 +260,7 @@ def test_reused_subgradient_satisfies_epsilon_inequality():
     x_ref = np.array([0.8])
     prev = generate(model, x_ref, win, radius, tol.eps1)
     x_new = scaled_step(model, x_ref, subgradient(model, x_ref, prev), 0.02)
-    out = reuse_or_refresh(model, x_new, win, radius, tol, prev)
+    out = reuse_or_refresh(model, x_new, tol, prev)
     assert out.reused
     g = float(subgradient(model, x_new, out.cert)[0])
     xn = float(x_new[0])
