@@ -16,9 +16,17 @@ arrival reuse it.
 
 A refresh posts its plan in coordinate form, its nonzero ``[k, j, value]``
 entries, and the audit rebuilds the dense plan from them and the window's
-shape (``plan_from_entries``). A step or best update names its certificate
-by ``cert_seq`` and posts no decision of its own: the certificate's ``x``
-is the step's decision, so the log holds one copy of it.
+shape (``plan_from_entries``). An epoch's first certificate posts its
+decision ``x``. A step's certificate posts instead the step length
+``alpha``, and the audit derives its decision from the certificate before
+it, on the same window, as the runner stepped:
+``scaled_step(model, x_prev, subgradient(model, x_prev, window, y_prev),
+alpha)``. That is one batched ``grad_x`` call per step. The derivation
+repeats the runner's float operations on the same inputs, so it is exact on
+one machine and BLAS build, as the exact ``moved`` and output-decision
+checks already assume. The derived decision is the one the audit re-prices
+and compares. A step or best update names its certificate by ``cert_seq``
+and posts no decision of its own, so the log holds each decision once.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .certificates import certificate_value, plan_from_entries, _Problem
 from .model import Tolerances
 from .runner import EVENT_KINDS, CoverConfig, Samples
 from .simplex import point_search
+from .subgrad import scaled_step, subgradient
 
 _REL = 1e-7
 _ABS = 1e-9
@@ -112,9 +121,13 @@ def verify_events(
     tolerance, radius, plan), a certificate whose epoch ``l`` is not an
     int, a plan that is not in coordinate form inside its window (see
     ``plan_from_entries``) or not finite, a certificate the model cannot
-    re-price (a decision outside its domain), a step or best update whose
-    ``x`` is not null, an arrival without a finite point of the model's
-    sample dimension, or a certificate before any arrival.
+    re-price (a decision outside its domain), an epoch's first certificate
+    without a decision ``x`` or with an ``alpha``, a step certificate that
+    posts an ``x``, has no finite positive ``alpha`` or follows no
+    certificate of its ``n``, a non-finite derived decision, a step or best
+    update whose ``x`` is not null, an arrival without a finite point of the
+    model's sample dimension, or a certificate before any arrival. A
+    certificate starts an epoch when its ``l`` differs from the one before.
 
     A step or best update must name by ``cert_seq`` the latest certificate
     posted before it, and match its value; otherwise ``step_links`` or
@@ -123,11 +136,11 @@ def verify_events(
     stepped from, or ``step_links`` fails. Each epoch's best certificate is
     tracked by the runner's rule: the epoch's first certificate, then each
     later one whose ``J`` is strictly lower. An epoch after the first must
-    start from exactly the previous epoch's best ``x``. A best update must
-    follow exactly the steps whose certificate lowers it. The epoch's
-    convergence and the run's termination must name it by ``best_seq`` and
-    post its ``J`` and exactly its ``x``. Otherwise ``best_tracking`` or
-    ``termination`` fails.
+    start from exactly the previous epoch's best ``x``, derived or posted.
+    A best update must follow exactly the steps whose certificate lowers
+    it. The epoch's convergence and the run's termination must name it by
+    ``best_seq`` and post its ``J`` and exactly its ``x``. Otherwise
+    ``best_tracking`` or ``termination`` fails.
 
     An epoch's convergence must post as ``steps`` the number of steps in its
     epoch. Given the run's ``tolerances``, a ``reason: "step"`` convergence
@@ -237,19 +250,44 @@ def verify_events(
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
             J, tol, radius = (_number(rec, key) for key in ("J", "tol", "radius"))
-            x = _array(rec, "x")
-            if (None in (J, tol, radius) or x is None
-                    or x.shape != (model.dimension_d,)):
-                fail("structure", f"record {i}: certificate J, x, tol or "
-                     "radius missing or malformed")
-                continue
             if type(rec.get("l")) is not int:
                 fail("structure", f"record {i}: certificate epoch l "
                      f"{rec.get('l')!r} is not an integer")
                 continue
+            starts = rec["l"] != epoch
+            if starts:
+                # a new epoch, which must start from the last one's best
+                last_best, best = best, None
+                epoch, steps, small_at = rec["l"], 0, None
+            x = _array(rec, "x") if starts else None
+            if None in (J, tol, radius) or (starts and (
+                    x is None or x.shape != (model.dimension_d,))):
+                fail("structure", f"record {i}: certificate J, x, tol or "
+                     "radius missing or malformed")
+                continue
             window, eps, beta = samples.ball()
             if n != window.n_total:
                 fail("structure", f"record {i}: certificate n {n} != ingested")
+                continue
+            alpha, prev = _number(rec, "alpha"), cert(before)
+            if starts:
+                if rec.get("alpha") is not None:
+                    fail("structure", f"record {i}: an epoch's first "
+                         "certificate posts an alpha; it takes no step")
+                    continue
+            elif rec.get("x") is not None:
+                fail("structure", f"record {i}: step certificate x is not "
+                     "null; its decision is its step's")
+                continue
+            elif alpha is None or not 0.0 < alpha < math.inf:
+                # a step length is positive: a step of -alpha can move as
+                # far, and its J differ from the posted one within tolerance
+                fail("structure", f"record {i}: step certificate alpha "
+                     "missing, not positive or not finite")
+                continue
+            elif prev is None or prev["n"] != n:
+                fail("structure", f"record {i}: step certificate does not "
+                     f"follow a certificate on its window ({before})")
                 continue
             checks["radius_schedule"].count += 1
             posted_beta = _number(rec, "beta")
@@ -272,12 +310,19 @@ def verify_events(
                     fail("structure", f"record {i}: unresolved plan ref {ref}")
                     continue
                 y = src["y"]
-            if not (np.isfinite(y).all() and np.isfinite(x).all()):
-                fail("structure", f"record {i}: plan or decision not finite")
-                continue
 
             z = window.theta[:, None] * y
             try:
+                if not starts:
+                    # the step from the certificate before, as the runner
+                    # took it; a huge alpha fails the finite test below
+                    g = subgradient(model, prev["x"], prev["window"],
+                                    prev["y"])
+                    x = scaled_step(model, prev["x"], g, alpha)
+                if not (np.isfinite(y).all() and np.isfinite(x).all()):
+                    fail("structure", f"record {i}: plan or decision not "
+                         "finite")
+                    continue
                 j = certificate_value(model, x, window, y)
                 _, eta = point_search(_Problem(model, x, window).grads(z),
                                       n * eps, z, n_total=n)
@@ -320,17 +365,16 @@ def verify_events(
                 if tol != want:
                     fail("certificate_gap", f"record {i}: tolerance {tol} "
                          f"is not the run's {want}")
-            certs[i] = {"n": n, "y": y, "J": J, "x": x}
-            if rec.get("l") != epoch:
-                if epoch is not None:
+            certs[i] = {"n": n, "y": y, "J": J, "x": x, "window": window}
+            if starts:
+                if last_best is not None:
                     checks["best_tracking"].count += 1
-                    if not np.array_equal(x, certs[best]["x"]):
+                    if not np.array_equal(x, certs[last_best]["x"]):
                         fail("best_tracking", f"record {i}: epoch starts from "
                              "an x other than the previous epoch's best "
-                             f"certificate {best}'s")
-                epoch, best = rec.get("l"), i
-                steps, small_at = 0, None
-            elif J < certs[best]["J"]:
+                             f"certificate {last_best}'s")
+                best = i
+            elif best is not None and J < certs[best]["J"]:
                 best = improved = i
 
         elif kind in ("DecisionStep", "BestUpdated"):

@@ -504,9 +504,12 @@ def revalidate(
     The gap is normalised by ``n_total``, like ``generate``'s ``eta``. The
     caller counts that search on its Meter. Also returns the gradients the
     search read, which a refresh hands to ``generate`` as ``warm_grads``.
+    At radius 0 the zero plan is the only one, so it holds with gap 0.
     """
     window = cert.window
     G = _Problem(model, x, window).grads(cert.z)
+    if cert.radius == 0.0:
+        return True, 0.0, G
     _, eta = point_search(G, window.n_total * cert.radius, cert.z,
                           n_total=window.n_total)
     return eta <= eps1, eta, G

@@ -12,13 +12,19 @@ next arrival after a converged epoch), certifies, and steps until it
 converges or arrivals are due; the run terminates when an epoch converges
 with the queue empty.
 
-Every state change is posted as an event with a fixed key set, and each
-datum is written once. A refresh posts its perturbation plan in coordinate
-form, as its nonzero ``[k, j, value]`` entries (``plan_entries``); a reuse
-names that plan by ``y_ref``. A decision step or best update names its
-certificate by ``cert_seq`` and posts ``x`` as null, since the certificate
-carries the decision. With the gaps and tolerances this is enough for an
-offline audit to re-verify the whole run from the event log alone.
+Every state change is posted as an event with a fixed key set per kind
+(a certificate's plan key is ``y`` for a refresh and ``y_ref`` for a
+reuse), and each datum is written once. A refresh posts its perturbation
+plan in coordinate form, as its nonzero ``[k, j, value]`` entries
+(``plan_entries``); a reuse names that plan by ``y_ref``. An epoch's first
+certificate posts its decision ``x`` and ``alpha`` as null. A step's
+certificate posts ``x`` as null and the step length ``alpha``: its decision
+is ``scaled_step`` by ``alpha`` along the ``subgradient`` of the
+certificate before it, at that one's decision, window and plan, which the
+audit re-derives. A decision step or best update names its certificate by
+``cert_seq`` and posts ``x`` as null, since the certificate determines the
+decision. With the gaps and tolerances this is enough for an offline audit
+to re-verify the whole run from the event log alone.
 
 ``Samples`` owns the ingested samples and the window and radius certifying
 them; the audit replays a log's arrivals through it too. Each event posts
@@ -70,8 +76,9 @@ EVENT_KINDS = (
 class RunEvent:
     """One log record; ``record()`` flattens to the fixed JSON key set.
 
-    ``x`` is None on arrivals and on the records that name the certificate
-    holding their decision (``DecisionStep``, ``BestUpdated``).
+    ``x`` is None on arrivals, on step certificates (which post their
+    ``alpha`` instead) and on the records that name the certificate holding
+    their decision (``DecisionStep``, ``BestUpdated``).
     """
 
     seq: int
@@ -279,12 +286,15 @@ def run(
                  cover_opened=opened, cover_size=samples.cover_size)
         meter.deadline = queue.next_time()
 
-    def post_certificate(cert: CertificateResult, x, mark,
-                         reused=False) -> int:
+    def post_certificate(cert: CertificateResult, mark, *, x=None,
+                         alpha=None, reused=False) -> int:
+        # an epoch's first certificate posts its decision x; a step's posts
+        # the step length alpha that took the decision before it to its own
         nonlocal plan_seq
         # the work of the attempt that produced cert: the counts since mark
         lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
-        extras = dict(eta=cert.eta, tol=tol.eps_sa if reused else tol.eps1,
+        extras = dict(alpha=alpha, eta=cert.eta,
+                      tol=tol.eps_sa if reused else tol.eps1,
                       radius=cert.radius, reused=reused, lp_calls=lp,
                       cp_calls=cp, afwa_iters=iters)
         if reused:
@@ -335,12 +345,13 @@ def run(
                 drain()
                 warm = ci.state
         x_best, j_best = x.copy(), cert.j_eps1
-        best_seq = post_certificate(cert, x, mark)
+        best_seq = post_certificate(cert, mark, x=x)
 
         # the steps stay on cert's window: an arrival ends the loop
         while True:
             alpha = rule.alpha(totals.steps - first)
-            x_new = scaled_step(model, x, subgradient(model, x, cert), alpha)
+            g = subgradient(model, x, cert.window, cert.y_eps1)
+            x_new = scaled_step(model, x, g, alpha)
             totals.steps += 1
             meter.step()
             mark = meter.counts()
@@ -354,12 +365,12 @@ def run(
             cert, reused = outcome.cert, outcome.reused
             totals.reuses += int(reused)
             totals.refreshes += int(not reused)
-            cert_seq = post_certificate(cert, x_new, mark, reused)
+            cert_seq = post_certificate(cert, mark, alpha=alpha,
+                                        reused=reused)
             moved = float(np.linalg.norm(x_new - x))
             post(
                 "DecisionStep",
                 J=cert.j_eps1,
-                alpha=alpha,
                 moved=moved,
                 cert_seq=cert_seq,
             )

@@ -19,6 +19,7 @@ import numpy as np
 
 from .certificates import (
     CertificateResult,
+    DataWindow,
     Meter,
     certificate_value,
     generate,
@@ -89,13 +90,13 @@ def make_rule(name: Literal["constant", "harmonic"], tol: Tolerances) -> StepSiz
     raise ValueError(f"unknown step rule {name!r}")
 
 
-def subgradient(model, x: Array, cert: CertificateResult) -> Array:
-    """Expected decision gradient under the certificate's worst-case law:
-    weights theta_k / n_total on the window's atoms moved to
-    ``points - y_eps1``."""
-    win = cert.window
-    grads = np.asarray(model.grad_x(x, win.points - cert.y_eps1), dtype=float)
-    return (win.theta / win.n_total) @ grads.reshape(win.size, -1)
+def subgradient(model, x: Array, window: DataWindow, y: Array) -> Array:
+    """Expected decision gradient under a certificate's worst-case law:
+    weights theta_k / n_total on the window's atoms moved to ``points - y``,
+    for the certificate's physical plan ``y``. One batched ``grad_x`` call;
+    the runner steps with it and the audit re-derives the step with it."""
+    grads = np.asarray(model.grad_x(x, window.points - y), dtype=float)
+    return (window.theta / window.n_total) @ grads.reshape(window.size, -1)
 
 
 def scaled_step(model, x: Array, g: Array, alpha: float) -> Array:

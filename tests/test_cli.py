@@ -24,6 +24,8 @@ from drostream.presets import (
 from drostream.runner import run
 from drostream.simplex import SolverError
 
+from runlog import STEP_TAMPERS, run_with_decisions
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -34,6 +36,17 @@ def run_dir(tmp_path_factory):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def run_decisions(run_dir):
+    """The decision of each certificate in ``run_dir``'s log, by seq, from
+    the same run repeated in process with the runner's steps recorded."""
+    mat = materialize(dataclasses.replace(study1(seed=0), n0=12))
+    res, decisions = run_with_decisions(mat.run_config, mat.stream)
+    assert [json.dumps(ev.record()) for ev in res.events] == (
+        run_dir / "events.jsonl").read_text().splitlines()
+    return decisions
 
 
 def test_run_writes_all_artifacts(run_dir):
@@ -296,7 +309,7 @@ def test_verify_reports_a_shifted_output_decision_and_exits_1(
 
 
 def test_verify_reports_an_output_that_is_not_the_epochs_best_and_exits_1(
-        run_dir, tmp_path, capsys):
+        run_dir, run_decisions, tmp_path, capsys):
     # the last epoch's convergence and the termination name, with its J and
     # x, the epoch's other certificate, whose J is higher than the best's
     lines = (run_dir / "events.jsonl").read_text().splitlines()
@@ -310,7 +323,7 @@ def test_verify_reports_an_output_that_is_not_the_epochs_best_and_exits_1(
     assert records[other]["J"] > records[best]["J"]
     for i in (end, stop):
         records[i].update(best_seq=other, J=records[other]["J"],
-                          x=records[other]["x"])
+                          x=run_decisions[other])
         lines[i] = json.dumps(records[i])
     tampered = tmp_path / "tampered"
     tampered.mkdir()
@@ -337,15 +350,13 @@ def shift_a_step(records):
 
 def flip_an_epoch_start(records):
     """The second epoch's first certificate posts -x, at the same J and gap
-    since study1's cost is even in x, and the step after it the distance
-    from there; returns that certificate's seq and the edited seqs."""
+    since study1's cost is even in x; its subgradient is 2x, so the steps
+    after it derive the negated decisions and keep their moved. Returns that
+    certificate's seq and the edited seqs."""
     start = next(r for r in records
                  if r["kind"] == "CertificatePosted" and r["l"] == 2)
     start["x"] = [-v for v in start["x"]]
-    step = next(r for r in records[start["seq"]:]
-                if r["kind"] == "DecisionStep")
-    step["moved"] = abs(records[step["cert_seq"]]["x"][0] - start["x"][0])
-    return start["seq"], [start["seq"], step["seq"]]
+    return start["seq"], [start["seq"]]
 
 
 @pytest.mark.parametrize("tamper, check, message", [
@@ -363,6 +374,26 @@ def test_verify_reports_a_step_that_is_not_the_runs_and_exits_1(
     tampered = tmp_path / "tampered"
     tampered.mkdir()
     (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    assert f"{check}: FAIL (" in captured.out
+    assert f"record {picked}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("tamper", STEP_TAMPERS.values(),
+                         ids=STEP_TAMPERS.keys())
+def test_verify_reports_a_step_certificate_that_is_not_the_runs_and_exits_1(
+        run_dir, run_decisions, tmp_path, capsys, tamper):
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    picked, check, message = tamper(records, run_decisions)
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in records))
     (tampered / "summary.json").write_text(
         (run_dir / "summary.json").read_text())
     capsys.readouterr()

@@ -1,9 +1,11 @@
-"""Every name a package module imports is used in it: an unused import is
-dead code or a leftover of a removed path. ``__future__`` imports and the
-re-exports of ``__init__.py`` are exempt."""
+"""Every name a module of the package, the tests or the scripts imports is
+used in it: an unused import is dead code or a leftover of a removed path.
+``__future__`` imports and the re-exports of ``__init__.py`` are exempt."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import drostream
 
@@ -30,10 +32,21 @@ def test_the_lint_finds_an_unused_import():
     assert unused_imports(source) == [(2, "os"), (3, "Seq")]
 
 
-def test_the_package_has_no_unused_imports():
+def unused_in(folder: Path) -> list[str]:
     found = []
-    for path in sorted(Path(drostream.__file__).parent.glob("*.py")):
+    for path in sorted(folder.glob("*.py")):
         if path.name != "__init__.py":
             found += [f"{path.name}:{line} {name}"
                       for line, name in unused_imports(path.read_text())]
+    return found
+
+
+def test_the_package_has_no_unused_imports():
+    found = unused_in(Path(drostream.__file__).parent)
     assert not found, f"unused imports in the package: {found}"
+
+
+@pytest.mark.parametrize("folder", ["tests", "scripts"])
+def test_the_tests_and_scripts_have_no_unused_imports(folder):
+    found = unused_in(Path(__file__).resolve().parents[1] / folder)
+    assert not found, f"unused imports in {folder}: {found}"

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drostream import certificates, presets, simplex
@@ -15,7 +15,7 @@ from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
 from drostream.certificates import plan_from_entries
 from drostream.model import Tolerances, portfolio_model, quadratic_model
-from drostream.runner import CoverConfig, RunConfig, Samples, run
+from drostream.runner import EVENT_KINDS, CoverConfig, RunConfig, Samples, run
 from drostream.stream import SamplePoint
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     w1_distance,
     window_measure,
 )
+from runlog import STEP_TAMPERS, run_with_decisions
 
 
 def pure_quadratic():
@@ -243,9 +244,14 @@ def test_cover_runs_verify_and_compress():
     assert report.ok, report.failures
 
 
-def plain_run():
+def plain_input():
     cfg = make_config(coupled_quadratic(), 6, x0=np.array([1.5]))
-    return cfg, run(cfg, stream([[1.0], [-2.0], [0.5], [1.5], [3.0], [0.2]]))
+    return cfg, stream([[1.0], [-2.0], [0.5], [1.5], [3.0], [0.2]])
+
+
+def plain_run():
+    cfg, points = plain_input()
+    return cfg, run(cfg, points)
 
 
 def posted_plans(cfg, records):
@@ -475,10 +481,11 @@ def test_audit_requires_the_best_certificates_decision(kind, tamper, check,
                for f in report.failures), report.failures
 
 
-def retarget_output(records):
+def retarget_output(records, decisions):
     """Point the last epoch's convergence and the termination, with their J
-    and x, at the certificate posted before the epoch's best one; returns
-    the two records' indices, that certificate's seq and the best's."""
+    and x, at the certificate posted before the epoch's best one, whose
+    decision ``decisions`` holds; returns the two records' indices, that
+    certificate's seq and the best's."""
     end, stop = (max(i for i, r in enumerate(records) if r["kind"] == kind)
                  for kind in ("EpochConverged", "Terminated"))
     best = records[end]["best_seq"]
@@ -488,7 +495,7 @@ def retarget_output(records):
     assert records[other]["J"] > records[best]["J"]
     for i in (end, stop):
         records[i].update(best_seq=other, J=records[other]["J"],
-                          x=records[other]["x"])
+                          x=decisions[other])
     return end, stop, other, best
 
 
@@ -496,8 +503,11 @@ def test_audit_requires_the_epochs_running_best():
     # the output names a certificate of the right epoch, with its own J and
     # x, that is not the epoch's best: every value checks out, the best
     # tracking does not
-    cfg, records = plain_records()
-    end, stop, other, best = retarget_output(records)
+    cfg, points = plain_input()
+    res, decisions = run_with_decisions(cfg, points)
+    records = [ev.record() for ev in res.events]
+    end, stop, other, best = retarget_output(records, decisions)
+    assert records[other]["x"] is None  # a step certificate's
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
     assert failed["best_tracking"] == failed["termination"] == 1
@@ -517,8 +527,7 @@ def test_audit_requires_a_best_update_exactly_after_each_improvement():
                   if r["kind"] == "BestUpdated")
     step = records[dropped - 1]
     assert step["kind"] == "DecisionStep"
-    records[dropped].update(kind="DecisionStep", alpha=step["alpha"],
-                            moved=step["moved"])
+    records[dropped].update(kind="DecisionStep", moved=step["moved"])
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
     # the epoch now holds one step more than its convergence posts
@@ -617,22 +626,68 @@ def test_audit_requires_a_step_to_post_the_distance_it_moved():
         f"distance from certificate {step['cert_seq'] - 1}'s x")
 
 
+@pytest.mark.parametrize("preset, n0, cover", [
+    ("study1", 12, False), ("study2", 10, True)], ids=["study1",
+                                                      "study2-cover"])
+@pytest.mark.parametrize("tamper", STEP_TAMPERS.values(),
+                         ids=STEP_TAMPERS.keys())
+def test_audit_derives_each_step_certificates_decision(preset, n0, cover,
+                                                       tamper):
+    # a step certificate posts its alpha, and the audit derives its decision
+    # from the certificate before it; each edit of that format fails a
+    # named check
+    cfg, points = pinned_run(preset, n0, cover, None)
+    res, decisions = run_with_decisions(cfg, points)
+    records = [ev.record() for ev in res.events]
+    assert full_audit(cfg, records)[0].ok
+    seq, check, message = tamper(records, decisions)
+    report, failed = full_audit(cfg, records)
+    assert failed[check] >= 1
+    assert any(f.startswith(f"record {seq}: {message}")
+               for f in report.failures), report.failures
+
+
+def test_every_record_of_a_kind_carries_the_same_keys():
+    # the runner posts a fixed key set per kind; a certificate's plan key is
+    # y for a refresh and y_ref for a reuse, and every other key is shared
+    for preset, n0, cover in (("study1", 12, False), ("study2", 10, True)):
+        res = run(*pinned_run(preset, n0, cover, None))
+        keys = {}
+        for ev in res.events:
+            rec = ev.record()
+            form = (rec["kind"], rec.get("reused"))
+            keys.setdefault(form, set()).add(tuple(rec))
+        assert {kind for kind, _ in keys} == set(EVENT_KINDS)
+        assert all(len(sets) == 1 for sets in keys.values()), keys
+        refresh, = keys["CertificatePosted", False]
+        reuse, = keys["CertificatePosted", True]
+        assert [k for k in refresh if k != "y"] == [
+            k for k in reuse if k != "y_ref"]
+        step, = keys["DecisionStep", None]
+        assert "alpha" in refresh and "alpha" not in step
+
+
 def test_audit_requires_each_epoch_to_start_from_the_last_best():
     # study1's cost is even in its scalar x (b = 0), so the second epoch's
-    # first certificate can post -x at its own J and gap; with the next
-    # step's moved posted from -x, only where the epoch starts gives it away
-    cfg, records = study1_records()
+    # first certificate can post -x at its own J and gap. Its subgradient is
+    # 2x, so each step of the epoch derives the negated decision and posts
+    # the same moved: only where the epoch starts gives it away
+    cfg, points = pinned_run("study1", 12, False, None)
+    res, decisions = run_with_decisions(cfg, points)
+    records = [ev.record() for ev in res.events]
+    assert log_text(res) == study1_log()[1]
     start = next(r for r in records
                  if r["kind"] == "CertificatePosted" and r["l"] == 2)
     best = next(r["best_seq"] for r in records
                 if r["kind"] == "EpochConverged")
-    assert start["x"] == records[best]["x"] != [0.0]
+    assert start["x"] == decisions[best] != [0.0]
     start["x"] = [-v for v in start["x"]]
     step = next(r for r in records[start["seq"]:]
                 if r["kind"] == "DecisionStep")
     assert step["cert_seq"] == start["seq"] + 1
-    step["moved"] = float(np.linalg.norm(
-        np.array(records[step["cert_seq"]]["x"]) - start["x"]))
+    assert records[step["cert_seq"]]["x"] is None
+    assert step["moved"] == float(np.linalg.norm(
+        -np.array(decisions[step["cert_seq"]]) - start["x"]))
     report, failed = full_audit(cfg, records)
     # that certificate stays its epoch's best, so the epoch's convergence
     # and the next epoch's start do not post its x either
@@ -744,15 +799,15 @@ def log_text(result):
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
 #  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79584,
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79104,
      40.12962000000008, 0.1296200000000809),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67503,
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67056,
      41.567399999999694, 1.3922000000000523),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 78121,
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 77647,
      40.08570000000014, 0.08570000000013778),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 360139,
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 222053,
      20.546896719250853, 0.14061000000089052),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 171635,
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 168828,
      82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
@@ -878,6 +933,8 @@ LOG_EDITS = st.one_of(
 @example(edit=("set", 5, "n", math.inf))
 @example(edit=("set", 1, "l", None))
 @example(edit=("drop", 1, "l"))
+# record 2 is the log's first step certificate, which posts its alpha
+@example(edit=("set", 2, "alpha", math.inf))
 def test_the_audit_never_raises_on_a_corrupted_log(edit):
     # one field set to an odd value or dropped, or one record replaced by a
     # value that is not an object: the audit reports it and never raises
@@ -894,6 +951,65 @@ def test_the_audit_never_raises_on_a_corrupted_log(edit):
     report = verify_events(records, cfg.model, cfg.concentration, cfg.schedule,
                            cfg.cover, tolerances=cfg.tolerances)
     assert isinstance(report.ok, bool)
+
+
+# the numeric fields of a step: its certificate's step length, value and
+# gap, and the step's distance moved and value
+STEP_FIELDS = [("CertificatePosted", "alpha"), ("CertificatePosted", "J"),
+               ("CertificatePosted", "eta"), ("DecisionStep", "moved"),
+               ("DecisionStep", "J")]
+# a new value outright, or the old one scaled or shifted by a small amount
+NUMERIC_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.floats()),
+    st.tuples(st.just("scale"), st.sampled_from([-1.0, 1.0]),
+              st.floats(1e-6, 1e3)),
+    st.tuples(st.just("shift"), st.sampled_from([-1.0, 1.0]),
+              st.floats(1e-8, 1e3)),
+)
+
+
+def edited(old, edit):
+    op, *args = edit
+    if op == "set":
+        return args[0]
+    sign, size = args
+    return old * (1.0 + sign * size) if op == "scale" else old + sign * size
+
+
+def same_to_the_audit(field, old, new):
+    """Whether the audit may take ``new`` for ``old``: J and eta are checked
+    within a relative 1e-7 and an absolute 1e-9 of their recomputed value,
+    which may itself differ from the posted one by as much; alpha and moved
+    are checked exactly."""
+    if field in ("alpha", "moved"):
+        return new == old
+    return (math.isfinite(new)
+            and abs(new - old) <= 2e-9 + 2e-7 * max(abs(old), abs(new)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(STEP_FIELDS), pick=st.integers(0, 10**6),
+       edit=NUMERIC_EDITS)
+# pick 0 is record 2, the first step certificate, whose alpha is 10; pick
+# 19 is the only step of an epoch from x near 0, where a step of -alpha
+# moves as far and posts a J within tolerance of the step's
+@example(field=("CertificatePosted", "alpha"), pick=0,
+         edit=("set", math.nextafter(10.0, math.inf)))
+@example(field=("CertificatePosted", "alpha"), pick=19, edit=("set", -10.0))
+def test_a_changed_step_field_never_audits_ok(field, pick, edit):
+    # one numeric field of a step edited beyond what the audit may take for
+    # the posted value: the log no longer audits ok
+    cfg, text = study1_log()
+    records = [json.loads(line) for line in text.splitlines()]
+    kind, key = field
+    picked = [r for r in records if r["kind"] == kind and (
+        kind != "CertificatePosted" or r["x"] is None)]
+    rec = picked[pick % len(picked)]
+    old = rec[key]
+    new = edited(old, edit)
+    assume(not same_to_the_audit(key, old, new))
+    rec[key] = new
+    assert not full_audit(cfg, records)[0].ok
 
 
 def test_the_audit_reports_a_decision_outside_the_models_domain():

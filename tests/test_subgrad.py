@@ -37,23 +37,27 @@ def tolerances(**kw):
 def test_subgradient_ignores_atoms_without_coupling():
     model = pure_quadratic()
     win = DataWindow.plain(np.array([[2.0], [-1.0]]))
-    cert = generate(model, np.array([1.0]), win, 0.3, EPS1)
-    assert subgradient(model, np.array([1.0]), cert) == pytest.approx([2.0])
-    assert subgradient(model, np.array([0.0]), cert) == pytest.approx([0.0])
+    y = generate(model, np.array([1.0]), win, 0.3, EPS1).y_eps1
+    assert np.abs(y).sum() > 0.0
+    assert subgradient(model, np.array([1.0]), win, y) == pytest.approx([2.0])
+    assert subgradient(model, np.array([0.0]), win, y) == pytest.approx([0.0])
 
 
 def test_subgradient_hand_value_single_atom():
     model = coupled_quadratic()
     win = DataWindow.plain(np.array([[2.0]]))
-    cert = generate(model, np.array([1.0]), win, 0.0, EPS1)
-    assert subgradient(model, np.array([1.0]), cert) == pytest.approx([4.0])
+    g = subgradient(model, np.array([1.0]), win, np.zeros((1, 1)))
+    assert g == pytest.approx([4.0])
+    # the plan moves the atom to 2 - 0.5
+    g = subgradient(model, np.array([1.0]), win, np.array([[0.5]]))
+    assert g == pytest.approx([3.5])
 
 
 def test_subgradient_averages_over_atoms():
     model = coupled_quadratic()
     win = DataWindow.plain(np.array([[0.0], [2.0]]))
-    cert = generate(model, np.array([0.0]), win, 0.0, EPS1)
-    assert subgradient(model, np.array([0.0]), cert) == pytest.approx([1.0])
+    g = subgradient(model, np.array([0.0]), win, np.zeros((2, 1)))
+    assert g == pytest.approx([1.0])
 
 
 def test_subgradient_weights_atoms_by_multiplicity():
@@ -61,8 +65,8 @@ def test_subgradient_weights_atoms_by_multiplicity():
     # is (3 * 0 + 1 * 2) / 4; weights 1 / p would give 1.0
     model = coupled_quadratic()
     win = DataWindow(np.array([[0.0], [2.0]]), np.array([3.0, 1.0]), 4)
-    cert = generate(model, np.array([0.0]), win, 0.0, EPS1)
-    assert subgradient(model, np.array([0.0]), cert) == pytest.approx([0.5])
+    g = subgradient(model, np.array([0.0]), win, np.zeros((2, 1)))
+    assert g == pytest.approx([0.5])
 
 
 def test_step_hand_arithmetic():
@@ -167,6 +171,22 @@ def test_reuse_always_valid_without_coupling():
         prev = out.cert
 
 
+def test_a_radius_0_certificate_is_reused_with_gap_0():
+    # the zero plan is the only one in a radius-0 ball, so the reuse test
+    # holds wherever x goes; it used to hand the search a zero budget scale
+    model = coupled_quadratic()
+    win = DataWindow.plain(np.array([[1.0], [2.0]]))
+    prev = generate(model, np.array([0.0]), win, 0.0, EPS1)
+    meter = Meter()
+    out = reuse_or_refresh(model, np.array([0.4]),
+                           Tolerances(1e-7, 1e-2, 1e-4), prev, meter=meter)
+    assert out.reused and out.cert.eta == 0.0
+    assert not out.cert.z.any() and out.cert.radius == 0.0
+    # 0.4^2 + 0.4 xi - xi^2 averaged over xi in {1, 2}
+    assert out.cert.j_eps1 == pytest.approx(0.16 + 0.6 - 2.5)
+    assert meter.counts() == (1, 0, 0)
+
+
 def test_large_step_with_flipped_atoms_forces_refresh():
     # at x=3 the worst case pushes the -2 atom up; at x=-3 it wants the
     # +2 atom pushed down, so the carried plan's gap blows past eps_sa
@@ -240,7 +260,7 @@ def test_constant_rule_reaches_eps2_band():
         best = min(best, cert.j_eps1)
         if best - j_star <= tol.eps2:
             break
-        g = subgradient(model, x, cert)
+        g = subgradient(model, x, win, cert.y_eps1)
         x = scaled_step(model, x, g, rule.alpha(k))
     assert best - j_star <= tol.eps2
 
@@ -259,10 +279,11 @@ def test_reused_subgradient_satisfies_epsilon_inequality():
 
     x_ref = np.array([0.8])
     prev = generate(model, x_ref, win, radius, tol.eps1)
-    x_new = scaled_step(model, x_ref, subgradient(model, x_ref, prev), 0.02)
+    g = subgradient(model, x_ref, win, prev.y_eps1)
+    x_new = scaled_step(model, x_ref, g, 0.02)
     out = reuse_or_refresh(model, x_new, tol, prev)
     assert out.reused
-    g = float(subgradient(model, x_new, out.cert)[0])
+    g = float(subgradient(model, x_new, win, out.cert.y_eps1)[0])
     xn = float(x_new[0])
     jx = j_exact(xn)
     for z in np.linspace(-2.0, 2.0, 21):
