@@ -25,8 +25,16 @@ alpha)``. That is one batched ``grad_x`` call per step. The derivation
 repeats the runner's float operations on the same inputs, so it is exact on
 one machine and BLAS build, as the exact ``moved`` and output-decision
 checks already assume. The derived decision is the one the audit re-prices
-and compares. A step or best update names its certificate by ``cert_seq``
-and posts no decision of its own, so the log holds each decision once.
+and compares.
+
+A log writes each datum once, so the audit derives what a record does not
+post rather than reading it: a step's or best update's decision and value
+are those of the certificate its ``cert_seq`` names; a certificate's form
+(reuse or refresh) is its plan key, ``y_ref`` or ``y``; the ball's beta
+follows from ``n`` through the schedule, and its radius from beta and the
+window through ``Samples.ball()``, which the posted radius must match. Each kind of record carries only its keys
+(``runner.RECORD_KEYS``, without the cover's on a run without one), and no
+record writes a null value.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ import numpy as np
 from .ambiguity import ConcentrationParams, ConfidenceSchedule
 from .certificates import certificate_value, plan_from_entries, _Problem
 from .model import Tolerances
-from .runner import EVENT_KINDS, CoverConfig, Samples
+from .runner import (COMMON_KEYS, COVER_KEYS, EVENT_KINDS, RECORD_KEYS,
+                     CoverConfig, Samples)
 from .simplex import point_search
 from .subgrad import scaled_step, subgradient
 
@@ -98,6 +107,9 @@ def _array(rec: dict, key: str) -> Optional[np.ndarray]:
         return None
 
 
+# a huge but finite value overflows where the audit re-prices or measures
+# it; the checks test the results for finiteness, so numpy need not warn
+@np.errstate(all="ignore")
 def verify_events(
     records: list[dict],
     model,
@@ -109,11 +121,16 @@ def verify_events(
 ) -> AuditReport:
     """Re-check a full event log; every failure is collected, none raise.
 
-    Each certificate's gap is checked against the tolerance it posts. A
-    ``reused`` flag that disagrees with the plan form (``y_ref`` for a
-    reuse, ``y`` for a refresh) is a ``structure`` failure. Given the run's
-    ``tolerances``, the posted tolerance must also be the run's: ``eps_sa``
-    for a reuse, ``eps1`` for a refresh.
+    Each certificate's gap is checked against the tolerance it posts. Given
+    the run's ``tolerances``, the posted tolerance must also be the run's:
+    ``eps_sa`` for a reuse (a certificate that posts ``y_ref``), ``eps1``
+    for a refresh (one that posts ``y``). The radius is derived from the
+    arrivals and the schedule, and the posted one must match it
+    (``radius_schedule``).
+
+    A record that carries a key outside its kind's key set, or that writes
+    a null value, is a ``structure`` failure that names the key; the audit
+    goes on with the record.
 
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
@@ -124,14 +141,14 @@ def verify_events(
     re-price (a decision outside its domain), an epoch's first certificate
     without a decision ``x`` or with an ``alpha``, a step certificate that
     posts an ``x``, has no finite positive ``alpha`` or follows no
-    certificate of its ``n``, a non-finite derived decision, a step or best
-    update whose ``x`` is not null, an arrival without a finite point of the
-    model's sample dimension, or a certificate before any arrival. A
-    certificate starts an epoch when its ``l`` differs from the one before.
+    certificate of its ``n``, a certificate that posts both ``y`` and
+    ``y_ref``, a non-finite derived decision, an arrival without a finite
+    point of the model's sample dimension, or a certificate before any
+    arrival. A certificate starts an epoch when its ``l`` differs from the
+    one before.
 
     A step or best update must name by ``cert_seq`` the latest certificate
-    posted before it, and match its value; otherwise ``step_links`` or
-    ``best_tracking`` fails. A step's ``moved`` must be exactly the 2-norm
+    posted before it; otherwise ``step_links`` or ``best_tracking`` fails. A step's ``moved`` must be exactly the 2-norm
     distance from the decision of the certificate before that one, which it
     stepped from, or ``step_links`` fails. Each epoch's best certificate is
     tracked by the runner's rule: the epoch's first certificate, then each
@@ -174,6 +191,12 @@ def verify_events(
     # each record holds at most one arrival
     samples = Samples(model.dimension_m, len(records), concentration,
                       schedule, cover_config or CoverConfig())
+    # the keys each kind of record may carry on this run
+    allowed = {kind: frozenset(COMMON_KEYS + keys)
+               for kind, keys in RECORD_KEYS.items()}
+    if samples.cover is None:
+        for kind in ("DataArrival", "Terminated"):
+            allowed[kind] -= frozenset(COVER_KEYS)
     certs: dict[int, dict] = {}
 
     def cert(ref) -> Optional[dict]:
@@ -204,6 +227,15 @@ def verify_events(
         if kind not in EVENT_KINDS:
             fail("structure", f"record {i}: unknown kind {kind!r}")
             continue
+        if not allowed[kind].issuperset(rec):
+            extra = rec.keys() - allowed[kind]
+            fail("structure", f"record {i}: {kind} carries "
+                 f"{', '.join(sorted(map(repr, extra)))}, not keys of its "
+                 "kind")
+        if None in rec.values():
+            nulls = [key for key, value in rec.items() if value is None]
+            fail("structure", f"record {i}: {kind} writes "
+                 f"{', '.join(map(repr, nulls))} as null")
         if improved is not None and kind not in ("DecisionStep", "BestUpdated"):
             fail("best_tracking", f"record {improved}: certificate lowers "
                  "its epoch's best J but no best update follows")
@@ -265,7 +297,7 @@ def verify_events(
                 fail("structure", f"record {i}: certificate J, x, tol or "
                      "radius missing or malformed")
                 continue
-            window, eps, beta = samples.ball()
+            window, eps = samples.ball()
             if n != window.n_total:
                 fail("structure", f"record {i}: certificate n {n} != ingested")
                 continue
@@ -276,8 +308,8 @@ def verify_events(
                          "certificate posts an alpha; it takes no step")
                     continue
             elif rec.get("x") is not None:
-                fail("structure", f"record {i}: step certificate x is not "
-                     "null; its decision is its step's")
+                fail("structure", f"record {i}: step certificate posts an "
+                     "x; its decision is its step's")
                 continue
             elif alpha is None or not 0.0 < alpha < math.inf:
                 # a step length is positive: a step of -alpha can move as
@@ -290,12 +322,13 @@ def verify_events(
                      f"follow a certificate on its window ({before})")
                 continue
             checks["radius_schedule"].count += 1
-            posted_beta = _number(rec, "beta")
-            if posted_beta is None or not _close(posted_beta, beta):
-                fail("radius_schedule", f"record {i}: beta mismatch")
             if not _close(radius, eps):
                 fail("radius_schedule", f"record {i}: radius mismatch")
 
+            if "y" in rec and "y_ref" in rec:
+                fail("structure", f"record {i}: certificate posts both a "
+                     "plan y and a plan ref y_ref")
+                continue
             if "y" in rec:
                 try:
                     y = plan_from_entries(rec["y"],
@@ -357,9 +390,6 @@ def verify_events(
                 if posted_eta is None or not _close(eta, posted_eta):
                     fail("certificate_gap", f"record {i}: gap mismatch")
             reuse = "y" not in rec
-            if rec.get("reused") is not reuse:
-                fail("structure", f"record {i}: reused flag disagrees "
-                     "with the plan form")
             if tolerances is not None:
                 want = tolerances.eps_sa if reuse else tolerances.eps1
                 if tol != want:
@@ -378,7 +408,8 @@ def verify_events(
                 best = improved = i
 
         elif kind in ("DecisionStep", "BestUpdated"):
-            # the decision is the cert_seq certificate's x, posted only there
+            # the decision and value are the cert_seq certificate's, posted
+            # only there
             check, what = (("step_links", "step") if kind == "DecisionStep"
                            else ("best_tracking", "best"))
             checks[check].count += 1
@@ -390,19 +421,11 @@ def verify_events(
                     small_at = steps
             ref = rec.get("cert_seq")
             src = cert(ref)
-            J = _number(rec, "J")
-            if J is None or "x" not in rec:
-                fail("structure", f"record {i}: {what} J or x missing or malformed")
-            elif rec["x"] is not None:
-                fail("structure", f"record {i}: {what} x is not null; its "
-                     "decision is its certificate's")
-            elif src is None:
+            if src is None:
                 fail(check, f"record {i}: missing certificate {ref}")
             elif ref != latest_cert:
                 fail(check, f"record {i}: {what} names certificate {ref}, "
                      f"not the latest {latest_cert}")
-            elif not _close(J, src["J"]):
-                fail(check, f"record {i}: {what} value != certificate")
             elif kind == "BestUpdated" and ref != improved:
                 fail(check, f"record {i}: best update for certificate {ref}, "
                      "which does not lower its epoch's best J")

@@ -12,26 +12,43 @@ next arrival after a converged epoch), certifies, and steps until it
 converges or arrivals are due; the run terminates when an epoch converges
 with the queue empty.
 
-Every state change is posted as an event with a fixed key set per kind
-(a certificate's plan key is ``y`` for a refresh and ``y_ref`` for a
-reuse), and each datum is written once. A refresh posts its perturbation
-plan in coordinate form, as its nonzero ``[k, j, value]`` entries
-(``plan_entries``); a reuse names that plan by ``y_ref``. An epoch's first
-certificate posts its decision ``x`` and ``alpha`` as null. A step's
-certificate posts ``x`` as null and the step length ``alpha``: its decision
-is ``scaled_step`` by ``alpha`` along the ``subgradient`` of the
-certificate before it, at that one's decision, window and plan, which the
-audit re-derives. A decision step or best update names its certificate by
-``cert_seq`` and posts ``x`` as null, since the certificate determines the
-decision. With the gaps and tolerances this is enough for an offline audit
-to re-verify the whole run from the event log alone.
+Every state change is posted as an event. A record writes a key only
+when its value is not null and is not already fixed by an earlier record or
+by the run's config, so each datum is written once. Every record carries
+``seq``, ``kind``, the meter's time ``t``, the sample count ``n`` and the
+step and epoch counts ``r`` and ``l`` of ``RunTotals``; beyond those, each
+kind carries exactly the keys of ``RECORD_KEYS``:
+
+- ``DataArrival``: ``point``, ``index``, ``arrival_t``, and with a cover
+  ``cover_opened`` and ``cover_size``;
+- ``CertificatePosted``: ``J``, then ``x`` for an epoch's first certificate
+  or the step length ``alpha`` for a step's, then ``eta``, ``tol``,
+  ``radius``, the work counts ``lp_calls``, ``cp_calls`` and
+  ``afwa_iters``, and the plan key: ``y`` for a refresh, ``y_ref`` for a
+  reuse;
+- ``DecisionStep``: ``moved`` and ``cert_seq``;
+- ``BestUpdated``: ``cert_seq``;
+- ``EpochConverged``: ``J``, ``x``, ``steps``, ``reason``,
+  ``rules_disagree`` and ``best_seq``;
+- ``Terminated``: ``J``, ``x``, ``best_seq``, and with a cover
+  ``cover_size``.
+
+A refresh posts its perturbation plan in coordinate form, as its nonzero
+``[k, j, value]`` entries (``plan_entries``); a reuse names that plan by
+``y_ref``, which is the only statement that it reuses. A step's
+certificate's decision is ``scaled_step`` by ``alpha`` along the
+``subgradient`` of the certificate before it, at that one's decision,
+window and plan, which the audit re-derives. A decision step or best update
+names its certificate by ``cert_seq``, which posts its decision and value.
+The ball's beta follows from ``n`` and the run's confidence schedule, so no
+record posts it. With the gaps and tolerances this is enough for an offline
+audit to re-verify the whole run from the event log alone.
 
 ``Samples`` owns the ingested samples and the window and radius certifying
-them; the audit replays a log's arrivals through it too. Each event posts
-the meter's time, the sample count, the step and epoch counts of
-``RunTotals`` and the current ball's beta. A certificate posts the work of
-the attempt that produced it (a refresh's includes its failed revalidation
-search); the totals are the meter's counts, interrupted attempts included.
+them; the audit replays a log's arrivals through it too. A certificate
+posts the work of the attempt that produced it (a refresh's includes its
+failed revalidation search); the totals are the meter's counts, interrupted
+attempts included.
 """
 
 from __future__ import annotations
@@ -62,23 +79,34 @@ from .subgrad import make_rule, reuse_or_refresh, scaled_step, subgradient
 
 Array = np.ndarray
 
-EVENT_KINDS = (
-    "DataArrival",
-    "CertificatePosted",
-    "DecisionStep",
-    "BestUpdated",
-    "EpochConverged",
-    "Terminated",
-)
+# the keys every record carries, and those of each kind's records besides
+COMMON_KEYS = ("seq", "kind", "t", "n", "r", "l")
+RECORD_KEYS = {
+    "DataArrival": ("point", "index", "arrival_t", "cover_opened",
+                    "cover_size"),
+    "CertificatePosted": ("J", "x", "alpha", "eta", "tol", "radius",
+                          "lp_calls", "cp_calls", "afwa_iters", "y", "y_ref"),
+    "DecisionStep": ("moved", "cert_seq"),
+    "BestUpdated": ("cert_seq",),
+    "EpochConverged": ("J", "x", "steps", "reason", "rules_disagree",
+                       "best_seq"),
+    "Terminated": ("J", "x", "best_seq", "cover_size"),
+}
+EVENT_KINDS = tuple(RECORD_KEYS)
+# the keys only a run with a cover writes
+COVER_KEYS = ("cover_opened", "cover_size")
 
 
 @dataclass
 class RunEvent:
-    """One log record; ``record()`` flattens to the fixed JSON key set.
+    """One log record; ``record()`` flattens it to a JSON object without
+    its null values.
 
-    ``x`` is None on arrivals, on step certificates (which post their
-    ``alpha`` instead) and on the records that name the certificate holding
-    their decision (``DecisionStep``, ``BestUpdated``).
+    ``J`` and ``x`` are None on the records that do not post them (see the
+    module docstring); so are the cover's extras without a cover. ``beta``
+    is always None and never written: the ball's beta follows from ``n``.
+    The field stays so that an event is still built from its ten positional
+    fields.
     """
 
     seq: int
@@ -101,11 +129,10 @@ class RunEvent:
             "r": self.r,
             "l": self.l,
             "J": self.J,
-            "beta": self.beta,
             "x": self.x,
         }
         out.update(self.extras)
-        return out
+        return {key: value for key, value in out.items() if value is not None}
 
 
 class ArrivalQueue:
@@ -138,8 +165,8 @@ class Samples:
     """The samples ingested so far, and the ball that certifies them.
 
     ``ball()`` builds, once per arrival, the window (the plain stream or the
-    cover's weighted centers), the radius eps(beta_n, n) plus the cover's
-    transport slack, and beta_n.
+    cover's weighted centers) and the radius eps(beta_n, n) plus the cover's
+    transport slack.
     """
 
     def __init__(self, m: int, capacity: int,
@@ -149,7 +176,7 @@ class Samples:
         self.n = 0
         self.cover = Cover(cover.omega, cover.metric) if cover.enabled else None
         self._concentration, self._schedule = concentration, schedule
-        self._ball: Optional[tuple[DataWindow, float, float]] = None
+        self._ball: Optional[tuple[DataWindow, float]] = None
 
     @property
     def points(self) -> Array:
@@ -173,8 +200,8 @@ class Samples:
         self._ball = None
         return None if self.cover is None else self.cover.update(point)
 
-    def ball(self) -> tuple[DataWindow, float, float]:
-        """(window, radius, beta) certifying the samples so far."""
+    def ball(self) -> tuple[DataWindow, float]:
+        """(window, radius) certifying the samples so far."""
         if self._ball is None:
             beta = self._schedule.beta(self.n)
             eps = ball_radius(self._concentration, beta, self.n)
@@ -183,7 +210,7 @@ class Samples:
             else:
                 window = self.cover.window()
                 eps += self.cover.transport_slack()
-            self._ball = (window, eps, beta)
+            self._ball = (window, eps)
         return self._ball
 
 
@@ -269,7 +296,7 @@ def run(
             r=totals.steps,
             l=totals.epochs,
             J=J,
-            beta=None if kind == "DataArrival" else samples.ball()[2],
+            beta=None,
             x=None if x is None else np.asarray(x, dtype=float).reshape(-1).tolist(),
             extras=extras,
         )
@@ -295,7 +322,7 @@ def run(
         lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
         extras = dict(alpha=alpha, eta=cert.eta,
                       tol=tol.eps_sa if reused else tol.eps1,
-                      radius=cert.radius, reused=reused, lp_calls=lp,
+                      radius=cert.radius, lp_calls=lp,
                       cp_calls=cp, afwa_iters=iters)
         if reused:
             extras["y_ref"] = plan_seq
@@ -331,7 +358,7 @@ def run(
         # certify x on the current window, warm from the last state; an
         # interrupt ingests the due points and retries from its partial state
         while True:
-            window, eps_n, _ = samples.ball()
+            window, eps_n = samples.ball()
             meter.unit = float(window.size * window.dimension)
             if warm is not None:
                 warm = adapt(warm, window, eps_n)
@@ -368,15 +395,10 @@ def run(
             cert_seq = post_certificate(cert, mark, alpha=alpha,
                                         reused=reused)
             moved = float(np.linalg.norm(x_new - x))
-            post(
-                "DecisionStep",
-                J=cert.j_eps1,
-                moved=moved,
-                cert_seq=cert_seq,
-            )
+            post("DecisionStep", moved=moved, cert_seq=cert_seq)
             if cert.j_eps1 < j_best:
                 x_best, j_best, best_seq = x_new.copy(), cert.j_eps1, cert_seq
-                post("BestUpdated", J=j_best, cert_seq=cert_seq)
+                post("BestUpdated", cert_seq=cert_seq)
             x = x_new
             step_stop = moved < tol.eps2
             horizon_stop = totals.steps - first >= rule.horizon

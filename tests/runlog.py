@@ -5,7 +5,8 @@ A step certificate posts its step length, not its decision, which the audit
 re-derives from the certificate before it. A test that moves an output onto
 some certificate needs that decision, so it takes it from the runner itself:
 ``run_with_decisions`` records what the runner's ``scaled_step`` returned.
-``STEP_TAMPERS`` are the edits of that format the audit must catch.
+``STEP_TAMPERS`` are the edits of that format the audit must catch, and
+``KEY_TAMPERS`` the keys a record must not carry.
 """
 
 import math
@@ -41,7 +42,7 @@ def run_with_decisions(config, points):
 def step_certificate(records):
     """The first certificate that posts a step rather than a decision."""
     return next(r for r in records
-                if r["kind"] == "CertificatePosted" and r["x"] is None)
+                if r["kind"] == "CertificatePosted" and "x" not in r)
 
 
 # Each tamper edits one certificate of a log in the step format, given the
@@ -60,7 +61,7 @@ def post_step_x(records, decisions):
     """A step certificate posts its own decision a second time."""
     rec = step_certificate(records)
     rec["x"] = decisions[rec["seq"]]
-    return rec["seq"], "structure", "step certificate x is not null"
+    return rec["seq"], "structure", "step certificate posts an x"
 
 
 def edit_alpha(new):
@@ -80,7 +81,7 @@ def drop_epoch_start_x(records, decisions):
     """The second epoch's first certificate posts no decision."""
     rec = next(r for r in records
                if r["kind"] == "CertificatePosted" and r["l"] == 2)
-    rec["x"] = None
+    del rec["x"]
     return (rec["seq"], "structure",
             "certificate J, x, tol or radius missing or malformed")
 
@@ -94,4 +95,63 @@ STEP_TAMPERS = {
     # a step of -alpha moves as far as the step of alpha
     "alpha-negated": edit_alpha(lambda alpha: -alpha),
     "epoch-start-no-x": drop_epoch_start_x,
+}
+
+
+# Each key tamper writes into one record of a plain log, given the run's
+# confidence schedule, a key its kind does not carry, and returns that
+# record's seq and the key the audit's structure failure names. A dropped
+# key goes back with the value it used to hold.
+
+def first(records, kind, where=lambda r: True):
+    return next(r for r in records if r["kind"] == kind and where(r))
+
+
+def add_beta(records, schedule):
+    rec = first(records, "CertificatePosted")
+    rec["beta"] = schedule.beta(rec["n"])
+    return rec["seq"], "CertificatePosted carries 'beta'"
+
+
+def add_reused(records, schedule):
+    rec = first(records, "CertificatePosted", lambda r: "y_ref" in r)
+    rec["reused"] = True
+    return rec["seq"], "CertificatePosted carries 'reused'"
+
+
+def add_certificate_J(kind):
+    def tamper(records, schedule):
+        rec = first(records, kind)
+        rec["J"] = records[rec["cert_seq"]]["J"]
+        return rec["seq"], f"{kind} carries 'J'"
+    return tamper
+
+
+def null_step_x(records, schedule):
+    rec = step_certificate(records)
+    rec["x"] = None
+    return rec["seq"], "CertificatePosted writes 'x' as null"
+
+
+def add_unknown_key(records, schedule):
+    rec = first(records, "DataArrival")
+    rec["note"] = "hand-edited"
+    return rec["seq"], "DataArrival carries 'note'"
+
+
+def add_cover_size(records, schedule):
+    """A cover key on the termination of a run without a cover."""
+    rec = first(records, "Terminated")
+    rec["cover_size"] = 1
+    return rec["seq"], "Terminated carries 'cover_size'"
+
+
+KEY_TAMPERS = {
+    "beta": add_beta,
+    "reused": add_reused,
+    "step-J": add_certificate_J("DecisionStep"),
+    "best-J": add_certificate_J("BestUpdated"),
+    "step-certificate-x-null": null_step_x,
+    "unknown-key": add_unknown_key,
+    "cover-size-without-cover": add_cover_size,
 }

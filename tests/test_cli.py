@@ -24,7 +24,7 @@ from drostream.presets import (
 from drostream.runner import run
 from drostream.simplex import SolverError
 
-from runlog import STEP_TAMPERS, run_with_decisions
+from runlog import KEY_TAMPERS, STEP_TAMPERS, run_with_decisions
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +165,8 @@ def test_verify_rejects_a_cover_radius_widened_by_omega(tmp_path, capsys):
     picked = max(i for i, rec in enumerate(records)
                  if rec["kind"] == "CertificatePosted")
     rec = records[picked]
-    rec["radius"] = (ball_radius(rc.concentration, rec["beta"], rec["n"])
+    beta = rc.schedule.beta(rec["n"])
+    rec["radius"] = (ball_radius(rc.concentration, beta, rec["n"])
                      + rc.cover.omega)
     report = verify_events(records, mat.model, rc.concentration, rc.schedule,
                            rc.cover, tolerances=rc.tolerances)
@@ -237,8 +238,10 @@ def _legacy_dense(rec):
     ("CertificatePosted", lambda rec: rec.update(y=[rec["y"][0] + [0.0]]),
      "plan ragged or not numeric"),
     ("CertificatePosted", _legacy_dense, "plan coordinate not an integer"),
-    ("DecisionStep", lambda rec: rec.update(x=[0.0]), "step x is not null"),
-    ("BestUpdated", lambda rec: rec.update(x=[0.0]), "best x is not null"),
+    ("DecisionStep", lambda rec: rec.update(x=[0.0]),
+     "DecisionStep carries 'x', not keys of its kind"),
+    ("BestUpdated", lambda rec: rec.update(x=[0.0]),
+     "BestUpdated carries 'x', not keys of its kind"),
 ], ids=["y-outside", "y-repeated", "y-non-integer", "y-nan-value",
         "y-row-length", "y-legacy-dense", "step-x", "best-x"])
 def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
@@ -266,12 +269,12 @@ def test_verify_reports_a_link_to_an_earlier_certificate_and_exits_1(
         run_dir, tmp_path, capsys, kind):
     lines = (run_dir / "events.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    # the record names the certificate before its own, at that one's value
+    # the record names the certificate before its own
     picked = next(i for i, rec in enumerate(records) if rec["kind"] == kind)
     own = records[picked]["cert_seq"]
     earlier = max(j for j in range(own)
                   if records[j]["kind"] == "CertificatePosted")
-    records[picked].update(cert_seq=earlier, J=records[earlier]["J"])
+    records[picked]["cert_seq"] = earlier
     lines[picked] = json.dumps(records[picked])
     tampered = tmp_path / "tampered"
     tampered.mkdir()
@@ -400,6 +403,32 @@ def test_verify_reports_a_step_certificate_that_is_not_the_runs_and_exits_1(
     assert main(["verify", str(tampered)]) == 1
     captured = capsys.readouterr()
     assert f"{check}: FAIL (" in captured.out
+    assert f"record {picked}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("tamper", KEY_TAMPERS.values(),
+                         ids=KEY_TAMPERS.keys())
+def test_verify_reports_a_key_outside_its_kinds_set_and_exits_1(
+        run_dir, tmp_path, capsys, tamper):
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    config = json.loads((run_dir / "summary.json").read_text())["config"]
+    schedule = materialize(from_dict(config)).run_config.schedule
+    picked, message = tamper(records, schedule)
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in records))
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    # the key is the only failure
+    failing = [line for line in captured.out.splitlines() if "FAIL" in line]
+    assert len(failing) == 1
+    assert failing[0].startswith("structure: FAIL (")
+    assert failing[0].endswith(", 1 failed)")
     assert f"record {picked}: {message}" in captured.err
 
 

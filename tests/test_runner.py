@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from oracles import (
     w1_distance,
     window_measure,
 )
-from runlog import STEP_TAMPERS, run_with_decisions
+from runlog import (KEY_TAMPERS, STEP_TAMPERS, run_with_decisions,
+                    step_certificate)
 
 
 def pure_quadratic():
@@ -85,8 +87,8 @@ def test_single_point_run_posts_the_full_sequence():
     ]
     assert res.n == 1 and res.totals.epochs == 1
     assert res.j_best == pytest.approx(res.events[-1].J)
-    assert res.events[1].extras["reused"] is False
-    assert res.events[2].extras["reused"] is True
+    assert "y" in res.events[1].extras  # a refresh
+    assert "y_ref" in res.events[2].extras  # a reuse
 
 
 def test_starved_budget_queues_and_drains_arrivals():
@@ -145,13 +147,15 @@ def test_best_value_improves_monotonically_within_epochs():
     res = run(cfg, stream([[1.0], [-2.0], [0.5], [1.5]]))
     best = None
     for ev in res.events:
-        if ev.kind == "CertificatePosted" and not ev.extras["reused"] and (
+        if ev.kind == "CertificatePosted" and "y" in ev.extras and (
             res.events[ev.seq - 1].kind == "DataArrival"
         ):
             best = ev.J  # epoch head resets the within-epoch best
         elif ev.kind == "BestUpdated":
-            assert best is None or ev.J < best + 1e-12
-            best = ev.J
+            # a best update's value is that of the certificate it names
+            J = res.events[ev.extras["cert_seq"]].J
+            assert best is None or J < best + 1e-12
+            best = J
     assert any(ev.kind == "BestUpdated" for ev in res.events)
 
 
@@ -176,18 +180,19 @@ def test_final_event_carries_the_returned_decision():
 
 
 def test_reuse_totals_match_posted_flags():
+    # a certificate's plan key is its only flag: y_ref for a reuse, y for a
+    # refresh; the totals count the steps' certificates, which post alpha
     cfg = make_config(pure_quadratic(), 3, x0=np.array([2.0]))
     res = run(cfg, stream([[1.0], [2.0], [-1.0]]))
-    posted = [
-        ev for ev in res.events
-        if ev.kind == "CertificatePosted" and "y_ref" in ev.extras
+    steps = [
+        ev.extras for ev in res.events
+        if ev.kind == "CertificatePosted" and ev.extras["alpha"] is not None
     ]
-    flagged = [
-        ev for ev in res.events
-        if ev.kind == "CertificatePosted" and ev.extras["reused"]
-    ]
-    assert posted == flagged
-    assert res.totals.reuses == len(flagged) >= 1
+    reused = [extras for extras in steps if "y_ref" in extras]
+    refreshed = [extras for extras in steps if "y" in extras]
+    assert len(reused) + len(refreshed) == len(steps)
+    assert res.totals.reuses == len(reused) >= 1
+    assert res.totals.refreshes == len(refreshed)
 
 
 def test_horizon_stop_runs_the_configured_step_count():
@@ -265,7 +270,7 @@ def posted_plans(cfg, records):
         if rec["kind"] == "DataArrival":
             samples.add(rec["point"], rec["index"])
         elif rec["kind"] == "CertificatePosted":
-            window, radius, _ = samples.ball()
+            window, radius = samples.ball()
             assert radius == rec["radius"]
             y = (plan_from_entries(rec["y"], (window.size, window.dimension))
                  if "y" in rec else plans[rec["y_ref"]])
@@ -401,14 +406,18 @@ CERT_FIELDS = "certificate J, x, tol or radius missing or malformed"
      "record 6: plan ragged or not numeric"),
     (lambda recs: recs[6].update(y=[[0.0], [1.6651092223153954]]),
      "record 6: plan ragged or not numeric"),
-    (lambda recs: recs[8].pop("J"), "record 8: step J or x missing"),
-    (lambda recs: recs[8].update(x=[0.0]), "record 8: step x is not null"),
+    (lambda recs: recs[8].update(J=recs[6]["J"]),
+     "record 8: DecisionStep carries 'J', not keys of its kind"),
+    (lambda recs: recs[8].update(x=[0.0]),
+     "record 8: DecisionStep carries 'x', not keys of its kind"),
+    (lambda recs: recs[7].update(y=recs[6]["y"]),
+     "record 7: certificate posts both a plan y and a plan ref y_ref"),
     (lambda recs: second_arrival(recs).update(n="two"),
      "record 5: count 'two' not a number"),
     (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
 ], ids=["cert-no-J", "cert-no-x", "cert-no-tol", "radius-null", "ragged-y",
         "y-outside", "y-repeated", "y-non-integer", "y-nan-value",
-        "y-row-length", "y-legacy-dense", "step-no-J", "step-x",
+        "y-row-length", "y-legacy-dense", "step-J", "step-x", "y-and-y_ref",
         "arrival-n-not-numeric", "not-an-object"])
 def test_audit_reports_a_malformed_record_without_raising(tamper, message):
     # records 6 and 8 are the second window's certificate and its step;
@@ -437,16 +446,16 @@ def plain_records():
 ], ids=["two-sample-step", "step", "best"])
 def test_audit_requires_a_link_to_the_latest_certificate(make_records, kind,
                                                          check):
-    # the last such record names the certificate posted before its own, at
-    # that one's value; on the two-sample run that is step 8 naming the
-    # refresh 6 that its reuse 7 copies, which has the same value already
+    # the last such record names the certificate posted before its own; on
+    # the two-sample run that is step 8 naming the refresh 6 that its reuse 7
+    # copies, which has the same value and decision
     cfg, records = make_records()
     assert audit(cfg, records).ok
     i = max(i for i, r in enumerate(records) if r["kind"] == kind)
     own = records[i]["cert_seq"]
     earlier = max(j for j in range(own)
                   if records[j]["kind"] == "CertificatePosted")
-    records[i].update(cert_seq=earlier, J=records[earlier]["J"])
+    records[i]["cert_seq"] = earlier
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
     assert failed[check] == 1 and sum(failed.values()) == 1
@@ -507,7 +516,7 @@ def test_audit_requires_the_epochs_running_best():
     res, decisions = run_with_decisions(cfg, points)
     records = [ev.record() for ev in res.events]
     end, stop, other, best = retarget_output(records, decisions)
-    assert records[other]["x"] is None  # a step certificate's
+    assert "x" not in records[other]  # a step certificate
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
     assert failed["best_tracking"] == failed["termination"] == 1
@@ -543,6 +552,7 @@ def test_audit_requires_a_best_update_exactly_after_each_improvement():
                 if r["kind"] == "DecisionStep"
                 and records[i + 1]["kind"] != "BestUpdated")
     records[extra]["kind"] = "BestUpdated"
+    del records[extra]["moved"]
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
     # and one step less
@@ -582,24 +592,27 @@ def test_audit_checks_the_posted_tolerance_against_the_run():
     failed = checks(records)
     assert failed["certificate_gap"] == 1
     assert sum(failed.values()) == 1
+    # a reuse, which names its plan by y_ref, posts a refresh's tolerance
     cfg, records = two_sample_records()
-    records[6]["reused"] = True  # a refresh that posts a full plan
+    assert records[7]["y_ref"] == 6
+    records[7]["tol"] = cfg.tolerances.eps1
     failed = checks(records)
-    assert failed["structure"] == 1
+    assert failed["certificate_gap"] == 1
     assert sum(failed.values()) == 1
 
 
 def test_audit_checks_the_reused_flag_without_the_runs_tolerances():
-    # the plan form alone says whether a certificate reuses an earlier plan,
-    # so the flag is checked on a call that passes no tolerances too
+    # the plan key alone says whether a certificate reuses an earlier plan,
+    # so a reused flag beside it is a key outside the certificate's set, on
+    # a call that passes no tolerances too
     cfg, records = two_sample_records()
-    records[6]["reused"] = True  # a refresh that posts a full plan
+    records[6]["reused"] = False  # a refresh, which posts a full plan
     report = verify_events(records, cfg.model, cfg.concentration,
                            cfg.schedule)
     failed = {c.name: c.failures for c in report.checks}
     assert failed["structure"] == 1 and sum(failed.values()) == 1
     assert report.failures == [
-        "record 6: reused flag disagrees with the plan form"]
+        "record 6: CertificatePosted carries 'reused', not keys of its kind"]
 
 
 def study1_records():
@@ -647,24 +660,75 @@ def test_audit_derives_each_step_certificates_decision(preset, n0, cover,
                for f in report.failures), report.failures
 
 
+# the keys of each kind's records, in the order a record writes them,
+# besides seq, kind, t, n, r and l; the cover's keys are written on a run
+# with a cover, and a certificate writes one key of each pair: x for an
+# epoch's first certificate, alpha for a step's, y for a refresh, y_ref for
+# a reuse
+COVER_ONLY = ("cover_opened", "cover_size")
+DOCUMENTED_KEYS = {
+    "DataArrival": ("point", "index", "arrival_t", "cover_opened",
+                    "cover_size"),
+    "CertificatePosted": ("J", ("x", "alpha"), "eta", "tol", "radius",
+                          "lp_calls", "cp_calls", "afwa_iters",
+                          ("y", "y_ref")),
+    "DecisionStep": ("moved", "cert_seq"),
+    "BestUpdated": ("cert_seq",),
+    "EpochConverged": ("J", "x", "steps", "reason", "rules_disagree",
+                       "best_seq"),
+    "Terminated": ("J", "x", "best_seq", "cover_size"),
+}
+
+
+@pytest.mark.parametrize("tamper", KEY_TAMPERS.values(),
+                         ids=KEY_TAMPERS.keys())
+def test_audit_rejects_a_key_outside_its_kinds_set(tamper):
+    # a record writes only its kind's keys and no null: a dropped key put
+    # back, even at the value it used to hold, fails structure alone
+    cfg, records = study1_records()
+    seq, message = tamper(records, cfg.schedule)
+    report, failed = full_audit(cfg, records)
+    assert failed["structure"] == 1 and sum(failed.values()) == 1
+    assert report.failures[0].startswith(f"record {seq}: {message}")
+
+
+def test_audit_reports_a_huge_step_length_without_warnings():
+    # alpha = 1e300 derives a decision whose value overflows; the audit
+    # reports it without numpy's overflow warnings
+    cfg, records = study1_records()
+    step_certificate(records)["alpha"] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, _ = full_audit(cfg, records)
+    assert not report.ok
+
+
 def test_every_record_of_a_kind_carries_the_same_keys():
-    # the runner posts a fixed key set per kind; a certificate's plan key is
-    # y for a refresh and y_ref for a reuse, and every other key is shared
-    for preset, n0, cover in (("study1", 12, False), ("study2", 10, True)):
-        res = run(*pinned_run(preset, n0, cover, None))
-        keys = {}
+    # on every pinned run, no record writes a null value and each carries
+    # exactly its kind's documented keys, in order; an epoch's first
+    # certificate is the first of its l, and the reuses are the certificates
+    # that post y_ref
+    for preset, n0, cover, budget in (row[:4] for row in PINNED_WORK):
+        res = run(*pinned_run(preset, n0, cover, budget))
+        epochs, reuses = set(), 0
         for ev in res.events:
             rec = ev.record()
-            form = (rec["kind"], rec.get("reused"))
-            keys.setdefault(form, set()).add(tuple(rec))
-        assert {kind for kind, _ in keys} == set(EVENT_KINDS)
-        assert all(len(sets) == 1 for sets in keys.values()), keys
-        refresh, = keys["CertificatePosted", False]
-        reuse, = keys["CertificatePosted", True]
-        assert [k for k in refresh if k != "y"] == [
-            k for k in reuse if k != "y_ref"]
-        step, = keys["DecisionStep", None]
-        assert "alpha" in refresh and "alpha" not in step
+            assert None not in rec.values(), rec
+            want = ["seq", "kind", "t", "n", "r", "l"]
+            for key in DOCUMENTED_KEYS[rec["kind"]]:
+                if key in COVER_ONLY:
+                    want += [key] if cover else []
+                elif key == ("x", "alpha"):
+                    want.append("alpha" if rec["l"] in epochs else "x")
+                    epochs.add(rec["l"])
+                elif key == ("y", "y_ref"):
+                    reuses += "y" not in rec
+                    want.append("y" if "y" in rec else "y_ref")
+                else:
+                    want.append(key)
+            assert list(rec) == want, (preset, n0, cover, budget, rec)
+        assert reuses == res.totals.reuses
+        assert {ev.kind for ev in res.events} == set(EVENT_KINDS)
 
 
 def test_audit_requires_each_epoch_to_start_from_the_last_best():
@@ -685,7 +749,7 @@ def test_audit_requires_each_epoch_to_start_from_the_last_best():
     step = next(r for r in records[start["seq"]:]
                 if r["kind"] == "DecisionStep")
     assert step["cert_seq"] == start["seq"] + 1
-    assert records[step["cert_seq"]]["x"] is None
+    assert "x" not in records[step["cert_seq"]]
     assert step["moved"] == float(np.linalg.norm(
         -np.array(decisions[step["cert_seq"]]) - start["x"]))
     report, failed = full_audit(cfg, records)
@@ -750,10 +814,10 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
     # the audit allows the gap 1e-9 above its tolerance, so halving the
     # tolerance must take off more than that
     seq = next(r["seq"] for r in records
-               if r["kind"] == "CertificatePosted" and not r["reused"]
+               if r["kind"] == "CertificatePosted" and "y" in r
                and atoms[r["seq"]] < r["n"] and r["eta"] / 2 > 1e-9)
     rec = records[seq]
-    assert rec["kind"] == "CertificatePosted" and not rec["reused"]
+    assert rec["kind"] == "CertificatePosted" and "y" in rec
     assert atoms[seq] < rec["n"]  # a weighted window
     rec["tol"] = rec["eta"] / 2
     report = audit(cfg, records)
@@ -799,15 +863,15 @@ def log_text(result):
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
 #  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 79104,
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 65260,
      40.12962000000008, 0.1296200000000809),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 67056,
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 54715,
      41.567399999999694, 1.3922000000000523),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 77647,
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 65489,
      40.08570000000014, 0.08570000000013778),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 222053,
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 179185,
      20.546896719250853, 0.14061000000089052),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 168828,
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 136572,
      82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
@@ -900,12 +964,12 @@ def study1_log():
     return cfg, log_text(run(cfg, points))
 
 
-# every key some record of the study1 log carries
+# every key some record of a log may carry; the study1 log has no cover
 LOG_KEYS = sorted({
-    "seq", "kind", "t", "n", "r", "l", "J", "beta", "x", "point", "index",
+    "seq", "kind", "t", "n", "r", "l", "J", "x", "point", "index",
     "arrival_t", "cover_opened", "cover_size", "eta", "tol", "radius",
-    "reused", "lp_calls", "cp_calls", "afwa_iters", "y", "y_ref", "alpha",
-    "moved", "cert_seq", "steps", "reason", "rules_disagree", "best_seq"})
+    "lp_calls", "cp_calls", "afwa_iters", "y", "y_ref", "alpha", "moved",
+    "cert_seq", "steps", "reason", "rules_disagree", "best_seq"})
 ODD_VALUES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, 2**70, -(2**70),
                      10**400, None, True, "x", -1, 0, 0.5]),
@@ -954,10 +1018,9 @@ def test_the_audit_never_raises_on_a_corrupted_log(edit):
 
 
 # the numeric fields of a step: its certificate's step length, value and
-# gap, and the step's distance moved and value
+# gap, and the step's distance moved
 STEP_FIELDS = [("CertificatePosted", "alpha"), ("CertificatePosted", "J"),
-               ("CertificatePosted", "eta"), ("DecisionStep", "moved"),
-               ("DecisionStep", "J")]
+               ("CertificatePosted", "eta"), ("DecisionStep", "moved")]
 # a new value outright, or the old one scaled or shifted by a small amount
 NUMERIC_EDITS = st.one_of(
     st.tuples(st.just("set"), st.floats()),
@@ -1003,7 +1066,7 @@ def test_a_changed_step_field_never_audits_ok(field, pick, edit):
     records = [json.loads(line) for line in text.splitlines()]
     kind, key = field
     picked = [r for r in records if r["kind"] == kind and (
-        kind != "CertificatePosted" or r["x"] is None)]
+        kind != "CertificatePosted" or "x" not in r)]
     rec = picked[pick % len(picked)]
     old = rec[key]
     new = edited(old, edit)
