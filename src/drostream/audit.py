@@ -27,14 +27,18 @@ one machine and BLAS build, as the exact ``moved`` and output-decision
 checks already assume. The derived decision is the one the audit re-prices
 and compares.
 
-A log writes each datum once, so the audit derives what a record does not
-post rather than reading it: a step's or best update's decision and value
-are those of the certificate its ``cert_seq`` names; a certificate's form
-(reuse or refresh) is its plan key, ``y_ref`` or ``y``; the ball's beta
-follows from ``n`` through the schedule, and its radius from beta and the
-window through ``Samples.ball()``, which the posted radius must match. Each kind of record carries only its keys
-(``runner.RECORD_KEYS``, without the cover's on a run without one), and no
-record writes a null value.
+A decision step is recorded only by its certificate: the audit counts an
+epoch's steps on its step certificates, checks each one's ``moved`` against
+its derived decision and applies the stop rule to it, and derives each
+epoch's best from the certificates' ``J``. A log writes each datum once, so
+the audit derives what a record does not post rather than reading it: a
+certificate's form (reuse or refresh) is its plan key, ``y_ref`` or ``y``;
+the ball's beta follows from ``n`` through the schedule, and its radius from
+beta and the window through ``Samples.ball()``, which the posted radius
+must match. Each record carries exactly the keys of its kind's form
+(``runner.RECORD_KEYS``, without the cover's on a run without one, and with
+one of each of a certificate's alternatives), and no record writes a null
+value.
 """
 
 from __future__ import annotations
@@ -98,6 +102,10 @@ def _number(rec: dict, key: str) -> Optional[float]:
         return None
 
 
+def _keys(keys) -> str:
+    return ", ".join(sorted(map(repr, keys)))
+
+
 def _array(rec: dict, key: str) -> Optional[np.ndarray]:
     """``rec[key]`` as a float array; None when it is missing, null, ragged
     or not numeric."""
@@ -128,41 +136,47 @@ def verify_events(
     arrivals and the schedule, and the posted one must match it
     (``radius_schedule``).
 
-    A record that carries a key outside its kind's key set, or that writes
-    a null value, is a ``structure`` failure that names the key; the audit
-    goes on with the record.
+    A record that carries a key outside its form's key set, lacks one of
+    them, or writes a null value is a ``structure`` failure that names the
+    key; the audit goes on with the record. A certificate's forms are ``x``
+    (an epoch's first) or ``alpha`` and ``moved`` (a step's), and ``y`` or
+    ``y_ref`` (a reuse); the cover's keys belong to a run with a cover.
+
+    The counters must be the runner's, or ``structure`` fails: ``r``, the
+    steps taken, rises by 1 at each step certificate and holds otherwise,
+    except that it may rise by 1 at an arrival right after a certificate,
+    where the arrival interrupted a step before its certificate; ``l``, the
+    epochs begun, rises by 1 once an epoch, at its first certificate or at
+    an arrival that interrupted that certificate's search, and holds
+    otherwise; a certificate whose ``l`` fails starts an epoch when it posts
+    no ``alpha``.
 
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
     or non-numeric field the checks read (time, count, value, decision,
-    tolerance, radius, plan), a certificate whose epoch ``l`` is not an
-    int, a plan that is not in coordinate form inside its window (see
-    ``plan_from_entries``) or not finite, a certificate the model cannot
-    re-price (a decision outside its domain), an epoch's first certificate
-    without a decision ``x`` or with an ``alpha``, a step certificate that
-    posts an ``x``, has no finite positive ``alpha`` or follows no
-    certificate of its ``n``, a certificate that posts both ``y`` and
-    ``y_ref``, a non-finite derived decision, an arrival without a finite
-    point of the model's sample dimension, or a certificate before any
-    arrival. A certificate starts an epoch when its ``l`` differs from the
-    one before.
+    tolerance, radius, plan), a plan that is not in coordinate form inside
+    its window (see ``plan_from_entries``) or not finite, a certificate the
+    model cannot re-price (a decision outside its domain), an epoch's first
+    certificate without a decision ``x``, a step certificate that has no
+    finite positive ``alpha`` or follows no certificate of its ``n``, a
+    non-finite derived decision, an arrival without a finite point of the
+    model's sample dimension, or a certificate before any arrival. A
+    certificate starts an epoch when its ``l`` differs from the one before.
 
-    A step or best update must name by ``cert_seq`` the latest certificate
-    posted before it; otherwise ``step_links`` or ``best_tracking`` fails. A step's ``moved`` must be exactly the 2-norm
-    distance from the decision of the certificate before that one, which it
-    stepped from, or ``step_links`` fails. Each epoch's best certificate is
-    tracked by the runner's rule: the epoch's first certificate, then each
-    later one whose ``J`` is strictly lower. An epoch after the first must
-    start from exactly the previous epoch's best ``x``, derived or posted.
-    A best update must follow exactly the steps whose certificate lowers
-    it. The epoch's convergence and the run's termination must name it by
-    ``best_seq`` and post its ``J`` and exactly its ``x``. Otherwise
+    A step certificate's ``moved`` must be exactly the 2-norm distance from
+    the decision of the certificate before it, which it stepped from, to
+    its derived one, or ``step_links`` fails. Each epoch's best certificate
+    is tracked by the runner's rule: the epoch's first certificate, then
+    each later one whose ``J`` is strictly lower. An epoch after the first
+    must start from exactly the previous epoch's best ``x``, derived or
+    posted. The epoch's convergence and the run's termination must name it
+    by ``best_seq`` and post exactly its ``J`` and ``x``. Otherwise
     ``best_tracking`` or ``termination`` fails.
 
-    An epoch's convergence must post as ``steps`` the number of steps in its
-    epoch. Given the run's ``tolerances``, a ``reason: "step"`` convergence
-    must end its epoch at the first step whose ``moved`` is below ``eps2``.
-    Otherwise ``stop_rule`` fails.
+    An epoch's convergence must post as ``steps`` the number of its step
+    certificates. Given the run's ``tolerances``, a ``reason: "step"``
+    convergence must end its epoch at the first step whose ``moved`` is
+    below ``eps2``. Otherwise ``stop_rule`` fails.
     """
     checks = {
         name: AuditCheck(name)
@@ -204,16 +218,16 @@ def verify_events(
         return certs.get(ref) if isinstance(ref, int) else None
 
     last_t = -np.inf
-    last_n = 0
+    last_n = last_r = last_l = 0
     # seqs of the latest CertificatePosted record and of the one before it
     latest_cert = before = None
     # the epoch (record l) of the latest certificate and the seq of its best
-    # one; improved is a certificate that lowered it and awaits BestUpdated
-    epoch = best = improved = None
+    # one
+    epoch, best = 0, None
     # the steps of that epoch so far, and the count at its first step that
     # moved less than eps2 (None before one, or without tolerances)
     steps, small_at = 0, None
-    terminated = False
+    terminated = after_cert = False
 
     for i, rec in enumerate(records):
         checks["structure"].count += 1
@@ -227,19 +241,45 @@ def verify_events(
         if kind not in EVENT_KINDS:
             fail("structure", f"record {i}: unknown kind {kind!r}")
             continue
-        if not allowed[kind].issuperset(rec):
-            extra = rec.keys() - allowed[kind]
+        r, l = rec.get("r"), rec.get("l")
+        is_cert = kind == "CertificatePosted"
+        # l counts the epochs begun: it rises once an epoch, at an arrival or
+        # a certificate, by the epoch's first certificate. r counts the steps
+        # taken: it rises at a step certificate, and may at the arrival right
+        # after a certificate, which interrupted a step before its own
+        levels = ((last_l, epoch + 1)
+                  if is_cert or kind == "DataArrival" else (epoch,))
+        if type(l) is not int or l not in levels:
+            fail("structure", f"record {i}: epoch count l {l!r} does not "
+                 f"follow {last_l}")
+            # a certificate's form tells whether it starts an epoch
+            l = epoch + ("alpha" not in rec) if is_cert else last_l
+        last_l = l
+        starts = is_cert and l != epoch
+        rises = ((1,) if is_cert and not starts
+                 else (0, 1) if kind == "DataArrival" and after_cert else (0,))
+        if type(r) is not int or r - last_r not in rises:
+            fail("structure", f"record {i}: step count r {r!r} does not "
+                 f"follow {last_r}")
+            r = last_r + rises[0]
+        last_r = r
+        after_cert = is_cert
+
+        # the keys of the record's form
+        form = allowed[kind]
+        if is_cert:
+            form = form - ({"alpha", "moved"} if starts else {"x"}) - (
+                {"y"} if "y_ref" in rec else {"y_ref"})
+        posted = {key for key, value in rec.items() if value is not None}
+        if not form.issuperset(posted):
             fail("structure", f"record {i}: {kind} carries "
-                 f"{', '.join(sorted(map(repr, extra)))}, not keys of its "
-                 "kind")
-        if None in rec.values():
-            nulls = [key for key, value in rec.items() if value is None]
+                 f"{_keys(posted - form)}, not keys of its form")
+        if not form.issubset(rec):
+            fail("structure", f"record {i}: {kind} lacks "
+                 f"{_keys(form.difference(rec))}, keys of its form")
+        if len(posted) < len(rec):
             fail("structure", f"record {i}: {kind} writes "
-                 f"{', '.join(map(repr, nulls))} as null")
-        if improved is not None and kind not in ("DecisionStep", "BestUpdated"):
-            fail("best_tracking", f"record {improved}: certificate lowers "
-                 "its epoch's best J but no best update follows")
-            improved = None
+                 f"{_keys(rec.keys() - posted)} as null")
         t = _number(rec, "t")
         if t is None or not math.isfinite(t) or t < last_t - 1e-12:
             fail("structure", f"record {i}: time {t} moves backward")
@@ -276,21 +316,22 @@ def verify_events(
                     fail("arrivals", f"record {i}: cover size {size} != {want}")
             last_n = n
 
-        elif kind == "CertificatePosted":
+        elif is_cert:
             before, latest_cert = latest_cert, i
             if not samples.n:
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
             J, tol, radius = (_number(rec, key) for key in ("J", "tol", "radius"))
-            if type(rec.get("l")) is not int:
-                fail("structure", f"record {i}: certificate epoch l "
-                     f"{rec.get('l')!r} is not an integer")
-                continue
-            starts = rec["l"] != epoch
             if starts:
                 # a new epoch, which must start from the last one's best
                 last_best, best = best, None
-                epoch, steps, small_at = rec["l"], 0, None
+                epoch, steps, small_at = l, 0, None
+            else:
+                steps += 1
+                moved = _number(rec, "moved")
+                if (small_at is None and tolerances is not None
+                        and moved is not None and moved < tolerances.eps2):
+                    small_at = steps
             x = _array(rec, "x") if starts else None
             if None in (J, tol, radius) or (starts and (
                     x is None or x.shape != (model.dimension_d,))):
@@ -302,22 +343,13 @@ def verify_events(
                 fail("structure", f"record {i}: certificate n {n} != ingested")
                 continue
             alpha, prev = _number(rec, "alpha"), cert(before)
-            if starts:
-                if rec.get("alpha") is not None:
-                    fail("structure", f"record {i}: an epoch's first "
-                         "certificate posts an alpha; it takes no step")
-                    continue
-            elif rec.get("x") is not None:
-                fail("structure", f"record {i}: step certificate posts an "
-                     "x; its decision is its step's")
-                continue
-            elif alpha is None or not 0.0 < alpha < math.inf:
+            if not starts and (alpha is None or not 0.0 < alpha < math.inf):
                 # a step length is positive: a step of -alpha can move as
                 # far, and its J differ from the posted one within tolerance
                 fail("structure", f"record {i}: step certificate alpha "
                      "missing, not positive or not finite")
                 continue
-            elif prev is None or prev["n"] != n:
+            if not starts and (prev is None or prev["n"] != n):
                 fail("structure", f"record {i}: step certificate does not "
                      f"follow a certificate on its window ({before})")
                 continue
@@ -325,24 +357,21 @@ def verify_events(
             if not _close(radius, eps):
                 fail("radius_schedule", f"record {i}: radius mismatch")
 
-            if "y" in rec and "y_ref" in rec:
-                fail("structure", f"record {i}: certificate posts both a "
-                     "plan y and a plan ref y_ref")
-                continue
-            if "y" in rec:
-                try:
-                    y = plan_from_entries(rec["y"],
-                                          (window.size, window.dimension))
-                except ValueError as exc:
-                    fail("structure", f"record {i}: plan {exc}")
-                    continue
-            else:
-                ref = rec.get("y_ref")
+            reuse = "y_ref" in rec
+            if reuse:
+                ref = rec["y_ref"]
                 src = cert(ref)
                 if src is None or src["n"] != n:
                     fail("structure", f"record {i}: unresolved plan ref {ref}")
                     continue
                 y = src["y"]
+            else:
+                try:
+                    y = plan_from_entries(rec.get("y"),
+                                          (window.size, window.dimension))
+                except ValueError as exc:
+                    fail("structure", f"record {i}: plan {exc}")
+                    continue
 
             z = window.theta[:, None] * y
             try:
@@ -363,6 +392,13 @@ def verify_events(
                 fail("structure", f"record {i}: certificate cannot be "
                      f"re-priced: {exc}")
                 continue
+            if not starts:
+                checks["step_links"].count += 1
+                if _number(rec, "moved") != float(
+                        np.linalg.norm(x - prev["x"])):
+                    fail("step_links", f"record {i}: step moved "
+                         f"{rec.get('moved')!r}, not the distance from "
+                         f"certificate {before}'s x")
 
             checks["certificate_value"].count += 1
             if not _close(j, J):
@@ -389,7 +425,6 @@ def verify_events(
                 posted_eta = _number(rec, "eta")
                 if posted_eta is None or not _close(eta, posted_eta):
                     fail("certificate_gap", f"record {i}: gap mismatch")
-            reuse = "y" not in rec
             if tolerances is not None:
                 want = tolerances.eps_sa if reuse else tolerances.eps1
                 if tol != want:
@@ -405,56 +440,31 @@ def verify_events(
                              f"certificate {last_best}'s")
                 best = i
             elif best is not None and J < certs[best]["J"]:
-                best = improved = i
+                best = i
 
-        elif kind in ("DecisionStep", "BestUpdated"):
-            # the decision and value are the cert_seq certificate's, posted
-            # only there
-            check, what = (("step_links", "step") if kind == "DecisionStep"
-                           else ("best_tracking", "best"))
+        else:
+            # an epoch's or the run's output: exactly its best certificate's
+            check, what = (("best_tracking", "epoch")
+                           if kind == "EpochConverged"
+                           else ("termination", "final"))
             checks[check].count += 1
-            if kind == "DecisionStep":
-                steps += 1
-                moved = _number(rec, "moved")
-                if (small_at is None and tolerances is not None
-                        and moved is not None and moved < tolerances.eps2):
-                    small_at = steps
-            ref = rec.get("cert_seq")
-            src = cert(ref)
-            if src is None:
-                fail(check, f"record {i}: missing certificate {ref}")
-            elif ref != latest_cert:
-                fail(check, f"record {i}: {what} names certificate {ref}, "
-                     f"not the latest {latest_cert}")
-            elif kind == "BestUpdated" and ref != improved:
-                fail(check, f"record {i}: best update for certificate {ref}, "
-                     "which does not lower its epoch's best J")
-            elif kind == "DecisionStep":
-                start = cert(before)  # the step's decision before it moved
-                if start is None or _number(rec, "moved") != float(
-                        np.linalg.norm(src["x"] - start["x"])):
-                    fail(check, f"record {i}: step moved "
-                         f"{rec.get('moved')!r}, not the distance from "
-                         f"certificate {before}'s x")
-            if kind == "BestUpdated":
-                improved = None
-
-        elif kind == "EpochConverged":
-            checks["best_tracking"].count += 1
             ref = rec.get("best_seq")
             src = cert(ref)
             x = _array(rec, "x")
             if src is None:
-                fail("best_tracking", f"record {i}: missing best {ref}")
+                fail(check, f"record {i}: missing best {ref}")
             elif ref != best:
-                fail("best_tracking", f"record {i}: epoch best names "
-                     f"certificate {ref}, not the epoch's best {best}")
+                fail(check, f"record {i}: {what} best names certificate "
+                     f"{ref}, not the epoch's best {best}")
             elif _number(rec, "J") != src["J"]:
-                fail("best_tracking", f"record {i}: epoch J != best "
-                     f"certificate {ref}'s")
+                fail(check, f"record {i}: {what} J != best certificate "
+                     f"{ref}'s")
             elif x is None or not np.array_equal(x, src["x"]):
-                fail("best_tracking", f"record {i}: epoch x != best "
-                     f"certificate {ref}'s")
+                fail(check, f"record {i}: {what} x != best certificate "
+                     f"{ref}'s")
+            if kind == "Terminated":
+                terminated = True
+                continue
             checks["stop_rule"].count += 1
             if rec.get("steps") != steps:
                 fail("stop_rule", f"record {i}: epoch posts {rec.get('steps')!r} "
@@ -464,26 +474,6 @@ def verify_events(
                 fail("stop_rule", f"record {i}: epoch stops at step {steps}, "
                      "not at its first step that moved less than eps2 "
                      f"({small_at})")
-
-        elif kind == "Terminated":
-            checks["termination"].count += 1
-            terminated = True
-            ref = rec.get("best_seq")
-            src = cert(ref)
-            J = _number(rec, "J")
-            x = _array(rec, "x")
-            if src is None:
-                fail("termination", f"record {i}: missing final certificate")
-            elif ref != best:
-                fail("termination", f"record {i}: final best names "
-                     f"certificate {ref}, not the epoch's best {best}")
-            elif J is None:
-                fail("structure", f"record {i}: final J missing or malformed")
-            elif not _close(J, src["J"]):
-                fail("termination", f"record {i}: final value mismatch")
-            elif x is None or not np.array_equal(x, src["x"]):
-                fail("termination", f"record {i}: final x != best "
-                     "certificate's")
 
     checks["termination"].count += 1
     if not terminated:

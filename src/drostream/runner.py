@@ -17,32 +17,36 @@ when its value is not null and is not already fixed by an earlier record or
 by the run's config, so each datum is written once. Every record carries
 ``seq``, ``kind``, the meter's time ``t``, the sample count ``n`` and the
 step and epoch counts ``r`` and ``l`` of ``RunTotals``; beyond those, each
-kind carries exactly the keys of ``RECORD_KEYS``:
+kind carries exactly the keys of ``RECORD_KEYS``, in one of its forms:
 
 - ``DataArrival``: ``point``, ``index``, ``arrival_t``, and with a cover
   ``cover_opened`` and ``cover_size``;
 - ``CertificatePosted``: ``J``, then ``x`` for an epoch's first certificate
-  or the step length ``alpha`` for a step's, then ``eta``, ``tol``,
-  ``radius``, the work counts ``lp_calls``, ``cp_calls`` and
-  ``afwa_iters``, and the plan key: ``y`` for a refresh, ``y_ref`` for a
-  reuse;
-- ``DecisionStep``: ``moved`` and ``cert_seq``;
-- ``BestUpdated``: ``cert_seq``;
+  or, for a step's, the step length ``alpha`` and the distance ``moved``,
+  then ``eta``, ``tol``, ``radius``, the work counts ``lp_calls``,
+  ``cp_calls`` and ``afwa_iters``, and the plan key: ``y`` for a refresh,
+  ``y_ref`` for a reuse;
 - ``EpochConverged``: ``J``, ``x``, ``steps``, ``reason``,
   ``rules_disagree`` and ``best_seq``;
 - ``Terminated``: ``J``, ``x``, ``best_seq``, and with a cover
   ``cover_size``.
 
-A refresh posts its perturbation plan in coordinate form, as its nonzero
-``[k, j, value]`` entries (``plan_entries``); a reuse names that plan by
-``y_ref``, which is the only statement that it reuses. A step's
-certificate's decision is ``scaled_step`` by ``alpha`` along the
+A decision step is recorded only by its certificate, the one that posts
+``alpha``: its decision is ``scaled_step`` by ``alpha`` along the
 ``subgradient`` of the certificate before it, at that one's decision,
-window and plan, which the audit re-derives. A decision step or best update
-names its certificate by ``cert_seq``, which posts its decision and value.
-The ball's beta follows from ``n`` and the run's confidence schedule, so no
-record posts it. With the gaps and tolerances this is enough for an offline
-audit to re-verify the whole run from the event log alone.
+window and plan, and ``moved`` is the 2-norm distance between the two
+decisions. The audit re-derives both. ``r`` counts the steps taken, so it
+rises at each step certificate, and at the arrival that interrupts a step
+before its certificate; ``l`` rises at each epoch's first certificate, or
+at an arrival that interrupts that certificate's search. An epoch's best
+is its first certificate, then each later one whose ``J`` is lower, which
+the convergence and the termination name by ``best_seq``. A refresh posts
+its perturbation plan in coordinate form, as its nonzero ``[k, j, value]``
+entries (``plan_entries``); a reuse names that plan by ``y_ref``, which is
+the only statement that it reuses. The ball's beta follows from ``n`` and
+the run's confidence schedule, so no record posts it. With the gaps and
+tolerances this is enough for an offline audit to re-verify the whole run
+from the event log alone.
 
 ``Samples`` owns the ingested samples and the window and radius certifying
 them; the audit replays a log's arrivals through it too. A certificate
@@ -84,10 +88,9 @@ COMMON_KEYS = ("seq", "kind", "t", "n", "r", "l")
 RECORD_KEYS = {
     "DataArrival": ("point", "index", "arrival_t", "cover_opened",
                     "cover_size"),
-    "CertificatePosted": ("J", "x", "alpha", "eta", "tol", "radius",
-                          "lp_calls", "cp_calls", "afwa_iters", "y", "y_ref"),
-    "DecisionStep": ("moved", "cert_seq"),
-    "BestUpdated": ("cert_seq",),
+    "CertificatePosted": ("J", "x", "alpha", "moved", "eta", "tol",
+                          "radius", "lp_calls", "cp_calls", "afwa_iters", "y",
+                          "y_ref"),
     "EpochConverged": ("J", "x", "steps", "reason", "rules_disagree",
                        "best_seq"),
     "Terminated": ("J", "x", "best_seq", "cover_size"),
@@ -314,13 +317,14 @@ def run(
         meter.deadline = queue.next_time()
 
     def post_certificate(cert: CertificateResult, mark, *, x=None,
-                         alpha=None, reused=False) -> int:
+                         alpha=None, moved=None, reused=False) -> int:
         # an epoch's first certificate posts its decision x; a step's posts
-        # the step length alpha that took the decision before it to its own
+        # the step length alpha that took the decision before it to its own,
+        # and the distance moved
         nonlocal plan_seq
         # the work of the attempt that produced cert: the counts since mark
         lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
-        extras = dict(alpha=alpha, eta=cert.eta,
+        extras = dict(alpha=alpha, moved=moved, eta=cert.eta,
                       tol=tol.eps_sa if reused else tol.eps1,
                       radius=cert.radius, lp_calls=lp,
                       cp_calls=cp, afwa_iters=iters)
@@ -392,13 +396,11 @@ def run(
             cert, reused = outcome.cert, outcome.reused
             totals.reuses += int(reused)
             totals.refreshes += int(not reused)
-            cert_seq = post_certificate(cert, mark, alpha=alpha,
-                                        reused=reused)
             moved = float(np.linalg.norm(x_new - x))
-            post("DecisionStep", moved=moved, cert_seq=cert_seq)
+            cert_seq = post_certificate(cert, mark, alpha=alpha, moved=moved,
+                                        reused=reused)
             if cert.j_eps1 < j_best:
                 x_best, j_best, best_seq = x_new.copy(), cert.j_eps1, cert_seq
-                post("BestUpdated", cert_seq=cert_seq)
             x = x_new
             step_stop = moved < tol.eps2
             horizon_stop = totals.steps - first >= rule.horizon

@@ -5,10 +5,12 @@ A step certificate posts its step length, not its decision, which the audit
 re-derives from the certificate before it. A test that moves an output onto
 some certificate needs that decision, so it takes it from the runner itself:
 ``run_with_decisions`` records what the runner's ``scaled_step`` returned.
-``STEP_TAMPERS`` are the edits of that format the audit must catch, and
-``KEY_TAMPERS`` the keys a record must not carry.
+``STEP_TAMPERS`` are the edits of that format the audit must catch,
+``KEY_TAMPERS`` the keys a record must not carry, ``MISSING_KEYS`` the keys
+it must, and ``COUNTER_TAMPERS`` the edits of its step and epoch counts.
 """
 
+import functools
 import math
 
 from drostream import runner
@@ -51,17 +53,18 @@ def step_certificate(records):
 
 def nudge_alpha(records, decisions):
     """A step certificate's alpha one ulp up: its derived decision moves,
-    and the step after it no longer posts the distance it moved."""
+    and it no longer posts the distance it moved."""
     rec = step_certificate(records)
     rec["alpha"] = math.nextafter(rec["alpha"], math.inf)
-    return rec["seq"] + 1, "step_links", "step moved"
+    return rec["seq"], "step_links", "step moved"
 
 
 def post_step_x(records, decisions):
     """A step certificate posts its own decision a second time."""
     rec = step_certificate(records)
     rec["x"] = decisions[rec["seq"]]
-    return rec["seq"], "structure", "step certificate posts an x"
+    return (rec["seq"], "structure",
+            "CertificatePosted carries 'x', not keys of its form")
 
 
 def edit_alpha(new):
@@ -119,12 +122,18 @@ def add_reused(records, schedule):
     return rec["seq"], "CertificatePosted carries 'reused'"
 
 
-def add_certificate_J(kind):
-    def tamper(records, schedule):
-        rec = first(records, kind)
-        rec["J"] = records[rec["cert_seq"]]["J"]
-        return rec["seq"], f"{kind} carries 'J'"
-    return tamper
+def add_cert_seq(records, schedule):
+    """A step certificate names itself, as its step record used to."""
+    rec = step_certificate(records)
+    rec["cert_seq"] = rec["seq"]
+    return rec["seq"], "CertificatePosted carries 'cert_seq'"
+
+
+def add_epoch_start_moved(records, schedule):
+    """An epoch's first certificate, which takes no step, posts a moved."""
+    rec = first(records, "CertificatePosted", lambda r: "x" in r)
+    rec["moved"] = 0.0
+    return rec["seq"], "CertificatePosted carries 'moved'"
 
 
 def null_step_x(records, schedule):
@@ -149,9 +158,50 @@ def add_cover_size(records, schedule):
 KEY_TAMPERS = {
     "beta": add_beta,
     "reused": add_reused,
-    "step-J": add_certificate_J("DecisionStep"),
-    "best-J": add_certificate_J("BestUpdated"),
+    "step-cert_seq": add_cert_seq,
+    "epoch-start-moved": add_epoch_start_moved,
     "step-certificate-x-null": null_step_x,
     "unknown-key": add_unknown_key,
     "cover-size-without-cover": add_cover_size,
+}
+
+
+# (kind, key) pairs a record of a plain log must carry; each dropped alone
+# is a structure failure that names it, and no other check reads the key
+MISSING_KEYS = [("CertificatePosted", "eta"), ("CertificatePosted", "lp_calls"),
+                ("DataArrival", "index"), ("DataArrival", "arrival_t"),
+                ("EpochConverged", "reason")]
+
+
+def drop_key(records, kind, key):
+    """Drop ``key`` from the first record of ``kind``; returns its seq and
+    the start of the audit's structure failure."""
+    rec = first(records, kind)
+    del rec[key]
+    return rec["seq"], f"{kind} lacks '{key}', keys of its form"
+
+
+# Each counter tamper edits the step count r or the epoch count l of one
+# record of a plain log, and returns that record's seq and the start of the
+# audit's structure failure.
+
+def set_counter(counter, value, pick):
+    def tamper(records):
+        rec = pick(records)
+        rec[counter] = value(rec[counter])
+        what = "step count r" if counter == "r" else "epoch count l"
+        return rec["seq"], f"{what} {rec[counter]!r} does not follow"
+    return tamper
+
+
+COUNTER_TAMPERS = {
+    "r-999": set_counter("r", lambda r: 999, step_certificate),
+    "r-negative": set_counter("r", lambda r: -5,
+                              functools.partial(first, kind="CertificatePosted")),
+    # any kind's count raised by 3
+    **{f"{counter}-{kind}-plus-3": set_counter(
+        counter, lambda v: v + 3, functools.partial(first, kind=kind))
+       for kind in ("DataArrival", "CertificatePosted", "EpochConverged",
+                    "Terminated")
+       for counter in "rl"},
 }

@@ -24,7 +24,8 @@ from drostream.presets import (
 from drostream.runner import run
 from drostream.simplex import SolverError
 
-from runlog import KEY_TAMPERS, STEP_TAMPERS, run_with_decisions
+from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
+                    drop_key, run_with_decisions)
 
 
 @pytest.fixture(scope="module")
@@ -226,30 +227,31 @@ def _legacy_dense(rec):
     rec["y"] = plan_from_entries(rec["y"], (rec["n"], 3)).tolist()
 
 
-@pytest.mark.parametrize("kind, tamper, message", [
-    ("CertificatePosted", lambda rec: rec.update(y=[[rec["n"], 0, 1.0]]),
+def _refresh(rec):
+    return rec["kind"] == "CertificatePosted" and "y" in rec
+
+
+@pytest.mark.parametrize("where, tamper, message", [
+    (_refresh, lambda rec: rec.update(y=[[rec["n"], 0, 1.0]]),
      "plan coordinate outside the window"),
-    ("CertificatePosted", lambda rec: rec.update(y=[rec["y"][0]] * 2),
+    (_refresh, lambda rec: rec.update(y=[rec["y"][0]] * 2),
      "plan coordinates repeat"),
-    ("CertificatePosted", lambda rec: rec.update(y=[[0.5, 0, 1.0]]),
+    (_refresh, lambda rec: rec.update(y=[[0.5, 0, 1.0]]),
      "plan coordinate not an integer"),
-    ("CertificatePosted", lambda rec: rec["y"][0].__setitem__(2, float("nan")),
+    (_refresh, lambda rec: rec["y"][0].__setitem__(2, float("nan")),
      "plan or decision not finite"),
-    ("CertificatePosted", lambda rec: rec.update(y=[rec["y"][0] + [0.0]]),
+    (_refresh, lambda rec: rec.update(y=[rec["y"][0] + [0.0]]),
      "plan ragged or not numeric"),
-    ("CertificatePosted", _legacy_dense, "plan coordinate not an integer"),
-    ("DecisionStep", lambda rec: rec.update(x=[0.0]),
-     "DecisionStep carries 'x', not keys of its kind"),
-    ("BestUpdated", lambda rec: rec.update(x=[0.0]),
-     "BestUpdated carries 'x', not keys of its kind"),
+    (_refresh, _legacy_dense, "plan coordinate not an integer"),
+    (lambda rec: "alpha" in rec, lambda rec: rec.update(x=[0.0]),
+     "CertificatePosted carries 'x', not keys of its form"),
 ], ids=["y-outside", "y-repeated", "y-non-integer", "y-nan-value",
-        "y-row-length", "y-legacy-dense", "step-x", "best-x"])
+        "y-row-length", "y-legacy-dense", "step-x"])
 def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
-        run_dir, tmp_path, capsys, kind, tamper, message):
+        run_dir, tmp_path, capsys, where, tamper, message):
     lines = (run_dir / "events.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    picked = max(i for i, rec in enumerate(records)
-                 if rec["kind"] == kind and "y_ref" not in rec)
+    picked = max(i for i, rec in enumerate(records) if where(rec))
     tamper(records[picked])
     lines[picked] = json.dumps(records[picked])
     tampered = tmp_path / "tampered"
@@ -264,33 +266,9 @@ def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
     assert "FAILED" in err
 
 
-@pytest.mark.parametrize("kind", ["DecisionStep", "BestUpdated"])
-def test_verify_reports_a_link_to_an_earlier_certificate_and_exits_1(
-        run_dir, tmp_path, capsys, kind):
-    lines = (run_dir / "events.jsonl").read_text().splitlines()
-    records = [json.loads(line) for line in lines]
-    # the record names the certificate before its own
-    picked = next(i for i, rec in enumerate(records) if rec["kind"] == kind)
-    own = records[picked]["cert_seq"]
-    earlier = max(j for j in range(own)
-                  if records[j]["kind"] == "CertificatePosted")
-    records[picked]["cert_seq"] = earlier
-    lines[picked] = json.dumps(records[picked])
-    tampered = tmp_path / "tampered"
-    tampered.mkdir()
-    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
-    (tampered / "summary.json").write_text(
-        (run_dir / "summary.json").read_text())
-    capsys.readouterr()
-    assert main(["verify", str(tampered)]) == 1
-    err = capsys.readouterr().err
-    assert f"names certificate {earlier}, not the latest {own}" in err
-    assert "FAILED" in err
-
-
 @pytest.mark.parametrize("kind, message", [
     ("EpochConverged", "epoch x != best certificate"),
-    ("Terminated", "final x != best certificate's"),
+    ("Terminated", "final x != best certificate"),
 ], ids=["epoch", "final"])
 def test_verify_reports_a_shifted_output_decision_and_exits_1(
         run_dir, tmp_path, capsys, kind, message):
@@ -345,8 +323,9 @@ def test_verify_reports_an_output_that_is_not_the_epochs_best_and_exits_1(
 
 
 def shift_a_step(records):
-    """A step posts a moved one more than its distance; returns its seq."""
-    step = next(r for r in records if r["kind"] == "DecisionStep")
+    """A step certificate posts a moved one more than its distance; returns
+    its seq."""
+    step = next(r for r in records if "moved" in r)
     step["moved"] += 1.0
     return step["seq"], [step["seq"]]
 
@@ -432,6 +411,48 @@ def test_verify_reports_a_key_outside_its_kinds_set_and_exits_1(
     assert f"record {picked}: {message}" in captured.err
 
 
+def verify_tampered(run_dir, tmp_path, capsys, records):
+    """``drostream verify``'s exit code and output on ``run_dir`` with its
+    log replaced by ``records``."""
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in records))
+    (tampered / "summary.json").write_text(
+        (run_dir / "summary.json").read_text())
+    capsys.readouterr()
+    code = main(["verify", str(tampered)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, key", MISSING_KEYS,
+                         ids=[key for _, key in MISSING_KEYS])
+def test_verify_reports_a_missing_key_and_exits_1(
+        run_dir, tmp_path, capsys, kind, key):
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    picked, message = drop_key(records, kind, key)
+    code, captured = verify_tampered(run_dir, tmp_path, capsys, records)
+    assert code == 1
+    failing = [line for line in captured.out.splitlines() if "FAIL" in line]
+    assert failing == ["structure: FAIL "
+                       f"({len(records)} checked, 1 failed)"]
+    assert f"record {picked}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("tamper", COUNTER_TAMPERS.values(),
+                         ids=COUNTER_TAMPERS.keys())
+def test_verify_reports_a_wrong_step_or_epoch_count_and_exits_1(
+        run_dir, tmp_path, capsys, tamper):
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    picked, message = tamper(records)
+    code, captured = verify_tampered(run_dir, tmp_path, capsys, records)
+    assert code == 1
+    assert "structure: FAIL (" in captured.out
+    assert f"record {picked}: {message}" in captured.err
+
+
 def post_one_more_step(records, config):
     """The first epoch's convergence posts one step more than it took."""
     end = next(r for r in records if r["kind"] == "EpochConverged")
@@ -442,8 +463,7 @@ def post_one_more_step(records, config):
 def lower_eps2(records, config):
     """The run's eps2 falls below the move that stopped the first epoch."""
     end = next(r for r in records if r["kind"] == "EpochConverged")
-    last = next(r for r in reversed(records[:end["seq"]])
-                if r["kind"] == "DecisionStep")
+    last = next(r for r in reversed(records[:end["seq"]]) if "moved" in r)
     config["tolerances"]["eps2"] = 0.99 * last["moved"]
     return end["seq"], "epoch stops at step"
 
@@ -594,7 +614,7 @@ def test_replay_reproduces_the_coupled_pinned_run(tmp_path, capsys):
                       "cp_calls": 218, "afwa_iters": 5064}
     capsys.readouterr()
     assert main(["replay", str(out)]) == 0
-    assert "identical (532 events)" in capsys.readouterr().out
+    assert "identical (270 events)" in capsys.readouterr().out
     assert main(["verify", str(out)]) == 0
 
 

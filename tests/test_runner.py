@@ -26,8 +26,8 @@ from oracles import (
     w1_distance,
     window_measure,
 )
-from runlog import (KEY_TAMPERS, STEP_TAMPERS, run_with_decisions,
-                    step_certificate)
+from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
+                    drop_key, run_with_decisions, step_certificate)
 
 
 def pure_quadratic():
@@ -81,7 +81,6 @@ def test_single_point_run_posts_the_full_sequence():
         "DataArrival",
         "CertificatePosted",
         "CertificatePosted",
-        "DecisionStep",
         "EpochConverged",
         "Terminated",
     ]
@@ -143,20 +142,19 @@ def test_counters_never_move_backward():
 
 
 def test_best_value_improves_monotonically_within_epochs():
+    # an epoch's best is its first certificate, then each later one whose J
+    # is strictly lower; its convergence names the last of them
     cfg = make_config(coupled_quadratic(), 4, x0=np.array([2.0]))
     res = run(cfg, stream([[1.0], [-2.0], [0.5], [1.5]]))
-    best = None
+    best, improved = None, 0
     for ev in res.events:
-        if ev.kind == "CertificatePosted" and "y" in ev.extras and (
-            res.events[ev.seq - 1].kind == "DataArrival"
-        ):
-            best = ev.J  # epoch head resets the within-epoch best
-        elif ev.kind == "BestUpdated":
-            # a best update's value is that of the certificate it names
-            J = res.events[ev.extras["cert_seq"]].J
-            assert best is None or J < best + 1e-12
-            best = J
-    assert any(ev.kind == "BestUpdated" for ev in res.events)
+        if ev.kind == "CertificatePosted" and ev.x is not None:
+            best = ev  # an epoch's first certificate
+        elif ev.kind == "CertificatePosted" and ev.J < best.J:
+            best, improved = ev, improved + 1
+        elif ev.kind == "EpochConverged":
+            assert ev.extras["best_seq"] == best.seq and ev.J == best.J
+    assert improved > 0
 
 
 def test_runs_replay_bit_identically():
@@ -326,12 +324,12 @@ def swap_audit(seq, swapped_y):
 
 
 def test_audit_swap_fails_the_budget_check():
-    # record 6 certifies the window {0, 4}; moving each atom onto the other
+    # record 5 certifies the window {0, 4}; moving each atom onto the other
     # pays 4 per unit mass, beyond the radius, though the moved measure is
     # the window itself: the budget prices the plan, not the distance
-    checks, failures = swap_audit(6, [[0, 0, -4.0], [1, 0, 4.0]])
-    assert checks["certificate_budget"].failures == 2  # record 6, reuse 7
-    assert any(f.startswith("record 6: budget 4.0 exceeds") for f in failures)
+    checks, failures = swap_audit(5, [[0, 0, -4.0], [1, 0, 4.0]])
+    assert checks["certificate_budget"].failures == 2  # record 5, reuse 6
+    assert any(f.startswith("record 5: budget 4.0 exceeds") for f in failures)
 
 
 def test_audit_single_atom_over_budget_fails_the_budget_check():
@@ -388,44 +386,44 @@ CERT_FIELDS = "certificate J, x, tol or radius missing or malformed"
 
 
 @pytest.mark.parametrize("tamper, message", [
-    (lambda recs: recs[6].pop("J"), f"record 6: {CERT_FIELDS}"),
-    (lambda recs: recs[6].pop("x"), f"record 6: {CERT_FIELDS}"),
-    (lambda recs: recs[6].pop("tol"), f"record 6: {CERT_FIELDS}"),
-    (lambda recs: recs[6].update(radius=None), f"record 6: {CERT_FIELDS}"),
-    (lambda recs: recs[6].update(y=[[1, 0, 1.0], [1, 0]]),
-     "record 6: plan ragged or not numeric"),
-    (lambda recs: recs[6].update(y=[[2, 0, 1.0]]),
-     "record 6: plan coordinate outside the window"),
-    (lambda recs: recs[6].update(y=[[1, 0, 1.0], [1, 0, 1.0]]),
-     "record 6: plan coordinates repeat"),
-    (lambda recs: recs[6].update(y=[[0.5, 0, 1.0]]),
-     "record 6: plan coordinate not an integer"),
-    (lambda recs: recs[6].update(y=[[1, 0, float("nan")]]),
-     "record 6: plan or decision not finite"),
-    (lambda recs: recs[6].update(y=[[1, 0, 1.0, 0.0]]),
-     "record 6: plan ragged or not numeric"),
-    (lambda recs: recs[6].update(y=[[0.0], [1.6651092223153954]]),
-     "record 6: plan ragged or not numeric"),
-    (lambda recs: recs[8].update(J=recs[6]["J"]),
-     "record 8: DecisionStep carries 'J', not keys of its kind"),
-    (lambda recs: recs[8].update(x=[0.0]),
-     "record 8: DecisionStep carries 'x', not keys of its kind"),
-    (lambda recs: recs[7].update(y=recs[6]["y"]),
-     "record 7: certificate posts both a plan y and a plan ref y_ref"),
+    (lambda recs: recs[5].pop("J"), f"record 5: {CERT_FIELDS}"),
+    (lambda recs: recs[5].pop("x"), f"record 5: {CERT_FIELDS}"),
+    (lambda recs: recs[5].pop("tol"), f"record 5: {CERT_FIELDS}"),
+    (lambda recs: recs[5].update(radius=None), f"record 5: {CERT_FIELDS}"),
+    (lambda recs: recs[5].update(y=[[1, 0, 1.0], [1, 0]]),
+     "record 5: plan ragged or not numeric"),
+    (lambda recs: recs[5].update(y=[[2, 0, 1.0]]),
+     "record 5: plan coordinate outside the window"),
+    (lambda recs: recs[5].update(y=[[1, 0, 1.0], [1, 0, 1.0]]),
+     "record 5: plan coordinates repeat"),
+    (lambda recs: recs[5].update(y=[[0.5, 0, 1.0]]),
+     "record 5: plan coordinate not an integer"),
+    (lambda recs: recs[5].update(y=[[1, 0, float("nan")]]),
+     "record 5: plan or decision not finite"),
+    (lambda recs: recs[5].update(y=[[1, 0, 1.0, 0.0]]),
+     "record 5: plan ragged or not numeric"),
+    (lambda recs: recs[5].update(y=[[0.0], [1.6651092223153954]]),
+     "record 5: plan ragged or not numeric"),
+    (lambda recs: recs[6].pop("J"),
+     "record 6: CertificatePosted lacks 'J', keys of its form"),
+    (lambda recs: recs[6].update(x=[0.0]),
+     "record 6: CertificatePosted carries 'x', not keys of its form"),
+    (lambda recs: recs[6].update(y=recs[5]["y"]),
+     "record 6: CertificatePosted carries 'y', not keys of its form"),
     (lambda recs: second_arrival(recs).update(n="two"),
-     "record 5: count 'two' not a number"),
+     "record 4: count 'two' not a number"),
     (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
 ], ids=["cert-no-J", "cert-no-x", "cert-no-tol", "radius-null", "ragged-y",
         "y-outside", "y-repeated", "y-non-integer", "y-nan-value",
         "y-row-length", "y-legacy-dense", "step-J", "step-x", "y-and-y_ref",
         "arrival-n-not-numeric", "not-an-object"])
 def test_audit_reports_a_malformed_record_without_raising(tamper, message):
-    # records 6 and 8 are the second window's certificate and its step;
-    # record 6 moves the atom at 4 by about 1.67
+    # records 5 and 6 are the second window's certificate and its step's;
+    # record 5 moves the atom at 4 by about 1.67
     cfg, records = two_sample_records()
-    assert records[6]["kind"] == "CertificatePosted"
-    assert records[6]["y"] == [[1, 0, 1.6651092223153954]]
-    assert records[8]["kind"] == "DecisionStep"
+    assert records[5]["kind"] == "CertificatePosted"
+    assert records[5]["y"] == [[1, 0, 1.6651092223153954]]
+    assert records[6]["alpha"] == 5.0 and records[6]["y_ref"] == 5
     tamper(records)
     report = audit(cfg, records)
     assert not report.ok
@@ -439,53 +437,39 @@ def plain_records():
     return cfg, [ev.record() for ev in res.events]
 
 
-@pytest.mark.parametrize("make_records, kind, check", [
-    (two_sample_records, "DecisionStep", "step_links"),
-    (plain_records, "DecisionStep", "step_links"),
-    (plain_records, "BestUpdated", "best_tracking"),
-], ids=["two-sample-step", "step", "best"])
-def test_audit_requires_a_link_to_the_latest_certificate(make_records, kind,
-                                                         check):
-    # the last such record names the certificate posted before its own; on
-    # the two-sample run that is step 8 naming the refresh 6 that its reuse 7
-    # copies, which has the same value and decision
-    cfg, records = make_records()
-    assert audit(cfg, records).ok
-    i = max(i for i, r in enumerate(records) if r["kind"] == kind)
-    own = records[i]["cert_seq"]
-    earlier = max(j for j in range(own)
-                  if records[j]["kind"] == "CertificatePosted")
-    records[i]["cert_seq"] = earlier
-    report = audit(cfg, records)
-    failed = {c.name: c.failures for c in report.checks}
-    assert failed[check] == 1 and sum(failed.values()) == 1
-    what = "step" if kind == "DecisionStep" else "best"
-    assert (f"record {i}: {what} names certificate {earlier}, not the latest "
-            f"{own}") in report.failures
-
-
 def shift_x(rec):
     rec["x"] = [v + 5.0 for v in rec["x"]]
 
 
-@pytest.mark.parametrize("kind, tamper, check, message", [
+def scale_J(rec):
+    # well within the tolerance of a certificate's re-priced J
+    rec["J"] *= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("kind, tamper, check, message, lacks", [
     ("EpochConverged", shift_x, "best_tracking",
-     "epoch x != best certificate"),
+     "epoch x != best certificate", 0),
     ("EpochConverged", lambda rec: rec.pop("best_seq"), "best_tracking",
-     "missing best None"),
-    ("Terminated", shift_x, "termination", "final x != best certificate's"),
-], ids=["epoch-x", "epoch-no-best", "final-x"])
+     "missing best None", 1),
+    ("Terminated", shift_x, "termination", "final x != best certificate",
+     0),
+    ("EpochConverged", scale_J, "best_tracking", "epoch J != best certificate",
+     0),
+    ("Terminated", scale_J, "termination", "final J != best certificate", 0),
+], ids=["epoch-x", "epoch-no-best", "final-x", "epoch-J", "final-J"])
 def test_audit_requires_the_best_certificates_decision(kind, tamper, check,
-                                                        message):
-    # the epoch's and the run's output decision is the x of the certificate
-    # best_seq names; a shifted x keeps every posted value
+                                                        message, lacks):
+    # the epoch's and the run's output are the J and x of the certificate
+    # best_seq names, exactly; a shifted x keeps every posted value, and a
+    # dropped best_seq is also a key its record lacks
     cfg, records = plain_records()
     assert audit(cfg, records).ok
     i = max(i for i, r in enumerate(records) if r["kind"] == kind)
     tamper(records[i])
     report = audit(cfg, records)
     failed = {c.name: c.failures for c in report.checks}
-    assert failed[check] == 1 and sum(failed.values()) == 1
+    assert failed[check] == 1 and failed["structure"] == lacks
+    assert sum(failed.values()) == 1 + lacks
     assert any(f.startswith(f"record {i}: {message}")
                for f in report.failures), report.failures
 
@@ -527,57 +511,21 @@ def test_audit_requires_the_epochs_running_best():
             f"epoch's best {best}") in report.failures
 
 
-def test_audit_requires_a_best_update_exactly_after_each_improvement():
-    cfg, records = plain_records()
-    # the last best update becomes a copy of the step record before it: its
-    # certificate lowered the best, and nothing says so before the epoch
-    # converges
-    dropped = max(i for i, r in enumerate(records)
-                  if r["kind"] == "BestUpdated")
-    step = records[dropped - 1]
-    assert step["kind"] == "DecisionStep"
-    records[dropped].update(kind="DecisionStep", moved=step["moved"])
-    report = audit(cfg, records)
-    failed = {c.name: c.failures for c in report.checks}
-    # the epoch now holds one step more than its convergence posts
-    assert failed["best_tracking"] == failed["stop_rule"] == 1
-    assert sum(failed.values()) == 2
-    cert_seq = records[dropped]["cert_seq"]
-    assert (f"record {cert_seq}: certificate lowers its epoch's best J but no "
-            "best update follows") in report.failures
-
-    cfg, records = plain_records()
-    # a step whose certificate does not lower the best claims that it does
-    extra = max(i for i, r in enumerate(records)
-                if r["kind"] == "DecisionStep"
-                and records[i + 1]["kind"] != "BestUpdated")
-    records[extra]["kind"] = "BestUpdated"
-    del records[extra]["moved"]
-    report = audit(cfg, records)
-    failed = {c.name: c.failures for c in report.checks}
-    # and one step less
-    assert failed["best_tracking"] == failed["stop_rule"] == 1
-    assert sum(failed.values()) == 2
-    assert (f"record {extra}: best update for certificate "
-            f"{records[extra]['cert_seq']}, which does not lower its epoch's "
-            "best J") in report.failures
-
-
 def test_audit_fails_an_infinite_value_and_a_nan_tolerance():
     # inf - x is inf, which the relative tolerance max(|a|, |b|) would absorb
     cfg, records = two_sample_records()
-    records[6]["J"] = float("inf")
+    records[5]["J"] = float("inf")
     checks = {c.name: c for c in audit(cfg, records).checks}
     assert checks["certificate_value"].failures == 1
     cfg, records = two_sample_records()
-    records[6]["tol"] = float("nan")
+    records[5]["tol"] = float("nan")
     checks = {c.name: c for c in audit(cfg, records).checks}
     assert checks["certificate_gap"].failures == 1
 
 
 def test_audit_checks_the_posted_tolerance_against_the_run():
     cfg, records = two_sample_records()
-    assert records[6]["kind"] == "CertificatePosted" and "y" in records[6]
+    assert records[5]["kind"] == "CertificatePosted" and "y" in records[5]
 
     def checks(recs):
         report = verify_events(recs, cfg.model, cfg.concentration,
@@ -585,7 +533,7 @@ def test_audit_checks_the_posted_tolerance_against_the_run():
         return {c.name: c.failures for c in report.checks}
 
     assert not any(checks(records).values())
-    records[6]["tol"] = 1e9
+    records[5]["tol"] = 1e9
     # without the run's tolerances the audit can only trust the posted one
     assert verify_events(records, cfg.model, cfg.concentration,
                          cfg.schedule).ok
@@ -594,8 +542,8 @@ def test_audit_checks_the_posted_tolerance_against_the_run():
     assert sum(failed.values()) == 1
     # a reuse, which names its plan by y_ref, posts a refresh's tolerance
     cfg, records = two_sample_records()
-    assert records[7]["y_ref"] == 6
-    records[7]["tol"] = cfg.tolerances.eps1
+    assert records[6]["y_ref"] == 5
+    records[6]["tol"] = cfg.tolerances.eps1
     failed = checks(records)
     assert failed["certificate_gap"] == 1
     assert sum(failed.values()) == 1
@@ -606,13 +554,13 @@ def test_audit_checks_the_reused_flag_without_the_runs_tolerances():
     # so a reused flag beside it is a key outside the certificate's set, on
     # a call that passes no tolerances too
     cfg, records = two_sample_records()
-    records[6]["reused"] = False  # a refresh, which posts a full plan
+    records[5]["reused"] = False  # a refresh, which posts a full plan
     report = verify_events(records, cfg.model, cfg.concentration,
                            cfg.schedule)
     failed = {c.name: c.failures for c in report.checks}
     assert failed["structure"] == 1 and sum(failed.values()) == 1
     assert report.failures == [
-        "record 6: CertificatePosted carries 'reused', not keys of its kind"]
+        "record 5: CertificatePosted carries 'reused', not keys of its form"]
 
 
 def study1_records():
@@ -630,13 +578,13 @@ def full_audit(cfg, records):
 def test_audit_requires_a_step_to_post_the_distance_it_moved():
     cfg, records = study1_records()
     assert full_audit(cfg, records)[0].ok
-    step = next(r for r in records if r["kind"] == "DecisionStep")
+    step = step_certificate(records)
     step["moved"] += 1.0
     report, failed = full_audit(cfg, records)
     assert failed["step_links"] == 1 and sum(failed.values()) == 1
     assert report.failures[0].startswith(
         f"record {step['seq']}: step moved {step['moved']!r}, not the "
-        f"distance from certificate {step['cert_seq'] - 1}'s x")
+        f"distance from certificate {step['seq'] - 1}'s x")
 
 
 @pytest.mark.parametrize("preset, n0, cover", [
@@ -662,9 +610,9 @@ def test_audit_derives_each_step_certificates_decision(preset, n0, cover,
 
 # the keys of each kind's records, in the order a record writes them,
 # besides seq, kind, t, n, r and l; the cover's keys are written on a run
-# with a cover, and a certificate writes one key of each pair: x for an
-# epoch's first certificate, alpha for a step's, y for a refresh, y_ref for
-# a reuse
+# with a cover, and a certificate writes one form of each pair: x for an
+# epoch's first certificate, alpha and moved for a step's, y for a refresh,
+# y_ref for a reuse
 COVER_ONLY = ("cover_opened", "cover_size")
 DOCUMENTED_KEYS = {
     "DataArrival": ("point", "index", "arrival_t", "cover_opened",
@@ -672,8 +620,6 @@ DOCUMENTED_KEYS = {
     "CertificatePosted": ("J", ("x", "alpha"), "eta", "tol", "radius",
                           "lp_calls", "cp_calls", "afwa_iters",
                           ("y", "y_ref")),
-    "DecisionStep": ("moved", "cert_seq"),
-    "BestUpdated": ("cert_seq",),
     "EpochConverged": ("J", "x", "steps", "reason", "rules_disagree",
                        "best_seq"),
     "Terminated": ("J", "x", "best_seq", "cover_size"),
@@ -690,6 +636,55 @@ def test_audit_rejects_a_key_outside_its_kinds_set(tamper):
     report, failed = full_audit(cfg, records)
     assert failed["structure"] == 1 and sum(failed.values()) == 1
     assert report.failures[0].startswith(f"record {seq}: {message}")
+
+
+@pytest.mark.parametrize("make_records, kind, key", [
+    *((study1_records, kind, key) for kind, key in MISSING_KEYS),
+    (cover_records, "DataArrival", "cover_size"),
+    (cover_records, "Terminated", "cover_size"),
+], ids=[key for _, key in MISSING_KEYS] + ["cover-arrival-size",
+                                          "cover-final-size"])
+def test_audit_requires_every_key_of_a_records_form(make_records, kind, key):
+    # a key the record's form carries, dropped, fails structure alone and
+    # names the key, though no other check reads it
+    cfg, records = make_records()
+    seq, message = drop_key(records, kind, key)
+    report, failed = full_audit(cfg, records)
+    assert failed["structure"] == 1 and sum(failed.values()) == 1
+    assert report.failures == [f"record {seq}: {message}"]
+
+
+@pytest.mark.parametrize("tamper", COUNTER_TAMPERS.values(),
+                         ids=COUNTER_TAMPERS.keys())
+def test_audit_requires_the_runners_step_and_epoch_counts(tamper):
+    # r counts the steps and l the epochs; the audit tracks both, and one
+    # wrong count is one failure
+    cfg, records = study1_records()
+    seq, message = tamper(records)
+    report, failed = full_audit(cfg, records)
+    assert failed["structure"] == 1 and sum(failed.values()) == 1
+    assert report.failures[0].startswith(f"record {seq}: {message}")
+
+
+def test_audit_accepts_a_step_count_raised_by_an_interrupted_step():
+    # a step an arrival interrupts is counted but posts no certificate: the
+    # step count rises at the arrival right after the epoch's last
+    # certificate, which the audit accepts there and nowhere else
+    cfg, points = pinned_run("study1-coupled", 40, False, 5000.0)
+    records = [ev.record() for ev in run(cfg, points).events]
+    assert full_audit(cfg, records)[0].ok
+    rises = [r for a, r in zip(records, records[1:])
+             if r["kind"] == "DataArrival" and r["r"] > a["r"]]
+    assert rises and all(records[r["seq"] - 1]["kind"] == "CertificatePosted"
+                         for r in rises)
+    arrival = next(r for r in records[rises[0]["seq"] + 1:]
+                   if r["kind"] == "DataArrival"
+                   and records[r["seq"] - 1]["kind"] != "CertificatePosted")
+    arrival["r"] += 1
+    report, failed = full_audit(cfg, records)
+    assert failed["structure"] == 1 and sum(failed.values()) == 1
+    assert report.failures[0].startswith(
+        f"record {arrival['seq']}: step count r")
 
 
 def test_audit_reports_a_huge_step_length_without_warnings():
@@ -719,7 +714,8 @@ def test_every_record_of_a_kind_carries_the_same_keys():
                 if key in COVER_ONLY:
                     want += [key] if cover else []
                 elif key == ("x", "alpha"):
-                    want.append("alpha" if rec["l"] in epochs else "x")
+                    want += (["alpha", "moved"] if rec["l"] in epochs
+                             else ["x"])
                     epochs.add(rec["l"])
                 elif key == ("y", "y_ref"):
                     reuses += "y" not in rec
@@ -746,12 +742,10 @@ def test_audit_requires_each_epoch_to_start_from_the_last_best():
                 if r["kind"] == "EpochConverged")
     assert start["x"] == decisions[best] != [0.0]
     start["x"] = [-v for v in start["x"]]
-    step = next(r for r in records[start["seq"]:]
-                if r["kind"] == "DecisionStep")
-    assert step["cert_seq"] == start["seq"] + 1
-    assert "x" not in records[step["cert_seq"]]
+    step = records[start["seq"] + 1]
+    assert "alpha" in step
     assert step["moved"] == float(np.linalg.norm(
-        -np.array(decisions[step["cert_seq"]]) - start["x"]))
+        -np.array(decisions[step["seq"]]) - start["x"]))
     report, failed = full_audit(cfg, records)
     # that certificate stays its epoch's best, so the epoch's convergence
     # and the next epoch's start do not post its x either
@@ -784,8 +778,7 @@ def test_audit_requires_a_step_stop_at_the_first_step_below_eps2():
     # moved, no epoch stops where it should; just above the step before
     # it, the first epoch should have stopped one step sooner
     cfg, records = study1_records()
-    moved = [r["moved"] for r in records
-             if r["kind"] == "DecisionStep" and r["l"] == 1]
+    moved = [r["moved"] for r in records if "moved" in r and r["l"] == 1]
     ends = [r["seq"] for r in records if r["kind"] == "EpochConverged"]
     for eps2, failing in ((0.99 * moved[-1], ends),
                           (1.01 * moved[-2], ends[:1])):
@@ -863,15 +856,15 @@ def log_text(result):
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
 #  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 249, 65260,
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 58006,
      40.12962000000008, 0.1296200000000809),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 221, 54715,
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 48191,
      41.567399999999694, 1.3922000000000523),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 249, 65489,
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 58228,
      40.08570000000014, 0.08570000000013778),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 717, 179185,
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 132069,
      20.546896719250853, 0.14061000000089052),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 532, 136572,
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 109482,
      82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
@@ -969,7 +962,7 @@ LOG_KEYS = sorted({
     "seq", "kind", "t", "n", "r", "l", "J", "x", "point", "index",
     "arrival_t", "cover_opened", "cover_size", "eta", "tol", "radius",
     "lp_calls", "cp_calls", "afwa_iters", "y", "y_ref", "alpha", "moved",
-    "cert_seq", "steps", "reason", "rules_disagree", "best_seq"})
+    "steps", "reason", "rules_disagree", "best_seq"})
 ODD_VALUES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, 2**70, -(2**70),
                      10**400, None, True, "x", -1, 0, 0.5]),
@@ -1017,10 +1010,15 @@ def test_the_audit_never_raises_on_a_corrupted_log(edit):
     assert isinstance(report.ok, bool)
 
 
-# the numeric fields of a step: its certificate's step length, value and
-# gap, and the step's distance moved
+# the numeric fields of a step certificate: its step length, value, gap
+# and distance moved; and of an epoch's and the run's output: its value,
+# decision (whose one coordinate is edited), step count and best certificate
 STEP_FIELDS = [("CertificatePosted", "alpha"), ("CertificatePosted", "J"),
-               ("CertificatePosted", "eta"), ("DecisionStep", "moved")]
+               ("CertificatePosted", "eta"), ("CertificatePosted", "moved"),
+               ("EpochConverged", "J"), ("EpochConverged", "x"),
+               ("EpochConverged", "steps"), ("EpochConverged", "best_seq"),
+               ("Terminated", "J"), ("Terminated", "x"),
+               ("Terminated", "best_seq")]
 # a new value outright, or the old one scaled or shifted by a small amount
 NUMERIC_EDITS = st.one_of(
     st.tuples(st.just("set"), st.floats()),
@@ -1040,11 +1038,11 @@ def edited(old, edit):
 
 
 def same_to_the_audit(field, old, new):
-    """Whether the audit may take ``new`` for ``old``: J and eta are checked
-    within a relative 1e-7 and an absolute 1e-9 of their recomputed value,
-    which may itself differ from the posted one by as much; alpha and moved
-    are checked exactly."""
-    if field in ("alpha", "moved"):
+    """Whether the audit may take ``new`` for ``old``: a certificate's J and
+    eta are checked within a relative 1e-7 and an absolute 1e-9 of their
+    recomputed value, which may itself differ from the posted one by as
+    much; every other field is checked exactly."""
+    if field not in (("CertificatePosted", "J"), ("CertificatePosted", "eta")):
         return new == old
     return (math.isfinite(new)
             and abs(new - old) <= 2e-9 + 2e-7 * max(abs(old), abs(new)))
@@ -1059,19 +1057,26 @@ def same_to_the_audit(field, old, new):
 @example(field=("CertificatePosted", "alpha"), pick=0,
          edit=("set", math.nextafter(10.0, math.inf)))
 @example(field=("CertificatePosted", "alpha"), pick=19, edit=("set", -10.0))
+# the run's value a relative 1e-9 off its best certificate's
+@example(field=("Terminated", "J"), pick=0, edit=("scale", 1.0, 1e-9))
 def test_a_changed_step_field_never_audits_ok(field, pick, edit):
-    # one numeric field of a step edited beyond what the audit may take for
-    # the posted value: the log no longer audits ok
+    # one numeric field of a step or an output edited beyond what the audit
+    # may take for the posted value: the log no longer audits ok
     cfg, text = study1_log()
     records = [json.loads(line) for line in text.splitlines()]
     kind, key = field
     picked = [r for r in records if r["kind"] == kind and (
         kind != "CertificatePosted" or "x" not in r)]
     rec = picked[pick % len(picked)]
-    old = rec[key]
-    new = edited(old, edit)
-    assume(not same_to_the_audit(key, old, new))
-    rec[key] = new
+    if key == "x":
+        old = rec["x"][0]
+        new = edited(old, edit)
+        rec["x"] = [new] + rec["x"][1:]
+    else:
+        old = rec[key]
+        new = edited(old, edit)
+        rec[key] = new
+    assume(not same_to_the_audit(field, old, new))
     assert not full_audit(cfg, records)[0].ok
 
 
