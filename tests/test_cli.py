@@ -227,31 +227,55 @@ def _legacy_dense(rec):
     rec["y"] = plan_from_entries(rec["y"], (rec["n"], 3)).tolist()
 
 
+def _last(where):
+    """The index of the last record that ``where`` holds for."""
+    return lambda records: max(i for i, rec in enumerate(records)
+                               if where(rec))
+
+
 def _refresh(rec):
     return rec["kind"] == "CertificatePosted" and "y" in rec
 
 
-@pytest.mark.parametrize("where, tamper, message", [
-    (_refresh, lambda rec: rec.update(y=[[rec["n"], 0, 1.0]]),
+def _last_best_step(records):
+    """The index of the last step certificate that lowered its epoch's best
+    J, where a best update used to follow."""
+    best, found = None, None
+    for i, rec in enumerate(records):
+        if rec["kind"] != "CertificatePosted":
+            continue
+        if "x" in rec:
+            best = rec["J"]
+        elif rec["J"] < best:
+            best, found = rec["J"], i
+    return found
+
+
+@pytest.mark.parametrize("pick, tamper, message", [
+    (_last(_refresh), lambda rec: rec.update(y=[[rec["n"], 0, 1.0]]),
      "plan coordinate outside the window"),
-    (_refresh, lambda rec: rec.update(y=[rec["y"][0]] * 2),
+    (_last(_refresh), lambda rec: rec.update(y=[rec["y"][0]] * 2),
      "plan coordinates repeat"),
-    (_refresh, lambda rec: rec.update(y=[[0.5, 0, 1.0]]),
+    (_last(_refresh), lambda rec: rec.update(y=[[0.5, 0, 1.0]]),
      "plan coordinate not an integer"),
-    (_refresh, lambda rec: rec["y"][0].__setitem__(2, float("nan")),
+    (_last(_refresh), lambda rec: rec["y"][0].__setitem__(2, float("nan")),
      "plan or decision not finite"),
-    (_refresh, lambda rec: rec.update(y=[rec["y"][0] + [0.0]]),
+    (_last(_refresh), lambda rec: rec.update(y=[rec["y"][0] + [0.0]]),
      "plan ragged or not numeric"),
-    (_refresh, _legacy_dense, "plan coordinate not an integer"),
-    (lambda rec: "alpha" in rec, lambda rec: rec.update(x=[0.0]),
+    (_last(_refresh), _legacy_dense, "plan coordinate not an integer"),
+    (_last(lambda rec: "alpha" in rec), lambda rec: rec.update(x=[0.0]),
+     "CertificatePosted carries 'x', not keys of its form"),
+    # the step that lowers its epoch's best posts no x either: the epoch's
+    # outputs copy the x derived for it
+    (_last_best_step, lambda rec: rec.update(x=[0.0]),
      "CertificatePosted carries 'x', not keys of its form"),
 ], ids=["y-outside", "y-repeated", "y-non-integer", "y-nan-value",
-        "y-row-length", "y-legacy-dense", "step-x"])
+        "y-row-length", "y-legacy-dense", "step-x", "best-x"])
 def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
-        run_dir, tmp_path, capsys, where, tamper, message):
+        run_dir, tmp_path, capsys, pick, tamper, message):
     lines = (run_dir / "events.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
-    picked = max(i for i, rec in enumerate(records) if where(rec))
+    picked = pick(records)
     tamper(records[picked])
     lines[picked] = json.dumps(records[picked])
     tampered = tmp_path / "tampered"
