@@ -55,7 +55,7 @@ from .stream import (
     estimate_jstar,
     sample_stream,
 )
-from .subgrad import StepSizeRule, make_rule, scaled_step, subgradient
+from .subgrad import make_rule, scaled_step, subgradient
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "RunResult",
     "SamplePoint",
     "SolverError",
-    "StepSizeRule",
     "Tolerances",
     "UniformRandomPeriod",
     "WarmState",

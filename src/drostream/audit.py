@@ -29,7 +29,8 @@ and compares.
 
 A decision step is recorded only by its certificate: the audit counts an
 epoch's steps on its step certificates, checks each one's ``moved`` against
-its derived decision and applies the stop rule to it, and derives each
+its derived decision and applies the stop rule to it (an epoch stops at
+its first step that moved less than eps2), and derives each
 epoch's best from the certificates' ``J``. A log writes each datum once, so
 the audit derives what a record does not post rather than reading it: a
 certificate's form (reuse or refresh) is its plan key, ``y_ref`` or ``y``;
@@ -174,9 +175,9 @@ def verify_events(
     ``best_tracking`` or ``termination`` fails.
 
     An epoch's convergence must post as ``steps`` the number of its step
-    certificates. Given the run's ``tolerances``, a ``reason: "step"``
-    convergence must end its epoch at the first step whose ``moved`` is
-    below ``eps2``. Otherwise ``stop_rule`` fails.
+    certificates. Given the run's ``tolerances``, it must also end its epoch
+    at the first step whose ``moved`` is below ``eps2``. Otherwise
+    ``stop_rule`` fails.
     """
     checks = {
         name: AuditCheck(name)
@@ -469,8 +470,7 @@ def verify_events(
             if rec.get("steps") != steps:
                 fail("stop_rule", f"record {i}: epoch posts {rec.get('steps')!r} "
                      f"steps, not the {steps} it took")
-            elif (tolerances is not None and rec.get("reason") == "step"
-                    and small_at != steps):
+            elif tolerances is not None and small_at != steps:
                 fail("stop_rule", f"record {i}: epoch stops at step {steps}, "
                      "not at its first step that moved less than eps2 "
                      f"({small_at})")

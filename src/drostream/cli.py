@@ -2,13 +2,17 @@
 
   run     execute a preset or custom config; writes events.jsonl,
           trajectory.csv, summary.json, and stream.jsonl into --out-dir.
-          The stream is written first and each event as it is posted, so a
-          run that fails still leaves its stream, the events it posted and
-          a summary.json with status "failed", the error, its traceback
-          and the config
+          The summary holds the exact reference optimum under the
+          mixture, the final decision's expected cost there (oos_cost),
+          and its certificate's value minus that cost
+          (guarantee_margin). The stream is written first and each event
+          as it is posted, so a run that fails still leaves its stream, the
+          events it posted and a summary.json with status "failed", the
+          error, its traceback and the config
   verify  re-check a run directory's event log: every certificate's value,
           transport budget (which bounds its W1 distance), gap, tolerance
-          and radius, and each epoch's best certificate and output decision
+          and radius, each epoch's stop at its first step below eps2, and
+          each epoch's best certificate and output decision
   replay  re-run from the dumped stream and compare event logs byte-wise
 
 Exit codes: 0 success; 1 verification/replay mismatch or solver failure;
@@ -30,7 +34,7 @@ import numpy as np
 
 from . import audit, presets
 from .runner import run
-from .stream import dump_stream, estimate_jstar, load_stream
+from .stream import dump_stream, estimate_jstar, expected_cost, load_stream
 
 EVENTS_FILE = "events.jsonl"
 TRAJECTORY_FILE = "trajectory.csv"
@@ -79,9 +83,11 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
-def write_outputs(out: Path, cfg, result, j_star_est, x_star_est) -> dict:
+def write_outputs(out: Path, mat: presets.Materialized, result) -> dict:
     """Write the trajectory and the summary of a completed run; returns the
     summary dict."""
+    x_star_est, j_star_est = estimate_jstar(mat.model, mat.mixture)
+    oos_cost = expected_cost(mat.model, result.x_best, mat.mixture)
     cp_running = 0
     cover_size = None  # the size after the latest arrival; None without a cover
     rows = []
@@ -115,7 +121,7 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est) -> dict:
         if j_star_est not in (None, 0.0) else None
     )
     summary = {
-        "config": cfg.to_dict(),
+        "config": mat.config.to_dict(),
         "final": {
             "x_best": np.asarray(result.x_best).tolist(),
             "j_best": result.j_best,
@@ -127,14 +133,15 @@ def write_outputs(out: Path, cfg, result, j_star_est, x_star_est) -> dict:
             "x_star_est": (None if x_star_est is None
                            else np.asarray(x_star_est).tolist()),
             "rel_error": final_rel,
+            "oos_cost": oos_cost,
+            "guarantee_margin": result.j_best - oos_cost,
         },
         "totals": dataclasses.asdict(result.totals),
         "cover": {
-            "enabled": bool(cfg.cover["enabled"]),
+            "enabled": bool(mat.config.cover["enabled"]),
             "final_size": result.cover_size,
             "sizes_over_time": _cover_sizes(result.events),
         },
-        "horizon_capped": result.horizon_capped,
     }
     with open(out / SUMMARY_FILE, "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -158,15 +165,10 @@ def cmd_run(args) -> int:
     out = _out_dir(args, cfg)
     try:
         dump_stream(mat.stream, out / STREAM_FILE)
-        x_star_est, j_star_est = (None, None)
-        if not args.skip_jstar:
-            x_star_est, j_star_est = estimate_jstar(
-                mat.model, mat.mixture, cfg.seed,
-                n_validation=cfg.n_validation)
         with open(out / EVENTS_FILE, "w") as fh:
             result = run(mat.run_config, mat.stream, on_event=lambda ev:
                          fh.write(json.dumps(ev.record()) + "\n"))
-        summary = write_outputs(out, cfg, result, j_star_est, x_star_est)
+        summary = write_outputs(out, mat, result)
     except Exception as exc:  # solver failure is an exit-1 diagnostic
         error = f"{type(exc).__name__}: {exc}"
         with open(out / SUMMARY_FILE, "w") as fh:
@@ -268,13 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
                              help="force the cover off")
     p_run.add_argument("--out-dir", default=None,
                        help="output directory (default runs/<preset>-...)")
-    p_run.add_argument("--skip-jstar", action="store_true",
-                       help="skip the reference-optimum estimation")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser(
         "verify", help="re-check every certificate's value, budget, gap "
-                       "and radius in a run's event log")
+                       "and radius, and every epoch's stop and best, in a "
+                       "run's event log")
     p_verify.add_argument("run_dir",
                           help="run directory (or events.jsonl path)")
     p_verify.set_defaults(func=cmd_verify)

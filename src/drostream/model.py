@@ -56,6 +56,11 @@ class CostModel:
         cost is concave in the sample) at construction.
     project : callable, optional
         Maps a decision back into the feasible domain after a step.
+    minimizer : callable, optional
+        ``minimizer(mu)``, a minimizer of x -> f(x, mu) for a sample mean
+        ``mu`` (m,), or None where that has no minimum. Since f is quadratic
+        in the sample, E f(x, xi) = f(x, E xi) + tr(C Cov xi), so this
+        minimizes the expected cost under any law with mean ``mu``.
     """
 
     dimension_d: int
@@ -65,6 +70,7 @@ class CostModel:
     grad_y: Callable[[Array, Array, Array], Array]
     sample_curvature: Array
     project: Optional[Callable[[Array], Array]] = None
+    minimizer: Optional[Callable[[Array], Optional[Array]]] = None
 
     def __post_init__(self):
         C = _check_square_sym(self.sample_curvature, "sample_curvature")
@@ -175,7 +181,16 @@ def quadratic_model(A, B, C) -> CostModel:
             return -(CC @ s) - bx
         return -(s @ CC) - bx[None, :]
 
-    return CostModel(d, m, _eval, _grad_x, _grad_y, sample_curvature=CC / 2.0)
+    def _minimizer(mu):
+        # the stationary points solve (A + A') x = -B mu; A is PSD, so they
+        # are the minima, and there are none when B mu is outside A's range
+        rhs = -(B @ np.asarray(mu, dtype=float))
+        x = np.linalg.lstsq(AA, rhs, rcond=None)[0]
+        residual = np.abs(AA @ x - rhs).max()
+        return x if residual <= 1e-9 * (1.0 + np.abs(rhs).max()) else None
+
+    return CostModel(d, m, _eval, _grad_x, _grad_y, sample_curvature=CC / 2.0,
+                     minimizer=_minimizer)
 
 
 def portfolio_model(rho: float) -> CostModel:
@@ -235,7 +250,16 @@ def portfolio_model(rho: float) -> CostModel:
     def _project(x):
         return np.clip(np.asarray(x, dtype=float), delta, 1.0 - delta)
 
+    def _minimizer(mu):
+        # the root in (0, 1) of -c x^2 + (c + 2 rho) x - rho, c = mu2 - mu1,
+        # where the derivative c - rho / x + rho / (1 - x) vanishes; of its
+        # two equal forms, take the one whose sum cancels no digits
+        c = float(mu[1] - mu[0])
+        b, root_d = c + 2.0 * rho, math.hypot(c, 2.0 * rho)
+        root = 2.0 * rho / (b + root_d) if b >= 0 else (b - root_d) / (2.0 * c)
+        return _project(np.array([root]))
+
     return CostModel(
         1, 2, _eval, _grad_x, _grad_y, project=_project,
-        sample_curvature=-np.eye(2),
+        sample_curvature=-np.eye(2), minimizer=_minimizer,
     )

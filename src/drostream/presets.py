@@ -38,7 +38,6 @@ from .stream import (
     channels,
     sample_stream,
 )
-from .subgrad import make_rule
 
 
 class ConfigError(ValueError):
@@ -63,11 +62,9 @@ class ExperimentConfig:
     concentration: dict
     schedule: str
     step_rule: str
-    stop_rule: str
     cost_budget_per_period: float
     cover: dict
     x0: dict
-    n_validation: int
 
     def to_dict(self) -> dict:
         """A deep copy, fields in declaration order: editing it leaves this
@@ -129,11 +126,9 @@ def study1(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
         schedule="study",
         step_rule="harmonic",
-        stop_rule="step",
         cost_budget_per_period=50_000.0,
         cover={"enabled": cover_enabled, "omega": 1.5, "metric": "l2"},
         x0={"kind": "uniform", "low": -10.0, "high": 10.0},
-        n_validation=10_000,
     )
 
 
@@ -168,11 +163,9 @@ def study2(seed: int = 0, cover_enabled: bool = True) -> ExperimentConfig:
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
         schedule="study",
         step_rule="harmonic",
-        stop_rule="step",
         cost_budget_per_period=300_000.0,
         cover={"enabled": cover_enabled, "omega": 5.0, "metric": "l2"},
         x0={"kind": "zeros"},
-        n_validation=4000,
     )
 
 
@@ -357,13 +350,10 @@ def materialize(cfg: ExperimentConfig,
     _require(isinstance(cfg.preset, str), "preset", "must be a string")
     seed = _integer(cfg.seed, "seed", 0)
     n0 = _integer(cfg.n0, "n0", 1)
-    _integer(cfg.n_validation, "n_validation", 1)
     budget = _number(cfg.cost_budget_per_period, "cost_budget_per_period")
     _require(budget > 0, "cost_budget_per_period", "must be positive")
     _require(cfg.step_rule in ("constant", "harmonic"), "step_rule",
              "must be 'constant' or 'harmonic'")
-    _require(cfg.stop_rule in ("step", "horizon"), "stop_rule",
-             "must be 'step' or 'horizon'")
 
     model = build_model(cfg.model)
     mixture = build_mixture(cfg.mixture)
@@ -372,9 +362,6 @@ def materialize(cfg: ExperimentConfig,
              f"model sample dimension {model.dimension_m}")
     arrival = build_arrival(cfg.arrival)
     tolerances = build_tolerances(cfg.tolerances)
-    rule = make_rule(cfg.step_rule, tolerances)
-    _require(cfg.stop_rule == "step" or not rule.horizon_capped, "stop_rule",
-             f"never reached: the horizon is capped at {rule.horizon} steps")
     run_config = RunConfig(
         model=model,
         tolerances=tolerances,
@@ -383,7 +370,6 @@ def materialize(cfg: ExperimentConfig,
         schedule=build_schedule(cfg.schedule),
         n0=n0,
         step_rule=cfg.step_rule,  # type: ignore[arg-type]
-        stop_rule=cfg.stop_rule,  # type: ignore[arg-type]
         cost_budget_per_period=budget,
         x0=build_x0(cfg.x0, seed, model.dimension_d),
         cover=build_cover(cfg.cover),

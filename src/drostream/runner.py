@@ -9,8 +9,9 @@ interrupt the current certificate, the partial state adapts to the grown
 window, and a new epoch begins from the best decision found so far. ``run``
 is one loop over epochs: each ingests what is due (jumping the clock to the
 next arrival after a converged epoch), certifies, and steps until it
-converges or arrivals are due; the run terminates when an epoch converges
-with the queue empty.
+converges or arrivals are due. An epoch converges at its first step that
+moves less than eps2; the run terminates when an epoch converges with the
+queue empty.
 
 Every state change is posted as an event. A record writes a key only
 when its value is not null and is not already fixed by an earlier record or
@@ -26,8 +27,7 @@ kind carries exactly the keys of ``RECORD_KEYS``, in one of its forms:
   then ``eta``, ``tol``, ``radius``, the work counts ``lp_calls``,
   ``cp_calls`` and ``afwa_iters``, and the plan key: ``y`` for a refresh,
   ``y_ref`` for a reuse;
-- ``EpochConverged``: ``J``, ``x``, ``steps``, ``reason``,
-  ``rules_disagree`` and ``best_seq``;
+- ``EpochConverged``: ``J``, ``x``, ``steps`` and ``best_seq``;
 - ``Terminated``: ``J``, ``x``, ``best_seq``, and with a cover
   ``cover_size``.
 
@@ -91,8 +91,7 @@ RECORD_KEYS = {
     "CertificatePosted": ("J", "x", "alpha", "moved", "eta", "tol",
                           "radius", "lp_calls", "cp_calls", "afwa_iters", "y",
                           "y_ref"),
-    "EpochConverged": ("J", "x", "steps", "reason", "rules_disagree",
-                       "best_seq"),
+    "EpochConverged": ("J", "x", "steps", "best_seq"),
     "Terminated": ("J", "x", "best_seq", "cover_size"),
 }
 EVENT_KINDS = tuple(RECORD_KEYS)
@@ -235,7 +234,6 @@ class RunConfig:
     schedule: ConfidenceSchedule
     n0: int
     step_rule: Literal["constant", "harmonic"] = "harmonic"
-    stop_rule: Literal["step", "horizon"] = "step"
     cost_budget_per_period: float = 100.0
     x0: Optional[Array] = None
     cover: CoverConfig = field(default_factory=CoverConfig)
@@ -243,8 +241,6 @@ class RunConfig:
     def __post_init__(self):
         if self.n0 < 1:
             raise ValueError("n0 must be at least 1")
-        if self.stop_rule not in ("step", "horizon"):
-            raise ValueError(f"unknown stop rule {self.stop_rule!r}")
 
 
 @dataclass
@@ -268,7 +264,6 @@ class RunResult:
     t_final: float
     totals: RunTotals
     cover_size: Optional[int]
-    horizon_capped: bool
 
 
 def run(
@@ -281,7 +276,7 @@ def run(
     if len(points) < config.n0:
         raise ValueError(f"stream holds {len(points)} points, n0 is {config.n0}")
     model, tol = config.model, config.tolerances
-    rule = make_rule(config.step_rule, tol)
+    alpha_at = make_rule(config.step_rule, tol)
     queue = ArrivalQueue(list(points)[: config.n0])
     meter = Meter(config.cost_budget_per_period)
     totals = RunTotals()
@@ -380,7 +375,7 @@ def run(
 
         # the steps stay on cert's window: an arrival ends the loop
         while True:
-            alpha = rule.alpha(totals.steps - first)
+            alpha = alpha_at(totals.steps - first)
             g = subgradient(model, x, cert.window, cert.y_eps1)
             x_new = scaled_step(model, x, g, alpha)
             totals.steps += 1
@@ -402,17 +397,13 @@ def run(
             if cert.j_eps1 < j_best:
                 x_best, j_best, best_seq = x_new.copy(), cert.j_eps1, cert_seq
             x = x_new
-            step_stop = moved < tol.eps2
-            horizon_stop = totals.steps - first >= rule.horizon
-            stop = step_stop if config.stop_rule == "step" else horizon_stop
+            stop = moved < tol.eps2
             if stop:
                 post(
                     "EpochConverged",
                     J=j_best,
                     x=x_best,
                     steps=totals.steps - first,
-                    reason=config.stop_rule,
-                    rules_disagree=bool(step_stop != horizon_stop),
                     best_seq=best_seq,
                 )
             if stop or meter.due():
@@ -436,5 +427,4 @@ def run(
         t_final=meter.t,
         totals=totals,
         cover_size=samples.cover_size,
-        horizon_capped=rule.horizon_capped,
     )

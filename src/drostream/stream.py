@@ -3,8 +3,9 @@
 Streams draw from a finite Gaussian mixture through independent generator
 channels (component choice, draws, arrival jitter each get their own spawned
 bit stream) so runs replay bit-exactly from a seed. Arrival schedules map
-sample indices to virtual times; the estimators solve the large-sample
-average problem to give experiments a reference optimum.
+sample indices to virtual times. The mixture's mean and covariance give a
+decision's expected cost under it exactly, and with it the reference
+optimum of an experiment.
 """
 
 from __future__ import annotations
@@ -62,6 +63,18 @@ class MixtureSpec:
     @property
     def dimension(self) -> int:
         return self.components[0].mean.size
+
+    @property
+    def mean(self) -> Array:
+        return self.weights @ np.stack([c.mean for c in self.components])
+
+    @property
+    def covariance(self) -> Array:
+        """Sum_i w_i (Sigma_i + (mu_i - mu)(mu_i - mu)'): the components'
+        spread plus that of their means."""
+        mu = self.mean
+        return sum(w * (c.cov + np.outer(c.mean - mu, c.mean - mu))
+                   for w, c in zip(self.weights, self.components))
 
     def sample(self, rng_choice: np.random.Generator, rng_draw: np.random.Generator,
                count: int) -> Array:
@@ -167,71 +180,20 @@ def load_stream(path) -> list[SamplePoint]:
     return out
 
 
-def minimize_sample_average(
-    model,
-    points: Array,
-    x0: Array,
-    iters: int = 4000,
-    step: float = 0.5,
-) -> tuple[Array, float]:
-    """Projected gradient descent with backtracking on the sample average.
-
-    The trial step halves until the Armijo decrease holds, so the routine
-    needs no curvature knowledge; ``step`` only seeds the first trial.
-    Returns the best iterate and its value.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.asarray(x0, dtype=float).copy()
-    if model.project is not None:
-        x = model.project(x)
-
-    def avg_val(xx):
-        return float(np.mean(model.eval(xx, points)))
-
-    def project(xx):
-        return xx if model.project is None else model.project(xx)
-
-    v = avg_val(x)
-    best_x, best_v = x.copy(), v
-    trial = float(step)
-    for _ in range(iters):
-        g = np.asarray(model.grad_x(x, points), dtype=float).reshape(
-            points.shape[0], -1
-        ).mean(axis=0)
-        trial = min(trial * 2.0, 1e6)  # let the step recover between rounds
-        while True:
-            cand = project(x - trial * g)
-            move = cand - x
-            cand_v = avg_val(cand)
-            if cand_v <= v + float(g @ move) + float(move @ move) / (
-                2.0 * trial
-            ) + 1e-12:
-                break
-            trial *= 0.5
-            if trial < 1e-14:
-                cand, cand_v = x, v
-                break
-        if np.abs(cand - x).max() <= 1e-12 * max(1.0, np.abs(x).max()):
-            x, v = cand, cand_v
-            break
-        x, v = cand, cand_v
-        if v < best_v:
-            best_x, best_v = x.copy(), v
-    return best_x, best_v
+def expected_cost(model, x: Array, spec: MixtureSpec) -> float:
+    """E f(x, xi) under the mixture, exactly: f is quadratic in the sample
+    with constant curvature C, so it is f(x, mu) + tr(C Sigma) for the
+    mixture's mean mu and covariance Sigma."""
+    return float(model.eval(x, spec.mean)) + float(
+        np.trace(model.sample_curvature @ spec.covariance))
 
 
-def estimate_jstar(
-    model,
-    spec: MixtureSpec,
-    seed: int,
-    n_validation: int = 4000,
-    x0: Optional[Array] = None,
-    iters: int = 4000,
-) -> tuple[Array, float]:
-    """Reference optimum from a large held-out draw (seed offset keeps the
-    validation channel disjoint from any run stream)."""
-    rng_choice, rng_draw, _, _ = channels(seed + 90_001)
-    pts = spec.sample(rng_choice, rng_draw, n_validation)
-    if x0 is None:
-        x0 = np.zeros(model.dimension_d)
-    return minimize_sample_average(model, pts, x0, iters=iters)
+def estimate_jstar(model, spec: MixtureSpec
+                   ) -> tuple[Optional[Array], Optional[float]]:
+    """The reference optimum (x*, J*) of min_x E f(x, xi) under the mixture,
+    from the model's minimizer at the mixture's mean; (None, None) when
+    x -> f(x, mu) has no minimum or the model has no minimizer."""
+    x = None if model.minimizer is None else model.minimizer(spec.mean)
+    if x is None:
+        return None, None
+    return x, expected_cost(model, x, spec)

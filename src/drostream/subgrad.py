@@ -2,10 +2,10 @@
 
 Each step descends along the expected decision gradient under the current
 worst-case distribution, which is an eps-subgradient of the certificate
-value. Two step-size rules are provided, each paired with the iteration
-horizon that guarantees an eps2-accurate epoch; between steps the previous
-certificate is revalidated and only refreshed when its gap has drifted
-past the reuse tolerance.
+value. Two step-size rules are provided, and an epoch stops at its first
+step that moves less than eps2. Between steps the previous certificate is
+revalidated and only refreshed when its gap has drifted past the reuse
+tolerance.
 """
 
 from __future__ import annotations
@@ -30,63 +30,22 @@ from .model import Tolerances
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class StepSizeRule:
-    """Step length schedule plus the epoch horizon it certifies.
+def make_rule(name: Literal["constant", "harmonic"],
+              tol: Tolerances) -> Callable[[int], float]:
+    """Step length ``alpha(i)`` at the within-epoch step index i (0-based).
 
-    ``alpha(i)`` takes the within-epoch iteration index (0-based) and
-    ``horizon`` bounds how many steps an epoch may need before the best
-    iterate is eps2-accurate. ``horizon_capped`` flags schedules whose true
-    horizon overflowed the representable cap.
+    ``harmonic`` takes M / (i + 1) for the subgradient bound M.
+    ``constant`` takes M / sqrt(rbar + 1), with rbar = ceil(M^2 / slack^2)
+    and slack = eps2 / mu - eps_sa, which Tolerances keeps positive.
     """
-
-    alpha: Callable[[int], float]
-    horizon: int
-    horizon_capped: bool = False
-
-
-_HORIZON_CAP = 10**18
-
-
-def _constant_rule(tol: Tolerances) -> StepSizeRule:
     M = tol.subgrad_bound
-    slack = tol.eps2 / tol.mu - tol.eps_sa
-    rbar = math.ceil(M * M / (slack * slack))
-    alpha = M / math.sqrt(rbar + 1.0)
-    return StepSizeRule(lambda i: alpha, rbar)
-
-
-def _harmonic_rule(tol: Tolerances) -> StepSizeRule:
-    M = tol.subgrad_bound
-    slack = tol.eps2 / tol.mu - tol.eps_sa
-
-    def ok(r: int) -> bool:
-        return M * (3.0 - 1.0 / (r + 1.0)) <= 2.0 * slack * math.log(r + 1.0)
-
-    # ok(r) is f(r) = 2 slack ln(r+1) - M (3 - 1/(r+1)) >= 0, and
-    # f'(r) = (2 slack (r+1) - M) / (r+1)^2: f falls, then rises. Where it
-    # falls for some r >= 1, slack < M / 4, so f(1) < 0 and f stays negative
-    # there. So ok is monotone for r >= 1 (and ok(0) never holds): bracket
-    # by doubling, then bisect for the smallest feasible horizon.
-    lo, hi = 0, 1
-    while hi < _HORIZON_CAP and not ok(hi):
-        lo, hi = hi, min(2 * hi, _HORIZON_CAP)
-    capped = not ok(hi)
-    while not capped and lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return StepSizeRule(lambda i: M / (i + 1.0), hi, capped)
-
-
-def make_rule(name: Literal["constant", "harmonic"], tol: Tolerances) -> StepSizeRule:
-    """Build a step rule; requires eps_sa < eps2 / mu (enforced by Tolerances)."""
     if name == "constant":
-        return _constant_rule(tol)
+        slack = tol.eps2 / tol.mu - tol.eps_sa
+        rbar = math.ceil(M * M / (slack * slack))
+        alpha = M / math.sqrt(rbar + 1.0)
+        return lambda i: alpha
     if name == "harmonic":
-        return _harmonic_rule(tol)
+        return lambda i: M / (i + 1.0)
     raise ValueError(f"unknown step rule {name!r}")
 
 

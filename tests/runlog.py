@@ -155,6 +155,16 @@ def add_cover_size(records, schedule):
     return rec["seq"], "Terminated carries 'cover_size'"
 
 
+def add_epoch_key(key, value):
+    """An epoch's convergence names its stop rule, or flags that the
+    dropped horizon rule would have stopped elsewhere."""
+    def tamper(records, schedule):
+        rec = first(records, "EpochConverged")
+        rec[key] = value
+        return rec["seq"], f"EpochConverged carries '{key}'"
+    return tamper
+
+
 KEY_TAMPERS = {
     "beta": add_beta,
     "reused": add_reused,
@@ -163,14 +173,15 @@ KEY_TAMPERS = {
     "step-certificate-x-null": null_step_x,
     "unknown-key": add_unknown_key,
     "cover-size-without-cover": add_cover_size,
+    "epoch-reason": add_epoch_key("reason", "step"),
+    "epoch-rules_disagree": add_epoch_key("rules_disagree", True),
 }
 
 
 # (kind, key) pairs a record of a plain log must carry; each dropped alone
 # is a structure failure that names it, and no other check reads the key
 MISSING_KEYS = [("CertificatePosted", "eta"), ("CertificatePosted", "lp_calls"),
-                ("DataArrival", "index"), ("DataArrival", "arrival_t"),
-                ("EpochConverged", "reason")]
+                ("DataArrival", "index"), ("DataArrival", "arrival_t")]
 
 
 def drop_key(records, kind, key):

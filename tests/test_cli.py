@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from drostream.ambiguity import radius as ball_radius
@@ -23,6 +24,7 @@ from drostream.presets import (
 )
 from drostream.runner import run
 from drostream.simplex import SolverError
+from drostream.stream import expected_cost
 
 from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
                     drop_key, run_with_decisions)
@@ -60,6 +62,39 @@ def test_run_writes_all_artifacts(run_dir):
     assert summary["final"]["rel_error"] is not None
     assert summary["totals"]["cp_calls"] >= 1
     assert summary["config"]["preset"] == "study1"
+
+
+def test_summary_reports_the_exact_optimum_and_the_guarantee_margin(run_dir):
+    # study1's J* is E f(0, xi) = -38.5; the final decision's expected cost
+    # is exact too, and the margin is how far the certificate bounds it
+    summary = json.loads((run_dir / "summary.json").read_text())
+    final = summary["final"]
+    assert (final["x_star_est"], final["j_star_est"]) == ([0.0], -38.5)
+    assert final["rel_error"] == abs(final["j_best"] + 38.5) / 38.5
+    mat = materialize(from_dict(summary["config"]), stream=[])
+    oos = expected_cost(mat.model, np.array(final["x_best"]), mat.mixture)
+    assert final["oos_cost"] == oos
+    assert final["guarantee_margin"] == final["j_best"] - oos > 0
+
+
+def test_a_cost_without_a_minimum_writes_no_reference_optimum(tmp_path):
+    # A = diag(1, 0) and x2 multiplies the mean's first coordinate, -1, so
+    # E f(x, xi) falls without bound along x2: no J*, no relative error
+    data = study1().to_dict()
+    data.update(n0=4)
+    data["model"].update(a=[[1.0, 0.0], [0.0, 0.0]],
+                         b=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    data["tolerances"].update(eps2=0.5, eps_sa=0.1, subgrad_bound=1.0)
+    path = tmp_path / "unbounded.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    final = json.loads((out / "summary.json").read_text())["final"]
+    assert final["j_star_est"] is final["x_star_est"] is None
+    assert final["rel_error"] is None
+    assert np.isfinite(final["oos_cost"])
+    with open(out / "trajectory.csv") as fh:
+        assert {r["rel_error"] for r in csv.DictReader(fh)} == {""}
 
 
 def test_trajectory_has_the_documented_columns(run_dir):
@@ -106,7 +141,7 @@ def test_the_cli_writes_the_runner_log_and_tracks_the_cover(run_dir,
                                                             tmp_path):
     out = tmp_path / "cover-run"
     assert main(["run", "--preset", "study1", "--seed", "0", "--n0", "12",
-                 "--cover", "--skip-jstar", "--out-dir", str(out)]) == 0
+                 "--cover", "--out-dir", str(out)]) == 0
     for path, cover in ((run_dir, False), (out, True)):
         config = json.loads((path / "summary.json").read_text())["config"]
         mat = materialize(from_dict(config))
@@ -129,7 +164,7 @@ def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
     out = tmp_path / "cover-run"
     assert main([
         "run", "--preset", "study1", "--seed", "0", "--n0", "12", "--cover",
-        "--skip-jstar", "--out-dir", str(out),
+        "--out-dir", str(out),
     ]) == 0
     path = out / "events.jsonl"
     lines = path.read_text().splitlines()
@@ -156,7 +191,7 @@ def test_verify_rejects_a_cover_radius_widened_by_omega(tmp_path, capsys):
     out = tmp_path / "cover-run"
     assert main([
         "run", "--preset", "study1", "--seed", "0", "--n0", "12", "--cover",
-        "--skip-jstar", "--out-dir", str(out),
+        "--out-dir", str(out),
     ]) == 0
     config = json.loads((out / "summary.json").read_text())["config"]
     mat = materialize(from_dict(config))
@@ -547,7 +582,7 @@ def test_a_failed_run_leaves_its_events_and_a_failed_summary(
     monkeypatch.setattr(certificates, "afwa_maximize", failing)
     out = tmp_path / "failed"
     assert main(["run", "--preset", "study1", "--seed", "0", "--n0", "12",
-                 "--out-dir", str(out), "--skip-jstar"]) == 1
+                 "--out-dir", str(out)]) == 1
     assert "run failed: SolverError: injected failure" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "failed"
@@ -605,9 +640,10 @@ def test_replay_names_a_non_finite_sample_and_exits_1(run_dir, tmp_path,
 @pytest.mark.parametrize("preset", ["study1", "study2"])
 def test_run_rejects_a_horizon_stop_that_is_never_reached(preset, tmp_path,
                                                           capsys, monkeypatch):
-    # were the config accepted, the run would never end: fail instead
+    # the horizon stop is gone, since no preset run could reach it: a config
+    # that still asks for it fails before any run starts
     def never(*args, **kwargs):
-        raise AssertionError("an unbounded run was launched")
+        raise AssertionError("a run was launched")
 
     monkeypatch.setattr(cli, "run", never)
     data = PRESETS[preset]().to_dict()
@@ -617,7 +653,7 @@ def test_run_rejects_a_horizon_stop_that_is_never_reached(preset, tmp_path,
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error: stop_rule:" in err and "horizon is capped" in err
+    assert "config error: <root>: unknown fields ['stop_rule']" in err
     assert not out.exists()
 
 
@@ -630,8 +666,7 @@ def test_replay_reproduces_the_coupled_pinned_run(tmp_path, capsys):
     path = tmp_path / "coupled.json"
     path.write_text(json.dumps(data))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out-dir", str(out),
-                 "--skip-jstar"]) == 0
+    assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
     totals = json.loads((out / "summary.json").read_text())["totals"]
     assert totals == {"steps": 215, "epochs": 28, "interrupts": 33,
                       "reuses": 36, "refreshes": 158, "lp_calls": 634,
@@ -669,11 +704,29 @@ def test_to_dict_leaves_the_presets_alone():
     assert fresh.tolerances["eps1"] == 1e-5
 
 
-def test_a_config_with_step_norm_is_rejected():
+REMOVED_KEYS = {"step_norm": "l1", "stop_rule": "step", "n_validation": 4000}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_a_config_with_a_removed_key_is_rejected(key):
     data = study1().to_dict()
-    data["step_norm"] = "l1"
-    with pytest.raises(ConfigError, match="step_norm"):
+    data[key] = REMOVED_KEYS[key]
+    with pytest.raises(ConfigError, match=f"unknown fields \\['{key}'\\]"):
         from_dict(data)
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_verify_rejects_a_run_directory_with_a_removed_key(run_dir, tmp_path,
+                                                           capsys, key):
+    old = tmp_path / "old"
+    old.mkdir()
+    summary = json.loads((run_dir / "summary.json").read_text())
+    summary["config"][key] = REMOVED_KEYS[key]
+    (old / "summary.json").write_text(json.dumps(summary))
+    (old / "events.jsonl").write_text((run_dir / "events.jsonl").read_text())
+    capsys.readouterr()
+    assert main(["verify", str(old)]) == 2
+    assert f"unknown fields ['{key}']" in capsys.readouterr().err
 
 
 def test_a_config_with_a_fixed_x0_is_rejected():
@@ -689,7 +742,6 @@ def test_custom_config_runs_study2_at_desk_scale(tmp_path):
 
     cfg = study2(seed=0).to_dict()
     cfg["n0"] = 25
-    cfg["n_validation"] = 200
     path = tmp_path / "study2-small.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"

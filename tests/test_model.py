@@ -13,6 +13,8 @@ from drostream.model import (
     quadratic_model,
 )
 
+from oracles import golden_min
+
 
 def central_diff(f, z, i, h=1e-6):
     zp, zm = z.copy(), z.copy()
@@ -205,6 +207,31 @@ def test_portfolio_project_clamps():
     hi = model.project(np.array([7.0]))[0]
     assert 0 < lo < 1e-3
     assert 1 - 1e-3 < hi < 1
+
+
+@pytest.mark.parametrize("rho", [0.05, 1.0])
+@pytest.mark.parametrize("mu", [[0.0, 0.0], [1.0, -2.0], [-3.0, 0.5],
+                                [40.0, -40.0], [-400.0, 400.0]])
+def test_portfolio_minimizer_matches_golden_section(rho, mu):
+    # both forms of the root: mu2 - mu1 + 2 rho below zero and above it
+    model = portfolio_model(rho)
+    mu = np.array(mu)
+    want, _ = golden_min(lambda z: model.eval(np.array([z]), mu),
+                         1e-9, 1.0 - 1e-9, xtol=1e-12)
+    assert model.minimizer(mu) == pytest.approx([want], abs=1e-7)
+
+
+def test_quadratic_minimizer_with_a_singular_A():
+    # A = diag(1, 0): with B mu in A's range the minimizer has a zero
+    # gradient; outside it the cost falls without bound along x2
+    mu = np.array([0.5, -1.5])
+    inside = quadratic_model(np.diag([1.0, 0.0]), [[1.0, 2.0], [0.0, 0.0]],
+                             -np.eye(2))
+    x = inside.minimizer(mu)
+    assert np.abs(inside.grad_x(x, mu)).max() <= 1e-12
+    outside = quadratic_model(np.diag([1.0, 0.0]), [[1.0, 2.0], [0.0, 1.0]],
+                              -np.eye(2))
+    assert outside.minimizer(mu) is None
 
 
 def test_tolerances_ordering_enforced():

@@ -103,39 +103,18 @@ def test_step_moves_at_most_alpha(g, alpha):
 
 def test_constant_rule_matches_formula():
     tol = tolerances(eps1=1e-5, eps2=0.1, eps_sa=0.05)
-    rule = make_rule("constant", tol)
-    assert rule.horizon == 40_000
-    assert rule.alpha(0) == pytest.approx(10.0 / math.sqrt(40_001), abs=1e-9)
-    assert rule.alpha(0) == pytest.approx(0.049999, abs=1e-5)
-    assert rule.alpha(17) == rule.alpha(0)
+    alpha = make_rule("constant", tol)
+    # rbar = ceil(M^2 / slack^2) = ceil(10^2 / 0.05^2) = 40,000
+    assert alpha(0) == pytest.approx(10.0 / math.sqrt(40_001), abs=1e-9)
+    assert alpha(0) == pytest.approx(0.049999, abs=1e-5)
+    assert alpha(17) == alpha(0)
 
 
-def test_harmonic_rule_smallest_feasible_horizon():
+def test_harmonic_rule_matches_formula():
     tol = tolerances(eps1=0.01, eps2=1.0, eps_sa=0.1, subgrad_bound=1.0)
-    rule = make_rule("harmonic", tol)
-    # r=3: 1*(3 - 1/4) = 2.75 > 2*0.9*ln 4 = 2.495; r=4: 2.8 <= 2*0.9*ln 5 = 2.897
-    assert rule.horizon == 4
-    assert rule.alpha(0) == pytest.approx(1.0)
-    assert rule.alpha(3) == pytest.approx(0.25)
-
-
-@settings(deadline=None, max_examples=300)
-@given(bound=st.floats(1e-3, 1e3), eps2=st.floats(1e-3, 1e3),
-       share=st.floats(0.0, 0.99))
-def test_harmonic_horizon_is_the_first_feasible_one(bound, eps2, share):
-    tol = tolerances(eps1=1e-9, eps2=eps2, eps_sa=max(share * eps2, 1e-9),
-                     subgrad_bound=bound)
-    M, slack = tol.subgrad_bound, tol.eps2 / tol.mu - tol.eps_sa
-
-    def ok(r):
-        return M * (3.0 - 1.0 / (r + 1.0)) <= 2.0 * slack * math.log(r + 1.0)
-
-    rule = make_rule("harmonic", tol)
-    h = rule.horizon
-    if rule.horizon_capped:
-        assert h == 10**18 and not ok(h)
-    else:
-        assert h >= 1 and ok(h) and not ok(h - 1)
+    alpha = make_rule("harmonic", tol)
+    assert alpha(0) == pytest.approx(1.0)
+    assert alpha(3) == pytest.approx(0.25)
 
 
 def test_reuse_tolerance_must_leave_step_slack():
@@ -239,13 +218,16 @@ def test_a_refresh_reads_no_gradient_twice(pts, x_old, x_new, radius):
 
 def test_constant_rule_reaches_eps2_band():
     # Smooth scalar instance with a computable reference minimum: the best
-    # iterate within the rule's horizon lands inside the eps2 band.
+    # iterate within rbar = ceil(M^2 / slack^2) constant steps, the horizon
+    # the rule's step length is built for, lands inside the eps2 band.
     model = coupled_quadratic()
     pts = np.array([[-1.0], [0.5], [2.0]])
     win = DataWindow.plain(pts)
     radius = 0.3
     tol = tolerances(eps1=1e-7, eps2=0.2, eps_sa=0.05, subgrad_bound=2.0)
-    rule = make_rule("constant", tol)
+    alpha = make_rule("constant", tol)
+    slack = tol.eps2 / tol.mu - tol.eps_sa
+    rbar = math.ceil(tol.subgrad_bound ** 2 / slack ** 2)
     robust = robust_value_1d(np.array([[1.0]]), np.array([[1.0]]),
                              np.array([-1.0]), pts, np.ones(3), 3, radius)
     # the worst case over the ball is convex in x, so the golden-section
@@ -255,13 +237,13 @@ def test_constant_rule_reaches_eps2_band():
     _, j_star = golden_min(robust, -3.0, 3.0, xtol=1e-9)
     x = np.array([1.5])
     best = np.inf
-    for k in range(rule.horizon):
+    for k in range(rbar):
         cert = generate(model, x, win, radius, tol.eps1)
         best = min(best, cert.j_eps1)
         if best - j_star <= tol.eps2:
             break
         g = subgradient(model, x, win, cert.y_eps1)
-        x = scaled_step(model, x, g, rule.alpha(k))
+        x = scaled_step(model, x, g, alpha(k))
     assert best - j_star <= tol.eps2
 
 
