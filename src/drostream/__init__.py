@@ -55,7 +55,7 @@ from .stream import (
     estimate_jstar,
     sample_stream,
 )
-from .subgrad import make_rule, scaled_step, subgradient
+from .subgrad import scaled_step, step_length, subgradient
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "certificate_value",
     "estimate_jstar",
     "generate",
-    "make_rule",
     "point_search",
     "portfolio_model",
     "quadratic_model",
@@ -97,6 +96,7 @@ __all__ = [
     "run",
     "sample_stream",
     "scaled_step",
+    "step_length",
     "study_schedule",
     "subgradient",
 ]

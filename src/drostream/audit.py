@@ -29,9 +29,10 @@ and compares.
 
 A decision step is recorded only by its certificate: the audit counts an
 epoch's steps on its step certificates, checks each one's ``moved`` against
-its derived decision and applies the stop rule to it (an epoch stops at
-its first step that moved less than eps2), and derives each
-epoch's best from the certificates' ``J``. A log writes each datum once, so
+its derived decision and its ``alpha`` against ``step_length`` of its
+index in the epoch, and applies the stop rule to it (an epoch stops at its
+first step that moved less than eps2), and derives each epoch's best from
+the certificates' ``J``. A log writes each datum once, so
 the audit derives what a record does not post rather than reading it: a
 certificate's form (reuse or refresh) is its plan key, ``y_ref`` or ``y``;
 the ball's beta follows from ``n`` through the schedule, and its radius from
@@ -56,7 +57,7 @@ from .model import Tolerances
 from .runner import (COMMON_KEYS, COVER_KEYS, EVENT_KINDS, RECORD_KEYS,
                      CoverConfig, Samples)
 from .simplex import point_search
-from .subgrad import scaled_step, subgradient
+from .subgrad import scaled_step, step_length, subgradient
 
 _REL = 1e-7
 _ABS = 1e-9
@@ -166,13 +167,16 @@ def verify_events(
 
     A step certificate's ``moved`` must be exactly the 2-norm distance from
     the decision of the certificate before it, which it stepped from, to
-    its derived one, or ``step_links`` fails. Each epoch's best certificate
-    is tracked by the runner's rule: the epoch's first certificate, then
-    each later one whose ``J`` is strictly lower. An epoch after the first
-    must start from exactly the previous epoch's best ``x``, derived or
-    posted. The epoch's convergence and the run's termination must name it
-    by ``best_seq`` and post exactly its ``J`` and ``x``. Otherwise
-    ``best_tracking`` or ``termination`` fails.
+    its derived one, or ``step_links`` fails. Given the run's
+    ``tolerances``, the k-th step certificate of an epoch must also post
+    exactly ``step_length(tolerances, k - 1)`` as its ``alpha``, or
+    ``step_links`` fails. Each epoch's best certificate is tracked by the
+    runner's rule: the epoch's first certificate, then each later one whose
+    ``J`` is strictly lower. An epoch after the first must start from
+    exactly the previous epoch's best ``x``, derived or posted. The epoch's
+    convergence and the run's termination must name it by ``best_seq`` and
+    post exactly its ``J`` and ``x``. Otherwise ``best_tracking`` or
+    ``termination`` fails.
 
     An epoch's convergence must post as ``steps`` the number of its step
     certificates. Given the run's ``tolerances``, it must also end its epoch
@@ -400,6 +404,12 @@ def verify_events(
                     fail("step_links", f"record {i}: step moved "
                          f"{rec.get('moved')!r}, not the distance from "
                          f"certificate {before}'s x")
+                if tolerances is not None:
+                    length = step_length(tolerances, steps - 1)
+                    if alpha != length:
+                        fail("step_links", f"record {i}: step alpha "
+                             f"{alpha!r} is not the length {length!r} of "
+                             f"its epoch's step {steps}")
 
             checks["certificate_value"].count += 1
             if not _close(j, J):

@@ -11,8 +11,9 @@
           error, its traceback and the config
   verify  re-check a run directory's event log: every certificate's value,
           transport budget (which bounds its W1 distance), gap, tolerance
-          and radius, each epoch's stop at its first step below eps2, and
-          each epoch's best certificate and output decision
+          and radius, every step's length and distance moved, each epoch's
+          stop at its first step below eps2, and each epoch's best
+          certificate and output decision
   replay  re-run from the dumped stream and compare event logs byte-wise
 
 Exit codes: 0 success; 1 verification/replay mismatch or solver failure;
@@ -140,20 +141,11 @@ def write_outputs(out: Path, mat: presets.Materialized, result) -> dict:
         "cover": {
             "enabled": bool(mat.config.cover["enabled"]),
             "final_size": result.cover_size,
-            "sizes_over_time": _cover_sizes(result.events),
         },
     }
     with open(out / SUMMARY_FILE, "w") as fh:
         json.dump(summary, fh, indent=2)
     return summary
-
-
-def _cover_sizes(events) -> list:
-    out = []
-    for ev in events:
-        if ev.kind == "DataArrival" and ev.extras.get("cover_size") is not None:
-            out.append([ev.t, ev.n, ev.extras["cover_size"]])
-    return out
 
 
 def cmd_run(args) -> int:
@@ -274,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", help="re-check every certificate's value, budget, gap "
-                       "and radius, and every epoch's stop and best, in a "
-                       "run's event log")
+                       "and radius, every step's length, and every epoch's "
+                       "stop and best, in a run's event log")
     p_verify.add_argument("run_dir",
                           help="run directory (or events.jsonl path)")
     p_verify.set_defaults(func=cmd_verify)

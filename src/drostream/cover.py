@@ -1,19 +1,16 @@
 """Incremental ball cover that compresses a stream into weighted centers.
 
-Each arriving point either lands inside an existing radius-omega ball, in
-which case the nearest covering center counts it once more, or opens a new
-center carrying the point itself. Counts are integers, so the total mass is
-the stream count. Moving every absorbed point onto the center that counted
-it is a feasible transport plan from the stream's empirical measure to the
-compressed one; the cover adds up that plan's 1-norm cost, and its mean,
-``transport_slack()``, bounds the 1-norm W1 distance between the two
-measures whichever metric decides membership.
+Each arriving point either lands inside an existing Euclidean ball of
+radius omega, in which case the nearest covering center counts it once
+more, or opens a new center carrying the point itself. Counts are integers,
+so the total mass is the stream count. Moving every absorbed point onto the
+center that counted it is a feasible transport plan from the stream's
+empirical measure to the compressed one; the cover adds up that plan's
+1-norm cost, and its mean, ``transport_slack()``, bounds the 1-norm W1
+distance between the two measures.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -21,40 +18,26 @@ from .certificates import DataWindow
 
 Array = np.ndarray
 
-Metric = Literal["l1", "l2"]
 
-
-def _dist(centers: Array, point: Array, metric: Metric) -> Array:
-    diff = centers - point[None, :]
-    if metric == "l1":
-        return np.abs(diff).sum(axis=1)
-    return np.sqrt((diff * diff).sum(axis=1))
-
-
-@dataclass
 class Cover:
     """Mutable cover state: center coordinates, integer counts and the
     1-norm cost of moving each absorbed point onto its center.
 
-    ``metric`` decides membership and the nearest center only; the cost is
-    always measured in the 1-norm of the transport ball. Any 1-norm ball sits
-    inside the same-radius Euclidean ball, so Euclidean covers open fewer
-    centers and may move a point up to sqrt(m) * omega.
+    The 2-norm decides membership and the nearest center; the cost is
+    measured in the 1-norm of the transport ball. A point within omega of
+    its center in the 2-norm may lie up to sqrt(m) * omega from it in the
+    1-norm, which the slack, not omega, accounts for.
     """
 
-    omega: float
-    metric: Metric = "l1"
-    dimension: int | None = None
-    _centers: list[np.ndarray] = field(default_factory=list)
-    _counts: list[int] = field(default_factory=list)
-    _moved: float = 0.0
-    n_seen: int = 0
-
-    def __post_init__(self):
-        if self.omega <= 0:
+    def __init__(self, omega: float):
+        if omega <= 0:
             raise ValueError("omega must be positive")
-        if self.metric not in ("l1", "l2"):
-            raise ValueError(f"unknown metric {self.metric!r}")
+        self.omega = omega
+        self.dimension: int | None = None
+        self._centers: list[Array] = []
+        self._counts: list[int] = []
+        self._moved = 0.0
+        self.n_seen = 0
 
     @property
     def size(self) -> int:
@@ -78,7 +61,8 @@ class Cover:
         self.n_seen += 1
         if self._centers:
             centers = np.stack(self._centers)
-            d = _dist(centers, point, self.metric)
+            diff = centers - point[None, :]
+            d = np.sqrt((diff * diff).sum(axis=1))
             k = int(np.argmin(d))  # the lowest index on a tie
             if d[k] <= self.omega:
                 self._counts[k] += 1

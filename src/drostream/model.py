@@ -90,8 +90,9 @@ class CostModel:
 class Tolerances:
     """Solver tolerances: certificate gap, decision stop, reuse slack.
 
-    ``subgrad_bound`` caps the step lengths the rules may take;
-    ``lipschitz`` is the certificate's Lipschitz constant in the decision.
+    ``subgrad_bound`` is the numerator of the harmonic step length, so it
+    caps every step; ``lipschitz`` is the certificate's Lipschitz constant
+    in the decision.
     The reuse slack must leave room under the decision tolerance scaled by
     the latter: 0 < eps1 <= eps_sa < eps2 / max(lipschitz, 1).
     """
@@ -119,10 +120,6 @@ class Tolerances:
                 "eps_sa must be below eps2 / max(lipschitz, 1) "
                 f"({self.eps2 / mu:g}); got {self.eps_sa:g}"
             )
-
-    @property
-    def mu(self) -> float:
-        return max(self.lipschitz, 1.0)
 
 
 def _check_square_sym(mat: Array, name: str) -> Array:

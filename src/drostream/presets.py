@@ -1,7 +1,9 @@
 """Experiment configurations: the two bundled studies plus custom configs.
 
 An ExperimentConfig is a plain JSON-shaped description of a whole run
-(model, data distribution, arrivals, solver knobs). ``materialize`` turns
+(model, data distribution, arrivals, solver knobs). The confidence
+schedule, the harmonic step rule and the cover's Euclidean membership are
+the same for every run, so no key sets them. ``materialize`` turns
 one into live objects, and building is the validation: each section is
 checked in the one builder that constructs it (``build_model``, ...),
 which re-raises a domain constructor's rejection as a ConfigError at the
@@ -26,7 +28,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .ambiguity import ConcentrationParams, ConfidenceSchedule, study_schedule
+from .ambiguity import ConcentrationParams, study_schedule
 from .model import CostModel, Tolerances, portfolio_model, quadratic_model
 from .runner import CoverConfig, RunConfig
 from .stream import (
@@ -60,8 +62,6 @@ class ExperimentConfig:
     arrival: dict
     tolerances: dict
     concentration: dict
-    schedule: str
-    step_rule: str
     cost_budget_per_period: float
     cover: dict
     x0: dict
@@ -124,10 +124,8 @@ def study1(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
             "lipschitz": 1.0,
         },
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
-        schedule="study",
-        step_rule="harmonic",
         cost_budget_per_period=50_000.0,
-        cover={"enabled": cover_enabled, "omega": 1.5, "metric": "l2"},
+        cover={"enabled": cover_enabled, "omega": 1.5},
         x0={"kind": "uniform", "low": -10.0, "high": 10.0},
     )
 
@@ -161,10 +159,8 @@ def study2(seed: int = 0, cover_enabled: bool = True) -> ExperimentConfig:
             "lipschitz": 1.0,
         },
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
-        schedule="study",
-        step_rule="harmonic",
         cost_budget_per_period=300_000.0,
-        cover={"enabled": cover_enabled, "omega": 5.0, "metric": "l2"},
+        cover={"enabled": cover_enabled, "omega": 5.0},
         x0={"kind": "zeros"},
     )
 
@@ -301,22 +297,14 @@ def build_concentration(spec: dict, m: int) -> ConcentrationParams:
                for k in ("c1", "c2", "a")}, m=m)
 
 
-def build_schedule(name: str) -> ConfidenceSchedule:
-    _require(name == "study", "schedule",
-             "only the 'study' confidence schedule is defined")
-    return study_schedule()
-
-
 def build_cover(spec: dict) -> CoverConfig:
     """Check the ``cover`` section."""
-    _fields(spec, "cover", ("enabled", "omega", "metric"))
+    _fields(spec, "cover", ("enabled", "omega"))
     _require(isinstance(spec["enabled"], bool), "cover.enabled",
              "must be true or false")
     omega = _number(spec["omega"], "cover.omega")
     _require(omega > 0, "cover.omega", "must be positive")
-    _require(spec["metric"] in ("l1", "l2"), "cover.metric",
-             "must be 'l1' or 'l2'")
-    return CoverConfig(spec["enabled"], omega, spec["metric"])
+    return CoverConfig(spec["enabled"], omega)
 
 
 def build_x0(spec: dict, seed: int, d: int) -> np.ndarray:
@@ -352,8 +340,6 @@ def materialize(cfg: ExperimentConfig,
     n0 = _integer(cfg.n0, "n0", 1)
     budget = _number(cfg.cost_budget_per_period, "cost_budget_per_period")
     _require(budget > 0, "cost_budget_per_period", "must be positive")
-    _require(cfg.step_rule in ("constant", "harmonic"), "step_rule",
-             "must be 'constant' or 'harmonic'")
 
     model = build_model(cfg.model)
     mixture = build_mixture(cfg.mixture)
@@ -367,9 +353,8 @@ def materialize(cfg: ExperimentConfig,
         tolerances=tolerances,
         concentration=build_concentration(cfg.concentration,
                                           model.dimension_m),
-        schedule=build_schedule(cfg.schedule),
+        schedule=study_schedule(),
         n0=n0,
-        step_rule=cfg.step_rule,  # type: ignore[arg-type]
         cost_budget_per_period=budget,
         x0=build_x0(cfg.x0, seed, model.dimension_d),
         cover=build_cover(cfg.cover),

@@ -32,7 +32,8 @@ kind carries exactly the keys of ``RECORD_KEYS``, in one of its forms:
   ``cover_size``.
 
 A decision step is recorded only by its certificate, the one that posts
-``alpha``: its decision is ``scaled_step`` by ``alpha`` along the
+``alpha``, which is ``step_length(tolerances, k - 1)`` on the epoch's k-th
+step certificate: its decision is ``scaled_step`` by ``alpha`` along the
 ``subgradient`` of the certificate before it, at that one's decision,
 window and plan, and ``moved`` is the 2-norm distance between the two
 decisions. The audit re-derives both. ``r`` counts the steps taken, so it
@@ -60,7 +61,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -76,10 +77,10 @@ from .certificates import (
     generate,
     plan_entries,
 )
-from .cover import Cover, Metric
+from .cover import Cover
 from .model import CostModel, Tolerances
 from .stream import SamplePoint
-from .subgrad import make_rule, reuse_or_refresh, scaled_step, subgradient
+from .subgrad import reuse_or_refresh, scaled_step, step_length, subgradient
 
 Array = np.ndarray
 
@@ -160,7 +161,6 @@ class ArrivalQueue:
 class CoverConfig:
     enabled: bool = False
     omega: float = 1.0
-    metric: Metric = "l1"
 
 
 class Samples:
@@ -176,7 +176,7 @@ class Samples:
                  schedule: ConfidenceSchedule, cover: CoverConfig):
         self._buf = np.empty((capacity, m))  # a plain window grows in place
         self.n = 0
-        self.cover = Cover(cover.omega, cover.metric) if cover.enabled else None
+        self.cover = Cover(cover.omega) if cover.enabled else None
         self._concentration, self._schedule = concentration, schedule
         self._ball: Optional[tuple[DataWindow, float]] = None
 
@@ -220,6 +220,9 @@ class Samples:
 class RunConfig:
     """Everything a run needs besides the sample stream itself.
 
+    The tolerances fix every step length: the i-th step of an epoch takes
+    ``subgrad.step_length(tolerances, i)``.
+
     cost_budget_per_period is the solver work available per virtual time
     unit, counted in atom-coordinates touched: one inner iteration on a
     window of p atoms in dimension m costs p*m. It is the rate of the run's
@@ -233,7 +236,6 @@ class RunConfig:
     concentration: ConcentrationParams
     schedule: ConfidenceSchedule
     n0: int
-    step_rule: Literal["constant", "harmonic"] = "harmonic"
     cost_budget_per_period: float = 100.0
     x0: Optional[Array] = None
     cover: CoverConfig = field(default_factory=CoverConfig)
@@ -276,7 +278,6 @@ def run(
     if len(points) < config.n0:
         raise ValueError(f"stream holds {len(points)} points, n0 is {config.n0}")
     model, tol = config.model, config.tolerances
-    alpha_at = make_rule(config.step_rule, tol)
     queue = ArrivalQueue(list(points)[: config.n0])
     meter = Meter(config.cost_budget_per_period)
     totals = RunTotals()
@@ -375,7 +376,7 @@ def run(
 
         # the steps stay on cert's window: an arrival ends the loop
         while True:
-            alpha = alpha_at(totals.steps - first)
+            alpha = step_length(tol, totals.steps - first)
             g = subgradient(model, x, cert.window, cert.y_eps1)
             x_new = scaled_step(model, x, g, alpha)
             totals.steps += 1

@@ -2,8 +2,9 @@
 
 Each step descends along the expected decision gradient under the current
 worst-case distribution, which is an eps-subgradient of the certificate
-value. Two step-size rules are provided, and an epoch stops at its first
-step that moves less than eps2. Between steps the previous certificate is
+value. The i-th step of an epoch takes the harmonic length M / (i + 1)
+for the subgradient bound M, and an epoch stops at its first step that
+moves less than eps2. Between steps the previous certificate is
 revalidated and only refreshed when its gap has drifted past the reuse
 tolerance.
 """
@@ -11,9 +12,8 @@ tolerance.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,23 +30,11 @@ from .model import Tolerances
 Array = np.ndarray
 
 
-def make_rule(name: Literal["constant", "harmonic"],
-              tol: Tolerances) -> Callable[[int], float]:
-    """Step length ``alpha(i)`` at the within-epoch step index i (0-based).
-
-    ``harmonic`` takes M / (i + 1) for the subgradient bound M.
-    ``constant`` takes M / sqrt(rbar + 1), with rbar = ceil(M^2 / slack^2)
-    and slack = eps2 / mu - eps_sa, which Tolerances keeps positive.
-    """
-    M = tol.subgrad_bound
-    if name == "constant":
-        slack = tol.eps2 / tol.mu - tol.eps_sa
-        rbar = math.ceil(M * M / (slack * slack))
-        alpha = M / math.sqrt(rbar + 1.0)
-        return lambda i: alpha
-    if name == "harmonic":
-        return lambda i: M / (i + 1.0)
-    raise ValueError(f"unknown step rule {name!r}")
+def step_length(tol: Tolerances, i: int) -> float:
+    """Step length at the within-epoch step index i (0-based): the harmonic
+    M / (i + 1) for the subgradient bound M. The runner steps with it and
+    the audit checks each posted step length against it."""
+    return tol.subgrad_bound / (i + 1.0)
 
 
 def subgradient(model, x: Array, window: DataWindow, y: Array) -> Array:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -484,6 +485,32 @@ def verify_tampered(run_dir, tmp_path, capsys, records):
     return code, capsys.readouterr()
 
 
+def test_verify_reports_a_step_length_that_is_not_the_runs_and_exits_1(
+        run_dir, tmp_path, capsys):
+    # a step certificate's alpha one ulp off whose derived decision moves
+    # too little for its moved or J to tell: the audit without the run's
+    # tolerances takes it, and verify, which pins each step length, does not
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    config = json.loads((run_dir / "summary.json").read_text())["config"]
+    mat = materialize(from_dict(config), stream=[])
+    rc = mat.run_config
+    steps = [i for i, rec in enumerate(records) if "alpha" in rec]
+    for picked, to in [(i, to) for i in steps for to in (math.inf, -math.inf)]:
+        edited = [dict(rec) for rec in records]
+        edited[picked]["alpha"] = math.nextafter(records[picked]["alpha"], to)
+        if verify_events(edited, mat.model, rc.concentration, rc.schedule,
+                         rc.cover).ok:
+            break
+    else:
+        pytest.fail("no one-ulp step length edit passes the unpinned audit")
+    code, captured = verify_tampered(run_dir, tmp_path, capsys, edited)
+    assert code == 1
+    failing = [line for line in captured.out.splitlines() if "FAIL" in line]
+    assert failing == [f"step_links: FAIL ({len(steps)} checked, 1 failed)"]
+    assert f"record {picked}: step alpha" in captured.err
+
+
 @pytest.mark.parametrize("kind, key", MISSING_KEYS,
                          ids=[key for _, key in MISSING_KEYS])
 def test_verify_reports_a_missing_key_and_exits_1(
@@ -704,15 +731,28 @@ def test_to_dict_leaves_the_presets_alone():
     assert fresh.tolerances["eps1"] == 1e-5
 
 
-REMOVED_KEYS = {"step_norm": "l1", "stop_rule": "step", "n_validation": 4000}
+# removed config keys, a nested one by its dotted path, and an old value
+REMOVED_KEYS = {"step_norm": "l1", "stop_rule": "step", "n_validation": 4000,
+                "step_rule": "harmonic", "schedule": "study",
+                "cover.metric": "l2"}
+
+
+def put_removed_key(config, key):
+    """Set the removed ``key`` in ``config``; returns the error naming it."""
+    *sections, name = key.split(".")
+    for section in sections:
+        config = config[section]
+    config[name] = REMOVED_KEYS[key]
+    return f"{'.'.join(sections) or '<root>'}: unknown fields ['{name}']"
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_a_config_with_a_removed_key_is_rejected(key):
     data = study1().to_dict()
-    data[key] = REMOVED_KEYS[key]
-    with pytest.raises(ConfigError, match=f"unknown fields \\['{key}'\\]"):
+    message = put_removed_key(data, key)
+    with pytest.raises(ConfigError) as info:
         from_dict(data)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -721,12 +761,12 @@ def test_verify_rejects_a_run_directory_with_a_removed_key(run_dir, tmp_path,
     old = tmp_path / "old"
     old.mkdir()
     summary = json.loads((run_dir / "summary.json").read_text())
-    summary["config"][key] = REMOVED_KEYS[key]
+    message = put_removed_key(summary["config"], key)
     (old / "summary.json").write_text(json.dumps(summary))
     (old / "events.jsonl").write_text((run_dir / "events.jsonl").read_text())
     capsys.readouterr()
     assert main(["verify", str(old)]) == 2
-    assert f"unknown fields ['{key}']" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_a_config_with_a_fixed_x0_is_rejected():

@@ -258,4 +258,4 @@ def test_tolerances_invariant_property(eps2, frac1, frac_sa, lip):
     if eps1 <= 0 or eps_sa >= eps2 / mu:
         return
     t = Tolerances(eps1=eps1, eps2=eps2, eps_sa=eps_sa, lipschitz=lip)
-    assert 0 < t.eps1 <= t.eps_sa < t.eps2 / t.mu
+    assert 0 < t.eps1 <= t.eps_sa < t.eps2 / max(t.lipschitz, 1.0)

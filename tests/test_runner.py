@@ -54,7 +54,6 @@ def make_config(model, n0, **kw):
         concentration=concentration(),
         schedule=schedule(),
         n0=n0,
-        step_rule="harmonic",
         cost_budget_per_period=1e9,
     )
     base.update(kw)
@@ -216,7 +215,7 @@ def test_every_prefix_of_the_log_reverifies():
 def cover_run():
     cfg = make_config(
         coupled_quadratic(), 6, x0=np.array([1.0]),
-        cover=CoverConfig(enabled=True, omega=1.0, metric="l1"),
+        cover=CoverConfig(enabled=True, omega=1.0),
     )
     return cfg, run(cfg, stream([[1.0], [1.2], [0.8], [4.0], [4.1], [1.1]]))
 
@@ -593,6 +592,29 @@ def test_audit_derives_each_step_certificates_decision(preset, n0, cover,
     assert failed[check] >= 1
     assert any(f.startswith(f"record {seq}: {message}")
                for f in report.failures), report.failures
+
+
+@pytest.mark.parametrize("preset, n0, cover", [
+    ("study1", 12, False), ("study2", 10, True)], ids=["study1",
+                                                      "study2-cover"])
+def test_no_step_length_one_ulp_off_audits_ok(preset, n0, cover):
+    # each step certificate's alpha one ulp up or down: the derived decision
+    # may move too little for its moved or J to tell, but the audit pins
+    # every step length, so each edit fails step_links
+    cfg, points = pinned_run(preset, n0, cover, None)
+    records = [ev.record() for ev in run(cfg, points).events]
+    steps = [rec for rec in records if "alpha" in rec]
+    assert steps
+    passed = []
+    for rec in steps:
+        alpha = rec["alpha"]
+        for to in (math.inf, -math.inf):
+            rec["alpha"] = math.nextafter(alpha, to)
+            if not full_audit(cfg, records)[1]["step_links"]:
+                passed.append((rec["seq"], rec["alpha"]))
+        rec["alpha"] = alpha
+    assert not passed
+    assert full_audit(cfg, records)[0].ok
 
 
 # the keys of each kind's records, in the order a record writes them,
