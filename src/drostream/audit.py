@@ -14,33 +14,34 @@ more than the cost of a feasible coupling. Windows change only at arrivals,
 so ``Samples`` builds each once and the certificates posted before the next
 arrival reuse it.
 
-A refresh posts its plan in coordinate form, its nonzero ``[k, j, value]``
-entries, and the audit rebuilds the dense plan from them and the window's
-shape (``plan_from_entries``). An epoch's first certificate posts its
-decision ``x``. A step's certificate posts instead the step length
-``alpha``, and the audit derives its decision from the certificate before
-it, on the same window, as the runner stepped:
-``scaled_step(model, x_prev, subgradient(model, x_prev, window, y_prev),
-alpha)``. That is one batched ``grad_x`` call per step. The derivation
-repeats the runner's float operations on the same inputs, so it is exact on
-one machine and BLAS build, as the exact ``moved`` and output-decision
-checks already assume. The derived decision is the one the audit re-prices
-and compares.
+A log writes only what the audit cannot derive from earlier records and
+the run's model, concentration, schedule and cover, and the audit derives
+the rest:
 
-A decision step is recorded only by its certificate: the audit counts an
-epoch's steps on its step certificates, checks each one's ``moved`` against
-its derived decision and its ``alpha`` against ``step_length`` of its
-index in the epoch, and applies the stop rule to it (an epoch stops at its
-first step that moved less than eps2), and derives each epoch's best from
-the certificates' ``J``. A log writes each datum once, so
-the audit derives what a record does not post rather than reading it: a
-certificate's form (reuse or refresh) is its plan key, ``y_ref`` or ``y``;
-the ball's beta follows from ``n`` through the schedule, and its radius from
-beta and the window through ``Samples.ball()``, which the posted radius
-must match. Each record carries exactly the keys of its kind's form
-(``runner.RECORD_KEYS``, without the cover's on a run without one, and with
-one of each of a certificate's alternatives), and no record writes a null
-value.
+- the ball's beta from ``n`` through the schedule, and its radius from beta
+  and the window through ``Samples.ball()``;
+- a certificate's form (reuse or refresh) from its plan key, ``y_ref`` or
+  ``y``; a refresh posts its plan in coordinate form, its nonzero
+  ``[k, j, value]`` entries, and the audit rebuilds the dense plan from
+  them and the window's shape (``plan_from_entries``);
+- a step certificate's decision from the certificate before it, on the same
+  window, as the runner stepped: ``scaled_step(model, x_prev,
+  subgradient(model, x_prev, window, y_prev), alpha)``, one batched
+  ``grad_x`` call per step, and the distance the step moved as the 2-norm
+  between the two decisions;
+- each epoch's best certificate, by the runner's rule (the epoch's first,
+  then each later one whose ``J`` is strictly lower), and so the decision
+  each epoch after the first starts from: only the run's first certificate
+  posts ``x``;
+- where each epoch stops, at its first step that moved less than eps2, and
+  so the run's output: the last epoch's best.
+
+The derivations repeat the runner's float operations on the same inputs, so
+they are exact on one machine and BLAS build, as the stop rule's comparison
+of a derived distance with eps2 assumes. Each record carries exactly the
+keys of its kind's form (``runner.RECORD_KEYS``, without the cover's on a
+run without one, and with one of each of a certificate's alternatives), and
+no record writes a null value.
 """
 
 from __future__ import annotations
@@ -134,15 +135,17 @@ def verify_events(
     Each certificate's gap is checked against the tolerance it posts. Given
     the run's ``tolerances``, the posted tolerance must also be the run's:
     ``eps_sa`` for a reuse (a certificate that posts ``y_ref``), ``eps1``
-    for a refresh (one that posts ``y``). The radius is derived from the
-    arrivals and the schedule, and the posted one must match it
-    (``radius_schedule``).
+    for a refresh (one that posts ``y``). Each certificate is re-priced at
+    the radius ``Samples.ball()`` derives from the arrivals and the
+    schedule.
 
     A record that carries a key outside its form's key set, lacks one of
     them, or writes a null value is a ``structure`` failure that names the
     key; the audit goes on with the record. A certificate's forms are ``x``
-    (an epoch's first) or ``alpha`` and ``moved`` (a step's), and ``y`` or
-    ``y_ref`` (a reuse); the cover's keys belong to a run with a cover.
+    (the run's first), ``alpha`` (a step's) or neither (a later epoch's
+    first), and ``y`` or ``y_ref`` (a reuse); the cover's keys belong to
+    the arrivals of a run with a cover. An epoch's convergence and the
+    run's termination carry no keys beyond every record's.
 
     The counters must be the runner's, or ``structure`` fails: ``r``, the
     steps taken, rises by 1 at each step certificate and holds otherwise,
@@ -156,48 +159,33 @@ def verify_events(
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
     or non-numeric field the checks read (time, count, value, decision,
-    tolerance, radius, plan), a plan that is not in coordinate form inside
-    its window (see ``plan_from_entries``) or not finite, a certificate the
-    model cannot re-price (a decision outside its domain), an epoch's first
-    certificate without a decision ``x``, a step certificate that has no
-    finite positive ``alpha`` or follows no certificate of its ``n``, a
-    non-finite derived decision, an arrival without a finite point of the
-    model's sample dimension, or a certificate before any arrival. A
-    certificate starts an epoch when its ``l`` differs from the one before.
+    tolerance, plan), a plan that is not in coordinate form inside its
+    window (see ``plan_from_entries``) or not finite, a certificate the
+    model cannot re-price (a decision outside its domain), the run's first
+    certificate without a decision ``x``, a later epoch's first certificate
+    whose previous epoch has no best, a step certificate that has no finite
+    positive ``alpha`` or follows no certificate of its ``n``, a non-finite
+    derived decision, an arrival without a finite point of the model's
+    sample dimension, or a certificate before any arrival. A certificate
+    starts an epoch when its ``l`` differs from the one before.
 
-    A step certificate's ``moved`` must be exactly the 2-norm distance from
-    the decision of the certificate before it, which it stepped from, to
-    its derived one, or ``step_links`` fails. Given the run's
-    ``tolerances``, the k-th step certificate of an epoch must also post
-    exactly ``step_length(tolerances, k - 1)`` as its ``alpha``, or
-    ``step_links`` fails. Each epoch's best certificate is tracked by the
-    runner's rule: the epoch's first certificate, then each later one whose
-    ``J`` is strictly lower. An epoch after the first must start from
-    exactly the previous epoch's best ``x``, derived or posted. The epoch's
-    convergence and the run's termination must name it by ``best_seq`` and
-    post exactly its ``J`` and ``x``. Otherwise ``best_tracking`` or
-    ``termination`` fails.
-
-    An epoch's convergence must post as ``steps`` the number of its step
-    certificates. Given the run's ``tolerances``, it must also end its epoch
-    at the first step whose ``moved`` is below ``eps2``. Otherwise
-    ``stop_rule`` fails.
+    Given the run's ``tolerances``, the k-th step certificate of an epoch
+    must post exactly ``step_length(tolerances, k - 1)`` as its ``alpha``,
+    or ``step_links`` fails; without them the report has no
+    ``step_links``. ``stop_rule`` fails where an epoch's convergence does
+    not directly follow a step certificate, or a termination does not
+    directly follow a convergence. Given the run's ``tolerances``, it also
+    fails where a convergence does not directly follow the certificate of
+    its epoch's first step that moved less than eps2, and at any other
+    record that directly follows that certificate: a step certificate, an
+    arrival or a termination.
     """
-    checks = {
-        name: AuditCheck(name)
-        for name in (
-            "structure",
-            "arrivals",
-            "certificate_value",
-            "certificate_budget",
-            "certificate_gap",
-            "radius_schedule",
-            "step_links",
-            "best_tracking",
-            "termination",
-            "stop_rule",
-        )
-    }
+    names = ["structure", "arrivals", "certificate_value",
+             "certificate_budget", "certificate_gap", "step_links",
+             "termination", "stop_rule"]
+    if tolerances is None:
+        names.remove("step_links")
+    checks = {name: AuditCheck(name) for name in names}
     failures: list[str] = []
 
     def fail(check: str, msg: str) -> None:
@@ -214,8 +202,7 @@ def verify_events(
     allowed = {kind: frozenset(COMMON_KEYS + keys)
                for kind, keys in RECORD_KEYS.items()}
     if samples.cover is None:
-        for kind in ("DataArrival", "Terminated"):
-            allowed[kind] -= frozenset(COVER_KEYS)
+        allowed["DataArrival"] -= frozenset(COVER_KEYS)
     certs: dict[int, dict] = {}
 
     def cert(ref) -> Optional[dict]:
@@ -229,9 +216,12 @@ def verify_events(
     # the epoch (record l) of the latest certificate and the seq of its best
     # one
     epoch, best = 0, None
-    # the steps of that epoch so far, and the count at its first step that
-    # moved less than eps2 (None before one, or without tolerances)
-    steps, small_at = 0, None
+    # the steps of that epoch so far, and the seq of its first step's
+    # certificate that moved less than eps2 (None before one, or without
+    # tolerances)
+    steps, small = 0, None
+    # seqs of the latest step certificate and of the latest convergence
+    last_step = converged = None
     terminated = after_cert = False
 
     for i, rec in enumerate(records):
@@ -246,6 +236,12 @@ def verify_events(
         if kind not in EVENT_KINDS:
             fail("structure", f"record {i}: unknown kind {kind!r}")
             continue
+        if small == i - 1 and kind != "EpochConverged":
+            # the epoch should have converged right here
+            checks["stop_rule"].count += 1
+            fail("stop_rule", f"record {i}: {kind} follows certificate "
+                 f"{small}, its epoch's first step that moved less than "
+                 "eps2, where the epoch converges")
         r, l = rec.get("r"), rec.get("l")
         is_cert = kind == "CertificatePosted"
         # l counts the epochs begun: it rises once an epoch, at an arrival or
@@ -270,10 +266,12 @@ def verify_events(
         last_r = r
         after_cert = is_cert
 
-        # the keys of the record's form
+        # the keys of the record's form: x on the run's first certificate,
+        # alpha on a step's, and one plan key
         form = allowed[kind]
         if is_cert:
-            form = form - ({"alpha", "moved"} if starts else {"x"}) - (
+            form = form - ({"alpha"} if starts else {"x"}) - (
+                {"x"} if epoch else set()) - (
                 {"y"} if "y_ref" in rec else {"y_ref"})
         posted = {key for key, value in rec.items() if value is not None}
         if not form.issuperset(posted):
@@ -326,22 +324,23 @@ def verify_events(
             if not samples.n:
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
-            J, tol, radius = (_number(rec, key) for key in ("J", "tol", "radius"))
+            J, tol = _number(rec, "J"), _number(rec, "tol")
+            x = None
             if starts:
-                # a new epoch, which must start from the last one's best
-                last_best, best = best, None
-                epoch, steps, small_at = l, 0, None
+                # a new epoch: the run's first posts its decision, and each
+                # later one starts from the last one's best
+                if not epoch:
+                    x = _array(rec, "x")
+                elif best is not None:
+                    x = certs[best]["x"]
+                epoch, best, steps, small = l, None, 0, None
             else:
                 steps += 1
-                moved = _number(rec, "moved")
-                if (small_at is None and tolerances is not None
-                        and moved is not None and moved < tolerances.eps2):
-                    small_at = steps
-            x = _array(rec, "x") if starts else None
-            if None in (J, tol, radius) or (starts and (
+                last_step = i
+            if None in (J, tol) or (starts and (
                     x is None or x.shape != (model.dimension_d,))):
-                fail("structure", f"record {i}: certificate J, x, tol or "
-                     "radius missing or malformed")
+                fail("structure", f"record {i}: certificate J, x or tol "
+                     "missing or malformed")
                 continue
             window, eps = samples.ball()
             if n != window.n_total:
@@ -358,9 +357,6 @@ def verify_events(
                 fail("structure", f"record {i}: step certificate does not "
                      f"follow a certificate on its window ({before})")
                 continue
-            checks["radius_schedule"].count += 1
-            if not _close(radius, eps):
-                fail("radius_schedule", f"record {i}: radius mismatch")
 
             reuse = "y_ref" in rec
             if reuse:
@@ -397,19 +393,16 @@ def verify_events(
                 fail("structure", f"record {i}: certificate cannot be "
                      f"re-priced: {exc}")
                 continue
-            if not starts:
+            if not starts and tolerances is not None:
                 checks["step_links"].count += 1
-                if _number(rec, "moved") != float(
-                        np.linalg.norm(x - prev["x"])):
-                    fail("step_links", f"record {i}: step moved "
-                         f"{rec.get('moved')!r}, not the distance from "
-                         f"certificate {before}'s x")
-                if tolerances is not None:
-                    length = step_length(tolerances, steps - 1)
-                    if alpha != length:
-                        fail("step_links", f"record {i}: step alpha "
-                             f"{alpha!r} is not the length {length!r} of "
-                             f"its epoch's step {steps}")
+                length = step_length(tolerances, steps - 1)
+                if alpha != length:
+                    fail("step_links", f"record {i}: step alpha "
+                         f"{alpha!r} is not the length {length!r} of "
+                         f"its epoch's step {steps}")
+                moved = float(np.linalg.norm(x - prev["x"]))
+                if small is None and moved < tolerances.eps2:
+                    small = i
 
             checks["certificate_value"].count += 1
             if not _close(j, J):
@@ -442,48 +435,30 @@ def verify_events(
                     fail("certificate_gap", f"record {i}: tolerance {tol} "
                          f"is not the run's {want}")
             certs[i] = {"n": n, "y": y, "J": J, "x": x, "window": window}
-            if starts:
-                if last_best is not None:
-                    checks["best_tracking"].count += 1
-                    if not np.array_equal(x, certs[last_best]["x"]):
-                        fail("best_tracking", f"record {i}: epoch starts from "
-                             "an x other than the previous epoch's best "
-                             f"certificate {last_best}'s")
-                best = i
-            elif best is not None and J < certs[best]["J"]:
+            if starts or (best is not None and J < certs[best]["J"]):
                 best = i
 
-        else:
-            # an epoch's or the run's output: exactly its best certificate's
-            check, what = (("best_tracking", "epoch")
-                           if kind == "EpochConverged"
-                           else ("termination", "final"))
-            checks[check].count += 1
-            ref = rec.get("best_seq")
-            src = cert(ref)
-            x = _array(rec, "x")
-            if src is None:
-                fail(check, f"record {i}: missing best {ref}")
-            elif ref != best:
-                fail(check, f"record {i}: {what} best names certificate "
-                     f"{ref}, not the epoch's best {best}")
-            elif _number(rec, "J") != src["J"]:
-                fail(check, f"record {i}: {what} J != best certificate "
-                     f"{ref}'s")
-            elif x is None or not np.array_equal(x, src["x"]):
-                fail(check, f"record {i}: {what} x != best certificate "
-                     f"{ref}'s")
-            if kind == "Terminated":
-                terminated = True
-                continue
+        elif kind == "EpochConverged":
+            # right after a step certificate; given the tolerances, right
+            # after the one of the epoch's first step that moved less than
+            # eps2
             checks["stop_rule"].count += 1
-            if rec.get("steps") != steps:
-                fail("stop_rule", f"record {i}: epoch posts {rec.get('steps')!r} "
-                     f"steps, not the {steps} it took")
-            elif tolerances is not None and small_at != steps:
-                fail("stop_rule", f"record {i}: epoch stops at step {steps}, "
-                     "not at its first step that moved less than eps2 "
-                     f"({small_at})")
+            converged = i
+            if tolerances is None and last_step != i - 1:
+                fail("stop_rule", f"record {i}: epoch converges other than "
+                     "right after a step certificate")
+            elif tolerances is not None and small != i - 1:
+                where = "none yet" if small is None else f"certificate {small}"
+                fail("stop_rule", f"record {i}: epoch converges other than "
+                     "right after its first step that moved less than eps2 "
+                     f"({where})")
+
+        else:
+            checks["stop_rule"].count += 1
+            if converged != i - 1:
+                fail("stop_rule", f"record {i}: run terminates other than "
+                     "right after an epoch's convergence")
+            terminated = True
 
     checks["termination"].count += 1
     if not terminated:

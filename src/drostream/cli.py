@@ -9,11 +9,14 @@
           as it is posted, so a run that fails still leaves its stream, the
           events it posted and a summary.json with status "failed", the
           error, its traceback and the config
-  verify  re-check a run directory's event log: every certificate's value,
-          transport budget (which bounds its W1 distance), gap, tolerance
-          and radius, every step's length and distance moved, each epoch's
-          stop at its first step below eps2, and each epoch's best
-          certificate and output decision
+  verify  re-check a run directory's event log against its config: replay
+          the arrivals to derive each window and radius, derive each
+          step's decision from its length and each later epoch's start
+          from the last epoch's best, then re-price every certificate and
+          check its transport budget (which bounds its W1 distance), gap
+          and tolerance, every step's length, and that each epoch
+          converges right after its first step below eps2 and the run
+          terminates right after a convergence
   replay  re-run from the dumped stream and compare event logs byte-wise
 
 Exit codes: 0 success; 1 verification/replay mismatch or solver failure;
@@ -138,10 +141,7 @@ def write_outputs(out: Path, mat: presets.Materialized, result) -> dict:
             "guarantee_margin": result.j_best - oos_cost,
         },
         "totals": dataclasses.asdict(result.totals),
-        "cover": {
-            "enabled": bool(mat.config.cover["enabled"]),
-            "final_size": result.cover_size,
-        },
+        "cover": {"final_size": result.cover_size},
     }
     with open(out / SUMMARY_FILE, "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -265,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser(
-        "verify", help="re-check every certificate's value, budget, gap "
-                       "and radius, every step's length, and every epoch's "
-                       "stop and best, in a run's event log")
+        "verify", help="re-check a run's event log: derive each radius, "
+                       "step decision and epoch start, then every "
+                       "certificate's value, budget and gap, every step's "
+                       "length, and where each epoch stops")
     p_verify.add_argument("run_dir",
                           help="run directory (or events.jsonl path)")
     p_verify.set_defaults(func=cmd_verify)

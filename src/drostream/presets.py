@@ -130,7 +130,7 @@ def study1(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
     )
 
 
-def study2(seed: int = 0, cover_enabled: bool = True) -> ExperimentConfig:
+def study2(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
     """Large-stream study: 500 points in R^10, decisions in R^30.
 
     The decision tolerance is coarser than study1's: the 30-dim decision
@@ -138,6 +138,11 @@ def study2(seed: int = 0, cover_enabled: bool = True) -> ExperimentConfig:
     values here sit near -2700, so a 0.1 step stop still resolves them to
     a fraction of a percent. The period budget is sized so the solver
     keeps pace with arrivals every 1 to 3 periods at full stream length.
+
+    The cover defaults to off, as in study1: in R^10 its transport slack
+    (about 5 to 9 at omega = 5) dwarfs the schedule radius (near 0.8), so
+    its ball never shrinks and the run ends at a far worse decision, in
+    several times the hull iterations.
     """
     return ExperimentConfig(
         preset="study2",

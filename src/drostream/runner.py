@@ -14,38 +14,39 @@ moves less than eps2; the run terminates when an epoch converges with the
 queue empty.
 
 Every state change is posted as an event. A record writes a key only
-when its value is not null and is not already fixed by an earlier record or
-by the run's config, so each datum is written once. Every record carries
-``seq``, ``kind``, the meter's time ``t``, the sample count ``n`` and the
-step and epoch counts ``r`` and ``l`` of ``RunTotals``; beyond those, each
-kind carries exactly the keys of ``RECORD_KEYS``, in one of its forms:
+when its value is not null and cannot be derived from earlier records and
+the run's model, concentration, schedule and cover, so each datum is
+written once. Every record carries ``seq``, ``kind``, the meter's time
+``t``, the sample count ``n`` and the step and epoch counts ``r`` and ``l``
+of ``RunTotals``; beyond those, each kind carries exactly the keys of
+``RECORD_KEYS``, in one of its forms:
 
 - ``DataArrival``: ``point``, ``index``, ``arrival_t``, and with a cover
   ``cover_opened`` and ``cover_size``;
-- ``CertificatePosted``: ``J``, then ``x`` for an epoch's first certificate
-  or, for a step's, the step length ``alpha`` and the distance ``moved``,
-  then ``eta``, ``tol``, ``radius``, the work counts ``lp_calls``,
-  ``cp_calls`` and ``afwa_iters``, and the plan key: ``y`` for a refresh,
-  ``y_ref`` for a reuse;
-- ``EpochConverged``: ``J``, ``x``, ``steps`` and ``best_seq``;
-- ``Terminated``: ``J``, ``x``, ``best_seq``, and with a cover
-  ``cover_size``.
+- ``CertificatePosted``: ``J``, then ``x`` for the run's first certificate
+  or the step length ``alpha`` for a step's, then ``eta``, ``tol``, the
+  work counts ``lp_calls``, ``cp_calls`` and ``afwa_iters``, and the plan
+  key: ``y`` for a refresh, ``y_ref`` for a reuse;
+- ``EpochConverged`` and ``Terminated``: nothing more.
 
 A decision step is recorded only by its certificate, the one that posts
 ``alpha``, which is ``step_length(tolerances, k - 1)`` on the epoch's k-th
 step certificate: its decision is ``scaled_step`` by ``alpha`` along the
 ``subgradient`` of the certificate before it, at that one's decision,
-window and plan, and ``moved`` is the 2-norm distance between the two
-decisions. The audit re-derives both. ``r`` counts the steps taken, so it
-rises at each step certificate, and at the arrival that interrupts a step
-before its certificate; ``l`` rises at each epoch's first certificate, or
-at an arrival that interrupts that certificate's search. An epoch's best
-is its first certificate, then each later one whose ``J`` is lower, which
-the convergence and the termination name by ``best_seq``. A refresh posts
-its perturbation plan in coordinate form, as its nonzero ``[k, j, value]``
+window and plan. ``r`` counts the steps taken, so it rises at each step
+certificate, and at the arrival that interrupts a step before its
+certificate; ``l`` rises at each epoch's first certificate, or at an
+arrival that interrupts that certificate's search. An epoch's best is its
+first certificate, then each later one whose ``J`` is lower; the next epoch
+starts from the best's decision, so only the first epoch's certificate
+posts ``x``, and the run's output is its last epoch's best. A convergence
+directly follows the certificate of its epoch's first small step, and the
+termination directly follows the last convergence. A refresh posts its
+perturbation plan in coordinate form, as its nonzero ``[k, j, value]``
 entries (``plan_entries``); a reuse names that plan by ``y_ref``, which is
 the only statement that it reuses. The ball's beta follows from ``n`` and
-the run's confidence schedule, so no record posts it. With the gaps and
+the run's confidence schedule, and its radius from beta and the window
+(``Samples.ball()``), so no record posts either. With the gaps and
 tolerances this is enough for an offline audit to re-verify the whole run
 from the event log alone.
 
@@ -89,14 +90,13 @@ COMMON_KEYS = ("seq", "kind", "t", "n", "r", "l")
 RECORD_KEYS = {
     "DataArrival": ("point", "index", "arrival_t", "cover_opened",
                     "cover_size"),
-    "CertificatePosted": ("J", "x", "alpha", "moved", "eta", "tol",
-                          "radius", "lp_calls", "cp_calls", "afwa_iters", "y",
-                          "y_ref"),
-    "EpochConverged": ("J", "x", "steps", "best_seq"),
-    "Terminated": ("J", "x", "best_seq", "cover_size"),
+    "CertificatePosted": ("J", "x", "alpha", "eta", "tol", "lp_calls",
+                          "cp_calls", "afwa_iters", "y", "y_ref"),
+    "EpochConverged": (),
+    "Terminated": (),
 }
 EVENT_KINDS = tuple(RECORD_KEYS)
-# the keys only a run with a cover writes
+# the arrival keys only a run with a cover writes
 COVER_KEYS = ("cover_opened", "cover_size")
 
 
@@ -105,11 +105,12 @@ class RunEvent:
     """One log record; ``record()`` flattens it to a JSON object without
     its null values.
 
-    ``J`` and ``x`` are None on the records that do not post them (see the
-    module docstring); so are the cover's extras without a cover. ``beta``
-    is always None and never written: the ball's beta follows from ``n``.
-    The field stays so that an event is still built from its ten positional
-    fields.
+    ``J`` is None on the records that do not post it, the arrivals, the
+    convergences and the termination; ``x`` is None on every record but
+    the run's first certificate (see the module docstring), and so are the
+    cover's extras without a cover. ``beta`` is always None and never
+    written: the ball's beta follows from ``n``. The field stays so that an
+    event is still built from its ten positional fields.
     """
 
     seq: int
@@ -313,30 +314,22 @@ def run(
         meter.deadline = queue.next_time()
 
     def post_certificate(cert: CertificateResult, mark, *, x=None,
-                         alpha=None, moved=None, reused=False) -> int:
-        # an epoch's first certificate posts its decision x; a step's posts
-        # the step length alpha that took the decision before it to its own,
-        # and the distance moved
+                         alpha=None, reused=False) -> None:
+        # the run's first certificate posts its decision x; a step's posts
+        # the step length alpha that took the decision before it to its own
         nonlocal plan_seq
         # the work of the attempt that produced cert: the counts since mark
         lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
-        extras = dict(alpha=alpha, moved=moved, eta=cert.eta,
-                      tol=tol.eps_sa if reused else tol.eps1,
-                      radius=cert.radius, lp_calls=lp,
+        extras = dict(alpha=alpha, eta=cert.eta,
+                      tol=tol.eps_sa if reused else tol.eps1, lp_calls=lp,
                       cp_calls=cp, afwa_iters=iters)
         if reused:
             extras["y_ref"] = plan_seq
         else:
             extras["y"] = plan_entries(cert.y_eps1)
-        seq = post(
-            "CertificatePosted",
-            J=cert.j_eps1,
-            x=x,
-            **extras,
-        ).seq
+        seq = post("CertificatePosted", J=cert.j_eps1, x=x, **extras).seq
         if not reused:
             plan_seq = seq
-        return seq
 
     x = (
         np.zeros(model.dimension_d)
@@ -372,7 +365,8 @@ def run(
                 drain()
                 warm = ci.state
         x_best, j_best = x.copy(), cert.j_eps1
-        best_seq = post_certificate(cert, mark, x=x)
+        # a later epoch starts from the last one's best, which the log fixes
+        post_certificate(cert, mark, x=x if totals.epochs == 1 else None)
 
         # the steps stay on cert's window: an arrival ends the loop
         while True:
@@ -392,33 +386,19 @@ def run(
             cert, reused = outcome.cert, outcome.reused
             totals.reuses += int(reused)
             totals.refreshes += int(not reused)
-            moved = float(np.linalg.norm(x_new - x))
-            cert_seq = post_certificate(cert, mark, alpha=alpha, moved=moved,
-                                        reused=reused)
+            post_certificate(cert, mark, alpha=alpha, reused=reused)
             if cert.j_eps1 < j_best:
-                x_best, j_best, best_seq = x_new.copy(), cert.j_eps1, cert_seq
+                x_best, j_best = x_new.copy(), cert.j_eps1
+            stop = np.linalg.norm(x_new - x) < tol.eps2
             x = x_new
-            stop = moved < tol.eps2
             if stop:
-                post(
-                    "EpochConverged",
-                    J=j_best,
-                    x=x_best,
-                    steps=totals.steps - first,
-                    best_seq=best_seq,
-                )
+                post("EpochConverged")
             if stop or meter.due():
                 warm = cert
                 break
         x = x_best.copy()
 
-    post(
-        "Terminated",
-        J=j_best,
-        x=x_best,
-        best_seq=best_seq,
-        cover_size=samples.cover_size,
-    )
+    post("Terminated")
     totals.lp_calls, totals.cp_calls, totals.afwa_iters = meter.counts()
     return RunResult(
         events=events,

@@ -10,7 +10,6 @@ import sys
 import numpy as np
 import pytest
 
-from drostream.ambiguity import radius as ball_radius
 from drostream import certificates, cli
 from drostream.audit import verify_events
 from drostream.certificates import plan_from_entries
@@ -23,12 +22,13 @@ from drostream.presets import (
     materialize,
     study1,
 )
-from drostream.runner import run
+from drostream.runner import Samples, run
 from drostream.simplex import SolverError
 from drostream.stream import expected_cost
 
 from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
-                    drop_key, run_with_decisions)
+                    converge_a_step_early, drop_key, dropped_keys,
+                    restart_from, run_with_decisions)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,13 @@ def run_decisions(run_dir):
     assert [json.dumps(ev.record()) for ev in res.events] == (
         run_dir / "events.jsonl").read_text().splitlines()
     return decisions
+
+
+@pytest.fixture(scope="module")
+def run_config():
+    """The run config of ``run_dir``'s run."""
+    return materialize(dataclasses.replace(study1(seed=0), n0=12),
+                       stream=[]).run_config
 
 
 def test_run_writes_all_artifacts(run_dir):
@@ -187,8 +194,9 @@ def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
 
 
 def test_verify_rejects_a_cover_radius_widened_by_omega(tmp_path, capsys):
-    # eps + omega is not the radius a cover run posts: the ball is widened
-    # by the cover's own transport slack
+    # eps + omega is not the radius of a cover run's ball: the audit widens
+    # eps by the cover's own transport slack, which is smaller, so a plan
+    # that spends between the two fails the budget
     out = tmp_path / "cover-run"
     assert main([
         "run", "--preset", "study1", "--seed", "0", "--n0", "12", "--cover",
@@ -199,22 +207,31 @@ def test_verify_rejects_a_cover_radius_widened_by_omega(tmp_path, capsys):
     rc = mat.run_config
     path = out / "events.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    picked = max(i for i, rec in enumerate(records)
-                 if rec["kind"] == "CertificatePosted")
-    rec = records[picked]
-    beta = rc.schedule.beta(rec["n"])
-    rec["radius"] = (ball_radius(rc.concentration, beta, rec["n"])
-                     + rc.cover.omega)
+    samples = Samples(mat.model.dimension_m, rc.n0, rc.concentration,
+                      rc.schedule, rc.cover)
+    for rec in records:
+        if rec["kind"] == "DataArrival":
+            samples.add(rec["point"], rec["index"])
+    window, radius = samples.ball()
+    widened = radius - samples.cover.transport_slack() + rc.cover.omega
+    assert radius < widened
+    # the last refresh moves the first center, by a plan that spends
+    # halfway between the two radii
+    picked = max(i for i, rec in enumerate(records) if "y" in rec)
+    spend = (radius + widened) / 2
+    records[picked]["y"] = [[0, 0, float(spend * rc.n0 / window.theta[0])]]
     report = verify_events(records, mat.model, rc.concentration, rc.schedule,
                            rc.cover, tolerances=rc.tolerances)
     failed = {c.name: c.failures for c in report.checks}
-    assert failed["radius_schedule"] == 1 == sum(failed.values()), failed
-    assert f"record {picked}: radius mismatch" in report.failures
+    assert failed["certificate_budget"] >= 1 and not failed["structure"]
+    message = f"record {picked}: budget "
+    assert any(f.startswith(message) and f.endswith(f"exceeds radius {radius}")
+               for f in report.failures), report.failures
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
     assert main(["verify", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"record {picked}: radius mismatch" in err
+    assert message in err
     assert "FAILED" in err
 
 
@@ -244,7 +261,7 @@ def test_verify_reports_a_malformed_certificate_and_exits_1(
     picked = next(i for i, line in enumerate(lines)
                   if json.loads(line)["kind"] == "CertificatePosted")
     rec = json.loads(lines[picked])
-    rec["radius"] = None
+    rec["tol"] = None
     lines[picked] = json.dumps(rec)
     tampered = tmp_path / "tampered"
     tampered.mkdir()
@@ -254,7 +271,7 @@ def test_verify_reports_a_malformed_certificate_and_exits_1(
     capsys.readouterr()
     assert main(["verify", str(tampered)]) == 1
     err = capsys.readouterr().err
-    assert f"record {picked}: certificate J, x, tol or radius missing" in err
+    assert f"record {picked}: certificate J, x or tol missing" in err
     assert "FAILED" in err
 
 
@@ -280,7 +297,7 @@ def _last_best_step(records):
     for i, rec in enumerate(records):
         if rec["kind"] != "CertificatePosted":
             continue
-        if "x" in rec:
+        if "alpha" not in rec:
             best = rec["J"]
         elif rec["J"] < best:
             best, found = rec["J"], i
@@ -326,16 +343,17 @@ def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
     assert "FAILED" in err
 
 
-@pytest.mark.parametrize("kind, message", [
-    ("EpochConverged", "epoch x != best certificate"),
-    ("Terminated", "final x != best certificate"),
-], ids=["epoch", "final"])
+@pytest.mark.parametrize("kind", ["EpochConverged", "Terminated"],
+                         ids=["epoch", "final"])
 def test_verify_reports_a_shifted_output_decision_and_exits_1(
-        run_dir, tmp_path, capsys, kind, message):
+        run_dir, run_decisions, run_config, tmp_path, capsys, kind):
+    # the output is the best certificate's decision, which the audit
+    # derives: an output record that posts a decision fails structure
     lines = (run_dir / "events.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     picked = max(i for i, rec in enumerate(records) if rec["kind"] == kind)
-    records[picked]["x"] = [v + 5.0 for v in records[picked]["x"]]
+    x = dropped_keys(records, run_decisions, run_config)[picked]["x"]
+    records[picked]["x"] = [v + 5.0 for v in x]
     lines[picked] = json.dumps(records[picked])
     tampered = tmp_path / "tampered"
     tampered.mkdir()
@@ -345,66 +363,52 @@ def test_verify_reports_a_shifted_output_decision_and_exits_1(
     capsys.readouterr()
     assert main(["verify", str(tampered)]) == 1
     err = capsys.readouterr().err
-    assert f"record {picked}: {message}" in err
+    assert f"record {picked}: {kind} carries 'x', not keys of its form" in err
     assert "FAILED" in err
 
 
 def test_verify_reports_an_output_that_is_not_the_epochs_best_and_exits_1(
-        run_dir, run_decisions, tmp_path, capsys):
-    # the last epoch's convergence and the termination name, with its J and
-    # x, the epoch's other certificate, whose J is higher than the best's
-    lines = (run_dir / "events.jsonl").read_text().splitlines()
-    records = [json.loads(line) for line in lines]
-    end, stop = (max(i for i, rec in enumerate(records) if rec["kind"] == kind)
-                 for kind in ("EpochConverged", "Terminated"))
-    best = records[end]["best_seq"]
-    other = next(j for j, rec in enumerate(records)
-                 if rec["kind"] == "CertificatePosted" and j != best
-                 and rec["l"] == records[best]["l"])
-    assert records[other]["J"] > records[best]["J"]
-    for i in (end, stop):
-        records[i].update(best_seq=other, J=records[other]["J"],
-                          x=run_decisions[other])
-        lines[i] = json.dumps(records[i])
-    tampered = tmp_path / "tampered"
-    tampered.mkdir()
-    (tampered / "events.jsonl").write_text("\n".join(lines) + "\n")
-    (tampered / "summary.json").write_text(
-        (run_dir / "summary.json").read_text())
-    capsys.readouterr()
-    assert main(["verify", str(tampered)]) == 1
-    captured = capsys.readouterr()
-    assert "best_tracking: FAIL (" in captured.out
-    assert "termination: FAIL (" in captured.out
-    assert (f"record {end}: epoch best names certificate {other}, not the "
-            f"epoch's best {best}") in captured.err
-    assert (f"record {stop}: final best names certificate {other}, not the "
-            f"epoch's best {best}") in captured.err
+        run_dir, run_decisions, run_config, tmp_path, capsys):
+    # the first epoch's output, which the second starts from, is its best
+    # certificate: a second epoch generated from the epoch's first, whose J
+    # is higher, fails where the audit re-prices it
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    end = next(i for i, rec in enumerate(records)
+               if rec["kind"] == "EpochConverged")
+    best = dropped_keys(records, run_decisions, run_config)[end]["best_seq"]
+    assert records[1]["J"] > records[best]["J"]
+    start = restart_from(records, run_decisions, run_config, 1)
+    code, captured = verify_tampered(run_dir, tmp_path, capsys, records)
+    assert code == 1
+    assert "certificate_value: FAIL (" in captured.out
+    assert "structure: ok (" in captured.out
+    assert f"record {start}: J recomputed" in captured.err
 
 
 def shift_a_step(records):
-    """A step certificate posts a moved one more than its distance; returns
-    its seq."""
-    step = next(r for r in records if "moved" in r)
-    step["moved"] += 1.0
+    """A step certificate posts a distance moved, which the audit derives;
+    returns its seq and the edited seqs."""
+    step = next(r for r in records if "alpha" in r)
+    step["moved"] = 1.0
     return step["seq"], [step["seq"]]
 
 
 def flip_an_epoch_start(records):
-    """The second epoch's first certificate posts -x, at the same J and gap
-    since study1's cost is even in x; its subgradient is 2x, so the steps
-    after it derive the negated decisions and keep their moved. Returns that
-    certificate's seq and the edited seqs."""
+    """The second epoch's first certificate posts the negated start of the
+    run as its decision, where the audit derives the first epoch's best.
+    Returns that certificate's seq and the edited seqs."""
     start = next(r for r in records
                  if r["kind"] == "CertificatePosted" and r["l"] == 2)
-    start["x"] = [-v for v in start["x"]]
+    start["x"] = [-v for v in records[1]["x"]]
     return start["seq"], [start["seq"]]
 
 
 @pytest.mark.parametrize("tamper, check, message", [
-    (shift_a_step, "step_links", "step moved"),
-    (flip_an_epoch_start, "best_tracking",
-     "epoch starts from an x other than the previous epoch's best"),
+    (shift_a_step, "structure",
+     "CertificatePosted carries 'moved', not keys of its form"),
+    (flip_an_epoch_start, "structure",
+     "CertificatePosted carries 'x', not keys of its form"),
 ], ids=["moved", "epoch-start"])
 def test_verify_reports_a_step_that_is_not_the_runs_and_exits_1(
         run_dir, tmp_path, capsys, tamper, check, message):
@@ -448,12 +452,12 @@ def test_verify_reports_a_step_certificate_that_is_not_the_runs_and_exits_1(
 @pytest.mark.parametrize("tamper", KEY_TAMPERS.values(),
                          ids=KEY_TAMPERS.keys())
 def test_verify_reports_a_key_outside_its_kinds_set_and_exits_1(
-        run_dir, tmp_path, capsys, tamper):
+        run_dir, run_decisions, tmp_path, capsys, tamper):
     records = [json.loads(line) for line in
                (run_dir / "events.jsonl").read_text().splitlines()]
     config = json.loads((run_dir / "summary.json").read_text())["config"]
-    schedule = materialize(from_dict(config)).run_config.schedule
-    picked, message = tamper(records, schedule)
+    rc = materialize(from_dict(config), stream=[]).run_config
+    picked, message = tamper(records, rc, run_decisions)
     tampered = tmp_path / "tampered"
     tampered.mkdir()
     (tampered / "events.jsonl").write_text(
@@ -487,9 +491,9 @@ def verify_tampered(run_dir, tmp_path, capsys, records):
 
 def test_verify_reports_a_step_length_that_is_not_the_runs_and_exits_1(
         run_dir, tmp_path, capsys):
-    # a step certificate's alpha one ulp off whose derived decision moves
-    # too little for its moved or J to tell: the audit without the run's
-    # tolerances takes it, and verify, which pins each step length, does not
+    # a step certificate's alpha one ulp off whose derived decisions move
+    # too little for any J to tell: the audit without the run's tolerances
+    # takes it, and verify, which pins each step length, does not
     records = [json.loads(line) for line in
                (run_dir / "events.jsonl").read_text().splitlines()]
     config = json.loads((run_dir / "summary.json").read_text())["config"]
@@ -539,29 +543,30 @@ def test_verify_reports_a_wrong_step_or_epoch_count_and_exits_1(
     assert f"record {picked}: {message}" in captured.err
 
 
-def post_one_more_step(records, config):
-    """The first epoch's convergence posts one step more than it took."""
-    end = next(r for r in records if r["kind"] == "EpochConverged")
-    end["steps"] += 1
-    return end["seq"], "epoch posts"
+def converge_early(records, config, decisions):
+    """The first epoch converges one step before its first small step."""
+    end, _ = converge_a_step_early(records)
+    return end, "epoch converges other than right after"
 
 
-def lower_eps2(records, config):
+def lower_eps2(records, config, decisions):
     """The run's eps2 falls below the move that stopped the first epoch."""
     end = next(r for r in records if r["kind"] == "EpochConverged")
-    last = next(r for r in reversed(records[:end["seq"]]) if "moved" in r)
-    config["tolerances"]["eps2"] = 0.99 * last["moved"]
-    return end["seq"], "epoch stops at step"
+    run_config = materialize(from_dict(config), stream=[]).run_config
+    moved = dropped_keys(records, decisions, run_config)[end["seq"] - 1][
+        "moved"]
+    config["tolerances"]["eps2"] = 0.99 * moved
+    return end["seq"], "epoch converges other than right after"
 
 
-@pytest.mark.parametrize("tamper", [post_one_more_step, lower_eps2],
+@pytest.mark.parametrize("tamper", [converge_early, lower_eps2],
                          ids=["steps", "eps2"])
 def test_verify_reports_an_epoch_stop_that_is_not_the_runs_and_exits_1(
-        run_dir, tmp_path, capsys, tamper):
+        run_dir, run_decisions, tmp_path, capsys, tamper):
     records = [json.loads(line) for line in
                (run_dir / "events.jsonl").read_text().splitlines()]
     summary = json.loads((run_dir / "summary.json").read_text())
-    picked, message = tamper(records, summary["config"])
+    picked, message = tamper(records, summary["config"], run_decisions)
     tampered = tmp_path / "tampered"
     tampered.mkdir()
     (tampered / "events.jsonl").write_text(
@@ -684,24 +689,57 @@ def test_run_rejects_a_horizon_stop_that_is_never_reached(preset, tmp_path,
     assert not out.exists()
 
 
-def test_replay_reproduces_the_coupled_pinned_run(tmp_path, capsys):
-    # study1 with a coupled b at a tight budget: refreshes and interrupts
-    # both, with the counters test_runner.py pins for it
+@pytest.fixture(scope="module")
+def coupled_dir(tmp_path_factory):
+    """A run of study1 with a coupled b at a tight budget: refreshes and
+    interrupts both, with the counters test_runner.py pins for it."""
     data = study1().to_dict()
     data.update(n0=40, cost_budget_per_period=5000.0)
     data["model"]["b"] = [[1.0, 0.5, -1.0]]
-    path = tmp_path / "coupled.json"
+    path = tmp_path_factory.mktemp("coupled") / "coupled.json"
     path.write_text(json.dumps(data))
-    out = tmp_path / "out"
+    out = path.parent / "out"
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
-    totals = json.loads((out / "summary.json").read_text())["totals"]
+    return out
+
+
+def test_replay_reproduces_the_coupled_pinned_run(coupled_dir, capsys):
+    totals = json.loads((coupled_dir / "summary.json").read_text())["totals"]
     assert totals == {"steps": 215, "epochs": 28, "interrupts": 33,
                       "reuses": 36, "refreshes": 158, "lp_calls": 634,
                       "cp_calls": 218, "afwa_iters": 5064}
     capsys.readouterr()
-    assert main(["replay", str(out)]) == 0
+    assert main(["replay", str(coupled_dir)]) == 0
     assert "identical (270 events)" in capsys.readouterr().out
-    assert main(["verify", str(out)]) == 0
+    assert main(["verify", str(coupled_dir)]) == 0
+
+
+def test_verify_reports_a_step_after_its_epochs_first_small_step_and_exits_1(
+        coupled_dir, tmp_path, capsys):
+    # epoch 7 of the coupled run takes 18 steps before an arrival cuts it;
+    # with eps2 just above its 17th step's distance, that step is the
+    # epoch's first small one, where the epoch should have converged
+    summary = json.loads((coupled_dir / "summary.json").read_text())
+    mat = materialize(from_dict(summary["config"]))
+    res, decisions = run_with_decisions(mat.run_config, mat.stream)
+    records = [ev.record() for ev in res.events]
+    steps = [r["seq"] for r in records if "alpha" in r and r["l"] == 7]
+    assert len(steps) == 18
+    moved = dropped_keys(records, decisions, mat.run_config)[steps[16]][
+        "moved"]
+    summary["config"]["tolerances"]["eps2"] = 1.0000001 * moved
+    tampered = tmp_path / "tampered"
+    tampered.mkdir()
+    (tampered / "events.jsonl").write_text(
+        (coupled_dir / "events.jsonl").read_text())
+    (tampered / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    failing = [line for line in captured.out.splitlines() if "FAIL" in line]
+    assert failing == ["stop_rule: FAIL (16 checked, 15 failed)"]
+    assert (f"record {steps[-1]}: CertificatePosted follows certificate "
+            f"{steps[-2]}, its epoch's first step") in captured.err
 
 
 def test_unknown_config_field_is_a_usage_error(tmp_path, capsys):
@@ -788,8 +826,9 @@ def test_custom_config_runs_study2_at_desk_scale(tmp_path):
     assert main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["final"]["n"] == 25
-    assert summary["cover"]["enabled"] is True
-    assert summary["cover"]["final_size"] <= 25
+    # the preset's cover is off by default
+    assert summary["config"]["cover"]["enabled"] is False
+    assert summary["cover"]["final_size"] is None
     assert main(["verify", str(out)]) == 0
 
 
