@@ -24,13 +24,7 @@ from .certificates import (
     revalidate,
 )
 from .cover import Cover
-from .model import (
-    CostModel,
-    DomainError,
-    Tolerances,
-    portfolio_model,
-    quadratic_model,
-)
+from .model import CostModel, Tolerances, quadratic_model
 from .runner import (
     ArrivalQueue,
     CoverConfig,
@@ -71,7 +65,6 @@ __all__ = [
     "Cover",
     "CoverConfig",
     "DataWindow",
-    "DomainError",
     "FixedPeriod",
     "MixtureComponent",
     "MixtureSpec",
@@ -89,7 +82,6 @@ __all__ = [
     "estimate_jstar",
     "generate",
     "point_search",
-    "portfolio_model",
     "quadratic_model",
     "radius",
     "revalidate",

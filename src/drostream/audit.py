@@ -25,7 +25,7 @@ the rest:
   ``[k, j, value]`` entries, and the audit rebuilds the dense plan from
   them and the window's shape (``plan_from_entries``);
 - a step certificate's decision from the certificate before it, on the same
-  window, as the runner stepped: ``scaled_step(model, x_prev,
+  window, as the runner stepped: ``scaled_step(x_prev,
   subgradient(model, x_prev, window, y_prev), alpha)``, one batched
   ``grad_x`` call per step, and the distance the step moved as the 2-norm
   between the two decisions;
@@ -161,13 +161,14 @@ def verify_events(
     or non-numeric field the checks read (time, count, value, decision,
     tolerance, plan), a plan that is not in coordinate form inside its
     window (see ``plan_from_entries``) or not finite, a certificate the
-    model cannot re-price (a decision outside its domain), the run's first
-    certificate without a decision ``x``, a later epoch's first certificate
-    whose previous epoch has no best, a step certificate that has no finite
-    positive ``alpha`` or follows no certificate of its ``n``, a non-finite
-    derived decision, an arrival without a finite point of the model's
-    sample dimension, or a certificate before any arrival. A certificate
-    starts an epoch when its ``l`` differs from the one before.
+    model cannot re-price (a decision so large that its gradients
+    overflow), the run's first certificate without a decision ``x``, a
+    later epoch's first certificate whose previous epoch has no best, a
+    step certificate that has no finite positive ``alpha`` or follows no
+    certificate of its ``n``, a non-finite derived decision, an arrival
+    without a finite point of the model's sample dimension, or a
+    certificate before any arrival. A certificate starts an epoch when its
+    ``l`` differs from the one before.
 
     Given the run's ``tolerances``, the k-th step certificate of an epoch
     must post exactly ``step_length(tolerances, k - 1)`` as its ``alpha``,
@@ -381,7 +382,7 @@ def verify_events(
                     # took it; a huge alpha fails the finite test below
                     g = subgradient(model, prev["x"], prev["window"],
                                     prev["y"])
-                    x = scaled_step(model, prev["x"], g, alpha)
+                    x = scaled_step(prev["x"], g, alpha)
                 if not (np.isfinite(y).all() and np.isfinite(x).all()):
                     fail("structure", f"record {i}: plan or decision not "
                          "finite")
@@ -389,7 +390,7 @@ def verify_events(
                 j = certificate_value(model, x, window, y)
                 _, eta = point_search(_Problem(model, x, window).grads(z),
                                       n * eps, z, n_total=n)
-            except ValueError as exc:  # x outside the model's domain, say
+            except ValueError as exc:  # gradients overflow at a huge x, say
                 fail("structure", f"record {i}: certificate cannot be "
                      f"re-priced: {exc}")
                 continue

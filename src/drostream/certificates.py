@@ -326,19 +326,6 @@ class _QuadraticHull:
         return _hull_point(self._shape, self._ks, self._js, self._vals, gamma)
 
 
-def _empty_result(problem: _Problem, window: DataWindow, radius: float) -> CertificateResult:
-    z = np.zeros((window.size, window.dimension))
-    return CertificateResult(
-        j_eps1=problem.origin_value,
-        z=z,
-        window=window,
-        vertex_set=np.empty((0, 3), dtype=np.intp),
-        gamma=np.array([1.0]),
-        eta=0.0,
-        radius=radius,
-    )
-
-
 _MAX_HULL_ITERS = 2_000_000
 
 
@@ -352,7 +339,10 @@ def generate(
     meter: Optional[Meter] = None,
     warm_grads: Optional[Array] = None,
 ) -> CertificateResult:
-    """eps1-optimal worst-case certificate at decision x.
+    """eps1-optimal worst-case certificate at decision x on the ball of
+    ``radius`` around ``window``. The radius must be positive, as every
+    ball of the confidence schedule is; ``adapt`` and ``revalidate`` then
+    never see a certificate of radius 0.
 
     Alternates the vertex search with away-step Frank-Wolfe over the hull
     of [origin] + discovered vertices, warm-startable from a state on this
@@ -368,8 +358,8 @@ def generate(
     ``warm.z`` for this x and window, as ``revalidate`` returns them;
     the first vertex search then takes them instead of reading them again.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     if eps1 <= 0:
         raise ValueError("eps1 must be positive")
     p, m = window.size, window.dimension
@@ -378,8 +368,6 @@ def generate(
     problem = _Problem(model, x, window)
     if meter is None:
         meter = Meter()
-    if radius == 0.0:
-        return _empty_result(problem, window, radius)
 
     if warm is not None:
         vs = warm.vertex_set
@@ -485,10 +473,6 @@ def adapt(state: WarmState, window: DataWindow, radius: float) -> WarmState:
     if gamma.shape != (1 + len(state.vertex_set),):
         raise ValueError("gamma length must be 1 + len(vertex_set)")
     shape = (window.size, window.dimension)
-    if radius == 0.0:
-        return WarmState(
-            np.empty((0, 3), dtype=np.intp), np.zeros(shape), np.array([1.0])
-        )
     _check_vertex_rows(state.vertex_set, shape, "new window")
     ks, js, signs = state.vertex_set.T
     z = _hull_point(shape, ks, js, signs * (window.n_total * radius), gamma)
@@ -504,12 +488,9 @@ def revalidate(
     The gap is normalised by ``n_total``, like ``generate``'s ``eta``. The
     caller counts that search on its Meter. Also returns the gradients the
     search read, which a refresh hands to ``generate`` as ``warm_grads``.
-    At radius 0 the zero plan is the only one, so it holds with gap 0.
     """
     window = cert.window
     G = _Problem(model, x, window).grads(cert.z)
-    if cert.radius == 0.0:
-        return True, 0.0, G
     _, eta = point_search(G, window.n_total * cert.radius, cert.z,
                           n_total=window.n_total)
     return eta <= eps1, eta, G

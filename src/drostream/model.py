@@ -11,12 +11,12 @@ Every model is quadratic in the sample and declares its constant curvature
 there (``sample_curvature``), which certificate hull ascent relies on. Costs
 concave but not quadratic in the sample, which the underlying theory allows,
 cannot be expressed: this scope is deliberate, and widening it would take a
-second hull solver.
+second hull solver. Decisions are unconstrained: a model is defined for
+every x in R^d.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,10 +25,6 @@ import numpy as np
 Array = np.ndarray
 
 _SYM_TOL = 1e-9
-
-
-class DomainError(ValueError):
-    """Decision outside a model's barrier domain (objective is +inf there)."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +50,6 @@ class CostModel:
         ascent runs in weight space on it without calling the oracles.
         Validated finite, symmetric, (m, m) and negative semidefinite (the
         cost is concave in the sample) at construction.
-    project : callable, optional
-        Maps a decision back into the feasible domain after a step.
     minimizer : callable, optional
         ``minimizer(mu)``, a minimizer of x -> f(x, mu) for a sample mean
         ``mu`` (m,), or None where that has no minimum. Since f is quadratic
@@ -69,7 +63,6 @@ class CostModel:
     grad_x: Callable[[Array, Array], Array]
     grad_y: Callable[[Array, Array, Array], Array]
     sample_curvature: Array
-    project: Optional[Callable[[Array], Array]] = None
     minimizer: Optional[Callable[[Array], Optional[Array]]] = None
 
     def __post_init__(self):
@@ -188,75 +181,3 @@ def quadratic_model(A, B, C) -> CostModel:
 
     return CostModel(d, m, _eval, _grad_x, _grad_y, sample_curvature=CC / 2.0,
                      minimizer=_minimizer)
-
-
-def portfolio_model(rho: float) -> CostModel:
-    """Two-asset allocation cost with a log barrier keeping x in (0, 1).
-
-    f(x, xi) = -xi1 x - xi2 (1 - x) - rho (log x + log(1 - x)) - xi'xi,
-    a scalar decision (d=1) against return-rate pairs (m=2). The extended
-    objective is +inf outside (0, 1); evaluating there raises DomainError
-    (never NaN or a silent overflow). ``project`` clamps iterates back into
-    [1e-6, 1 - 1e-6] so barrier gradients stay finite.
-    """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    delta = 1e-6
-
-    def _x_scalar(x) -> float:
-        x = np.asarray(x, dtype=float)
-        x0 = float(x.reshape(-1)[0]) if x.ndim else float(x)
-        if not 0.0 < x0 < 1.0:
-            raise DomainError(f"decision {x0} outside barrier domain (0, 1)")
-        return x0
-
-    def _eval(x, xi):
-        x0 = _x_scalar(x)
-        xi = np.asarray(xi, dtype=float)
-        bar = -rho * (math.log(x0) + math.log1p(-x0))
-        if xi.ndim == 1:
-            return (
-                -xi[0] * x0 - xi[1] * (1.0 - x0) + bar - float(xi @ xi)
-            )
-        return (
-            -xi[:, 0] * x0
-            - xi[:, 1] * (1.0 - x0)
-            + bar
-            - np.einsum("ni,ni->n", xi, xi)
-        )
-
-    def _grad_x(x, xi):
-        x0 = _x_scalar(x)
-        xi = np.asarray(xi, dtype=float)
-        bar = -rho * (1.0 / x0 - 1.0 / (1.0 - x0))
-        if xi.ndim == 1:
-            return np.array([-xi[0] + xi[1] + bar])
-        return (-xi[:, 0] + xi[:, 1] + bar)[:, None]
-
-    def _grad_y(x, xi, y):
-        # gradient of y -> f(x, xi - y), verified against finite differences
-        x0 = _x_scalar(x)
-        s = np.asarray(xi, dtype=float) - np.asarray(y, dtype=float)
-        if s.ndim == 1:
-            return np.array([x0 + 2.0 * s[0], (1.0 - x0) + 2.0 * s[1]])
-        out = np.empty_like(s)
-        out[:, 0] = x0 + 2.0 * s[:, 0]
-        out[:, 1] = (1.0 - x0) + 2.0 * s[:, 1]
-        return out
-
-    def _project(x):
-        return np.clip(np.asarray(x, dtype=float), delta, 1.0 - delta)
-
-    def _minimizer(mu):
-        # the root in (0, 1) of -c x^2 + (c + 2 rho) x - rho, c = mu2 - mu1,
-        # where the derivative c - rho / x + rho / (1 - x) vanishes; of its
-        # two equal forms, take the one whose sum cancels no digits
-        c = float(mu[1] - mu[0])
-        b, root_d = c + 2.0 * rho, math.hypot(c, 2.0 * rho)
-        root = 2.0 * rho / (b + root_d) if b >= 0 else (b - root_d) / (2.0 * c)
-        return _project(np.array([root]))
-
-    return CostModel(
-        1, 2, _eval, _grad_x, _grad_y, project=_project,
-        sample_curvature=-np.eye(2), minimizer=_minimizer,
-    )

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .ambiguity import ConcentrationParams, study_schedule
-from .model import CostModel, Tolerances, portfolio_model, quadratic_model
+from .model import CostModel, Tolerances, quadratic_model
 from .runner import CoverConfig, RunConfig
 from .stream import (
     FixedPeriod,
@@ -241,14 +241,11 @@ def build_model(spec: dict) -> CostModel:
     kind = _kind(spec, "model", {
         "quadratic": ("a", "b", "c"),
         "quadratic_seeded": ("matrix_seed", "d", "m"),
-        "portfolio": ("rho",),
     })
     with _built_at("model"):
         if kind == "quadratic":
             return quadratic_model(
                 *(_array(spec[k], f"model.{k}") for k in ("a", "b", "c")))
-        if kind == "portfolio":
-            return portfolio_model(_number(spec["rho"], "model.rho"))
         seed = _integer(spec["matrix_seed"], "model.matrix_seed", 0)
         d = _integer(spec["d"], "model.d", 1)
         m = _integer(spec["m"], "model.m", 1)

@@ -336,8 +336,6 @@ def run(
         if config.x0 is None
         else np.asarray(config.x0, dtype=float).reshape(-1).copy()
     )
-    if model.project is not None:
-        x = model.project(x)
     warm: Optional[WarmState] = None
 
     # each epoch ingests what is due, jumping the clock to the next arrival
@@ -372,7 +370,7 @@ def run(
         while True:
             alpha = step_length(tol, totals.steps - first)
             g = subgradient(model, x, cert.window, cert.y_eps1)
-            x_new = scaled_step(model, x, g, alpha)
+            x_new = scaled_step(x, g, alpha)
             totals.steps += 1
             meter.step()
             mark = meter.counts()

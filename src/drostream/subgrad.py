@@ -46,15 +46,13 @@ def subgradient(model, x: Array, window: DataWindow, y: Array) -> Array:
     return (window.theta / window.n_total) @ grads.reshape(window.size, -1)
 
 
-def scaled_step(model, x: Array, g: Array, alpha: float) -> Array:
+def scaled_step(x: Array, g: Array, alpha: float) -> Array:
     """Move against g with length alpha in the 1-norm, normalizing only
-    gradients whose 1-norm exceeds one."""
+    gradients whose 1-norm exceeds one. Decisions are unconstrained, so
+    the step is the new decision as it stands."""
     g = np.asarray(g, dtype=float)
     size = float(np.abs(g).sum())
-    x_new = np.asarray(x, dtype=float) - alpha * g / max(size, 1.0)
-    if model.project is not None:
-        x_new = model.project(x_new)
-    return x_new
+    return np.asarray(x, dtype=float) - alpha * g / max(size, 1.0)
 
 
 @dataclass

@@ -18,7 +18,7 @@ def rng():
     return np.random.default_rng(20260816)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def src_env():
     """Environment for a child interpreter importing this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -51,13 +51,14 @@ def test_single_atom_moves_toward_origin():
                                                      abs=1e-6)
 
 
-def test_zero_radius_gives_sample_average():
+def test_generate_rejects_a_radius_that_is_not_positive():
+    # every ball of the confidence schedule has a positive radius, so no
+    # certificate, reused or adapted, can have radius 0
     model = scalar_model()
     win = DataWindow.plain(np.array([[2.0], [-1.0], [0.5]]))
-    cert = generate(model, np.array([1.0]), win, 0.0, EPS1)
-    want = float(np.mean([1 - 4, 1 - 1, 1 - 0.25]))
-    assert cert.j_eps1 == pytest.approx(want, abs=1e-12)
-    assert np.all(cert.y_eps1 == 0)
+    for radius in (0.0, -0.5):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            generate(model, np.array([1.0]), win, radius, EPS1)
 
 
 def test_budget_spent_on_larger_magnitude_atom():

@@ -769,28 +769,39 @@ def test_to_dict_leaves_the_presets_alone():
     assert fresh.tolerances["eps1"] == 1e-5
 
 
-# removed config keys, a nested one by its dotted path, and an old value
+# removed config keys, a nested one by its dotted path, and an old value;
+# ``model.kind`` is kept, but its old value "portfolio" is removed
 REMOVED_KEYS = {"step_norm": "l1", "stop_rule": "step", "n_validation": 4000,
                 "step_rule": "harmonic", "schedule": "study",
-                "cover.metric": "l2"}
+                "cover.metric": "l2", "model.kind": "portfolio"}
 
 
 def put_removed_key(config, key):
-    """Set the removed ``key`` in ``config``; returns the error naming it."""
+    """Set the removed ``key``, or a kept key's removed value, in
+    ``config``; returns the error naming it."""
     *sections, name = key.split(".")
     for section in sections:
         config = config[section]
+    kept = name in config
     config[name] = REMOVED_KEYS[key]
+    if kept:
+        return f"{key}: unknown {sections[-1]} {name} {REMOVED_KEYS[key]!r}"
     return f"{'.'.join(sections) or '<root>'}: unknown fields ['{name}']"
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
-def test_a_config_with_a_removed_key_is_rejected(key):
+def test_a_config_with_a_removed_key_is_rejected(key, tmp_path, capsys):
     data = study1().to_dict()
     message = put_removed_key(data, key)
     with pytest.raises(ConfigError) as info:
         from_dict(data)
     assert str(info.value) == message
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path), "--out-dir",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -801,10 +812,12 @@ def test_verify_rejects_a_run_directory_with_a_removed_key(run_dir, tmp_path,
     summary = json.loads((run_dir / "summary.json").read_text())
     message = put_removed_key(summary["config"], key)
     (old / "summary.json").write_text(json.dumps(summary))
-    (old / "events.jsonl").write_text((run_dir / "events.jsonl").read_text())
-    capsys.readouterr()
-    assert main(["verify", str(old)]) == 2
-    assert message in capsys.readouterr().err
+    for name in ("events.jsonl", "stream.jsonl"):
+        (old / name).write_text((run_dir / name).read_text())
+    for command in ("verify", "replay"):
+        capsys.readouterr()
+        assert main([command, str(old)]) == 2
+        assert capsys.readouterr().err == f"bad run directory: {message}\n"
 
 
 def test_a_config_with_a_fixed_x0_is_rejected():

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drostream.model import (
-    CostModel,
-    DomainError,
-    Tolerances,
-    portfolio_model,
-    quadratic_model,
-)
-
-from oracles import golden_min
+from drostream.model import CostModel, Tolerances, quadratic_model
 
 
 def central_diff(f, z, i, h=1e-6):
@@ -78,24 +70,18 @@ def test_quadratic_matches_triple_loop():
         assert model.eval(x, xi) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("which", ["quadratic", "portfolio"])
+@pytest.mark.parametrize("which", ["quadratic"])
 def test_gradients_agree_with_finite_differences(which):
     rng = np.random.default_rng(17)
-    if which == "quadratic":
-        d, m = 2, 3
-        A = rng.normal(size=(d, d))
-        A = A @ A.T
-        B = rng.normal(size=(d, m))
-        Craw = rng.normal(size=(m, m))
-        C = -(Craw @ Craw.T) - 0.2 * np.eye(m)
-        model = quadratic_model(A, B, C)
-        draw_x = lambda: rng.normal(size=d)
-    else:
-        d, m = 1, 2
-        model = portfolio_model(1.0)
-        draw_x = lambda: np.array([rng.uniform(0.05, 0.95)])
+    d, m = 2, 3
+    A = rng.normal(size=(d, d))
+    A = A @ A.T
+    B = rng.normal(size=(d, m))
+    Craw = rng.normal(size=(m, m))
+    C = -(Craw @ Craw.T) - 0.2 * np.eye(m)
+    model = quadratic_model(A, B, C)
     for _ in range(100):
-        x = draw_x()
+        x = rng.normal(size=d)
         xi = rng.normal(size=m)
         y = rng.normal(size=m) * 0.3
         gx = np.asarray(model.grad_x(x, xi), dtype=float).reshape(-1)
@@ -108,22 +94,19 @@ def test_gradients_agree_with_finite_differences(which):
             assert gy[j] == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
-@pytest.mark.parametrize("which", ["study1", "study2", "portfolio"])
+@pytest.mark.parametrize("which", ["study1", "study2"])
 def test_sample_curvature_matches_grad_y(which):
     # grad_y(x, xi, y) - grad_y(x, xi, 0) == 2 C y for the declared C
     rng = np.random.default_rng(29)
     if which == "study1":
         model = quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3))
         draw_x = lambda: rng.normal(size=1)
-    elif which == "study2":
+    else:
         # a small study2: off-diagonal curvature C = -(H'H + I)
         G = rng.normal(size=(4, 4))
         H = rng.normal(size=(5, 5))
         model = quadratic_model(G.T @ G, rng.normal(size=(4, 5)), -(H.T @ H + np.eye(5)))
         draw_x = lambda: rng.normal(size=4)
-    else:
-        model = portfolio_model(0.5)
-        draw_x = lambda: np.array([rng.uniform(0.05, 0.95)])
     C = model.sample_curvature
     m = model.dimension_m
     assert C.shape == (m, m)
@@ -160,65 +143,13 @@ def test_a_model_declares_a_negative_semidefinite_sample_curvature():
 
 def test_midpoint_concavity_in_sample():
     rng = np.random.default_rng(23)
-    m = quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3))
-    p = portfolio_model(0.5)
-    for model, dim, xs in ((m, 3, np.array([0.7])), (p, 2, np.array([0.4]))):
-        for _ in range(50):
-            a = rng.normal(size=dim) * 2
-            b = rng.normal(size=dim) * 2
-            mid = model.eval(xs, (a + b) / 2)
-            assert mid >= (model.eval(xs, a) + model.eval(xs, b)) / 2 - 1e-9
-
-
-def test_portfolio_hand_value():
-    model = portfolio_model(1.0)
-    v = model.eval(np.array([0.5]), np.array([0.0, 0.0]))
-    assert v == pytest.approx(2 * np.log(2))
-
-
-def test_portfolio_domain_errors():
-    model = portfolio_model(1.0)
-    with pytest.raises(DomainError):
-        model.eval(np.array([0.0]), np.array([0.0, 0.0]))
-    with pytest.raises(DomainError):
-        model.eval(np.array([1.0]), np.array([0.0, 0.0]))
-
-
-def test_portfolio_grad_y_against_displayed_formula():
-    # the hand formula for the first component, x + 2(xi1 + xi2 - y1 - y2),
-    # mixes both coordinates; direct differentiation of the cost gives a
-    # per-coordinate derivative x + 2(xi1 - y1), which finite differences
-    # confirm, so the oracle follows the per-coordinate form
-    model = portfolio_model(1.0)
-    x = np.array([0.3])
-    xi = np.array([1.0, -0.5])
-    y = np.array([0.2, 0.1])
-    g = np.asarray(model.grad_y(x, xi, y), dtype=float).reshape(-1)
-    assert g[0] == pytest.approx(0.3 + 2 * (xi[0] - y[0]))
-    assert g[1] == pytest.approx((1 - 0.3) + 2 * (xi[1] - y[1]))
-    mixed_first = 0.3 + 2 * (xi[0] + xi[1] - y[0] - y[1])
-    assert g[0] != pytest.approx(mixed_first)
-
-
-def test_portfolio_project_clamps():
-    model = portfolio_model(1.0)
-    assert model.project is not None
-    lo = model.project(np.array([-3.0]))[0]
-    hi = model.project(np.array([7.0]))[0]
-    assert 0 < lo < 1e-3
-    assert 1 - 1e-3 < hi < 1
-
-
-@pytest.mark.parametrize("rho", [0.05, 1.0])
-@pytest.mark.parametrize("mu", [[0.0, 0.0], [1.0, -2.0], [-3.0, 0.5],
-                                [40.0, -40.0], [-400.0, 400.0]])
-def test_portfolio_minimizer_matches_golden_section(rho, mu):
-    # both forms of the root: mu2 - mu1 + 2 rho below zero and above it
-    model = portfolio_model(rho)
-    mu = np.array(mu)
-    want, _ = golden_min(lambda z: model.eval(np.array([z]), mu),
-                         1e-9, 1.0 - 1e-9, xtol=1e-12)
-    assert model.minimizer(mu) == pytest.approx([want], abs=1e-7)
+    model = quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3))
+    xs = np.array([0.7])
+    for _ in range(50):
+        a = rng.normal(size=3) * 2
+        b = rng.normal(size=3) * 2
+        mid = model.eval(xs, (a + b) / 2)
+        assert mid >= (model.eval(xs, a) + model.eval(xs, b)) / 2 - 1e-9
 
 
 def test_quadratic_minimizer_with_a_singular_A():

@@ -15,7 +15,7 @@ from drostream import certificates, presets, simplex
 from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
 from drostream.certificates import plan_from_entries
-from drostream.model import Tolerances, portfolio_model, quadratic_model
+from drostream.model import Tolerances, quadratic_model
 from drostream.runner import EVENT_KINDS, CoverConfig, RunConfig, Samples, run
 from drostream.stream import SamplePoint
 
@@ -1100,19 +1100,24 @@ def test_a_changed_step_field_never_audits_ok(field, pick, edit):
     assert not full_audit(cfg, records)[0].ok
 
 
-def test_the_audit_reports_a_decision_outside_the_models_domain():
-    # the barrier model raises on a decision outside (0, 1); re-pricing a
-    # certificate that posts one is a structure failure, not a raise
-    cfg = make_config(portfolio_model(0.1), 3, x0=np.array([0.5]))
-    res = run(cfg, stream([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]))
+def test_the_audit_reports_a_decision_it_cannot_re_price():
+    # at a decision of 1e308 the gradients b x overflow, so the vertex search
+    # raises on them; re-pricing a certificate that posts one is a
+    # structure failure, not a raise
+    model = quadratic_model([[1.0]], [[3.0, 0.0, 0.0]], -np.eye(3))
+    cfg = make_config(model, 3)
+    res = run(cfg, stream([[0.1, 0.2, 0.0], [0.3, -0.1, 0.5],
+                           [0.0, 0.4, -0.2]]))
     records = [ev.record() for ev in res.events]
     assert audit(cfg, records).ok
     seq = next(r["seq"] for r in records if r["kind"] == "CertificatePosted")
-    records[seq]["x"] = [2.0]
+    records[seq]["x"] = [1e308]
     report = audit(cfg, records)
     assert not report.ok
-    assert any(f.startswith(f"record {seq}: certificate cannot be re-priced")
-               for f in report.failures), report.failures
+    assert (f"record {seq}: certificate cannot be re-priced: gradients must "
+            "be finite") in report.failures, report.failures
+    structure = next(c for c in report.checks if c.name == "structure")
+    assert structure.failures >= 1
 
 
 def run_to_the_robust_optimum(b, seed, n0, budget):
