@@ -113,9 +113,14 @@ class Meter:
     iteration, each ``unit`` long; ``rate`` units make one period. The
     runner sets ``unit`` to the active window's size times its dimension,
     so compressed windows advance the clock slower, and ``deadline`` after
-    each ingest. ``search`` counts and charges one vertex search; the ascent
-    charges its own iterations and its caller counts them. The defaults
-    serve callers that only count, and never fall due."""
+    each ingest. ``search`` counts and charges one vertex search. The hull
+    ascent takes the meter itself: it reads ``t``, ``unit``, ``rate`` and
+    ``deadline`` once, keeps the time in a local float that it advances as
+    ``charge(1)`` would after each iteration, polls the deadline as ``due``
+    does every 32 iterations, and writes ``t`` back on every exit, so ``t``
+    stays bitwise that of one ``charge(1)`` per iteration; its caller counts
+    the iterations. No solver changes ``unit`` or ``deadline`` mid-ascent.
+    The defaults serve callers that only count, and never fall due."""
 
     def __init__(self, rate: float = 1.0):
         if rate <= 0:
@@ -423,7 +428,7 @@ def generate(
         hull = _QuadraticHull(problem, vs, scale)
         res = afwa_maximize(
             hull.v0, hull.lin, hull.H, eps1, c,
-            max_iters=_MAX_HULL_ITERS, interrupt=meter.due, tick=meter.charge,
+            max_iters=_MAX_HULL_ITERS, meter=meter,
         )
         meter.afwa_iters += res.iterations
         c = res.weights

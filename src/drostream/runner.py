@@ -4,14 +4,16 @@ Work is metered in solver cost units (one per vertex search, hull iteration,
 or decision step) and converted to virtual time through a per-period budget,
 so arrivals land mid-computation exactly as they would against a wall clock.
 A ``certificates.Meter`` counts that work and keeps the virtual time. Its
-deadline is the next arrival, polled between solver rounds; due points
-interrupt the current certificate, the partial state adapts to the grown
-window, and a new epoch begins from the best decision found so far. ``run``
-is one loop over epochs: each ingests what is due (jumping the clock to the
-next arrival after a converged epoch), certifies, and steps until it
-converges or arrivals are due. An epoch converges at its first step that
-moves less than eps2; the run terminates when an epoch converges with the
-queue empty.
+deadline is the next arrival, polled between solver rounds and every 32
+hull iterations. The hull ascent keeps the time in a local float and writes
+it back when it returns, bitwise as if each iteration were charged on the
+meter. Due points interrupt the current certificate, the partial state
+adapts to the grown window, and a new epoch begins from the best decision
+found so far. ``run`` is one loop over epochs: each ingests what is due
+(jumping the clock to the next arrival after a converged epoch), certifies,
+and steps until it converges or arrivals are due. An epoch converges at its
+first step that moves less than eps2; the run terminates when an epoch
+converges with the queue empty.
 
 Every state change is posted as an event. A record writes a key only
 when its value is not null and cannot be derived from earlier records and

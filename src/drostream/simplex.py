@@ -100,17 +100,6 @@ class AfwaResult:
     interrupted: bool = False
 
 
-def _normalize_start(start: Sequence[float]) -> Array:
-    g = np.asarray(start, dtype=float).copy()
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("start must be a nonempty vector")
-    # written so that a NaN weight fails it too
-    if not (g.min() >= -1e-12 and abs(g.sum() - 1.0) <= 1e-9):
-        raise ValueError("start weights must lie on the unit simplex")
-    g[g < 0] = 0.0
-    return g / g.sum()
-
-
 def afwa_maximize(
     v0: float,
     lin: Array,
@@ -118,8 +107,7 @@ def afwa_maximize(
     eps: float,
     start: Sequence[float],
     max_iters: int = 1_000_000,
-    interrupt=None,
-    tick=None,
+    meter=None,
 ) -> AfwaResult:
     """Away-step Frank-Wolfe ascent of v0 + lin'gamma + gamma'H gamma / 2
     over the unit simplex; ``H`` must be symmetric negative semidefinite.
@@ -135,12 +123,19 @@ def afwa_maximize(
     per iteration gives the exact step t from d'H d and carries them along
     it, as g + t H d and val + t g'd + t^2 d'H d / 2; a gap at or below
     ``eps`` is confirmed on a fresh gradient before it is returned, so
-    carried roundoff never decides convergence. The weights and gradient
-    are the two rows of one array and d and H d the rows of another, so a
-    step moves both with one scale and one add. A non-finite value or
+    carried roundoff never decides convergence. A non-finite value or
     gradient, at the start or after any step, raises SolverError; a value
     that falls raises ConcavityError. Iteration exhaustion returns
     ``converged=False`` rather than raising so callers can flag it.
+
+    The weights and gradient are the rows of one zeroed (2, 8 ceil(V/8))
+    array, cut to their first V entries, and d and H d the rows of another,
+    so a step moves both with one scale and one add over the whole arrays;
+    the padding stays 0.0 under both. Each row starts a multiple of 64
+    bytes into its array, where a fresh array would start: under some BLAS
+    kernels a vector dot product rounds differently with its operands'
+    placement in memory, and so these rows take the same products as fresh
+    arrays do.
 
     When every nonzero of ``H`` lies on its diagonal (checked once per
     call), each step's H d is the diagonal times d elementwise, O(V)
@@ -152,13 +147,17 @@ def afwa_maximize(
     so for ``eps`` >= 0 the weights, value, gap and iteration count are
     the dense product's bit for bit.
 
-    ``tick`` is called with 1 after each iteration (cost accounting);
-    ``interrupt`` is polled every 32 iterations and, when it fires, the
-    current (feasible, no worse than start) weights are returned with
-    ``interrupted=True``.
+    ``meter`` (a ``certificates.Meter``, or None for no clock) is charged
+    one cost unit per iteration, and its deadline is polled every 32
+    iterations; when it is due, the current (feasible, no worse than start)
+    weights are returned with ``interrupted=True``. The ascent reads the
+    meter's time, unit, rate and deadline once and keeps the time in a
+    local float, adding one unit's length after each iteration as
+    ``Meter.charge(1)`` would, so the time is bitwise that of those calls.
+    It writes the time back on every exit, a raised error included.
 
-    The weights are renormalized at every 32nd iteration (where
-    ``interrupt`` is polled, whether or not one is given), before the
+    The weights are renormalized at every 32nd iteration (where the
+    deadline is polled, whether or not there is a meter), before the
     fresh-gradient confirmation and before an exhausted return, not after
     each step. Steps and the clamp of weights below 1e-15 move their sum off
     1 only by roundoff, so between renormalizations it drifts by at most
@@ -180,113 +179,146 @@ def afwa_maximize(
     and masks after every step (``afwa_quadratic_reference`` in the
     tests).
     """
-    start = _normalize_start(start)
-    state = np.empty((2, start.size))
-    gamma, g = state
-    gamma[:] = start
+    w = np.asarray(start, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("start must be a nonempty vector")
+    least, total = w.min(), w.sum()
+    # written so that a NaN weight fails it too
+    if not (least >= -1e-12 and abs(total - 1.0) <= 1e-9):
+        raise ValueError("start weights must lie on the unit simplex")
+    if least < 0:
+        w = np.where(w < 0, 0.0, w)
+        total = w.sum()
+    V = w.size
+    width = -(-V // 8) * 8
+    state = np.zeros((2, width))
+    gamma, g = state[:, :V]
+    np.divide(w, total, gamma)
     lin = np.asarray(lin, dtype=float)
     H = np.asarray(H, dtype=float)
     val = float(v0 + float(lin @ gamma) + 0.5 * float(gamma @ H @ gamma))
     if not math.isfinite(val):
         raise SolverError("objective returned a non-finite value")
-    np.dot(H, gamma, out=g)
+    np.dot(H, gamma, g)
     g += lin
-    step = np.empty_like(state)
-    d, Hd = step
+    step = np.zeros((2, width))
+    d, Hd = step[:, :V]
     # a diagonal H is applied elementwise, with the dense product's values
-    if np.count_nonzero(H) == np.count_nonzero(H.diagonal()):
-        prod, mat = np.multiply, H.diagonal().copy()
+    diag = H.diagonal()
+    if np.count_nonzero(H) == np.count_nonzero(diag):
+        prod, mat = np.multiply, diag.copy()
     else:
         prod, mat = np.dot, H
     # pen is 0.0 on the active weights and inf off them, so the away search
     # is the argmin of g + pen; floor is a lower bound on the active weights,
     # and 0.0 makes the first step clamp
     pen = np.where(gamma > 0, 0.0, np.inf)
-    buf = np.empty_like(gamma)
+    buf = np.empty(V)
     floor = 0.0
     gap_fw = math.inf
-    for it in range(max_iters):
-        if it and not it % 32:
-            gamma /= np.add.reduce(gamma)
-            floor = float(np.add(gamma, pen, out=buf).min())
-            if interrupt is not None and interrupt():
-                return AfwaResult(gamma, val, it, gap_fw, False, interrupted=True)
-        s = int(g.argmax())
-        avg = float(g.dot(gamma))
-        gap_fw = g.item(s) - avg
-        if gap_fw <= eps:
-            gamma /= np.add.reduce(gamma)
-            floor = float(np.add(gamma, pen, out=buf).min())
-            np.dot(H, gamma, out=g)
-            g += lin
-            s = int(g.argmax())
-            avg = float(g.dot(gamma))
-            gap_fw = g.item(s) - avg
-        # a non-finite entry of g reaches g[s] or avg, so the gap shows it
-        if not math.isfinite(gap_fw):
-            raise SolverError("objective returned a non-finite gradient")
-        if gap_fw <= eps:
-            return AfwaResult(gamma, val, it, gap_fw, True)
+    if meter is None:
+        clock, cost, deadline = 0.0, 0.0, math.inf
+    else:
+        # cost is the length Meter.charge(1) adds, computed as it computes it
+        clock, cost = meter.t, 1 * meter.unit / meter.rate
+        deadline = meter.deadline
+    add, multiply, negative = np.add, np.multiply, np.negative
+    add_reduce = np.add.reduce
+    g_argmax, g_dot, g_item = g.argmax, g.dot, g.item
+    gamma_item, d_dot = gamma.item, d.dot
+    try:
+        for it in range(max_iters):
+            if it and not it % 32:
+                gamma /= add_reduce(gamma)
+                floor = float(add(gamma, pen, buf).min())
+                if clock >= deadline:
+                    return AfwaResult(gamma, val, it, gap_fw, False,
+                                      interrupted=True)
+            s = g_argmax()
+            avg = float(g_dot(gamma))
+            gap_fw = g_item(s) - avg
+            if gap_fw <= eps:
+                gamma /= add_reduce(gamma)
+                floor = float(add(gamma, pen, buf).min())
+                np.dot(H, gamma, g)
+                g += lin
+                s = g_argmax()
+                avg = float(g_dot(gamma))
+                gap_fw = g_item(s) - avg
+            # a non-finite entry of g reaches g[s] or avg, so the gap shows it
+            if not math.isfinite(gap_fw):
+                raise SolverError("objective returned a non-finite gradient")
+            if gap_fw <= eps:
+                return AfwaResult(gamma, val, it, gap_fw, True)
 
-        v = int(np.add(g, pen, out=buf).argmin())
-        gap_away = avg - g.item(v)
-        gamma_v = gamma.item(v)
-        if gap_fw >= gap_away or gamma_v >= 1.0 - 1e-15:
-            np.negative(gamma, out=d)
-            d[s] += 1.0
-            t_max, deriv0, away = 1.0, gap_fw, False
-        else:
-            d[:] = gamma
-            d[v] -= 1.0
-            t_max, deriv0, away = gamma_v / (1.0 - gamma_v), gap_away, True
-
-        prod(mat, d, out=Hd)
-        curv = float(d.dot(Hd))
-        if curv >= -1e-14 * (1.0 + abs(deriv0)):
-            t = t_max
-        else:
-            t = min(t_max, deriv0 / (-curv))
-        step *= t
-        state += step
-        # keep floor a lower bound on the active weights: an away step only
-        # grows those but v, and a toward step shrinks each by a factor of
-        # at least (1 - t) - 1e-15 after rounding; clamp only when the exact
-        # minimum is below 1e-15, or after the first step
-        if away:
-            if t >= t_max * (1.0 - 1e-12):
-                gamma[v] = 0.0
-                pen[v] = math.inf
+            v = add(g, pen, buf).argmin()
+            gap_away = avg - g_item(v)
+            gamma_v = gamma_item(v)
+            if gap_fw >= gap_away or gamma_v >= 1.0 - 1e-15:
+                negative(gamma, d)
+                d[s] = 1.0 - gamma_item(s)
+                t_max, deriv0, away = 1.0, gap_fw, False
             else:
-                floor = min(floor, gamma.item(v))
-        elif t >= 1.0 - 1e-12:
-            gamma[:] = 0.0
-            gamma[s] = 1.0
-            pen.fill(math.inf)
-            pen[s] = 0.0
-            floor = 1.0
-        else:
-            pen[s] = 0.0
-            floor = min(floor * ((1.0 - t) - 1e-15), gamma.item(s))
-        if floor < 1e-15:
-            floor = float(np.add(gamma, pen, out=buf).min())
-            if floor < 1e-15 or not it:
-                low = gamma < 1e-15
-                gamma[low] = 0.0
-                pen = np.where(low, math.inf, 0.0)
-                floor = float(np.add(gamma, pen, out=buf).min())
+                d[:] = gamma
+                d[v] = gamma_v - 1.0
+                t_max, deriv0, away = gamma_v / (1.0 - gamma_v), gap_away, True
 
-        new_val = val + t * deriv0 + 0.5 * t * t * curv
-        if not math.isfinite(new_val):
-            raise SolverError(
-                f"objective returned a non-finite value after iteration {it}")
-        if new_val < val - 1e-9 * (1.0 + abs(val)):
-            raise ConcavityError(
-                "exact-line-search ascent decreased the objective "
-                f"({val:.12g} -> {new_val:.12g}); the restricted objective "
-                "is not concave"
-            )
-        val = new_val
-        if tick is not None:
-            tick(1)
-    gamma /= np.add.reduce(gamma)
-    return AfwaResult(gamma, val, max_iters, gap_fw, False)
+            prod(mat, d, Hd)
+            curv = float(d_dot(Hd))
+            if curv >= -1e-14 * (1.0 + abs(deriv0)):
+                t = t_max
+            else:
+                t = deriv0 / -curv
+                if not t < t_max:
+                    t = t_max
+            multiply(step, t, step)
+            add(state, step, state)
+            # keep floor a lower bound on the active weights: an away step
+            # only grows those but v, and a toward step shrinks each by a
+            # factor of at least (1 - t) - 1e-15 after rounding; clamp only
+            # when the exact minimum is below 1e-15, or after the first step
+            if away:
+                if t >= t_max * (1.0 - 1e-12):
+                    gamma[v] = 0.0
+                    pen[v] = math.inf
+                else:
+                    weight = gamma_item(v)
+                    if weight < floor:
+                        floor = weight
+            elif t >= 1.0 - 1e-12:
+                gamma[:] = 0.0
+                gamma[s] = 1.0
+                pen.fill(math.inf)
+                pen[s] = 0.0
+                floor = 1.0
+            else:
+                pen[s] = 0.0
+                floor *= (1.0 - t) - 1e-15
+                weight = gamma_item(s)
+                if weight < floor:
+                    floor = weight
+            if floor < 1e-15:
+                floor = float(add(gamma, pen, buf).min())
+                if floor < 1e-15 or not it:
+                    low = gamma < 1e-15
+                    gamma[low] = 0.0
+                    pen = np.where(low, math.inf, 0.0)
+                    floor = float(add(gamma, pen, buf).min())
+
+            new_val = val + t * deriv0 + 0.5 * t * t * curv
+            if not math.isfinite(new_val):
+                raise SolverError(
+                    f"objective returned a non-finite value after iteration {it}")
+            if new_val < val - 1e-9 * (1.0 + abs(val)):
+                raise ConcavityError(
+                    "exact-line-search ascent decreased the objective "
+                    f"({val:.12g} -> {new_val:.12g}); the restricted objective "
+                    "is not concave"
+                )
+            val = new_val
+            clock += cost
+        gamma /= add_reduce(gamma)
+        return AfwaResult(gamma, val, max_iters, gap_fw, False)
+    finally:
+        if meter is not None:
+            meter.t = clock

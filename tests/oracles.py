@@ -393,8 +393,11 @@ def afwa_reference(objective, eps, start, max_iters=1_000_000,
 
 
 def afwa_quadratic_reference(v0, lin, H, eps, start, max_iters=1_000_000,
-                             interrupt=None, tick=None):
+                             meter=None):
     """``afwa_reference`` on v0 + lin . gamma + gamma'H gamma / 2, called as
-    ``drostream.simplex.afwa_maximize`` is."""
+    ``drostream.simplex.afwa_maximize`` is: ``meter.charge(1)`` after each
+    iteration and ``meter.due()`` at each poll."""
     return afwa_reference(QuadraticWeights(v0, lin, H), eps, start,
-                          max_iters=max_iters, interrupt=interrupt, tick=tick)
+                          max_iters=max_iters,
+                          interrupt=None if meter is None else meter.due,
+                          tick=None if meter is None else meter.charge)

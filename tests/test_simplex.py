@@ -1,10 +1,13 @@
 """Vertex search and away-step Frank-Wolfe against hand and brute answers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drostream.certificates import Meter
 from drostream.simplex import SolverError, afwa_maximize, point_search
 
 from oracles import afwa_quadratic_reference
@@ -134,29 +137,80 @@ def test_afwa_exhaustion_flagged():
     assert res.iterations == 1
 
 
+def slow_problem():
+    """An ill-conditioned hull that takes 138 iterations, more than four
+    polls of 32, to solve to 1e-13, and its uniform start."""
+    rng = np.random.default_rng(7)
+    problem = quad(rng.normal(size=16) * 0.8, np.geomspace(1.0, 200.0, 16))
+    return problem, np.ones(16) / 16
+
+
+def meter_at(t, unit=0.3, rate=0.7, deadline=math.inf):
+    """A meter at time ``t`` whose unit and rate make each charge inexact."""
+    meter = Meter(rate)
+    meter.unit, meter.t, meter.deadline = unit, t, deadline
+    return meter
+
+
+def charged(meter, iterations):
+    """``meter``'s time after ``iterations`` sequential ``charge(1)`` calls."""
+    for _ in range(iterations):
+        meter.charge(1)
+    return meter.t
+
+
 def test_afwa_interrupt_returns_feasible_state():
     # the poll runs every 32 iterations, so use a slow ill-conditioned solve
-    rng = np.random.default_rng(41)
-    problem = quad(rng.normal(size=10) * 0.8, np.geomspace(1.0, 60.0, 10))
-    start = np.ones(10) / 10
+    problem, start = slow_problem()
     full = afwa_maximize(*problem, 1e-13, start)
     assert full.iterations > 32  # otherwise the fixture is too easy
-    res = afwa_maximize(*problem, 1e-13, start, interrupt=lambda: True)
+    res = afwa_maximize(*problem, 1e-13, start, meter=meter_at(0.0, deadline=0.0))
     assert res.interrupted
     assert not res.converged
-    assert res.iterations < full.iterations
+    assert res.iterations == 32
     assert res.weights.min() >= -1e-12
     assert res.weights.sum() == pytest.approx(1.0, abs=1e-9)
     assert res.value >= value(problem, start) - 1e-12
 
 
-def test_afwa_tick_counts_iterations():
-    calls = []
-    res = afwa_maximize(
-        *quad([0.5, 0.5], [1.0, 1.0]), 1e-10, [1.0, 0.0],
-        tick=lambda u: calls.append(u),
-    )
-    assert len(calls) == res.iterations
+@pytest.mark.parametrize("max_iters", [1, 45, 1_000_000],
+                         ids=["exhausted-1", "exhausted-45", "converged"])
+def test_afwa_meter_time_is_one_charge_per_iteration(max_iters):
+    # exhausted, or converged after more than two polls: the time written
+    # back is bitwise that of one charge(1) per iteration done
+    problem, start = slow_problem()
+    meter = meter_at(5.0)
+    res = afwa_maximize(*problem, 1e-13, start, max_iters=max_iters,
+                        meter=meter)
+    assert res.converged == (max_iters > 45)
+    assert res.iterations == min(max_iters, 138)
+    assert _bits(meter.t) == _bits(charged(meter_at(5.0), res.iterations))
+
+
+def test_afwa_deadline_between_polls_interrupts_at_the_later_poll():
+    # due after 40 iterations: the poll at 32 misses it, the one at 64 sees it
+    problem, start = slow_problem()
+    deadline = charged(meter_at(5.0), 40)
+    got, want = meter_at(5.0, deadline=deadline), meter_at(5.0, deadline=deadline)
+    res = afwa_maximize(*problem, 1e-13, start, meter=got)
+    ref = afwa_quadratic_reference(*problem, 1e-13, start, meter=want)
+    assert res.interrupted and ref.interrupted
+    assert res.iterations == ref.iterations == 64
+    assert _bits(got.t) == _bits(want.t) == _bits(charged(meter_at(5.0), 64))
+
+
+def test_afwa_writes_the_meter_time_back_when_it_raises():
+    # the first step is a full toward step; the second one's curvature
+    # overflows to -inf, so the value after it is NaN
+    problem = (0.0, [0.0, 1e308, 1e308], np.diag([0.0, -1e308, -1e308]), 1e-9,
+               [1.0, 0.0, 0.0])
+    got, want = meter_at(5.0), meter_at(5.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(SolverError, match="value after iteration 1"):
+            afwa_maximize(*problem, meter=got)
+        with pytest.raises(SolverError, match="value after iteration 1"):
+            afwa_quadratic_reference(*problem, meter=want)
+    assert _bits(got.t) == _bits(want.t) == _bits(charged(meter_at(5.0), 1))
 
 
 def test_afwa_rejects_a_non_finite_value_after_a_step():
@@ -206,8 +260,9 @@ def test_afwa_rejects_a_nan_start_weight(start):
 def hulls(draw, sparse=False):
     """A certificate-like hull: H block-diagonal negative semidefinite with a
     zero origin row and column, random lin, start and eps, half of the time
-    an interrupt that fires at a random poll, and an iteration cap that
-    some runs exhaust.
+    a meter deadline that falls between two polls, and an iteration cap that
+    some runs exhaust. V runs up to 128, past the largest hulls of the
+    benchmark streams, so every row length mod 8 is drawn.
 
     The blocks are random of size 1 to 4, or all of size 1 (a diagonal H,
     which the ascent applies elementwise), or all of size 1 but one "twin"
@@ -221,7 +276,7 @@ def hulls(draw, sparse=False):
     weight after its first step."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    V = draw(st.integers(2, 40))
+    V = draw(st.integers(2, 128))
     stiff = sparse and draw(st.booleans())
     blocks = draw(st.sampled_from(["random", "diagonal", "twin"]))
     H = np.zeros((V, V))
@@ -258,17 +313,16 @@ def hulls(draw, sparse=False):
 
 
 def _run(solver, problem):
+    """The solver's result and its meter's time. With ``fire_at``, the
+    deadline falls half an iteration before poll ``fire_at`` (at iteration
+    32 * fire_at), so that poll is the first to find it due."""
     v0, lin, H, eps, start, fire_at, max_iters = problem
-    ticks, polls = [], []
-
-    def interrupt():
-        polls.append(1)
-        return len(polls) == fire_at
-
+    meter = meter_at(1.5)
+    if fire_at is not None:
+        meter.deadline = meter.t + (32 * fire_at - 0.5) * meter.unit / meter.rate
     res = solver(v0, lin.copy(), H.copy(), eps, start.copy(), max_iters=max_iters,
-                 interrupt=None if fire_at is None else interrupt,
-                 tick=ticks.append)
-    return res, ticks, len(polls)
+                 meter=meter)
+    return res, meter.t
 
 
 def _bits(x):
@@ -276,15 +330,14 @@ def _bits(x):
 
 
 def _assert_bitwise_the_reference(problem):
-    got, got_ticks, got_polls = _run(afwa_maximize, problem)
-    want, want_ticks, want_polls = _run(afwa_quadratic_reference, problem)
+    got, got_t = _run(afwa_maximize, problem)
+    want, want_t = _run(afwa_quadratic_reference, problem)
     assert _bits(got.weights) == _bits(want.weights)
     assert _bits(got.value) == _bits(want.value)
     assert _bits(got.gap) == _bits(want.gap)
     assert got.iterations == want.iterations
     assert (got.converged, got.interrupted) == (want.converged, want.interrupted)
-    assert got_ticks == want_ticks
-    assert got_polls == want_polls
+    assert _bits(got_t) == _bits(want_t)
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,6 +391,6 @@ def test_afwa_returns_weights_on_the_unit_simplex(problem):
     # steps leave the weights unnormalized between polls; whether the
     # ascent converges, is interrupted or runs out of iterations, what it
     # returns is renormalized
-    res, _, _ = _run(afwa_maximize, problem)
+    res, _ = _run(afwa_maximize, problem)
     assert res.weights.min() >= 0.0
     assert abs(res.weights.sum() - 1.0) <= 1e-13
