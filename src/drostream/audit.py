@@ -28,7 +28,7 @@ the rest:
   window, as the runner stepped: ``scaled_step(x_prev,
   subgradient(model, x_prev, window, y_prev), alpha)``, one batched
   ``grad_x`` call per step, and the distance the step moved as the 2-norm
-  between the two decisions;
+  between the two decisions (``step_distance``, as the runner measures it);
 - each epoch's best certificate, by the runner's rule (the epoch's first,
   then each later one whose ``J`` is strictly lower), and so the decision
   each epoch after the first starts from: only the run's first certificate
@@ -58,7 +58,7 @@ from .model import Tolerances
 from .runner import (COMMON_KEYS, COVER_KEYS, EVENT_KINDS, RECORD_KEYS,
                      CoverConfig, Samples)
 from .simplex import point_search
-from .subgrad import scaled_step, step_length, subgradient
+from .subgrad import scaled_step, step_distance, step_length, subgradient
 
 _REL = 1e-7
 _ABS = 1e-9
@@ -401,7 +401,7 @@ def verify_events(
                     fail("step_links", f"record {i}: step alpha "
                          f"{alpha!r} is not the length {length!r} of "
                          f"its epoch's step {steps}")
-                moved = float(np.linalg.norm(x - prev["x"]))
+                moved = step_distance(prev["x"], x)
                 if small is None and moved < tolerances.eps2:
                     small = i
 

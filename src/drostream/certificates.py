@@ -16,10 +16,11 @@ generic.
 Every model is quadratic in the sample: it gives its ``sample_curvature``
 C. So hull ascent runs in weight space, on a quadratic in the hull weights
 whose value and gradient at the origin are read from the model once per
-window and whose Hessian is one small matrix built per hull; its iterations
-call no model oracle. Costs concave but not quadratic in the sample are out
-of scope. Each vertex search takes its gradients, and so every posted gap,
-from the model itself.
+window and whose Hessian is one small matrix, built once per vertex set on
+a window and carried by the certificate to the next solve there; its
+iterations call no model oracle. Costs concave but not quadratic in the
+sample are out of scope. Each vertex search takes its gradients, and so
+every posted gap, from the model itself.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ class WarmState:
     ``vertex_set`` is a (V, 3) int array of distinct ``(k, j, sign)`` rows.
     Each row stands for ``sign * n_total * radius`` at sample k, coordinate
     j of the window being solved, so the rows need no change across windows.
-    No solver writes into these arrays, so states share them uncopied.
+    No solver writes into these arrays, so states share them uncopied and
+    ``generate`` starts from them as they are. A state carries no hull
+    curvature: ``adapt`` moves it to another window, as the runner does
+    after every interrupt.
     """
 
     vertex_set: Array
@@ -165,12 +169,20 @@ class CertificateResult(WarmState):
     moved atoms ``points - y_eps1``. ``vertex_set`` holds the
     ``(k, j, sign)`` rows found and ``gamma`` the hull weights over
     [origin] + vertex_set, so a certificate is its own restart state.
+
+    ``H`` is the read-only hull curvature over [origin] + a prefix of
+    ``vertex_set`` (all of it once a hull was solved on the set) on
+    ``window`` at ``radius``, for the model whose ``sample_curvature`` is
+    ``curvature``. A restart on that window, radius and curvature, as
+    every refresh is, extends this H rather than building it again.
     """
 
     j_eps1: float
     window: DataWindow
     eta: float
     radius: float
+    H: Array
+    curvature: Array
 
     @property
     def y_eps1(self) -> Array:
@@ -280,7 +292,8 @@ def _check_vertex_rows(vertex_set: Array, shape: tuple[int, int], window: str) -
     min and one max pass over the rows, and an empty set passes."""
     if not len(vertex_set):
         return
-    lo, hi = vertex_set.min(axis=0).tolist(), vertex_set.max(axis=0).tolist()
+    lo = np.minimum.reduce(vertex_set).tolist()
+    hi = np.maximum.reduce(vertex_set).tolist()
     if min(lo[0], lo[1]) < 0 or hi[0] >= shape[0] or hi[1] >= shape[1]:
         raise ValueError(f"vertex coordinate outside the {window}")
     if lo[2] < -1 or hi[2] > 1 or not vertex_set[:, 2].all():
@@ -308,24 +321,42 @@ class _QuadraticHull:
     H[1 + a, 1 + b] = 2 vals[a] vals[b] C[j_a, j_b] / (n theta[k_a]) when
     vertices a and b share an atom (0 otherwise, and on the origin's row and
     column).
+
+    H does not depend on x, so it is extended, not rebuilt: ``carried`` is
+    the read-only H over [origin] + a prefix of ``vertices`` on this window
+    at this scale, [[0.0]] for the empty prefix. Its block is copied and
+    only the entries with a vertex past the prefix are computed, each by
+    the same expression, so H is byte for byte the one built from nothing.
+    When the prefix is all of ``vertices``, H is ``carried`` itself.
     """
 
-    def __init__(self, problem: _Problem, vertices: Array, scale: float):
+    def __init__(self, problem: _Problem, vertices: Array, scale: float,
+                 carried: Array):
         ks, js, signs = vertices.T
         vals = signs * scale
         self._ks, self._js, self._vals = ks, js, vals
         self._shape = (problem.window.size, problem.window.dimension)
         n = problem.window.n_total
         self.v0 = problem.origin_value
-        self.lin = np.empty(1 + len(vals))
+        V = len(vals)
+        self.lin = np.empty(1 + V)
         self.lin[0] = 0.0
         self.lin[1:] = vals * problem.origin_grads[ks, js] / n
-        weight = n * problem.window.theta[ks]
-        C = problem.model.sample_curvature
-        self.H = np.zeros((1 + len(vals), 1 + len(vals)))
-        # only pairs on the same atom couple; every other entry stays +0.0
-        a, b = np.divmod(np.flatnonzero(ks[:, None] == ks), len(ks))
-        self.H[1:, 1:][a, b] = (2.0 * vals / weight)[a] * vals[b] * C[js[a], js[b]]
+        self.H = carried
+        old = len(carried) - 1
+        if old < V:
+            weight = n * problem.window.theta[ks]
+            C = problem.model.sample_curvature
+            self.H = np.zeros((1 + V, 1 + V))
+            self.H[: 1 + old, : 1 + old] = carried
+            # only pairs on the same atom couple, every other entry stays
+            # +0.0; C is symmetric only within a tolerance, so H[a, b] and
+            # H[b, a] are both computed
+            same = ks[:, None] == ks
+            same[:old, :old] = False
+            a, b = np.divmod(same.ravel().nonzero()[0], V)
+            self.H[1:, 1:][a, b] = (2.0 * vals / weight)[a] * vals[b] * C[js[a], js[b]]
+            self.H.setflags(write=False)
 
     def point(self, gamma: Array) -> Array:
         return _hull_point(self._shape, self._ks, self._js, self._vals, gamma)
@@ -362,6 +393,9 @@ def generate(
     ``warm_grads``, when given, must be the model's gradients at
     ``warm.z`` for this x and window, as ``revalidate`` returns them;
     the first vertex search then takes them instead of reading them again.
+
+    A ``warm`` certificate on this window object and radius, for this
+    model's curvature object, lends its hull curvature ``H`` to extend.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -374,15 +408,21 @@ def generate(
     if meter is None:
         meter = Meter()
 
+    C = model.sample_curvature
+    H = np.zeros((1, 1))  # the curvature of the origin atom alone
+    H.setflags(write=False)
     if warm is not None:
         vs = warm.vertex_set
-        z = np.asarray(warm.z, dtype=float).copy()
+        z = np.asarray(warm.z, dtype=float)
         if z.shape != (p, m):
             raise ValueError(f"warm start has shape {z.shape}, window needs {(p, m)}")
-        c = np.asarray(warm.gamma, dtype=float).copy()
+        c = np.asarray(warm.gamma, dtype=float)
         if c.shape != (1 + len(vs),):
             raise ValueError("warm gamma length must be 1 + len(vertex_set)")
         _check_vertex_rows(vs, (p, m), "window")
+        if (isinstance(warm, CertificateResult) and warm.window is window
+                and warm.radius == radius and warm.curvature is C):
+            H = warm.H
         # the origin restart guards the sample-average floor
         j_curr = problem.value(z)
         G = warm_grads  # when None, the first vertex search reads them at z
@@ -407,7 +447,7 @@ def generate(
             G = problem.grads(z)
         omega, eta = point_search(G, scale, z, n_total=n)
         meter.search()
-        spent = float(np.abs(z).sum()) / n
+        spent = float(np.add.reduce(np.abs(z), axis=None)) / n
         if spent > radius + 1e-9:
             raise ValueError(
                 f"plan spends budget {spent:.6g} beyond radius {radius:.6g}; "
@@ -415,8 +455,10 @@ def generate(
             )
         if eta <= eps1:
             break
-        # argmax rows not yet in the vertex set
-        new = omega[~(omega[:, None] == vs[None]).all(axis=2).any(axis=1)]
+        new = omega
+        if len(vs):
+            # argmax rows not yet in the vertex set
+            new = omega[~(omega[:, None] == vs).all(axis=2).any(axis=1)]
         if not len(new) and solved_here:
             # the hull just solved contains the best extreme direction, so its
             # certified gap bounds the true gap; the measured excess is only
@@ -425,7 +467,8 @@ def generate(
         vs = np.concatenate([vs, new])
         c = np.concatenate([c, np.zeros(len(new))])
 
-        hull = _QuadraticHull(problem, vs, scale)
+        hull = _QuadraticHull(problem, vs, scale, H)
+        H = hull.H
         res = afwa_maximize(
             hull.v0, hull.lin, hull.H, eps1, c,
             max_iters=_MAX_HULL_ITERS, meter=meter,
@@ -463,6 +506,8 @@ def generate(
         gamma=c,
         eta=eta,
         radius=radius,
+        H=H,
+        curvature=C,
     )
 
 

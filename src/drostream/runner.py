@@ -83,7 +83,8 @@ from .certificates import (
 from .cover import Cover
 from .model import CostModel, Tolerances
 from .stream import SamplePoint
-from .subgrad import reuse_or_refresh, scaled_step, step_length, subgradient
+from .subgrad import (reuse_or_refresh, scaled_step, step_distance,
+                      step_length, subgradient)
 
 Array = np.ndarray
 
@@ -389,7 +390,7 @@ def run(
             post_certificate(cert, mark, alpha=alpha, reused=reused)
             if cert.j_eps1 < j_best:
                 x_best, j_best = x_new.copy(), cert.j_eps1
-            stop = np.linalg.norm(x_new - x) < tol.eps2
+            stop = step_distance(x, x_new) < tol.eps2
             x = x_new
             if stop:
                 post("EpochConverged")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +71,10 @@ def point_search(
     y = np.asarray(y_current, dtype=float)
     if G.ndim != 2 or G.shape != y.shape:
         raise ValueError("grads and y_current must both have shape (p, m)")
-    if not np.isfinite(G).all():
+    absG = np.abs(G)
+    # NaN and +-inf carry through abs and max, so one pass finds both
+    best = float(np.maximum.reduce(absG, axis=None))
+    if not math.isfinite(best):
         raise ValueError("gradients must be finite")
     if not scale > 0:
         raise ValueError("scale must be positive")
@@ -78,15 +82,13 @@ def point_search(
     if not n > 0:
         raise ValueError("n_total must be positive")
     base = float(np.vdot(G, y))
-    absG = np.abs(G)
-    best = float(absG.max())
     if best == 0.0:
         return np.empty((0, 3), dtype=np.intp), -base / n
-    ks, js = np.nonzero(absG == best)
+    ks, js = (absG == best).nonzero()
     vertices = np.empty((len(ks), 3), dtype=np.intp)
     vertices[:, 0] = ks
     vertices[:, 1] = js
-    vertices[:, 2] = np.where(G[ks, js] > 0, 1, -1)
+    np.sign(G[ks, js], vertices[:, 2], casting="unsafe")
     return vertices, (scale * best - base) / n
 
 
@@ -182,13 +184,14 @@ def afwa_maximize(
     w = np.asarray(start, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("start must be a nonempty vector")
-    least, total = w.min(), w.sum()
+    add_reduce, min_reduce = np.add.reduce, np.minimum.reduce
+    least, total = min_reduce(w), add_reduce(w)
     # written so that a NaN weight fails it too
     if not (least >= -1e-12 and abs(total - 1.0) <= 1e-9):
         raise ValueError("start weights must lie on the unit simplex")
     if least < 0:
         w = np.where(w < 0, 0.0, w)
-        total = w.sum()
+        total = add_reduce(w)
     V = w.size
     width = -(-V // 8) * 8
     state = np.zeros((2, width))
@@ -199,16 +202,17 @@ def afwa_maximize(
     val = float(v0 + float(lin @ gamma) + 0.5 * float(gamma @ H @ gamma))
     if not math.isfinite(val):
         raise SolverError("objective returned a non-finite value")
-    np.dot(H, gamma, g)
+    H.dot(gamma, g)
     g += lin
     step = np.zeros((2, width))
     d, Hd = step[:, :V]
-    # a diagonal H is applied elementwise, with the dense product's values
+    # prod(d, Hd) writes H d; a diagonal H is applied elementwise, with the
+    # dense product's values
     diag = H.diagonal()
     if np.count_nonzero(H) == np.count_nonzero(diag):
-        prod, mat = np.multiply, diag.copy()
+        prod = partial(np.multiply, diag.copy())
     else:
-        prod, mat = np.dot, H
+        prod = H.dot
     # pen is 0.0 on the active weights and inf off them, so the away search
     # is the argmin of g + pen; floor is a lower bound on the active weights,
     # and 0.0 makes the first step clamp
@@ -223,14 +227,13 @@ def afwa_maximize(
         clock, cost = meter.t, 1 * meter.unit / meter.rate
         deadline = meter.deadline
     add, multiply, negative = np.add, np.multiply, np.negative
-    add_reduce = np.add.reduce
     g_argmax, g_dot, g_item = g.argmax, g.dot, g.item
     gamma_item, d_dot = gamma.item, d.dot
     try:
         for it in range(max_iters):
             if it and not it % 32:
                 gamma /= add_reduce(gamma)
-                floor = float(add(gamma, pen, buf).min())
+                floor = float(min_reduce(add(gamma, pen, buf)))
                 if clock >= deadline:
                     return AfwaResult(gamma, val, it, gap_fw, False,
                                       interrupted=True)
@@ -239,8 +242,8 @@ def afwa_maximize(
             gap_fw = g_item(s) - avg
             if gap_fw <= eps:
                 gamma /= add_reduce(gamma)
-                floor = float(add(gamma, pen, buf).min())
-                np.dot(H, gamma, g)
+                floor = float(min_reduce(add(gamma, pen, buf)))
+                H.dot(gamma, g)
                 g += lin
                 s = g_argmax()
                 avg = float(g_dot(gamma))
@@ -263,7 +266,7 @@ def afwa_maximize(
                 d[v] = gamma_v - 1.0
                 t_max, deriv0, away = gamma_v / (1.0 - gamma_v), gap_away, True
 
-            prod(mat, d, Hd)
+            prod(d, Hd)
             curv = float(d_dot(Hd))
             if curv >= -1e-14 * (1.0 + abs(deriv0)):
                 t = t_max
@@ -298,12 +301,12 @@ def afwa_maximize(
                 if weight < floor:
                     floor = weight
             if floor < 1e-15:
-                floor = float(add(gamma, pen, buf).min())
+                floor = float(min_reduce(add(gamma, pen, buf)))
                 if floor < 1e-15 or not it:
                     low = gamma < 1e-15
                     gamma[low] = 0.0
                     pen = np.where(low, math.inf, 0.0)
-                    floor = float(add(gamma, pen, buf).min())
+                    floor = float(min_reduce(add(gamma, pen, buf)))
 
             new_val = val + t * deriv0 + 0.5 * t * t * curv
             if not math.isfinite(new_val):

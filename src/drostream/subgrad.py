@@ -12,6 +12,7 @@ tolerance.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +45,14 @@ def subgradient(model, x: Array, window: DataWindow, y: Array) -> Array:
     the runner steps with it and the audit re-derives the step with it."""
     grads = np.asarray(model.grad_x(x, window.points - y), dtype=float)
     return (window.theta / window.n_total) @ grads.reshape(window.size, -1)
+
+
+def step_distance(x: Array, x_new: Array) -> float:
+    """The 2-norm of the step from decision x to x_new, bitwise what
+    ``np.linalg.norm(x_new - x)`` gives for 1-D float vectors. The runner
+    stops an epoch on it and the audit re-checks that stop with it."""
+    step = x_new - x
+    return math.sqrt(step.dot(step))
 
 
 def scaled_step(x: Array, g: Array, alpha: float) -> Array:

@@ -23,7 +23,7 @@ from drostream.certificates import (
     revalidate,
 )
 from drostream.model import quadratic_model
-from drostream.simplex import SolverError
+from drostream.simplex import SolverError, afwa_maximize
 
 from oracles import (
     HullObjective,
@@ -361,6 +361,84 @@ def test_an_exhausted_hull_ascent_raises_after_metering_it(monkeypatch):
     assert meter.t == 2.0
 
 
+def two_dim_model():
+    return quadratic_model(np.eye(2), [[1.0, 0.5], [0.0, 1.0]],
+                           [[-1.0, 0.3], [0.3, -2.0]])
+
+
+def ascent_curvatures(monkeypatch):
+    """Record the H each hull ascent is handed."""
+    seen = []
+
+    def spy(v0, lin, H, *args, **kwargs):
+        seen.append(H)
+        return afwa_maximize(v0, lin, H, *args, **kwargs)
+
+    monkeypatch.setattr(certificates, "afwa_maximize", spy)
+    return seen
+
+
+@pytest.mark.parametrize("x_new, grows", [([2.5, 0.8], False),
+                                          ([-3.0, 1.0], True)])
+def test_a_refresh_extends_its_certificates_curvature(monkeypatch, x_new,
+                                                      grows):
+    # a refresh on its certificate's window and radius hands the ascent the
+    # carried H itself while the vertex set stands, and a copy of it grown
+    # by the new rows once it does not; either way every byte is that of
+    # an H built from the origin alone, which a model with an equal but
+    # distinct curvature array gets
+    model = two_dim_model()
+    win = DataWindow.plain(np.array([[-2.0, 1.0], [0.5, 0.0], [2.0, -1.0]]))
+    prev = generate(model, np.array([3.0, 1.0]), win, 0.2, EPS1)
+    assert not prev.H.flags.writeable
+    assert prev.H.shape == (1 + len(prev.vertex_set),) * 2
+    seen = ascent_curvatures(monkeypatch)
+    cert = generate(model, np.array(x_new), win, 0.2, EPS1, warm=prev)
+    assert (seen[0] is prev.H) is not grows
+    assert seen[0][: len(prev.H), : len(prev.H)].tobytes() == prev.H.tobytes()
+    assert cert.H is seen[-1] and cert.curvature is model.sample_curvature
+
+    twin = two_dim_model()
+    assert twin.sample_curvature is not model.sample_curvature
+    seen.clear()
+    fresh = generate(twin, np.array(x_new), win, 0.2, EPS1, warm=prev)
+    assert seen[0] is not prev.H
+    assert fresh.H.tobytes() == cert.H.tobytes()
+    assert (fresh.j_eps1, fresh.eta) == (cert.j_eps1, cert.eta)
+    assert fresh.gamma.tobytes() == cert.gamma.tobytes()
+
+
+def test_a_restart_off_its_window_radius_or_state_carries_no_curvature(
+        monkeypatch):
+    # adapt and an interrupted attempt give plain states without H, and a
+    # certificate lends its H only on its own window object and radius
+    model = two_dim_model()
+    pts = np.array([[-2.0, 1.0], [0.5, 0.0], [2.0, -1.0]])
+    win = DataWindow.plain(pts)
+    prev = generate(model, np.array([3.0, 1.0]), win, 0.2, EPS1)
+    adapted = adapt(prev, win, 0.2)
+    assert type(adapted) is WarmState and not hasattr(adapted, "H")
+    meter = Meter()
+    meter.deadline = 0.0
+    with pytest.raises(CertificateInterrupted) as exc:
+        generate(model, np.array([-3.0, 1.0]), win, 0.2, EPS1, warm=prev,
+                 meter=meter)
+    assert type(exc.value.state) is WarmState
+
+    seen = ascent_curvatures(monkeypatch)
+    x = np.array([2.5, 0.8])
+    carried = generate(model, x, win, 0.2, EPS1, warm=prev)
+    assert seen[0] is prev.H
+    for warm, window, radius in [(adapted, win, 0.2),
+                                 (prev, DataWindow.plain(pts), 0.2),
+                                 (prev, win, 0.25)]:
+        seen.clear()
+        cert = generate(model, x, window, radius, EPS1, warm=warm)
+        assert seen and all(H is not prev.H for H in seen)
+        if radius == 0.2:
+            assert cert.H.tobytes() == carried.H.tobytes()
+
+
 @st.composite
 def vertex_hulls(draw):
     """A weighted window, a negative definite curvature with some exact-zero
@@ -377,17 +455,27 @@ def vertex_hulls(draw):
                             rng.choice([-1, 1], 30)])
     vs = np.unique(rows, axis=0)[: draw(st.integers(1, 30))]
     model = quadratic_model([[1.0]], np.zeros((1, m)), C)
+    # a model's curvature need only be symmetric within a tolerance; one
+    # ulp off makes H[a, b] and H[b, a] differ
+    C = model.sample_curvature.copy()
+    C[0, -1] = np.nextafter(C[0, -1], -np.inf)
+    model = dataclasses.replace(model, sample_curvature=C)
     return model, win, vs, draw(st.floats(0.01, 10.0))
 
 
 @settings(max_examples=200, deadline=None)
-@given(vertex_hulls())
-def test_hull_hessian_is_bitwise_the_dense_formula(case):
+@given(vertex_hulls(), st.integers(0, 30))
+def test_hull_hessian_is_bitwise_the_dense_formula(case, prefix):
     # H is filled on same-atom pairs only; it must equal, zeros' signs
-    # included, the masked dense product it replaced
+    # included, the masked dense product it replaced, whether it is built
+    # from the origin alone or extended from a prefix's carried H
     model, win, vs, scale = case
-    hull = certificates._QuadraticHull(
-        certificates._Problem(model, np.zeros(1), win), vs, scale)
+    problem = certificates._Problem(model, np.zeros(1), win)
+    hull = certificates._QuadraticHull(problem, vs, scale, np.zeros((1, 1)))
+    carried = certificates._QuadraticHull(
+        problem, vs[:prefix], scale, np.zeros((1, 1))).H
+    extended = certificates._QuadraticHull(problem, vs, scale, carried)
+    assert not extended.H.flags.writeable
     ks, js, signs = vs.T
     vals = signs * scale
     weight = win.n_total * win.theta[ks]
@@ -399,6 +487,9 @@ def test_hull_hessian_is_bitwise_the_dense_formula(case):
         0.0,
     )
     assert hull.H.tobytes() == dense.tobytes()
+    assert extended.H.tobytes() == dense.tobytes()
+    if prefix >= len(vs):
+        assert extended.H is carried
 
 
 def test_weight_space_hull_matches_the_oracle_hull():
@@ -415,7 +506,8 @@ def test_weight_space_hull_matches_the_oracle_hull():
     vs = np.array([[0, 0, 1], [0, 1, -1], [0, 2, 1], [1, 1, 1],
                    [2, 0, -1], [2, 2, -1], [2, 0, 1]])
     scale = win.n_total * radius
-    hull = certificates._QuadraticHull(certificates._Problem(quad, x, win), vs, scale)
+    hull = certificates._QuadraticHull(certificates._Problem(quad, x, win), vs,
+                                       scale, np.zeros((1, 1)))
     dense = HullObjective(quad, x, win, vs, scale)
     for _ in range(10):
         gamma, other = rng.dirichlet(np.ones(1 + len(vs)), size=2)

@@ -61,6 +61,39 @@ def test_point_search_eta_accounts_for_current_point():
     assert eta == pytest.approx((2.0 * 4.0 - (0.5 - 1.0)) / 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+def test_point_search_rejects_a_non_finite_gradient(bad, at):
+    # also beside a larger finite entry, which a max alone would report
+    G = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1e300]])
+    G[at] = bad
+    with pytest.raises(ValueError, match="gradients must be finite"):
+        point_search(G, 1.0, np.zeros((2, 3)), n_total=2)
+
+
+@pytest.mark.parametrize("G, y", [
+    (np.zeros((2, 3)), np.zeros((3, 2))),
+    (np.zeros((2, 3)), np.zeros((2, 2))),
+    (np.zeros(3), np.zeros(3)),
+    (np.zeros((1, 2, 3)), np.zeros((1, 2, 3))),
+])
+def test_point_search_rejects_mismatched_shapes(G, y):
+    with pytest.raises(ValueError, match="must both have shape"):
+        point_search(G, 1.0, y, n_total=1)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+def test_point_search_rejects_a_scale_that_is_not_positive(scale):
+    with pytest.raises(ValueError, match="scale must be positive"):
+        point_search(np.ones((1, 2)), scale, np.zeros((1, 2)), n_total=1)
+
+
+@pytest.mark.parametrize("n_total", [0, -3])
+def test_point_search_rejects_a_count_that_is_not_positive(n_total):
+    with pytest.raises(ValueError, match="n_total must be positive"):
+        point_search(np.ones((1, 2)), 1.0, np.zeros((1, 2)), n_total=n_total)
+
+
 @given(
     n=st.integers(1, 3),
     m=st.integers(1, 3),
