@@ -18,12 +18,17 @@ A log writes only what the audit cannot derive from earlier records and
 the run's model, concentration, schedule and cover, and the audit derives
 the rest:
 
+- each record's sequence number from its position in the log, and the
+  sample count ``n`` from the arrivals before it;
 - the ball's beta from ``n`` through the schedule, and its radius from beta
   and the window through ``Samples.ball()``;
 - a certificate's form (reuse or refresh) from its plan key, ``y_ref`` or
   ``y``; a refresh posts its plan in coordinate form, its nonzero
   ``[k, j, value]`` entries, and the audit rebuilds the dense plan from
   them and the window's shape (``plan_from_entries``);
+- which certificates start an epoch, by their form (no ``alpha``, after
+  an arrival), and so the step and epoch counts of every record but an
+  arrival, the only one that posts them;
 - a step certificate's decision from the certificate before it, on the same
   window, as the runner stepped: ``scaled_step(x_prev,
   subgradient(model, x_prev, window, y_prev), alpha)``, one batched
@@ -39,9 +44,9 @@ the rest:
 The derivations repeat the runner's float operations on the same inputs, so
 they are exact on one machine and BLAS build, as the stop rule's comparison
 of a derived distance with eps2 assumes. Each record carries exactly the
-keys of its kind's form (``runner.RECORD_KEYS``, without the cover's on a
-run without one, and with one of each of a certificate's alternatives), and
-no record writes a null value.
+keys of its kind's form (``runner.COMMON_KEYS`` and ``RECORD_KEYS``,
+without the cover's on a run without one, and with one of each of a
+certificate's alternatives), and no record writes a null value.
 """
 
 from __future__ import annotations
@@ -144,17 +149,18 @@ def verify_events(
     key; the audit goes on with the record. A certificate's forms are ``x``
     (the run's first), ``alpha`` (a step's) or neither (a later epoch's
     first), and ``y`` or ``y_ref`` (a reuse); the cover's keys belong to
-    the arrivals of a run with a cover. An epoch's convergence and the
-    run's termination carry no keys beyond every record's.
+    the arrivals of a run with a cover. An arrival also posts the step and
+    epoch counts ``r`` and ``l``; an epoch's convergence and the run's
+    termination carry no keys beyond every record's.
 
-    The counters must be the runner's, or ``structure`` fails: ``r``, the
-    steps taken, rises by 1 at each step certificate and holds otherwise,
-    except that it may rise by 1 at an arrival right after a certificate,
-    where the arrival interrupted a step before its certificate; ``l``, the
-    epochs begun, rises by 1 once an epoch, at its first certificate or at
-    an arrival that interrupted that certificate's search, and holds
-    otherwise; a certificate whose ``l`` fails starts an epoch when it posts
-    no ``alpha``.
+    The counts an arrival posts must be the runner's, or ``structure``
+    fails: ``r``, the steps taken, rises by 1 at each step certificate and
+    holds otherwise, except that it may rise by 1 at an arrival right after
+    a certificate, where the arrival interrupted a step before its
+    certificate; ``l``, the epochs begun, rises by 1 once an epoch, at its
+    first certificate or at an arrival that interrupted that certificate's
+    search. A certificate starts an epoch when it posts no ``alpha`` and
+    follows an arrival, since each epoch begins by ingesting arrivals.
 
     A malformed record is a ``structure`` failure; the audit skips it and
     goes on. Malformed means a record that is not a JSON object, a missing
@@ -164,11 +170,13 @@ def verify_events(
     model cannot re-price (a decision so large that its gradients
     overflow), the run's first certificate without a decision ``x``, a
     later epoch's first certificate whose previous epoch has no best, a
-    step certificate that has no finite positive ``alpha`` or follows no
-    certificate of its ``n``, a non-finite derived decision, an arrival
-    without a finite point of the model's sample dimension, or a
-    certificate before any arrival. A certificate starts an epoch when its
-    ``l`` differs from the one before.
+    step certificate that has no finite positive ``alpha`` or does not
+    follow a certificate on its window (no arrival between them), a
+    non-finite derived decision, an arrival without a finite point of the
+    model's sample dimension, or a certificate before any arrival. A
+    reuse names its plan by the position of the record that posts it. With
+    a cover, ``arrivals`` checks each arrival's cover keys; without one
+    the report has no ``arrivals``.
 
     Given the run's ``tolerances``, the k-th step certificate of an epoch
     must post exactly ``step_length(tolerances, k - 1)`` as its ``alpha``,
@@ -181,9 +189,14 @@ def verify_events(
     record that directly follows that certificate: a step certificate, an
     arrival or a termination.
     """
+    # each record holds at most one arrival
+    samples = Samples(model.dimension_m, len(records), concentration,
+                      schedule, cover_config or CoverConfig())
     names = ["structure", "arrivals", "certificate_value",
              "certificate_budget", "certificate_gap", "step_links",
              "termination", "stop_rule"]
+    if samples.cover is None:
+        names.remove("arrivals")
     if tolerances is None:
         names.remove("step_links")
     checks = {name: AuditCheck(name) for name in names}
@@ -196,9 +209,6 @@ def verify_events(
         elif len(failures) == _MAX_REPORTED:
             failures.append("... further failures suppressed")
 
-    # each record holds at most one arrival
-    samples = Samples(model.dimension_m, len(records), concentration,
-                      schedule, cover_config or CoverConfig())
     # the keys each kind of record may carry on this run
     allowed = {kind: frozenset(COMMON_KEYS + keys)
                for kind, keys in RECORD_KEYS.items()}
@@ -207,21 +217,24 @@ def verify_events(
     certs: dict[int, dict] = {}
 
     def cert(ref) -> Optional[dict]:
-        # certificates are keyed by their int seq; any other ref names none
+        # keyed by int position; any other ref names none
         return certs.get(ref) if isinstance(ref, int) else None
 
     last_t = -np.inf
-    last_n = last_r = last_l = 0
-    # seqs of the latest CertificatePosted record and of the one before it
+    # the runner's step and epoch counts so far
+    last_r = last_l = 0
+    # positions of the latest CertificatePosted record and of the one
+    # before it, and whether an arrival came since the latest
     latest_cert = before = None
-    # the epoch (record l) of the latest certificate and the seq of its best
-    # one
+    arrived = False
+    # the epochs certificates started, and the position of the latest one's
+    # best certificate
     epoch, best = 0, None
-    # the steps of that epoch so far, and the seq of its first step's
+    # the steps of that epoch so far, and the position of its first step's
     # certificate that moved less than eps2 (None before one, or without
     # tolerances)
     steps, small = 0, None
-    # seqs of the latest step certificate and of the latest convergence
+    # positions of the latest step certificate and of the latest convergence
     last_step = converged = None
     terminated = after_cert = False
 
@@ -230,10 +243,7 @@ def verify_events(
         if not isinstance(rec, dict):
             fail("structure", f"record {i}: not a JSON object")
             continue
-        seq = rec.get("seq")
         kind = rec.get("kind")
-        if seq != i:
-            fail("structure", f"record {i}: seq {seq} out of order")
         if kind not in EVENT_KINDS:
             fail("structure", f"record {i}: unknown kind {kind!r}")
             continue
@@ -243,28 +253,28 @@ def verify_events(
             fail("stop_rule", f"record {i}: {kind} follows certificate "
                  f"{small}, its epoch's first step that moved less than "
                  "eps2, where the epoch converges")
-        r, l = rec.get("r"), rec.get("l")
         is_cert = kind == "CertificatePosted"
-        # l counts the epochs begun: it rises once an epoch, at an arrival or
-        # a certificate, by the epoch's first certificate. r counts the steps
-        # taken: it rises at a step certificate, and may at the arrival right
-        # after a certificate, which interrupted a step before its own
-        levels = ((last_l, epoch + 1)
-                  if is_cert or kind == "DataArrival" else (epoch,))
-        if type(l) is not int or l not in levels:
-            fail("structure", f"record {i}: epoch count l {l!r} does not "
-                 f"follow {last_l}")
-            # a certificate's form tells whether it starts an epoch
-            l = epoch + ("alpha" not in rec) if is_cert else last_l
-        last_l = l
-        starts = is_cert and l != epoch
-        rises = ((1,) if is_cert and not starts
-                 else (0, 1) if kind == "DataArrival" and after_cert else (0,))
-        if type(r) is not int or r - last_r not in rises:
-            fail("structure", f"record {i}: step count r {r!r} does not "
-                 f"follow {last_r}")
-            r = last_r + rises[0]
-        last_r = r
+        starts = is_cert and arrived and "alpha" not in rec
+        if kind == "DataArrival":
+            # l counts the epochs begun: an arrival may show the next one,
+            # whose first certificate's search it interrupted. r counts the
+            # steps taken: it may rise at the arrival right after a
+            # certificate, which interrupted a step before its own
+            r, l = rec.get("r"), rec.get("l")
+            if type(l) is not int or l not in (last_l, epoch + 1):
+                fail("structure", f"record {i}: epoch count l {l!r} does "
+                     f"not follow {last_l}")
+                l = last_l
+            if type(r) is not int or r - last_r not in (
+                    (0, 1) if after_cert else (0,)):
+                fail("structure", f"record {i}: step count r {r!r} does "
+                     f"not follow {last_r}")
+                r = last_r
+            last_r, last_l = r, l
+        elif starts:
+            last_l = epoch + 1
+        elif is_cert:
+            last_r += 1
         after_cert = is_cert
 
         # the keys of the record's form: x on the run's first certificate,
@@ -289,18 +299,11 @@ def verify_events(
             fail("structure", f"record {i}: time {t} moves backward")
         else:
             last_t = max(last_t, t)
-        try:
-            n = int(rec.get("n", -1))
-        except (TypeError, ValueError, OverflowError):
-            fail("structure", f"record {i}: count {rec.get('n')!r} not a number")
-            continue
-        if n < last_n and kind == "DataArrival":
-            fail("structure", f"record {i}: sample count shrank to {n}")
         if terminated:
             fail("structure", f"record {i}: event after termination")
 
         if kind == "DataArrival":
-            checks["arrivals"].count += 1
+            arrived = True
             point = _array(rec, "point")
             try:
                 # a point that is None or not a vector fails the shape test
@@ -309,19 +312,17 @@ def verify_events(
                 fail("structure", f"record {i}: arrival point missing, "
                      "misshapen or not finite")
                 continue
-            if n != samples.n:
-                fail("arrivals", f"record {i}: count {n} != ingested "
-                     f"{samples.n}")
             if samples.cover is not None:
+                checks["arrivals"].count += 1
                 size, want = rec.get("cover_size"), samples.cover_size
                 if rec.get("cover_opened") not in (None, opened):
                     fail("arrivals", f"record {i}: cover open/absorb mismatch")
                 if size is not None and _number(rec, "cover_size") != want:
                     fail("arrivals", f"record {i}: cover size {size} != {want}")
-            last_n = n
 
         elif is_cert:
             before, latest_cert = latest_cert, i
+            arrived = False
             if not samples.n:
                 fail("structure", f"record {i}: certificate before any arrival")
                 continue
@@ -334,7 +335,7 @@ def verify_events(
                     x = _array(rec, "x")
                 elif best is not None:
                     x = certs[best]["x"]
-                epoch, best, steps, small = l, None, 0, None
+                epoch, best, steps, small = epoch + 1, None, 0, None
             else:
                 steps += 1
                 last_step = i
@@ -344,9 +345,7 @@ def verify_events(
                      "missing or malformed")
                 continue
             window, eps = samples.ball()
-            if n != window.n_total:
-                fail("structure", f"record {i}: certificate n {n} != ingested")
-                continue
+            n = window.n_total
             alpha, prev = _number(rec, "alpha"), cert(before)
             if not starts and (alpha is None or not 0.0 < alpha < math.inf):
                 # a step length is positive: a step of -alpha can move as
@@ -426,10 +425,6 @@ def verify_events(
                     "certificate_gap",
                     f"record {i}: gap {eta} exceeds tolerance {tol}",
                 )
-            if rec.get("eta") is not None:
-                posted_eta = _number(rec, "eta")
-                if posted_eta is None or not _close(eta, posted_eta):
-                    fail("certificate_gap", f"record {i}: gap mismatch")
             if tolerances is not None:
                 want = tolerances.eps_sa if reuse else tolerances.eps1
                 if tol != want:

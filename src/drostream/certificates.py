@@ -192,10 +192,6 @@ class CertificateResult(WarmState):
     def n_total(self) -> int:
         return self.window.n_total
 
-    @property
-    def budget_spent(self) -> float:
-        return float(np.abs(self.z).sum()) / self.n_total
-
 
 def certificate_value(model, x: Array, window: DataWindow, y_phys: Array) -> float:
     """Objective (1/n) sum_k theta_k f(x, point_k - y_k) at a given plan."""

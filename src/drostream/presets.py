@@ -86,15 +86,15 @@ def _study2_mixture() -> dict:
     }
 
 
-def study1(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
+def study1(seed: int = 0) -> ExperimentConfig:
     """Three-center mixture study: 200 points, one arrival per period.
 
-    The cover defaults to off here: it widens the ball by its transport
-    slack, the mean 1-norm distance from an absorbed point to its center.
-    At this scale the slack dominates the schedule radius (about 1.15
-    against 0.41 at n=200, seed 0) and pushes certificates far above the
-    reference optimum. Enable it to study compression behavior, not
-    accuracy.
+    The cover is off here: it widens the ball by its transport slack, the
+    mean 1-norm distance from an absorbed point to its center. At this
+    scale the slack dominates the schedule radius (about 1.15 against 0.41
+    at n=200, seed 0) and pushes certificates far above the reference
+    optimum. Turn it on with ``with_overrides(cover_enabled=True)`` to
+    study compression behavior, not accuracy.
     """
     return ExperimentConfig(
         preset="study1",
@@ -125,12 +125,12 @@ def study1(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
         },
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
         cost_budget_per_period=50_000.0,
-        cover={"enabled": cover_enabled, "omega": 1.5},
+        cover={"enabled": False, "omega": 1.5},
         x0={"kind": "uniform", "low": -10.0, "high": 10.0},
     )
 
 
-def study2(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
+def study2(seed: int = 0) -> ExperimentConfig:
     """Large-stream study: 500 points in R^10, decisions in R^30.
 
     The decision tolerance is coarser than study1's: the 30-dim decision
@@ -139,10 +139,11 @@ def study2(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
     a fraction of a percent. The period budget is sized so the solver
     keeps pace with arrivals every 1 to 3 periods at full stream length.
 
-    The cover defaults to off, as in study1: in R^10 its transport slack
-    (about 5 to 9 at omega = 5) dwarfs the schedule radius (near 0.8), so
-    its ball never shrinks and the run ends at a far worse decision, in
-    several times the hull iterations.
+    The cover is off, as in study1 (``with_overrides(cover_enabled=True)``
+    turns it on): in R^10 its transport slack (about 5 to 9 at omega = 5)
+    dwarfs the schedule radius (near 0.8), so its ball never shrinks and
+    the run ends at a far worse decision, in several times the hull
+    iterations.
     """
     return ExperimentConfig(
         preset="study2",
@@ -165,7 +166,7 @@ def study2(seed: int = 0, cover_enabled: bool = False) -> ExperimentConfig:
         },
         concentration={"c1": 2.0, "c2": 1.0, "a": 2.0},
         cost_budget_per_period=300_000.0,
-        cover={"enabled": cover_enabled, "omega": 5.0},
+        cover={"enabled": False, "omega": 5.0},
         x0={"kind": "zeros"},
     )
 

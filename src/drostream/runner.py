@@ -18,39 +18,41 @@ converges with the queue empty.
 Every state change is posted as an event. A record writes a key only
 when its value is not null and cannot be derived from earlier records and
 the run's model, concentration, schedule and cover, so each datum is
-written once. Every record carries ``seq``, ``kind``, the meter's time
-``t``, the sample count ``n`` and the step and epoch counts ``r`` and ``l``
-of ``RunTotals``; beyond those, each kind carries exactly the keys of
-``RECORD_KEYS``, in one of its forms:
+written once. Every record carries ``kind`` and the meter's time ``t``;
+beyond those, each kind writes exactly the keys of ``RECORD_KEYS``, in
+that order and in one of its forms:
 
-- ``DataArrival``: ``point``, ``index``, ``arrival_t``, and with a cover
-  ``cover_opened`` and ``cover_size``;
+- ``DataArrival``: the counts ``r`` and ``l``, ``point``, ``index``,
+  ``arrival_t``, and with a cover ``cover_opened`` and ``cover_size``;
 - ``CertificatePosted``: ``J``, then ``x`` for the run's first certificate
-  or the step length ``alpha`` for a step's, then ``eta``, ``tol``, the
-  work counts ``lp_calls``, ``cp_calls`` and ``afwa_iters``, and the plan
-  key: ``y`` for a refresh, ``y_ref`` for a reuse;
+  or the step length ``alpha`` for a step's, then ``tol``, the work counts
+  ``lp_calls``, ``cp_calls`` and ``afwa_iters``, and the plan key: ``y``
+  for a refresh, ``y_ref`` for a reuse;
 - ``EpochConverged`` and ``Terminated``: nothing more.
 
-A decision step is recorded only by its certificate, the one that posts
-``alpha``, which is ``step_length(tolerances, k - 1)`` on the epoch's k-th
-step certificate: its decision is ``scaled_step`` by ``alpha`` along the
-``subgradient`` of the certificate before it, at that one's decision,
-window and plan. ``r`` counts the steps taken, so it rises at each step
-certificate, and at the arrival that interrupts a step before its
-certificate; ``l`` rises at each epoch's first certificate, or at an
-arrival that interrupts that certificate's search. An epoch's best is its
-first certificate, then each later one whose ``J`` is lower; the next epoch
-starts from the best's decision, so only the first epoch's certificate
-posts ``x``, and the run's output is its last epoch's best. A convergence
-directly follows the certificate of its epoch's first small step, and the
-termination directly follows the last convergence. A refresh posts its
-perturbation plan in coordinate form, as its nonzero ``[k, j, value]``
-entries (``plan_entries``); a reuse names that plan by ``y_ref``, which is
-the only statement that it reuses. The ball's beta follows from ``n`` and
-the run's confidence schedule, and its radius from beta and the window
-(``Samples.ball()``), so no record posts either. With the gaps and
-tolerances this is enough for an offline audit to re-verify the whole run
-from the event log alone.
+A record's sequence number is its position in the log, and its sample
+count ``n`` the number of arrivals before it. A decision step is recorded
+only by its certificate, the one that posts ``alpha``, which is
+``step_length(tolerances, k - 1)`` on the epoch's k-th step certificate:
+its decision is ``scaled_step`` by ``alpha`` along the ``subgradient`` of
+the certificate before it, at that one's decision, window and plan. An
+epoch's first certificate posts no ``alpha`` and follows the arrivals the
+epoch ingests. ``r`` counts the steps taken and ``l`` the epochs begun
+(``RunTotals``); both follow from the record kinds except where an arrival
+interrupts a step before its certificate or an epoch's first search, so
+only arrivals post them. An epoch's best is its first certificate, then
+each later one whose ``J`` is lower; the next epoch starts from the best's
+decision, so only the first epoch's certificate posts ``x``, and the run's
+output is its last epoch's best. A convergence directly follows the
+certificate of its epoch's first small step, and the termination directly
+follows the last convergence. A refresh posts its perturbation plan in
+coordinate form, as its nonzero ``[k, j, value]`` entries
+(``plan_entries``); a reuse names that plan by ``y_ref``, its
+certificate's position, which is the only statement that it reuses. No
+record posts the ball's beta, which follows from ``n`` and the run's
+confidence schedule, its radius (``Samples.ball()``) or a certificate's
+gap, which the audit measures again. With the tolerances this is enough
+for an offline audit to re-verify the whole run from the event log alone.
 
 ``Samples`` owns the ingested samples and the window and radius certifying
 them; the audit replays a log's arrivals through it too. A certificate
@@ -88,13 +90,14 @@ from .subgrad import (reuse_or_refresh, scaled_step, step_distance,
 
 Array = np.ndarray
 
-# the keys every record carries, and those of each kind's records besides
-COMMON_KEYS = ("seq", "kind", "t", "n", "r", "l")
+# the keys every record writes, and those each kind writes after them, in
+# the order ``RunEvent.record()`` writes them
+COMMON_KEYS = ("kind", "t")
 RECORD_KEYS = {
-    "DataArrival": ("point", "index", "arrival_t", "cover_opened",
+    "DataArrival": ("r", "l", "point", "index", "arrival_t", "cover_opened",
                     "cover_size"),
-    "CertificatePosted": ("J", "x", "alpha", "eta", "tol", "lp_calls",
-                          "cp_calls", "afwa_iters", "y", "y_ref"),
+    "CertificatePosted": ("J", "x", "alpha", "tol", "lp_calls", "cp_calls",
+                          "afwa_iters", "y", "y_ref"),
     "EpochConverged": (),
     "Terminated": (),
 }
@@ -105,12 +108,15 @@ COVER_KEYS = ("cover_opened", "cover_size")
 
 @dataclass
 class RunEvent:
-    """One log record; ``record()`` flattens it to a JSON object without
-    its null values.
+    """One posted event; ``record()`` writes it as the log's JSON object:
+    ``COMMON_KEYS`` and its kind's ``RECORD_KEYS``, in order, without nulls.
 
+    ``seq``, ``n``, a certificate's ``eta`` (in ``extras``), and ``r`` and
+    ``l`` on every kind but an arrival stay in memory only, for readers of
+    the run such as ``trajectory.csv``.
     ``J`` is None on the records that do not post it, the arrivals, the
-    convergences and the termination; ``x`` is None on every record but
-    the run's first certificate (see the module docstring), and so are the
+    convergences and the termination; ``x`` is None on every record but the
+    run's first certificate (see the module docstring), and so are the
     cover's extras without a cover. ``beta`` is always None and never
     written: the ball's beta follows from ``n``. The field stays so that an
     event is still built from its ten positional fields.
@@ -128,18 +134,11 @@ class RunEvent:
     extras: dict
 
     def record(self) -> dict:
-        out = {
-            "seq": self.seq,
-            "kind": self.kind,
-            "t": self.t,
-            "n": self.n,
-            "r": self.r,
-            "l": self.l,
-            "J": self.J,
-            "x": self.x,
-        }
-        out.update(self.extras)
-        return {key: value for key, value in out.items() if value is not None}
+        values = {"kind": self.kind, "t": self.t, "r": self.r, "l": self.l,
+                  "J": self.J, "x": self.x, **self.extras}
+        keys = COMMON_KEYS + RECORD_KEYS[self.kind]
+        return {key: values[key] for key in keys
+                if values.get(key) is not None}
 
 
 class ArrivalQueue:

@@ -7,11 +7,13 @@ certificate before it, and a later epoch's first certificate posts no
 decision, since the epoch starts from the last one's best. A test that
 needs those decisions takes them from the runner itself:
 ``run_with_decisions`` records what the runner passed to ``generate`` and
-what its ``scaled_step`` returned. ``dropped_keys`` rebuilds the keys an
-older format posted on top of that. ``STEP_TAMPERS`` are the edits of that
-format the audit must catch, ``KEY_TAMPERS`` the keys a record must not
-carry, ``MISSING_KEYS`` the keys it must, and ``COUNTER_TAMPERS`` the edits
-of its step and epoch counts.
+what its ``scaled_step`` returned. A record's position in the log is its
+sequence number, which tests call its seq. ``dropped_keys`` rebuilds the
+keys an older format posted on top of that. ``STEP_TAMPERS`` are the edits
+of that format the audit must catch, and of the facts it derives a dropped
+key from, ``KEY_TAMPERS`` the keys a record must not carry, ``MISSING_KEYS``
+the keys it must, and ``COUNTER_TAMPERS`` the edits of its step and epoch
+counts.
 """
 
 import functools
@@ -53,6 +55,11 @@ def run_with_decisions(config, points):
     return result, decisions
 
 
+def seq_of(records, rec):
+    """The position of the record ``rec`` itself in ``records``."""
+    return next(i for i, r in enumerate(records) if r is rec)
+
+
 def step_certificate(records):
     """The first certificate that posts a step rather than a decision."""
     return next(r for r in records
@@ -63,42 +70,82 @@ def first(records, kind, where=lambda r: True):
     return next(r for r in records if r["kind"] == kind and where(r))
 
 
+def epoch_starts(records):
+    """The seqs of the certificates that start an epoch: those that post no
+    step length."""
+    return [i for i, r in enumerate(records)
+            if r["kind"] == "CertificatePosted" and "alpha" not in r]
+
+
+def runner_counts(records):
+    """The step and epoch counts ``(r, l)`` the runner had at each record:
+    an arrival posts them, a step certificate takes the next step and an
+    epoch's first certificate begins the next epoch."""
+    out, r, l, started = [], 0, 0, 0
+    for rec in records:
+        if rec["kind"] == "DataArrival":
+            r, l = rec["r"], rec["l"]
+        elif rec["kind"] == "CertificatePosted" and "alpha" in rec:
+            r += 1
+        elif rec["kind"] == "CertificatePosted":
+            started += 1
+            l = started
+        out.append((r, l))
+    return out
+
+
+def ball_at(records, config, seq):
+    """The window and radius of the certificate at ``seq``:
+    ``Samples.ball()`` over the arrivals before it."""
+    samples = runner.Samples(config.model.dimension_m, len(records),
+                             config.concentration, config.schedule,
+                             config.cover)
+    for arrival in records[:seq]:
+        if arrival["kind"] == "DataArrival":
+            samples.add(arrival["point"], arrival["index"])
+    return samples.ball()
+
+
 def dropped_keys(records, decisions, config):
     """The keys an older format posted that the audit now derives, at the
-    values it posted, by the seq of each record that posted them: each
-    certificate's ``radius``, each step certificate's ``moved`` and each
-    later epoch's first certificate's ``x``; each convergence's ``J``,
-    ``x``, ``steps`` and ``best_seq``; and the termination's ``J``, ``x``,
-    ``best_seq`` and, with a cover, ``cover_size``."""
+    values it posted, by the seq of each record that posted them: every
+    record's ``seq`` and sample count ``n``, and the step and epoch counts
+    ``r`` and ``l`` of every record but an arrival; each certificate's
+    ``radius``, each step certificate's ``moved`` and each later epoch's
+    first certificate's ``x``; each convergence's ``J``, ``x``, ``steps``
+    and ``best_seq``; and the termination's ``J``, ``x``, ``best_seq`` and,
+    with a cover, ``cover_size``. A certificate's gap ``eta`` is not among
+    them: only the runner's in-memory event keeps it."""
     samples = runner.Samples(config.model.dimension_m, len(records),
                              config.concentration, config.schedule,
                              config.cover)
     out, best, steps, size = {}, None, 0, None
-    for rec in records:
-        seq, kind = rec["seq"], rec["kind"]
+    for seq, (rec, (r, l)) in enumerate(zip(records, runner_counts(records))):
+        kind = rec["kind"]
         if kind == "DataArrival":
             samples.add(rec["point"], rec["index"])
             size = rec.get("cover_size")
+            out[seq] = {"seq": seq, "n": samples.n}
             continue
+        keys = out[seq] = {"seq": seq, "n": samples.n, "r": r, "l": l}
         if kind != "CertificatePosted":
-            keys = dict(J=records[best]["J"], x=decisions[best])
+            keys.update(J=records[best]["J"], x=decisions[best])
             if kind == "EpochConverged":
                 keys["steps"] = steps
             keys["best_seq"] = best
             if kind == "Terminated" and size is not None:
                 keys["cover_size"] = size
-            out[seq] = keys
             continue
-        out[seq] = {"radius": samples.ball()[1]}
+        keys["radius"] = samples.ball()[1]
         if "alpha" in rec:
-            out[seq]["moved"] = float(np.linalg.norm(
+            keys["moved"] = float(np.linalg.norm(
                 np.array(decisions[seq]) - np.array(decisions[seq - 1])))
             steps += 1
             if rec["J"] < records[best]["J"]:
                 best = seq
         else:
             if "x" not in rec:
-                out[seq]["x"] = decisions[seq]
+                keys["x"] = decisions[seq]
             best, steps = seq, 0
     return out
 
@@ -107,74 +154,108 @@ def restart_from(records, decisions, config, seq):
     """Forge the first certificate of the epoch after certificate ``seq``'s
     as a run would post it whose epoch started from ``seq``'s decision:
     generated cold there, on its window. Returns the forged record's seq."""
-    rec = first(records, "CertificatePosted",
-                lambda r: r["l"] == records[seq]["l"] + 1)
-    samples = runner.Samples(config.model.dimension_m, len(records),
-                             config.concentration, config.schedule,
-                             config.cover)
-    for arrival in records[:rec["seq"]]:
-        if arrival["kind"] == "DataArrival":
-            samples.add(arrival["point"], arrival["index"])
-    window, radius = samples.ball()
+    start = next(i for i in epoch_starts(records) if i > seq)
+    window, radius = ball_at(records, config, start)
     cert = certificates.generate(config.model, np.array(decisions[seq]),
                                  window, radius, config.tolerances.eps1)
-    rec.update(J=cert.j_eps1, eta=cert.eta,
-               y=certificates.plan_entries(cert.y_eps1))
-    return rec["seq"]
+    records[start].update(J=cert.j_eps1,
+                          y=certificates.plan_entries(cert.y_eps1))
+    return start
 
 
 def converge_a_step_early(records):
-    """Post the first epoch's convergence before its last step certificate,
-    at the step count before that step; returns the two records' seqs."""
-    end = first(records, "EpochConverged")
-    i = end["seq"]
-    step = records[i - 1]
-    records[i - 1], records[i] = end, step
-    end.update(seq=i - 1, r=step["r"] - 1)
-    step["seq"] = i
+    """Post the first epoch's convergence before its last step certificate;
+    returns the two records' seqs."""
+    i = seq_of(records, first(records, "EpochConverged"))
+    records[i - 1], records[i] = records[i], records[i - 1]
     return i - 1, i
 
 
 # Each tamper edits one certificate of a log in the step format, given the
-# certificates' decisions, and returns the seq of the record the audit must
-# fail, the check that fails and the start of its message.
+# run's config and the certificates' decisions, and returns the seq of the
+# record the audit must fail, the check that fails and the start of its
+# message.
 
-def nudge_alpha(records, decisions):
+def nudge_alpha(records, config, decisions):
     """A step certificate's alpha one ulp up: its derived decision moves,
     and it is no longer the length of its step in the epoch."""
     rec = step_certificate(records)
     rec["alpha"] = math.nextafter(rec["alpha"], math.inf)
-    return rec["seq"], "step_links", "step alpha"
+    return seq_of(records, rec), "step_links", "step alpha"
 
 
-def post_step_x(records, decisions):
+def post_step_x(records, config, decisions):
     """A step certificate posts its own decision a second time."""
     rec = step_certificate(records)
-    rec["x"] = decisions[rec["seq"]]
-    return (rec["seq"], "structure",
+    seq = seq_of(records, rec)
+    rec["x"] = decisions[seq]
+    return (seq, "structure",
             "CertificatePosted carries 'x', not keys of its form")
 
 
 def edit_alpha(new):
     """A step certificate's alpha set to ``new(alpha)``, or dropped when
     ``new`` is None."""
-    def tamper(records, decisions):
+    def tamper(records, config, decisions):
         rec = step_certificate(records)
         if new is None:
             del rec["alpha"]
         else:
             rec["alpha"] = new(rec["alpha"])
-        return rec["seq"], "structure", "step certificate alpha missing"
+        return (seq_of(records, rec), "structure",
+                "step certificate alpha missing")
     return tamper
 
 
-def drop_epoch_start_x(records, decisions):
+def drop_epoch_start_x(records, config, decisions):
     """The run's first certificate posts no decision, which no earlier
     epoch's best supplies."""
     rec = first(records, "CertificatePosted")
     del rec["x"]
-    return (rec["seq"], "structure",
+    return (seq_of(records, rec), "structure",
             "certificate J, x or tol missing or malformed")
+
+
+# The tampers below edit a fact from which the audit derives a key the log
+# no longer posts.
+
+def move_across_an_arrival(records, config, decisions):
+    """The first epoch's last step certificate moves past the arrival after
+    the epoch's convergence: its sample count, derived from the arrivals
+    before it, is no longer the one of the certificate before it."""
+    end = seq_of(records, first(records, "EpochConverged"))
+    step = records.pop(end - 1)
+    arrival = next(i for i in range(end - 1, len(records))
+                   if records[i]["kind"] == "DataArrival")
+    records.insert(arrival + 1, step)
+    return (arrival + 1, "structure",
+            "step certificate does not follow a certificate on its window")
+
+
+def swap_two_steps(records, config, decisions):
+    """A step certificate swapped with the step certificate before it, in
+    an epoch whose later one does not reuse the earlier one's plan: each
+    posts the other's step length at the other's place in the epoch."""
+    i = next(i for i, (a, b) in enumerate(zip(records, records[1:]))
+             if "alpha" in a and "alpha" in b and b.get("y_ref") != i)
+    records[i], records[i + 1] = records[i + 1], records[i]
+    return i, "step_links", "step alpha"
+
+
+def widen_a_gap(records, config, decisions):
+    """The first refresh's largest plan entry halved, with its ``J``
+    re-priced at the edited plan: the value holds, but the plan is no
+    longer a worst case within the posted tolerance."""
+    rec = first(records, "CertificatePosted", lambda r: "y" in r)
+    seq = seq_of(records, rec)
+    entry = max(rec["y"], key=lambda e: abs(e[2]))
+    entry[2] /= 2
+    window, _ = ball_at(records, config, seq)
+    y = certificates.plan_from_entries(rec["y"],
+                                       (window.size, window.dimension))
+    rec["J"] = certificates.certificate_value(
+        config.model, np.array(decisions[seq]), window, y)
+    return seq, "certificate_gap", "gap "
 
 
 STEP_TAMPERS = {
@@ -186,6 +267,9 @@ STEP_TAMPERS = {
     # a step of -alpha moves as far as the step of alpha
     "alpha-negated": edit_alpha(lambda alpha: -alpha),
     "epoch-start-no-x": drop_epoch_start_x,
+    "certificate-across-an-arrival": move_across_an_arrival,
+    "steps-swapped": swap_two_steps,
+    "plan-past-its-tolerance": widen_a_gap,
 }
 
 
@@ -196,47 +280,57 @@ STEP_TAMPERS = {
 
 def add_beta(records, config, decisions):
     rec = first(records, "CertificatePosted")
-    rec["beta"] = config.schedule.beta(rec["n"])
-    return rec["seq"], "CertificatePosted carries 'beta'"
+    seq = seq_of(records, rec)
+    n = dropped_keys(records, decisions, config)[seq]["n"]
+    rec["beta"] = config.schedule.beta(n)
+    return seq, "CertificatePosted carries 'beta'"
 
 
 def add_reused(records, config, decisions):
     rec = first(records, "CertificatePosted", lambda r: "y_ref" in r)
     rec["reused"] = True
-    return rec["seq"], "CertificatePosted carries 'reused'"
+    return seq_of(records, rec), "CertificatePosted carries 'reused'"
 
 
 def add_cert_seq(records, config, decisions):
     """A step certificate names itself, as its step record used to."""
     rec = step_certificate(records)
-    rec["cert_seq"] = rec["seq"]
-    return rec["seq"], "CertificatePosted carries 'cert_seq'"
+    rec["cert_seq"] = seq_of(records, rec)
+    return rec["cert_seq"], "CertificatePosted carries 'cert_seq'"
 
 
 def add_epoch_start_moved(records, config, decisions):
     """An epoch's first certificate, which takes no step, posts a moved."""
     rec = first(records, "CertificatePosted")
     rec["moved"] = 0.0
-    return rec["seq"], "CertificatePosted carries 'moved'"
+    return seq_of(records, rec), "CertificatePosted carries 'moved'"
+
+
+def add_eta(records, config, decisions):
+    """A certificate posts a gap within its tolerance, which the audit
+    measures itself."""
+    rec = first(records, "CertificatePosted")
+    rec["eta"] = rec["tol"] / 2
+    return seq_of(records, rec), "CertificatePosted carries 'eta'"
 
 
 def null_step_x(records, config, decisions):
     rec = step_certificate(records)
     rec["x"] = None
-    return rec["seq"], "CertificatePosted writes 'x' as null"
+    return seq_of(records, rec), "CertificatePosted writes 'x' as null"
 
 
 def add_unknown_key(records, config, decisions):
     rec = first(records, "DataArrival")
     rec["note"] = "hand-edited"
-    return rec["seq"], "DataArrival carries 'note'"
+    return seq_of(records, rec), "DataArrival carries 'note'"
 
 
 def add_cover_size(records, config, decisions):
     """A cover key on the termination of a run without a cover."""
     rec = first(records, "Terminated")
     rec["cover_size"] = 1
-    return rec["seq"], "Terminated carries 'cover_size'"
+    return seq_of(records, rec), "Terminated carries 'cover_size'"
 
 
 def add_epoch_key(key, value):
@@ -245,7 +339,7 @@ def add_epoch_key(key, value):
     def tamper(records, config, decisions):
         rec = first(records, "EpochConverged")
         rec[key] = value
-        return rec["seq"], f"EpochConverged carries '{key}'"
+        return seq_of(records, rec), f"EpochConverged carries '{key}'"
     return tamper
 
 
@@ -254,8 +348,9 @@ def put_back(kind, key, where=lambda r: True):
     that ``where`` holds for, at the value an older format posted there."""
     def tamper(records, config, decisions):
         rec = first(records, kind, where)
-        rec[key] = dropped_keys(records, decisions, config)[rec["seq"]][key]
-        return rec["seq"], f"{kind} carries '{key}'"
+        seq = seq_of(records, rec)
+        rec[key] = dropped_keys(records, decisions, config)[seq][key]
+        return seq, f"{kind} carries '{key}'"
     return tamper
 
 
@@ -273,7 +368,14 @@ KEY_TAMPERS = {
     "step-moved": put_back("CertificatePosted", "moved",
                            lambda r: "alpha" in r),
     "later-epoch-start-x": put_back("CertificatePosted", "x",
-                                    lambda r: r["l"] == 2),
+                                    lambda r: "alpha" not in r
+                                    and "x" not in r),
+    "seq": put_back("CertificatePosted", "seq"),
+    "arrival-n": put_back("DataArrival", "n"),
+    "certificate-n": put_back("CertificatePosted", "n"),
+    "eta": add_eta,
+    "step-r": put_back("CertificatePosted", "r", lambda r: "alpha" in r),
+    "epoch-start-l": put_back("CertificatePosted", "l"),
     **{f"{name}-{key}": put_back(kind, key)
        for name, kind, keys in (
            ("epoch", "EpochConverged", ("steps", "best_seq")),
@@ -284,8 +386,8 @@ KEY_TAMPERS = {
 
 # (kind, key) pairs a record of a plain log must carry; each dropped alone
 # is a structure failure that names it, and no other check reads the key
-MISSING_KEYS = [("CertificatePosted", "eta"), ("CertificatePosted", "lp_calls"),
-                ("DataArrival", "index"), ("DataArrival", "arrival_t")]
+MISSING_KEYS = [("CertificatePosted", "lp_calls"), ("DataArrival", "index"),
+                ("DataArrival", "arrival_t")]
 
 
 def drop_key(records, kind, key, where=None):
@@ -294,26 +396,34 @@ def drop_key(records, kind, key, where=None):
     failure."""
     rec = first(records, kind, where or (lambda r: True))
     del rec[key]
-    return rec["seq"], f"{kind} lacks '{key}', keys of its form"
+    return seq_of(records, rec), f"{kind} lacks '{key}', keys of its form"
 
 
-# Each counter tamper edits the step count r or the epoch count l of one
+# Each counter tamper writes the step count r or the epoch count l into one
 # record of a plain log, and returns that record's seq and the start of the
-# audit's structure failure.
+# audit's structure failure: an arrival, the one kind that posts the counts,
+# must post the runner's, and any other kind carries neither.
 
 def set_counter(counter, value, pick):
     def tamper(records):
         rec = pick(records)
-        rec[counter] = value(rec[counter])
+        seq = seq_of(records, rec)
+        r, l = runner_counts(records)[seq]
+        rec[counter] = value(r if counter == "r" else l)
+        if rec["kind"] != "DataArrival":
+            return (seq,
+                    f"{rec['kind']} carries '{counter}', not keys of its form")
         what = "step count r" if counter == "r" else "epoch count l"
-        return rec["seq"], f"{what} {rec[counter]!r} does not follow"
+        return seq, f"{what} {rec[counter]!r} does not follow"
     return tamper
 
 
 COUNTER_TAMPERS = {
-    "r-999": set_counter("r", lambda r: 999, step_certificate),
+    "r-999": set_counter("r", lambda r: 999,
+                         lambda records: [r for r in records
+                                          if r["kind"] == "DataArrival"][-1]),
     "r-negative": set_counter("r", lambda r: -5,
-                              functools.partial(first, kind="CertificatePosted")),
+                              functools.partial(first, kind="DataArrival")),
     # any kind's count raised by 3
     **{f"{counter}-{kind}-plus-3": set_counter(
         counter, lambda v: v + 3, functools.partial(first, kind=kind))

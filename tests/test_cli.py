@@ -28,7 +28,7 @@ from drostream.stream import expected_cost
 
 from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
                     converge_a_step_early, drop_key, dropped_keys,
-                    restart_from, run_with_decisions)
+                    epoch_starts, restart_from, run_with_decisions)
 
 
 @pytest.fixture(scope="module")
@@ -275,9 +275,9 @@ def test_verify_reports_a_malformed_certificate_and_exits_1(
     assert "FAILED" in err
 
 
-def _legacy_dense(rec):
+def _legacy_dense(rec, n):
     # the run has no cover, so the window holds n atoms of dimension 3
-    rec["y"] = plan_from_entries(rec["y"], (rec["n"], 3)).tolist()
+    rec["y"] = plan_from_entries(rec["y"], (n, 3)).tolist()
 
 
 def _last(where):
@@ -304,23 +304,26 @@ def _last_best_step(records):
     return found
 
 
+# each tamper edits a record given the number n of arrivals before it,
+# which is the number of atoms of its window
 @pytest.mark.parametrize("pick, tamper, message", [
-    (_last(_refresh), lambda rec: rec.update(y=[[rec["n"], 0, 1.0]]),
+    (_last(_refresh), lambda rec, n: rec.update(y=[[n, 0, 1.0]]),
      "plan coordinate outside the window"),
-    (_last(_refresh), lambda rec: rec.update(y=[rec["y"][0]] * 2),
+    (_last(_refresh), lambda rec, n: rec.update(y=[rec["y"][0]] * 2),
      "plan coordinates repeat"),
-    (_last(_refresh), lambda rec: rec.update(y=[[0.5, 0, 1.0]]),
+    (_last(_refresh), lambda rec, n: rec.update(y=[[0.5, 0, 1.0]]),
      "plan coordinate not an integer"),
-    (_last(_refresh), lambda rec: rec["y"][0].__setitem__(2, float("nan")),
+    (_last(_refresh),
+     lambda rec, n: rec["y"][0].__setitem__(2, float("nan")),
      "plan or decision not finite"),
-    (_last(_refresh), lambda rec: rec.update(y=[rec["y"][0] + [0.0]]),
+    (_last(_refresh), lambda rec, n: rec.update(y=[rec["y"][0] + [0.0]]),
      "plan ragged or not numeric"),
     (_last(_refresh), _legacy_dense, "plan coordinate not an integer"),
-    (_last(lambda rec: "alpha" in rec), lambda rec: rec.update(x=[0.0]),
+    (_last(lambda rec: "alpha" in rec), lambda rec, n: rec.update(x=[0.0]),
      "CertificatePosted carries 'x', not keys of its form"),
     # the step that lowers its epoch's best posts no x either: the epoch's
     # outputs copy the x derived for it
-    (_last_best_step, lambda rec: rec.update(x=[0.0]),
+    (_last_best_step, lambda rec, n: rec.update(x=[0.0]),
      "CertificatePosted carries 'x', not keys of its form"),
 ], ids=["y-outside", "y-repeated", "y-non-integer", "y-nan-value",
         "y-row-length", "y-legacy-dense", "step-x", "best-x"])
@@ -329,7 +332,8 @@ def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
     lines = (run_dir / "events.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
     picked = pick(records)
-    tamper(records[picked])
+    tamper(records[picked],
+           sum(rec["kind"] == "DataArrival" for rec in records[:picked]))
     lines[picked] = json.dumps(records[picked])
     tampered = tmp_path / "tampered"
     tampered.mkdir()
@@ -389,19 +393,18 @@ def test_verify_reports_an_output_that_is_not_the_epochs_best_and_exits_1(
 def shift_a_step(records):
     """A step certificate posts a distance moved, which the audit derives;
     returns its seq and the edited seqs."""
-    step = next(r for r in records if "alpha" in r)
-    step["moved"] = 1.0
-    return step["seq"], [step["seq"]]
+    seq = next(i for i, r in enumerate(records) if "alpha" in r)
+    records[seq]["moved"] = 1.0
+    return seq, [seq]
 
 
 def flip_an_epoch_start(records):
     """The second epoch's first certificate posts the negated start of the
     run as its decision, where the audit derives the first epoch's best.
     Returns that certificate's seq and the edited seqs."""
-    start = next(r for r in records
-                 if r["kind"] == "CertificatePosted" and r["l"] == 2)
-    start["x"] = [-v for v in records[1]["x"]]
-    return start["seq"], [start["seq"]]
+    seq = epoch_starts(records)[1]
+    records[seq]["x"] = [-v for v in records[1]["x"]]
+    return seq, [seq]
 
 
 @pytest.mark.parametrize("tamper, check, message", [
@@ -432,10 +435,10 @@ def test_verify_reports_a_step_that_is_not_the_runs_and_exits_1(
 @pytest.mark.parametrize("tamper", STEP_TAMPERS.values(),
                          ids=STEP_TAMPERS.keys())
 def test_verify_reports_a_step_certificate_that_is_not_the_runs_and_exits_1(
-        run_dir, run_decisions, tmp_path, capsys, tamper):
+        run_dir, run_decisions, run_config, tmp_path, capsys, tamper):
     records = [json.loads(line) for line in
                (run_dir / "events.jsonl").read_text().splitlines()]
-    picked, check, message = tamper(records, run_decisions)
+    picked, check, message = tamper(records, run_config, run_decisions)
     tampered = tmp_path / "tampered"
     tampered.mkdir()
     (tampered / "events.jsonl").write_text(
@@ -551,12 +554,12 @@ def converge_early(records, config, decisions):
 
 def lower_eps2(records, config, decisions):
     """The run's eps2 falls below the move that stopped the first epoch."""
-    end = next(r for r in records if r["kind"] == "EpochConverged")
+    end = next(i for i, r in enumerate(records)
+               if r["kind"] == "EpochConverged")
     run_config = materialize(from_dict(config), stream=[]).run_config
-    moved = dropped_keys(records, decisions, run_config)[end["seq"] - 1][
-        "moved"]
+    moved = dropped_keys(records, decisions, run_config)[end - 1]["moved"]
     config["tolerances"]["eps2"] = 0.99 * moved
-    return end["seq"], "epoch converges other than right after"
+    return end, "epoch converges other than right after"
 
 
 @pytest.mark.parametrize("tamper", [converge_early, lower_eps2],
@@ -624,7 +627,8 @@ def test_a_failed_run_leaves_its_events_and_a_failed_summary(
         "study1", 12)
     records = [json.loads(line)
                for line in (out / "events.jsonl").read_text().splitlines()]
-    assert [r["seq"] for r in records] == list(range(len(records)))
+    arrivals = [r["index"] for r in records if r["kind"] == "DataArrival"]
+    assert arrivals == list(range(len(arrivals)))
     assert any(r["kind"] == "CertificatePosted" for r in records)
     assert (out / "stream.jsonl").exists()
     # the prefix audits clean but for its missing termination
@@ -723,7 +727,8 @@ def test_verify_reports_a_step_after_its_epochs_first_small_step_and_exits_1(
     mat = materialize(from_dict(summary["config"]))
     res, decisions = run_with_decisions(mat.run_config, mat.stream)
     records = [ev.record() for ev in res.events]
-    steps = [r["seq"] for r in records if "alpha" in r and r["l"] == 7]
+    steps = [ev.seq for ev in res.events
+             if "alpha" in ev.record() and ev.l == 7]
     assert len(steps) == 18
     moved = dropped_keys(records, decisions, mat.run_config)[steps[16]][
         "moved"]

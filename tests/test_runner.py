@@ -27,8 +27,9 @@ from oracles import (
     window_measure,
 )
 from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
-                    converge_a_step_early, drop_key, dropped_keys, first,
-                    restart_from, run_with_decisions, step_certificate)
+                    converge_a_step_early, drop_key, dropped_keys,
+                    epoch_starts, restart_from, run_with_decisions,
+                    step_certificate)
 
 
 def pure_quadratic():
@@ -258,14 +259,14 @@ def posted_plans(cfg, records):
     samples = Samples(cfg.model.dimension_m, len(records), cfg.concentration,
                       cfg.schedule, cfg.cover)
     plans, out = {}, []
-    for rec in records:
+    for seq, rec in enumerate(records):
         if rec["kind"] == "DataArrival":
             samples.add(rec["point"], rec["index"])
         elif rec["kind"] == "CertificatePosted":
             window, radius = samples.ball()
             y = (plan_from_entries(rec["y"], (window.size, window.dimension))
                  if "y" in rec else plans[rec["y_ref"]])
-            plans[rec["seq"]] = y
+            plans[seq] = y
             out.append((window, y, radius))
     return out
 
@@ -291,7 +292,7 @@ def test_audit_reports_a_non_finite_plan_without_raising():
     cfg, res = cover_run()
     records = [ev.record() for ev in res.events]
     # the first refresh that moves the second cover center
-    seq, entry = next((r["seq"], e) for r in records
+    seq, entry = next((seq, e) for seq, r in enumerate(records)
                       if r["kind"] == "CertificatePosted" and "y" in r
                       for e in r["y"] if e[:2] == [1, 0])
     entry[2] = float("nan")
@@ -344,7 +345,6 @@ def second_arrival(records):
 def swap_first_two(records):
     # the first certificate now precedes the first arrival
     records[0], records[1] = records[1], records[0]
-    records[0]["seq"], records[1]["seq"] = 0, 1
 
 
 BAD_POINT = "arrival point missing, misshapen or not finite"
@@ -404,13 +404,13 @@ CERT_FIELDS = "certificate J, x or tol missing or malformed"
      "record 6: CertificatePosted carries 'x', not keys of its form"),
     (lambda recs: recs[6].update(y=recs[5]["y"]),
      "record 6: CertificatePosted carries 'y', not keys of its form"),
-    (lambda recs: second_arrival(recs).update(n="two"),
-     "record 4: count 'two' not a number"),
+    (lambda recs: second_arrival(recs).update(r="two"),
+     "record 4: step count r 'two' does not follow"),
     (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
 ], ids=["cert-no-J", "cert-no-x", "cert-no-tol", "radius-null", "ragged-y",
         "y-outside", "y-repeated", "y-non-integer", "y-nan-value",
         "y-row-length", "y-legacy-dense", "step-J", "step-x", "y-and-y_ref",
-        "arrival-n-not-numeric", "not-an-object"])
+        "arrival-r-not-numeric", "not-an-object"])
 def test_audit_reports_a_malformed_record_without_raising(tamper, message):
     # record 1 is the run's first certificate, the only one that posts x;
     # records 5 and 6 are the second window's certificate and its step's,
@@ -446,8 +446,7 @@ def leave_no_best(cfg, records, decisions, i):
     """The epoch before the last loses its first certificate's J, so it has
     no best; returns the seq of the last epoch's first certificate, which
     has no decision to start from, and the start of its failure."""
-    starts = [r["seq"] for r in records
-              if r["kind"] == "CertificatePosted" and "alpha" not in r]
+    starts = epoch_starts(records)
     del records[starts[-2]]["J"]
     return starts[-1], CERT_FIELDS
 
@@ -486,11 +485,11 @@ def test_audit_requires_the_epochs_running_best():
     res, decisions = run_with_decisions(cfg, points)
     records = [ev.record() for ev in res.events]
     keys = dropped_keys(records, decisions, cfg)
-    best = next(keys[r["seq"]]["best_seq"] for r in records
+    best = next(keys[i]["best_seq"] for i, r in enumerate(records)
                 if r["kind"] == "EpochConverged"
-                and "alpha" in records[keys[r["seq"]]["best_seq"]])
+                and "alpha" in records[keys[i]["best_seq"]])
     other = best - 1
-    assert records[other]["l"] == records[best]["l"] < records[-1]["l"]
+    assert res.events[other].l == res.events[best].l < res.events[-1].l
     assert records[other]["J"] > records[best]["J"]
     start = restart_from(records, decisions, cfg, other)
     report = audit(cfg, records)
@@ -573,13 +572,16 @@ def full_audit(cfg, records):
 def test_audit_derives_each_step_certificates_decision(preset, n0, cover,
                                                        tamper):
     # a step certificate posts its alpha, and the audit derives its decision
-    # from the certificate before it; each edit of that format fails a
-    # named check
+    # from the certificate before it; no record posts its seq, sample count
+    # or gap, and only an arrival posts the step and epoch counts, which the
+    # audit derives from the record's place, the arrivals before it and its
+    # plan. Each edit of that format, or of what a dropped key is derived
+    # from, fails a named check
     cfg, points = pinned_run(preset, n0, cover, None)
     res, decisions = run_with_decisions(cfg, points)
     records = [ev.record() for ev in res.events]
     assert full_audit(cfg, records)[0].ok
-    seq, check, message = tamper(records, decisions)
+    seq, check, message = tamper(records, cfg, decisions)
     report, failed = full_audit(cfg, records)
     assert failed[check] >= 1
     assert any(f.startswith(f"record {seq}: {message}")
@@ -595,31 +597,32 @@ def test_no_step_length_one_ulp_off_audits_ok(preset, n0, cover):
     # length, so each edit fails step_links
     cfg, points = pinned_run(preset, n0, cover, None)
     records = [ev.record() for ev in run(cfg, points).events]
-    steps = [rec for rec in records if "alpha" in rec]
+    steps = [seq for seq, rec in enumerate(records) if "alpha" in rec]
     assert steps
     passed = []
-    for rec in steps:
+    for seq in steps:
+        rec = records[seq]
         alpha = rec["alpha"]
         for to in (math.inf, -math.inf):
             rec["alpha"] = math.nextafter(alpha, to)
             if not full_audit(cfg, records)[1]["step_links"]:
-                passed.append((rec["seq"], rec["alpha"]))
+                passed.append((seq, rec["alpha"]))
         rec["alpha"] = alpha
     assert not passed
     assert full_audit(cfg, records)[0].ok
 
 
 # the keys of each kind's records, in the order a record writes them,
-# besides seq, kind, t, n, r and l; the cover's keys are written on a run
-# with a cover, and a certificate writes one form of each pair: x for the
-# run's first certificate, alpha for a step's and neither for a later
-# epoch's first, y for a refresh, y_ref for a reuse
+# besides kind and t; the cover's keys are written on a run with a cover,
+# and a certificate writes one form of each pair: x for the run's first
+# certificate, alpha for a step's and neither for a later epoch's first, y
+# for a refresh, y_ref for a reuse
 COVER_ONLY = ("cover_opened", "cover_size")
 DOCUMENTED_KEYS = {
-    "DataArrival": ("point", "index", "arrival_t", "cover_opened",
+    "DataArrival": ("r", "l", "point", "index", "arrival_t", "cover_opened",
                     "cover_size"),
-    "CertificatePosted": ("J", ("x", "alpha"), "eta", "tol", "lp_calls",
-                          "cp_calls", "afwa_iters", ("y", "y_ref")),
+    "CertificatePosted": ("J", ("x", "alpha"), "tol", "lp_calls", "cp_calls",
+                          "afwa_iters", ("y", "y_ref")),
     "EpochConverged": (),
     "Terminated": (),
 }
@@ -641,7 +644,7 @@ def test_audit_rejects_a_key_outside_its_kinds_set(tamper):
     *((study1_records, kind, key, None) for kind, key in MISSING_KEYS),
     (cover_records, "DataArrival", "cover_size", None),
     # the last arrival's, which posts the cover's final size
-    (cover_records, "DataArrival", "cover_size", lambda r: r["n"] == 6),
+    (cover_records, "DataArrival", "cover_size", lambda r: r["index"] == 5),
 ], ids=[key for _, key in MISSING_KEYS] + ["cover-arrival-size",
                                           "cover-final-size"])
 def test_audit_requires_every_key_of_a_records_form(make_records, kind, key,
@@ -669,23 +672,23 @@ def test_audit_requires_the_runners_step_and_epoch_counts(tamper):
 
 def test_audit_accepts_a_step_count_raised_by_an_interrupted_step():
     # a step an arrival interrupts is counted but posts no certificate: the
-    # step count rises at the arrival right after the epoch's last
-    # certificate, which the audit accepts there and nowhere else
+    # step count an arrival posts rises right after the epoch's last
+    # certificate, which the audit accepts there and at no other arrival
     cfg, points = pinned_run("study1-coupled", 40, False, 5000.0)
-    records = [ev.record() for ev in run(cfg, points).events]
+    events = run(cfg, points).events
+    records = [ev.record() for ev in events]
     assert full_audit(cfg, records)[0].ok
-    rises = [r for a, r in zip(records, records[1:])
-             if r["kind"] == "DataArrival" and r["r"] > a["r"]]
-    assert rises and all(records[r["seq"] - 1]["kind"] == "CertificatePosted"
-                         for r in rises)
-    arrival = next(r for r in records[rises[0]["seq"] + 1:]
-                   if r["kind"] == "DataArrival"
-                   and records[r["seq"] - 1]["kind"] != "CertificatePosted")
-    arrival["r"] += 1
+    rises = [i for i, (a, b) in enumerate(zip(events, events[1:]), 1)
+             if b.kind == "DataArrival" and b.r > a.r]
+    assert rises and all(events[i - 1].kind == "CertificatePosted"
+                         for i in rises)
+    seq = next(i for i in range(rises[0] + 1, len(records))
+               if records[i]["kind"] == "DataArrival"
+               and records[i - 1]["kind"] != "CertificatePosted")
+    records[seq]["r"] += 1
     report, failed = full_audit(cfg, records)
     assert failed["structure"] == 1 and sum(failed.values()) == 1
-    assert report.failures[0].startswith(
-        f"record {arrival['seq']}: step count r")
+    assert report.failures[0].startswith(f"record {seq}: step count r")
 
 
 def test_audit_reports_a_huge_step_length_without_warnings():
@@ -702,22 +705,22 @@ def test_audit_reports_a_huge_step_length_without_warnings():
 def test_every_record_of_a_kind_carries_the_same_keys():
     # on every pinned run, no record writes a null value and each carries
     # exactly its kind's documented keys, in order; an epoch's first
-    # certificate is the first of its l, and the reuses are the certificates
-    # that post y_ref
+    # certificate is the first of its runner's epoch count l, and the reuses
+    # are the certificates that post y_ref
     for preset, n0, cover, budget in (row[:4] for row in PINNED_WORK):
         res = run(*pinned_run(preset, n0, cover, budget))
         epochs, reuses = set(), 0
         for ev in res.events:
             rec = ev.record()
             assert None not in rec.values(), rec
-            want = ["seq", "kind", "t", "n", "r", "l"]
+            want = ["kind", "t"]
             for key in DOCUMENTED_KEYS[rec["kind"]]:
                 if key in COVER_ONLY:
                     want += [key] if cover else []
                 elif key == ("x", "alpha"):
-                    want += (["alpha"] if rec["l"] in epochs
+                    want += (["alpha"] if ev.l in epochs
                              else [] if epochs else ["x"])
-                    epochs.add(rec["l"])
+                    epochs.add(ev.l)
                 elif key == ("y", "y_ref"):
                     reuses += "y" not in rec
                     want.append("y" if "y" in rec else "y_ref")
@@ -734,8 +737,10 @@ def test_audit_requires_each_epoch_to_start_from_the_last_best():
     # epoch's start instead, it fails there
     cfg, records = study1_records()
     keys = dropped_keys(records, study1_decisions(), cfg)
-    best = keys[first(records, "EpochConverged")["seq"]]["best_seq"]
-    assert records[1]["l"] == records[best]["l"] == 1 and best != 1
+    end = next(i for i, r in enumerate(records)
+               if r["kind"] == "EpochConverged")
+    best = keys[end]["best_seq"]
+    assert keys[1]["l"] == keys[best]["l"] == 1 and best != 1
     start = restart_from(records, study1_decisions(), cfg, 1)
     report, failed = full_audit(cfg, records)
     assert failed["certificate_value"] >= 1 and not failed["structure"]
@@ -765,9 +770,10 @@ def test_audit_requires_a_step_stop_at_the_first_step_below_eps2():
     # step and its convergence fail
     cfg, records = study1_records()
     keys = dropped_keys(records, study1_decisions(), cfg)
-    steps = [r["seq"] for r in records if "alpha" in r and r["l"] == 1]
+    steps = [i for i, r in enumerate(records)
+             if "alpha" in r and keys[i]["l"] == 1]
     moved = [keys[seq]["moved"] for seq in steps]
-    ends = [r["seq"] for r in records if r["kind"] == "EpochConverged"]
+    ends = [i for i, r in enumerate(records) if r["kind"] == "EpochConverged"]
     for eps2, failing in ((0.99 * moved[-1], ends),
                           (1.01 * moved[-2], [steps[-1], ends[0]])):
         tol = dataclasses.replace(cfg.tolerances, eps2=eps2)
@@ -787,7 +793,8 @@ def test_audit_fails_a_step_after_its_epochs_first_small_step():
     cfg, points = pinned_run("study1-coupled", 40, False, 5000.0)
     res, decisions = run_with_decisions(cfg, points)
     records = [ev.record() for ev in res.events]
-    steps = [r["seq"] for r in records if "alpha" in r and r["l"] == 7]
+    steps = [ev.seq for ev in res.events
+             if "alpha" in ev.record() and ev.l == 7]
     assert len(steps) == 18 and (steps[0], steps[-1]) == (139, 156)
     assert records[157]["kind"] == "DataArrival"
     moved = dropped_keys(records, decisions, cfg)[steps[16]]["moved"]
@@ -796,7 +803,7 @@ def test_audit_fails_a_step_after_its_epochs_first_small_step():
     report = verify_events(records, cfg.model, cfg.concentration,
                            cfg.schedule, tolerances=tol)
     failed = {c.name: c.failures for c in report.checks}
-    ends = [r["seq"] for r in records if r["kind"] == "EpochConverged"]
+    ends = [i for i, r in enumerate(records) if r["kind"] == "EpochConverged"]
     assert len(ends) == 7
     assert failed["stop_rule"] == sum(failed.values()) == 15
     assert (f"record {steps[-1]}: CertificatePosted follows certificate "
@@ -812,22 +819,23 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
     # The one-dimensional cover run solves every weighted hull exactly, so
     # take a three-dimensional one.
     cfg, points = pinned_run("study1", 40, True, None)
-    records = [ev.record() for ev in run(cfg, points).events]
+    events = run(cfg, points).events
+    records = [ev.record() for ev in events]
     # each certificate's window has as many atoms as the cover has centers
-    atoms, size = {}, None
+    atoms, size = [], None
     for r in records:
         if r["kind"] == "DataArrival":
             size = r["cover_size"]
-        atoms[r["seq"]] = size
+        atoms.append(size)
     # the audit allows the gap 1e-9 above its tolerance, so halving the
-    # tolerance must take off more than that
-    seq = next(r["seq"] for r in records
-               if r["kind"] == "CertificatePosted" and "y" in r
-               and atoms[r["seq"]] < r["n"] and r["eta"] / 2 > 1e-9)
-    rec = records[seq]
-    assert rec["kind"] == "CertificatePosted" and "y" in rec
-    assert atoms[seq] < rec["n"]  # a weighted window
-    rec["tol"] = rec["eta"] / 2
+    # tolerance must take off more than that; the runner keeps each
+    # certificate's gap in memory
+    ev = next(ev for ev in events
+              if ev.kind == "CertificatePosted" and "y" in ev.extras
+              and atoms[ev.seq] < ev.n and ev.extras["eta"] / 2 > 1e-9)
+    seq, rec = ev.seq, records[ev.seq]
+    assert atoms[seq] < ev.n  # a weighted window
+    rec["tol"] = ev.extras["eta"] / 2
     report = audit(cfg, records)
     assert not report.ok
     for check in report.checks:
@@ -871,15 +879,15 @@ def log_text(result):
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
 #  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 46918,
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 38296,
      40.12962000000008, 0.1296200000000809),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 38867,
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 31486,
      41.567399999999694, 1.3922000000000523),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 47130,
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 38500,
      40.08570000000014, 0.08570000000013778),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 104994,
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 88606,
      20.546896719250853, 0.14061000000089052),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 96152,
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 80706,
      82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
@@ -993,7 +1001,8 @@ def study1_decisions():
     return study1_run()[2]
 
 
-# every key some record of a log may carry; the study1 log has no cover
+# every key some record of a log may carry, or an older format carried;
+# the study1 log has no cover
 LOG_KEYS = sorted({
     "seq", "kind", "t", "n", "r", "l", "J", "x", "point", "index",
     "arrival_t", "cover_opened", "cover_size", "eta", "tol", "lp_calls",
@@ -1020,11 +1029,13 @@ LOG_EDITS = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(edit=LOG_EDITS)
-# record 1 is the log's first certificate, the only one whose epoch l the
-# audit read before anything else
+# record 0 is the log's first arrival, which posts the step and epoch counts
+# the audit reads before anything else, and record 5 a certificate, which
+# posts no count
 @example(edit=("set", 5, "n", math.inf))
-@example(edit=("set", 1, "l", None))
-@example(edit=("drop", 1, "l"))
+@example(edit=("set", 0, "l", None))
+@example(edit=("drop", 0, "l"))
+@example(edit=("set", 0, "r", math.inf))
 # record 2 is the log's first step certificate, which posts its alpha
 @example(edit=("set", 2, "alpha", math.inf))
 def test_the_audit_never_raises_on_a_corrupted_log(edit):
@@ -1045,9 +1056,8 @@ def test_the_audit_never_raises_on_a_corrupted_log(edit):
     assert isinstance(report.ok, bool)
 
 
-# the numeric fields of a step certificate: its step length, value and gap
-STEP_FIELDS = [("CertificatePosted", "alpha"), ("CertificatePosted", "J"),
-               ("CertificatePosted", "eta")]
+# the numeric fields of a step certificate: its step length and value
+STEP_FIELDS = [("CertificatePosted", "alpha"), ("CertificatePosted", "J")]
 # a new value outright, or the old one scaled or shifted by a small amount
 NUMERIC_EDITS = st.one_of(
     st.tuples(st.just("set"), st.floats()),
@@ -1067,11 +1077,11 @@ def edited(old, edit):
 
 
 def same_to_the_audit(field, old, new):
-    """Whether the audit may take ``new`` for ``old``: a certificate's J and
-    eta are checked within a relative 1e-7 and an absolute 1e-9 of their
-    recomputed value, which may itself differ from the posted one by as
-    much; every other field is checked exactly."""
-    if field not in (("CertificatePosted", "J"), ("CertificatePosted", "eta")):
+    """Whether the audit may take ``new`` for ``old``: a certificate's J is
+    checked within a relative 1e-7 and an absolute 1e-9 of its recomputed
+    value, which may itself differ from the posted one by as much; every
+    other field is checked exactly."""
+    if field != ("CertificatePosted", "J"):
         return new == old
     return (math.isfinite(new)
             and abs(new - old) <= 2e-9 + 2e-7 * max(abs(old), abs(new)))
@@ -1110,7 +1120,8 @@ def test_the_audit_reports_a_decision_it_cannot_re_price():
                            [0.0, 0.4, -0.2]]))
     records = [ev.record() for ev in res.events]
     assert audit(cfg, records).ok
-    seq = next(r["seq"] for r in records if r["kind"] == "CertificatePosted")
+    seq = next(i for i, r in enumerate(records)
+               if r["kind"] == "CertificatePosted")
     records[seq]["x"] = [1e308]
     report = audit(cfg, records)
     assert not report.ok
