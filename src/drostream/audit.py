@@ -15,8 +15,10 @@ so ``Samples`` builds each once and the certificates posted before the next
 arrival reuse it.
 
 A log writes only what the audit cannot derive from earlier records and
-the run's model, concentration, schedule and cover, and the audit derives
-the rest:
+the run's model, concentration, schedule and cover. The audit reads the
+log once. For each record it first derives the facts below, and every
+``structure`` failure comes from that derivation; then each claim is one
+short function of those facts. The audit derives:
 
 - each record's sequence number from its position in the log, and the
   sample count ``n`` from the arrivals before it;
@@ -25,7 +27,8 @@ the rest:
 - a certificate's form (reuse or refresh) from its plan key, ``y_ref`` or
   ``y``; a refresh posts its plan in coordinate form, its nonzero
   ``[k, j, value]`` entries, and the audit rebuilds the dense plan from
-  them and the window's shape (``plan_from_entries``);
+  them and the window's shape (``plan_from_entries``); a reuse names its
+  plan by the position of a certificate on the same window;
 - which certificates start an epoch, by their form (no ``alpha``, after
   an arrival), and so the step and epoch counts of every record but an
   arrival, the only one that posts them;
@@ -52,6 +55,7 @@ certificate's alternatives), and no record writes a null value.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,346 +127,332 @@ def _array(rec: dict, key: str) -> Optional[np.ndarray]:
         return None
 
 
+# a certificate as the audit derives it: its posted J, tol and alpha (None
+# on an epoch's first), its window and radius, its decision, plan and
+# z = theta * y, and the value j and gap eta the audit re-prices
+_Certificate = namedtuple("_Certificate", "J tol alpha window eps x y z j eta")
+
+
+class _Record:
+    """What the audit derives from record ``i``, ``rec``: its kind (None
+    unless it is an object of a known kind) and its ``structure`` failures;
+    ``small``, the position of its epoch's first step that moved less than
+    eps2 so far; for an arrival whose point the audit ingested, whether it
+    opened a cover center and the cover's size after it (``cover``); for a
+    certificate its place among its epoch's steps (``step``, 0 on the
+    epoch's first) and what it certifies (``cert``)."""
+    __slots__ = ("i", "rec", "kind", "problems", "small", "cover", "step",
+                 "cert")
+
+    def __init__(self, i: int, rec):
+        self.i, self.rec, self.problems = i, rec, []
+        self.kind = self.small = self.cover = self.step = self.cert = None
+
+
+_NONE = _Record(-1, None)  # the record before the first, or a malformed one
+
+
+class _Derivation:
+    """One pass over a log, called on each record in turn: derives the
+    record's facts from it and the records before it."""
+
+    def __init__(self, model, samples: Samples, tolerances):
+        self.model, self.samples, self.tolerances = model, samples, tolerances
+        # the keys each kind of record may carry on this run
+        self.allowed = {kind: frozenset(COMMON_KEYS + keys)
+                        for kind, keys in RECORD_KEYS.items()}
+        if samples.cover is None:
+            self.allowed["DataArrival"] -= frozenset(COVER_KEYS)
+        # the latest record of a known kind, the latest certificate, the
+        # epoch's best certificate and its first step that moved less than
+        # eps2, and the plans on the current window by position
+        self.last, self.prev, self.best, self.small = _NONE, _NONE, None, None
+        self.plans, self.last_t = {}, -np.inf
+        # the runner's step and epoch counts, the epochs certificates began
+        # and the steps of the latest one
+        self.r = self.l = self.epoch = self.steps = 0
+        self.arrived = self.terminated = False
+
+    def __call__(self, i: int, rec) -> _Record:
+        f = _Record(i, rec)
+        problem = f.problems.append
+        if not isinstance(rec, dict) or rec.get("kind") not in EVENT_KINDS:
+            problem(f"unknown kind {rec.get('kind')!r}"
+                    if isinstance(rec, dict) else "not a JSON object")
+            return f
+        f.kind = kind = rec["kind"]
+        # an epoch's first certificate posts no alpha and follows an arrival
+        starts = (kind == "CertificatePosted" and self.arrived
+                  and "alpha" not in rec)
+        # l counts the epochs begun: an arrival may show the next one, whose
+        # first certificate's search it interrupted. r counts the steps
+        # taken: it may rise at the arrival right after a certificate, which
+        # interrupted a step before its own
+        if starts:
+            self.l = self.epoch + 1
+        elif kind == "CertificatePosted":
+            self.r += 1
+        elif kind == "DataArrival":
+            r, l = rec.get("r"), rec.get("l")
+            if type(l) is not int or l not in (self.l, self.epoch + 1):
+                problem(f"epoch count l {l!r} does not follow {self.l}")
+                l = self.l
+            rises = (0, 1) if self.last.kind == "CertificatePosted" else (0,)
+            if type(r) is not int or r - self.r not in rises:
+                problem(f"step count r {r!r} does not follow {self.r}")
+                r = self.r
+            self.r, self.l = r, l
+        # the keys of the record's form: x on the run's first certificate,
+        # alpha on a step's, and one plan key
+        form = self.allowed[kind]
+        if kind == "CertificatePosted":
+            form = form - ({"alpha"} if starts else {"x"}) - (
+                {"x"} if self.epoch else set()) - (
+                {"y"} if "y_ref" in rec else {"y_ref"})
+        posted = {key for key, value in rec.items() if value is not None}
+        if posted != form or len(posted) < len(rec):
+            for keys, says in (
+                    (posted - form, "carries {}, not keys of its form"),
+                    (form - rec.keys(), "lacks {}, keys of its form"),
+                    (rec.keys() - posted, "writes {} as null")):
+                if keys:
+                    problem(f"{kind} " + says.format(_keys(keys)))
+        t = _number(rec, "t")
+        if t is None or not math.isfinite(t) or t < self.last_t - 1e-12:
+            problem(f"time {t} moves backward")
+        else:
+            self.last_t = max(self.last_t, t)
+        if self.terminated:
+            problem("event after termination")
+        self.terminated |= kind == "Terminated"
+        why = (self._arrival(f) if kind == "DataArrival" else
+               self._certificate(f, starts) if kind == "CertificatePosted"
+               else None)
+        if why:
+            problem(why)
+        f.small, self.last = self.small, f
+        return f
+
+    # _arrival and _certificate derive what their record ingests or
+    # certifies, and return why they cannot, if they cannot
+
+    def _arrival(self, f: _Record) -> Optional[str]:
+        self.arrived = True
+        try:
+            # a point that is None or not a vector fails the shape test
+            opened = self.samples.add(_array(f.rec, "point"), f.i)
+        except ValueError:
+            return "arrival point missing, misshapen or not finite"
+        f.cover, self.plans = (opened, self.samples.cover_size), {}
+        return None
+
+    def _certificate(self, f: _Record, starts: bool) -> Optional[str]:
+        rec, model = f.rec, self.model
+        prev, self.prev, self.arrived = self.prev, f, False
+        if not self.samples.n:
+            return "certificate before any arrival"
+        J, tol, alpha = (_number(rec, key) for key in ("J", "tol", "alpha"))
+        self.steps = f.step = 0 if starts else self.steps + 1
+        if starts:
+            # the run's first posts its decision, and each later one starts
+            # from the last epoch's best
+            x = (_array(rec, "x") if not self.epoch
+                 else getattr(self.best, "x", None))
+            self.epoch, self.best, self.small = self.epoch + 1, None, None
+        if None in (J, tol) or (starts and (
+                x is None or x.shape != (model.dimension_d,))):
+            return "certificate J, x or tol missing or malformed"
+        if not starts and (alpha is None or not 0.0 < alpha < math.inf):
+            # a step length is positive: a step of -alpha can move as far,
+            # and its J differ from the posted one within tolerance
+            return "step certificate alpha missing, not positive or not finite"
+        window, eps = self.samples.ball()
+        n, src = window.n_total, prev.cert
+        if not starts and (src is None or src.window.n_total != n):
+            return ("step certificate does not follow a certificate on its "
+                    f"window ({prev.i if prev.kind else None})")
+        reuse = "y_ref" in rec
+        if reuse:
+            # keyed by int position; any other ref names none
+            ref = rec["y_ref"]
+            plan = self.plans.get(ref) if isinstance(ref, int) else None
+            if plan is None:
+                return f"unresolved plan ref {ref}"
+            y, z = plan.y, plan.z
+        else:
+            try:
+                y = plan_from_entries(rec.get("y"),
+                                      (window.size, window.dimension))
+            except ValueError as exc:
+                return f"plan {exc}"
+            z = window.theta[:, None] * y
+        try:
+            if not starts:
+                # the step from the certificate before, as the runner took
+                # it; a huge alpha fails the finite test below
+                g = subgradient(model, src.x, src.window, src.y)
+                x = scaled_step(src.x, g, alpha)
+            # a reused plan was finite where it was posted
+            if not ((reuse or np.isfinite(y).all()) and np.isfinite(x).all()):
+                return "plan or decision not finite"
+            j = certificate_value(model, x, window, y)
+            _, eta = point_search(_Problem(model, x, window).grads(z),
+                                  n * eps, z, n_total=n)
+        except ValueError as exc:  # gradients overflow at a huge x, say
+            return f"certificate cannot be re-priced: {exc}"
+        if (not starts and self.tolerances is not None and self.small is None
+                and step_distance(src.x, x) < self.tolerances.eps2):
+            self.small = f.i
+        f.cert = _Certificate(J, tol, None if starts else alpha, window, eps,
+                              x, y, z, j, eta)
+        self.plans[f.i] = f.cert
+        if starts or (self.best is not None and J < self.best.J):
+            self.best = f.cert
+        return None
+
+
+# Each claim judges one record, given the latest record of a known kind
+# before it and the run's tolerances: None where the claim says nothing of
+# the record, else its failures there.
+
+def _stop_rule(f: _Record, last: _Record, tolerances):
+    """An epoch converges right after a step certificate (given the
+    tolerances, its first that moved less than eps2, which nothing else
+    follows), and the run terminates right after a convergence."""
+    after = last if f.kind and last.i == f.i - 1 else _NONE
+    small, out = after.small == after.i, []
+    if small and f.kind != "EpochConverged":
+        out.append(f"{f.kind} follows certificate {after.i}, its epoch's "
+                   "first step that moved less than eps2, where the epoch "
+                   "converges")
+    if f.kind == "EpochConverged" and tolerances is None and not after.step:
+        out.append("epoch converges other than right after a step "
+                   "certificate")
+    elif f.kind == "EpochConverged" and tolerances is not None and not small:
+        where = "none yet" if f.small is None else f"certificate {f.small}"
+        out.append("epoch converges other than right after its first step "
+                   f"that moved less than eps2 ({where})")
+    elif f.kind == "Terminated" and after.kind != "EpochConverged":
+        out.append("run terminates other than right after an epoch's "
+                   "convergence")
+    return out if out or f.kind in ("EpochConverged", "Terminated") else None
+
+
+def _arrivals(f: _Record, last, tolerances):
+    """An arrival's cover keys are what the cover did with its point."""
+    if f.cover is None or f.cover[0] is None:
+        return None
+    (opened, want), size, out = f.cover, f.rec.get("cover_size"), []
+    if f.rec.get("cover_opened") not in (None, opened):
+        out.append("cover open/absorb mismatch")
+    if size is not None and _number(f.rec, "cover_size") != want:
+        out.append(f"cover size {size} != {want}")
+    return out
+
+
+def _step_links(f: _Record, last, tolerances):
+    """The k-th step certificate of an epoch posts
+    ``step_length(tolerances, k - 1)`` as its ``alpha``."""
+    if tolerances is None or f.cert is None or not f.step:
+        return None
+    alpha, length = f.cert.alpha, step_length(tolerances, f.step - 1)
+    return [] if alpha == length else [
+        f"step alpha {alpha!r} is not the length {length!r} of its epoch's "
+        f"step {f.step}"]
+
+
+def _certificate_value(f: _Record, last, tolerances):
+    """A certificate's ``J`` is its plan's value at its decision."""
+    c = f.cert
+    return None if c is None else [] if _close(c.j, c.J) else [
+        f"J recomputed {c.j!r} != recorded {c.J!r}"]
+
+
+def _certificate_budget(f: _Record, last, tolerances):
+    """A certificate's plan spends at most the ball's radius."""
+    if f.cert is None:
+        return None
+    spent = float(np.abs(f.cert.z).sum()) / f.cert.window.n_total
+    return [] if spent <= f.cert.eps + 1e-9 else [
+        f"budget {spent} exceeds radius {f.cert.eps}"]
+
+
+def _certificate_gap(f: _Record, last, tolerances):
+    """A certificate's plan is a worst case within the tolerance it posts,
+    which is the run's: ``eps_sa`` for a reuse, ``eps1`` for a refresh."""
+    c = f.cert
+    if c is None:
+        return None
+    out = [] if c.eta <= c.tol + 1e-9 else [  # a NaN tolerance fails too
+        f"gap {c.eta} exceeds tolerance {c.tol}"]
+    want = None if tolerances is None else (
+        tolerances.eps_sa if "y_ref" in f.rec else tolerances.eps1)
+    if want is not None and c.tol != want:
+        out.append(f"tolerance {c.tol} is not the run's {want}")
+    return out
+
+
+def _termination(terminated: bool) -> list[str]:
+    """The log ends with the run's termination."""
+    return [] if terminated else ["log does not end with a termination event"]
+
+
+# in the order a record's failures are reported
+_CLAIMS = (("stop_rule", _stop_rule),
+           ("structure", lambda f, last, tolerances: f.problems),
+           ("arrivals", _arrivals), ("step_links", _step_links),
+           ("certificate_value", _certificate_value),
+           ("certificate_budget", _certificate_budget),
+           ("certificate_gap", _certificate_gap))
+
+
 # a huge but finite value overflows where the audit re-prices or measures
 # it; the checks test the results for finiteness, so numpy need not warn
 @np.errstate(all="ignore")
-def verify_events(
-    records: list[dict],
-    model,
-    concentration: ConcentrationParams,
-    schedule: ConfidenceSchedule,
-    cover_config: Optional[CoverConfig] = None,
-    *,
-    tolerances: Optional[Tolerances] = None,
-) -> AuditReport:
+def verify_events(records: list[dict], model,
+                  concentration: ConcentrationParams,
+                  schedule: ConfidenceSchedule,
+                  cover_config: Optional[CoverConfig] = None, *,
+                  tolerances: Optional[Tolerances] = None) -> AuditReport:
     """Re-check a full event log; every failure is collected, none raise.
 
-    Each certificate's gap is checked against the tolerance it posts. Given
-    the run's ``tolerances``, the posted tolerance must also be the run's:
-    ``eps_sa`` for a reuse (a certificate that posts ``y_ref``), ``eps1``
-    for a refresh (one that posts ``y``). Each certificate is re-priced at
-    the radius ``Samples.ball()`` derives from the arrivals and the
-    schedule.
-
-    A record that carries a key outside its form's key set, lacks one of
-    them, or writes a null value is a ``structure`` failure that names the
-    key; the audit goes on with the record. A certificate's forms are ``x``
-    (the run's first), ``alpha`` (a step's) or neither (a later epoch's
-    first), and ``y`` or ``y_ref`` (a reuse); the cover's keys belong to
-    the arrivals of a run with a cover. An arrival also posts the step and
-    epoch counts ``r`` and ``l``; an epoch's convergence and the run's
-    termination carry no keys beyond every record's.
-
-    The counts an arrival posts must be the runner's, or ``structure``
-    fails: ``r``, the steps taken, rises by 1 at each step certificate and
-    holds otherwise, except that it may rise by 1 at an arrival right after
-    a certificate, where the arrival interrupted a step before its
-    certificate; ``l``, the epochs begun, rises by 1 once an epoch, at its
-    first certificate or at an arrival that interrupted that certificate's
-    search. A certificate starts an epoch when it posts no ``alpha`` and
-    follows an arrival, since each epoch begins by ingesting arrivals.
-
-    A malformed record is a ``structure`` failure; the audit skips it and
-    goes on. Malformed means a record that is not a JSON object, a missing
-    or non-numeric field the checks read (time, count, value, decision,
-    tolerance, plan), a plan that is not in coordinate form inside its
-    window (see ``plan_from_entries``) or not finite, a certificate the
-    model cannot re-price (a decision so large that its gradients
-    overflow), the run's first certificate without a decision ``x``, a
-    later epoch's first certificate whose previous epoch has no best, a
-    step certificate that has no finite positive ``alpha`` or does not
-    follow a certificate on its window (no arrival between them), a
-    non-finite derived decision, an arrival without a finite point of the
-    model's sample dimension, or a certificate before any arrival. A
-    reuse names its plan by the position of the record that posts it. With
-    a cover, ``arrivals`` checks each arrival's cover keys; without one
-    the report has no ``arrivals``.
-
-    Given the run's ``tolerances``, the k-th step certificate of an epoch
-    must post exactly ``step_length(tolerances, k - 1)`` as its ``alpha``,
-    or ``step_links`` fails; without them the report has no
-    ``step_links``. ``stop_rule`` fails where an epoch's convergence does
-    not directly follow a step certificate, or a termination does not
-    directly follow a convergence. Given the run's ``tolerances``, it also
-    fails where a convergence does not directly follow the certificate of
-    its epoch's first step that moved less than eps2, and at any other
-    record that directly follows that certificate: a step certificate, an
-    arrival or a termination.
+    Given the run's ``tolerances``, the audit also checks that each posted
+    tolerance and step length is the run's and where each epoch stops;
+    without them the report has no ``step_links``. A record the audit
+    cannot derive its facts from is a ``structure`` failure that says why,
+    and the claims that need those facts skip it. The report lists the
+    first ``_MAX_REPORTED`` failures in record order, then one line saying
+    that more were suppressed; each check counts them all.
     """
     # each record holds at most one arrival
     samples = Samples(model.dimension_m, len(records), concentration,
                       schedule, cover_config or CoverConfig())
-    names = ["structure", "arrivals", "certificate_value",
-             "certificate_budget", "certificate_gap", "step_links",
-             "termination", "stop_rule"]
-    if samples.cover is None:
-        names.remove("arrivals")
-    if tolerances is None:
-        names.remove("step_links")
-    checks = {name: AuditCheck(name) for name in names}
+    skip = {"arrivals"} if samples.cover is None else set()
+    skip |= {"step_links"} if tolerances is None else set()
+    checks = {name: AuditCheck(name) for name in (
+        "structure", "arrivals", "certificate_value", "certificate_budget",
+        "certificate_gap", "step_links", "termination", "stop_rule")
+        if name not in skip}
     failures: list[str] = []
 
-    def fail(check: str, msg: str) -> None:
-        checks[check].failures += 1
-        if len(failures) < _MAX_REPORTED:
-            failures.append(msg)
-        elif len(failures) == _MAX_REPORTED:
-            failures.append("... further failures suppressed")
-
-    # the keys each kind of record may carry on this run
-    allowed = {kind: frozenset(COMMON_KEYS + keys)
-               for kind, keys in RECORD_KEYS.items()}
-    if samples.cover is None:
-        allowed["DataArrival"] -= frozenset(COVER_KEYS)
-    certs: dict[int, dict] = {}
-
-    def cert(ref) -> Optional[dict]:
-        # keyed by int position; any other ref names none
-        return certs.get(ref) if isinstance(ref, int) else None
-
-    last_t = -np.inf
-    # the runner's step and epoch counts so far
-    last_r = last_l = 0
-    # positions of the latest CertificatePosted record and of the one
-    # before it, and whether an arrival came since the latest
-    latest_cert = before = None
-    arrived = False
-    # the epochs certificates started, and the position of the latest one's
-    # best certificate
-    epoch, best = 0, None
-    # the steps of that epoch so far, and the position of its first step's
-    # certificate that moved less than eps2 (None before one, or without
-    # tolerances)
-    steps, small = 0, None
-    # positions of the latest step certificate and of the latest convergence
-    last_step = converged = None
-    terminated = after_cert = False
-
+    # the claims this call checks
+    claims = [(checks[name], claim) for name, claim in _CLAIMS
+              if name in checks]
+    derive = _Derivation(model, samples, tolerances)
     for i, rec in enumerate(records):
-        checks["structure"].count += 1
-        if not isinstance(rec, dict):
-            fail("structure", f"record {i}: not a JSON object")
-            continue
-        kind = rec.get("kind")
-        if kind not in EVENT_KINDS:
-            fail("structure", f"record {i}: unknown kind {kind!r}")
-            continue
-        if small == i - 1 and kind != "EpochConverged":
-            # the epoch should have converged right here
-            checks["stop_rule"].count += 1
-            fail("stop_rule", f"record {i}: {kind} follows certificate "
-                 f"{small}, its epoch's first step that moved less than "
-                 "eps2, where the epoch converges")
-        is_cert = kind == "CertificatePosted"
-        starts = is_cert and arrived and "alpha" not in rec
-        if kind == "DataArrival":
-            # l counts the epochs begun: an arrival may show the next one,
-            # whose first certificate's search it interrupted. r counts the
-            # steps taken: it may rise at the arrival right after a
-            # certificate, which interrupted a step before its own
-            r, l = rec.get("r"), rec.get("l")
-            if type(l) is not int or l not in (last_l, epoch + 1):
-                fail("structure", f"record {i}: epoch count l {l!r} does "
-                     f"not follow {last_l}")
-                l = last_l
-            if type(r) is not int or r - last_r not in (
-                    (0, 1) if after_cert else (0,)):
-                fail("structure", f"record {i}: step count r {r!r} does "
-                     f"not follow {last_r}")
-                r = last_r
-            last_r, last_l = r, l
-        elif starts:
-            last_l = epoch + 1
-        elif is_cert:
-            last_r += 1
-        after_cert = is_cert
-
-        # the keys of the record's form: x on the run's first certificate,
-        # alpha on a step's, and one plan key
-        form = allowed[kind]
-        if is_cert:
-            form = form - ({"alpha"} if starts else {"x"}) - (
-                {"x"} if epoch else set()) - (
-                {"y"} if "y_ref" in rec else {"y_ref"})
-        posted = {key for key, value in rec.items() if value is not None}
-        if not form.issuperset(posted):
-            fail("structure", f"record {i}: {kind} carries "
-                 f"{_keys(posted - form)}, not keys of its form")
-        if not form.issubset(rec):
-            fail("structure", f"record {i}: {kind} lacks "
-                 f"{_keys(form.difference(rec))}, keys of its form")
-        if len(posted) < len(rec):
-            fail("structure", f"record {i}: {kind} writes "
-                 f"{_keys(rec.keys() - posted)} as null")
-        t = _number(rec, "t")
-        if t is None or not math.isfinite(t) or t < last_t - 1e-12:
-            fail("structure", f"record {i}: time {t} moves backward")
-        else:
-            last_t = max(last_t, t)
-        if terminated:
-            fail("structure", f"record {i}: event after termination")
-
-        if kind == "DataArrival":
-            arrived = True
-            point = _array(rec, "point")
-            try:
-                # a point that is None or not a vector fails the shape test
-                opened = samples.add(point, i)
-            except ValueError:
-                fail("structure", f"record {i}: arrival point missing, "
-                     "misshapen or not finite")
-                continue
-            if samples.cover is not None:
-                checks["arrivals"].count += 1
-                size, want = rec.get("cover_size"), samples.cover_size
-                if rec.get("cover_opened") not in (None, opened):
-                    fail("arrivals", f"record {i}: cover open/absorb mismatch")
-                if size is not None and _number(rec, "cover_size") != want:
-                    fail("arrivals", f"record {i}: cover size {size} != {want}")
-
-        elif is_cert:
-            before, latest_cert = latest_cert, i
-            arrived = False
-            if not samples.n:
-                fail("structure", f"record {i}: certificate before any arrival")
-                continue
-            J, tol = _number(rec, "J"), _number(rec, "tol")
-            x = None
-            if starts:
-                # a new epoch: the run's first posts its decision, and each
-                # later one starts from the last one's best
-                if not epoch:
-                    x = _array(rec, "x")
-                elif best is not None:
-                    x = certs[best]["x"]
-                epoch, best, steps, small = epoch + 1, None, 0, None
-            else:
-                steps += 1
-                last_step = i
-            if None in (J, tol) or (starts and (
-                    x is None or x.shape != (model.dimension_d,))):
-                fail("structure", f"record {i}: certificate J, x or tol "
-                     "missing or malformed")
-                continue
-            window, eps = samples.ball()
-            n = window.n_total
-            alpha, prev = _number(rec, "alpha"), cert(before)
-            if not starts and (alpha is None or not 0.0 < alpha < math.inf):
-                # a step length is positive: a step of -alpha can move as
-                # far, and its J differ from the posted one within tolerance
-                fail("structure", f"record {i}: step certificate alpha "
-                     "missing, not positive or not finite")
-                continue
-            if not starts and (prev is None or prev["n"] != n):
-                fail("structure", f"record {i}: step certificate does not "
-                     f"follow a certificate on its window ({before})")
-                continue
-
-            reuse = "y_ref" in rec
-            if reuse:
-                ref = rec["y_ref"]
-                src = cert(ref)
-                if src is None or src["n"] != n:
-                    fail("structure", f"record {i}: unresolved plan ref {ref}")
-                    continue
-                y = src["y"]
-            else:
-                try:
-                    y = plan_from_entries(rec.get("y"),
-                                          (window.size, window.dimension))
-                except ValueError as exc:
-                    fail("structure", f"record {i}: plan {exc}")
-                    continue
-
-            z = window.theta[:, None] * y
-            try:
-                if not starts:
-                    # the step from the certificate before, as the runner
-                    # took it; a huge alpha fails the finite test below
-                    g = subgradient(model, prev["x"], prev["window"],
-                                    prev["y"])
-                    x = scaled_step(prev["x"], g, alpha)
-                if not (np.isfinite(y).all() and np.isfinite(x).all()):
-                    fail("structure", f"record {i}: plan or decision not "
-                         "finite")
-                    continue
-                j = certificate_value(model, x, window, y)
-                _, eta = point_search(_Problem(model, x, window).grads(z),
-                                      n * eps, z, n_total=n)
-            except ValueError as exc:  # gradients overflow at a huge x, say
-                fail("structure", f"record {i}: certificate cannot be "
-                     f"re-priced: {exc}")
-                continue
-            if not starts and tolerances is not None:
-                checks["step_links"].count += 1
-                length = step_length(tolerances, steps - 1)
-                if alpha != length:
-                    fail("step_links", f"record {i}: step alpha "
-                         f"{alpha!r} is not the length {length!r} of "
-                         f"its epoch's step {steps}")
-                moved = step_distance(prev["x"], x)
-                if small is None and moved < tolerances.eps2:
-                    small = i
-
-            checks["certificate_value"].count += 1
-            if not _close(j, J):
-                fail(
-                    "certificate_value",
-                    f"record {i}: J recomputed {j!r} != recorded {J!r}",
-                )
-
-            checks["certificate_budget"].count += 1
-            spent = float(np.abs(z).sum()) / n
-            if spent > eps + 1e-9:
-                fail(
-                    "certificate_budget",
-                    f"record {i}: budget {spent} exceeds radius {eps}",
-                )
-
-            checks["certificate_gap"].count += 1
-            if not eta <= tol + 1e-9:  # a NaN tolerance fails too
-                fail(
-                    "certificate_gap",
-                    f"record {i}: gap {eta} exceeds tolerance {tol}",
-                )
-            if tolerances is not None:
-                want = tolerances.eps_sa if reuse else tolerances.eps1
-                if tol != want:
-                    fail("certificate_gap", f"record {i}: tolerance {tol} "
-                         f"is not the run's {want}")
-            certs[i] = {"n": n, "y": y, "J": J, "x": x, "window": window}
-            if starts or (best is not None and J < certs[best]["J"]):
-                best = i
-
-        elif kind == "EpochConverged":
-            # right after a step certificate; given the tolerances, right
-            # after the one of the epoch's first step that moved less than
-            # eps2
-            checks["stop_rule"].count += 1
-            converged = i
-            if tolerances is None and last_step != i - 1:
-                fail("stop_rule", f"record {i}: epoch converges other than "
-                     "right after a step certificate")
-            elif tolerances is not None and small != i - 1:
-                where = "none yet" if small is None else f"certificate {small}"
-                fail("stop_rule", f"record {i}: epoch converges other than "
-                     "right after its first step that moved less than eps2 "
-                     f"({where})")
-
-        else:
-            checks["stop_rule"].count += 1
-            if converged != i - 1:
-                fail("stop_rule", f"record {i}: run terminates other than "
-                     "right after an epoch's convergence")
-            terminated = True
-
-    checks["termination"].count += 1
-    if not terminated:
-        fail("termination", "log does not end with a termination event")
-
-    report = AuditReport(
-        ok=all(c.passed for c in checks.values()),
-        checks=list(checks.values()),
-        failures=failures,
-    )
-    return report
+        last = derive.last
+        f = derive(i, rec)
+        for check, claim in claims:
+            out = claim(f, last, tolerances)
+            if out is not None:
+                check.count += 1
+                if out:
+                    check.failures += len(out)
+                    failures.extend(f"record {i}: {msg}" for msg in out)
+    out = _termination(derive.terminated)
+    checks["termination"] = AuditCheck("termination", 1, len(out))
+    failures.extend(out)
+    if len(failures) > _MAX_REPORTED:
+        failures[_MAX_REPORTED:] = ["... further failures suppressed"]
+    return AuditReport(ok=all(c.passed for c in checks.values()),
+                       checks=list(checks.values()), failures=failures)
