@@ -92,11 +92,8 @@ class AuditReport:
     failures: list[str]
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for c in self.checks:
-            status = "ok" if c.passed else "FAIL"
-            lines.append(f"{c.name}: {status} ({c.count} checked, {c.failures} failed)")
-        return lines
+        return [f"{c.name}: {'ok' if c.passed else 'FAIL'} ({c.count} "
+                f"checked, {c.failures} failed)" for c in self.checks]
 
 
 def _close(a: float, b: float) -> bool:
@@ -105,51 +102,39 @@ def _close(a: float, b: float) -> bool:
     return math.isfinite(diff) and abs(diff) <= _ABS + _REL * max(abs(a), abs(b))
 
 
-def _number(rec: dict, key: str) -> Optional[float]:
-    """``rec[key]`` as a float; None when it is missing, null or not a
-    number."""
+def _number(rec: dict, key: str, array: bool = False):
+    """``rec[key]`` as a float, or given ``array`` as a float array; None
+    when it is missing, null, ragged or not numeric."""
     try:
-        return float(rec[key])
+        return np.asarray(rec[key], dtype=float) if array else float(rec[key])
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
 
 
-def _keys(keys) -> str:
-    return ", ".join(sorted(map(repr, keys)))
-
-
-def _array(rec: dict, key: str) -> Optional[np.ndarray]:
-    """``rec[key]`` as a float array; None when it is missing, null, ragged
-    or not numeric."""
-    try:
-        return np.asarray(rec[key], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-
-
-# a certificate as the audit derives it: its posted J, tol and alpha (None
-# on an epoch's first), its window and radius, its decision, plan and
-# z = theta * y, and the value j and gap eta the audit re-prices
-_Certificate = namedtuple("_Certificate", "J tol alpha window eps x y z j eta")
+# a certificate as the audit derives it: its posted J, tol and alpha (each
+# None where unreadable; an epoch's first posts no alpha), its window and
+# radius, its decision, plan, z = theta * y and the budget it spends, the
+# value j and gap eta the audit re-prices, and the value its epoch's best is
+# ranked by
+_Certificate = namedtuple("_Certificate",
+                          "J tol alpha window eps x y z spent j eta value")
 
 
 class _Record:
     """What the audit derives from record ``i``, ``rec``: its kind (None
-    unless it is an object of a known kind) and its ``structure`` failures;
-    ``small``, the position of its epoch's first step that moved less than
-    eps2 so far; for an arrival whose point the audit ingested, whether it
-    opened a cover center and the cover's size after it (``cover``); for a
-    certificate its place among its epoch's steps (``step``, 0 on the
-    epoch's first) and what it certifies (``cert``)."""
-    __slots__ = ("i", "rec", "kind", "problems", "small", "cover", "step",
-                 "cert")
+    unless an object of a known kind), its ``structure`` failures and
+    ``small``, its epoch's first step that moved less than eps2 so far. An
+    ingested arrival's ``arrival`` holds whether it opened a cover center
+    (None without a cover), the cover's size, the previous arrival's time
+    and the latest time posted; a certificate's ``step`` is its place among
+    its epoch's steps (0 for the first) and ``cert`` what it certifies."""
+    kind = small = arrival = step = cert = None
 
     def __init__(self, i: int, rec):
         self.i, self.rec, self.problems = i, rec, []
-        self.kind = self.small = self.cover = self.step = self.cert = None
 
 
-_NONE = _Record(-1, None)  # the record before the first, or a malformed one
+_NONE = _Record(-1, None)  # no record: before the log, or a malformed one
 
 
 class _Derivation:
@@ -158,16 +143,23 @@ class _Derivation:
 
     def __init__(self, model, samples: Samples, tolerances):
         self.model, self.samples, self.tolerances = model, samples, tolerances
-        # the keys each kind of record may carry on this run
-        self.allowed = {kind: frozenset(COMMON_KEYS + keys)
-                        for kind, keys in RECORD_KEYS.items()}
-        if samples.cover is None:
-            self.allowed["DataArrival"] -= frozenset(COVER_KEYS)
+        # the keys of each form on this run: by kind, and for a certificate
+        # by whether it starts an epoch, follows the run's first and reuses
+        # a plan (x on the run's first, alpha on a step's, one plan key)
+        self.forms = {kind: frozenset(COMMON_KEYS + keys).difference(
+            COVER_KEYS if samples.cover is None else ())
+            for kind, keys in RECORD_KEYS.items()}
+        cert = self.forms["CertificatePosted"]
+        self.forms.update({(s, e, r): cert - {"alpha" if s else "x"} - (
+            {"x"} if e else set()) - {"y" if r else "y_ref"}
+            for s in (False, True) for e in (False, True)
+            for r in (False, True)})
         # the latest record of a known kind, the latest certificate, the
         # epoch's best certificate and its first step that moved less than
-        # eps2, and the plans on the current window by position
+        # eps2, the plans on the current window by position, and the latest
+        # time a record and an arrival posted
         self.last, self.prev, self.best, self.small = _NONE, _NONE, None, None
-        self.plans, self.last_t = {}, -np.inf
+        self.plans, self.last_t, self.arrival_t = {}, -np.inf, -np.inf
         # the runner's step and epoch counts, the epochs certificates began
         # and the steps of the latest one
         self.r = self.l = self.epoch = self.steps = 0
@@ -202,13 +194,8 @@ class _Derivation:
                 problem(f"step count r {r!r} does not follow {self.r}")
                 r = self.r
             self.r, self.l = r, l
-        # the keys of the record's form: x on the run's first certificate,
-        # alpha on a step's, and one plan key
-        form = self.allowed[kind]
-        if kind == "CertificatePosted":
-            form = form - ({"alpha"} if starts else {"x"}) - (
-                {"x"} if self.epoch else set()) - (
-                {"y"} if "y_ref" in rec else {"y_ref"})
+        form = self.forms[(starts, self.epoch > 0, "y_ref" in rec)
+                          if kind == "CertificatePosted" else kind]
         posted = {key for key, value in rec.items() if value is not None}
         if posted != form or len(posted) < len(rec):
             for keys, says in (
@@ -216,7 +203,8 @@ class _Derivation:
                     (form - rec.keys(), "lacks {}, keys of its form"),
                     (rec.keys() - posted, "writes {} as null")):
                 if keys:
-                    problem(f"{kind} " + says.format(_keys(keys)))
+                    problem(f"{kind} " + says.format(
+                        ", ".join(sorted(map(repr, keys)))))
         t = _number(rec, "t")
         if t is None or not math.isfinite(t) or t < self.last_t - 1e-12:
             problem(f"time {t} moves backward")
@@ -226,8 +214,7 @@ class _Derivation:
             problem("event after termination")
         self.terminated |= kind == "Terminated"
         why = (self._arrival(f) if kind == "DataArrival" else
-               self._certificate(f, starts) if kind == "CertificatePosted"
-               else None)
+               kind == "CertificatePosted" and self._certificate(f, starts))
         if why:
             problem(why)
         f.small, self.last = self.small, f
@@ -240,10 +227,13 @@ class _Derivation:
         self.arrived = True
         try:
             # a point that is None or not a vector fails the shape test
-            opened = self.samples.add(_array(f.rec, "point"), f.i)
+            opened = self.samples.add(_number(f.rec, "point", array=True), f.i)
         except ValueError:
             return "arrival point missing, misshapen or not finite"
-        f.cover, self.plans = (opened, self.samples.cover_size), {}
+        f.arrival = (opened, self.samples.cover_size, self.arrival_t,
+                     self.last_t)
+        at, self.plans = f.rec.get("arrival_t"), {}
+        self.arrival_t = at if type(at) in (int, float) else self.arrival_t
         return None
 
     def _certificate(self, f: _Record, starts: bool) -> Optional[str]:
@@ -251,17 +241,22 @@ class _Derivation:
         prev, self.prev, self.arrived = self.prev, f, False
         if not self.samples.n:
             return "certificate before any arrival"
-        J, tol, alpha = (_number(rec, key) for key in ("J", "tol", "alpha"))
+        J, tol, alpha = _number(rec, "J"), _number(rec, "tol"), _number(
+            rec, "alpha")
         self.steps = f.step = 0 if starts else self.steps + 1
         if starts:
             # the run's first posts its decision, and each later one starts
             # from the last epoch's best
-            x = (_array(rec, "x") if not self.epoch
+            x = (_number(rec, "x", array=True) if not self.epoch
                  else getattr(self.best, "x", None))
             self.epoch, self.best, self.small = self.epoch + 1, None, None
-        if None in (J, tol) or (starts and (
-                x is None or x.shape != (model.dimension_d,))):
-            return "certificate J, x or tol missing or malformed"
+        underived = starts and (x is None or x.shape != (model.dimension_d,))
+        if underived or None in (J, tol):
+            # only the claims read J and tol: without them the audit still
+            # derives the certificate, for the records after it
+            f.problems.append("certificate J, x or tol missing or malformed")
+        if underived:
+            return None
         if not starts and (alpha is None or not 0.0 < alpha < math.inf):
             # a step length is positive: a step of -alpha can move as far,
             # and its J differ from the posted one within tolerance
@@ -271,14 +266,14 @@ class _Derivation:
         if not starts and (src is None or src.window.n_total != n):
             return ("step certificate does not follow a certificate on its "
                     f"window ({prev.i if prev.kind else None})")
-        reuse = "y_ref" in rec
-        if reuse:
+        if "y_ref" in rec:
             # keyed by int position; any other ref names none
             ref = rec["y_ref"]
             plan = self.plans.get(ref) if isinstance(ref, int) else None
             if plan is None:
                 return f"unresolved plan ref {ref}"
-            y, z = plan.y, plan.z
+            # a reused plan was checked and priced where it was posted
+            y, z, spent = plan.y, plan.z, plan.spent
         else:
             try:
                 y = plan_from_entries(rec.get("y"),
@@ -286,14 +281,15 @@ class _Derivation:
             except ValueError as exc:
                 return f"plan {exc}"
             z = window.theta[:, None] * y
+            spent = float(np.abs(z).sum()) / n
         try:
             if not starts:
                 # the step from the certificate before, as the runner took
                 # it; a huge alpha fails the finite test below
                 g = subgradient(model, src.x, src.window, src.y)
                 x = scaled_step(src.x, g, alpha)
-            # a reused plan was finite where it was posted
-            if not ((reuse or np.isfinite(y).all()) and np.isfinite(x).all()):
+            if not (("y_ref" in rec or np.isfinite(y).all())
+                    and np.isfinite(x).all()):
                 return "plan or decision not finite"
             j = certificate_value(model, x, window, y)
             _, eta = point_search(_Problem(model, x, window).grads(z),
@@ -303,23 +299,25 @@ class _Derivation:
         if (not starts and self.tolerances is not None and self.small is None
                 and step_distance(src.x, x) < self.tolerances.eps2):
             self.small = f.i
-        f.cert = _Certificate(J, tol, None if starts else alpha, window, eps,
-                              x, y, z, j, eta)
+        # the epoch's best by its posted J, or by the value the audit prices
+        # where the posted J is not that value
+        value = J if J is not None and _close(j, J) else j
+        f.cert = _Certificate(J, tol, alpha, window, eps, x, y, z, spent, j,
+                              eta, value)
         self.plans[f.i] = f.cert
-        if starts or (self.best is not None and J < self.best.J):
+        if starts or (self.best is not None and value < self.best.value):
             self.best = f.cert
         return None
 
 
-# Each claim judges one record, given the latest record of a known kind
-# before it and the run's tolerances: None where the claim says nothing of
-# the record, else its failures there.
+# Each claim judges one record of the kinds it is listed for, given the
+# latest record of a known kind before it and the run's tolerances: None
+# where it says nothing of the record, else its failures there.
 
 def _stop_rule(f: _Record, last: _Record, tolerances):
-    """An epoch converges right after a step certificate (given the
-    tolerances, its first that moved less than eps2, which nothing else
-    follows), and the run terminates right after a convergence."""
-    after = last if f.kind and last.i == f.i - 1 else _NONE
+    """An epoch converges right after its first small step, the run after."""
+    # without the tolerances: an epoch ends right after a step certificate
+    after = last if last.i == f.i - 1 else _NONE
     small, out = after.small == after.i, []
     if small and f.kind != "EpochConverged":
         out.append(f"{f.kind} follows certificate {after.i}, its epoch's "
@@ -339,21 +337,31 @@ def _stop_rule(f: _Record, last: _Record, tolerances):
 
 
 def _arrivals(f: _Record, last, tolerances):
-    """An arrival's cover keys are what the cover did with its point."""
-    if f.cover is None or f.cover[0] is None:
+    """An arrival's time and index are in range, its cover keys the cover's."""
+    # a finite time from the previous arrival's to the latest time posted,
+    # and a non-negative int index
+    if f.arrival is None:
         return None
-    (opened, want), size, out = f.cover, f.rec.get("cover_size"), []
-    if f.rec.get("cover_opened") not in (None, opened):
+    rec, (opened, want, since, until), out = f.rec, f.arrival, []
+    at = rec.get("arrival_t", until)  # a missing key is structure's
+    if not (type(at) in (int, float) and -math.inf < at and since <= at
+            <= until):
+        out.append(f"arrival time {at!r} is not a finite number from the "
+                   f"previous arrival's {since} to the latest time {until}")
+    index = rec.get("index", 0)
+    if type(index) is not int or index < 0:
+        out.append(f"sample index {index!r} is not a non-negative integer")
+    if opened is not None and rec.get("cover_opened", opened) is not opened:
         out.append("cover open/absorb mismatch")
-    if size is not None and _number(f.rec, "cover_size") != want:
+    size = rec.get("cover_size", want)
+    if opened is not None and (type(size) is not int or size != want):
         out.append(f"cover size {size} != {want}")
     return out
 
 
 def _step_links(f: _Record, last, tolerances):
-    """The k-th step certificate of an epoch posts
-    ``step_length(tolerances, k - 1)`` as its ``alpha``."""
-    if tolerances is None or f.cert is None or not f.step:
+    """The k-th step of an epoch posts ``step_length(tolerances, k - 1)``."""
+    if f.cert is None or not f.step:
         return None
     alpha, length = f.cert.alpha, step_length(tolerances, f.step - 1)
     return [] if alpha == length else [
@@ -364,24 +372,22 @@ def _step_links(f: _Record, last, tolerances):
 def _certificate_value(f: _Record, last, tolerances):
     """A certificate's ``J`` is its plan's value at its decision."""
     c = f.cert
-    return None if c is None else [] if _close(c.j, c.J) else [
+    return None if c is None or c.J is None else [] if _close(c.j, c.J) else [
         f"J recomputed {c.j!r} != recorded {c.J!r}"]
 
 
 def _certificate_budget(f: _Record, last, tolerances):
     """A certificate's plan spends at most the ball's radius."""
-    if f.cert is None:
-        return None
-    spent = float(np.abs(f.cert.z).sum()) / f.cert.window.n_total
-    return [] if spent <= f.cert.eps + 1e-9 else [
-        f"budget {spent} exceeds radius {f.cert.eps}"]
+    c = f.cert
+    return None if c is None else [] if c.spent <= c.eps + 1e-9 else [
+        f"budget {c.spent} exceeds radius {c.eps}"]
 
 
 def _certificate_gap(f: _Record, last, tolerances):
-    """A certificate's plan is a worst case within the tolerance it posts,
-    which is the run's: ``eps_sa`` for a reuse, ``eps1`` for a refresh."""
+    """A certificate's plan is a worst case within the run's tolerance."""
+    # the tolerance it posts, which is eps_sa for a reuse, eps1 otherwise
     c = f.cert
-    if c is None:
+    if c is None or c.tol is None:
         return None
     out = [] if c.eta <= c.tol + 1e-9 else [  # a NaN tolerance fails too
         f"gap {c.eta} exceeds tolerance {c.tol}"]
@@ -397,13 +403,20 @@ def _termination(terminated: bool) -> list[str]:
     return [] if terminated else ["log does not end with a termination event"]
 
 
-# in the order a record's failures are reported
-_CLAIMS = (("stop_rule", _stop_rule),
-           ("structure", lambda f, last, tolerances: f.problems),
-           ("arrivals", _arrivals), ("step_links", _step_links),
-           ("certificate_value", _certificate_value),
-           ("certificate_budget", _certificate_budget),
-           ("certificate_gap", _certificate_gap))
+# the claims on each kind of record, in the order its failures are reported
+_STOP_RULE = ("stop_rule", _stop_rule)
+# a record is an object of a known kind, in its kind's form, and the audit
+# can derive its facts
+_STRUCTURE = ("structure", lambda f, last, tolerances: f.problems)
+_CLAIMS = {None: (_STRUCTURE,),
+           "DataArrival": (_STOP_RULE, _STRUCTURE, ("arrivals", _arrivals)),
+           "CertificatePosted": (
+               _STOP_RULE, _STRUCTURE, ("step_links", _step_links),
+               ("certificate_value", _certificate_value),
+               ("certificate_budget", _certificate_budget),
+               ("certificate_gap", _certificate_gap)),
+           "EpochConverged": (_STOP_RULE, _STRUCTURE),
+           "Terminated": (_STOP_RULE, _STRUCTURE)}
 
 
 # a huge but finite value overflows where the audit re-prices or measures
@@ -416,33 +429,30 @@ def verify_events(records: list[dict], model,
                   tolerances: Optional[Tolerances] = None) -> AuditReport:
     """Re-check a full event log; every failure is collected, none raise.
 
-    Given the run's ``tolerances``, the audit also checks that each posted
+    Given the run's ``tolerances`` the audit also checks that each posted
     tolerance and step length is the run's and where each epoch stops;
     without them the report has no ``step_links``. A record the audit
-    cannot derive its facts from is a ``structure`` failure that says why,
-    and the claims that need those facts skip it. The report lists the
-    first ``_MAX_REPORTED`` failures in record order, then one line saying
-    that more were suppressed; each check counts them all.
+    cannot derive its facts from is a ``structure`` failure that says why.
+    The report lists the first ``_MAX_REPORTED`` failures in record order
+    and then one line for the rest; each check counts them all.
     """
     # each record holds at most one arrival
     samples = Samples(model.dimension_m, len(records), concentration,
                       schedule, cover_config or CoverConfig())
-    skip = {"arrivals"} if samples.cover is None else set()
-    skip |= {"step_links"} if tolerances is None else set()
     checks = {name: AuditCheck(name) for name in (
         "structure", "arrivals", "certificate_value", "certificate_budget",
         "certificate_gap", "step_links", "termination", "stop_rule")
-        if name not in skip}
+        if tolerances is not None or name != "step_links"}
     failures: list[str] = []
 
-    # the claims this call checks
-    claims = [(checks[name], claim) for name, claim in _CLAIMS
-              if name in checks]
+    # the claims on each kind that this call checks
+    claims = {kind: [(checks[name], claim) for name, claim in pairs
+                     if name in checks] for kind, pairs in _CLAIMS.items()}
     derive = _Derivation(model, samples, tolerances)
     for i, rec in enumerate(records):
         last = derive.last
         f = derive(i, rec)
-        for check, claim in claims:
+        for check, claim in claims[f.kind]:
             out = claim(f, last, tolerances)
             if out is not None:
                 check.count += 1

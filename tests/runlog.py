@@ -10,10 +10,10 @@ needs those decisions takes them from the runner itself:
 what its ``scaled_step`` returned. A record's position in the log is its
 sequence number, which tests call its seq. ``dropped_keys`` rebuilds the
 keys an older format posted on top of that. ``STEP_TAMPERS`` are the edits
-of that format the audit must catch, and of the facts it derives a dropped
-key from, ``KEY_TAMPERS`` the keys a record must not carry, ``MISSING_KEYS``
-the keys it must, and ``COUNTER_TAMPERS`` the edits of its step and epoch
-counts.
+of that format the audit must catch, of the facts it derives a dropped key
+from and of an arrival's own keys, ``KEY_TAMPERS`` the keys a record must
+not carry, ``MISSING_KEYS`` the keys it must, and ``COUNTER_TAMPERS`` the
+edits of its step and epoch counts.
 """
 
 import functools
@@ -258,6 +258,22 @@ def widen_a_gap(records, config, decisions):
     return seq, "certificate_gap", "gap "
 
 
+def edit_arrival(key, new, message, pick=-1):
+    """The ``pick``-th arrival's ``key`` set to ``new(arrival, arrivals)``,
+    which the arrivals check fails; on a run without a cover a cover key is
+    one outside the arrival's form instead."""
+    def tamper(records, config, decisions):
+        arrivals = [r for r in records if r["kind"] == "DataArrival"]
+        rec = arrivals[pick]
+        seq = seq_of(records, rec)
+        if key not in rec:
+            rec[key] = new(rec, arrivals)
+            return seq, "structure", f"DataArrival carries '{key}'"
+        rec[key] = new(rec, arrivals)
+        return seq, "arrivals", message
+    return tamper
+
+
 STEP_TAMPERS = {
     "alpha-ulp": nudge_alpha,
     "step-x": post_step_x,
@@ -270,6 +286,23 @@ STEP_TAMPERS = {
     "certificate-across-an-arrival": move_across_an_arrival,
     "steps-swapped": swap_two_steps,
     "plan-past-its-tolerance": widen_a_gap,
+    "arrival_t-string": edit_arrival(
+        "arrival_t", lambda rec, _: str(rec["arrival_t"]), "arrival time"),
+    # a sample used 100 periods before it arrived
+    "arrival_t-after-its-record": edit_arrival(
+        "arrival_t", lambda rec, _: rec["t"] + 100.0, "arrival time"),
+    "arrival_t-before-the-last": edit_arrival(
+        "arrival_t", lambda rec, arrivals: arrivals[-2]["arrival_t"] - 1.0,
+        "arrival time"),
+    "index-string": edit_arrival(
+        "index", lambda rec, _: str(rec["index"]), "sample index"),
+    "index-negative": edit_arrival("index", lambda rec, _: -1,
+                                   "sample index"),
+    # the first arrival opens the cover's first center, of size 1
+    "cover_opened-int": edit_arrival(
+        "cover_opened", lambda rec, _: 1, "cover open/absorb mismatch", 0),
+    "cover_size-bool": edit_arrival(
+        "cover_size", lambda rec, _: True, "cover size True != 1", 0),
 }
 
 

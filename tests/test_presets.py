@@ -133,7 +133,12 @@ def test_a_horizon_stop_that_is_never_reached_is_rejected(preset):
 @pytest.mark.parametrize("preset, cover, seeds", [
     (study1, False, range(20)),
     (study2, True, range(3)),
-], ids=["study1", "study2-cover"])
+    # the preset's default: at its concentration constants the ball does
+    # not hold the true law, and seed 0's margin is -138.3
+    pytest.param(study2, False, range(3), marks=pytest.mark.xfail(
+        strict=True, reason="the study2 radius does not hold the true law "
+        "at the preset's constants (ROADMAP item 23)")),
+], ids=["study1", "study2-cover", "study2"])
 def test_no_preset_run_breaks_its_out_of_sample_guarantee(preset, cover,
                                                           seeds):
     # The paper's claim: the output decision's expected cost under the true

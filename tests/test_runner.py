@@ -443,11 +443,11 @@ def restate(key):
 
 
 def leave_no_best(cfg, records, decisions, i):
-    """The epoch before the last loses its first certificate's J, so it has
-    no best; returns the seq of the last epoch's first certificate, which
-    has no decision to start from, and the start of its failure."""
+    """The epoch before the last loses its first certificate's plan, so it
+    has no best; returns the seq of the last epoch's first certificate,
+    which has no decision to start from, and the start of its failure."""
     starts = epoch_starts(records)
-    del records[starts[-2]]["J"]
+    records[starts[-2]]["y"] = [[0.5, 0, 1.0]]
     return starts[-1], CERT_FIELDS
 
 
@@ -498,6 +498,40 @@ def test_audit_requires_the_epochs_running_best():
     # its plan is not the worst case at the best's decision
     assert report.failures[0].startswith(f"record {start}: gap "), (
         report.failures)
+
+
+def test_one_malformed_epoch_start_fails_only_itself():
+    # study1 at n0 = 40: record 23 is epoch 2's first certificate. Without
+    # its J the audit still derives its decision, plan and value, ranks it
+    # by that value, and starts every later epoch from that epoch's best
+    cfg, points = pinned_run("study1", 40, False, None)
+    records = [ev.record() for ev in run(cfg, points).events]
+    assert epoch_starts(records)[1] == 23
+    del records[23]["J"]
+    report, failed = full_audit(cfg, records)
+    assert report.failures == [
+        "record 23: CertificatePosted lacks 'J', keys of its form",
+        f"record 23: {CERT_FIELDS}"]
+    assert failed["structure"] == sum(failed.values()) == 2
+
+
+def test_the_report_lists_the_first_failures_and_counts_them_all():
+    # every J doubled keeps the order of the Js, so each epoch's best holds:
+    # each certificate fails its value and nothing else fails. The report
+    # lists the first failures in record order and then one line for the
+    # rest, and the check counts every failure
+    cfg, records = study1_records()
+    certs = [i for i, r in enumerate(records)
+             if r["kind"] == "CertificatePosted"]
+    assert len(certs) > 20 and all(records[i]["J"] for i in certs)
+    for i in certs:
+        records[i]["J"] *= 2
+    report, failed = full_audit(cfg, records)
+    assert failed["certificate_value"] == sum(failed.values()) == len(certs)
+    assert len(report.failures) == 21
+    assert [f.split(": J recomputed ")[0] for f in report.failures[:20]] == [
+        f"record {i}" for i in certs[:20]]
+    assert report.failures[20] == "... further failures suppressed"
 
 
 def test_audit_fails_an_infinite_value_and_a_nan_tolerance():
