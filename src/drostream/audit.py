@@ -3,8 +3,8 @@
 The log carries every ingested point and every posted certificate's
 perturbation plan, so an auditor can replay the arrivals through the
 runner's own ``Samples`` (which rebuilds the cover deterministically) to get
-each window and radius, re-price each certificate, re-measure its optimality
-gap with an independent vertex search, and re-check the transport budget.
+each window and radius, re-price each certificate, re-measure its gap from
+the model's gradients at its plan, and re-check the transport budget.
 The budget check also bounds the 1-Wasserstein distance from the window to
 the posted worst case by the radius. That worst case keeps the window's
 weights theta_k / n and moves atom k to point_k - y_k, so pairing each atom
@@ -62,11 +62,11 @@ from typing import Optional
 import numpy as np
 
 from .ambiguity import ConcentrationParams, ConfidenceSchedule
-from .certificates import certificate_value, plan_from_entries, _Problem
+from .certificates import certificate_value, plan_from_entries
 from .model import Tolerances
 from .runner import (COMMON_KEYS, COVER_KEYS, EVENT_KINDS, RECORD_KEYS,
                      CoverConfig, Samples)
-from .simplex import point_search
+from .simplex import frank_wolfe_gap
 from .subgrad import scaled_step, step_distance, step_length, subgradient
 
 _REL = 1e-7
@@ -292,7 +292,7 @@ class _Derivation:
                     and np.isfinite(x).all()):
                 return "plan or decision not finite"
             j = certificate_value(model, x, window, y)
-            _, eta = point_search(_Problem(model, x, window).grads(z),
+            eta = frank_wolfe_gap(model.grad_y(x, window.points, y),
                                   n * eps, z, n_total=n)
         except ValueError as exc:  # gradients overflow at a huge x, say
             return f"certificate cannot be re-priced: {exc}"

@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .simplex import ConcavityError, SolverError, afwa_maximize, point_search
+from .simplex import (ConcavityError, SolverError, afwa_maximize,
+                      frank_wolfe_gap, point_search)
 
 Array = np.ndarray
 
@@ -43,7 +44,8 @@ class DataWindow:
 
     ``points`` is (p, m); ``theta`` holds positive multiplicities summing to
     ``n_total`` (the stream count). Plain windows have unit multiplicities
-    and p == n_total. Arrays are frozen for safe read-only sharing.
+    and p == n_total. Arrays are frozen for safe read-only sharing; an
+    input already read-only is kept uncopied.
     """
 
     points: Array
@@ -51,11 +53,12 @@ class DataWindow:
     n_total: int
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float)).copy()
-        th = np.asarray(self.theta, dtype=float).reshape(-1).copy()
+        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        th = np.asarray(self.theta, dtype=float).reshape(-1)
+        pts, th = (a.copy() if a.flags.writeable else a for a in (pts, th))
         if pts.shape[0] != th.shape[0]:
             raise ValueError("points and theta must have matching length")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         if th.min() <= 0:
             raise ValueError("theta entries must be positive")
@@ -69,7 +72,9 @@ class DataWindow:
     @classmethod
     def plain(cls, points: Array) -> "DataWindow":
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return cls(pts, np.ones(pts.shape[0]), pts.shape[0])
+        ones = np.ones(pts.shape[0])
+        ones.setflags(write=False)
+        return cls(pts, ones, pts.shape[0])
 
     @property
     def size(self) -> int:
@@ -522,7 +527,7 @@ def adapt(state: WarmState, window: DataWindow, radius: float) -> WarmState:
     _check_vertex_rows(state.vertex_set, shape, "new window")
     ks, js, signs = state.vertex_set.T
     z = _hull_point(shape, ks, js, signs * (window.n_total * radius), gamma)
-    return WarmState(state.vertex_set.copy(), z, gamma.copy())
+    return WarmState(state.vertex_set, z, gamma)
 
 
 def revalidate(
@@ -531,12 +536,12 @@ def revalidate(
     """One vertex search pricing ``cert.z`` on ``cert.window`` at
     ``cert.radius`` and decision x: is the plan still eps1-optimal there?
 
-    The gap is normalised by ``n_total``, like ``generate``'s ``eta``. The
-    caller counts that search on its Meter. Also returns the gradients the
-    search read, which a refresh hands to ``generate`` as ``warm_grads``.
+    The gap (``frank_wolfe_gap``) is normalised by ``n_total``, like
+    ``generate``'s ``eta``. The caller counts that search on its Meter. Also
+    returns the gradients it read, which a refresh hands to ``generate``.
     """
     window = cert.window
     G = _Problem(model, x, window).grads(cert.z)
-    _, eta = point_search(G, window.n_total * cert.radius, cert.z,
+    eta = frank_wolfe_gap(G, window.n_total * cert.radius, cert.z,
                           n_total=window.n_total)
     return eta <= eps1, eta, G

@@ -4,8 +4,10 @@
           trajectory.csv, summary.json, and stream.jsonl into --out-dir.
           The summary holds the exact reference optimum under the
           mixture, the final decision's expected cost there (oos_cost),
-          and its certificate's value minus that cost
-          (guarantee_margin). The stream is written first and each event
+          its certificate's value minus that cost (guarantee_margin), and
+          whether the run kept pace with its stream: the p50, p90 and max
+          of the periods from each arrival to the first certificate that
+          covers it (latency). The stream is written first and each event
           as it is posted, so a run that fails still leaves its stream, the
           events it posted and a summary.json with status "failed", the
           error, its traceback and the config
@@ -95,11 +97,18 @@ def write_outputs(out: Path, mat: presets.Materialized, result) -> dict:
     cp_running = 0
     cover_size = None  # the size after the latest arrival; None without a cover
     rows = []
+    # the periods from each arrival to the first certificate whose count
+    # covers it, which is the next certificate, as it counts every arrival
+    # before it
+    waiting, latency = [], []
     for ev in result.events:
         if ev.kind == "DataArrival":
             cover_size = ev.extras["cover_size"]
+            waiting.append(ev.extras["arrival_t"])
         if ev.kind != "CertificatePosted":
             continue
+        latency += [ev.t - at for at in waiting]
+        waiting.clear()
         cp_running += int(ev.extras.get("cp_calls", 0))
         rel = (
             (ev.J - j_star_est) / abs(j_star_est)
@@ -139,6 +148,9 @@ def write_outputs(out: Path, mat: presets.Materialized, result) -> dict:
             "rel_error": final_rel,
             "oos_cost": oos_cost,
             "guarantee_margin": result.j_best - oos_cost,
+            "latency": {"p50": float(np.percentile(latency, 50)),
+                        "p90": float(np.percentile(latency, 90)),
+                        "max": max(latency)},
         },
         "totals": dataclasses.asdict(result.totals),
         "cover": {"final_size": result.cover_size},

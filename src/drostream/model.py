@@ -152,7 +152,7 @@ def quadratic_model(A, B, C) -> CostModel:
         base = float(x @ A @ x)
         if xi.ndim == 1:
             return base + float(x @ B @ xi) + float(xi @ C @ xi)
-        return base + xi @ (B.T @ x) + np.einsum("ni,ij,nj->n", xi, C, xi)
+        return base + xi @ (B.T @ x) + np.einsum("ni,ni->n", xi @ C, xi)
 
     def _grad_x(x, xi):
         x = np.asarray(x, dtype=float)
@@ -163,13 +163,14 @@ def quadratic_model(A, B, C) -> CostModel:
         return ax[None, :] + xi @ B.T
 
     def _grad_y(x, xi, y):
-        # gradient of y -> f(x, xi - y): -(C + C')(xi - y) - B'x
+        # gradient of y -> f(x, xi - y): (C + C')(y - xi) - B'x, which is
+        # -((xi - y) @ CC) - B'x bitwise (up to zero signs), one copy fewer
         x = np.asarray(x, dtype=float)
-        s = np.asarray(xi, dtype=float) - np.asarray(y, dtype=float)
+        s = np.asarray(y, dtype=float) - np.asarray(xi, dtype=float)
         bx = B.T @ x
         if s.ndim == 1:
-            return -(CC @ s) - bx
-        return -(s @ CC) - bx[None, :]
+            return CC @ s - bx
+        return s @ CC - bx
 
     def _minimizer(mu):
         # the stationary points solve (A + A') x = -B mu; A is PSD, so they

@@ -211,7 +211,10 @@ class Samples:
             beta = self._schedule.beta(self.n)
             eps = ball_radius(self._concentration, beta, self.n)
             if self.cover is None:
-                window = DataWindow.plain(self.points)
+                # a read-only view: add() never writes a row below n again
+                points = self.points
+                points.setflags(write=False)
+                window = DataWindow.plain(points)
             else:
                 window = self.cover.window()
                 eps += self.cover.transport_slack()

@@ -2,15 +2,15 @@
 
 Two pieces live here. ``point_search`` maximizes the linearized certificate
 objective over the signed extreme points of the scaled simplex, returning
-the argmax vertices and the Frank-Wolfe gap. ``afwa_maximize`` runs
-away-step Frank-Wolfe ascent of a concave quadratic over the unit simplex;
-on the unit simplex the barycentric weights of the active set coincide with
-the iterate itself, so the classic active-set bookkeeping reduces to the
-plain vector update and eviction means zeroing a coordinate. One
-Hessian-vector product per iteration gives the exact step and carries the
-gradient and value along it. The Hessian is diagonal when the model's
-sample curvature is and no two hull vertices share an atom and a
-coordinate; the product is then elementwise, O(V) rather than O(V^2) for
+the argmax vertices and the Frank-Wolfe gap (``frank_wolfe_gap`` alone).
+``afwa_maximize`` runs away-step Frank-Wolfe ascent of a concave quadratic
+over the unit simplex; on the unit simplex the barycentric weights of the
+active set coincide with the iterate itself, so the classic active-set
+bookkeeping reduces to the plain vector update and eviction means zeroing
+a coordinate. One Hessian-vector product per iteration gives the exact step
+and carries the gradient and value along it. The Hessian is diagonal when
+the model's sample curvature is and no two hull vertices share an atom and
+a coordinate; the product is then elementwise, O(V) rather than O(V^2) for
 V weights.
 
 The ascent serves only objectives quadratic in the weights: the
@@ -40,6 +40,32 @@ class SolverError(RuntimeError):
     """An inner solver failed to certify optimality within its budget."""
 
 
+def _gap(grads, scale, y_current, n_total):  # G, |G|, max |G| and the gap
+    G = np.asarray(grads, dtype=float)
+    y = np.asarray(y_current, dtype=float)
+    if G.ndim != 2 or G.shape != y.shape:
+        raise ValueError("grads and y_current must both have shape (p, m)")
+    absG = np.abs(G)
+    # NaN and +-inf carry through abs and max, so one pass finds both
+    best = float(np.maximum.reduce(absG, axis=None))
+    if not math.isfinite(best):
+        raise ValueError("gradients must be finite")
+    if not scale > 0:
+        raise ValueError("scale must be positive")
+    n = float(n_total)
+    if not n > 0:
+        raise ValueError("n_total must be positive")
+    base = float(np.vdot(G, y))
+    eta = -base / n if best == 0.0 else (scale * best - base) / n
+    return G, absG, best, eta
+
+
+def frank_wolfe_gap(grads: Array, scale: float, y_current: Array,
+                    n_total: int) -> float:
+    """``point_search``'s gap ``eta`` alone, bit for bit, with its checks."""
+    return _gap(grads, scale, y_current, n_total)[3]
+
+
 def point_search(
     grads: Array, scale: float, y_current: Array, n_total: int
 ) -> tuple[Array, float]:
@@ -67,29 +93,15 @@ def point_search(
         Frank-Wolfe gap (1/n) sum_k <grad_k, vertex_k - y_k>, an upper
         bound on the remaining certificate suboptimality at ``y_current``.
     """
-    G = np.asarray(grads, dtype=float)
-    y = np.asarray(y_current, dtype=float)
-    if G.ndim != 2 or G.shape != y.shape:
-        raise ValueError("grads and y_current must both have shape (p, m)")
-    absG = np.abs(G)
-    # NaN and +-inf carry through abs and max, so one pass finds both
-    best = float(np.maximum.reduce(absG, axis=None))
-    if not math.isfinite(best):
-        raise ValueError("gradients must be finite")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    n = float(n_total)
-    if not n > 0:
-        raise ValueError("n_total must be positive")
-    base = float(np.vdot(G, y))
+    G, absG, best, eta = _gap(grads, scale, y_current, n_total)
     if best == 0.0:
-        return np.empty((0, 3), dtype=np.intp), -base / n
+        return np.empty((0, 3), dtype=np.intp), eta
     ks, js = (absG == best).nonzero()
     vertices = np.empty((len(ks), 3), dtype=np.intp)
     vertices[:, 0] = ks
     vertices[:, 1] = js
     np.sign(G[ks, js], vertices[:, 2], casting="unsafe")
-    return vertices, (scale * best - base) / n
+    return vertices, eta
 
 
 @dataclass

@@ -46,6 +46,27 @@ def spent(cert):
     return float(np.abs(cert.z).sum()) / cert.n_total
 
 
+
+def test_a_window_copies_a_writeable_input():
+    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
+    theta = np.array([0.5, 1.5])
+    windows = DataWindow(pts, theta, 2), DataWindow.plain(pts)
+    pts[0, 0], theta[0] = 9.0, 9.0
+    for win in windows:
+        assert win.points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not win.points.flags.writeable
+    assert windows[0].theta.tolist() == [0.5, 1.5]
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_window_rejects_points_that_are_not_finite(bad, writeable):
+    pts = np.array([[1.0, 2.0], [bad, 4.0]])
+    pts.setflags(write=writeable)
+    for build in (DataWindow.plain, lambda p: DataWindow(p, np.ones(2), 2)):
+        with pytest.raises(ValueError, match="points must be finite"):
+            build(pts)
+
 def test_single_atom_moves_toward_origin():
     # budget 0.5 on one atom at 2: atom lands at 1.5, value -(1.5)^2
     model = scalar_model()

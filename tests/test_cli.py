@@ -718,6 +718,27 @@ def test_replay_reproduces_the_coupled_pinned_run(coupled_dir, capsys):
     assert main(["verify", str(coupled_dir)]) == 0
 
 
+
+def test_summary_reports_how_long_each_arrival_waited(coupled_dir):
+    # from each arrival's arrival_t to the t of the first certificate whose
+    # count, the arrivals before it, covers it
+    latency = json.loads(
+        (coupled_dir / "summary.json").read_text())["final"]["latency"]
+    waits, waiting, n = [], [], 0
+    for line in (coupled_dir / "events.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        if rec["kind"] == "DataArrival":
+            n += 1
+            waiting.append((n, rec["arrival_t"]))
+        elif rec["kind"] == "CertificatePosted":
+            waits += [rec["t"] - at for count, at in waiting if count <= n]
+            waiting = [(count, at) for count, at in waiting if count > n]
+    assert len(waits) == 40 and not waiting
+    assert latency == {"p50": np.percentile(waits, 50),
+                       "p90": np.percentile(waits, 90), "max": max(waits)}
+    # the interrupts leave arrivals waiting for periods
+    assert latency["max"] > 1.0
+
 def test_verify_reports_a_step_after_its_epochs_first_small_step_and_exits_1(
         coupled_dir, tmp_path, capsys):
     # epoch 7 of the coupled run takes 18 steps before an arrival cuts it;

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drostream import presets
 from drostream.model import CostModel, Tolerances, quadratic_model
 
 
@@ -54,9 +55,8 @@ def test_quadratic_matches_triple_loop():
     Craw = rng.normal(size=(m, m))
     C = -(Craw @ Craw.T) - 0.1 * np.eye(m)
     model = quadratic_model(A, B, C)
-    for _ in range(20):
-        x = rng.normal(size=d)
-        xi = rng.normal(size=m)
+
+    def triple_loop(x, xi):
         want = 0.0
         for i in range(d):
             for j in range(d):
@@ -67,7 +67,20 @@ def test_quadratic_matches_triple_loop():
         for i in range(m):
             for j in range(m):
                 want += xi[i] * C[i, j] * xi[j]
-        assert model.eval(x, xi) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        return want
+
+    for _ in range(20):
+        x = rng.normal(size=d)
+        xi = rng.normal(size=m)
+        assert model.eval(x, xi) == pytest.approx(triple_loop(x, xi),
+                                                  rel=1e-12, abs=1e-12)
+    # and batched, one value per sample
+    for _ in range(5):
+        x = rng.normal(size=d)
+        batch = rng.normal(size=(60, m)) * 3
+        want = [triple_loop(x, xi) for xi in batch]
+        assert model.eval(x, batch) == pytest.approx(want, rel=1e-12,
+                                                     abs=1e-12)
 
 
 @pytest.mark.parametrize("which", ["quadratic"])
@@ -92,6 +105,39 @@ def test_gradients_agree_with_finite_differences(which):
         for j in range(m):
             fd = central_diff(lambda z: model.eval(x, xi - z), y.astype(float), j)
             assert gy[j] == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+def preset_cost(name):
+    """A preset's cost model and its (B, C + C'); study1-coupled is study1
+    with b = [[1, 0.5, -1]], and study2's matrices are drawn as
+    ``presets.build_model`` draws them."""
+    spec = dict((presets.study2() if name == "study2" else presets.study1()
+                 ).model)
+    if name == "study1-coupled":
+        spec["b"] = [[1.0, 0.5, -1.0]]
+    if name == "study2":
+        rng = np.random.default_rng(spec["matrix_seed"])
+        rng.standard_normal((spec["d"], spec["d"]))
+        B = rng.standard_normal((spec["d"], spec["m"]))
+        H = rng.standard_normal((spec["m"], spec["m"]))
+        C = -(H.T @ H + np.eye(spec["m"]))
+    else:
+        B, C = np.asarray(spec["b"]), np.asarray(spec["c"])
+    return presets.build_model(spec), B, C + C.T
+
+
+@pytest.mark.parametrize("name", ["study1", "study1-coupled", "study2"])
+def test_grad_y_is_bitwise_the_negated_product(name):
+    model, B, CC = preset_cost(name)
+    rng = np.random.default_rng(31)
+    for rows in (1, 7, 120):
+        x = rng.normal(size=model.dimension_d) * 2
+        xi = rng.normal(size=(rows, model.dimension_m)) * 3
+        y = rng.normal(size=(rows, model.dimension_m))
+        want = -((xi - y) @ CC) - B.T @ x
+        assert model.grad_y(x, xi, y).tobytes() == want.tobytes()
+        assert (model.grad_y(x, xi[0], y[0]).tobytes()
+                == (-(CC @ (xi[0] - y[0])) - B.T @ x).tobytes())
 
 
 @pytest.mark.parametrize("which", ["study1", "study2"])

@@ -253,6 +253,23 @@ def plain_run():
     return cfg, run(cfg, points)
 
 
+
+def test_a_plain_window_is_a_read_only_view_later_arrivals_leave_alone():
+    samples = Samples(2, 6, concentration(), schedule(), CoverConfig())
+    for i in range(4):
+        samples.add([float(i), -2.0 * i], i)
+    window, _ = samples.ball()
+    # no copy of the samples: the window views them
+    assert np.shares_memory(window.points, samples.points)
+    points, theta = window.points.tobytes(), window.theta.tobytes()
+    for values in (window.points, window.theta):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 7.0
+    for i in range(4, 6):
+        samples.add([10.0 + i, 0.5], i)
+    assert window.size == 4 and samples.ball()[0].size == 6
+    assert (window.points.tobytes(), window.theta.tobytes()) == (points, theta)
+
 def posted_plans(cfg, records):
     """(window, plan, radius) for every posted certificate, with the window
     and radius rebuilt from the logged arrivals as the audit builds them."""
@@ -943,14 +960,15 @@ def test_work_counters_are_pinned(preset, n0, cover, budget, lp, cp, iters,
     # charging a decision step 1.000001 / rate instead of 1 / rate moves it
     # by about 1e-10, and the final time by less than 1e-9.
     # Every vertex search the clock is charged for is counted, those of
-    # interrupted attempts and of failed revalidations too
+    # interrupted attempts and of revalidations, which measure the gap
+    # alone, too
     searches = []
+    for name in ("point_search", "frank_wolfe_gap"):
+        def search(*args, _search=getattr(simplex, name), **kwargs):
+            searches.append(None)
+            return _search(*args, **kwargs)
 
-    def point_search(*args, **kwargs):
-        searches.append(None)
-        return simplex.point_search(*args, **kwargs)
-
-    monkeypatch.setattr(certificates, "point_search", point_search)
+        monkeypatch.setattr(certificates, name, search)
     res = run(*pinned_run(preset, n0, cover, budget))
     t = res.totals
     assert (t.lp_calls, t.cp_calls, t.afwa_iters, t.interrupts, t.reuses,

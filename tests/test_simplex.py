@@ -1,6 +1,7 @@
 """Vertex search and away-step Frank-Wolfe against hand and brute answers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drostream.certificates import Meter
-from drostream.simplex import SolverError, afwa_maximize, point_search
+from drostream.simplex import (SolverError, afwa_maximize, frank_wolfe_gap,
+                               point_search)
 
 from oracles import afwa_quadratic_reference
 
@@ -117,6 +119,45 @@ def test_point_search_matches_vertex_enumeration(n, m, seed):
         got = (sign * scale * G[k, j] - base) / n
         assert got == pytest.approx(eta, rel=1e-9, abs=1e-9)
 
+
+
+def gradient_cases():
+    """(grads, y) pairs: random, full of ties and all zero."""
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p, m = rng.integers(1, 40), rng.integers(1, 6)
+        yield rng.normal(size=(p, m)) * 3, rng.normal(size=(p, m))
+        ties = rng.choice([-2.0, 0.0, 2.0], size=(p, m))
+        yield ties, rng.normal(size=(p, m))
+        yield np.zeros((p, m)), rng.normal(size=(p, m))
+
+
+def test_the_gap_alone_is_point_searchs_bit_for_bit():
+    for G, y in gradient_cases():
+        scale, n = 2.5, 7 * len(G)
+        eta = frank_wolfe_gap(G, scale, y, n_total=n)
+        assert eta == point_search(G, scale, y, n_total=n)[1]
+        best = np.abs(G).max()
+        base = float(np.vdot(G, y))
+        assert eta == (-base / n if best == 0 else (scale * best - base) / n)
+
+
+@pytest.mark.parametrize("G, scale, y, n_total", [
+    (np.array([[1.0, np.nan]]), 1.0, np.zeros((1, 2)), 1),
+    (np.array([[-np.inf, 1.0]]), 1.0, np.zeros((1, 2)), 1),
+    (np.ones((1, 2)), 0.0, np.zeros((1, 2)), 1),
+    (np.ones((1, 2)), math.nan, np.zeros((1, 2)), 1),
+    (np.ones((1, 2)), 1.0, np.zeros((1, 2)), 0),
+    (np.ones((1, 2)), 1.0, np.zeros((1, 2)), -3),
+    (np.zeros((2, 3)), 1.0, np.zeros((3, 2)), 1),
+    (np.zeros(3), 1.0, np.zeros(3), 1),
+])
+def test_the_gap_alone_raises_point_searchs_errors(G, scale, y, n_total):
+    with pytest.raises(ValueError) as searched:
+        point_search(G, scale, y, n_total=n_total)
+    message = re.escape(str(searched.value))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        frank_wolfe_gap(G, scale, y, n_total=n_total)
 
 def test_afwa_interior_optimum():
     res = afwa_maximize(*quad([0.5, 0.5], [1.0, 1.0]), 1e-10, [1.0, 0.0])
