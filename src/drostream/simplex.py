@@ -2,15 +2,15 @@
 
 Two pieces live here. ``point_search`` maximizes the linearized certificate
 objective over the signed extreme points of the scaled simplex, returning
-the argmax vertices and the Frank-Wolfe gap (``frank_wolfe_gap`` alone).
-``afwa_maximize`` runs away-step Frank-Wolfe ascent of a concave quadratic
-over the unit simplex; on the unit simplex the barycentric weights of the
-active set coincide with the iterate itself, so the classic active-set
-bookkeeping reduces to the plain vector update and eviction means zeroing
-a coordinate. One Hessian-vector product per iteration gives the exact step
-and carries the gradient and value along it. The Hessian is diagonal when
-the model's sample curvature is and no two hull vertices share an atom and
-a coordinate; the product is then elementwise, O(V) rather than O(V^2) for
+the argmax vertices and the Frank-Wolfe gap. ``afwa_maximize`` runs
+away-step Frank-Wolfe ascent of a concave quadratic over the unit simplex;
+on the unit simplex the barycentric weights of the active set coincide with
+the iterate itself, so the classic active-set bookkeeping reduces to the
+plain vector update and eviction means zeroing a coordinate. One
+Hessian-vector product per iteration gives the exact step and carries the
+gradient and value along it. The Hessian is diagonal when the model's
+sample curvature is and no two hull vertices share an atom and a
+coordinate; the product is then elementwise, O(V) rather than O(V^2) for
 V weights.
 
 The ascent serves only objectives quadratic in the weights: the
