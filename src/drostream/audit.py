@@ -1,10 +1,11 @@
 """Offline re-verification of a run from its event log alone.
 
-The log carries every ingested point and every posted certificate's
-perturbation plan, so an auditor can replay the arrivals through the
-runner's own ``Samples`` (which rebuilds the cover deterministically) to get
-each window and radius, re-price each certificate, re-measure its gap from
-the model's gradients at its plan, and re-check the transport budget.
+The log carries every ingested point and every refresh's perturbation plan
+(a reuse keeps the plan before it), so an auditor can replay the arrivals
+through the runner's own ``Samples`` (which rebuilds the cover
+deterministically) to get each window and radius, re-price each
+certificate, re-measure its gap from the model's gradients at its plan, and
+re-check the transport budget.
 The budget check also bounds the 1-Wasserstein distance from the window to
 the posted worst case by the radius. That worst case keeps the window's
 weights theta_k / n and moves atom k to point_k - y_k, so pairing each atom
@@ -24,11 +25,13 @@ short function of those facts. The audit derives:
   sample count ``n`` from the arrivals before it;
 - the ball's beta from ``n`` through the schedule, and its radius from beta
   and the window through ``Samples.ball()``;
-- a certificate's form (reuse or refresh) from its plan key, ``y_ref`` or
+- the cover's outcome at each arrival: replayed through ``Samples``;
+- a certificate's form (reuse or refresh) from whether it posts a plan
   ``y``; a refresh posts its plan in coordinate form, its nonzero
   ``[k, j, value]`` entries, and the audit rebuilds the dense plan from
-  them and the window's shape (``plan_from_entries``); a reuse names its
-  plan by the position of a certificate on the same window;
+  them and the window's shape (``plan_from_entries``);
+- a reuse's plan: the latest plan on its window, which is the plan of the
+  certificate before it;
 - which certificates start an epoch, by their form (no ``alpha``, after
   an arrival), and so the step and epoch counts of every record but an
   arrival, the only one that posts them;
@@ -47,9 +50,9 @@ short function of those facts. The audit derives:
 The derivations repeat the runner's float operations on the same inputs, so
 they are exact on one machine and BLAS build, as the stop rule's comparison
 of a derived distance with eps2 assumes. Each record carries exactly the
-keys of its kind's form (``runner.COMMON_KEYS`` and ``RECORD_KEYS``,
-without the cover's on a run without one, and with one of each of a
-certificate's alternatives), and no record writes a null value.
+keys of its kind's form (``runner.COMMON_KEYS`` and ``RECORD_KEYS``, where
+a certificate carries ``x`` on the run's first, ``alpha`` on a step's and
+``y`` on a refresh only), and no record writes a null value.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ import numpy as np
 from .ambiguity import ConcentrationParams, ConfidenceSchedule
 from .certificates import certificate_value, plan_from_entries
 from .model import Tolerances
-from .runner import (COMMON_KEYS, COVER_KEYS, EVENT_KINDS, RECORD_KEYS,
-                     CoverConfig, Samples)
+from .runner import (COMMON_KEYS, EVENT_KINDS, RECORD_KEYS, CoverConfig,
+                     Samples)
 from .simplex import frank_wolfe_gap
 from .subgrad import scaled_step, step_distance, step_length, subgradient
 
@@ -124,10 +127,9 @@ class _Record:
     """What the audit derives from record ``i``, ``rec``: its kind (None
     unless an object of a known kind), its ``structure`` failures and
     ``small``, its epoch's first step that moved less than eps2 so far. An
-    ingested arrival's ``arrival`` holds whether it opened a cover center
-    (None without a cover), the cover's size, the previous arrival's time
-    and the latest time posted; a certificate's ``step`` is its place among
-    its epoch's steps (0 for the first) and ``cert`` what it certifies."""
+    ingested arrival's ``arrival`` holds the previous arrival's time and the
+    latest time posted; a certificate's ``step`` is its place among its
+    epoch's steps (0 for the first) and ``cert`` what it certifies."""
     kind = small = arrival = step = cert = None
 
     def __init__(self, i: int, rec):
@@ -143,23 +145,21 @@ class _Derivation:
 
     def __init__(self, model, samples: Samples, tolerances):
         self.model, self.samples, self.tolerances = model, samples, tolerances
-        # the keys of each form on this run: by kind, and for a certificate
-        # by whether it starts an epoch, follows the run's first and reuses
-        # a plan (x on the run's first, alpha on a step's, one plan key)
-        self.forms = {kind: frozenset(COMMON_KEYS + keys).difference(
-            COVER_KEYS if samples.cover is None else ())
-            for kind, keys in RECORD_KEYS.items()}
+        # the keys of each form: by kind, and for a certificate by whether
+        # it starts an epoch, follows the run's first and reuses a plan (x on
+        # the run's first, alpha on a step's, y on a refresh)
+        self.forms = {kind: frozenset(COMMON_KEYS + keys)
+                      for kind, keys in RECORD_KEYS.items()}
         cert = self.forms["CertificatePosted"]
         self.forms.update({(s, e, r): cert - {"alpha" if s else "x"} - (
-            {"x"} if e else set()) - {"y" if r else "y_ref"}
+            {"x"} if e else set()) - ({"y"} if r else set())
             for s in (False, True) for e in (False, True)
             for r in (False, True)})
         # the latest record of a known kind, the latest certificate, the
         # epoch's best certificate and its first step that moved less than
-        # eps2, the plans on the current window by position, and the latest
-        # time a record and an arrival posted
+        # eps2, and the latest time a record and an arrival posted
         self.last, self.prev, self.best, self.small = _NONE, _NONE, None, None
-        self.plans, self.last_t, self.arrival_t = {}, -np.inf, -np.inf
+        self.last_t, self.arrival_t = -np.inf, -np.inf
         # the runner's step and epoch counts, the epochs certificates began
         # and the steps of the latest one
         self.r = self.l = self.epoch = self.steps = 0
@@ -194,7 +194,7 @@ class _Derivation:
                 problem(f"step count r {r!r} does not follow {self.r}")
                 r = self.r
             self.r, self.l = r, l
-        form = self.forms[(starts, self.epoch > 0, "y_ref" in rec)
+        form = self.forms[(starts, self.epoch > 0, "y" not in rec)
                           if kind == "CertificatePosted" else kind]
         posted = {key for key, value in rec.items() if value is not None}
         if posted != form or len(posted) < len(rec):
@@ -227,12 +227,11 @@ class _Derivation:
         self.arrived = True
         try:
             # a point that is None or not a vector fails the shape test
-            opened = self.samples.add(_number(f.rec, "point", array=True), f.i)
+            self.samples.add(_number(f.rec, "point", array=True), f.i)
         except ValueError:
             return "arrival point missing, misshapen or not finite"
-        f.arrival = (opened, self.samples.cover_size, self.arrival_t,
-                     self.last_t)
-        at, self.plans = f.rec.get("arrival_t"), {}
+        f.arrival = (self.arrival_t, self.last_t)
+        at = f.rec.get("arrival_t")
         self.arrival_t = at if type(at) in (int, float) else self.arrival_t
         return None
 
@@ -266,14 +265,13 @@ class _Derivation:
         if not starts and (src is None or src.window.n_total != n):
             return ("step certificate does not follow a certificate on its "
                     f"window ({prev.i if prev.kind else None})")
-        if "y_ref" in rec:
-            # keyed by int position; any other ref names none
-            ref = rec["y_ref"]
-            plan = self.plans.get(ref) if isinstance(ref, int) else None
-            if plan is None:
-                return f"unresolved plan ref {ref}"
-            # a reused plan was checked and priced where it was posted
-            y, z, spent = plan.y, plan.z, plan.spent
+        if "y" not in rec:
+            # a reuse keeps the plan of the certificate before it, on its
+            # window, which was checked and priced there; an epoch's first
+            # certificate has none
+            if starts:
+                return "reuse with no plan on its window"
+            y, z, spent = src.y, src.z, src.spent
         else:
             try:
                 y = plan_from_entries(rec.get("y"),
@@ -288,7 +286,7 @@ class _Derivation:
                 # it; a huge alpha fails the finite test below
                 g = subgradient(model, src.x, src.window, src.y)
                 x = scaled_step(src.x, g, alpha)
-            if not (("y_ref" in rec or np.isfinite(y).all())
+            if not (("y" not in rec or np.isfinite(y).all())
                     and np.isfinite(x).all()):
                 return "plan or decision not finite"
             j = certificate_value(model, x, window, y)
@@ -304,7 +302,6 @@ class _Derivation:
         value = J if J is not None and _close(j, J) else j
         f.cert = _Certificate(J, tol, alpha, window, eps, x, y, z, spent, j,
                               eta, value)
-        self.plans[f.i] = f.cert
         if starts or (self.best is not None and value < self.best.value):
             self.best = f.cert
         return None
@@ -337,12 +334,12 @@ def _stop_rule(f: _Record, last: _Record, tolerances):
 
 
 def _arrivals(f: _Record, last, tolerances):
-    """An arrival's time and index are in range, its cover keys the cover's."""
+    """An arrival's time and index are in range."""
     # a finite time from the previous arrival's to the latest time posted,
     # and a non-negative int index
     if f.arrival is None:
         return None
-    rec, (opened, want, since, until), out = f.rec, f.arrival, []
+    rec, (since, until), out = f.rec, f.arrival, []
     at = rec.get("arrival_t", until)  # a missing key is structure's
     if not (type(at) in (int, float) and -math.inf < at and since <= at
             <= until):
@@ -351,11 +348,6 @@ def _arrivals(f: _Record, last, tolerances):
     index = rec.get("index", 0)
     if type(index) is not int or index < 0:
         out.append(f"sample index {index!r} is not a non-negative integer")
-    if opened is not None and rec.get("cover_opened", opened) is not opened:
-        out.append("cover open/absorb mismatch")
-    size = rec.get("cover_size", want)
-    if opened is not None and (type(size) is not int or size != want):
-        out.append(f"cover size {size} != {want}")
     return out
 
 
@@ -385,14 +377,14 @@ def _certificate_budget(f: _Record, last, tolerances):
 
 def _certificate_gap(f: _Record, last, tolerances):
     """A certificate's plan is a worst case within the run's tolerance."""
-    # the tolerance it posts, which is eps_sa for a reuse, eps1 otherwise
+    # the tolerance it posts, which is eps1 for a refresh, eps_sa for a reuse
     c = f.cert
     if c is None or c.tol is None:
         return None
     out = [] if c.eta <= c.tol + 1e-9 else [  # a NaN tolerance fails too
         f"gap {c.eta} exceeds tolerance {c.tol}"]
     want = None if tolerances is None else (
-        tolerances.eps_sa if "y_ref" in f.rec else tolerances.eps1)
+        tolerances.eps1 if "y" in f.rec else tolerances.eps_sa)
     if want is not None and c.tol != want:
         out.append(f"tolerance {c.tol} is not the run's {want}")
     return out

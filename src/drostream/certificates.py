@@ -193,10 +193,6 @@ class CertificateResult(WarmState):
     def y_eps1(self) -> Array:
         return self.z / self.window.theta[:, None]
 
-    @property
-    def n_total(self) -> int:
-        return self.window.n_total
-
 
 def certificate_value(model, x: Array, window: DataWindow, y_phys: Array) -> float:
     """Objective (1/n) sum_k theta_k f(x, point_k - y_k) at a given plan."""

@@ -14,11 +14,11 @@
   verify  re-check a run directory's event log against its config: replay
           the arrivals to derive each window and radius, each step's
           decision and each later epoch's start; then check each arrival's
-          time, sample index and cover keys, re-price every certificate
-          and check its transport budget (which bounds its W1 distance),
-          gap and tolerance, every step's length, and that each epoch
-          converges right after its first step below eps2 and the run
-          terminates right after a convergence
+          time and sample index, re-price every certificate and check its
+          transport budget (which bounds its W1 distance), gap and
+          tolerance, every step's length, and that each epoch converges
+          right after its first step below eps2 and the run terminates
+          right after a convergence
   replay  re-run from the dumped stream and compare event logs byte-wise
 
 Exit codes: 0 success; 1 verification/replay mismatch or solver failure;
@@ -277,10 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser(
-        "verify", help="re-check a run's event log: each arrival's time, "
-                       "index and cover keys, each certificate's value, "
-                       "budget, gap and tolerance, each step's length, and "
-                       "where each epoch stops")
+        "verify", help="re-check a run's event log: each arrival's time "
+                       "and index, each certificate's value, budget, gap "
+                       "and tolerance, each step's length, and where each "
+                       "epoch stops")
     p_verify.add_argument("run_dir",
                           help="run directory (or events.jsonl path)")
     p_verify.set_defaults(func=cmd_verify)

@@ -22,12 +22,12 @@ written once. Every record carries ``kind`` and the meter's time ``t``;
 beyond those, each kind writes exactly the keys of ``RECORD_KEYS``, in
 that order and in one of its forms:
 
-- ``DataArrival``: the counts ``r`` and ``l``, ``point``, ``index``,
-  ``arrival_t``, and with a cover ``cover_opened`` and ``cover_size``;
+- ``DataArrival``: the counts ``r`` and ``l``, ``point``, ``index`` and
+  ``arrival_t``, whether or not the run has a cover;
 - ``CertificatePosted``: ``J``, then ``x`` for the run's first certificate
   or the step length ``alpha`` for a step's, then ``tol``, the work counts
-  ``lp_calls``, ``cp_calls`` and ``afwa_iters``, and the plan key: ``y``
-  for a refresh, ``y_ref`` for a reuse;
+  ``lp_calls``, ``cp_calls`` and ``afwa_iters``, and for a refresh its
+  plan ``y``; a reuse writes no plan key;
 - ``EpochConverged`` and ``Terminated``: nothing more.
 
 A record's sequence number is its position in the log, and its sample
@@ -47,11 +47,13 @@ output is its last epoch's best. A convergence directly follows the
 certificate of its epoch's first small step, and the termination directly
 follows the last convergence. A refresh posts its perturbation plan in
 coordinate form, as its nonzero ``[k, j, value]`` entries
-(``plan_entries``); a reuse names that plan by ``y_ref``, its
-certificate's position, which is the only statement that it reuses. No
-record posts the ball's beta, which follows from ``n`` and the run's
-confidence schedule, its radius (``Samples.ball()``) or a certificate's
-gap, which the audit measures again. With the tolerances this is enough
+(``plan_entries``). A certificate without ``y`` is a reuse, which keeps
+the plan of the certificate before it, on the same window, as
+``reuse_or_refresh`` does; an epoch's first certificate is always a
+refresh. No record posts the ball's beta, which follows from ``n`` and the
+run's confidence schedule, its radius (``Samples.ball()``), a
+certificate's gap, which the audit measures again, or the cover's outcome
+at an arrival, which the audit replays. With the tolerances this is enough
 for an offline audit to re-verify the whole run from the event log alone.
 
 ``Samples`` owns the ingested samples and the window and radius certifying
@@ -94,16 +96,13 @@ Array = np.ndarray
 # the order ``RunEvent.record()`` writes them
 COMMON_KEYS = ("kind", "t")
 RECORD_KEYS = {
-    "DataArrival": ("r", "l", "point", "index", "arrival_t", "cover_opened",
-                    "cover_size"),
+    "DataArrival": ("r", "l", "point", "index", "arrival_t"),
     "CertificatePosted": ("J", "x", "alpha", "tol", "lp_calls", "cp_calls",
-                          "afwa_iters", "y", "y_ref"),
+                          "afwa_iters", "y"),
     "EpochConverged": (),
     "Terminated": (),
 }
 EVENT_KINDS = tuple(RECORD_KEYS)
-# the arrival keys only a run with a cover writes
-COVER_KEYS = ("cover_opened", "cover_size")
 
 
 @dataclass
@@ -111,13 +110,17 @@ class RunEvent:
     """One posted event; ``record()`` writes it as the log's JSON object:
     ``COMMON_KEYS`` and its kind's ``RECORD_KEYS``, in order, without nulls.
 
-    ``seq``, ``n``, a certificate's ``eta`` (in ``extras``), and ``r`` and
-    ``l`` on every kind but an arrival stay in memory only, for readers of
-    the run such as ``trajectory.csv``.
+    Some fields stay in memory only, for an ``on_event`` callback or the
+    result's events: ``n``, which ``trajectory.csv`` and drobench's arrival
+    stamps read; ``r`` on every kind but an arrival and an arrival's
+    ``cover_size`` (in ``extras``), which ``trajectory.csv`` reads; and
+    ``seq``, ``l`` on every kind but an arrival and a certificate's ``eta``
+    (in ``extras``), which no reader in the package uses and the tests read
+    to tie a log to its run.
     ``J`` is None on the records that do not post it, the arrivals, the
     convergences and the termination; ``x`` is None on every record but the
-    run's first certificate (see the module docstring), and so are the
-    cover's extras without a cover. ``beta`` is always None and never
+    run's first certificate (see the module docstring), and so is
+    ``cover_size`` without a cover. ``beta`` is always None and never
     written: the ball's beta follows from ``n``. The field stays so that an
     event is still built from its ten positional fields.
     """
@@ -191,9 +194,8 @@ class Samples:
     def cover_size(self) -> Optional[int]:
         return None if self.cover is None else self.cover.size
 
-    def add(self, value, index) -> Optional[bool]:
-        """Ingest one sample; returns whether it opened a cover center (None
-        without a cover). Raises ValueError naming ``index`` unless the
+    def add(self, value, index) -> None:
+        """Ingest one sample. Raises ValueError naming ``index`` unless the
         sample is a finite vector of the sample dimension."""
         point = np.asarray(value, dtype=float).reshape(-1)
         m = self._buf.shape[1]
@@ -203,7 +205,8 @@ class Samples:
         self._buf[self.n] = point
         self.n += 1
         self._ball = None
-        return None if self.cover is None else self.cover.update(point)
+        if self.cover is not None:
+            self.cover.update(point)
 
     def ball(self) -> tuple[DataWindow, float]:
         """(window, radius) certifying the samples so far."""
@@ -290,9 +293,8 @@ def run(
     events: list[RunEvent] = []
     samples = Samples(model.dimension_m, config.n0, config.concentration,
                       config.schedule, config.cover)
-    plan_seq = None  # the latest certificate that posts its plan in full
 
-    def post(kind, *, J=None, x=None, **extras) -> RunEvent:
+    def post(kind, *, J=None, x=None, **extras) -> None:
         ev = RunEvent(
             seq=len(events),
             kind=kind,
@@ -308,33 +310,28 @@ def run(
         events.append(ev)
         if on_event is not None:
             on_event(ev)
-        return ev
 
     def drain() -> None:
         for sp in queue.pop_due(meter.t):
-            opened = samples.add(sp.value, sp.index)
+            samples.add(sp.value, sp.index)
             post("DataArrival", point=samples.points[-1].tolist(),
                  index=sp.index, arrival_t=sp.arrival_time,
-                 cover_opened=opened, cover_size=samples.cover_size)
+                 cover_size=samples.cover_size)
         meter.deadline = queue.next_time()
 
     def post_certificate(cert: CertificateResult, mark, *, x=None,
                          alpha=None, reused=False) -> None:
         # the run's first certificate posts its decision x; a step's posts
-        # the step length alpha that took the decision before it to its own
-        nonlocal plan_seq
+        # the step length alpha that took the decision before it to its own,
+        # and a refresh its plan y: a reuse keeps the plan before it
         # the work of the attempt that produced cert: the counts since mark
         lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
         extras = dict(alpha=alpha, eta=cert.eta,
                       tol=tol.eps_sa if reused else tol.eps1, lp_calls=lp,
                       cp_calls=cp, afwa_iters=iters)
-        if reused:
-            extras["y_ref"] = plan_seq
-        else:
-            extras["y"] = plan_entries(cert.y_eps1)
-        seq = post("CertificatePosted", J=cert.j_eps1, x=x, **extras).seq
         if not reused:
-            plan_seq = seq
+            extras["y"] = plan_entries(cert.y_eps1)
+        post("CertificatePosted", J=cert.j_eps1, x=x, **extras)
 
     x = (
         np.zeros(model.dimension_d)

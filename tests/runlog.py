@@ -9,11 +9,13 @@ needs those decisions takes them from the runner itself:
 ``run_with_decisions`` records what the runner passed to ``generate`` and
 what its ``scaled_step`` returned. A record's position in the log is its
 sequence number, which tests call its seq. ``dropped_keys`` rebuilds the
-keys an older format posted on top of that. ``STEP_TAMPERS`` are the edits
-of that format the audit must catch, of the facts it derives a dropped key
-from and of an arrival's own keys, ``KEY_TAMPERS`` the keys a record must
-not carry, ``MISSING_KEYS`` the keys it must, and ``COUNTER_TAMPERS`` the
-edits of its step and epoch counts.
+keys an older format posted on top of that, and
+``put_back_plan_and_cover_keys`` the format just before this one.
+``STEP_TAMPERS`` are the edits of that format the audit must catch, of the
+facts it derives a dropped key from and of an arrival's own keys,
+``REUSE_TAMPERS`` the edits of which certificates post a plan,
+``KEY_TAMPERS`` the keys a record must not carry, ``MISSING_KEYS`` the keys
+it must, and ``COUNTER_TAMPERS`` the edits of its step and epoch counts.
 """
 
 import functools
@@ -110,22 +112,28 @@ def dropped_keys(records, decisions, config):
     """The keys an older format posted that the audit now derives, at the
     values it posted, by the seq of each record that posted them: every
     record's ``seq`` and sample count ``n``, and the step and epoch counts
-    ``r`` and ``l`` of every record but an arrival; each certificate's
-    ``radius``, each step certificate's ``moved`` and each later epoch's
-    first certificate's ``x``; each convergence's ``J``, ``x``, ``steps``
-    and ``best_seq``; and the termination's ``J``, ``x``, ``best_seq`` and,
-    with a cover, ``cover_size``. A certificate's gap ``eta`` is not among
-    them: only the runner's in-memory event keeps it."""
+    ``r`` and ``l`` of every record but an arrival; with a cover, each
+    arrival's ``cover_opened`` and ``cover_size``, replayed through
+    ``Samples``; each certificate's ``radius``, each step certificate's
+    ``moved``, each reuse's ``y_ref``, the seq of the latest certificate
+    that posted a plan ``y``, and each later epoch's first certificate's
+    ``x``; each convergence's ``J``, ``x``, ``steps`` and ``best_seq``; and
+    the termination's ``J``, ``x``, ``best_seq`` and, with a cover,
+    ``cover_size``. A certificate's gap ``eta`` is not among them: only the
+    runner's in-memory event keeps it."""
     samples = runner.Samples(config.model.dimension_m, len(records),
                              config.concentration, config.schedule,
                              config.cover)
-    out, best, steps, size = {}, None, 0, None
+    out, best, steps, plan = {}, None, 0, None
     for seq, (rec, (r, l)) in enumerate(zip(records, runner_counts(records))):
         kind = rec["kind"]
+        size = samples.cover_size
         if kind == "DataArrival":
             samples.add(rec["point"], rec["index"])
-            size = rec.get("cover_size")
             out[seq] = {"seq": seq, "n": samples.n}
+            if size is not None:
+                out[seq].update(cover_opened=samples.cover_size > size,
+                                cover_size=samples.cover_size)
             continue
         keys = out[seq] = {"seq": seq, "n": samples.n, "r": r, "l": l}
         if kind != "CertificatePosted":
@@ -137,6 +145,10 @@ def dropped_keys(records, decisions, config):
                 keys["cover_size"] = size
             continue
         keys["radius"] = samples.ball()[1]
+        if "y" in rec:
+            plan = seq
+        else:
+            keys["y_ref"] = plan
         if "alpha" in rec:
             keys["moved"] = float(np.linalg.norm(
                 np.array(decisions[seq]) - np.array(decisions[seq - 1])))
@@ -148,6 +160,23 @@ def dropped_keys(records, decisions, config):
                 keys["x"] = decisions[seq]
             best, steps = seq, 0
     return out
+
+
+# the keys the format before this one wrote last, in the order it wrote
+# them: an arrival's cover keys, with a cover, and a reuse's plan reference
+PLAN_AND_COVER_KEYS = {"DataArrival": ("cover_opened", "cover_size"),
+                       "CertificatePosted": ("y_ref",)}
+
+
+def put_back_plan_and_cover_keys(records, decisions, config):
+    """``records`` with each arrival's cover keys and each reuse's ``y_ref``
+    put back, last and at the values they held, as the format before this
+    one wrote them."""
+    keys = dropped_keys(records, decisions, config)
+    return [{**rec, **{key: keys[seq][key]
+                       for key in PLAN_AND_COVER_KEYS.get(rec["kind"], ())
+                       if key in keys[seq]}}
+            for seq, rec in enumerate(records)]
 
 
 def restart_from(records, decisions, config, seq):
@@ -233,11 +262,10 @@ def move_across_an_arrival(records, config, decisions):
 
 
 def swap_two_steps(records, config, decisions):
-    """A step certificate swapped with the step certificate before it, in
-    an epoch whose later one does not reuse the earlier one's plan: each
+    """A step certificate swapped with the step certificate before it: each
     posts the other's step length at the other's place in the epoch."""
     i = next(i for i, (a, b) in enumerate(zip(records, records[1:]))
-             if "alpha" in a and "alpha" in b and b.get("y_ref") != i)
+             if "alpha" in a and "alpha" in b)
     records[i], records[i + 1] = records[i + 1], records[i]
     return i, "step_links", "step alpha"
 
@@ -258,19 +286,13 @@ def widen_a_gap(records, config, decisions):
     return seq, "certificate_gap", "gap "
 
 
-def edit_arrival(key, new, message, pick=-1):
-    """The ``pick``-th arrival's ``key`` set to ``new(arrival, arrivals)``,
-    which the arrivals check fails; on a run without a cover a cover key is
-    one outside the arrival's form instead."""
+def edit_arrival(key, new, message):
+    """The last arrival's ``key`` set to ``new(arrival, arrivals)``, which
+    the arrivals check fails."""
     def tamper(records, config, decisions):
         arrivals = [r for r in records if r["kind"] == "DataArrival"]
-        rec = arrivals[pick]
-        seq = seq_of(records, rec)
-        if key not in rec:
-            rec[key] = new(rec, arrivals)
-            return seq, "structure", f"DataArrival carries '{key}'"
-        rec[key] = new(rec, arrivals)
-        return seq, "arrivals", message
+        arrivals[-1][key] = new(arrivals[-1], arrivals)
+        return seq_of(records, arrivals[-1]), "arrivals", message
     return tamper
 
 
@@ -298,11 +320,59 @@ STEP_TAMPERS = {
         "index", lambda rec, _: str(rec["index"]), "sample index"),
     "index-negative": edit_arrival("index", lambda rec, _: -1,
                                    "sample index"),
-    # the first arrival opens the cover's first center, of size 1
-    "cover_opened-int": edit_arrival(
-        "cover_opened", lambda rec, _: 1, "cover open/absorb mismatch", 0),
-    "cover_size-bool": edit_arrival(
-        "cover_size", lambda rec, _: True, "cover size True != 1", 0),
+}
+
+
+# Each reuse tamper edits a certificate's plan or the certificate before it
+# in a log whose steps both refresh and reuse, and returns the seq of the
+# record the audit must fail, the check that fails and the start of its
+# message. A certificate without a plan y is a reuse, which the audit prices
+# with the plan of the certificate before it, on the same window.
+
+def reuse_after_an_arrival(records):
+    """The epoch start before the first reuse that follows one is deleted,
+    so the reuse directly follows an arrival: no plan is on its window."""
+    start = next(i for i in epoch_starts(records)
+                 if records[i + 1]["kind"] == "CertificatePosted"
+                 and "y" not in records[i + 1])
+    del records[start]
+    return (start, "structure",
+            "step certificate does not follow a certificate on its window")
+
+
+def epoch_start_without_y(records):
+    """The second epoch's first certificate loses its plan: a reuse right
+    after an arrival, with no plan on its window to keep."""
+    start = epoch_starts(records)[1]
+    del records[start]["y"]
+    return start, "structure", "reuse with no plan on its window"
+
+
+def refresh_without_y(records):
+    """The first step refresh loses its plan: the audit prices it with the
+    plan before it, as a reuse, which posts eps_sa, not its eps1."""
+    rec = first(records, "CertificatePosted",
+                lambda r: "alpha" in r and "y" in r)
+    del rec["y"]
+    return seq_of(records, rec), "certificate_gap", "tolerance "
+
+
+def reuse_posts_y(records):
+    """The first reuse posts the plan before it as its own, at a reuse's
+    tolerance eps_sa: a certificate that posts a plan is a refresh, which
+    posts eps1."""
+    seq = seq_of(records, first(records, "CertificatePosted",
+                                lambda r: "y" not in r))
+    records[seq]["y"] = next(records[i]["y"] for i in range(seq, 0, -1)
+                             if "y" in records[i])
+    return seq, "certificate_gap", "tolerance "
+
+
+REUSE_TAMPERS = {
+    "reuse-after-an-arrival": reuse_after_an_arrival,
+    "epoch-start-without-y": epoch_start_without_y,
+    "refresh-without-y": refresh_without_y,
+    "reuse-posts-y": reuse_posts_y,
 }
 
 
@@ -320,7 +390,7 @@ def add_beta(records, config, decisions):
 
 
 def add_reused(records, config, decisions):
-    rec = first(records, "CertificatePosted", lambda r: "y_ref" in r)
+    rec = first(records, "CertificatePosted", lambda r: "y" not in r)
     rec["reused"] = True
     return seq_of(records, rec), "CertificatePosted carries 'reused'"
 
@@ -366,6 +436,17 @@ def add_cover_size(records, config, decisions):
     return seq_of(records, rec), "Terminated carries 'cover_size'"
 
 
+def add_first_arrival_key(key, value):
+    """The log's first arrival posts a cover key. An older format posted
+    ``cover_opened`` True and ``cover_size`` 1 there on a run with a cover,
+    whose first arrival opens its first center."""
+    def tamper(records, config, decisions):
+        rec = first(records, "DataArrival")
+        rec[key] = value
+        return seq_of(records, rec), f"DataArrival carries '{key}'"
+    return tamper
+
+
 def add_epoch_key(key, value):
     """An epoch's convergence names its stop rule, or flags that the
     dropped horizon rule would have stopped elsewhere."""
@@ -403,6 +484,12 @@ KEY_TAMPERS = {
     "later-epoch-start-x": put_back("CertificatePosted", "x",
                                     lambda r: "alpha" not in r
                                     and "x" not in r),
+    "y_ref": put_back("CertificatePosted", "y_ref", lambda r: "y" not in r),
+    "cover_opened": add_first_arrival_key("cover_opened", True),
+    "cover_size": add_first_arrival_key("cover_size", 1),
+    # and at a value of the wrong JSON type
+    "cover_opened-int": add_first_arrival_key("cover_opened", 1),
+    "cover_size-bool": add_first_arrival_key("cover_size", True),
     "seq": put_back("CertificatePosted", "seq"),
     "arrival-n": put_back("DataArrival", "n"),
     "certificate-n": put_back("CertificatePosted", "n"),

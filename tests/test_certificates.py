@@ -43,7 +43,7 @@ def scalar_model():
 def spent(cert):
     """The transport budget a certificate spends, from its budget
     coordinates z, as the audit prices it."""
-    return float(np.abs(cert.z).sum()) / cert.n_total
+    return float(np.abs(cert.z).sum()) / cert.window.n_total
 
 
 

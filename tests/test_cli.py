@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ from drostream.runner import Samples, run
 from drostream.simplex import SolverError
 from drostream.stream import expected_cost
 
-from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
-                    converge_a_step_early, drop_key, dropped_keys,
-                    epoch_starts, restart_from, run_with_decisions)
+from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
+                    REUSE_TAMPERS, STEP_TAMPERS, converge_a_step_early,
+                    drop_key, dropped_keys, epoch_starts, restart_from,
+                    run_with_decisions)
+
+LOGDIFF = Path(__file__).resolve().parents[1] / "scripts" / "logdiff.py"
 
 
 @pytest.fixture(scope="module")
@@ -657,6 +661,41 @@ def test_replay_detects_a_divergent_log(run_dir, tmp_path):
     assert main(["replay", str(clone)]) == 1
 
 
+def logdiff(a, b):
+    return subprocess.run([sys.executable, str(LOGDIFF), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_replay_writes_the_replayed_log_to_its_out_dir(run_dir, tmp_path,
+                                                       capsys):
+    # an honest run replays to its own log, byte for byte; a log with one J
+    # nudged does not, and logdiff tells it from the replayed one
+    written = tmp_path / "replayed"
+    assert main(["replay", str(run_dir), "--out-dir", str(written)]) == 0
+    original = run_dir / "events.jsonl"
+    assert (written / "events.jsonl").read_bytes() == original.read_bytes()
+    proc = logdiff(original, written / "events.jsonl")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    clone = tmp_path / "clone"
+    clone.mkdir()
+    for name in ("summary.json", "stream.jsonl"):
+        (clone / name).write_text((run_dir / name).read_text())
+    records = [json.loads(line) for line in original.read_text().splitlines()]
+    step_certificate = next(r for r in records if "alpha" in r)
+    step_certificate["J"] *= 1.0 + 1e-6
+    (clone / "events.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in records))
+    capsys.readouterr()
+    rewritten = tmp_path / "rewritten"
+    assert main(["replay", str(clone), "--out-dir", str(rewritten)]) == 1
+    assert "event log differs" in capsys.readouterr().err
+    assert (rewritten / "events.jsonl").read_bytes() == original.read_bytes()
+    proc = logdiff(clone / "events.jsonl", rewritten / "events.jsonl")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "a float differs by more than" in proc.stderr
+
+
 def test_replay_names_a_non_finite_sample_and_exits_1(run_dir, tmp_path,
                                                        capsys):
     clone = tmp_path / "clone"
@@ -717,6 +756,21 @@ def test_replay_reproduces_the_coupled_pinned_run(coupled_dir, capsys):
     assert "identical (270 events)" in capsys.readouterr().out
     assert main(["verify", str(coupled_dir)]) == 0
 
+
+
+@pytest.mark.parametrize("tamper", REUSE_TAMPERS.values(),
+                         ids=REUSE_TAMPERS.keys())
+def test_verify_reports_a_reuse_that_is_not_the_runs_and_exits_1(
+        coupled_dir, tmp_path, capsys, tamper):
+    # the coupled run's steps both refresh and reuse; a reuse keeps the plan
+    # of the certificate before it, on its window
+    records = [json.loads(line) for line in
+               (coupled_dir / "events.jsonl").read_text().splitlines()]
+    picked, check, message = tamper(records)
+    code, captured = verify_tampered(coupled_dir, tmp_path, capsys, records)
+    assert code == 1
+    assert f"{check}: FAIL (" in captured.out
+    assert f"record {picked}: {message}" in captured.err
 
 
 def test_summary_reports_how_long_each_arrival_waited(coupled_dir):

@@ -26,10 +26,11 @@ from oracles import (
     w1_distance,
     window_measure,
 )
-from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS, STEP_TAMPERS,
+from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
+                    PLAN_AND_COVER_KEYS, REUSE_TAMPERS, STEP_TAMPERS,
                     converge_a_step_early, drop_key, dropped_keys,
-                    epoch_starts, restart_from, run_with_decisions,
-                    step_certificate)
+                    epoch_starts, put_back_plan_and_cover_keys, restart_from,
+                    run_with_decisions, step_certificate)
 
 
 def pure_quadratic():
@@ -88,7 +89,7 @@ def test_single_point_run_posts_the_full_sequence():
     assert res.n == 1 and res.totals.epochs == 1
     assert res.j_best == min(ev.J for ev in res.events[1:3])
     assert "y" in res.events[1].extras  # a refresh
-    assert "y_ref" in res.events[2].extras  # a reuse
+    assert "y" not in res.events[2].extras  # a reuse
 
 
 def test_starved_budget_queues_and_drains_arrivals():
@@ -187,15 +188,15 @@ def test_the_run_returns_its_last_epochs_best_decision():
 
 
 def test_reuse_totals_match_posted_flags():
-    # a certificate's plan key is its only flag: y_ref for a reuse, y for a
-    # refresh; the totals count the steps' certificates, which post alpha
+    # a certificate's plan is its only flag: a refresh posts y, a reuse
+    # none; the totals count the steps' certificates, which post alpha
     cfg = make_config(pure_quadratic(), 3, x0=np.array([2.0]))
     res = run(cfg, stream([[1.0], [2.0], [-1.0]]))
     steps = [
         ev.extras for ev in res.events
         if ev.kind == "CertificatePosted" and ev.extras["alpha"] is not None
     ]
-    reused = [extras for extras in steps if "y_ref" in extras]
+    reused = [extras for extras in steps if "y" not in extras]
     refreshed = [extras for extras in steps if "y" in extras]
     assert len(reused) + len(refreshed) == len(steps)
     assert res.totals.reuses == len(reused) >= 1
@@ -272,18 +273,19 @@ def test_a_plain_window_is_a_read_only_view_later_arrivals_leave_alone():
 
 def posted_plans(cfg, records):
     """(window, plan, radius) for every posted certificate, with the window
-    and radius rebuilt from the logged arrivals as the audit builds them."""
+    and radius rebuilt from the logged arrivals as the audit builds them; a
+    reuse's plan is the plan of the certificate before it."""
     samples = Samples(cfg.model.dimension_m, len(records), cfg.concentration,
                       cfg.schedule, cfg.cover)
-    plans, out = {}, []
-    for seq, rec in enumerate(records):
+    y, out = None, []
+    for rec in records:
         if rec["kind"] == "DataArrival":
             samples.add(rec["point"], rec["index"])
         elif rec["kind"] == "CertificatePosted":
             window, radius = samples.ball()
-            y = (plan_from_entries(rec["y"], (window.size, window.dimension))
-                 if "y" in rec else plans[rec["y_ref"]])
-            plans[seq] = y
+            if "y" in rec:
+                y = plan_from_entries(rec["y"],
+                                      (window.size, window.dimension))
             out.append((window, y, radius))
     return out
 
@@ -419,8 +421,8 @@ CERT_FIELDS = "certificate J, x or tol missing or malformed"
      "record 6: CertificatePosted lacks 'J', keys of its form"),
     (lambda recs: recs[6].update(x=[0.0]),
      "record 6: CertificatePosted carries 'x', not keys of its form"),
-    (lambda recs: recs[6].update(y=recs[5]["y"]),
-     "record 6: CertificatePosted carries 'y', not keys of its form"),
+    (lambda recs: recs[6].update(y=recs[5]["y"], y_ref=5),
+     "record 6: CertificatePosted carries 'y_ref', not keys of its form"),
     (lambda recs: second_arrival(recs).update(r="two"),
      "record 4: step count r 'two' does not follow"),
     (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
@@ -431,11 +433,11 @@ CERT_FIELDS = "certificate J, x or tol missing or malformed"
 def test_audit_reports_a_malformed_record_without_raising(tamper, message):
     # record 1 is the run's first certificate, the only one that posts x;
     # records 5 and 6 are the second window's certificate and its step's,
-    # and record 5 moves the atom at 4 by about 1.67
+    # which reuses its plan, and record 5 moves the atom at 4 by about 1.67
     cfg, records = two_sample_records()
     assert records[5]["kind"] == "CertificatePosted"
     assert records[5]["y"] == [[1, 0, 1.6651092223153954]]
-    assert records[6]["alpha"] == 5.0 and records[6]["y_ref"] == 5
+    assert records[6]["alpha"] == 5.0 and "y" not in records[6]
     tamper(records)
     report = audit(cfg, records)
     assert not report.ok
@@ -580,9 +582,9 @@ def test_audit_checks_the_posted_tolerance_against_the_run():
     failed = checks(records)
     assert failed["certificate_gap"] == 1
     assert sum(failed.values()) == 1
-    # a reuse, which names its plan by y_ref, posts a refresh's tolerance
+    # a reuse, which posts no plan, posts a refresh's tolerance
     cfg, records = two_sample_records()
-    assert records[6]["y_ref"] == 5
+    assert "y" not in records[6]
     records[6]["tol"] = cfg.tolerances.eps1
     failed = checks(records)
     assert failed["certificate_gap"] == 1
@@ -590,9 +592,9 @@ def test_audit_checks_the_posted_tolerance_against_the_run():
 
 
 def test_audit_checks_the_reused_flag_without_the_runs_tolerances():
-    # the plan key alone says whether a certificate reuses an earlier plan,
-    # so a reused flag beside it is a key outside the certificate's set, on
-    # a call that passes no tolerances too
+    # whether a certificate posts a plan alone says whether it reuses the
+    # plan before it, so a reused flag is a key outside the certificate's
+    # set, on a call that passes no tolerances too
     cfg, records = two_sample_records()
     records[5]["reused"] = False  # a refresh, which posts a full plan
     report = verify_events(records, cfg.model, cfg.concentration,
@@ -663,17 +665,109 @@ def test_no_step_length_one_ulp_off_audits_ok(preset, n0, cover):
     assert full_audit(cfg, records)[0].ok
 
 
+# runs whose steps both refresh and reuse: study1 with b coupling its plans
+# to the decision, and study2 with the cover
+REUSING_RUNS = [("study1-coupled", 12, False), ("study2", 10, True)]
+REUSING_IDS = ["study1-coupled", "study2-cover"]
+
+
+@pytest.mark.parametrize("preset, n0, cover", REUSING_RUNS, ids=REUSING_IDS)
+@pytest.mark.parametrize("tamper", REUSE_TAMPERS.values(),
+                         ids=REUSE_TAMPERS.keys())
+def test_audit_prices_a_reuse_with_the_plan_before_it(preset, n0, cover,
+                                                      tamper):
+    # a certificate without a plan is a reuse, which keeps the plan of the
+    # certificate before it on its window: one right after an arrival has
+    # none, and a certificate that drops or adds its plan posts the other
+    # form's tolerance
+    cfg, points = pinned_run(preset, n0, cover, None)
+    records = [ev.record() for ev in run(cfg, points).events]
+    assert full_audit(cfg, records)[0].ok
+    seq, check, message = tamper(records)
+    report, failed = full_audit(cfg, records)
+    assert failed[check] >= 1
+    assert any(f.startswith(f"record {seq}: {message}")
+               for f in report.failures), report.failures
+
+
+@pytest.mark.parametrize("preset, n0, cover", REUSING_RUNS, ids=REUSING_IDS)
+def test_a_refresh_without_its_plan_fails_without_the_runs_tolerances(
+        preset, n0, cover):
+    # priced with the plan before it, each step refresh posts a value that
+    # is not that plan's or a gap above the eps1 it posts: that plan failed
+    # its revalidation at the refresh's decision, so its gap is above eps_sa
+    cfg, points = pinned_run(preset, n0, cover, None)
+    records = [ev.record() for ev in run(cfg, points).events]
+    refreshes = [i for i, r in enumerate(records) if "alpha" in r and "y" in r]
+    assert len(refreshes) > 10
+    for seq in refreshes:
+        edited = [dict(r) for r in records]
+        del edited[seq]["y"]
+        report = audit(cfg, edited)
+        failed = {c.name: c.failures for c in report.checks}
+        assert failed["certificate_value"] + failed["certificate_gap"] >= 1
+        assert not failed["structure"]
+        assert report.failures[0].startswith(f"record {seq}: ")
+
+
+# the seed-0 logs on which putting the plan and cover keys back restores
+# the format before this one
+RESTORED_RUNS = [("study1", 40, False), ("study1", 40, True),
+                 ("study2", 10, True), ("study2", 20, True)]
+
+
+@pytest.mark.parametrize("preset, n0, cover", RESTORED_RUNS,
+                         ids=["study1", "study1-cover", "study2-cover",
+                              "study2-cover-20"])
+def test_the_plan_and_cover_keys_put_back_restore_the_older_format(
+        preset, n0, cover):
+    # the format before this one wrote each arrival's cover keys and each
+    # reuse's y_ref last: the cover's outcome, which the runner keeps in
+    # memory, and the latest refresh, which posts the plan the reuse kept.
+    # Each of them put back alone fails structure alone
+    cfg, points = pinned_run(preset, n0, cover, None)
+    res, decisions = run_with_decisions(cfg, points)
+    records = [ev.record() for ev in res.events]
+    restored = put_back_plan_and_cover_keys(records, decisions, cfg)
+    size, ref = 0, None
+    for ev, rec, old in zip(res.events, records, restored):
+        assert list(old)[:len(rec)] == list(rec)
+        added, want = {key: old[key] for key in list(old)[len(rec):]}, {}
+        if ev.kind == "DataArrival":
+            ref = None  # a new window, with no plan on it yet
+            if cover:
+                grown, size = ev.extras["cover_size"] > size, ev.extras[
+                    "cover_size"]
+                want = {"cover_opened": grown, "cover_size": size}
+        elif "y" in rec:
+            ref = ev.seq
+        elif ev.kind == "CertificatePosted":
+            assert ref is not None
+            want = {"y_ref": ref}
+        assert added == want, ev.seq
+    put_back = {key for rec in restored for key in rec} - {
+        key for rec in records for key in rec}
+    assert put_back == {key for kind, keys in PLAN_AND_COVER_KEYS.items()
+                        for key in keys if cover or kind != "DataArrival"}
+    for key in sorted(put_back):
+        seq = next(i for i, rec in enumerate(restored) if key in rec)
+        edited = [dict(rec) for rec in records]
+        edited[seq][key] = restored[seq][key]
+        report, failed = full_audit(cfg, edited)
+        assert failed["structure"] == sum(failed.values()) == 1
+        assert report.failures == [
+            f"record {seq}: {records[seq]['kind']} carries '{key}', not "
+            "keys of its form"]
+
+
 # the keys of each kind's records, in the order a record writes them,
-# besides kind and t; the cover's keys are written on a run with a cover,
-# and a certificate writes one form of each pair: x for the run's first
-# certificate, alpha for a step's and neither for a later epoch's first, y
-# for a refresh, y_ref for a reuse
-COVER_ONLY = ("cover_opened", "cover_size")
+# besides kind and t, on a run with a cover or without one; a certificate
+# writes x for the run's first certificate, alpha for a step's and neither
+# for a later epoch's first, and y for a refresh only
 DOCUMENTED_KEYS = {
-    "DataArrival": ("r", "l", "point", "index", "arrival_t", "cover_opened",
-                    "cover_size"),
+    "DataArrival": ("r", "l", "point", "index", "arrival_t"),
     "CertificatePosted": ("J", ("x", "alpha"), "tol", "lp_calls", "cp_calls",
-                          "afwa_iters", ("y", "y_ref")),
+                          "afwa_iters", "y"),
     "EpochConverged": (),
     "Terminated": (),
 }
@@ -693,11 +787,12 @@ def test_audit_rejects_a_key_outside_its_kinds_set(tamper):
 
 @pytest.mark.parametrize("make_records, kind, key, where", [
     *((study1_records, kind, key, None) for kind, key in MISSING_KEYS),
-    (cover_records, "DataArrival", "cover_size", None),
-    # the last arrival's, which posts the cover's final size
-    (cover_records, "DataArrival", "cover_size", lambda r: r["index"] == 5),
-], ids=[key for _, key in MISSING_KEYS] + ["cover-arrival-size",
-                                          "cover-final-size"])
+    # an arrival's form is the same with a cover: the first arrival's index
+    # and the last one's time
+    (cover_records, "DataArrival", "index", None),
+    (cover_records, "DataArrival", "arrival_t", lambda r: r["index"] == 5),
+], ids=[key for _, key in MISSING_KEYS] + ["cover-arrival-index",
+                                          "cover-final-arrival_t"])
 def test_audit_requires_every_key_of_a_records_form(make_records, kind, key,
                                                     where):
     # a key the record's form carries, dropped, fails structure alone and
@@ -757,7 +852,7 @@ def test_every_record_of_a_kind_carries_the_same_keys():
     # on every pinned run, no record writes a null value and each carries
     # exactly its kind's documented keys, in order; an epoch's first
     # certificate is the first of its runner's epoch count l, and the reuses
-    # are the certificates that post y_ref
+    # are the certificates that post no plan
     for preset, n0, cover, budget in (row[:4] for row in PINNED_WORK):
         res = run(*pinned_run(preset, n0, cover, budget))
         epochs, reuses = set(), 0
@@ -766,15 +861,15 @@ def test_every_record_of_a_kind_carries_the_same_keys():
             assert None not in rec.values(), rec
             want = ["kind", "t"]
             for key in DOCUMENTED_KEYS[rec["kind"]]:
-                if key in COVER_ONLY:
-                    want += [key] if cover else []
-                elif key == ("x", "alpha"):
+                if key == ("x", "alpha"):
                     want += (["alpha"] if ev.l in epochs
                              else [] if epochs else ["x"])
                     epochs.add(ev.l)
-                elif key == ("y", "y_ref"):
+                elif key == "y":
+                    # an epoch's first certificate always refreshes
                     reuses += "y" not in rec
-                    want.append("y" if "y" in rec else "y_ref")
+                    assert "y" in rec or "alpha" in rec, rec
+                    want += ["y"] if "y" in rec else []
                 else:
                     want.append(key)
             assert list(rec) == want, (preset, n0, cover, budget, rec)
@@ -872,11 +967,12 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
     cfg, points = pinned_run("study1", 40, True, None)
     events = run(cfg, points).events
     records = [ev.record() for ev in events]
-    # each certificate's window has as many atoms as the cover has centers
+    # each certificate's window has as many atoms as the cover has centers,
+    # whose count the runner keeps in memory at each arrival
     atoms, size = [], None
-    for r in records:
-        if r["kind"] == "DataArrival":
-            size = r["cover_size"]
+    for ev in events:
+        if ev.kind == "DataArrival":
+            size = ev.extras["cover_size"]
         atoms.append(size)
     # the audit allows the gap 1e-9 above its tolerance, so halving the
     # tolerance must take off more than that; the runner keeps each
@@ -930,15 +1026,15 @@ def log_text(result):
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
 #  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 38296,
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 37541,
      40.12962000000008, 0.1296200000000809),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 31486,
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 30829,
      41.567399999999694, 1.3922000000000523),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 38500,
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 36150,
      40.08570000000014, 0.08570000000013778),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 88606,
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 87907,
      20.546896719250853, 0.14061000000089052),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 80706,
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 80262,
      82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
