@@ -11,7 +11,7 @@ what its ``scaled_step`` returned. A record's position in the log is its
 sequence number, which tests call its seq. ``dropped_keys`` rebuilds the
 keys an older format posted on top of that, and
 ``put_back_plan_and_cover_keys`` the format just before this one.
-``STEP_TAMPERS`` are the edits of that format the audit must catch, of the
+``STEP_TAMPERS`` are the edits of this format the audit must catch, of the
 facts it derives a dropped key from and of an arrival's own keys,
 ``REUSE_TAMPERS`` the edits of which certificates post a plan,
 ``KEY_TAMPERS`` the keys a record must not carry, ``MISSING_KEYS`` the keys
