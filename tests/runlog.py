@@ -296,6 +296,16 @@ def edit_arrival(key, new, message):
     return tamper
 
 
+def add_arrival_cover_key(key, value):
+    """The log's first arrival posts a cover key, which fails structure
+    whatever its value."""
+    def tamper(records, config, decisions):
+        seq, message = add_first_arrival_key(key, value)(records, config,
+                                                         decisions)
+        return seq, "structure", message
+    return tamper
+
+
 STEP_TAMPERS = {
     "alpha-ulp": nudge_alpha,
     "step-x": post_step_x,
@@ -320,6 +330,10 @@ STEP_TAMPERS = {
         "index", lambda rec, _: str(rec["index"]), "sample index"),
     "index-negative": edit_arrival("index", lambda rec, _: -1,
                                    "sample index"),
+    # an older format's cover keys at a value of the wrong JSON type: no
+    # arrival carries them now, with a cover or without one
+    "cover_opened-int": add_arrival_cover_key("cover_opened", 1),
+    "cover_size-bool": add_arrival_cover_key("cover_size", True),
 }
 
 
@@ -487,9 +501,6 @@ KEY_TAMPERS = {
     "y_ref": put_back("CertificatePosted", "y_ref", lambda r: "y" not in r),
     "cover_opened": add_first_arrival_key("cover_opened", True),
     "cover_size": add_first_arrival_key("cover_size", 1),
-    # and at a value of the wrong JSON type
-    "cover_opened-int": add_first_arrival_key("cover_opened", 1),
-    "cover_size-bool": add_first_arrival_key("cover_size", True),
     "seq": put_back("CertificatePosted", "seq"),
     "arrival-n": put_back("DataArrival", "n"),
     "certificate-n": put_back("CertificatePosted", "n"),
