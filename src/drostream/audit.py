@@ -27,9 +27,11 @@ short function of those facts. The audit derives:
   and the window through ``Samples.ball()``;
 - the cover's outcome at each arrival: replayed through ``Samples``;
 - a certificate's form (reuse or refresh) from whether it posts a plan
-  ``y``; a refresh posts its plan in coordinate form, its nonzero
-  ``[k, j, value]`` entries, and the audit rebuilds the dense plan from
-  them and the window's shape (``plan_from_entries``);
+  ``y``. A refresh posts its work counts and its plan as
+  ``[indices, values]``, the row-major flat indices of its nonzero entries
+  and those entries, and the audit rebuilds the dense plan from them and
+  the window's shape (``plan_from_entries``). A reuse posts neither, since
+  its work is always one revalidation search;
 - a reuse's plan: the latest plan on its window, which is the plan of the
   certificate before it;
 - which certificates start an epoch, by their form (no ``alpha``, after
@@ -52,7 +54,8 @@ they are exact on one machine and BLAS build, as the stop rule's comparison
 of a derived distance with eps2 assumes. Each record carries exactly the
 keys of its kind's form (``runner.COMMON_KEYS`` and ``RECORD_KEYS``, where
 a certificate carries ``x`` on the run's first, ``alpha`` on a step's and
-``y`` on a refresh only), and no record writes a null value.
+the work counts and ``y`` on a refresh only), and no record writes a null
+value.
 """
 
 from __future__ import annotations
@@ -147,12 +150,14 @@ class _Derivation:
         self.model, self.samples, self.tolerances = model, samples, tolerances
         # the keys of each form: by kind, and for a certificate by whether
         # it starts an epoch, follows the run's first and reuses a plan (x on
-        # the run's first, alpha on a step's, y on a refresh)
+        # the run's first, alpha on a step's, the work counts and y on a
+        # refresh)
         self.forms = {kind: frozenset(COMMON_KEYS + keys)
                       for kind, keys in RECORD_KEYS.items()}
         cert = self.forms["CertificatePosted"]
+        refresh = {"lp_calls", "cp_calls", "afwa_iters", "y"}
         self.forms.update({(s, e, r): cert - {"alpha" if s else "x"} - (
-            {"x"} if e else set()) - ({"y"} if r else set())
+            {"x"} if e else set()) - (refresh if r else set())
             for s in (False, True) for e in (False, True)
             for r in (False, True)})
         # the latest record of a known kind, the latest certificate, the

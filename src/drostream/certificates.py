@@ -26,6 +26,7 @@ every posted gap, from the model itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -203,50 +204,43 @@ def certificate_value(model, x: Array, window: DataWindow, y_phys: Array) -> flo
 
 
 def plan_entries(y: Array) -> list:
-    """A plan's nonzero entries as ``[k, j, value]`` rows in row-major order:
-    the coordinate form the event log posts. A ``-0.0`` entry is zero and
-    is dropped."""
-    ks, js = np.nonzero(y)
-    return [[k, j, v] for k, j, v
-            in zip(ks.tolist(), js.tolist(), y[ks, js].tolist())]
-
-
-_RAGGED = "ragged or not numeric; rows must be [k, j, value]"
+    """A plan's nonzero entries as ``[indices, values]``: their row-major
+    flat indices ``k * m + j``, strictly increasing, and the entries there.
+    This is the sparse form the event log posts. A ``-0.0`` entry is zero
+    and is dropped."""
+    flat = np.flatnonzero(y)
+    return [flat.tolist(), y.ravel()[flat].tolist()]
 
 
 def plan_from_entries(entries, shape: tuple[int, int]) -> Array:
-    """The dense (p, m) plan whose nonzero entries ``plan_entries`` lists.
+    """The dense (p, m) plan whose ``[indices, values]`` ``plan_entries``
+    writes.
 
-    Raises ValueError unless ``entries`` is a list of ``[k, j, value]``
-    rows with int coordinates inside ``shape``, in strictly increasing
-    row-major order, and int or float values. Finiteness is not checked.
+    Raises ValueError unless ``entries`` is two lists of equal length: int
+    indices in [0, p * m), strictly increasing, and int or float values
+    that a float holds. Finiteness is not checked.
     """
-    if not isinstance(entries, list):
-        raise ValueError(_RAGGED)
     p, m = shape
-    flat: list[int] = []
-    values: list = []
-    # a plain loop: a plan has tens of entries, too few to repay numpy calls
-    for row in entries:
-        if not (isinstance(row, list) and len(row) == 3):
-            raise ValueError(_RAGGED)
-        k, j, v = row
-        if type(k) is not int or type(j) is not int:
-            raise ValueError("coordinate not an integer")
-        if not (0 <= k < p and 0 <= j < m):
-            raise ValueError("coordinate outside the window")
-        at = k * m + j
-        if flat and at <= flat[-1]:
-            raise ValueError("coordinates repeat or leave row-major order")
-        if type(v) is not float and type(v) is not int:
-            raise ValueError(_RAGGED)
-        flat.append(at)
-        values.append(v)
+    if not (isinstance(entries, list) and len(entries) == 2
+            and all(isinstance(part, list) for part in entries)
+            and len(entries[0]) == len(entries[1])):
+        raise ValueError("not [indices, values], two lists of equal length")
+    flat, values = entries
+    # passes of built-ins: a plan has tens of entries, too few to repay
+    # numpy calls
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError("index not an integer")
+    if not all(map(operator.lt, flat, flat[1:])):
+        raise ValueError("indices repeat or leave row-major order")
+    if flat and not (0 <= flat[0] and flat[-1] < p * m):
+        raise ValueError("index outside the window")
+    if not set(map(type, values)) <= {int, float}:
+        raise ValueError("value not a number")
     y = np.zeros(p * m)
     try:
         y[flat] = values
     except OverflowError:  # an int too large for a float
-        raise ValueError(_RAGGED) from None
+        raise ValueError("value too large for a float") from None
     return y.reshape(p, m)
 
 

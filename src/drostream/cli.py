@@ -109,6 +109,7 @@ def write_outputs(out: Path, mat: presets.Materialized, result) -> dict:
             continue
         latency += [ev.t - at for at in waiting]
         waiting.clear()
+        # a reuse posts no work counts: it solves no hull
         cp_running += int(ev.extras.get("cp_calls", 0))
         rel = (
             (ev.J - j_star_est) / abs(j_star_est)

@@ -25,9 +25,10 @@ that order and in one of its forms:
 - ``DataArrival``: the counts ``r`` and ``l``, ``point``, ``index`` and
   ``arrival_t``, whether or not the run has a cover;
 - ``CertificatePosted``: ``J``, then ``x`` for the run's first certificate
-  or the step length ``alpha`` for a step's, then ``tol``, the work counts
-  ``lp_calls``, ``cp_calls`` and ``afwa_iters``, and for a refresh its
-  plan ``y``; a reuse writes no plan key;
+  or the step length ``alpha`` for a step's, then ``tol``, and for a
+  refresh its work counts ``lp_calls``, ``cp_calls`` and ``afwa_iters``
+  and its plan ``y``. A reuse writes neither: its work is always one
+  revalidation search and no hull solve (``reuse_or_refresh``);
 - ``EpochConverged`` and ``Terminated``: nothing more.
 
 A record's sequence number is its position in the log, and its sample
@@ -45,27 +46,29 @@ each later one whose ``J`` is lower; the next epoch starts from the best's
 decision, so only the first epoch's certificate posts ``x``, and the run's
 output is its last epoch's best. A convergence directly follows the
 certificate of its epoch's first small step, and the termination directly
-follows the last convergence. A refresh posts its perturbation plan in
-coordinate form, as its nonzero ``[k, j, value]`` entries
-(``plan_entries``). A certificate without ``y`` is a reuse, which keeps
-the plan of the certificate before it, on the same window, as
-``reuse_or_refresh`` does; an epoch's first certificate is always a
-refresh. No record posts the ball's beta, which follows from ``n`` and the
-run's confidence schedule, its radius (``Samples.ball()``), a
-certificate's gap, which the audit measures again, or the cover's outcome
-at an arrival, which the audit replays. With the tolerances this is enough
-for an offline audit to re-verify the whole run from the event log alone.
+follows the last convergence. A refresh posts its perturbation plan as
+``[indices, values]``: the row-major flat indices ``k * m + j`` of its
+nonzero entries, strictly increasing, and those entries (``plan_entries``).
+A certificate without ``y`` is a reuse, which keeps the plan of the
+certificate before it, on the same window, as ``reuse_or_refresh`` does;
+an epoch's first certificate is always a refresh. No record posts the
+ball's beta, which follows from ``n`` and the run's confidence schedule,
+its radius (``Samples.ball()``), a certificate's gap, which the audit
+measures again, or the cover's outcome at an arrival, which the audit
+replays. With the tolerances this is enough for an offline audit to
+re-verify the whole run from the event log alone.
 
 ``Samples`` owns the ingested samples and the window and radius certifying
-them; the audit replays a log's arrivals through it too. A certificate
-posts the work of the attempt that produced it (a refresh's includes its
-failed revalidation search); the totals are the meter's counts, interrupted
-attempts included.
+them; the audit replays a log's arrivals through it too. A refresh posts
+the work of the attempt that produced it, its failed revalidation search
+included; the totals are the meter's counts, interrupted attempts
+included.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -120,9 +123,11 @@ class RunEvent:
     ``J`` is None on the records that do not post it, the arrivals, the
     convergences and the termination; ``x`` is None on every record but the
     run's first certificate (see the module docstring), and so is
-    ``cover_size`` without a cover. ``beta`` is always None and never
-    written: the ball's beta follows from ``n``. The field stays so that an
-    event is still built from its ten positional fields.
+    ``cover_size`` without a cover. A reuse's ``extras`` hold no work
+    counts, so ``trajectory.csv`` counts its hull solves as 0. ``beta`` is
+    always None and never written: the ball's beta follows from ``n``. The
+    field stays so that an event is still built from its ten positional
+    fields.
     """
 
     seq: int
@@ -323,14 +328,15 @@ def run(
                          alpha=None, reused=False) -> None:
         # the run's first certificate posts its decision x; a step's posts
         # the step length alpha that took the decision before it to its own,
-        # and a refresh its plan y: a reuse keeps the plan before it
-        # the work of the attempt that produced cert: the counts since mark
-        lp, cp, iters = (now - then for now, then in zip(meter.counts(), mark))
+        # and a refresh its work and plan y: a reuse keeps the plan before
+        # it, and its work is its one revalidation search
         extras = dict(alpha=alpha, eta=cert.eta,
-                      tol=tol.eps_sa if reused else tol.eps1, lp_calls=lp,
-                      cp_calls=cp, afwa_iters=iters)
+                      tol=tol.eps_sa if reused else tol.eps1)
         if not reused:
-            extras["y"] = plan_entries(cert.y_eps1)
+            # the work of the attempt that produced cert: the counts since mark
+            lp, cp, iters = map(operator.sub, meter.counts(), mark)
+            extras.update(lp_calls=lp, cp_calls=cp, afwa_iters=iters,
+                          y=plan_entries(cert.y_eps1))
         post("CertificatePosted", J=cert.j_eps1, x=x, **extras)
 
     x = (

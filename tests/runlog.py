@@ -9,13 +9,15 @@ needs those decisions takes them from the runner itself:
 ``run_with_decisions`` records what the runner passed to ``generate`` and
 what its ``scaled_step`` returned. A record's position in the log is its
 sequence number, which tests call its seq. ``dropped_keys`` rebuilds the
-keys an older format posted on top of that, and
-``put_back_plan_and_cover_keys`` the format just before this one.
-``STEP_TAMPERS`` are the edits of this format the audit must catch, of the
-facts it derives a dropped key from and of an arrival's own keys,
-``REUSE_TAMPERS`` the edits of which certificates post a plan,
-``KEY_TAMPERS`` the keys a record must not carry, ``MISSING_KEYS`` the keys
-it must, and ``COUNTER_TAMPERS`` the edits of its step and epoch counts.
+keys an older format posted on top of that.
+``put_back_plan_rows_and_reuse_counts`` rebuilds the format just before
+this one, and ``put_back_plan_and_cover_keys`` the keys the format before
+that one posted besides. ``STEP_TAMPERS`` are the edits of this format the
+audit must catch, of the facts it derives a dropped key from and of an
+arrival's own keys, ``REUSE_TAMPERS`` the edits of which certificates post
+a plan, ``PLAN_TAMPERS`` the edits of a plan's form, ``KEY_TAMPERS`` the
+keys a record must not carry, ``MISSING_KEYS`` the keys it must, and
+``COUNTER_TAMPERS`` the edits of its step and epoch counts.
 """
 
 import functools
@@ -116,11 +118,12 @@ def dropped_keys(records, decisions, config):
     arrival's ``cover_opened`` and ``cover_size``, replayed through
     ``Samples``; each certificate's ``radius``, each step certificate's
     ``moved``, each reuse's ``y_ref``, the seq of the latest certificate
-    that posted a plan ``y``, and each later epoch's first certificate's
-    ``x``; each convergence's ``J``, ``x``, ``steps`` and ``best_seq``; and
-    the termination's ``J``, ``x``, ``best_seq`` and, with a cover,
-    ``cover_size``. A certificate's gap ``eta`` is not among them: only the
-    runner's in-memory event keeps it."""
+    that posted a plan ``y``, and its work counts ``REUSE_COUNTS``, and
+    each later epoch's first certificate's ``x``; each convergence's ``J``,
+    ``x``, ``steps`` and ``best_seq``; and the termination's ``J``, ``x``,
+    ``best_seq`` and, with a cover, ``cover_size``. A certificate's gap
+    ``eta`` is not among them: only the runner's in-memory event keeps
+    it."""
     samples = runner.Samples(config.model.dimension_m, len(records),
                              config.concentration, config.schedule,
                              config.cover)
@@ -148,7 +151,7 @@ def dropped_keys(records, decisions, config):
         if "y" in rec:
             plan = seq
         else:
-            keys["y_ref"] = plan
+            keys.update(y_ref=plan, **REUSE_COUNTS)
         if "alpha" in rec:
             keys["moved"] = float(np.linalg.norm(
                 np.array(decisions[seq]) - np.array(decisions[seq - 1])))
@@ -162,7 +165,30 @@ def dropped_keys(records, decisions, config):
     return out
 
 
-# the keys the format before this one wrote last, in the order it wrote
+# what the format before this one posted on a reuse, in the order it wrote
+# them: its work, which is always one revalidation search and no hull solve
+REUSE_COUNTS = {"lp_calls": 1, "cp_calls": 0, "afwa_iters": 0}
+
+
+def put_back_plan_rows_and_reuse_counts(records, config):
+    """``records`` as the format before this one wrote them: each plan ``y``
+    as its nonzero ``[k, j, value]`` rows in row-major order, and each
+    reuse's ``REUSE_COUNTS``, each record's keys in ``RECORD_KEYS`` order."""
+    m = config.model.dimension_m
+    out = []
+    for rec in records:
+        values = dict(rec)
+        if "y" in rec:
+            values["y"] = [[*divmod(i, m), v] for i, v in zip(*rec["y"])]
+        elif rec["kind"] == "CertificatePosted":
+            values.update(REUSE_COUNTS)
+        out.append({key: values[key] for key in
+                    runner.COMMON_KEYS + runner.RECORD_KEYS[rec["kind"]]
+                    if key in values})
+    return out
+
+
+# the keys the format two before this one wrote last, in the order it wrote
 # them: an arrival's cover keys, with a cover, and a reuse's plan reference
 PLAN_AND_COVER_KEYS = {"DataArrival": ("cover_opened", "cover_size"),
                        "CertificatePosted": ("y_ref",)}
@@ -170,8 +196,8 @@ PLAN_AND_COVER_KEYS = {"DataArrival": ("cover_opened", "cover_size"),
 
 def put_back_plan_and_cover_keys(records, decisions, config):
     """``records`` with each arrival's cover keys and each reuse's ``y_ref``
-    put back, last and at the values they held, as the format before this
-    one wrote them."""
+    put back, last and at the values they held, as the format two before
+    this one wrote them on top of ``put_back_plan_rows_and_reuse_counts``."""
     keys = dropped_keys(records, decisions, config)
     return [{**rec, **{key: keys[seq][key]
                        for key in PLAN_AND_COVER_KEYS.get(rec["kind"], ())
@@ -276,8 +302,9 @@ def widen_a_gap(records, config, decisions):
     longer a worst case within the posted tolerance."""
     rec = first(records, "CertificatePosted", lambda r: "y" in r)
     seq = seq_of(records, rec)
-    entry = max(rec["y"], key=lambda e: abs(e[2]))
-    entry[2] /= 2
+    values = rec["y"][1]
+    at = max(range(len(values)), key=lambda i: abs(values[i]))
+    values[at] /= 2
     window, _ = ball_at(records, config, seq)
     y = certificates.plan_from_entries(rec["y"],
                                        (window.size, window.dimension))
@@ -362,23 +389,30 @@ def epoch_start_without_y(records):
     return start, "structure", "reuse with no plan on its window"
 
 
+def as_reuse(rec):
+    """Drop a refresh's plan and work counts, which a reuse does not post."""
+    for key in ("y", *REUSE_COUNTS):
+        del rec[key]
+
+
 def refresh_without_y(records):
-    """The first step refresh loses its plan: the audit prices it with the
-    plan before it, as a reuse, which posts eps_sa, not its eps1."""
+    """The first step refresh loses its plan and work counts: the audit
+    prices it with the plan before it, as a reuse, which posts eps_sa, not
+    its eps1."""
     rec = first(records, "CertificatePosted",
                 lambda r: "alpha" in r and "y" in r)
-    del rec["y"]
+    as_reuse(rec)
     return seq_of(records, rec), "certificate_gap", "tolerance "
 
 
 def reuse_posts_y(records):
-    """The first reuse posts the plan before it as its own, at a reuse's
-    tolerance eps_sa: a certificate that posts a plan is a refresh, which
-    posts eps1."""
+    """The first reuse posts its work and the plan before it as its own, at
+    a reuse's tolerance eps_sa: a certificate that posts a plan is a
+    refresh, which posts eps1."""
     seq = seq_of(records, first(records, "CertificatePosted",
                                 lambda r: "y" not in r))
-    records[seq]["y"] = next(records[i]["y"] for i in range(seq, 0, -1)
-                             if "y" in records[i])
+    records[seq].update(REUSE_COUNTS, y=next(
+        records[i]["y"] for i in range(seq, 0, -1) if "y" in records[i]))
     return seq, "certificate_gap", "tolerance "
 
 
@@ -387,6 +421,55 @@ REUSE_TAMPERS = {
     "epoch-start-without-y": epoch_start_without_y,
     "refresh-without-y": refresh_without_y,
     "reuse-posts-y": reuse_posts_y,
+}
+
+
+# Each plan tamper rewrites the plan ``[indices, values]`` of a log's last
+# refresh, given its window's size p * m and dimension m, into a form the
+# audit cannot decode, and returns the start of the audit's structure
+# failure there.
+
+def edit_plan(edit, message):
+    def tamper(records, config):
+        seq = max(i for i, r in enumerate(records) if "y" in r)
+        window, _ = ball_at(records, config, seq)
+        indices, values = records[seq]["y"]
+        records[seq]["y"] = edit(indices, values,
+                                 window.size * window.dimension,
+                                 window.dimension)
+        return seq, f"plan {message}"
+    return tamper
+
+
+PLAN_TAMPERS = {
+    "index-bool": edit_plan(lambda i, v, size, m: [[True, *i[1:]], v],
+                            "index not an integer"),
+    "index-float": edit_plan(lambda i, v, size, m: [[float(i[0]), *i[1:]], v],
+                             "index not an integer"),
+    "index-negative": edit_plan(lambda i, v, size, m: [[-1, *i[1:]], v],
+                                "index outside the window"),
+    "index-at-the-window-size": edit_plan(
+        lambda i, v, size, m: [[*i[:-1], size], v],
+        "index outside the window"),
+    "indices-out-of-order": edit_plan(
+        lambda i, v, size, m: [i[::-1], v],
+        "indices repeat or leave row-major order"),
+    "index-repeated": edit_plan(
+        lambda i, v, size, m: [[i[0], *i[:-1]], v],
+        "indices repeat or leave row-major order"),
+    "unequal-lengths": edit_plan(
+        lambda i, v, size, m: [i, v[:-1]],
+        "not [indices, values], two lists of equal length"),
+    "value-string": edit_plan(lambda i, v, size, m: [i, [str(v[0]), *v[1:]]],
+                              "value not a number"),
+    "value-bool": edit_plan(lambda i, v, size, m: [i, [True, *v[1:]]],
+                            "value not a number"),
+    "value-too-large": edit_plan(lambda i, v, size, m: [i, [10**400, *v[1:]]],
+                                 "value too large for a float"),
+    # the form before this one: each nonzero entry as a [k, j, value] row
+    "older-rows": edit_plan(
+        lambda i, v, size, m: [[*divmod(at, m), x] for at, x in zip(i, v)],
+        "not [indices, values], two lists of equal length"),
 }
 
 
@@ -499,6 +582,10 @@ KEY_TAMPERS = {
                                     lambda r: "alpha" not in r
                                     and "x" not in r),
     "y_ref": put_back("CertificatePosted", "y_ref", lambda r: "y" not in r),
+    # a reuse's work is always one revalidation search
+    **{f"reuse-{key}": put_back("CertificatePosted", key,
+                                lambda r: "y" not in r)
+       for key in REUSE_COUNTS},
     "cover_opened": add_first_arrival_key("cover_opened", True),
     "cover_size": add_first_arrival_key("cover_size", 1),
     "seq": put_back("CertificatePosted", "seq"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -630,12 +631,72 @@ def sparse_plans(draw):
     return np.array(values, dtype=float).reshape(p, m)
 
 
+def json_round_trip(y):
+    """``y`` through its posted form and JSON, back to a dense plan."""
+    entries = json.loads(json.dumps(certificates.plan_entries(y)))
+    return entries, certificates.plan_from_entries(entries, y.shape)
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_plans())
 def test_a_plan_survives_its_coordinate_form(y):
-    entries = json.loads(json.dumps(certificates.plan_entries(y)))
-    assert len(entries) == np.count_nonzero(y)
-    assert all(type(k) is int and type(j) is int for k, j, _ in entries)
-    back = certificates.plan_from_entries(entries, y.shape)
+    # [indices, values]: the row-major flat indices of the nonzero entries,
+    # strictly increasing, and those entries
+    (indices, values), back = json_round_trip(y)
+    assert len(indices) == len(values) == np.count_nonzero(y)
+    assert all(type(i) is int for i in indices)
+    assert indices == sorted(set(indices))
+    assert values == y.ravel()[indices].tolist()
     assert np.array_equal(back, y)
     assert not np.signbit(back[back == 0]).any()  # -0.0 comes back as 0.0
+
+
+@pytest.mark.parametrize("y, entries", [
+    (np.zeros((3, 2)), [[], []]),
+    (np.zeros((1, 1)), [[], []]),
+    (np.array([[-2.5]]), [[0], [-2.5]]),
+    # a -0.0 entry is zero, and is dropped
+    (np.array([[0.0, -0.0], [1.5, -0.0]]), [[2], [1.5]]),
+    (np.array([[0.0, 3.0, 0.0], [0.0, 0.0, -1e-300]]),
+     [[1, 5], [3.0, -1e-300]]),
+], ids=["empty", "empty-1x1", "1x1", "negative-zero", "2x3"])
+def test_a_plan_posts_its_flat_indices_and_values(y, entries):
+    posted, back = json_round_trip(y)
+    assert posted == entries
+    assert np.array_equal(back, y)
+
+
+def test_a_plan_reads_int_values_as_floats():
+    y = certificates.plan_from_entries([[0, 3], [2, -(2 ** 60)]], (2, 2))
+    assert y.dtype == float
+    assert y.tolist() == [[2.0, 0.0], [0.0, float(-(2 ** 60))]]
+
+
+# each malformed [indices, values] form of a plan on a 2 x 3 window, and the
+# start of the ValueError it raises
+@pytest.mark.parametrize("entries, message", [
+    ({"indices": [0], "values": [1.0]}, "not [indices, values]"),
+    ([[0], [1.0], []], "not [indices, values]"),
+    ([[0]], "not [indices, values]"),
+    ([(0,), (1.0,)], "not [indices, values]"),
+    ([[0, 1], [1.0]], "not [indices, values]"),
+    ([[0], [1.0, 2.0]], "not [indices, values]"),
+    ([[True], [1.0]], "index not an integer"),
+    ([[1.0], [1.0]], "index not an integer"),
+    ([[0, "1"], [1.0, 1.0]], "index not an integer"),
+    ([[-1], [1.0]], "index outside the window"),
+    ([[6], [1.0]], "index outside the window"),
+    ([[2, 2], [1.0, 1.0]], "indices repeat or leave row-major order"),
+    ([[3, 2], [1.0, 1.0]], "indices repeat or leave row-major order"),
+    ([[2], ["1.0"]], "value not a number"),
+    ([[2], [True]], "value not a number"),
+    ([[2], [None]], "value not a number"),
+    ([[2, 4], [1.0, 10 ** 400]], "value too large for a float"),
+], ids=["not-a-list", "three-lists", "one-list", "tuples", "fewer-values",
+        "fewer-indices", "index-bool", "index-float", "index-string",
+        "index-negative", "index-at-p-times-m", "index-repeated",
+        "indices-decreasing", "value-string", "value-bool", "value-null",
+        "value-too-large"])
+def test_a_malformed_plan_raises_a_value_error(entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        certificates.plan_from_entries(entries, (2, 3))

@@ -28,7 +28,8 @@ from drostream.simplex import SolverError
 from drostream.stream import expected_cost
 
 from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
-                    REUSE_TAMPERS, STEP_TAMPERS, converge_a_step_early,
+                    PLAN_TAMPERS, REUSE_TAMPERS, STEP_TAMPERS,
+                    converge_a_step_early,
                     drop_key, dropped_keys, epoch_starts, restart_from,
                     run_with_decisions)
 
@@ -123,6 +124,31 @@ def test_trajectory_has_the_documented_columns(run_dir):
     assert times == sorted(times)
 
 
+@pytest.mark.parametrize("preset, n0, cover", [
+    ("study1", 12, False), ("study2", 10, True)], ids=["study1",
+                                                      "study2-cover"])
+def test_the_trajectory_counts_the_hull_solves_of_its_certificates(
+        preset, n0, cover, tmp_path):
+    # only a refresh posts its work: a reuse's is one revalidation search
+    # and no hull solve. So the last row's cp_count is the sum of the posted
+    # cp_calls, and on these runs, which no arrival interrupts, every hull
+    # solve of the run
+    out = tmp_path / "run"
+    assert main(["run", "--preset", preset, "--seed", "0", "--n0", str(n0),
+                 *(["--cover"] if cover else []), "--out-dir", str(out)]) == 0
+    records = [json.loads(line)
+               for line in (out / "events.jsonl").read_text().splitlines()]
+    certs = [r for r in records if r["kind"] == "CertificatePosted"]
+    assert any("cp_calls" not in r for r in certs)
+    with open(out / "trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(certs)
+    posted = sum(r.get("cp_calls", 0) for r in certs)
+    totals = json.loads((out / "summary.json").read_text())["totals"]
+    assert totals["interrupts"] == 0
+    assert int(rows[-1]["cp_count"]) == posted == totals["cp_calls"]
+
+
 def test_verify_passes_on_a_fresh_run(run_dir, capsys):
     assert main(["verify", str(run_dir)]) == 0
     out = capsys.readouterr().out
@@ -184,7 +210,7 @@ def test_verify_reports_a_non_finite_plan_and_exits_1(tmp_path, capsys):
     for i, line in enumerate(lines):
         rec = json.loads(line)
         if rec["kind"] == "CertificatePosted" and "y" in rec:
-            rec["y"][0][2] = float("nan")
+            rec["y"][1][0] = float("nan")
             lines[i] = json.dumps(rec)
             picked = i
             break
@@ -223,7 +249,7 @@ def test_verify_rejects_a_cover_radius_widened_by_omega(tmp_path, capsys):
     # halfway between the two radii
     picked = max(i for i, rec in enumerate(records) if "y" in rec)
     spend = (radius + widened) / 2
-    records[picked]["y"] = [[0, 0, float(spend * rc.n0 / window.theta[0])]]
+    records[picked]["y"] = [[0], [float(spend * rc.n0 / window.theta[0])]]
     report = verify_events(records, mat.model, rc.concentration, rc.schedule,
                            rc.cover, tolerances=rc.tolerances)
     failed = {c.name: c.failures for c in report.checks}
@@ -311,18 +337,20 @@ def _last_best_step(records):
 # each tamper edits a record given the number n of arrivals before it,
 # which is the number of atoms of its window
 @pytest.mark.parametrize("pick, tamper, message", [
-    (_last(_refresh), lambda rec, n: rec.update(y=[[n, 0, 1.0]]),
-     "plan coordinate outside the window"),
-    (_last(_refresh), lambda rec, n: rec.update(y=[rec["y"][0]] * 2),
-     "plan coordinates repeat"),
-    (_last(_refresh), lambda rec, n: rec.update(y=[[0.5, 0, 1.0]]),
-     "plan coordinate not an integer"),
+    (_last(_refresh), lambda rec, n: rec.update(y=[[n * 3], [1.0]]),
+     "plan index outside the window"),
     (_last(_refresh),
-     lambda rec, n: rec["y"][0].__setitem__(2, float("nan")),
+     lambda rec, n: rec.update(y=[[rec["y"][0][0]] * 2, [rec["y"][1][0]] * 2]),
+     "plan indices repeat"),
+    (_last(_refresh), lambda rec, n: rec.update(y=[[0.5], [1.0]]),
+     "plan index not an integer"),
+    (_last(_refresh),
+     lambda rec, n: rec["y"][1].__setitem__(0, float("nan")),
      "plan or decision not finite"),
-    (_last(_refresh), lambda rec, n: rec.update(y=[rec["y"][0] + [0.0]]),
-     "plan ragged or not numeric"),
-    (_last(_refresh), _legacy_dense, "plan coordinate not an integer"),
+    (_last(_refresh), lambda rec, n: rec.update(y=rec["y"] + [[0.0]]),
+     "plan not [indices, values]"),
+    # n rows of 3 entries, for the n > 2 atoms of the window
+    (_last(_refresh), _legacy_dense, "plan not [indices, values]"),
     (_last(lambda rec: "alpha" in rec), lambda rec, n: rec.update(x=[0.0]),
      "CertificatePosted carries 'x', not keys of its form"),
     # the step that lowers its epoch's best posts no x either: the epoch's
@@ -349,6 +377,19 @@ def test_verify_reports_a_malformed_plan_or_step_and_exits_1(
     err = capsys.readouterr().err
     assert f"record {picked}: {message}" in err
     assert "FAILED" in err
+
+
+@pytest.mark.parametrize("tamper", PLAN_TAMPERS.values(),
+                         ids=PLAN_TAMPERS.keys())
+def test_verify_reports_a_plan_outside_its_form_and_exits_1(
+        run_dir, run_config, tmp_path, capsys, tamper):
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    picked, message = tamper(records, run_config)
+    code, captured = verify_tampered(run_dir, tmp_path, capsys, records)
+    assert code == 1
+    assert "structure: FAIL (" in captured.out
+    assert f"record {picked}: {message}\n" in captured.err
 
 
 @pytest.mark.parametrize("kind", ["EpochConverged", "Terminated"],

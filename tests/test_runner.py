@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from drostream import certificates, presets, simplex
+from drostream import certificates, presets, runner, simplex
 from drostream.ambiguity import ConcentrationParams, ConfidenceSchedule
 from drostream.audit import verify_events
 from drostream.certificates import plan_from_entries
@@ -27,9 +27,11 @@ from oracles import (
     window_measure,
 )
 from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
-                    PLAN_AND_COVER_KEYS, REUSE_TAMPERS, STEP_TAMPERS,
+                    PLAN_AND_COVER_KEYS, PLAN_TAMPERS, REUSE_COUNTS,
+                    REUSE_TAMPERS, STEP_TAMPERS, as_reuse,
                     converge_a_step_early, drop_key, dropped_keys,
-                    epoch_starts, put_back_plan_and_cover_keys, restart_from,
+                    epoch_starts, put_back_plan_and_cover_keys,
+                    put_back_plan_rows_and_reuse_counts, restart_from,
                     run_with_decisions, step_certificate)
 
 
@@ -310,11 +312,12 @@ def test_budget_spent_bounds_the_exact_w1_distance(make_run):
 def test_audit_reports_a_non_finite_plan_without_raising():
     cfg, res = cover_run()
     records = [ev.record() for ev in res.events]
-    # the first refresh that moves the second cover center
-    seq, entry = next((seq, e) for seq, r in enumerate(records)
-                      if r["kind"] == "CertificatePosted" and "y" in r
-                      for e in r["y"] if e[:2] == [1, 0])
-    entry[2] = float("nan")
+    # the first refresh that moves the second cover center, whose flat index
+    # is 1 in dimension 1
+    seq, at = next((seq, r["y"][0].index(1)) for seq, r in enumerate(records)
+                   if r["kind"] == "CertificatePosted" and "y" in r
+                   and 1 in r["y"][0])
+    records[seq]["y"][1][at] = float("nan")
     report = audit(cfg, records)
     assert not report.ok
     assert f"record {seq}: plan or decision not finite" in report.failures
@@ -340,14 +343,14 @@ def test_audit_swap_fails_the_budget_check():
     # record 5 certifies the window {0, 4}; moving each atom onto the other
     # pays 4 per unit mass, beyond the radius, though the moved measure is
     # the window itself: the budget prices the plan, not the distance
-    checks, failures = swap_audit(5, [[0, 0, -4.0], [1, 0, 4.0]])
+    checks, failures = swap_audit(5, [[0, 1], [-4.0, 4.0]])
     assert checks["certificate_budget"].failures == 2  # record 5, reuse 6
     assert any(f.startswith("record 5: budget 4.0 exceeds") for f in failures)
 
 
 def test_audit_single_atom_over_budget_fails_the_budget_check():
     # record 1 certifies the one-sample window {0} with radius about 1.18
-    checks, failures = swap_audit(1, [[0, 0, 2.0]])
+    checks, failures = swap_audit(1, [[0], [2.0]])
     assert checks["certificate_budget"].failures == 2  # record 1, reuse 2
     assert any(f.startswith("record 1: budget 2.0 exceeds") for f in failures)
 
@@ -395,6 +398,7 @@ def test_audit_reports_a_corrupted_arrival_without_raising(
 
 
 CERT_FIELDS = "certificate J, x or tol missing or malformed"
+PLAN_FORM = "plan not [indices, values], two lists of equal length"
 
 
 @pytest.mark.parametrize("tamper, message", [
@@ -403,20 +407,24 @@ CERT_FIELDS = "certificate J, x or tol missing or malformed"
     (lambda recs: recs[5].pop("tol"), f"record 5: {CERT_FIELDS}"),
     (lambda recs: recs[5].update(radius=None),
      "record 5: CertificatePosted writes 'radius' as null"),
-    (lambda recs: recs[5].update(y=[[1, 0, 1.0], [1, 0]]),
-     "record 5: plan ragged or not numeric"),
-    (lambda recs: recs[5].update(y=[[2, 0, 1.0]]),
-     "record 5: plan coordinate outside the window"),
-    (lambda recs: recs[5].update(y=[[1, 0, 1.0], [1, 0, 1.0]]),
-     "record 5: plan coordinates repeat"),
-    (lambda recs: recs[5].update(y=[[0.5, 0, 1.0]]),
-     "record 5: plan coordinate not an integer"),
-    (lambda recs: recs[5].update(y=[[1, 0, float("nan")]]),
+    (lambda recs: recs[5].update(y=[[0, 1], [1.0]]),
+     f"record 5: {PLAN_FORM}"),
+    (lambda recs: recs[5].update(y=[[2], [1.0]]),
+     "record 5: plan index outside the window"),
+    (lambda recs: recs[5].update(y=[[1, 1], [1.0, 1.0]]),
+     "record 5: plan indices repeat"),
+    (lambda recs: recs[5].update(y=[[0.5], [1.0]]),
+     "record 5: plan index not an integer"),
+    (lambda recs: recs[5].update(y=[[1], [float("nan")]]),
      "record 5: plan or decision not finite"),
-    (lambda recs: recs[5].update(y=[[1, 0, 1.0, 0.0]]),
-     "record 5: plan ragged or not numeric"),
+    (lambda recs: recs[5].update(y=[[1], [1.0], [0.0]]),
+     f"record 5: {PLAN_FORM}"),
+    # the dense plan of the 2 x 1 window is two lists of one entry each
     (lambda recs: recs[5].update(y=[[0.0], [1.6651092223153954]]),
-     "record 5: plan ragged or not numeric"),
+     "record 5: plan index not an integer"),
+    # in the form before this one, a [k, j, value] row per entry
+    (lambda recs: recs[5].update(y=[[1, 0, 1.6651092223153954]]),
+     f"record 5: {PLAN_FORM}"),
     (lambda recs: recs[6].pop("J"),
      "record 6: CertificatePosted lacks 'J', keys of its form"),
     (lambda recs: recs[6].update(x=[0.0]),
@@ -428,15 +436,15 @@ CERT_FIELDS = "certificate J, x or tol missing or malformed"
     (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
 ], ids=["cert-no-J", "cert-no-x", "cert-no-tol", "radius-null", "ragged-y",
         "y-outside", "y-repeated", "y-non-integer", "y-nan-value",
-        "y-row-length", "y-legacy-dense", "step-J", "step-x", "y-and-y_ref",
-        "arrival-r-not-numeric", "not-an-object"])
+        "y-row-length", "y-legacy-dense", "y-older-rows", "step-J", "step-x",
+        "y-and-y_ref", "arrival-r-not-numeric", "not-an-object"])
 def test_audit_reports_a_malformed_record_without_raising(tamper, message):
     # record 1 is the run's first certificate, the only one that posts x;
     # records 5 and 6 are the second window's certificate and its step's,
     # which reuses its plan, and record 5 moves the atom at 4 by about 1.67
     cfg, records = two_sample_records()
     assert records[5]["kind"] == "CertificatePosted"
-    assert records[5]["y"] == [[1, 0, 1.6651092223153954]]
+    assert records[5]["y"] == [[1], [1.6651092223153954]]
     assert records[6]["alpha"] == 5.0 and "y" not in records[6]
     tamper(records)
     report = audit(cfg, records)
@@ -466,7 +474,7 @@ def leave_no_best(cfg, records, decisions, i):
     has no best; returns the seq of the last epoch's first certificate,
     which has no decision to start from, and the start of its failure."""
     starts = epoch_starts(records)
-    records[starts[-2]]["y"] = [[0.5, 0, 1.0]]
+    records[starts[-2]]["y"] = [[0.5], [1.0]]
     return starts[-1], CERT_FIELDS
 
 
@@ -690,20 +698,43 @@ def test_audit_prices_a_reuse_with_the_plan_before_it(preset, n0, cover,
                for f in report.failures), report.failures
 
 
+@pytest.mark.parametrize("preset, n0, cover", [
+    ("study1", 12, False), ("study2", 10, True)], ids=["study1",
+                                                      "study2-cover"])
+@pytest.mark.parametrize("tamper", PLAN_TAMPERS.values(),
+                         ids=PLAN_TAMPERS.keys())
+def test_audit_reads_a_plan_only_in_its_form(preset, n0, cover, tamper):
+    # a refresh posts its plan as [indices, values]: int indices into the
+    # window, strictly increasing, and as many int or float values. Any
+    # other form fails structure once at its record, and the records after
+    # it that step from its plan fail for want of it
+    cfg, points = pinned_run(preset, n0, cover, None)
+    records = [ev.record() for ev in run(cfg, points).events]
+    seq, message = tamper(records, cfg)
+    report, failed = full_audit(cfg, records)
+    assert failed["structure"] >= 1
+    here = [f for f in report.failures if f.startswith(f"record {seq}: ")]
+    assert here == [f"record {seq}: {message}"]
+    assert all(int(f.split(":")[0].split()[1]) > seq
+               for f in report.failures
+               if f.startswith("record ") and f not in here)
+
+
 @pytest.mark.parametrize("preset, n0, cover", REUSING_RUNS, ids=REUSING_IDS)
 def test_a_refresh_without_its_plan_fails_without_the_runs_tolerances(
         preset, n0, cover):
-    # priced with the plan before it, each of the first 20 step refreshes
-    # posts a value that is not that plan's or a gap above the eps1 it
-    # posts: that plan failed its revalidation at the refresh's decision, so
-    # its gap is above eps_sa
+    # without its plan and work counts, a reuse's form, and so priced with
+    # the plan before it, each of the first 20 step refreshes posts a value
+    # that is not that plan's or a gap above the eps1 it posts: that plan
+    # failed its revalidation at the refresh's decision, so its gap is above
+    # eps_sa
     cfg, points = pinned_run(preset, n0, cover, None)
     records = [ev.record() for ev in run(cfg, points).events]
     refreshes = [i for i, r in enumerate(records) if "alpha" in r and "y" in r]
     assert len(refreshes) > 20
     for seq in refreshes[:20]:
         edited = [dict(r) for r in records]
-        del edited[seq]["y"]
+        as_reuse(edited[seq])
         report = audit(cfg, edited)
         failed = {c.name: c.failures for c in report.checks}
         assert failed["certificate_value"] + failed["certificate_gap"] >= 1
@@ -712,7 +743,7 @@ def test_a_refresh_without_its_plan_fails_without_the_runs_tolerances(
 
 
 # the seed-0 logs on which putting the plan and cover keys back restores
-# the format before this one
+# the format two before this one
 RESTORED_RUNS = [("study1", 40, False), ("study1", 40, True),
                  ("study2", 10, True), ("study2", 20, True)]
 
@@ -722,16 +753,18 @@ RESTORED_RUNS = [("study1", 40, False), ("study1", 40, True),
                               "study2-cover-20"])
 def test_the_plan_and_cover_keys_put_back_restore_the_older_format(
         preset, n0, cover):
-    # the format before this one wrote each arrival's cover keys and each
-    # reuse's y_ref last: the cover's outcome, which the runner keeps in
-    # memory, and the latest refresh, which posts the plan the reuse kept.
-    # Each of them put back alone fails structure alone
+    # the format two before this one wrote, on top of the one before this
+    # one, each arrival's cover keys and each reuse's y_ref last: the
+    # cover's outcome, which the runner keeps in memory, and the latest
+    # refresh, which posts the plan the reuse kept. Each of them put back
+    # alone fails structure alone
     cfg, points = pinned_run(preset, n0, cover, None)
     res, decisions = run_with_decisions(cfg, points)
     records = [ev.record() for ev in res.events]
-    restored = put_back_plan_and_cover_keys(records, decisions, cfg)
+    older = put_back_plan_rows_and_reuse_counts(records, cfg)
+    restored = put_back_plan_and_cover_keys(older, decisions, cfg)
     size, ref = 0, None
-    for ev, rec, old in zip(res.events, records, restored):
+    for ev, rec, old in zip(res.events, older, restored):
         assert list(old)[:len(rec)] == list(rec)
         added, want = {key: old[key] for key in list(old)[len(rec):]}, {}
         if ev.kind == "DataArrival":
@@ -747,7 +780,7 @@ def test_the_plan_and_cover_keys_put_back_restore_the_older_format(
             want = {"y_ref": ref}
         assert added == want, ev.seq
     put_back = {key for rec in restored for key in rec} - {
-        key for rec in records for key in rec}
+        key for rec in older for key in rec}
     assert put_back == {key for kind, keys in PLAN_AND_COVER_KEYS.items()
                         for key in keys if cover or kind != "DataArrival"}
     for key in sorted(put_back):
@@ -761,14 +794,66 @@ def test_the_plan_and_cover_keys_put_back_restore_the_older_format(
             "keys of its form"]
 
 
+def older_format_log(cfg, points, monkeypatch):
+    """The log text of ``run(cfg, points)`` in the format before this one,
+    written by the runner itself: each plan by the encoder of that format,
+    as its nonzero ``[k, j, value]`` rows, and each reuse's work counts as
+    the meter counted them around ``reuse_or_refresh``."""
+    def plan_rows(y):
+        ks, js = np.nonzero(y)
+        return [[k, j, v] for k, j, v
+                in zip(ks.tolist(), js.tolist(), y[ks, js].tolist())]
+
+    counted, reuse_or_refresh = [], runner.reuse_or_refresh
+
+    def counting(model, x_new, tol, cert, meter):
+        mark = meter.counts()
+        outcome = reuse_or_refresh(model, x_new, tol, cert, meter=meter)
+        if outcome.reused:
+            counted.append([now - then
+                            for now, then in zip(meter.counts(), mark)])
+        return outcome
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "plan_entries", plan_rows)
+        patch.setattr(runner, "reuse_or_refresh", counting)
+        events = run(cfg, points).events
+    reuses = iter(counted)
+    for ev in events:
+        if ev.kind == "CertificatePosted" and "y" not in ev.extras:
+            ev.extras.update(zip(REUSE_COUNTS, next(reuses)))
+    assert next(reuses, None) is None
+    assert all(counts == list(REUSE_COUNTS.values()) for counts in counted)
+    return "".join(json.dumps(ev.record()) + "\n" for ev in events)
+
+
+@pytest.mark.parametrize("preset, n0, cover", [
+    ("study1", 40, False), ("study1", 40, True), ("study1", 12, False),
+    ("study1", 12, True), ("study2", 10, True), ("study1-coupled", 12, False)],
+    ids=["study1", "study1-cover", "study1-12", "study1-12-cover",
+         "study2-cover", "study1-coupled-12"])
+def test_the_plan_rows_and_reuse_counts_put_back_restore_the_older_format(
+        preset, n0, cover, monkeypatch):
+    # the format before this one posted each plan as [k, j, value] rows and
+    # each reuse's work counts, always one search and no hull solve: putting
+    # both back reproduces that format's log byte for byte
+    cfg, points = pinned_run(preset, n0, cover, None)
+    records = [ev.record() for ev in run(cfg, points).events]
+    assert any("y" not in r for r in records
+               if r["kind"] == "CertificatePosted")
+    restored = put_back_plan_rows_and_reuse_counts(records, cfg)
+    assert "".join(json.dumps(rec) + "\n" for rec in restored) == (
+        older_format_log(cfg, points, monkeypatch))
+
+
 # the keys of each kind's records, in the order a record writes them,
 # besides kind and t, on a run with a cover or without one; a certificate
 # writes x for the run's first certificate, alpha for a step's and neither
-# for a later epoch's first, and y for a refresh only
+# for a later epoch's first, and the work counts and y for a refresh only
+REFRESH_KEYS = ("lp_calls", "cp_calls", "afwa_iters", "y")
 DOCUMENTED_KEYS = {
     "DataArrival": ("r", "l", "point", "index", "arrival_t"),
-    "CertificatePosted": ("J", ("x", "alpha"), "tol", "lp_calls", "cp_calls",
-                          "afwa_iters", "y"),
+    "CertificatePosted": ("J", ("x", "alpha"), "tol", REFRESH_KEYS),
     "EpochConverged": (),
     "Terminated": (),
 }
@@ -866,11 +951,11 @@ def test_every_record_of_a_kind_carries_the_same_keys():
                     want += (["alpha"] if ev.l in epochs
                              else [] if epochs else ["x"])
                     epochs.add(ev.l)
-                elif key == "y":
+                elif key == REFRESH_KEYS:
                     # an epoch's first certificate always refreshes
                     reuses += "y" not in rec
                     assert "y" in rec or "alpha" in rec, rec
-                    want += ["y"] if "y" in rec else []
+                    want += list(key) if "y" in rec else []
                 else:
                     want.append(key)
             assert list(rec) == want, (preset, n0, cover, budget, rec)
@@ -1027,15 +1112,15 @@ def log_text(result):
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
 #  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 37541,
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 32641,
      40.12962000000008, 0.1296200000000809),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 30829,
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 26944,
      41.567399999999694, 1.3922000000000523),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 36150,
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 31537,
      40.08570000000014, 0.08570000000013778),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 87907,
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 81174,
      20.546896719250853, 0.14061000000089052),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 80262,
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 73406,
      82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
