@@ -353,9 +353,6 @@ class _QuadraticHull:
         return _hull_point(self._shape, self._ks, self._js, self._vals, gamma)
 
 
-_MAX_HULL_ITERS = 2_000_000
-
-
 def generate(
     model,
     x: Array,
@@ -460,10 +457,7 @@ def generate(
 
         hull = _QuadraticHull(problem, vs, scale, H)
         H = hull.H
-        res = afwa_maximize(
-            hull.v0, hull.lin, hull.H, eps1, c,
-            max_iters=_MAX_HULL_ITERS, meter=meter,
-        )
+        res = afwa_maximize(hull.v0, hull.lin, hull.H, eps1, c, meter=meter)
         meter.afwa_iters += res.iterations
         c = res.weights
         z = hull.point(c)
@@ -474,7 +468,7 @@ def generate(
         meter.cp_calls += 1
         if not res.converged:
             raise SolverError(
-                f"hull ascent exhausted {_MAX_HULL_ITERS} iterations "
+                f"hull ascent exhausted {res.iterations} iterations "
                 f"(gap {res.gap:.3g} > eps1 {eps1:.3g})"
             )
         solved_here = True

@@ -117,9 +117,8 @@ class RunEvent:
     result's events: ``n``, which ``trajectory.csv`` and drobench's arrival
     stamps read; ``r`` on every kind but an arrival and an arrival's
     ``cover_size`` (in ``extras``), which ``trajectory.csv`` reads; and
-    ``seq``, ``l`` on every kind but an arrival and a certificate's ``eta``
-    (in ``extras``), which no reader in the package uses and the tests read
-    to tie a log to its run.
+    ``seq`` and ``l`` on every kind but an arrival, which no reader in the
+    package uses and the tests read to tie a log to its run.
     ``J`` is None on the records that do not post it, the arrivals, the
     convergences and the termination; ``x`` is None on every record but the
     run's first certificate (see the module docstring), and so is
@@ -330,8 +329,7 @@ def run(
         # the step length alpha that took the decision before it to its own,
         # and a refresh its work and plan y: a reuse keeps the plan before
         # it, and its work is its one revalidation search
-        extras = dict(alpha=alpha, eta=cert.eta,
-                      tol=tol.eps_sa if reused else tol.eps1)
+        extras = dict(alpha=alpha, tol=tol.eps_sa if reused else tol.eps1)
         if not reused:
             # the work of the attempt that produced cert: the counts since mark
             lp, cp, iters = map(operator.sub, meter.counts(), mark)

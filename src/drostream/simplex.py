@@ -104,6 +104,10 @@ def point_search(
     return vertices, eta
 
 
+# the ascent's iteration cap; an ascent that reaches it is not converged
+MAX_ITERS = 2_000_000
+
+
 @dataclass
 class AfwaResult:
     weights: Array
@@ -120,7 +124,7 @@ def afwa_maximize(
     H: Array,
     eps: float,
     start: Sequence[float],
-    max_iters: int = 1_000_000,
+    max_iters: int = MAX_ITERS,
     meter=None,
 ) -> AfwaResult:
     """Away-step Frank-Wolfe ascent of v0 + lin'gamma + gamma'H gamma / 2

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from drostream.simplex import ConcavityError, SolverError
+from drostream.simplex import MAX_ITERS, ConcavityError, SolverError
 
 
 def waterfill_certificate(A, B, c_diag, x, points, theta, n_total, eps):
@@ -392,7 +392,7 @@ def afwa_reference(objective, eps, start, max_iters=1_000_000,
     return AfwaTrace(gamma, val, max_iters, gap_fw, False, gaps)
 
 
-def afwa_quadratic_reference(v0, lin, H, eps, start, max_iters=1_000_000,
+def afwa_quadratic_reference(v0, lin, H, eps, start, max_iters=MAX_ITERS,
                              meter=None):
     """``afwa_reference`` on v0 + lin . gamma + gamma'H gamma / 2, called as
     ``drostream.simplex.afwa_maximize`` is: ``meter.charge(1)`` after each

@@ -122,8 +122,7 @@ def dropped_keys(records, decisions, config):
     each later epoch's first certificate's ``x``; each convergence's ``J``,
     ``x``, ``steps`` and ``best_seq``; and the termination's ``J``, ``x``,
     ``best_seq`` and, with a cover, ``cover_size``. A certificate's gap
-    ``eta`` is not among them: only the runner's in-memory event keeps
-    it."""
+    ``eta`` is not among them: the audit measures it from the plan."""
     samples = runner.Samples(config.model.dimension_m, len(records),
                              config.concentration, config.schedule,
                              config.cover)

@@ -1,6 +1,7 @@
 """Certificate generation against the water-filling oracle and hand values."""
 
 import dataclasses
+import functools
 import json
 import re
 import subprocess
@@ -381,7 +382,8 @@ def test_an_exhausted_hull_ascent_raises_after_metering_it(monkeypatch):
     rng = np.random.default_rng(14)
     model = quadratic_model([[1.0]], np.zeros((1, 3)), -np.eye(3))
     win = DataWindow.plain(rng.normal(size=(40, 3)) * 3)
-    monkeypatch.setattr(certificates, "_MAX_HULL_ITERS", 1)
+    monkeypatch.setattr(certificates, "afwa_maximize",
+                        functools.partial(afwa_maximize, max_iters=1))
     meter = Meter()
     with pytest.raises(SolverError, match="hull ascent exhausted 1 iterations"):
         generate(model, np.array([0.0]), win, 0.5, 1e-9, meter=meter)

@@ -1,11 +1,10 @@
 """Every module-level function, class and constant of the package is read
-somewhere in the package outside its own definition, or re-exported by
-``__init__.py``, and so is every method and property of its classes: a
-definition nothing reads is dead code, such as a helper or constant whose
-last user was deleted. A method counts as read where its name is read as
-an attribute or a bare name, in another statement of the package or in
-another member of its class. Dunder names and dataclass fields are
-exempt."""
+somewhere in the package outside its own definition, and so is every
+method and property of its classes: a definition nothing reads is dead
+code, such as a helper or constant whose last user was deleted. A method
+counts as read where its name is read as an attribute or a bare name, in
+another statement of the package or in another member of its class.
+Dunder names and dataclass fields are exempt."""
 
 import ast
 from pathlib import Path
@@ -44,23 +43,17 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
     """``file:line name`` of each definition in ``sources`` (file name to
     source) that no other top-level statement of any file reads, and of
     each method that neither another top-level statement nor another member
-    of its class reads; ``__init__.py``'s imports count as reads, its
-    definitions are exempt."""
+    of its class reads; an import is not a read."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     # (file, statement index) -> names that statement reads
     reads = {(name, i): read_names(stmt)
              for name, tree in trees.items()
              for i, stmt in enumerate(tree.body)}
-    exported = {alias.asname or alias.name
-                for node in ast.walk(trees.get("__init__.py", ast.Module([])))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
     dead = []
     for name, tree in trees.items():
-        if name == "__init__.py":
-            continue
         for i, stmt in enumerate(tree.body):
             for defined in defined_names(stmt):
-                if defined.startswith("__") or defined in exported:
+                if defined.startswith("__"):
                     continue
                 if not any(defined in names for where, names in reads.items()
                            if where != (name, i)):
@@ -81,11 +74,12 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
 
 def test_the_lint_finds_a_dead_definition():
     sources = {
-        "__init__.py": "from .a import public\n",
+        "__init__.py": "from .a import exported\n",
         "a.py": ("_CAP = 10**18\n"
                  "def rec(n):\n    return rec(n - 1)\n"
                  "def public():\n    return helper()\n"
                  "def helper():\n    return 1\n"
+                 "def exported():\n    return 2\n"
                  "Array = list\nx: Array = []\n"),
         "b.py": "from . import a\nY = a.x\n",
         "c.py": ("from .a import public\n"
@@ -99,6 +93,7 @@ def test_the_lint_finds_a_dead_definition():
                  "Z = public(C().called())\n"),
     }
     assert dead_definitions(sources) == ["a.py:1 _CAP", "a.py:2 rec",
+                                         "a.py:8 exported",
                                          "b.py:2 Y", "c.py:6 C.spent",
                                          "c.py:11 C.used", "c.py:15 Z"]
 

@@ -1,6 +1,6 @@
 """Every name a module of the package, the tests or the scripts imports is
 used in it: an unused import is dead code or a leftover of a removed path.
-``__future__`` imports and the re-exports of ``__init__.py`` are exempt."""
+``__future__`` imports are exempt."""
 
 import ast
 from pathlib import Path
@@ -35,9 +35,8 @@ def test_the_lint_finds_an_unused_import():
 def unused_in(folder: Path) -> list[str]:
     found = []
     for path in sorted(folder.glob("*.py")):
-        if path.name != "__init__.py":
-            found += [f"{path.name}:{line} {name}"
-                      for line, name in unused_imports(path.read_text())]
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in unused_imports(path.read_text())]
     return found
 
 

@@ -28,7 +28,7 @@ from oracles import (
 )
 from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
                     PLAN_AND_COVER_KEYS, PLAN_TAMPERS, REUSE_COUNTS,
-                    REUSE_TAMPERS, STEP_TAMPERS, as_reuse,
+                    REUSE_TAMPERS, STEP_TAMPERS, as_reuse, ball_at,
                     converge_a_step_early, drop_key, dropped_keys,
                     epoch_starts, put_back_plan_and_cover_keys,
                     put_back_plan_rows_and_reuse_counts, restart_from,
@@ -1051,24 +1051,29 @@ def test_audit_fails_weighted_certificate_above_its_tolerance():
     # The one-dimensional cover run solves every weighted hull exactly, so
     # take a three-dimensional one.
     cfg, points = pinned_run("study1", 40, True, None)
-    events = run(cfg, points).events
-    records = [ev.record() for ev in events]
-    # each certificate's window has as many atoms as the cover has centers,
-    # whose count the runner keeps in memory at each arrival
-    atoms, size = [], None
-    for ev in events:
-        if ev.kind == "DataArrival":
-            size = ev.extras["cover_size"]
-        atoms.append(size)
+    result, decisions = run_with_decisions(cfg, points)
+    records = [ev.record() for ev in result.events]
+
+    def weighted_gap(seq):
+        """The gap of the refresh at ``seq`` as the audit measures it, on a
+        window with fewer atoms than samples, else None."""
+        window, eps = ball_at(records, cfg, seq)
+        n = window.n_total
+        if window.size == n:
+            return None
+        y = plan_from_entries(records[seq]["y"],
+                              (window.size, window.dimension))
+        grads = cfg.model.grad_y(np.array(decisions[seq]), window.points, y)
+        return simplex.frank_wolfe_gap(grads, n * eps,
+                                       window.theta[:, None] * y, n_total=n)
+
     # the audit allows the gap 1e-9 above its tolerance, so halving the
-    # tolerance must take off more than that; the runner keeps each
-    # certificate's gap in memory
-    ev = next(ev for ev in events
-              if ev.kind == "CertificatePosted" and "y" in ev.extras
-              and atoms[ev.seq] < ev.n and ev.extras["eta"] / 2 > 1e-9)
-    seq, rec = ev.seq, records[ev.seq]
-    assert atoms[seq] < ev.n  # a weighted window
-    rec["tol"] = ev.extras["eta"] / 2
+    # tolerance must take off more than that
+    gaps = ((seq, weighted_gap(seq))
+            for seq, rec in enumerate(records) if "y" in rec)
+    seq, eta = next((seq, eta) for seq, eta in gaps
+                    if eta is not None and eta / 2 > 1e-9)
+    records[seq]["tol"] = eta / 2
     report = audit(cfg, records)
     assert not report.ok
     for check in report.checks:
