@@ -35,8 +35,7 @@ short function of those facts. The audit derives:
 - a reuse's plan: the latest plan on its window, which is the plan of the
   certificate before it;
 - which certificates start an epoch, by their form (no ``alpha``, after
-  an arrival), and so the step and epoch counts of every record but an
-  arrival, the only one that posts them;
+  an arrival);
 - a step certificate's decision from the certificate before it, on the same
   window, as the runner stepped: ``scaled_step(x_prev,
   subgradient(model, x_prev, window, y_prev), alpha)``, one batched
@@ -54,8 +53,8 @@ they are exact on one machine and BLAS build, as the stop rule's comparison
 of a derived distance with eps2 assumes. Each record carries exactly the
 keys of its kind's form (``runner.COMMON_KEYS`` and ``RECORD_KEYS``, where
 a certificate carries ``x`` on the run's first, ``alpha`` on a step's and
-the work counts and ``y`` on a refresh only), and no record writes a null
-value.
+the work counts and ``y`` on a refresh only), no record writes a null
+value, and none writes a number as a JSON boolean or string.
 """
 
 from __future__ import annotations
@@ -108,12 +107,23 @@ def _close(a: float, b: float) -> bool:
     return math.isfinite(diff) and abs(diff) <= _ABS + _REL * max(abs(a), abs(b))
 
 
+def _numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or a list of numbers or of such
+    lists: ``float()`` would read ``true`` as 1.0 and ``"1.5"`` as 1.5."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(rec: dict, key: str, array: bool = False):
     """``rec[key]`` as a float, or given ``array`` as a float array; None
-    when it is missing, null, ragged or not numeric."""
+    when it is missing, null, ragged or not ``_numbers``."""
+    value = rec.get(key)
+    if not _numbers(value):
+        return None
     try:
-        return np.asarray(rec[key], dtype=float) if array else float(rec[key])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        return np.asarray(value, dtype=float) if array else float(value)
+    except (TypeError, ValueError, OverflowError):
         return None
 
 
@@ -165,9 +175,8 @@ class _Derivation:
         # eps2, and the latest time a record and an arrival posted
         self.last, self.prev, self.best, self.small = _NONE, _NONE, None, None
         self.last_t, self.arrival_t = -np.inf, -np.inf
-        # the runner's step and epoch counts, the epochs certificates began
-        # and the steps of the latest one
-        self.r = self.l = self.epoch = self.steps = 0
+        # the epochs certificates began and the steps of the latest one
+        self.epoch = self.steps = 0
         self.arrived = self.terminated = False
 
     def __call__(self, i: int, rec) -> _Record:
@@ -181,24 +190,6 @@ class _Derivation:
         # an epoch's first certificate posts no alpha and follows an arrival
         starts = (kind == "CertificatePosted" and self.arrived
                   and "alpha" not in rec)
-        # l counts the epochs begun: an arrival may show the next one, whose
-        # first certificate's search it interrupted. r counts the steps
-        # taken: it may rise at the arrival right after a certificate, which
-        # interrupted a step before its own
-        if starts:
-            self.l = self.epoch + 1
-        elif kind == "CertificatePosted":
-            self.r += 1
-        elif kind == "DataArrival":
-            r, l = rec.get("r"), rec.get("l")
-            if type(l) is not int or l not in (self.l, self.epoch + 1):
-                problem(f"epoch count l {l!r} does not follow {self.l}")
-                l = self.l
-            rises = (0, 1) if self.last.kind == "CertificatePosted" else (0,)
-            if type(r) is not int or r - self.r not in rises:
-                problem(f"step count r {r!r} does not follow {self.r}")
-                r = self.r
-            self.r, self.l = r, l
         form = self.forms[(starts, self.epoch > 0, "y" not in rec)
                           if kind == "CertificatePosted" else kind]
         posted = {key for key, value in rec.items() if value is not None}
@@ -212,7 +203,8 @@ class _Derivation:
                         ", ".join(sorted(map(repr, keys)))))
         t = _number(rec, "t")
         if t is None or not math.isfinite(t) or t < self.last_t - 1e-12:
-            problem(f"time {t} moves backward")
+            problem(f"time t {rec.get('t')!r} is not a finite number or "
+                    "moves backward")
         else:
             self.last_t = max(self.last_t, t)
         if self.terminated:

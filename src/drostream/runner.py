@@ -22,8 +22,8 @@ written once. Every record carries ``kind`` and the meter's time ``t``;
 beyond those, each kind writes exactly the keys of ``RECORD_KEYS``, in
 that order and in one of its forms:
 
-- ``DataArrival``: the counts ``r`` and ``l``, ``point``, ``index`` and
-  ``arrival_t``, whether or not the run has a cover;
+- ``DataArrival``: ``point``, ``index`` and ``arrival_t``, whether or not
+  the run has a cover;
 - ``CertificatePosted``: ``J``, then ``x`` for the run's first certificate
   or the step length ``alpha`` for a step's, then ``tol``, and for a
   refresh its work counts ``lp_calls``, ``cp_calls`` and ``afwa_iters``
@@ -38,10 +38,16 @@ only by its certificate, the one that posts ``alpha``, which is
 its decision is ``scaled_step`` by ``alpha`` along the ``subgradient`` of
 the certificate before it, at that one's decision, window and plan. An
 epoch's first certificate posts no ``alpha`` and follows the arrivals the
-epoch ingests. ``r`` counts the steps taken and ``l`` the epochs begun
-(``RunTotals``); both follow from the record kinds except where an arrival
-interrupts a step before its certificate or an epoch's first search, so
-only arrivals post them. An epoch's best is its first certificate, then
+epoch ingests. No record posts the step count ``r`` or the epoch count
+``l`` (``RunTotals``); both follow from the kinds and times. A step's
+certificate takes the next step, and an epoch's first certificate begins
+the next epoch. An epoch opens by draining every due arrival at one time,
+so a batch of arrivals, from the first after any other record, posts one
+``t``. A certificate right before a batch at a lower ``t`` means the next
+step was charged and cut, so ``r`` rises by 1 (at an equal ``t`` the steps
+stopped on the deadline). An arrival above its batch's first ``t`` was
+drained after an interrupted search, so ``l`` already counts that search's
+epoch. An epoch's best is its first certificate, then
 each later one whose ``J`` is lower; the next epoch starts from the best's
 decision, so only the first epoch's certificate posts ``x``, and the run's
 output is its last epoch's best. A convergence directly follows the
@@ -99,7 +105,7 @@ Array = np.ndarray
 # the order ``RunEvent.record()`` writes them
 COMMON_KEYS = ("kind", "t")
 RECORD_KEYS = {
-    "DataArrival": ("r", "l", "point", "index", "arrival_t"),
+    "DataArrival": ("point", "index", "arrival_t"),
     "CertificatePosted": ("J", "x", "alpha", "tol", "lp_calls", "cp_calls",
                           "afwa_iters", "y"),
     "EpochConverged": (),
@@ -115,18 +121,17 @@ class RunEvent:
 
     Some fields stay in memory only, for an ``on_event`` callback or the
     result's events: ``n``, which ``trajectory.csv`` and drobench's arrival
-    stamps read; ``r`` on every kind but an arrival and an arrival's
-    ``cover_size`` (in ``extras``), which ``trajectory.csv`` reads; and
-    ``seq`` and ``l`` on every kind but an arrival, which no reader in the
-    package uses and the tests read to tie a log to its run.
+    stamps read; ``r`` and an arrival's ``cover_size`` (in ``extras``),
+    which ``trajectory.csv`` reads; and ``seq`` and ``l``, which nothing in
+    the package reads and the tests read to tie a log to its run.
     ``J`` is None on the records that do not post it, the arrivals, the
     convergences and the termination; ``x`` is None on every record but the
     run's first certificate (see the module docstring), and so is
     ``cover_size`` without a cover. A reuse's ``extras`` hold no work
     counts, so ``trajectory.csv`` counts its hull solves as 0. ``beta`` is
-    always None and never written: the ball's beta follows from ``n``. The
-    field stays so that an event is still built from its ten positional
-    fields.
+    always None and never written: the ball's beta follows from ``n``.
+    ``seq``, ``l`` and ``beta`` stay so that an event is still built from
+    its ten positional fields, as drobench's self-test builds one.
     """
 
     seq: int
@@ -141,8 +146,8 @@ class RunEvent:
     extras: dict
 
     def record(self) -> dict:
-        values = {"kind": self.kind, "t": self.t, "r": self.r, "l": self.l,
-                  "J": self.J, "x": self.x, **self.extras}
+        values = {"kind": self.kind, "t": self.t, "J": self.J, "x": self.x,
+                  **self.extras}
         keys = COMMON_KEYS + RECORD_KEYS[self.kind]
         return {key: values[key] for key in keys
                 if values.get(key) is not None}

@@ -8,16 +8,19 @@ decision, since the epoch starts from the last one's best. A test that
 needs those decisions takes them from the runner itself:
 ``run_with_decisions`` records what the runner passed to ``generate`` and
 what its ``scaled_step`` returned. A record's position in the log is its
-sequence number, which tests call its seq. ``dropped_keys`` rebuilds the
-keys an older format posted on top of that.
-``put_back_plan_rows_and_reuse_counts`` rebuilds the format just before
-this one, and ``put_back_plan_and_cover_keys`` the keys the format before
-that one posted besides. ``STEP_TAMPERS`` are the edits of this format the
-audit must catch, of the facts it derives a dropped key from and of an
-arrival's own keys, ``REUSE_TAMPERS`` the edits of which certificates post
-a plan, ``PLAN_TAMPERS`` the edits of a plan's form, ``KEY_TAMPERS`` the
-keys a record must not carry, ``MISSING_KEYS`` the keys it must, and
-``COUNTER_TAMPERS`` the edits of its step and epoch counts.
+sequence number, which tests call its seq. ``runner_counts`` derives the
+runner's step and epoch counts from the kinds and times, and
+``dropped_keys`` rebuilds the keys an older format posted on top of that.
+``put_back_counts`` rebuilds the format just before this one,
+``put_back_plan_rows_and_reuse_counts`` the one before that, and
+``put_back_plan_and_cover_keys`` the keys the format before that one posted
+besides. ``STEP_TAMPERS`` are the edits of this format the audit must
+catch, of the facts it derives a dropped key from and of an arrival's own
+keys, ``REUSE_TAMPERS`` the edits of which certificates post a plan,
+``PLAN_TAMPERS`` the edits of a plan's form, ``KEY_TAMPERS`` the keys a
+record must not carry, ``MISSING_KEYS`` the keys it must,
+``COUNTER_TAMPERS`` a step or epoch count at a wrong value, which no record
+carries either, and ``BOOL_TAMPERS`` a JSON boolean where a number goes.
 """
 
 import functools
@@ -82,19 +85,28 @@ def epoch_starts(records):
 
 
 def runner_counts(records):
-    """The step and epoch counts ``(r, l)`` the runner had at each record:
-    an arrival posts them, a step certificate takes the next step and an
-    epoch's first certificate begins the next epoch."""
-    out, r, l, started = [], 0, 0, 0
+    """The step and epoch counts ``(r, l)`` the runner had at each record,
+    from the kinds and times alone, by the rule of the runner's docstring:
+    a step certificate takes the next step and an epoch's first certificate
+    begins the next epoch; a batch of arrivals right after a certificate at
+    a lower ``t`` follows a step that was charged and cut, and an arrival
+    above its batch's first ``t`` was drained after an interrupted search,
+    which began the next epoch."""
+    out, r, l, started, last, batch_t = [], 0, 0, 0, {"kind": None}, None
     for rec in records:
-        if rec["kind"] == "DataArrival":
-            r, l = rec["r"], rec["l"]
-        elif rec["kind"] == "CertificatePosted" and "alpha" in rec:
+        kind, t = rec["kind"], rec["t"]
+        if kind == "DataArrival" and last["kind"] != "DataArrival":
+            batch_t = t
+            r += last["kind"] == "CertificatePosted" and last["t"] < t
+        elif kind == "DataArrival" and t > batch_t:
+            l = started + 1
+        elif kind == "CertificatePosted" and "alpha" in rec:
             r += 1
-        elif rec["kind"] == "CertificatePosted":
+        elif kind == "CertificatePosted":
             started += 1
             l = started
         out.append((r, l))
+        last = rec
     return out
 
 
@@ -113,8 +125,8 @@ def ball_at(records, config, seq):
 def dropped_keys(records, decisions, config):
     """The keys an older format posted that the audit now derives, at the
     values it posted, by the seq of each record that posted them: every
-    record's ``seq`` and sample count ``n``, and the step and epoch counts
-    ``r`` and ``l`` of every record but an arrival; with a cover, each
+    record's ``seq`` and sample count ``n``, and its step and epoch counts
+    ``r`` and ``l`` (``runner_counts``); with a cover, each
     arrival's ``cover_opened`` and ``cover_size``, replayed through
     ``Samples``; each certificate's ``radius``, each step certificate's
     ``moved``, each reuse's ``y_ref``, the seq of the latest certificate
@@ -132,12 +144,12 @@ def dropped_keys(records, decisions, config):
         size = samples.cover_size
         if kind == "DataArrival":
             samples.add(rec["point"], rec["index"])
-            out[seq] = {"seq": seq, "n": samples.n}
-            if size is not None:
-                out[seq].update(cover_opened=samples.cover_size > size,
-                                cover_size=samples.cover_size)
-            continue
         keys = out[seq] = {"seq": seq, "n": samples.n, "r": r, "l": l}
+        if kind == "DataArrival":
+            if size is not None:
+                keys.update(cover_opened=samples.cover_size > size,
+                            cover_size=samples.cover_size)
+            continue
         if kind != "CertificatePosted":
             keys.update(J=records[best]["J"], x=decisions[best])
             if kind == "EpochConverged":
@@ -164,38 +176,47 @@ def dropped_keys(records, decisions, config):
     return out
 
 
-# what the format before this one posted on a reuse, in the order it wrote
-# them: its work, which is always one revalidation search and no hull solve
+def put_back_counts(records):
+    """``records`` as the format before this one wrote them: each arrival
+    posts its step and epoch counts ``r`` and ``l`` (``runner_counts``)
+    right after ``t``."""
+    return [{"kind": rec["kind"], "t": rec["t"], "r": r, "l": l, **rec}
+            if rec["kind"] == "DataArrival" else rec
+            for rec, (r, l) in zip(records, runner_counts(records))]
+
+
+# what the format two before this one posted on a reuse, in the order it
+# wrote them: its work, which is always one revalidation search and no hull
+# solve
 REUSE_COUNTS = {"lp_calls": 1, "cp_calls": 0, "afwa_iters": 0}
 
 
 def put_back_plan_rows_and_reuse_counts(records, config):
-    """``records`` as the format before this one wrote them: each plan ``y``
-    as its nonzero ``[k, j, value]`` rows in row-major order, and each
-    reuse's ``REUSE_COUNTS``, each record's keys in ``RECORD_KEYS`` order."""
+    """``records``, in the format before this one (``put_back_counts``), as
+    the format two before this one wrote them: each plan ``y`` as its
+    nonzero ``[k, j, value]`` rows in row-major order, and each reuse's
+    ``REUSE_COUNTS`` last."""
     m = config.model.dimension_m
     out = []
     for rec in records:
-        values = dict(rec)
         if "y" in rec:
-            values["y"] = [[*divmod(i, m), v] for i, v in zip(*rec["y"])]
+            rec = {**rec, "y": [[*divmod(i, m), v] for i, v in zip(*rec["y"])]}
         elif rec["kind"] == "CertificatePosted":
-            values.update(REUSE_COUNTS)
-        out.append({key: values[key] for key in
-                    runner.COMMON_KEYS + runner.RECORD_KEYS[rec["kind"]]
-                    if key in values})
+            rec = {**rec, **REUSE_COUNTS}
+        out.append(rec)
     return out
 
 
-# the keys the format two before this one wrote last, in the order it wrote
-# them: an arrival's cover keys, with a cover, and a reuse's plan reference
+# the keys the format three before this one wrote last, in the order it
+# wrote them: an arrival's cover keys, with a cover, and a reuse's plan
+# reference
 PLAN_AND_COVER_KEYS = {"DataArrival": ("cover_opened", "cover_size"),
                        "CertificatePosted": ("y_ref",)}
 
 
 def put_back_plan_and_cover_keys(records, decisions, config):
     """``records`` with each arrival's cover keys and each reuse's ``y_ref``
-    put back, last and at the values they held, as the format two before
+    put back, last and at the values they held, as the format three before
     this one wrote them on top of ``put_back_plan_rows_and_reuse_counts``."""
     keys = dropped_keys(records, decisions, config)
     return [{**rec, **{key: keys[seq][key]
@@ -593,6 +614,11 @@ KEY_TAMPERS = {
     "eta": add_eta,
     "step-r": put_back("CertificatePosted", "r", lambda r: "alpha" in r),
     "epoch-start-l": put_back("CertificatePosted", "l"),
+    # the counts the format before this one posted on an arrival, here the
+    # second, which arrives after the first epoch's steps
+    **{f"arrival-{key}": put_back("DataArrival", key,
+                                  lambda r: r["index"] == 1)
+       for key in "rl"},
     **{f"{name}-{key}": put_back(kind, key)
        for name, kind, keys in (
            ("epoch", "EpochConverged", ("steps", "best_seq")),
@@ -616,10 +642,10 @@ def drop_key(records, kind, key, where=None):
     return seq_of(records, rec), f"{kind} lacks '{key}', keys of its form"
 
 
-# Each counter tamper writes the step count r or the epoch count l into one
-# record of a plain log, and returns that record's seq and the start of the
-# audit's structure failure: an arrival, the one kind that posts the counts,
-# must post the runner's, and any other kind carries neither.
+# Each counter tamper writes the step count r or the epoch count l, at a
+# value the runner did not have, into one record of a plain log, and returns
+# that record's seq and the start of the audit's structure failure: the
+# counts follow from the kinds and times, so no kind carries either.
 
 def set_counter(counter, value, pick):
     def tamper(records):
@@ -627,11 +653,7 @@ def set_counter(counter, value, pick):
         seq = seq_of(records, rec)
         r, l = runner_counts(records)[seq]
         rec[counter] = value(r if counter == "r" else l)
-        if rec["kind"] != "DataArrival":
-            return (seq,
-                    f"{rec['kind']} carries '{counter}', not keys of its form")
-        what = "step count r" if counter == "r" else "epoch count l"
-        return seq, f"{what} {rec[counter]!r} does not follow"
+        return seq, f"{rec['kind']} carries '{counter}', not keys of its form"
     return tamper
 
 
@@ -647,4 +669,34 @@ COUNTER_TAMPERS = {
        for kind in ("DataArrival", "CertificatePosted", "EpochConverged",
                     "Terminated")
        for counter in "rl"},
+}
+
+
+# Each boolean tamper sets one number of the study1 log at n0 = 12, seed 0,
+# to a JSON boolean, where float() would read true as 1.0, and returns the
+# record's seq and the start of the audit's structure failure there, which
+# names the key.
+
+def set_bool(key, pick, message):
+    def tamper(records):
+        rec = pick(records)
+        if key == "point":
+            rec[key] = [True, *rec[key][1:]]
+        else:
+            assert rec[key] == 1.0  # so true reads as the value it replaces
+            rec[key] = True
+        return seq_of(records, rec), message
+    return tamper
+
+
+BOOL_TAMPERS = {
+    # the log's first record, an arrival at t = 1.0
+    "t-true": set_bool("t", lambda records: records[0], "time t True"),
+    "alpha-true": set_bool(
+        "alpha", functools.partial(first, kind="CertificatePosted",
+                                   where=lambda r: r.get("alpha") == 1.0),
+        "step certificate alpha missing"),
+    "point-coordinate-true": set_bool(
+        "point", functools.partial(first, kind="DataArrival"),
+        "arrival point missing"),
 }

@@ -27,7 +27,7 @@ from drostream.runner import Samples, run
 from drostream.simplex import SolverError
 from drostream.stream import expected_cost
 
-from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
+from runlog import (BOOL_TAMPERS, COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
                     PLAN_TAMPERS, REUSE_TAMPERS, STEP_TAMPERS,
                     converge_a_step_early,
                     drop_key, dropped_keys, epoch_starts, restart_from,
@@ -581,6 +581,19 @@ def test_verify_reports_a_missing_key_and_exits_1(
 @pytest.mark.parametrize("tamper", COUNTER_TAMPERS.values(),
                          ids=COUNTER_TAMPERS.keys())
 def test_verify_reports_a_wrong_step_or_epoch_count_and_exits_1(
+        run_dir, tmp_path, capsys, tamper):
+    records = [json.loads(line) for line in
+               (run_dir / "events.jsonl").read_text().splitlines()]
+    picked, message = tamper(records)
+    code, captured = verify_tampered(run_dir, tmp_path, capsys, records)
+    assert code == 1
+    assert "structure: FAIL (" in captured.out
+    assert f"record {picked}: {message}" in captured.err
+
+
+@pytest.mark.parametrize("tamper", BOOL_TAMPERS.values(),
+                         ids=BOOL_TAMPERS.keys())
+def test_verify_reads_no_boolean_as_a_number_and_exits_1(
         run_dir, tmp_path, capsys, tamper):
     records = [json.loads(line) for line in
                (run_dir / "events.jsonl").read_text().splitlines()]

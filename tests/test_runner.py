@@ -26,13 +26,14 @@ from oracles import (
     w1_distance,
     window_measure,
 )
-from runlog import (COUNTER_TAMPERS, KEY_TAMPERS, MISSING_KEYS,
-                    PLAN_AND_COVER_KEYS, PLAN_TAMPERS, REUSE_COUNTS,
-                    REUSE_TAMPERS, STEP_TAMPERS, as_reuse, ball_at,
-                    converge_a_step_early, drop_key, dropped_keys,
-                    epoch_starts, put_back_plan_and_cover_keys,
+from runlog import (BOOL_TAMPERS, COUNTER_TAMPERS, KEY_TAMPERS,
+                    MISSING_KEYS, PLAN_AND_COVER_KEYS, PLAN_TAMPERS,
+                    REUSE_COUNTS, REUSE_TAMPERS, STEP_TAMPERS, as_reuse,
+                    ball_at, converge_a_step_early, drop_key, dropped_keys,
+                    epoch_starts, put_back_counts,
+                    put_back_plan_and_cover_keys,
                     put_back_plan_rows_and_reuse_counts, restart_from,
-                    run_with_decisions, step_certificate)
+                    run_with_decisions, runner_counts, step_certificate)
 
 
 def pure_quadratic():
@@ -385,7 +386,11 @@ BAD_POINT = "arrival point missing, misshapen or not finite"
      BAD_POINT),
     (two_sample_records, swap_first_two,
      "record 0: certificate before any arrival"),
-], ids=["nan", "nan-cover", "wrong-dimension", "missing", "certificate-first"])
+    # the first sample is 0.0, which float() reads false as
+    (two_sample_records, lambda recs: recs[0].update(point=[False]),
+     f"record 0: {BAD_POINT}"),
+], ids=["nan", "nan-cover", "wrong-dimension", "missing", "certificate-first",
+        "false-for-zero"])
 def test_audit_reports_a_corrupted_arrival_without_raising(
         make_records, tamper, message):
     cfg, records = make_records()
@@ -403,6 +408,9 @@ PLAN_FORM = "plan not [indices, values], two lists of equal length"
 
 @pytest.mark.parametrize("tamper, message", [
     (lambda recs: recs[5].pop("J"), f"record 5: {CERT_FIELDS}"),
+    # float() reads the string as the number it spells
+    (lambda recs: recs[5].update(J=repr(recs[5]["J"])),
+     f"record 5: {CERT_FIELDS}"),
     (lambda recs: recs[1].pop("x"), f"record 1: {CERT_FIELDS}"),
     (lambda recs: recs[5].pop("tol"), f"record 5: {CERT_FIELDS}"),
     (lambda recs: recs[5].update(radius=None),
@@ -432,12 +440,13 @@ PLAN_FORM = "plan not [indices, values], two lists of equal length"
     (lambda recs: recs[6].update(y=recs[5]["y"], y_ref=5),
      "record 6: CertificatePosted carries 'y_ref', not keys of its form"),
     (lambda recs: second_arrival(recs).update(r="two"),
-     "record 4: step count r 'two' does not follow"),
+     "record 4: DataArrival carries 'r', not keys of its form"),
     (lambda recs: recs.__setitem__(8, [1, 2]), "record 8: not a JSON object"),
-], ids=["cert-no-J", "cert-no-x", "cert-no-tol", "radius-null", "ragged-y",
-        "y-outside", "y-repeated", "y-non-integer", "y-nan-value",
-        "y-row-length", "y-legacy-dense", "y-older-rows", "step-J", "step-x",
-        "y-and-y_ref", "arrival-r-not-numeric", "not-an-object"])
+], ids=["cert-no-J", "cert-J-string", "cert-no-x", "cert-no-tol",
+        "radius-null", "ragged-y", "y-outside", "y-repeated", "y-non-integer",
+        "y-nan-value", "y-row-length", "y-legacy-dense", "y-older-rows",
+        "step-J", "step-x", "y-and-y_ref", "arrival-r-not-numeric",
+        "not-an-object"])
 def test_audit_reports_a_malformed_record_without_raising(tamper, message):
     # record 1 is the run's first certificate, the only one that posts x;
     # records 5 and 6 are the second window's certificate and its step's,
@@ -743,7 +752,7 @@ def test_a_refresh_without_its_plan_fails_without_the_runs_tolerances(
 
 
 # the seed-0 logs on which putting the plan and cover keys back restores
-# the format two before this one
+# the format three before this one
 RESTORED_RUNS = [("study1", 40, False), ("study1", 40, True),
                  ("study2", 10, True), ("study2", 20, True)]
 
@@ -753,15 +762,15 @@ RESTORED_RUNS = [("study1", 40, False), ("study1", 40, True),
                               "study2-cover-20"])
 def test_the_plan_and_cover_keys_put_back_restore_the_older_format(
         preset, n0, cover):
-    # the format two before this one wrote, on top of the one before this
-    # one, each arrival's cover keys and each reuse's y_ref last: the
+    # the format three before this one wrote, on top of the one two before
+    # this one, each arrival's cover keys and each reuse's y_ref last: the
     # cover's outcome, which the runner keeps in memory, and the latest
     # refresh, which posts the plan the reuse kept. Each of them put back
     # alone fails structure alone
     cfg, points = pinned_run(preset, n0, cover, None)
     res, decisions = run_with_decisions(cfg, points)
     records = [ev.record() for ev in res.events]
-    older = put_back_plan_rows_and_reuse_counts(records, cfg)
+    older = put_back_plan_rows_and_reuse_counts(put_back_counts(records), cfg)
     restored = put_back_plan_and_cover_keys(older, decisions, cfg)
     size, ref = 0, None
     for ev, rec, old in zip(res.events, older, restored):
@@ -794,11 +803,63 @@ def test_the_plan_and_cover_keys_put_back_restore_the_older_format(
             "keys of its form"]
 
 
+def counted_log(events):
+    """The log text of ``events`` in the format before this one: each
+    arrival posts the runner's step and epoch counts, as it held them in
+    memory, right after ``t``."""
+    return "".join(json.dumps(
+        {"kind": ev.kind, "t": ev.t, "r": ev.r, "l": ev.l, **ev.record()}
+        if ev.kind == "DataArrival" else ev.record()) + "\n" for ev in events)
+
+
+# the seed-0 logs on which putting the counts back restores the format
+# before this one
+COUNTED_RUNS = [("study1", 40, False), ("study1", 40, True),
+                ("study1", 12, False), ("study1", 12, True),
+                ("study2", 10, True), ("study2", 20, True),
+                ("study2", 10, False)]
+
+
+@pytest.mark.parametrize("preset, n0, cover", COUNTED_RUNS,
+                         ids=["study1", "study1-cover", "study1-12",
+                              "study1-12-cover", "study2-cover",
+                              "study2-cover-20", "study2"])
+def test_the_counts_put_back_restore_the_older_format(preset, n0, cover):
+    # the format before this one posted the runner's step and epoch counts
+    # on each arrival: derived from the kinds and times and put back, they
+    # reproduce that format's log byte for byte
+    events = run(*pinned_run(preset, n0, cover, None)).events
+    restored = put_back_counts([ev.record() for ev in events])
+    assert "".join(json.dumps(rec) + "\n" for rec in restored) == (
+        counted_log(events))
+
+
+def test_the_step_and_epoch_counts_follow_from_the_kinds_and_times():
+    # no record posts the runner's counts: on every pinned run they follow
+    # from the record kinds and times at every record, across the arrivals
+    # after a step that was charged and cut, where r rises, and those
+    # drained after an interrupted epoch start, where l does
+    rises = {"r": set(), "l": set()}
+    for row, name in zip(PINNED_WORK, PINNED_IDS):
+        events = run(*pinned_run(*row[:4])).events
+        assert [(ev.r, ev.l) for ev in events] == runner_counts(
+            [ev.record() for ev in events]), name
+        for before, ev in zip(events, events[1:]):
+            for key, seen in rises.items():
+                if ev.kind == "DataArrival" and (
+                        getattr(ev, key) > getattr(before, key)):
+                    seen.add(name)
+    assert rises == {"r": {"study1-coupled-interrupted"},
+                     "l": {"study1-interrupted",
+                           "study1-coupled-interrupted"}}
+
+
 def older_format_log(cfg, points, monkeypatch):
-    """The log text of ``run(cfg, points)`` in the format before this one,
-    written by the runner itself: each plan by the encoder of that format,
-    as its nonzero ``[k, j, value]`` rows, and each reuse's work counts as
-    the meter counted them around ``reuse_or_refresh``."""
+    """The log text of ``run(cfg, points)`` in the format two before this
+    one, written by the runner itself: each arrival's counts as the runner
+    held them (``counted_log``), each plan by the encoder of that format, as
+    its nonzero ``[k, j, value]`` rows, and each reuse's work counts as the
+    meter counted them around ``reuse_or_refresh``."""
     def plan_rows(y):
         ks, js = np.nonzero(y)
         return [[k, j, v] for k, j, v
@@ -824,7 +885,7 @@ def older_format_log(cfg, points, monkeypatch):
             ev.extras.update(zip(REUSE_COUNTS, next(reuses)))
     assert next(reuses, None) is None
     assert all(counts == list(REUSE_COUNTS.values()) for counts in counted)
-    return "".join(json.dumps(ev.record()) + "\n" for ev in events)
+    return counted_log(events)
 
 
 @pytest.mark.parametrize("preset, n0, cover", [
@@ -834,14 +895,16 @@ def older_format_log(cfg, points, monkeypatch):
          "study2-cover", "study1-coupled-12"])
 def test_the_plan_rows_and_reuse_counts_put_back_restore_the_older_format(
         preset, n0, cover, monkeypatch):
-    # the format before this one posted each plan as [k, j, value] rows and
-    # each reuse's work counts, always one search and no hull solve: putting
-    # both back reproduces that format's log byte for byte
+    # the format two before this one posted each plan as [k, j, value] rows
+    # and each reuse's work counts, always one search and no hull solve:
+    # putting both back, on top of the counts, reproduces that format's log
+    # byte for byte
     cfg, points = pinned_run(preset, n0, cover, None)
     records = [ev.record() for ev in run(cfg, points).events]
     assert any("y" not in r for r in records
                if r["kind"] == "CertificatePosted")
-    restored = put_back_plan_rows_and_reuse_counts(records, cfg)
+    restored = put_back_plan_rows_and_reuse_counts(put_back_counts(records),
+                                                   cfg)
     assert "".join(json.dumps(rec) + "\n" for rec in restored) == (
         older_format_log(cfg, points, monkeypatch))
 
@@ -852,7 +915,7 @@ def test_the_plan_rows_and_reuse_counts_put_back_restore_the_older_format(
 # for a later epoch's first, and the work counts and y for a refresh only
 REFRESH_KEYS = ("lp_calls", "cp_calls", "afwa_iters", "y")
 DOCUMENTED_KEYS = {
-    "DataArrival": ("r", "l", "point", "index", "arrival_t"),
+    "DataArrival": ("point", "index", "arrival_t"),
     "CertificatePosted": ("J", ("x", "alpha"), "tol", REFRESH_KEYS),
     "EpochConverged": (),
     "Terminated": (),
@@ -893,8 +956,8 @@ def test_audit_requires_every_key_of_a_records_form(make_records, kind, key,
 @pytest.mark.parametrize("tamper", COUNTER_TAMPERS.values(),
                          ids=COUNTER_TAMPERS.keys())
 def test_audit_requires_the_runners_step_and_epoch_counts(tamper):
-    # r counts the steps and l the epochs; the audit tracks both, and one
-    # wrong count is one failure
+    # r counts the steps and l the epochs; both follow from the kinds and
+    # times, so a count on any record, at any value, is one failure
     cfg, records = study1_records()
     seq, message = tamper(records)
     report, failed = full_audit(cfg, records)
@@ -902,25 +965,16 @@ def test_audit_requires_the_runners_step_and_epoch_counts(tamper):
     assert report.failures[0].startswith(f"record {seq}: {message}")
 
 
-def test_audit_accepts_a_step_count_raised_by_an_interrupted_step():
-    # a step an arrival interrupts is counted but posts no certificate: the
-    # step count an arrival posts rises right after the epoch's last
-    # certificate, which the audit accepts there and at no other arrival
-    cfg, points = pinned_run("study1-coupled", 40, False, 5000.0)
-    events = run(cfg, points).events
-    records = [ev.record() for ev in events]
-    assert full_audit(cfg, records)[0].ok
-    rises = [i for i, (a, b) in enumerate(zip(events, events[1:]), 1)
-             if b.kind == "DataArrival" and b.r > a.r]
-    assert rises and all(events[i - 1].kind == "CertificatePosted"
-                         for i in rises)
-    seq = next(i for i in range(rises[0] + 1, len(records))
-               if records[i]["kind"] == "DataArrival"
-               and records[i - 1]["kind"] != "CertificatePosted")
-    records[seq]["r"] += 1
+@pytest.mark.parametrize("tamper", BOOL_TAMPERS.values(),
+                         ids=BOOL_TAMPERS.keys())
+def test_audit_reads_no_boolean_as_a_number(tamper):
+    # float() reads true as 1.0, where t and alpha are 1.0: the audit reads
+    # only JSON numbers, and fails the record, naming the key
+    cfg, records = study1_records()
+    seq, message = tamper(records)
     report, failed = full_audit(cfg, records)
-    assert failed["structure"] == 1 and sum(failed.values()) == 1
-    assert report.failures[0].startswith(f"record {seq}: step count r")
+    assert failed["structure"] >= 1
+    assert report.failures[0].startswith(f"record {seq}: {message}")
 
 
 def test_audit_reports_a_huge_step_length_without_warnings():
@@ -1117,15 +1171,15 @@ def log_text(result):
 #  lp_calls, cp_calls, afwa_iters, interrupts, reuses, events, log bytes,
 #  virtual time at the end, virtual time from the last arrival to the end)
 PINNED_WORK = [
-    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 32641,
+    ("study1", 40, False, None, 140, 42, 1348, 0, 58, 179, 31932,
      40.12962000000008, 0.1296200000000809),
-    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 26944,
+    ("study1", 40, False, 5000.0, 125, 39, 1249, 7, 51, 158, 26235,
      41.567399999999694, 1.3922000000000523),
-    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 31537,
+    ("study1", 40, True, None, 143, 45, 1542, 0, 58, 179, 30828,
      40.08570000000014, 0.08570000000013778),
-    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 81174,
+    ("study2", 10, True, None, 670, 222, 6021, 0, 24, 262, 81000,
      20.546896719250853, 0.14061000000089052),
-    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 73406,
+    ("study1-coupled", 40, False, 5000.0, 634, 218, 5064, 33, 36, 270, 72663,
      82.87780000000083, 42.7720000000017),
 ]
 PINNED_IDS = ["study1", "study1-interrupted", "study1-cover", "study2-cover",
@@ -1268,9 +1322,8 @@ LOG_EDITS = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(edit=LOG_EDITS)
-# record 0 is the log's first arrival, which posts the step and epoch counts
-# the audit reads before anything else, and record 5 a certificate, which
-# posts no count
+# record 0 is the log's first arrival and record 5 a certificate; neither
+# posts a step or epoch count, which an older format posted on an arrival
 @example(edit=("set", 5, "n", math.inf))
 @example(edit=("set", 0, "l", None))
 @example(edit=("drop", 0, "l"))
